@@ -8,11 +8,11 @@ and component-imperfection studies.
 
 from .circuit import (CircuitSpec, ElementDecl, RoutingCoefficients,
                       compose, element_matrices, parse_netlist,
-                      parse_netlist_text, routing_coefficients)
-from .cmt import (CmtState, CouplerFit, cmt_evolve, compose_sections,
-                  conversion_fraction, coupling_matrix, fit_coupler,
-                  load_coupler_fit, pbs_angles, pc_spectrum, peak_fwhm,
-                  save_coupler_fit, splitting_ratio, switch_map)
+                      parse_netlist_text, routing_coefficients, transfer)
+from .cmt import (CouplerFit, compose_sections, conversion_fraction,
+                  coupling_matrix, fit_coupler, load_coupler_fit,
+                  pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,
+                  splitting_ratio, switch_map)
 from .detection import (CoincidenceQuery, ScanResult, SweepPoint,
                         TemperaturePoint, apply_imperfection, coincidence,
                         coincidence_insensitive, default_delay_values,

@@ -24,6 +24,13 @@ basis (1H, 1V, 2H, 2V). The netlist format is line based:
 
 Elements appear in propagation order: the first listed acts first. Keys
 are floats; unknown or duplicate keys are errors with their line number.
+
+``transfer(spec, omega, amps)`` is the one path through a chip: it builds
+the element chain once, evaluates the refractive indices (n_H, n_V) once
+on the frequency grid, and lets each element act with its block structure
+on an amplitude array of shape (..., 4, k). ``compose`` (the full unitary,
+k = 4) and ``routing_coefficients`` (the two channel-1 input columns,
+conjugated) are transfers of fixed inputs.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ ELEMENT_SCHEMA = {
     "eobs": ({"kappa_c", "half_length", "dbeta_1", "dbeta_2"},
              {"dbeta_1_v", "dbeta_2_v"}),
 }
+
+# the two source photons enter channel 1: H-born in 1H, V-born in 1V
+CHANNEL1_INPUTS = np.eye(4)[:, :2]
 
 _SOURCE_KEYS = {"pump_wavelength", "pulse_duration", "poling_period",
                 "pdc_length"}
@@ -113,33 +123,31 @@ def element_matrices(spec: CircuitSpec) -> list:
             for d in spec.elements]
 
 
+def transfer(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
+    """Push mode amplitudes through the element chain.
+
+    ``amps`` holds k input vectors over the mode basis, shape (4, k) or
+    any shape broadcastable to ``omega.shape + (4, k)``; the result is
+    U(omega) @ amps with U = E_n ... E_2 E_1 (first listed element acts
+    first). Each element acts with its own block structure, so no 4x4 per
+    element and frequency is formed. ``indices`` are (n_H, n_V) already
+    evaluated on omega at the chip temperature; when absent they are
+    computed here, once for the whole chain.
+    """
+    w = np.asarray(omega, dtype=float)
+    a = np.asarray(amps, dtype=complex)
+    out = np.broadcast_to(a, w.shape + a.shape[-2:])
+    chain = element_matrices(spec)
+    if indices is None and any(m.material is not None for m in chain):
+        indices = el.refractive_indices(spec.model, w, spec.temperature)
+    for matrix in chain:
+        out = matrix.apply(out, w, indices)
+    return out if chain else out.copy()
+
+
 def compose(spec: CircuitSpec, omega) -> np.ndarray:
-    """Total transfer matrix of the chain at the given frequencies.
-
-    The first listed element acts first: U = E_n ... E_2 E_1. Returns
-    shape ``omega.shape + (4, 4)``.
-    """
-    w = np.asarray(omega, dtype=float)
-    total = np.zeros(w.shape + (4, 4), dtype=complex)
-    total[...] = np.eye(4)
-    for matrix in element_matrices(spec):
-        total = matrix.evaluate(w) @ total
-    return total
-
-
-def _inject_columns(spec: CircuitSpec, omega) -> np.ndarray:
-    """Columns of U for the two channel-1 inputs, shape (..., 4, 2).
-
-    Composing on the two injected columns instead of the full matrix
-    keeps the per-element temporaries small on large frequency grids.
-    """
-    w = np.asarray(omega, dtype=float)
-    cols = np.zeros(w.shape + (4, 2), dtype=complex)
-    cols[..., 0, 0] = 1.0  # 1H input
-    cols[..., 1, 1] = 1.0  # 1V input
-    for matrix in element_matrices(spec):
-        cols = matrix.evaluate(w) @ cols
-    return cols
+    """Total transfer matrix of the chain, shape ``omega.shape + (4, 4)``."""
+    return transfer(spec, omega, np.eye(4))
 
 
 @dataclass(frozen=True)
@@ -155,16 +163,10 @@ class RoutingCoefficients:
     signal: np.ndarray
     idler: np.ndarray
 
-    def signal_to(self, channel: int, pol: str) -> np.ndarray:
-        return self.signal[..., el.mode_index(channel, pol)]
-
-    def idler_to(self, channel: int, pol: str) -> np.ndarray:
-        return self.idler[..., el.mode_index(channel, pol)]
-
 
 def routing_coefficients(spec: CircuitSpec, omega) -> RoutingCoefficients:
     """Detection-amplitude coefficients at the given frequencies."""
-    cols = _inject_columns(spec, omega)
+    cols = transfer(spec, omega, CHANNEL1_INPUTS)
     return RoutingCoefficients(signal=np.conj(cols[..., 0]),
                                idler=np.conj(cols[..., 1]))
 

@@ -206,8 +206,8 @@ def _query_from(args) -> CoincidenceQuery:
 
 
 def _delays_from(args) -> np.ndarray:
-    if args.points < 2:
-        raise ValidationError(f"--points must be >= 2, got {args.points}")
+    if args.points < 3:
+        raise ValidationError(f"--points must be >= 3, got {args.points}")
     if not args.lmax > args.lmin:
         raise ValidationError("--lmax must be greater than --lmin")
     return np.linspace(args.lmin, args.lmax, args.points)

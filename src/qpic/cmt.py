@@ -10,6 +10,10 @@ phase mismatch dbeta:
                - i (kappa/s) A_te(0) sin sz} e^{-i dbeta z / 2}
 
 with s = sqrt(kappa^2 + (dbeta/2)^2). Total power is conserved.
+
+``_symmetric_core`` is the propagator kernel of stepwise-detuned couplers
+and of the chip's polarisation converter element; ``coupling_matrix``
+keeps the closed form above as their independent reference.
 """
 
 from __future__ import annotations
@@ -22,19 +26,6 @@ from scipy.optimize import curve_fit
 
 from .dispersion import MaterialModel, pc_matched_wavelength, pc_mismatch
 from .errors import NumericalError, RangeError, ValidationError
-
-
-@dataclass(frozen=True)
-class CmtState:
-    """Two complex mode amplitudes at position z (um)."""
-
-    a_te: complex
-    a_tm: complex
-    z: float = 0.0
-
-    @property
-    def power(self) -> float:
-        return abs(self.a_te) ** 2 + abs(self.a_tm) ** 2
 
 
 def coupling_matrix(kappa, dbeta, z):
@@ -109,21 +100,6 @@ def compose_sections(kappa, dbetas, length):
     frame[..., 0, 0] = np.exp(1j * phi / 2.0)
     frame[..., 1, 1] = np.exp(-1j * phi / 2.0)
     return frame @ total
-
-
-def cmt_evolve(state: CmtState, kappa: float, dbeta: float,
-               dz: float) -> CmtState:
-    """Propagate a state forward by dz (um) through a uniform section."""
-    if dz < 0.0:
-        raise RangeError(f"propagation step {dz} um must be >= 0")
-    m = coupling_matrix(kappa, dbeta, dz)
-    # the rotating-frame phase is anchored at the current position, not at
-    # zero; conjugate the step by diag(f, 1/f) so repeated small steps
-    # reproduce one long section exactly
-    f = np.exp(1j * dbeta * state.z / 2.0)
-    a_te = m[0, 0] * state.a_te + f * f * m[0, 1] * state.a_tm
-    a_tm = m[1, 0] * state.a_te / (f * f) + m[1, 1] * state.a_tm
-    return CmtState(a_te=complex(a_te), a_tm=complex(a_tm), z=state.z + dz)
 
 
 def conversion_fraction(model: MaterialModel, poling_period: float,

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import CircuitSpec, RoutingCoefficients, element_matrices
-from .dispersion import (C_UM_PS, index, pc_matched_wavelength,
-                         wavelength_from_omega)
-from .elements import mode_index
+from .circuit import (CHANNEL1_INPUTS, CircuitSpec, routing_coefficients,
+                      transfer)
+from .dispersion import C_UM_PS, pc_matched_wavelength
+from .elements import mode_index, refractive_indices
 from .errors import NumericalError, ValidationError
 from .source import (GridSpec, JointSpectralAmplitude, build_jsa,
                      marginal_spectra)
@@ -103,30 +103,14 @@ def _query_probability(jsa, signal_field, idler_field,
                              query.pol_b, query.pol_c)
 
 
-def _coefficient_fields(jsa: JointSpectralAmplitude, spec: CircuitSpec):
-    coeffs = _routing_on_grid(spec, jsa.signal_frequencies)
-    return coeffs.signal, coeffs.idler
-
-
-def _routing_on_grid(spec: CircuitSpec, omega) -> RoutingCoefficients:
-    w = np.asarray(omega, dtype=float)
-    cols = np.zeros(w.shape + (4, 2), dtype=complex)
-    cols[..., 0, 0] = 1.0
-    cols[..., 1, 1] = 1.0
-    for matrix in element_matrices(spec):
-        cols = matrix.evaluate(w) @ cols
-    return RoutingCoefficients(signal=np.conj(cols[..., 0]),
-                               idler=np.conj(cols[..., 1]))
-
-
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                 query: CoincidenceQuery | None = None) -> float:
     """Coincidence probability of one detector polarisation pairing."""
     if query is None:
         query = CoincidenceQuery()
-    signal_field, idler_field = _coefficient_fields(jsa, spec)
+    coeffs = routing_coefficients(spec, jsa.signal_frequencies)
     return _check_probability(
-        _query_probability(jsa, signal_field, idler_field, query))
+        _query_probability(jsa, coeffs.signal, coeffs.idler, query))
 
 
 def coincidence_insensitive(jsa: JointSpectralAmplitude,
@@ -171,11 +155,13 @@ def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
     if not boundary:
         x0, x1, x2 = values[i_min - 1:i_min + 2]
         y0, y1, y2 = p[i_min - 1:i_min + 2]
-        denom = (y0 - 2.0 * y1 + y2)
-        if denom > 0.0:
-            # uniform-step parabola vertex
-            dip_position = float(x1 + 0.5 * (y0 - y2) / denom
-                                 * (x2 - x1))
+        h0, h1 = x1 - x0, x2 - x1
+        curvature = h1 * (y0 - y1) + h0 * (y2 - y1)
+        if curvature > 0.0:
+            # vertex of the parabola through three unequally spaced points
+            dip_position = float(x1 + 0.5 * (h1 * h1 * (y0 - y1)
+                                             - h0 * h0 * (y2 - y1))
+                                 / curvature)
 
     level = 0.5 * (baseline + minimum)
     left = right = None
@@ -209,6 +195,19 @@ def default_delay_values(n_points: int = 105,
     return np.linspace(span[0], span[1], n_points)
 
 
+def _check_delays(delay_values) -> np.ndarray:
+    d = np.asarray(delay_values, dtype=float)
+    if d.ndim != 1 or d.size < 3:
+        raise ValidationError(
+            "delay values must be a 1-D array of at least 3 points, got "
+            f"shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValidationError("delay values must be finite")
+    if not np.all(np.diff(d) > 0.0):
+        raise ValidationError("delay values must be strictly increasing")
+    return d
+
+
 def _find_scan_element(spec: CircuitSpec, scan_element):
     if scan_element is None:
         fp_indices = [i for i, d in enumerate(spec.elements)
@@ -236,28 +235,22 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
 
     The scanned element is an 'fp' pair of straights (the second one by
     default); each delay value adds to its channel-2 length, so the offset
-    where both arms balance appears as the interference dip.
+    where both arms balance appears as the interference dip. Delays must be
+    a finite, strictly increasing 1-D array of at least 3 points.
     """
     if query is None:
         query = CoincidenceQuery()
-    delay_values = np.asarray(delay_values, dtype=float)
+    delay_values = _check_delays(delay_values)
     idx = _find_scan_element(spec, scan_element)
 
+    # indices once per grid: shared by both transfers and the delay phases
     w = jsa.signal_frequencies
-    lam = np.asarray(wavelength_from_omega(w))
-    t = spec.temperature
-    kh = np.asarray(index(spec.model, "H", lam, t)) * w / C_UM_PS
-    kv = np.asarray(index(spec.model, "V", lam, t)) * w / C_UM_PS
-
+    indices = refractive_indices(spec.model, w, spec.temperature)
+    kh, kv = (n * w / C_UM_PS for n in indices)
     before = spec.with_elements(spec.elements[:idx + 1])
     after = spec.with_elements(spec.elements[idx + 1:])
-    base = _routing_on_grid(before, w)
-    # conjugated columns; undo the conjugation to keep composing
-    cols = np.stack([np.conj(base.signal), np.conj(base.idler)], axis=-1)
-    tail = np.zeros(w.shape + (4, 4), dtype=complex)
-    tail[...] = np.eye(4)
-    for matrix in element_matrices(after):
-        tail = matrix.evaluate(w) @ tail
+    cols = transfer(before, w, CHANNEL1_INPUTS, indices)
+    tail = transfer(after, w, np.eye(4), indices)
 
     def probe(delta: float) -> float:
         scale = np.ones(w.shape + (4,), dtype=complex)
@@ -271,7 +264,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
 
     workers = thread_count()
     probabilities = np.empty(len(delay_values))
-    if workers == 1 or len(delay_values) < 2:
+    if workers == 1:
         for i, delta in enumerate(delay_values):
             probabilities[i] = probe(float(delta))
     else:
@@ -395,6 +388,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
             "temperature scan needs the netlist [source] section")
     if delay_values is None:
         delay_values = default_delay_values(41)
+    delay_values = _check_delays(delay_values)
     pc_idx = _first_declaration(spec, "pc")
     pc_params = spec.elements[pc_idx].params
 

@@ -260,14 +260,19 @@ def pc_mismatch(model: MaterialModel, poling_period: float, wavelength,
 
     delta_k = (2 pi / lambda)(n_H - n_V) - 2 pi / poling_period, rad/um.
     """
-    if not poling_period > 0.0:
-        raise RangeError(f"poling period {poling_period} um must be > 0")
     lam = np.asarray(wavelength, dtype=float)
     nh = index(model, "H", lam, temperature)
     nv = index(model, "V", lam, temperature)
-    dk = 2.0 * np.pi * (np.asarray(nh) - np.asarray(nv)) / lam \
-        - 2.0 * np.pi / poling_period
+    dk = _pc_grating_mismatch(nh, nv, lam, poling_period)
     return dk if lam.ndim else float(dk)
+
+
+def _pc_grating_mismatch(n_h, n_v, lam, poling_period: float):
+    # pc_mismatch from indices already evaluated at lam
+    if not poling_period > 0.0:
+        raise RangeError(f"poling period {poling_period} um must be > 0")
+    return 2.0 * np.pi * (np.asarray(n_h) - np.asarray(n_v)) / lam \
+        - 2.0 * np.pi / poling_period
 
 
 def _bracketed_roots(fn, lo, hi, samples):

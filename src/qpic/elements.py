@@ -4,6 +4,20 @@ Mode basis, in fixed order: (channel 1, H), (channel 1, V), (channel 2, H),
 (channel 2, V). Matrices map input mode amplitudes to output mode
 amplitudes, U[out, in]; the column index is the input mode. Composition of
 a chip is left-multiplication in listed order (first element acts first).
+
+Every element is stored with the block structure it really has, never as
+a dense 4x4 per frequency:
+
+- pbs, bs, pm and eobs are one frequency-independent 4x4;
+- fp is four diagonal phases exp(i n(w) w l / c);
+- pc is a 2x2 on the channel-1 (H, V) pair; channel 2 passes unchanged.
+
+``ElementMatrix.apply`` acts with that structure on an amplitude array of
+shape (..., 4, k). The dispersive blocks (fp, pc) read the refractive
+indices (n_H, n_V) on the frequency grid, so a chain evaluates the
+Sellmeier curves once and shares them; ``circuit.transfer`` is the one
+place that walks a chain. ``evaluate`` is the element applied to the
+identity, for tests and single-element inspection.
 """
 
 from __future__ import annotations
@@ -16,11 +30,15 @@ from typing import Callable
 import numpy as np
 
 from . import cmt
-from .dispersion import (C_UM_PS, MaterialModel, index, pc_mismatch,
-                         wavelength_from_omega)
+from .dispersion import (C_UM_PS, MaterialModel, _pc_grating_mismatch,
+                         index, wavelength_from_omega)
 from .errors import RangeError, ValidationError
 
 BASIS = ("1H", "1V", "2H", "2V")
+
+# core * _PC_FRAME == diag(1, i) @ core @ diag(1, -i): the converter's H/V
+# phase convention applied to the coupled-mode kernel
+_PC_FRAME = np.array([[1.0, -1j], [1j, 1.0]])
 
 
 def mode_index(channel: int, pol: str) -> int:
@@ -32,32 +50,53 @@ def mode_index(channel: int, pol: str) -> int:
     return (channel - 1) * 2 + (0 if pol == "H" else 1)
 
 
+def refractive_indices(model: MaterialModel, omega, temperature=None):
+    """(n_H, n_V) at angular frequencies ``omega`` (rad/ps)."""
+    lam = wavelength_from_omega(omega)
+    return (np.asarray(index(model, "H", lam, temperature)),
+            np.asarray(index(model, "V", lam, temperature)))
+
+
 @dataclass(frozen=True)
 class ElementMatrix:
-    """A labelled, frequency-resolved 4x4 unitary.
+    """A labelled, frequency-resolved 4x4 unitary stored as its blocks.
 
-    ``evaluate(omega)`` accepts a scalar or any-shaped array of angular
-    frequencies (rad/ps) and returns shape ``omega.shape + (4, 4)``.
+    ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal" and
+    "channel1": ``block(omega, indices)`` returns the per-mode phases, shape
+    ``omega.shape + (4,)``, or the channel-1 2x2, shape
+    ``omega.shape + (2, 2)``. ``material`` is the (model, temperature)
+    whose indices a dispersive block reads; None for the others.
     """
 
     label: str
-    _fn: Callable[[np.ndarray], np.ndarray]
+    structure: str
+    block: np.ndarray | Callable
+    material: tuple | None = None
+
+    def apply(self, amps, omega, indices):
+        """This element acting on amplitudes of shape omega.shape + (4, k).
+
+        ``indices`` are (n_H, n_V) on omega at this element's material;
+        only the dispersive blocks read them (None is fine otherwise).
+        """
+        if self.structure == "dense":
+            return self.block @ amps
+        b = self.block(omega, indices)
+        if self.structure == "diagonal":
+            return b[..., :, None] * amps
+        return np.concatenate((b @ amps[..., :2, :], amps[..., 2:, :]),
+                              axis=-2)
 
     def evaluate(self, omega):
+        """Dense matrix at ``omega`` (scalar or array): shape
+        ``omega.shape + (4, 4)``."""
         w = np.asarray(omega, dtype=float)
-        out = self._fn(w)
-        return out
-
-
-def _constant(label: str, matrix: np.ndarray) -> ElementMatrix:
-    m = np.asarray(matrix, dtype=complex)
-
-    def fn(w):
-        out = np.empty(w.shape + (4, 4), dtype=complex)
-        out[...] = m
-        return out
-
-    return ElementMatrix(label, fn)
+        eye = np.broadcast_to(np.eye(4, dtype=complex), w.shape + (4, 4))
+        indices = None
+        if self.material is not None:
+            model, temperature = self.material
+            indices = refractive_indices(model, w, temperature)
+        return self.apply(eye, w, indices)
 
 
 def _check_finite(label, **params):
@@ -80,11 +119,11 @@ def pbs_matrix(alpha: float, beta: float) -> ElementMatrix:
                       stacklevel=2)
     sa, ca = math.sin(alpha), math.cos(alpha)
     sb, cb = math.sin(beta), math.cos(beta)
-    m = [[1j * sa, 0, ca, 0],
-         [0, 1j * cb, 0, sb],
-         [ca, 0, 1j * sa, 0],
-         [0, sb, 0, 1j * cb]]
-    return _constant("pbs", m)
+    m = np.array([[1j * sa, 0, ca, 0],
+                  [0, 1j * cb, 0, sb],
+                  [ca, 0, 1j * sa, 0],
+                  [0, sb, 0, 1j * cb]], dtype=complex)
+    return ElementMatrix("pbs", "dense", m)
 
 
 def bs_matrix(theta: float, xi: float) -> ElementMatrix:
@@ -100,18 +139,18 @@ def bs_matrix(theta: float, xi: float) -> ElementMatrix:
                       stacklevel=2)
     st, ct = math.sin(theta), math.cos(theta)
     sx, cx = math.sin(xi), math.cos(xi)
-    m = [[ct, 0, 1j * st, 0],
-         [0, cx, 0, 1j * sx],
-         [1j * st, 0, ct, 0],
-         [0, 1j * sx, 0, cx]]
-    return _constant("bs", m)
+    m = np.array([[ct, 0, 1j * st, 0],
+                  [0, cx, 0, 1j * sx],
+                  [1j * st, 0, ct, 0],
+                  [0, 1j * sx, 0, cx]], dtype=complex)
+    return ElementMatrix("bs", "dense", m)
 
 
 def pm_matrix(phi_h: float, phi_v: float) -> ElementMatrix:
     """Channel-1 phase shifter: phases phi_h and phi_v on 1H and 1V."""
     _check_finite("pm", phi_h=phi_h, phi_v=phi_v)
     m = np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v), 1.0, 1.0])
-    return _constant("pm", m)
+    return ElementMatrix("pm", "dense", m)
 
 
 def pc_matrix(model: MaterialModel, poling_period: float, length: float,
@@ -129,26 +168,13 @@ def pc_matrix(model: MaterialModel, poling_period: float, length: float,
     if kappa < 0.0:
         raise RangeError(f"pc coupling {kappa} rad/um must be >= 0")
 
-    def fn(w):
+    def block(w, n):
+        # the coupled-mode core runs at the opposite detuning in this basis
         lam = wavelength_from_omega(w)
-        dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
-        s = np.hypot(kappa, dk / 2.0)
-        s_safe = np.where(s == 0.0, 1.0, s)
-        a = (dk / 2.0) / s_safe
-        b = kappa / s_safe
-        phase = s * length
-        cosp = np.cos(phase)
-        sinp = np.sin(phase)
-        out = np.zeros(w.shape + (4, 4), dtype=complex)
-        out[..., 0, 0] = cosp + 1j * a * sinp
-        out[..., 0, 1] = -b * sinp
-        out[..., 1, 0] = b * sinp
-        out[..., 1, 1] = cosp - 1j * a * sinp
-        out[..., 2, 2] = 1.0
-        out[..., 3, 3] = 1.0
-        return out
+        dk = _pc_grating_mismatch(n[0], n[1], lam, poling_period)
+        return cmt._symmetric_core(kappa, -dk, length) * _PC_FRAME
 
-    return ElementMatrix("pc", fn)
+    return ElementMatrix("pc", "channel1", block, (model, temperature))
 
 
 def fp_matrix(model: MaterialModel, l1: float, l2: float,
@@ -161,20 +187,13 @@ def fp_matrix(model: MaterialModel, l1: float, l2: float,
     if l1 < 0.0 or l2 < 0.0:
         raise RangeError(f"fp lengths ({l1}, {l2}) um must be >= 0")
 
-    def fn(w):
-        lam = wavelength_from_omega(w)
-        nh = np.asarray(index(model, "H", lam, temperature))
-        nv = np.asarray(index(model, "V", lam, temperature))
-        kh = nh * w / C_UM_PS
-        kv = nv * w / C_UM_PS
-        out = np.zeros(w.shape + (4, 4), dtype=complex)
-        out[..., 0, 0] = np.exp(1j * kh * l1)
-        out[..., 1, 1] = np.exp(1j * kv * l1)
-        out[..., 2, 2] = np.exp(1j * kh * l2)
-        out[..., 3, 3] = np.exp(1j * kv * l2)
-        return out
+    def block(w, n):
+        kh = n[0] * w / C_UM_PS
+        kv = n[1] * w / C_UM_PS
+        return np.exp(1j * np.stack((kh * l1, kv * l1, kh * l2, kv * l2),
+                                    axis=-1))
 
-    return ElementMatrix("fp", fn)
+    return ElementMatrix("fp", "diagonal", block, (model, temperature))
 
 
 def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
@@ -185,7 +204,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     Two sections of length ``half_length`` with detunings dbeta_1 then
     dbeta_2 (rad/um); each polarisation sees the same coupler unless the
     V-mode detunings are overridden. Frequency independent within a pulse
-    bandwidth, so evaluate() broadcasts a constant matrix.
+    bandwidth, so the element is one constant matrix.
     """
     _check_finite("eobs", kappa_c=kappa_c, half_length=half_length,
                   dbeta_1=dbeta_1, dbeta_2=dbeta_2)
@@ -204,7 +223,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     # H modes live at indices (0, 2), V modes at (1, 3)
     m[np.ix_((0, 2), (0, 2))] = mh
     m[np.ix_((1, 3), (1, 3))] = mv
-    return _constant("eobs", m)
+    return ElementMatrix("eobs", "dense", m)
 
 
 # ---------------------------------------------------------------------------

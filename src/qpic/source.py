@@ -119,14 +119,6 @@ class JointSpectralAmplitude:
     def idler_frequencies(self) -> np.ndarray:
         return (self.sum_grid[:, None] - self.diff_grid[None, :]) / 2.0
 
-    def exchanged(self) -> np.ndarray:
-        """Amplitude with signal and idler swapped (exact axis reversal)."""
-        return self.amplitude[:, ::-1]
-
-    def flip_diff(self, values: np.ndarray) -> np.ndarray:
-        """Reverse any grid-shaped array along the difference axis."""
-        return values[..., ::-1]
-
     @property
     def norm(self) -> float:
         return float(np.sum(self.weights * np.abs(self.amplitude) ** 2))

@@ -8,8 +8,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qpic
+
+# reproducible property tests: fixed example sequence, no timing limits
+settings.register_profile("qpic", derandomize=True, deadline=None)
+settings.load_profile("qpic")
 
 
 def bundled(name):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qpic
-from qpic.circuit import (CircuitSpec, compose, element_matrices,
-                          parse_netlist_text, routing_coefficients)
-from qpic.dispersion import omega_from_wavelength
+from qpic.circuit import (CircuitSpec, ElementDecl, compose,
+                          element_matrices, parse_netlist_text,
+                          routing_coefficients)
+from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
+                             omega_from_wavelength)
 from qpic.errors import NetlistError
 
 OMEGA = omega_from_wavelength(np.linspace(1.52, 1.58, 5))
@@ -185,3 +189,49 @@ def test_bs_unbalanced_splitting(model):
     u = compose(spec, OMEGA[0])
     assert abs(u[0, 0]) ** 2 == pytest.approx(math.cos(math.pi / 6) ** 2, abs=1e-12)
     assert abs(u[2, 0]) ** 2 == pytest.approx(math.sin(math.pi / 6) ** 2, abs=1e-12)
+
+
+def _params(**ranges):
+    return st.fixed_dictionaries(
+        {k: st.floats(lo, hi) for k, (lo, hi) in ranges.items()})
+
+
+ELEMENT_PARAMS = {
+    "pbs": _params(alpha=(0.0, math.pi / 2), beta=(0.0, math.pi / 2)),
+    "bs": _params(theta=(0.0, math.pi / 4), xi=(0.0, math.pi / 4)),
+    "pm": _params(phi_h=(-math.pi, math.pi), phi_v=(-math.pi, math.pi)),
+    "pc": _params(poling_period=(5.0, 40.0), length=(100.0, 20000.0),
+                  kappa=(0.0, 3e-3)),
+    "fp": _params(l1=(0.0, 20000.0), l2=(0.0, 20000.0)),
+    "eobs": _params(kappa_c=(0.0, 1e-3), half_length=(100.0, 8000.0),
+                    dbeta_1=(-1e-3, 1e-3), dbeta_2=(-1e-3, 1e-3),
+                    dbeta_1_v=(-1e-3, 1e-3), dbeta_2_v=(-1e-3, 1e-3)),
+}
+
+element_decls = st.sampled_from(sorted(ELEMENT_PARAMS)).flatmap(
+    lambda kind: ELEMENT_PARAMS[kind].map(
+        lambda params: ElementDecl(kind=kind, params=params)))
+
+
+@given(decls=st.lists(element_decls, max_size=6),
+       wavelengths=st.lists(st.floats(LAMBDA_MIN, LAMBDA_MAX), min_size=1,
+                            max_size=4),
+       temperature=st.floats(TEMP_MIN, TEMP_MAX))
+def test_transfer_matches_dense_product(model, decls, wavelengths,
+                                        temperature):
+    spec = CircuitSpec(elements=tuple(decls), model=model,
+                       temperature=temperature)
+    omega = omega_from_wavelength(np.array(wavelengths))
+    u = compose(spec, omega)
+
+    product = np.broadcast_to(np.eye(4), omega.shape + (4, 4))
+    for em in element_matrices(spec):
+        product = em.evaluate(omega) @ product
+    assert np.max(np.abs(u - product)) <= 1e-13
+
+    eye = np.eye(4)
+    assert np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - eye)) <= 1e-12
+
+    routing = routing_coefficients(spec, omega)
+    assert np.max(np.abs(routing.signal - u[..., :, 0].conj())) <= 1e-15
+    assert np.max(np.abs(routing.idler - u[..., :, 1].conj())) <= 1e-15

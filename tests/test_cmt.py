@@ -8,10 +8,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qpic
-from qpic.cmt import (CmtState, CouplerFit, cmt_evolve, compose_sections,
-                      conversion_fraction, coupling_matrix, fit_coupler,
-                      load_coupler_fit, pbs_angles, pc_spectrum, peak_fwhm,
-                      save_coupler_fit, splitting_ratio, switch_map)
+from qpic.cmt import (CouplerFit, compose_sections, conversion_fraction,
+                      coupling_matrix, fit_coupler, load_coupler_fit,
+                      pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,
+                      splitting_ratio, switch_map)
 from qpic.dispersion import pc_matched_wavelength
 from tests.conftest import bundled
 
@@ -88,25 +88,6 @@ def test_full_conversion():
     kappa = math.pi / (2 * length)
     u = coupling_matrix(kappa, 0.0, length)
     assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cmt_evolve_conserves_power():
-    state = CmtState(a_te=1.0 + 0j, a_tm=0.0j, z=0.0)
-    for _ in range(200):
-        state = cmt_evolve(state, 3e-4, 2e-4, 25.0)
-    assert state.power == pytest.approx(1.0, abs=1e-9)
-    assert state.z == pytest.approx(5000.0)
-
-
-def test_cmt_evolve_matches_matrix():
-    kappa, db = 2.5e-4, -1.5e-4
-    state = CmtState(a_te=1.0 + 0j, a_tm=0.0j, z=0.0)
-    n, dz = 400, 10.0
-    for _ in range(n):
-        state = cmt_evolve(state, kappa, db, dz)
-    u = coupling_matrix(kappa, db, n * dz)
-    assert abs(state.a_te - u[0, 0]) < 1e-8
-    assert abs(state.a_tm - u[1, 0]) < 1e-8
 
 
 def test_conversion_fraction_matched(model):

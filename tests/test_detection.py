@@ -1,9 +1,12 @@
 """Coincidence probabilities, interferometer scans, and sweeps."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import qpic
+from qpic import detection
 from qpic.circuit import parse_netlist_text, routing_coefficients
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
@@ -126,6 +129,29 @@ def test_scan_element_override(chip, jsa_small):
         hom_scan(jsa_small, chip, DELAYS[:5], scan_element=99)
 
 
+@pytest.mark.parametrize("delays", [
+    [], 1000.0, [[0.0, 500.0, 1000.0]], [0.0, 1000.0],
+    [0.0, np.nan, 1000.0], [0.0, np.inf, 1000.0], [0.0, 1000.0, 500.0],
+    [0.0, 500.0, 500.0],
+], ids=["empty", "scalar", "2-D", "two-points", "nan", "inf", "unsorted",
+        "repeated"])
+def test_scan_rejects_bad_delays(chip, jsa_small, monkeypatch, delays):
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before delay validation")
+
+    monkeypatch.setattr(detection, "refractive_indices", no_grid_work)
+    with pytest.raises(ValidationError):
+        hom_scan(jsa_small, chip, delays)
+
+
+def test_dip_vertex_on_uneven_steps():
+    # an exact parabola sampled unevenly: the vertex is recovered exactly
+    values = np.array([-4.0, -1.0, 0.0, 3.0, 4.0, 9.0, 10.0])
+    p = 0.1 + 0.01 * (values - 3.7) ** 2
+    scan = detection._analyse_scan("x", values, p, CoincidenceQuery())
+    assert scan.dip_position == pytest.approx(3.7, abs=1e-12)
+
+
 def test_default_delay_values():
     d = default_delay_values()
     assert len(d) == 105
@@ -209,3 +235,24 @@ def test_temperature_scan_smoke(chip):
     # heating walks the marginals away from the converter window centre
     assert abs(off.signal_peak - off.window_centre) > abs(
         on.signal_peak - on.window_centre)
+
+
+def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
+    # n_H and n_V on the JSA grid are shared by every element and by the
+    # delay phases: one index() call per polarisation, not one per element
+    jsa = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+                         qpic.GridSpec(64, 64))
+    original = qpic.dispersion.index
+    grid_calls = []
+
+    def counting(model, pol, wavelength, temperature=None):
+        if np.size(wavelength) == jsa.amplitude.size:
+            grid_calls.append(pol)
+        return original(model, pol, wavelength, temperature)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qpic" or name.startswith("qpic.")) \
+                and getattr(module, "index", None) is original:
+            monkeypatch.setattr(module, "index", counting)
+    hom_scan(jsa, chip, DELAYS[:5])
+    assert sorted(grid_calls) == ["H", "V"]

@@ -33,11 +33,6 @@ def test_sum_grid_centred_on_pump(jsa_medium):
     assert centre == pytest.approx(jsa_medium.pump.omega_pump, rel=1e-12)
 
 
-def test_exchange_is_exact_grid_flip(jsa_medium):
-    flipped = jsa_medium.exchanged()
-    assert np.array_equal(flipped, jsa_medium.amplitude[:, ::-1])
-
-
 def test_signal_idler_frequencies(jsa_medium):
     ws = jsa_medium.signal_frequencies
     wi = jsa_medium.idler_frequencies
@@ -144,9 +139,3 @@ def test_pump_spec_derived_quantities():
     assert pump.bandwidth == pytest.approx(0.5)
     assert pump.omega_pump == pytest.approx(
         qpic.omega_from_wavelength(0.775), rel=1e-14)
-
-
-def test_flip_diff_matches_exchange(jsa_medium):
-    probe = np.cos(jsa_medium.diff_grid / 3.0) + 1j * jsa_medium.diff_grid
-    grid = np.broadcast_to(probe, jsa_medium.amplitude.shape)
-    assert np.array_equal(jsa_medium.flip_diff(grid), grid[:, ::-1])
