@@ -15,9 +15,8 @@ from .cmt import (CouplerFit, compose_sections, conversion_fraction,
                   splitting_ratio, switch_map)
 from .detection import (CoincidenceQuery, ScanResult, SweepPoint,
                         TemperaturePoint, apply_imperfection, coincidence,
-                        coincidence_insensitive, default_delay_values,
-                        hom_scan, imperfection_sweep, temperature_scan,
-                        thread_count)
+                        default_delay_values, hom_scan, imperfection_sweep,
+                        temperature_scan, thread_count)
 from .dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
                          SellmeierSet, TuningCurve, default_material,
                          degenerate_wavelength, group_index, group_velocity,

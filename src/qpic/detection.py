@@ -13,6 +13,17 @@ photon), the probability for polarisations (p_b, p_c) is
 with w_b = (S + d)/2 detected at b and w_c = (S - d)/2 at c. Evaluating a
 coefficient at w_c is an exact reversal of the difference axis, so every
 factor lives on one common grid.
+
+A delay scan adds delta to channel 2 of one 'fp' element, rephasing only
+modes 2H and 2V there. With c the channel-1 input columns of the chain up
+to that element and T the transfer of the rest, the coefficient of photon
+p (0 H-born, 1 V-born) in detected mode r is the conjugate of
+
+    D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta),
+    D_rp = T_r0 c_0p + T_r1 c_1p,
+
+so a scan computes the delay-free factors once and per delay forms two
+phase grids and the modes its pairings read.
 """
 
 from __future__ import annotations
@@ -79,28 +90,24 @@ def _check_probability(p: float) -> float:
     return float(p)
 
 
-def _pair_probability(jsa: JointSpectralAmplitude, signal_field, idler_field,
-                      pol_b: str, pol_c: str) -> float:
-    mb = mode_index(1, pol_b)
-    mc = mode_index(2, pol_c)
+def _query_pairs(query: CoincidenceQuery) -> list:
+    """(mode at b, mode at c) of every pairing the query sums."""
+    pols = [(pb, pc) for pb in POLARISATIONS for pc in POLARISATIONS] \
+        if query.insensitive else [(query.pol_b, query.pol_c)]
+    return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in pols]
+
+
+def _probability(jsa: JointSpectralAmplitude, fields, pairs) -> float:
+    """Exchange sum over ``pairs`` of (mode at b, mode at c); ``fields[m]``
+    is the (signal, idler) pair of conjugated coefficients in mode m."""
     f = jsa.amplitude
-    f_ex = f[:, ::-1]
-    amp = (f * signal_field[..., mb] * idler_field[..., mc][:, ::-1]
-           + f_ex * idler_field[..., mb] * signal_field[..., mc][:, ::-1])
-    return float(np.sum(jsa.weights * np.abs(amp) ** 2))
-
-
-def _query_probability(jsa, signal_field, idler_field,
-                       query: CoincidenceQuery) -> float:
-    if query.insensitive:
-        total = 0.0
-        for pb in POLARISATIONS:
-            for pc in POLARISATIONS:
-                total += _pair_probability(jsa, signal_field, idler_field,
-                                           pb, pc)
-        return total
-    return _pair_probability(jsa, signal_field, idler_field,
-                             query.pol_b, query.pol_c)
+    total = 0.0
+    for mb, mc in pairs:
+        (signal_b, idler_b), (signal_c, idler_c) = fields[mb], fields[mc]
+        amp = (f * signal_b * idler_c[:, ::-1]
+               + f[:, ::-1] * idler_b * signal_c[:, ::-1])
+        total += float(np.sum(jsa.weights * np.abs(amp) ** 2))
+    return _check_probability(total)
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -109,14 +116,8 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     if query is None:
         query = CoincidenceQuery()
     coeffs = routing_coefficients(spec, jsa.signal_frequencies)
-    return _check_probability(
-        _query_probability(jsa, coeffs.signal, coeffs.idler, query))
-
-
-def coincidence_insensitive(jsa: JointSpectralAmplitude,
-                            spec: CircuitSpec) -> float:
-    """Polarisation-insensitive coincidence: sum over the four pairings."""
-    return coincidence(jsa, spec, CoincidenceQuery(insensitive=True))
+    fields = np.moveaxis(np.stack((coeffs.signal, coeffs.idler)), -1, 0)
+    return _probability(jsa, fields, _query_pairs(query))
 
 
 @dataclass
@@ -237,42 +238,47 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     default); each delay value adds to its channel-2 length, so the offset
     where both arms balance appears as the interference dip. Delays must be
     a finite, strictly increasing 1-D array of at least 3 points.
+
+    Detection coefficients take the factored form of the module docstring,
+    conj(D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta)):
+    all but the two phases are computed once, for the modes the query reads.
     """
     if query is None:
         query = CoincidenceQuery()
     delay_values = _check_delays(delay_values)
     idx = _find_scan_element(spec, scan_element)
+    pairs = _query_pairs(query)
+    rows = sorted({m for pair in pairs for m in pair})
 
     # indices once per grid: shared by both transfers and the delay phases
     w = jsa.signal_frequencies
     indices = refractive_indices(spec.model, w, spec.temperature)
-    kh, kv = (n * w / C_UM_PS for n in indices)
     before = spec.with_elements(spec.elements[:idx + 1])
     after = spec.with_elements(spec.elements[idx + 1:])
-    cols = transfer(before, w, CHANNEL1_INPUTS, indices)
+    # the tail transfer is the memory peak, so it runs before cols exists
     tail = transfer(after, w, np.eye(4), indices)
+    cols = transfer(before, w, CHANNEL1_INPUTS, indices)
+    # delay-free factors as contiguous (row, photon, grid) arrays: D of mode
+    # rows[r] in fixed[r], its T_r2/T_r3 in t2/t3[r], c_2p/c_3p in c2/c3[p]
+    t, c = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (tail, cols))
+    fixed = np.stack([t[m, 0, None] * c[0] + t[m, 1, None] * c[1]
+                      for m in rows])
+    t2, t3 = (np.stack([t[m, k] for m in rows])[:, None] for k in (2, 3))
+    c2, c3 = c[2].copy(), c[3].copy()
+    del cols, tail, t, c
+    ikh, ikv = (1j * (n * w / C_UM_PS) for n in indices)
 
     def probe(delta: float) -> float:
-        scale = np.ones(w.shape + (4,), dtype=complex)
-        scale[..., 2] = np.exp(1j * kh * delta)
-        scale[..., 3] = np.exp(1j * kv * delta)
-        shifted = tail @ (cols * scale[..., None])
-        signal_field = np.conj(shifted[..., 0])
-        idler_field = np.conj(shifted[..., 1])
-        return _check_probability(
-            _query_probability(jsa, signal_field, idler_field, query))
+        fields = np.conj(fixed + t2 * (c2 * np.exp(ikh * delta))
+                         + t3 * (c3 * np.exp(ikv * delta)))
+        return _probability(jsa, dict(zip(rows, fields)), pairs)
 
     workers = thread_count()
-    probabilities = np.empty(len(delay_values))
     if workers == 1:
-        for i, delta in enumerate(delay_values):
-            probabilities[i] = probe(float(delta))
+        probabilities = [probe(d) for d in delay_values]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, value in enumerate(pool.map(
-                    probe, (float(d) for d in delay_values))):
-                probabilities[i] = value
-
+            probabilities = list(pool.map(probe, delay_values))
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 
@@ -400,9 +406,12 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         chip = spec.at_temperature(t)
         scan = hom_scan(jsa, chip, delay_values, query)
         marginals = marginal_spectra(jsa)
-        signal_peak = marginals.signal.peak_wavelength
+        signal = marginals.signal
+        signal_peak = signal.peak_wavelength
         idler_peak = marginals.idler.peak_wavelength
-        signal_fwhm = _wavelength_fwhm(marginals.signal)
+        # wavelength falls as omega rises; reverse for the width helper
+        signal_fwhm = float(cmt.peak_fwhm(signal.wavelength[::-1],
+                                          signal.density[::-1]))
         centre = pc_matched_wavelength(spec.model,
                                        pc_params["poling_period"], t)
         window_lams, window_frac = cmt.pc_spectrum(
@@ -420,8 +429,3 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
             outside_window=bool(outside)))
     return points
 
-
-def _wavelength_fwhm(density) -> float:
-    # wavelength axis decreases with omega; reverse for the width helper
-    return float(cmt.peak_fwhm(density.wavelength[::-1],
-                               density.density[::-1]))

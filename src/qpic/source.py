@@ -255,10 +255,6 @@ class SpectralDensity:
     def peak_wavelength(self) -> float:
         return float(self.wavelength[int(np.argmax(self.density))])
 
-    @property
-    def peak_omega(self) -> float:
-        return float(self.omega[int(np.argmax(self.density))])
-
 
 @dataclass(frozen=True)
 class MarginalSpectra:

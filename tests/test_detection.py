@@ -10,8 +10,8 @@ from qpic import detection
 from qpic.circuit import parse_netlist_text, routing_coefficients
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
-                            coincidence_insensitive, default_delay_values,
-                            hom_scan, imperfection_sweep, temperature_scan,
+                            default_delay_values, hom_scan,
+                            imperfection_sweep, temperature_scan,
                             thread_count)
 from qpic.errors import ValidationError
 
@@ -24,6 +24,7 @@ pdc_length = 20700.0
 """
 
 DELAYS = np.linspace(-1500.0, 3700.0, 27)
+INSENSITIVE = CoincidenceQuery(insensitive=True)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def test_identity_circuit_no_coincidence(model, jsa_small):
     bare = parse_netlist_text(SOURCE_ONLY, model=model)
     # both photons stay in channel 1, so the two detectors never fire together
     assert coincidence(jsa_small, bare) == pytest.approx(0.0, abs=1e-15)
-    assert coincidence_insensitive(jsa_small, bare) == pytest.approx(0.0, abs=1e-15)
+    assert coincidence(jsa_small, bare, INSENSITIVE) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_double_loop_oracle(chip, jsa_small):
@@ -84,7 +85,7 @@ def test_bs_only_closed_form(model, jsa_small):
 
 
 def test_insensitive_is_sum_of_orientations(chip, jsa_small):
-    total = coincidence_insensitive(jsa_small, chip)
+    total = coincidence(jsa_small, chip, INSENSITIVE)
     parts = sum(
         coincidence(jsa_small, chip, CoincidenceQuery(pol_b=b, pol_c=c))
         for b in "HV" for c in "HV")
@@ -110,6 +111,51 @@ def test_scan_summary(scan_vv):
     rows = s.as_rows()
     assert rows.shape == (len(DELAYS), 2)
     assert np.array_equal(rows[:, 1], s.probabilities)
+
+
+ORACLE_DELAYS = np.linspace(-1500.0, 3700.0, 9)
+
+
+@pytest.fixture(scope="module")
+def jsa_tiny(chip):
+    return qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+                          qpic.GridSpec(64, 64))
+
+
+@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+                         ids=["VV", "insensitive"])
+@pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
+def test_scan_matches_stretched_chip(chip, jsa_tiny, query, pbs_error):
+    """Each scan point equals coincidence() on the chip whose scanned fp
+    has channel-2 length l2 + delta, routed through the whole chain
+    without the factored delay kernel. A leaky pbs puts both photons in
+    both channel-2 modes at the scanned fp, so both delay phases matter.
+
+    The two differ only by phase rounding: the stretched fp rounds
+    k (l2 + delta), about 1e5 rad, where the scan multiplies exp(i k l2) by
+    exp(i k delta), which moves the probabilities by up to 7e-13 at 64x64.
+    """
+    chip = apply_imperfection(chip, "pbs", pbs_error)
+    scan = hom_scan(jsa_tiny, chip, ORACLE_DELAYS, query)
+    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
+    fp = chip.elements[idx]
+    for delta, p in zip(ORACLE_DELAYS, scan.probabilities):
+        elements = list(chip.elements)
+        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+        stretched = chip.with_elements(elements)
+        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
+                                  abs=1e-11)
+
+
+def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
+    # the four pairings share field rows; none may leak into another
+    chip = apply_imperfection(chip, "pbs", 0.25)
+    total = hom_scan(jsa_tiny, chip, ORACLE_DELAYS, INSENSITIVE)
+    parts = sum(hom_scan(jsa_tiny, chip, ORACLE_DELAYS,
+                         CoincidenceQuery(pol_b=b, pol_c=c)).probabilities
+                for b in "HV" for c in "HV")
+    np.testing.assert_allclose(total.probabilities, parts, rtol=0.0,
+                               atol=1e-15)
 
 
 def test_scan_needs_stretchable_element(model, jsa_small):
