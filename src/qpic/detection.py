@@ -12,18 +12,41 @@ photon), the probability for polarisations (p_b, p_c) is
 
 with w_b = (S + d)/2 detected at b and w_c = (S - d)/2 at c. Evaluating a
 coefficient at w_c is an exact reversal of the difference axis, so every
-factor lives on one common grid.
+factor lives on one common grid. The coefficients are conjugated transfer
+entries; since |conj z| = |z|, the kernel sums the conjugated bracket, built
+from sqrt(W) conj(F) (formed once) and the transfer entries themselves.
 
 A delay scan adds delta to channel 2 of one 'fp' element, rephasing only
 modes 2H and 2V there. With c the channel-1 input columns of the chain up
-to that element and T the transfer of the rest, the coefficient of photon
-p (0 H-born, 1 V-born) in detected mode r is the conjugate of
+to that element and T the transfer of the rest, the transfer entry of
+photon p (0 H-born, 1 V-born) in detected mode r is
 
-    D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta),
+    D_rp + T_r2 u_2p + T_r3 u_3p,   u_kp = c_kp exp(i k_k delta),
     D_rp = T_r0 c_0p + T_r1 c_1p,
 
-so a scan computes the delay-free factors once and per delay forms two
-phase grids and the modes its pairings read.
+with k_2 = k_H and k_3 = k_V. A scan computes D, T_r2, T_r3 and c_kp once,
+for the modes its pairings read, and per delay forms u and the entries.
+
+u follows an anchored recurrence. The delays are cut into fixed blocks of
+ANCHOR_BLOCK. The first delay of a block (its anchor) evaluates exp(i k
+delta) directly, and each later one multiplies u by the step phasor
+exp(i k Delta), with Delta the scan's mean step, evaluated once per scan.
+A delay that the recurrence from the last anchor, delta_a + j Delta,
+misses by more than STEP_RTOL |Delta| (an uneven grid) becomes an anchor
+itself. A uniform scan of n delays thus makes 2 ceil(n / ANCHOR_BLOCK) + 2
+grid-wide exp evaluations instead of 2 n, and an uneven one at most 2 n.
+Blocks are the unit of work of the QPIC_THREADS pool, so the result does
+not depend on the worker count. Within a block the grid is visited in
+chunks of about CHUNK_POINTS points, which stay in cache across the
+block's delays.
+
+Accuracy: an anchor rounds k delta as a direct evaluation does (k ~ 9
+rad/um, so ~4e-12 rad at 4000 um). Each step adds the rounding of k Delta
+(~5e-14 rad at Delta = 50 um) and of one complex product (~2e-16), so the
+fifteenth step is off by at most ~5e-12 rad, the phase of a delay error of
+about 1e-12 um. Grid jitter moves a delay by at most STEP_RTOL |Delta| more
+(5e-12 um at Delta = 50 um; a linspace's jitter of a few ulps is far
+smaller). A probability thus moves by about |dP/d delta| * 1e-12 um.
 """
 
 from __future__ import annotations
@@ -35,15 +58,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import (CHANNEL1_INPUTS, CircuitSpec, routing_coefficients,
-                      transfer)
+from .circuit import CHANNEL1_INPUTS, CircuitSpec, transfer
 from .dispersion import C_UM_PS, pc_matched_wavelength
 from .elements import mode_index, refractive_indices
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, RangeError, ValidationError
 from .source import (GridSpec, JointSpectralAmplitude, build_jsa,
                      marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
+
+ANCHOR_BLOCK = 16  # delays per block; each block starts with a direct exp
+STEP_RTOL = 1e-13  # recurrence delay error allowed, relative to the step
+CHUNK_POINTS = 8192  # grid points per cache-resident chunk of a scan block
 
 POLARISATIONS = ("H", "V")
 
@@ -97,17 +123,35 @@ def _query_pairs(query: CoincidenceQuery) -> list:
     return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in pols]
 
 
-def _probability(jsa: JointSpectralAmplitude, fields, pairs) -> float:
-    """Exchange sum over ``pairs`` of (mode at b, mode at c); ``fields[m]``
-    is the (signal, idler) pair of conjugated coefficients in mode m."""
-    f = jsa.amplitude
+def _weighted_amplitude(jsa: JointSpectralAmplitude):
+    """sqrt(W) conj(F) and its reversal along the difference axis."""
+    g = np.sqrt(jsa.weights) * np.conj(jsa.amplitude)
+    return g, np.ascontiguousarray(g[:, ::-1])
+
+
+def _exchange_sum(weighted, fields, pairs, work) -> float:
+    """Exchange sum over ``pairs`` of (row at b, row at c), unchecked.
+
+    ``fields[row]`` is the (signal, idler) pair of transfer entries of one
+    detected mode and ``weighted`` is ``_weighted_amplitude(jsa)``, both on
+    the same rows of the grid; ``work`` is a complex buffer of shape
+    (2,) + that grid.
+    """
+    g, g_rev = weighted
+    amp, term = work
     total = 0.0
-    for mb, mc in pairs:
-        (signal_b, idler_b), (signal_c, idler_c) = fields[mb], fields[mc]
-        amp = (f * signal_b * idler_c[:, ::-1]
-               + f[:, ::-1] * idler_b * signal_c[:, ::-1])
-        total += float(np.sum(jsa.weights * np.abs(amp) ** 2))
-    return _check_probability(total)
+    for b, c in pairs:
+        (signal_b, idler_b), (signal_c, idler_c) = fields[b], fields[c]
+        np.multiply(g, signal_b, out=amp)
+        amp *= idler_c[:, ::-1]
+        np.multiply(g_rev, idler_b, out=term)
+        term *= signal_c[:, ::-1]
+        amp += term
+        # re^2 + im^2 in the free buffer, then numpy's pairwise sum
+        parts = np.square(amp.reshape(-1).view(float),
+                          out=term.reshape(-1).view(float))
+        total += float(parts.sum())
+    return total
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -115,9 +159,11 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     """Coincidence probability of one detector polarisation pairing."""
     if query is None:
         query = CoincidenceQuery()
-    coeffs = routing_coefficients(spec, jsa.signal_frequencies)
-    fields = np.moveaxis(np.stack((coeffs.signal, coeffs.idler)), -1, 0)
-    return _probability(jsa, fields, _query_pairs(query))
+    cols = transfer(spec, jsa.signal_frequencies, CHANNEL1_INPUTS)
+    work = np.empty((2,) + jsa.amplitude.shape, dtype=complex)
+    return _check_probability(_exchange_sum(
+        _weighted_amplitude(jsa), np.moveaxis(cols, (-2, -1), (0, 1)),
+        _query_pairs(query), work))
 
 
 @dataclass
@@ -209,7 +255,9 @@ def _check_delays(delay_values) -> np.ndarray:
     return d
 
 
-def _find_scan_element(spec: CircuitSpec, scan_element):
+def _find_scan_element(spec: CircuitSpec, scan_element, delays) -> int:
+    """Index of the scanned 'fp'; its channel-2 length must stay >= 0 at
+    every one of the (increasing) ``delays``."""
     if scan_element is None:
         fp_indices = [i for i, d in enumerate(spec.elements)
                       if d.kind == "fp"]
@@ -217,16 +265,41 @@ def _find_scan_element(spec: CircuitSpec, scan_element):
             raise ValidationError(
                 "delay scan needs a second 'fp' element to stretch; pass "
                 "scan_element to pick one explicitly")
-        return fp_indices[1]
-    idx = int(scan_element)
-    if not 0 <= idx < len(spec.elements):
-        raise ValidationError(
-            f"scan_element {idx} out of range for {len(spec.elements)} "
-            f"elements")
-    if spec.elements[idx].kind != "fp":
-        raise ValidationError(
-            f"scan_element {idx} is '{spec.elements[idx].kind}', not 'fp'")
+        idx = fp_indices[1]
+    else:
+        idx = int(scan_element)
+        if not 0 <= idx < len(spec.elements):
+            raise ValidationError(
+                f"scan_element {idx} out of range for {len(spec.elements)} "
+                f"elements")
+        if spec.elements[idx].kind != "fp":
+            raise ValidationError(
+                f"scan_element {idx} is '{spec.elements[idx].kind}', not "
+                f"'fp'")
+    l2 = spec.elements[idx].params["l2"]
+    if l2 + delays[0] < 0.0:
+        raise RangeError(
+            f"scanned fp channel-2 length l2 + delay = {l2} + {delays[0]} "
+            f"um must be >= 0")
     return idx
+
+
+def _anchors(delays: np.ndarray):
+    """Which delays evaluate their phasors directly, and the mean step.
+
+    The first delay of every block of ANCHOR_BLOCK is an anchor, and so is
+    any delay that the recurrence from the last anchor a, delays[a] +
+    (j - a) * step, misses by more than STEP_RTOL * |step|.
+    """
+    step = (delays[-1] - delays[0]) / (len(delays) - 1)
+    anchor = np.zeros(len(delays), dtype=bool)
+    a = 0
+    for j, delta in enumerate(delays):
+        if j % ANCHOR_BLOCK == 0 or abs(delta - (delays[a] + (j - a) * step)) \
+                > STEP_RTOL * abs(step):
+            anchor[j] = True
+            a = j
+    return anchor, step
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
@@ -237,18 +310,26 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     The scanned element is an 'fp' pair of straights (the second one by
     default); each delay value adds to its channel-2 length, so the offset
     where both arms balance appears as the interference dip. Delays must be
-    a finite, strictly increasing 1-D array of at least 3 points.
+    a finite, strictly increasing 1-D array of at least 3 points, and the
+    stretched length l2 + delay must stay >= 0 (RangeError otherwise).
 
-    Detection coefficients take the factored form of the module docstring,
-    conj(D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta)):
-    all but the two phases are computed once, for the modes the query reads.
+    Transfer entries take the factored form of the module docstring,
+    D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta), with
+    everything but the two phasors computed once, for the modes the query
+    reads. The phasors follow the anchored recurrence described there: a
+    direct exp at the first delay of every block of ANCHOR_BLOCK delays and
+    wherever the delays stray from the recurrence's by more than STEP_RTOL
+    of the mean step, one complex product by the cached step phasor
+    otherwise. Its phase error equals a delay error of about 1e-12 um, so
+    probabilities move by about |dP/d delta| * 1e-12 um.
     """
     if query is None:
         query = CoincidenceQuery()
     delay_values = _check_delays(delay_values)
-    idx = _find_scan_element(spec, scan_element)
+    idx = _find_scan_element(spec, scan_element, delay_values)
     pairs = _query_pairs(query)
     rows = sorted({m for pair in pairs for m in pair})
+    row_pairs = [(rows.index(mb), rows.index(mc)) for mb, mc in pairs]
 
     # indices once per grid: shared by both transfers and the delay phases
     w = jsa.signal_frequencies
@@ -258,27 +339,57 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     # the tail transfer is the memory peak, so it runs before cols exists
     tail = transfer(after, w, np.eye(4), indices)
     cols = transfer(before, w, CHANNEL1_INPUTS, indices)
-    # delay-free factors as contiguous (row, photon, grid) arrays: D of mode
-    # rows[r] in fixed[r], its T_r2/T_r3 in t2/t3[r], c_2p/c_3p in c2/c3[p]
+    # delay-free factors as contiguous arrays for the modes rows[r]: D_rp
+    # in fixed[r, p], T_r2 and T_r3 in t23[r], c_2p and c_3p in c23[:, p]
     t, c = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (tail, cols))
     fixed = np.stack([t[m, 0, None] * c[0] + t[m, 1, None] * c[1]
                       for m in rows])
-    t2, t3 = (np.stack([t[m, k] for m in rows])[:, None] for k in (2, 3))
-    c2, c3 = c[2].copy(), c[3].copy()
+    t23 = np.stack([t[m, 2:] for m in rows])
+    c23 = c[2:].copy()
     del cols, tail, t, c
-    ikh, ikv = (1j * (n * w / C_UM_PS) for n in indices)
+    ik = np.stack([1j * (n * w / C_UM_PS) for n in indices])
+    anchor, step = _anchors(delay_values)
+    step_phasor = None if anchor.all() else np.exp(ik * step)[:, None]
+    g, g_rev = _weighted_amplitude(jsa)
+    n_rows = max(1, CHUNK_POINTS // w.shape[1])
 
-    def probe(delta: float) -> float:
-        fields = np.conj(fixed + t2 * (c2 * np.exp(ikh * delta))
-                         + t3 * (c3 * np.exp(ikv * delta)))
-        return _probability(jsa, dict(zip(rows, fields)), pairs)
+    def block(start: int) -> list:
+        """Probabilities of the block of delays that begins at ``start``.
 
+        Rows of the grid are visited in chunks that stay in cache while
+        the block's delays run; u[k, p] = c_kp exp(i k delta) follows the
+        recurrence and the transfer entries are formed per chunk.
+        """
+        delays = delay_values[start:start + ANCHOR_BLOCK]
+        totals = np.zeros(len(delays))
+        for lo in range(0, w.shape[0], n_rows):
+            rs = slice(lo, lo + n_rows)
+            u = np.empty_like(c23[:, :, rs])
+            fields = np.empty_like(fixed[:, :, rs])
+            tmp = np.empty_like(fields)
+            work = np.empty_like(ik[:, rs])
+            for j, delta in enumerate(delays):
+                if anchor[start + j]:
+                    np.exp(np.multiply(ik[:, rs], delta, out=work), out=work)
+                    np.multiply(c23[:, :, rs], work[:, None], out=u)
+                else:
+                    u *= step_phasor[:, :, rs]
+                np.multiply(t23[:, 0, None, rs], u[0], out=fields)
+                fields += fixed[:, :, rs]
+                np.multiply(t23[:, 1, None, rs], u[1], out=tmp)
+                fields += tmp
+                totals[j] += _exchange_sum((g[rs], g_rev[rs]), fields,
+                                           row_pairs, work)
+        return [_check_probability(total) for total in totals]
+
+    starts = range(0, len(delay_values), ANCHOR_BLOCK)
     workers = thread_count()
     if workers == 1:
-        probabilities = [probe(d) for d in delay_values]
+        blocks = [block(s) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            probabilities = list(pool.map(probe, delay_values))
+            blocks = list(pool.map(block, starts))
+    probabilities = [p for b in blocks for p in b]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 
@@ -395,6 +506,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     if delay_values is None:
         delay_values = default_delay_values(41)
     delay_values = _check_delays(delay_values)
+    _find_scan_element(spec, None, delay_values)  # before any grid work
     pc_idx = _first_declaration(spec, "pc")
     pc_params = spec.elements[pc_idx].params
 

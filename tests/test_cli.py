@@ -149,6 +149,12 @@ def test_exit_code_validation(tmp_path):
                  "-o", str(tmp_path)]) == 2
 
 
+def test_exit_code_negative_length(tmp_path):
+    # l2 + delay < 0 at the scanned fp (l2 = 15000 um on the bundled chip)
+    assert main(["hom", "--grid", "32", "--lmin", "-20000", "--lmax",
+                 "-18000", "--points", "3", "-o", str(tmp_path)]) == 2
+
+
 def test_exit_code_numerical(tmp_path):
     # no phase-matched root for a wildly wrong poling period
     assert main(["tuning", "--poling", "5.0", "-o", str(tmp_path)]) == 3

@@ -13,7 +13,7 @@ from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             default_delay_values, hom_scan,
                             imperfection_sweep, temperature_scan,
                             thread_count)
-from qpic.errors import ValidationError
+from qpic.errors import RangeError, ValidationError
 
 SOURCE_ONLY = """
 [source]
@@ -158,6 +158,73 @@ def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
                                atol=1e-15)
 
 
+K = detection.ANCHOR_BLOCK
+RECURRENCE_DELAYS = {
+    # three anchor blocks, the last one partial
+    "blocks": np.linspace(-1500.0, 3700.0, 2 * K + 5),
+    # linspace steps that differ from the mean step by an ulp
+    "jitter": np.linspace(-1000.0, 1000.0, 100),
+    "uneven": np.cumsum([-1200.0, 310.0, 95.0, 400.0, 12.5, 250.0, 700.0,
+                         33.0, 180.0, 520.0, 61.0, 1000.0]),
+}
+
+
+@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+                         ids=["VV", "insensitive"])
+@pytest.mark.parametrize("grid", list(RECURRENCE_DELAYS))
+def test_recurrence_matches_stretched_chip(chip, jsa_tiny, query, grid,
+                                          monkeypatch):
+    """The phasor recurrence, its re-anchoring, the block edges and the
+    grid chunks keep every point equal to coincidence() on the stretched
+    leaky-pbs chip."""
+    # chunks of 10 rows, so the 64-row grid ends in a partial chunk
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    delays = RECURRENCE_DELAYS[grid]
+    chip = apply_imperfection(chip, "pbs", 0.25)
+    scan = hom_scan(jsa_tiny, chip, delays, query)
+    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
+    fp = chip.elements[idx]
+    for delta, p in zip(delays, scan.probabilities):
+        elements = list(chip.elements)
+        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+        stretched = chip.with_elements(elements)
+        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
+                                  abs=1e-11)
+
+
+def test_anchor_plan():
+    # uniform grids, jittered or not, evaluate exp only at block starts
+    for grid in ("blocks", "jitter"):
+        delays = RECURRENCE_DELAYS[grid]
+        anchor, step = detection._anchors(delays)
+        assert np.flatnonzero(anchor).tolist() == list(range(0, len(delays), K))
+        assert step == pytest.approx(np.mean(np.diff(delays)), rel=1e-12)
+    # an uneven grid re-anchors at every delay
+    anchor, _ = detection._anchors(RECURRENCE_DELAYS["uneven"])
+    assert anchor.all()
+    # one stray delay re-anchors there and the recurrence resumes after it
+    delays = np.arange(2 * K, dtype=float) * 50.0
+    delays[5] += 1e-6
+    anchor, _ = detection._anchors(delays)
+    assert np.flatnonzero(anchor).tolist() == [0, 5, 6, K]
+
+
+def test_scan_rejects_negative_length(chip, jsa_small, monkeypatch):
+    # the bundled chip's scanned fp has l2 = 15000 um
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before the length check")
+
+    monkeypatch.setattr(detection, "refractive_indices", no_grid_work)
+    monkeypatch.setattr(detection, "build_jsa", no_grid_work)
+    delays = [-20000.0, -19000.0, -18000.0]
+    with pytest.raises(RangeError, match="must be >= 0"):
+        hom_scan(jsa_small, chip, delays)
+    with pytest.raises(RangeError):
+        temperature_scan(chip, [24.5], delay_values=delays)
+    with pytest.raises(RangeError):
+        imperfection_sweep(jsa_small, chip, "pc", [0.5], delay_values=delays)
+
+
 def test_scan_needs_stretchable_element(model, jsa_small):
     text = SOURCE_ONLY + "\nelement bs\ntheta = 0.785\nxi = 0.785\n"
     spec = parse_netlist_text(text, model=model)
@@ -255,6 +322,18 @@ def test_thread_determinism(chip, jsa_small, scan_vv, monkeypatch):
     assert thread_count() == 2
     threaded = hom_scan(jsa_small, chip, DELAYS)
     assert np.array_equal(threaded.probabilities, scan_vv.probabilities)
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_thread_determinism_across_blocks(chip, jsa_small, monkeypatch,
+                                          threads):
+    # several anchor blocks and a partial last one, shared among workers
+    delays = np.linspace(-1500.0, 3700.0, 3 * K + 5)
+    monkeypatch.setenv("QPIC_THREADS", "1")
+    serial = hom_scan(jsa_small, chip, delays, INSENSITIVE)
+    monkeypatch.setenv("QPIC_THREADS", threads)
+    threaded = hom_scan(jsa_small, chip, delays, INSENSITIVE)
+    assert np.array_equal(threaded.probabilities, serial.probabilities)
 
 
 def test_thread_count_validation(monkeypatch):
