@@ -29,7 +29,7 @@ from .dispersion import (MaterialModel, PhaseMatchSpec, default_material,
                          degenerate_wavelength, load_material,
                          pc_matched_wavelength, tuning_curve)
 from .elements import pc_kappa
-from .errors import NumericalError, QpicError, ValidationError
+from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .source import (GridSpec, PumpSpec, build_jsa, jsa_exchange_asymmetry,
                      marginal_spectra)
 
@@ -192,7 +192,7 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
 
 
 def _grid_from(args) -> GridSpec:
-    n = getattr(args, "grid", None) or 512
+    n = args.grid
     if n < 3:
         raise ValidationError(f"--grid must be >= 3, got {n}")
     return GridSpec(size_sum=n, size_diff=n)
@@ -233,6 +233,8 @@ def cmd_tuning(args) -> int:
     model, inputs = _load_model(args)
     if args.tstep <= 0:
         raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
+    if not args.tmax >= args.tmin:
+        raise ValidationError("--tmax must not be below --tmin")
     temps = np.arange(args.tmin, args.tmax + args.tstep / 2.0, args.tstep)
     rows = []
     for t in temps:
@@ -368,6 +370,8 @@ def cmd_sweep(args) -> int:
 def cmd_pc_window(args) -> int:
     outdir = _outdir(args)
     model, inputs = _load_model(args)
+    if not args.length > 0.0:
+        raise RangeError(f"--length must be > 0 um, got {args.length}")
     kappa = args.kappa
     if args.voltage is not None:
         kappa = pc_kappa(args.voltage)

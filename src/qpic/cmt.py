@@ -158,18 +158,26 @@ def peak_fwhm(x, y):
     y = np.asarray(y, dtype=float)
     i = int(np.argmax(y))
     half = y[i] / 2.0
-    if i == 0 or i == len(y) - 1 or y[0] > half or y[-1] > half:
+    if i == 0 or i == len(y) - 1 or not max(y[0], y[-1]) <= half < y[i]:
         raise NumericalError("peak half-maximum crossings not bracketed by "
                              "the sampled grid")
-    j = i
-    while y[j] > half:
-        j -= 1
-    left = x[j] + (x[j + 1] - x[j]) * (half - y[j]) / (y[j + 1] - y[j])
-    j = i
-    while y[j] > half:
-        j += 1
-    right = x[j - 1] + (x[j] - x[j - 1]) * (half - y[j - 1]) / (y[j] - y[j - 1])
+    left, right = _level_crossings(x, y, i, half)
     return right - left
+
+
+def _level_crossings(x, y, i, level):
+    """(left, right) x where y, above ``level`` at index i, first falls to it
+    walking outward, interpolated linearly; None for a flank that never does.
+    """
+    crossings = []
+    for step, end in ((-1, 0), (1, len(y) - 1)):
+        j = i
+        while j != end and y[j] > level:
+            j += step
+        a, b = sorted((j, j - step))
+        crossings.append(None if j == i or y[j] > level else
+                         x[a] + (x[b] - x[a]) * (level - y[a]) / (y[b] - y[a]))
+    return crossings
 
 
 def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
@@ -233,7 +241,7 @@ def _fit_branch(lengths, ratios):
     if lengths.size < 3:
         raise ValidationError("coupler fit needs at least 3 points per "
                               "polarisation")
-    if np.any((ratios < 0.0) | (ratios > 1.0)):
+    if not np.all((ratios >= 0.0) & (ratios <= 1.0)):
         raise ValidationError("splitting ratios must lie in [0, 1]")
     span = lengths.max() - lengths.min()
     p0 = (max(span, 1.0), float(lengths[int(np.argmin(ratios))]))

@@ -210,22 +210,10 @@ def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
                                              - h0 * h0 * (y2 - y1))
                                  / curvature)
 
-    level = 0.5 * (baseline + minimum)
-    left = right = None
-    j = i_min
-    while j > 0 and p[j] < level:
-        j -= 1
-    if p[j] >= level and j < i_min:
-        left = values[j] + (values[j + 1] - values[j]) \
-            * (level - p[j]) / (p[j + 1] - p[j])
-    j = i_min
-    while j < n - 1 and p[j] < level:
-        j += 1
-    if p[j] >= level and j > i_min:
-        right = values[j - 1] + (values[j] - values[j - 1]) \
-            * (level - p[j - 1]) / (p[j] - p[j - 1])
-    fwhm = float(right - left) if left is not None and right is not None \
-        else None
+    # the dip is a peak of -p; negation is exact, so is the interpolation
+    left, right = cmt._level_crossings(values, -p, i_min,
+                                       -0.5 * (baseline + minimum))
+    fwhm = None if None in (left, right) else float(right - left)
 
     return ScanResult(parameter=parameter, values=values, probabilities=p,
                       query=query, baseline=baseline, minimum=minimum,
@@ -507,11 +495,14 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         delay_values = default_delay_values(41)
     delay_values = _check_delays(delay_values)
     _find_scan_element(spec, None, delay_values)  # before any grid work
+    temperatures = np.asarray(temperatures, dtype=float)
+    if temperatures.ndim != 1 or temperatures.size == 0:
+        raise ValidationError("temperatures must be a non-empty 1-D list")
     pc_idx = _first_declaration(spec, "pc")
     pc_params = spec.elements[pc_idx].params
 
     points = []
-    for temperature in np.asarray(temperatures, dtype=float):
+    for temperature in temperatures:
         t = float(temperature)
         jsa = build_jsa(spec.model, spec.pump, spec.phase_spec, grid,
                         temperature=t)

@@ -275,21 +275,20 @@ def _pc_grating_mismatch(n_h, n_v, lam, poling_period: float):
         - 2.0 * np.pi / poling_period
 
 
-def _bracketed_roots(fn, lo, hi, samples):
-    """All sign-change roots of fn on [lo, hi] from a coarse scan."""
+def _bracketed_roots(fn, lo, hi, samples, xtol=1e-14):
+    """Ascending roots of fn on [lo, hi]: exact zeros among the samples and
+    a brentq refinement of each sign change between neighbouring samples.
+
+    ``fn`` is called once on the whole ``linspace(lo, hi, samples)`` array,
+    so it must accept arrays. The JSA ridge offset passes ``xtol=1e-12``:
+    1e-14 would move it by ~5e-13 rad/ps and the grid amplitudes by ~5e-12.
+    """
     xs = np.linspace(lo, hi, samples)
-    ys = np.array([fn(x) for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == 0.0:
-            roots.append(xs[i])
-        elif y0 * y1 < 0.0:
-            roots.append(brentq(fn, xs[i], xs[i + 1],
-                                xtol=1e-14, rtol=8.9e-16))
-    if len(ys) and ys[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
+    ys = np.asarray(fn(xs), dtype=float)
+    crossing = np.append(ys[:-1] * ys[1:] < 0.0, False)
+    return [xs[i] if ys[i] == 0.0 else
+            brentq(fn, xs[i], xs[i + 1], xtol=xtol, rtol=8.9e-16)
+            for i in np.flatnonzero((ys == 0.0) | crossing)]
 
 
 def _verify_residual(fn, root, what):
@@ -299,6 +298,22 @@ def _verify_residual(fn, root, what):
             f"{what} root residual {res:.3e} rad/um exceeds "
             f"{RESIDUAL_TOL:.0e}")
     return root
+
+
+def _matched_wavelength(mismatch, bracket, what, kind, where):
+    """Residual-checked root of ``mismatch`` in ``bracket`` nearest 1.55 um;
+    PhaseMatchError if there is none, a warning if there are several."""
+    roots = _bracketed_roots(mismatch, bracket[0], bracket[1], 301)
+    if not roots:
+        raise PhaseMatchError(
+            f"no phase-matching in band [{bracket[0]}, {bracket[1]}] um for "
+            f"{where}")
+    if len(roots) > 1:
+        warnings.warn(
+            f"multiple {kind}-matched wavelengths in bracket; "
+            "returning the one closest to 1.55 um", stacklevel=3)
+    root = min(roots, key=lambda x: abs(x - 1.55))
+    return _verify_residual(mismatch, root, what)
 
 
 def degenerate_wavelength(model: MaterialModel, poling_period: float,
@@ -317,17 +332,9 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
         return (2.0 * np.pi / lam) * (2.0 * np_pump - nh - nv) \
             - 2.0 * np.pi / poling_period
 
-    roots = _bracketed_roots(mismatch, bracket[0], bracket[1], 301)
-    if not roots:
-        raise PhaseMatchError(
-            f"no phase-matching in band [{bracket[0]}, {bracket[1]}] um for "
-            f"poling period {poling_period} um at {float(t)} C")
-    if len(roots) > 1:
-        warnings.warn(
-            "multiple phase-matched wavelengths in bracket; "
-            "returning the one closest to 1.55 um", stacklevel=2)
-    root = min(roots, key=lambda x: abs(x - 1.55))
-    return _verify_residual(mismatch, root, "degenerate wavelength")
+    return _matched_wavelength(
+        mismatch, bracket, "degenerate wavelength", "phase",
+        f"poling period {poling_period} um at {float(t)} C")
 
 
 def pc_matched_wavelength(model: MaterialModel, poling_period: float,
@@ -337,17 +344,9 @@ def pc_matched_wavelength(model: MaterialModel, poling_period: float,
     def mismatch(lam):
         return pc_mismatch(model, poling_period, lam, temperature)
 
-    roots = _bracketed_roots(mismatch, bracket[0], bracket[1], 301)
-    if not roots:
-        raise PhaseMatchError(
-            f"no phase-matching in band [{bracket[0]}, {bracket[1]}] um for "
-            f"conversion poling period {poling_period} um")
-    if len(roots) > 1:
-        warnings.warn(
-            "multiple conversion-matched wavelengths in bracket; "
-            "returning the one closest to 1.55 um", stacklevel=2)
-    root = min(roots, key=lambda x: abs(x - 1.55))
-    return _verify_residual(mismatch, root, "conversion wavelength")
+    return _matched_wavelength(
+        mismatch, bracket, "conversion wavelength", "conversion",
+        f"conversion poling period {poling_period} um")
 
 
 @dataclass(frozen=True)

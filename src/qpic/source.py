@@ -22,9 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dispersion import (MaterialModel, PhaseMatchSpec, group_velocity,
+from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, MaterialModel,
+                         PhaseMatchSpec, _bracketed_roots, group_velocity,
                          omega_from_wavelength, pdc_mismatch,
                          wavelength_from_omega)
 from .errors import (RangeError, SupportTruncationError, ValidationError)
@@ -50,10 +50,10 @@ class PumpSpec:
         if not self.pulse_duration > 0.0:
             raise RangeError(
                 f"pulse duration {self.pulse_duration} ps must be > 0")
-        if not 0.6 <= self.pump_wavelength <= 0.9:
+        if not PUMP_LAMBDA_MIN <= self.pump_wavelength <= PUMP_LAMBDA_MAX:
             raise RangeError(
                 f"pump wavelength {self.pump_wavelength} um outside "
-                f"[0.6, 0.9] um")
+                f"[{PUMP_LAMBDA_MIN}, {PUMP_LAMBDA_MAX}] um")
 
     @property
     def bandwidth(self) -> float:
@@ -138,15 +138,12 @@ def _ridge_offset(model, spec, omega_p, temperature, search=50.0):
         return pdc_mismatch(model, spec, (omega_p + d) / 2.0,
                             (omega_p - d) / 2.0, temperature)
 
-    xs = np.linspace(-search, search, 1001)
-    ys = np.array([mismatch(x) for x in xs])
-    sign_change = np.nonzero(np.diff(np.sign(ys)) != 0)[0]
-    if len(sign_change) == 0:
+    roots = _bracketed_roots(mismatch, -search, search, 1001, xtol=1e-12)
+    if not roots:
         warnings.warn("phase-matching ridge not found near the pump line; "
                       "centring the difference axis on zero", stacklevel=3)
         return 0.0
-    i = sign_change[np.argmin(np.abs(xs[sign_change]))]
-    return brentq(mismatch, xs[i], xs[i + 1], xtol=1e-12)
+    return min(roots, key=abs)
 
 
 def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,

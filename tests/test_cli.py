@@ -155,6 +155,26 @@ def test_exit_code_negative_length(tmp_path):
                  "-18000", "--points", "3", "-o", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["jsa", "--grid", "0"],
+    ["pc-window", "--length", "0"],
+    ["temp-scan", "--temperatures", ",", "--grid", "32", "--points", "3"],
+    ["temp-scan", "--tmin", "30", "--tmax", "20", "--grid", "32",
+     "--points", "3"],
+    ["coupler-fit", "--te", "{nan_table}"],
+    ["tuning", "--tmin", "30", "--tmax", "20"],
+], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
+        "nan-ratio", "tuning-tmax-below-tmin"])
+def test_bad_input_exits_two(tmp_path, argv):
+    nan_table = tmp_path / "nan_ratios.csv"
+    nan_table.write_text("coupler_length_um,splitting_ratio\n100.0,0.3\n"
+                         "150.0,nan\n200.0,0.1\n250.0,0.05\n")
+    out = tmp_path / "out"
+    argv = [a.format(nan_table=nan_table) for a in argv]
+    assert main([*argv, "-o", str(out)]) == 2
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
 def test_exit_code_numerical(tmp_path):
     # no phase-matched root for a wildly wrong poling period
     assert main(["tuning", "--poling", "5.0", "-o", str(tmp_path)]) == 3

@@ -132,6 +132,14 @@ def test_peak_fwhm_needs_flanks():
         peak_fwhm(x, y)
 
 
+@pytest.mark.parametrize("peak", [np.nan, 0.0, -1.0])
+def test_peak_fwhm_needs_a_positive_peak(peak):
+    x = np.linspace(0, 1, 51)
+    y = np.where(np.arange(51) == 25, peak, -2.0)
+    with pytest.raises(qpic.NumericalError):
+        peak_fwhm(x, y)
+
+
 def test_switch_map_symmetry_and_extremes():
     half = 4000.0
     kappa_c = math.pi / (4 * half)

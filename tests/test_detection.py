@@ -265,6 +265,46 @@ def test_dip_vertex_on_uneven_steps():
     assert scan.dip_position == pytest.approx(3.7, abs=1e-12)
 
 
+def _loop_dip_fwhm(values, p):
+    # reference: walk outward from the minimum until the half level
+    n, i_min = len(p), int(np.argmin(p))
+    k = max(1, int(round(0.05 * n)))
+    baseline = float(np.mean(np.concatenate([p[:k], p[-k:]])))
+    level = 0.5 * (baseline + float(p[i_min]))
+    left = right = None
+    j = i_min
+    while j > 0 and p[j] < level:
+        j -= 1
+    if p[j] >= level and j < i_min:
+        left = values[j] + (values[j + 1] - values[j]) \
+            * (level - p[j]) / (p[j + 1] - p[j])
+    j = i_min
+    while j < n - 1 and p[j] < level:
+        j += 1
+    if p[j] >= level and j > i_min:
+        right = values[j - 1] + (values[j] - values[j - 1]) \
+            * (level - p[j - 1]) / (p[j] - p[j - 1])
+    return None if left is None or right is None else float(right - left)
+
+
+def test_dip_fwhm_matches_loop_reference(rng):
+    widths = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        values = np.cumsum(rng.uniform(0.1, 2.0, n))
+        centre = rng.uniform(values[0] - 5.0, values[-1] + 5.0)
+        p = 0.5 - 0.4 * np.exp(-((values - centre) / rng.uniform(0.5, 20.0))
+                               ** 2) + rng.normal(0.0, 0.02, n)
+        expected = _loop_dip_fwhm(values, p)
+        scan = detection._analyse_scan("x", values, p, CoincidenceQuery())
+        assert scan.dip_fwhm == expected
+        widths.add(expected is None)
+    assert widths == {True, False}  # closed and open flanks both occur
+    flat = detection._analyse_scan("x", np.arange(5.0), np.full(5, 0.25),
+                                   CoincidenceQuery())
+    assert flat.dip_fwhm is None
+
+
 def test_default_delay_values():
     d = default_delay_values()
     assert len(d) == 105

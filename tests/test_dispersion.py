@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import qpic
 from qpic.dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
+                             _bracketed_roots, _matched_wavelength,
                              degenerate_wavelength, group_index,
                              group_velocity, index, load_material,
                              omega_from_wavelength, pc_matched_wavelength,
@@ -136,8 +138,96 @@ def test_pc_root_residual(model):
 
 
 def test_no_root_raises(model):
-    with pytest.raises(qpic.PhaseMatchError):
+    with pytest.raises(qpic.PhaseMatchError, match=r"no phase-matching in "
+                       r"band \[1\.4, 1\.7\] um for poling period 5\.0 um "
+                       r"at 24\.5 C"):
         degenerate_wavelength(model, 5.0)
+    with pytest.raises(qpic.PhaseMatchError, match=r"no phase-matching in "
+                       r"band \[1\.4, 1\.75\] um for conversion poling "
+                       r"period 5\.0 um$"):
+        pc_matched_wavelength(model, 5.0)
+
+
+def _scalar_roots(fn, lo, hi, samples, xtol=1e-14):
+    # reference scan: fn once per sample, then a loop over neighbouring pairs
+    xs = np.linspace(lo, hi, samples)
+    ys = [fn(x) for x in xs]
+    roots = []
+    for i in range(samples - 1):
+        if ys[i] == 0.0:
+            roots.append(xs[i])
+        elif ys[i] * ys[i + 1] < 0.0:
+            roots.append(brentq(fn, xs[i], xs[i + 1], xtol=xtol,
+                                rtol=8.9e-16))
+    if ys[-1] == 0.0:
+        roots.append(xs[-1])
+    return roots
+
+
+@pytest.mark.parametrize("fn, lo, hi, samples, expected", [
+    (np.sin, 0.5, 10.0, 50, [np.pi, 2 * np.pi, 3 * np.pi]),
+    # exact zeros on the inner samples -1, 0 and 1, each counted once
+    (lambda x: x ** 3 - x, -2.0, 2.0, 5, [-1.0, 0.0, 1.0]),
+    (lambda x: x - 1.0, 0.0, 2.0, 5, [1.0]),
+    (lambda x: x - 2.0, 0.0, 2.0, 7, [2.0]),  # root on the last sample
+    (lambda x: x * x + 1.0, -1.0, 1.0, 11, []),
+], ids=["several", "inner-samples", "inner-crossing", "last-sample", "none"])
+def test_bracketed_roots_match_scalar_scan(fn, lo, hi, samples, expected):
+    roots = _bracketed_roots(fn, lo, hi, samples)
+    assert roots == _scalar_roots(fn, lo, hi, samples)
+    assert roots == sorted(roots)
+    np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [20.0, 24.5, 28.0])
+def test_phase_matching_scans_match_scalar_scan(model, temperature):
+    spec = PhaseMatchSpec(poling_period=9.217870197227, pdc_length=20700.0,
+                          pump_wavelength=0.775)
+    w_p = float(omega_from_wavelength(0.775))
+
+    def conversion(lam):
+        return pc_mismatch(model, 21.4, lam, temperature)
+
+    def pair(x):  # tuning_curve's offset scan
+        return pdc_mismatch(model, spec, w_p / 2 + x, w_p / 2 - x,
+                            temperature)
+
+    def ridge(d):  # source._ridge_offset's scan
+        return pdc_mismatch(model, spec, (w_p + d) / 2, (w_p - d) / 2,
+                            temperature)
+
+    for fn, lo, hi, samples, xtol in [(conversion, 1.4, 1.75, 301, 1e-14),
+                                      (pair, -100.0, 100.0, 401, 1e-14),
+                                      (ridge, -50.0, 50.0, 1001, 1e-12)]:
+        roots = _bracketed_roots(fn, lo, hi, samples, xtol=xtol)
+        assert len(roots) >= 1
+        assert roots == _scalar_roots(fn, lo, hi, samples, xtol=xtol)
+
+
+def test_bracketed_roots_evaluate_samples_in_one_call():
+    shapes = []
+
+    def fn(x):
+        shapes.append(np.shape(x))
+        return np.cos(x)
+
+    roots = _bracketed_roots(fn, 0.0, 4.0, 41)
+    assert roots == [pytest.approx(np.pi / 2, abs=1e-14)]
+    # the whole sample array first, then scalar brentq refinement only
+    assert shapes[0] == (41,)
+    assert len(shapes) > 1 and set(shapes[1:]) == {()}
+
+
+def test_several_matched_roots_warn_and_keep_nearest_1550nm():
+    def mismatch(lam):
+        return (lam - 1.45) * (lam - 1.56) * (lam - 1.65)
+
+    with pytest.warns(UserWarning, match="multiple phase-matched "
+                      "wavelengths in bracket; returning the one closest to "
+                      "1.55 um"):
+        lam = _matched_wavelength(mismatch, (1.4, 1.7), "test wavelength",
+                                  "phase", "a test")
+    assert lam == pytest.approx(1.56, abs=1e-14)
 
 
 def test_degeneracy_slope_sign(model):

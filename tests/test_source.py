@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import qpic
+from qpic import source
 from qpic.dispersion import pdc_mismatch
-from qpic.source import (GridSpec, PumpSpec, build_jsa,
+from qpic.source import (GridSpec, PumpSpec, _ridge_offset, build_jsa,
                          jsa_exchange_asymmetry, marginal_spectra)
 
 
@@ -126,6 +127,24 @@ def test_truncated_support_raises(chip):
         build_jsa(chip.model, chip.pump, chip.phase_spec, grid)
     assert info.value.suggested_half_width is not None
     assert info.value.suggested_half_width > 0.002
+
+
+def test_ridge_not_found_warns_and_centres_on_zero(chip):
+    spec = dataclasses.replace(chip.phase_spec, poling_period=5.0)
+    with pytest.warns(UserWarning, match="ridge not found"):
+        d_star = _ridge_offset(chip.model, spec, chip.pump.omega_pump, 24.5)
+    assert d_star == 0.0
+
+
+def test_ridge_offset_takes_root_nearest_zero(chip, monkeypatch):
+    def three_ridges(model, spec, omega_s, omega_i, temperature):
+        d = omega_s - omega_i
+        return (d + 30.0) * (d + 4.0) * (d - 7.0)
+
+    monkeypatch.setattr(source, "pdc_mismatch", three_ridges)
+    d_star = _ridge_offset(chip.model, chip.phase_spec, chip.pump.omega_pump,
+                           24.5)
+    assert d_star == pytest.approx(-4.0, abs=1e-11)
 
 
 def test_pump_wavelength_mismatch_raises(chip):
