@@ -372,6 +372,8 @@ def cmd_pc_window(args) -> int:
     model, inputs = _load_model(args)
     if not args.length > 0.0:
         raise RangeError(f"--length must be > 0 um, got {args.length}")
+    if args.points < 3:
+        raise ValidationError(f"--points must be >= 3, got {args.points}")
     kappa = args.kappa
     if args.voltage is not None:
         kappa = pc_kappa(args.voltage)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .dispersion import MaterialModel, pc_matched_wavelength, pc_mismatch
 from .errors import NumericalError, RangeError, ValidationError
@@ -236,11 +235,16 @@ def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
 
 
 def _fit_branch(lengths, ratios):
+    # scipy.optimize takes most of qpic's import time; only this fit needs it
+    from scipy.optimize import curve_fit
+
     lengths = np.asarray(lengths, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
     if lengths.size < 3:
         raise ValidationError("coupler fit needs at least 3 points per "
                               "polarisation")
+    if not np.all(np.isfinite(lengths)):
+        raise ValidationError("coupler lengths must be finite")
     if not np.all((ratios >= 0.0) & (ratios <= 1.0)):
         raise ValidationError("splitting ratios must lie in [0, 1]")
     span = lengths.max() - lengths.min()

@@ -9,11 +9,11 @@ angular frequency in rad/ps, temperature in degrees C.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, PhaseMatchError, RangeError, ValidationError
 
@@ -277,7 +277,7 @@ def _pc_grating_mismatch(n_h, n_v, lam, poling_period: float):
 
 def _bracketed_roots(fn, lo, hi, samples, xtol=1e-14):
     """Ascending roots of fn on [lo, hi]: exact zeros among the samples and
-    a brentq refinement of each sign change between neighbouring samples.
+    a Brent refinement of each sign change between neighbouring samples.
 
     ``fn`` is called once on the whole ``linspace(lo, hi, samples)`` array,
     so it must accept arrays. The JSA ridge offset passes ``xtol=1e-12``:
@@ -287,8 +287,71 @@ def _bracketed_roots(fn, lo, hi, samples, xtol=1e-14):
     ys = np.asarray(fn(xs), dtype=float)
     crossing = np.append(ys[:-1] * ys[1:] < 0.0, False)
     return [xs[i] if ys[i] == 0.0 else
-            brentq(fn, xs[i], xs[i + 1], xtol=xtol, rtol=8.9e-16)
+            _brent(fn, xs[i], xs[i + 1], xtol=xtol, rtol=8.9e-16)
             for i in np.flatnonzero((ys == 0.0) | crossing)]
+
+
+def _brent(fn, a, b, xtol, rtol):
+    """Root of scalar ``fn`` in [a, b] by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A step-for-step transcription of the loop behind
+    ``scipy.optimize.brentq``, so it returns the same float. Stops when
+    the bracket half-width is below (xtol + rtol |x|)/2. Raises
+    NumericalError on a bracket without a sign change, a non-finite
+    function value, or no convergence within 100 steps.
+    """
+    def f(x):
+        fx = float(fn(x))
+        if not math.isfinite(fx):
+            raise NumericalError(f"root function is {fx} at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # C tests signbit; same when nonzero
+        raise NumericalError(
+            f"root bracket [{xpre!r}, {xcur!r}] has no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no interpolation step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or nan in C, which bisects
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(
+        f"root refinement did not converge in 100 steps; last x = {xcur!r}")
 
 
 def _verify_residual(fn, root, what):

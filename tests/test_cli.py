@@ -2,7 +2,11 @@
 
 import json
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,34 @@ def test_coupler_fit_command(tmp_path):
     assert 0 < s["alpha_rad"] <= np.pi / 2
 
 
+def _run_fresh(*args, cwd):
+    # a new interpreter: the test process has imported scipy.optimize itself
+    src = str(Path(qpic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_out_scipy_optimize(tmp_path):
+    probe = _run_fresh("-c", "import sys, qpic.cli; "
+                       "print('scipy.optimize' in sys.modules)", cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+    # coupler-fit loads curve_fit on its own and fits as before
+    fit = _run_fresh("-m", "qpic.cli", "coupler-fit", "-o", "out",
+                     cwd=tmp_path)
+    assert fit.returncode == 0, fit.stderr
+    values = dict(line.split(" = ") for line in
+                  (tmp_path / "out" / "coupler_fit.txt").read_text()
+                  .splitlines())
+    expected = {"beat_te": 899.6986217508351, "offset_te": 450.2115191453606,
+                "beat_tm": 850.103079273073, "offset_tm": 530.0293332726826}
+    assert values.keys() == expected.keys()
+    for key, value in expected.items():
+        assert float(values[key]) == pytest.approx(value, rel=1e-12)
+
+
 def test_tuning_command(tmp_path):
     code, out = run(tmp_path, "tuning", "--tmin", "20", "--tmax", "30",
                     "--tstep", "2")
@@ -162,15 +194,24 @@ def test_exit_code_negative_length(tmp_path):
     ["temp-scan", "--tmin", "30", "--tmax", "20", "--grid", "32",
      "--points", "3"],
     ["coupler-fit", "--te", "{nan_table}"],
+    ["coupler-fit", "--te", "{nan_length_table}"],
+    ["coupler-fit", "--tm", "{inf_length_table}"],
     ["tuning", "--tmin", "30", "--tmax", "20"],
+    ["pc-window", "--points", "0"],
+    ["pc-window", "--points", "1"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
-        "nan-ratio", "tuning-tmax-below-tmin"])
+        "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
+        "pc-points-0", "pc-points-1"])
 def test_bad_input_exits_two(tmp_path, argv):
-    nan_table = tmp_path / "nan_ratios.csv"
-    nan_table.write_text("coupler_length_um,splitting_ratio\n100.0,0.3\n"
-                         "150.0,nan\n200.0,0.1\n250.0,0.05\n")
+    tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
+              "inf_length_table": "inf,0.2"}
+    for name, bad_row in tables.items():
+        tables[name] = tmp_path / f"{name}.csv"
+        tables[name].write_text("coupler_length_um,splitting_ratio\n"
+                                f"100.0,0.3\n{bad_row}\n200.0,0.1\n"
+                                "250.0,0.05\n")
     out = tmp_path / "out"
-    argv = [a.format(nan_table=nan_table) for a in argv]
+    argv = [a.format(**tables) for a in argv]
     assert main([*argv, "-o", str(out)]) == 2
     assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 

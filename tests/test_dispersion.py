@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qpic
 from qpic.dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
-                             _bracketed_roots, _matched_wavelength,
+                             _brent, _bracketed_roots, _matched_wavelength,
                              degenerate_wavelength, group_index,
                              group_velocity, index, load_material,
                              omega_from_wavelength, pc_matched_wavelength,
                              pc_mismatch, pdc_mismatch, tuning_curve,
                              wavelength_from_omega, wavevector)
-from qpic.errors import RangeError, ValidationError
+from qpic.errors import NumericalError, RangeError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +215,68 @@ def test_bracketed_roots_evaluate_samples_in_one_call():
 
     roots = _bracketed_roots(fn, 0.0, 4.0, 41)
     assert roots == [pytest.approx(np.pi / 2, abs=1e-14)]
-    # the whole sample array first, then scalar brentq refinement only
+    # the whole sample array first, then scalar Brent refinement only
     assert shapes[0] == (41,)
     assert len(shapes) > 1 and set(shapes[1:]) == {()}
+
+
+coefficient = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=300)
+@given(c=st.tuples(*[coefficient] * 4), r=coefficient,
+       left=st.floats(1e-6, 5.0), right=st.floats(1e-6, 5.0),
+       scale=st.sampled_from([1.0, 1e-300]))
+def test_brent_matches_scipy_brentq(c, r, left, right, scale):
+    # scipy is a test-time oracle only: same float, same failures. The
+    # bracket straddles r, which the sin and cos terms move off the root.
+    # At scale 1e-300 products of slopes underflow to 0, and a division by
+    # them must bisect as C's inf/nan does
+    def fn(x):
+        return scale * ((x - r) * (1.0 + c[0] ** 2 + c[1] * math.sin(3.0 * x))
+                        + c[2] * (x - r) ** 3 + 0.1 * c[3] * math.cos(x))
+
+    a, b = r - left, r + right
+    for xtol in (1e-12, 1e-14):
+        try:
+            expected = brentq(fn, a, b, xtol=xtol, rtol=8.9e-16)
+        except ValueError:  # no sign change on [a, b]
+            with pytest.raises(NumericalError, match="no sign change"):
+                _brent(fn, a, b, xtol=xtol, rtol=8.9e-16)
+            continue
+        root = _brent(fn, a, b, xtol=xtol, rtol=8.9e-16)
+        assert type(root) is float
+        assert root == expected
+
+
+def test_brent_exact_zero_at_an_endpoint():
+    for a, b in [(1.0, 2.0), (0.0, 1.0)]:
+        root = _brent(lambda x: x - 1.0, np.float64(a), np.float64(b),
+                      xtol=1e-14, rtol=8.9e-16)
+        assert type(root) is float and root == 1.0
+        assert root == brentq(lambda x: x - 1.0, a, b)
+
+
+def test_brent_failures():
+    def step(x):
+        return -1.0 if x < 0.0 else 1.0
+
+    with pytest.raises(NumericalError, match="no sign change"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericalError, match=f"root function is {bad}"):
+            _brent(lambda x: bad if x > 0.5 else x - 0.7, 0.0, 1.0,
+                   xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+    # a jump at 0: Brent converges in 100 steps at xtol 2**-97, in 101 at
+    # 2**-98, so the step budget counts as scipy's
+    root = _brent(step, -1.0, 2.0, xtol=2.0 ** -97, rtol=8.9e-16)
+    assert root == brentq(step, -1.0, 2.0, xtol=2.0 ** -97, rtol=8.9e-16)
+    with pytest.raises(NumericalError, match="did not converge in 100 steps"):
+        _brent(step, -1.0, 2.0, xtol=2.0 ** -98, rtol=8.9e-16)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(step, -1.0, 2.0, xtol=2.0 ** -98, rtol=8.9e-16)
 
 
 def test_several_matched_roots_warn_and_keep_nearest_1550nm():
