@@ -1,9 +1,15 @@
 """Command line interface.
 
-Every subcommand writes CSV artifacts plus a JSON manifest (inputs with
-checksums, package versions, a configuration echo and a result summary)
-into the output directory. Exit codes: 0 success, 2 invalid input,
-3 numerical failure.
+Each ``cmd_*`` function validates its options, computes, and returns an
+``Artifacts``: its tables as ``(name, header, columns)``, a result
+summary, the input files it read and the axis labels of its plot. Only
+``_emit`` writes. It creates the output directory, writes every table as
+``<name>.csv`` (RFC 4180, CRLF, 12 significant digits), the gnuplot script
+of the first table when ``--gnuplot-script`` is given, ``coupler_fit.txt``
+for a coupler fit, and last the strict-JSON manifest (inputs with
+checksums, package versions, a configuration echo and the summary). An
+invalid input therefore leaves no file behind. Exit codes: 0 success,
+2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,17 +18,19 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .circuit import CircuitSpec, parse_netlist
-from .cmt import fit_coupler, pbs_angles, pc_spectrum, peak_fwhm, \
-    save_coupler_fit, switch_map
+from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
+    peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
 from .detection import (CoincidenceQuery, hom_scan, imperfection_sweep,
                         temperature_scan)
 from .dispersion import (MaterialModel, PhaseMatchSpec, default_material,
@@ -33,32 +41,50 @@ from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .source import (GridSpec, PumpSpec, build_jsa, jsa_exchange_asymmetry,
                      marginal_spectra)
 
-_DATA_PACKAGE = "qpic.data"
+_CHUNK_ROWS = 8192  # rows formatted per write
+_FORMATS = {"f": "%.11e", "b": "%d", "U": "%s"}  # by dtype kind
+
+
+class Artifacts(NamedTuple):
+    """What a subcommand produced, for ``_emit`` to write."""
+
+    tables: list  # (file stem, header, columns); the first one is plotted
+    summary: dict
+    inputs: list
+    plot: tuple = ()  # (xlabel, ylabel, gnuplot "using") of the first table
+    fit: CouplerFit | None = None
 
 
 def _data_path(name: str) -> Path:
     from importlib.resources import files
 
-    return Path(str(files(_DATA_PACKAGE).joinpath(name)))
+    return Path(str(files("qpic.data").joinpath(name)))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.11e}"  # 12 significant digits
+def _csv_field(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` quotes a field (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: Path, header, rows) -> Path:
+def _write_columns(path: Path, header, columns) -> None:
+    """Write one CSV table from equal-length column arrays.
+
+    Each column gets one format from its dtype: ``%.11e`` for float (12
+    significant digits), ``%d`` for bool, ``%s`` for str.
+    Rows are formatted ``_CHUNK_ROWS`` at a time, so the file never exists
+    as one list of Python values.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join(_FORMATS[c.dtype.kind] for c in columns) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            chunk = [list(map(_csv_field, part)) if c.dtype.kind == "U"
+                     else part for c, part in zip(columns, chunk)]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 def _sha256(path: Path) -> str:
@@ -70,12 +96,11 @@ def _sha256(path: Path) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, Path):
-        return str(value)
+    """``value`` as JSON types; a non-finite float is a numerical failure."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NumericalError(f"non-finite result {value}")
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -83,16 +108,38 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, inputs,
-                    outputs, summary: dict) -> Path:
+def _emit(args, artifacts: Artifacts) -> None:
+    """Write every artifact of a run into ``--output-dir``, manifest last."""
+    config = _jsonable({k: v for k, v in vars(args).items() if k != "func"})
+    summary = _jsonable(artifacts.summary)
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for name, header, columns in artifacts.tables:
+        outputs.append(outdir / f"{name}.csv")
+        _write_columns(outputs[-1], header, columns)
+    if getattr(args, "gnuplot_script", False):
+        name = artifacts.tables[0][0]
+        xlabel, ylabel, using = artifacts.plot
+        outputs.append(outdir / f"{name}.gp")
+        outputs[-1].write_text("\n".join([
+            'set datafile separator ","',
+            "set key off",
+            f'set xlabel "{xlabel}"',
+            f'set ylabel "{ylabel}"',
+            f'plot "{name}.csv" skip 1 using {using} with lines',
+            "pause -1",
+        ]) + "\n", encoding="utf-8")
+    if artifacts.fit is not None:
+        outputs.append(outdir / "coupler_fit.txt")
+        save_coupler_fit(artifacts.fit, outputs[-1])
     manifest = {
-        "command": command,
-        "config": _jsonable(config),
+        "command": args.command,
+        "config": config,
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
-                   for p in inputs],
-        "outputs": [{"path": str(Path(p).name), "sha256": _sha256(Path(p))}
-                    for p in outputs],
-        "summary": _jsonable(summary),
+                   for p in artifacts.inputs],
+        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
+        "summary": summary,
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
@@ -100,54 +147,48 @@ def _write_manifest(outdir: Path, command: str, config: dict, inputs,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
-    path = outdir / (command.replace("-", "_") + "_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = outdir / (args.command.replace("-", "_") + "_manifest.json")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _finite(text: str) -> float:
+    """argparse type of every float option: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _float_list(text: str, option: str) -> list[float]:
+    """The finite numbers of a comma separated option, at least one."""
+    try:
+        values = [_finite(v) for v in text.split(",") if v != ""]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValidationError(f"bad {option} value: {exc}") from exc
+    if not values:
+        raise ValidationError(f"{option} must list at least one value")
+    return values
+
+
+def _input_path(value, bundled: str, what: str) -> Path:
+    """The existing file an option names, or the bundled default."""
+    if not value:
+        return _data_path(bundled)
+    path = Path(value)
+    if not path.exists():
+        raise ValidationError(f"{what} not found: {path}")
     return path
-
-
-def _write_gnuplot(outdir: Path, name: str, csv_name: str, xlabel: str,
-                   ylabel: str, using: str = "1:2") -> Path:
-    path = outdir / f"{name}.gp"
-    content = "\n".join([
-        'set datafile separator ","',
-        "set key off",
-        f'set xlabel "{xlabel}"',
-        f'set ylabel "{ylabel}"',
-        f'plot "{csv_name}" skip 1 using {using} with lines',
-        "pause -1",
-    ]) + "\n"
-    path.write_text(content, encoding="utf-8")
-    return path
-
-
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_model(args) -> tuple[MaterialModel, list]:
-    if args.material is not None:
-        path = Path(args.material)
-        if not path.exists():
-            raise ValidationError(f"material file not found: {path}")
-        return load_material(path), [path]
-    return default_material(), [_data_path("linbo3.material")]
-
-
-def _netlist_path(args) -> Path:
-    if args.netlist is not None:
-        path = Path(args.netlist)
-        if not path.exists():
-            raise ValidationError(f"netlist not found: {path}")
-        return path
-    return _data_path("ideal_chip.net")
+    path = _input_path(args.material, "linbo3.material", "material file")
+    return (load_material(path) if args.material else default_material(),
+            [path])
 
 
 def _load_chip(args) -> tuple[CircuitSpec, Path]:
-    path = _netlist_path(args)
+    path = _input_path(args.netlist, "ideal_chip.net", "netlist")
     spec = parse_netlist(path)
     if getattr(args, "temperature", None) is not None:
         spec = spec.at_temperature(args.temperature)
@@ -205,6 +246,14 @@ def _query_from(args) -> CoincidenceQuery:
     return CoincidenceQuery(pol_b=label[0], pol_c=label[1])
 
 
+def _temperatures_from(args) -> np.ndarray:
+    if args.tstep <= 0:
+        raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
+    if not args.tmax >= args.tmin:
+        raise ValidationError("--tmax must not be below --tmin")
+    return np.arange(args.tmin, args.tmax + args.tstep / 2.0, args.tstep)
+
+
 def _delays_from(args) -> np.ndarray:
     if args.points < 3:
         raise ValidationError(f"--points must be >= 3, got {args.points}")
@@ -213,162 +262,116 @@ def _delays_from(args) -> np.ndarray:
     return np.linspace(args.lmin, args.lmax, args.points)
 
 
-def _scan_summary(scan) -> dict:
-    return {
-        "visibility": scan.visibility,
-        "minimum": scan.minimum,
-        "maximum": scan.maximum,
-        "baseline": scan.baseline,
-        "dip_position_um": scan.dip_position,
-        "dip_fwhm_um": scan.dip_fwhm,
-        "boundary_warning": scan.boundary_warning,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_tuning(args) -> int:
-    outdir = _outdir(args)
+def cmd_tuning(args) -> Artifacts:
     model, inputs = _load_model(args)
-    if args.tstep <= 0:
-        raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
-    if not args.tmax >= args.tmin:
-        raise ValidationError("--tmax must not be below --tmin")
-    temps = np.arange(args.tmin, args.tmax + args.tstep / 2.0, args.tstep)
-    rows = []
-    for t in temps:
-        lam = degenerate_wavelength(model, args.poling, float(t))
-        rows.append((float(t), lam))
-    outputs = [_write_csv(outdir / "tuning_temperature.csv",
-                          ["temperature_c", "degenerate_wavelength_um"],
-                          rows)]
-    slope = np.polyfit(temps, [r[1] for r in rows], 1)[0] if len(rows) > 1 \
-        else float("nan")
-    summary = {"degeneracy_slope_um_per_c": float(slope),
-               "n_temperatures": len(rows)}
+    temps = _temperatures_from(args)
+    if args.pump_points and args.pump_points < 2:
+        raise ValidationError("--pump-points must be >= 2")
+    lams = np.array([degenerate_wavelength(model, args.poling, float(t))
+                     for t in temps])
+    tables = [("tuning_temperature",
+               ["temperature_c", "degenerate_wavelength_um"], [temps, lams])]
+    # one temperature leaves the slope undefined: null, like dip_fwhm_um
+    slope = float(np.polyfit(temps, lams, 1)[0]) if len(temps) > 1 else None
+    summary = {"degeneracy_slope_um_per_c": slope,
+               "n_temperatures": len(temps)}
 
     if args.pump_points:
-        if args.pump_points < 2:
-            raise ValidationError("--pump-points must be >= 2")
         pumps = np.linspace(args.pump_min, args.pump_max, args.pump_points)
         spec = PhaseMatchSpec(poling_period=args.poling, pdc_length=20700.0,
                               pump_wavelength=float(np.median(pumps)))
         curve = tuning_curve(model, spec, args.pump_temperature, pumps)
-        outputs.append(_write_csv(
-            outdir / "tuning_pump.csv",
-            ["pump_wavelength_um", "signal_wavelength_um",
-             "idler_wavelength_um"],
-            zip(curve.pump, curve.signal, curve.idler)))
+        tables.append(("tuning_pump",
+                       ["pump_wavelength_um", "signal_wavelength_um",
+                        "idler_wavelength_um"],
+                       [curve.pump, curve.signal, curve.idler]))
         summary["pump_points_omitted"] = list(curve.omitted)
-
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "tuning_temperature", "tuning_temperature.csv",
-            "temperature (C)", "degenerate wavelength (um)"))
-    _write_manifest(outdir, "tuning", _config(args), inputs, outputs,
-                    summary)
-    return 0
+    return Artifacts(tables, summary, inputs,
+                     ("temperature (C)", "degenerate wavelength (um)", "1:2"))
 
 
-def cmd_jsa(args) -> int:
-    outdir = _outdir(args)
+def cmd_jsa(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
                     _grid_from(args), temperature=spec.temperature)
     marginals = marginal_spectra(jsa)
-    rows = []
-    for label, m in (("signal", marginals.signal), ("idler",
-                                                    marginals.idler)):
-        for i in range(len(m.omega)):
-            rows.append((label, m.wavelength[i], m.omega[i], m.density[i],
-                         m.intensity[i]))
-    outputs = [_write_csv(outdir / "jsa_marginals.csv",
-                          ["photon", "wavelength_um", "omega_rad_ps",
-                           "density", "intensity"], rows)]
+    signal, idler = marginals.signal, marginals.idler
+    photon = np.repeat(["signal", "idler"],
+                       [len(signal.omega), len(idler.omega)])
+    tables = [("jsa_marginals",
+               ["photon", "wavelength_um", "omega_rad_ps", "density",
+                "intensity"],
+               [photon, *(np.concatenate([getattr(signal, f),
+                                          getattr(idler, f)])
+                          for f in ("wavelength", "omega", "density",
+                                    "intensity"))])]
     if args.dump_grid:
-        grid_rows = []
-        for i, s in enumerate(jsa.sum_grid):
-            for j, d in enumerate(jsa.diff_grid):
-                grid_rows.append((s, d, jsa.amplitude[i, j].real,
-                                  jsa.amplitude[i, j].imag))
-        outputs.append(_write_csv(
-            outdir / "jsa_grid.csv",
-            ["sum_rad_ps", "diff_rad_ps", "re_amplitude", "im_amplitude"],
-            grid_rows))
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "jsa_marginals", "jsa_marginals.csv",
-            "wavelength (um)", "normalised intensity", using="2:5"))
+        n_sum, n_diff = jsa.amplitude.shape
+        amplitude = jsa.amplitude.ravel()
+        tables.append(("jsa_grid",
+                       ["sum_rad_ps", "diff_rad_ps", "re_amplitude",
+                        "im_amplitude"],
+                       [np.repeat(jsa.sum_grid, n_diff),
+                        np.tile(jsa.diff_grid, n_sum),
+                        amplitude.real, amplitude.imag]))
     summary = {
         "exchange_asymmetry": jsa_exchange_asymmetry(jsa),
         "normalization": jsa.normalization,
         "ridge_offset_rad_ps": jsa.ridge_offset,
-        "signal_peak_um": marginals.signal.peak_wavelength,
-        "idler_peak_um": marginals.idler.peak_wavelength,
+        "signal_peak_um": signal.peak_wavelength,
+        "idler_peak_um": idler.peak_wavelength,
         "temperature_c": spec.temperature,
     }
-    _write_manifest(outdir, "jsa", _config(args), [netlist], outputs,
-                    summary)
-    return 0
+    return Artifacts(tables, summary, [netlist],
+                     ("wavelength (um)", "normalised intensity", "2:5"))
 
 
-def cmd_hom(args) -> int:
-    outdir = _outdir(args)
+_SCAN_HEADER = ["delta_l_um", "coincidence_probability"]
+
+
+def cmd_hom(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
                     _grid_from(args), temperature=spec.temperature)
     scan = hom_scan(jsa, spec, _delays_from(args), _query_from(args))
-    outputs = [_write_csv(outdir / "hom_scan.csv",
-                          ["delta_l_um", "coincidence_probability"],
-                          scan.as_rows())]
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "hom_scan", "hom_scan.csv", "delay length (um)",
-            "coincidence probability"))
-    _write_manifest(outdir, "hom", _config(args), [netlist], outputs,
-                    _scan_summary(scan))
-    return 0
+    summary = {"visibility": scan.visibility, "minimum": scan.minimum,
+               "maximum": scan.maximum, "baseline": scan.baseline,
+               "dip_position_um": scan.dip_position,
+               "dip_fwhm_um": scan.dip_fwhm,
+               "boundary_warning": scan.boundary_warning}
+    return Artifacts([("hom_scan", _SCAN_HEADER,
+                       [scan.values, scan.probabilities])], summary,
+                     [netlist],
+                     ("delay length (um)", "coincidence probability", "1:2"))
 
 
-def cmd_sweep(args) -> int:
-    outdir = _outdir(args)
+def cmd_sweep(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    try:
-        fractions = [float(v) for v in args.fractions.split(",") if v != ""]
-    except ValueError as exc:
-        raise ValidationError(f"bad --fractions value: {exc}") from exc
-    if not fractions:
-        raise ValidationError("--fractions must list at least one value")
+    fractions = _float_list(args.fractions, "--fractions")
     jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
                     _grid_from(args), temperature=spec.temperature)
     points = imperfection_sweep(jsa, spec, args.element, fractions,
                                 _delays_from(args), _query_from(args))
     rows = [(p.fraction, p.visibility, p.minimum, p.maximum, p.baseline,
              p.dip_position) for p in points]
-    outputs = [_write_csv(
-        outdir / "sweep_summary.csv",
-        ["fraction", "visibility", "min_probability", "max_probability",
-         "baseline", "dip_position_um"], rows)]
+    tables = [("sweep_summary",
+               ["fraction", "visibility", "min_probability",
+                "max_probability", "baseline", "dip_position_um"],
+               [np.array(c) for c in zip(*rows)])]
     if args.full_scans:
-        for k, p in enumerate(points):
-            outputs.append(_write_csv(
-                outdir / f"sweep_scan_{k:02d}.csv",
-                ["delta_l_um", "coincidence_probability"],
-                p.scan.as_rows()))
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "sweep_summary", "sweep_summary.csv",
-            "imperfection fraction", "visibility"))
+        tables += [(f"sweep_scan_{k:02d}", _SCAN_HEADER,
+                    [p.scan.values, p.scan.probabilities])
+                   for k, p in enumerate(points)]
     summary = {"element": args.element,
                "visibilities": [p.visibility for p in points]}
-    _write_manifest(outdir, "sweep", _config(args), [netlist], outputs,
-                    summary)
-    return 0
+    return Artifacts(tables, summary, [netlist],
+                     ("imperfection fraction", "visibility", "1:2"))
 
 
-def cmd_pc_window(args) -> int:
-    outdir = _outdir(args)
+def cmd_pc_window(args) -> Artifacts:
     model, inputs = _load_model(args)
     if not args.length > 0.0:
         raise RangeError(f"--length must be > 0 um, got {args.length}")
@@ -390,13 +393,6 @@ def cmd_pc_window(args) -> int:
                              temperature=args.temperature,
                              wavelengths=wavelengths,
                              n_points=args.points)
-    outputs = [_write_csv(outdir / "pc_window.csv",
-                          ["wavelength_um", "conversion_fraction"],
-                          zip(lams, frac))]
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "pc_window", "pc_window.csv", "wavelength (um)",
-            "conversion fraction"))
     summary = {
         "centre_um": pc_matched_wavelength(model, args.poling,
                                            args.temperature),
@@ -404,40 +400,27 @@ def cmd_pc_window(args) -> int:
         "peak_fraction": float(np.max(frac)),
         "kappa_rad_um": float(kappa),
     }
-    _write_manifest(outdir, "pc-window", _config(args), inputs, outputs,
-                    summary)
-    return 0
+    return Artifacts([("pc_window", ["wavelength_um", "conversion_fraction"],
+                       [lams, frac])], summary, inputs,
+                     ("wavelength (um)", "conversion fraction", "1:2"))
 
 
-def cmd_switch_map(args) -> int:
-    outdir = _outdir(args)
+def cmd_switch_map(args) -> Artifacts:
     if args.points < 2:
         raise ValidationError(f"--points must be >= 2, got {args.points}")
     voltages = np.linspace(args.umin, args.umax, args.points)
     bar = switch_map(args.kappa_c, args.half_length, voltages, voltages,
                      args.dbeta_per_volt)
-    rows = []
-    for i, u1 in enumerate(voltages):
-        for j, u2 in enumerate(voltages):
-            rows.append((u1, u2, bar[i, j]))
-    outputs = [_write_csv(outdir / "switch_map.csv",
-                          ["u1_v", "u2_v", "bar_fraction"], rows)]
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "switch_map", "switch_map.csv", "U1 (V)", "U2 (V)",
-            using="1:2:3"))
-    i_min = np.unravel_index(int(np.argmin(bar)), bar.shape)
-    i_max = np.unravel_index(int(np.argmax(bar)), bar.shape)
-    summary = {
-        "bar_min": float(bar.min()), "bar_max": float(bar.max()),
-        "bar_min_at_v": [float(voltages[i_min[0]]),
-                         float(voltages[i_min[1]])],
-        "bar_max_at_v": [float(voltages[i_max[0]]),
-                         float(voltages[i_max[1]])],
-    }
-    _write_manifest(outdir, "switch-map", _config(args), [], outputs,
-                    summary)
-    return 0
+    i_min, i_max = (np.unravel_index(int(f(bar)), bar.shape)
+                    for f in (np.argmin, np.argmax))
+    summary = {"bar_min": bar.min(), "bar_max": bar.max(),
+               "bar_min_at_v": voltages[list(i_min)].tolist(),
+               "bar_max_at_v": voltages[list(i_max)].tolist()}
+    n = len(voltages)
+    return Artifacts([("switch_map", ["u1_v", "u2_v", "bar_fraction"],
+                       [np.repeat(voltages, n), np.tile(voltages, n),
+                        bar.ravel()])], summary, [],
+                     ("U1 (V)", "U2 (V)", "1:2:3"))
 
 
 def _read_ratio_csv(path: Path):
@@ -459,23 +442,11 @@ def _read_ratio_csv(path: Path):
     return np.array(lengths), np.array(ratios)
 
 
-def cmd_coupler_fit(args) -> int:
-    outdir = _outdir(args)
-    te_path = Path(args.te) if args.te else _data_path(
-        "coupler_ratios_te.csv")
-    tm_path = Path(args.tm) if args.tm else _data_path(
-        "coupler_ratios_tm.csv")
-    for path in (te_path, tm_path):
-        if not path.exists():
-            raise ValidationError(f"ratio table not found: {path}")
-    lengths_te, ratios_te = _read_ratio_csv(te_path)
-    lengths_tm, ratios_tm = _read_ratio_csv(tm_path)
-    fit = fit_coupler(lengths_te, ratios_te, lengths_tm, ratios_tm)
-    fit_path = outdir / "coupler_fit.txt"
-    save_coupler_fit(fit, fit_path)
+def cmd_coupler_fit(args) -> Artifacts:
+    te_path = _input_path(args.te, "coupler_ratios_te.csv", "ratio table")
+    tm_path = _input_path(args.tm, "coupler_ratios_tm.csv", "ratio table")
+    fit = fit_coupler(*_read_ratio_csv(te_path), *_read_ratio_csv(tm_path))
     alpha, beta = pbs_angles(fit, args.length)
-    from .cmt import splitting_ratio
-
     summary = {
         "beat_te_um": fit.beat_te, "offset_te_um": fit.offset_te,
         "beat_tm_um": fit.beat_tm, "offset_tm_um": fit.offset_tm,
@@ -484,91 +455,68 @@ def cmd_coupler_fit(args) -> int:
         "alpha_rad": alpha, "beta_rad": beta,
         "coupler_length_um": args.length,
     }
-    _write_manifest(outdir, "coupler-fit", _config(args),
-                    [te_path, tm_path], [fit_path], summary)
-    return 0
+    return Artifacts([], summary, [te_path, tm_path], fit=fit)
 
 
-def cmd_temp_scan(args) -> int:
-    outdir = _outdir(args)
+def cmd_temp_scan(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    if args.temperatures:
-        try:
-            temps = [float(v) for v in args.temperatures.split(",")
-                     if v != ""]
-        except ValueError as exc:
-            raise ValidationError(
-                f"bad --temperatures value: {exc}") from exc
-    else:
-        if args.tstep <= 0:
-            raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
-        temps = list(np.arange(args.tmin, args.tmax + args.tstep / 2.0,
-                               args.tstep))
+    temps = (_float_list(args.temperatures, "--temperatures")
+             if args.temperatures else list(_temperatures_from(args)))
     points = temperature_scan(spec, temps, _delays_from(args),
                               _query_from(args), _grid_from(args))
     rows = [(p.temperature, p.visibility, p.scan.minimum, p.scan.baseline,
              p.scan.dip_position, p.signal_peak, p.idler_peak,
              p.window_centre, p.signal_fwhm, p.window_fwhm,
              p.outside_window) for p in points]
-    outputs = [_write_csv(
-        outdir / "temp_scan.csv",
-        ["temperature_c", "visibility", "minimum", "baseline",
-         "dip_position_um", "signal_peak_um", "idler_peak_um",
-         "window_centre_um", "signal_fwhm_um", "window_fwhm_um",
-         "outside_window"], rows)]
-    if args.gnuplot_script:
-        outputs.append(_write_gnuplot(
-            outdir, "temp_scan", "temp_scan.csv", "temperature (C)",
-            "visibility"))
+    table = ("temp_scan",
+             ["temperature_c", "visibility", "minimum", "baseline",
+              "dip_position_um", "signal_peak_um", "idler_peak_um",
+              "window_centre_um", "signal_fwhm_um", "window_fwhm_um",
+              "outside_window"], [np.array(c) for c in zip(*rows)])
     best = max(points, key=lambda p: p.visibility)
     summary = {"best_temperature_c": best.temperature,
                "best_visibility": best.visibility}
-    _write_manifest(outdir, "temp-scan", _config(args), [netlist], outputs,
-                    summary)
-    return 0
-
-
-def _config(args) -> dict:
-    skip = {"func"}
-    return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
+    return Artifacts([table], summary, [netlist],
+                     ("temperature (C)", "visibility", "1:2"))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p):
+def _add_common(p, plots=True):
     p.add_argument("-o", "--output-dir", default=".",
                    help="directory for artifacts (default: current)")
-    p.add_argument("--gnuplot-script", action="store_true",
-                   help="also write a gnuplot script for the main CSV")
+    if plots:
+        p.add_argument("--gnuplot-script", action="store_true",
+                       help="also write a gnuplot script for the main CSV")
 
 
 def _add_chip_options(p, grid_default=512):
     p.add_argument("--netlist", default=None,
                    help="chip netlist (default: bundled reference chip)")
-    p.add_argument("--temperature", type=float, default=None,
+    p.add_argument("--temperature", type=_finite, default=None,
                    help="override the netlist temperature (C)")
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_finite, default=None,
                    help="override the pump pulse duration (ps)")
-    p.add_argument("--pump", type=float, default=None,
+    p.add_argument("--pump", type=_finite, default=None,
                    help="override the pump wavelength (um)")
-    p.add_argument("--poling", type=float, default=None,
+    p.add_argument("--poling", type=_finite, default=None,
                    help="override the source poling period (um)")
-    p.add_argument("--pdc-length", type=float, default=None,
+    p.add_argument("--pdc-length", type=_finite, default=None,
                    help="override the poled source length (um)")
-    p.add_argument("--pc-length", type=float, default=None,
+    p.add_argument("--pc-length", type=_finite, default=None,
                    help="override the converter length (um); kappa is "
                         "reset to pi/(2 length) unless --pc-kappa is given")
-    p.add_argument("--pc-kappa", type=float, default=None,
+    p.add_argument("--pc-kappa", type=_finite, default=None,
                    help="override the converter coupling (rad/um)")
     p.add_argument("--grid", type=int, default=grid_default,
                    help=f"points per grid axis (default {grid_default})")
 
 
 def _add_scan_options(p, points_default=105):
-    p.add_argument("--lmin", type=float, default=-1500.0,
+    p.add_argument("--lmin", type=_finite, default=-1500.0,
                    help="first delay length (um)")
-    p.add_argument("--lmax", type=float, default=3700.0,
+    p.add_argument("--lmax", type=_finite, default=3700.0,
                    help="last delay length (um)")
     p.add_argument("--points", type=int, default=points_default,
                    help=f"number of delay samples (default {points_default})")
@@ -589,16 +537,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--material", default=None,
                    help="material file (default: bundled congruent LN)")
-    p.add_argument("--poling", type=float, default=9.217870197227,
+    p.add_argument("--poling", type=_finite, default=9.217870197227,
                    help="source poling period (um)")
-    p.add_argument("--tmin", type=float, default=15.0)
-    p.add_argument("--tmax", type=float, default=40.0)
-    p.add_argument("--tstep", type=float, default=0.5)
-    p.add_argument("--pump-min", type=float, default=0.7735)
-    p.add_argument("--pump-max", type=float, default=0.7765)
+    p.add_argument("--tmin", type=_finite, default=15.0)
+    p.add_argument("--tmax", type=_finite, default=40.0)
+    p.add_argument("--tstep", type=_finite, default=0.5)
+    p.add_argument("--pump-min", type=_finite, default=0.7735)
+    p.add_argument("--pump-max", type=_finite, default=0.7765)
     p.add_argument("--pump-points", type=int, default=0,
                    help="emit a pump tuning table with this many points")
-    p.add_argument("--pump-temperature", type=float, default=24.5)
+    p.add_argument("--pump-temperature", type=_finite, default=24.5)
     p.set_defaults(func=cmd_tuning)
 
     p = sub.add_parser("jsa", help="joint spectral amplitude and marginals")
@@ -630,41 +578,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pc-window", help="polarisation conversion spectrum")
     _add_common(p)
     p.add_argument("--material", default=None)
-    p.add_argument("--poling", type=float, default=21.4,
+    p.add_argument("--poling", type=_finite, default=21.4,
                    help="converter poling period (um)")
-    p.add_argument("--length", type=float, default=7620.0,
+    p.add_argument("--length", type=_finite, default=7620.0,
                    help="converter length (um)")
-    p.add_argument("--kappa", type=float, default=None,
+    p.add_argument("--kappa", type=_finite, default=None,
                    help="coupling (rad/um); default pi/(2 length)")
-    p.add_argument("--voltage", type=float, default=None,
+    p.add_argument("--voltage", type=_finite, default=None,
                    help="derive the coupling from a drive voltage (V)")
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--lmin", type=float, default=None,
+    p.add_argument("--temperature", type=_finite, default=None)
+    p.add_argument("--lmin", type=_finite, default=None,
                    help="first wavelength (um); default auto around centre")
-    p.add_argument("--lmax", type=float, default=None)
+    p.add_argument("--lmax", type=_finite, default=None)
     p.add_argument("--points", type=int, default=2001)
     p.set_defaults(func=cmd_pc_window)
 
     p = sub.add_parser("switch-map", help="electro-optic coupler bar state "
                                           "versus section voltages")
     _add_common(p)
-    p.add_argument("--kappa-c", type=float, default=float(np.pi / 16000.0),
+    p.add_argument("--kappa-c", type=_finite, default=float(np.pi / 16000.0),
                    help="coupling (rad/um); default fully crossing at 0 V")
-    p.add_argument("--half-length", type=float, default=4000.0)
-    p.add_argument("--umin", type=float, default=-40.0)
-    p.add_argument("--umax", type=float, default=40.0)
+    p.add_argument("--half-length", type=_finite, default=4000.0)
+    p.add_argument("--umin", type=_finite, default=-40.0)
+    p.add_argument("--umax", type=_finite, default=40.0)
     p.add_argument("--points", type=int, default=81)
-    p.add_argument("--dbeta-per-volt", type=float, default=None)
+    p.add_argument("--dbeta-per-volt", type=_finite, default=None)
     p.set_defaults(func=cmd_switch_map)
 
     p = sub.add_parser("coupler-fit", help="fit the sin^2 splitting model "
                                            "to measured ratio tables")
-    _add_common(p)
+    _add_common(p, plots=False)
     p.add_argument("--te", default=None,
                    help="TE ratio CSV (default: bundled synthetic table)")
     p.add_argument("--tm", default=None,
                    help="TM ratio CSV (default: bundled synthetic table)")
-    p.add_argument("--length", type=float, default=500.0,
+    p.add_argument("--length", type=_finite, default=500.0,
                    help="coupler length whose ratios to report (um)")
     p.set_defaults(func=cmd_coupler_fit)
 
@@ -673,9 +621,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_chip_options(p)
     _add_scan_options(p, points_default=41)
-    p.add_argument("--tmin", type=float, default=20.5)
-    p.add_argument("--tmax", type=float, default=29.5)
-    p.add_argument("--tstep", type=float, default=1.0)
+    p.add_argument("--tmin", type=_finite, default=20.5)
+    p.add_argument("--tmax", type=_finite, default=29.5)
+    p.add_argument("--tstep", type=_finite, default=1.0)
     p.add_argument("--temperatures", default=None,
                    help="comma separated list overriding tmin/tmax/tstep")
     p.set_defaults(func=cmd_temp_scan)
@@ -687,7 +635,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, args.func(args))
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

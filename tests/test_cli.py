@@ -1,5 +1,7 @@
 """Command line interface: artifacts, formats, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import hashlib
 import os
@@ -7,11 +9,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qpic
+from qpic import cli
 from qpic.cli import main
 
 FAST_HOM = ["--grid", "64", "--points", "9"]
@@ -199,9 +205,13 @@ def test_exit_code_negative_length(tmp_path):
     ["tuning", "--tmin", "30", "--tmax", "20"],
     ["pc-window", "--points", "0"],
     ["pc-window", "--points", "1"],
+    ["tuning", "--pump-points", "1"],
+    ["sweep", "--element", "pc", "--fractions", "0,nan", "--grid", "32",
+     "--points", "3"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
-        "pc-points-0", "pc-points-1"])
+        "pc-points-0", "pc-points-1", "tuning-pump-points-1",
+        "fractions-nan"])
 def test_bad_input_exits_two(tmp_path, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -213,7 +223,138 @@ def test_bad_input_exits_two(tmp_path, argv):
     out = tmp_path / "out"
     argv = [a.format(**tables) for a in argv]
     assert main([*argv, "-o", str(out)]) == 2
-    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+    assert not out.exists()  # nothing is written before every check passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["switch-map", "--umin", "nan"],
+    ["switch-map", "--half-length", "nan"],
+    ["coupler-fit", "--length", "nan"],
+    ["hom", "--lmax", "inf"],
+    ["coupler-fit", "--gnuplot-script"],
+], ids=["umin-nan", "half-length-nan", "coupler-length-nan", "lmax-inf",
+        "coupler-fit-gnuplot"])
+def test_usage_error_writes_nothing(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "-o", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_single_temperature_slope_is_null(tmp_path):
+    code, out = run(tmp_path, "tuning", "--tmin", "20", "--tmax", "20")
+    assert code == 0
+    summary = _strict_json((out / "tuning_manifest.json").read_text())[
+        "summary"]
+    assert summary["degeneracy_slope_um_per_c"] is None
+    assert summary["n_temperatures"] == 1
+
+
+def test_non_finite_summary_writes_nothing(tmp_path):
+    artifacts = cli.Artifacts([], {"value": float("nan")}, [])
+    with mock.patch.object(cli, "cmd_switch_map", return_value=artifacts):
+        assert main(["switch-map", "-o", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def _old_fmt(value):
+    # the per-value formatting the column writer replaced, as an oracle
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.11e}"
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                   5e-324, -2.2e-310, 1e300, -1e-300, 9.999999999995e299]
+# csv.writer writes a lone empty field as "", so cells are never empty
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\x00"),
+                     min_size=1, max_size=4)
+_COLUMN_VALUES = {
+    "float": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    "bool": st.booleans(),
+    "str": _CELL_TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)),
+                          min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 12))
+    header = draw(st.lists(_CELL_TEXT, min_size=len(kinds),
+                           max_size=len(kinds)))
+    columns = [np.array(draw(st.lists(_COLUMN_VALUES[k], min_size=n_rows,
+                                      max_size=n_rows)),
+                        dtype={"float": float, "bool": bool, "str": str}[k])
+               for k in kinds]
+    return header, columns
+
+
+@given(table=_tables(), chunk_rows=st.integers(1, 5))
+def test_column_writer_matches_csv_writer(tmp_path_factory, table,
+                                          chunk_rows):
+    header, columns = table
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_old_fmt(v) for v in row])
+    path = tmp_path_factory.getbasetemp() / "column_writer.csv"
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        cli._write_columns(path, header, columns)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+CONTRACT_CASES = {
+    "tuning": ["--tmin", "24", "--tmax", "25", "--pump-points", "3"],
+    "jsa": ["--grid", "32", "--dump-grid"],
+    "hom": ["--grid", "32", "--points", "9"],
+    "sweep": ["--element", "bs", "--grid", "32", "--points", "9",
+              "--fractions", "0,1", "--full-scans"],
+    "temp-scan": ["--grid", "32", "--points", "5", "--temperatures",
+                  "24.0,25.0"],
+    "pc-window": ["--points", "101"],
+    "switch-map": ["--points", "9"],
+    "coupler-fit": [],
+}
+
+
+@pytest.mark.parametrize("command,gnuplot", [
+    (command, gnuplot) for command in sorted(CONTRACT_CASES)
+    for gnuplot in (False, True)
+    if not (gnuplot and command == "coupler-fit")])  # it has nothing to plot
+def test_output_contract(tmp_path, command, gnuplot):
+    argv = [command, *CONTRACT_CASES[command]]
+    code, out = run(tmp_path, *argv, *(["--gnuplot-script"] if gnuplot
+                                       else []))
+    assert code == 0
+    manifest_name = command.replace("-", "_") + "_manifest.json"
+    manifest = _strict_json((out / manifest_name).read_text())
+    listed = [o["path"] for o in manifest["outputs"]]
+    for entry in manifest["outputs"]:
+        blob = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert sorted(os.listdir(out)) == sorted([*listed, manifest_name])
+    scripts = [p for p in listed if p.endswith(".gp")]
+    if not gnuplot:
+        assert not scripts
+        return
+    first = Path(listed[0]).stem
+    assert scripts == [f"{first}.gp"]
+    assert f'plot "{first}.csv"' in (out / scripts[0]).read_text()
 
 
 def test_exit_code_numerical(tmp_path):
