@@ -28,15 +28,17 @@ are floats; unknown or duplicate keys are errors with their line number.
 ``transfer(spec, omega, amps)`` is the one path through a chip: it builds
 the element chain once, evaluates the refractive indices (n_H, n_V) once
 on the frequency grid, and lets each element act with its block structure
-on an amplitude array of shape (..., 4, k). ``compose`` (the full unitary,
-k = 4) and ``routing_coefficients`` (the two channel-1 input columns,
-conjugated) are transfers of fixed inputs.
+on mode-major amplitudes (4, k, *grid), spread over the grid only from the
+first dispersive element on. ``transfer_rows`` walks the reversed chain with
+transposed blocks, for rows of the unitary; ``compose`` is a transfer of
+the identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -123,52 +125,41 @@ def element_matrices(spec: CircuitSpec) -> list:
             for d in spec.elements]
 
 
-def transfer(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
-    """Push mode amplitudes through the element chain.
-
-    ``amps`` holds k input vectors over the mode basis, shape (4, k) or
-    any shape broadcastable to ``omega.shape + (4, k)``; the result is
-    U(omega) @ amps with U = E_n ... E_2 E_1 (first listed element acts
-    first). Each element acts with its own block structure, so no 4x4 per
-    element and frequency is formed. ``indices`` are (n_H, n_V) already
-    evaluated on omega at the chip temperature; when absent they are
-    computed here, once for the whole chain.
-    """
+def _walk(chain, spec: CircuitSpec, omega, amps, indices) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
-    a = np.asarray(amps, dtype=complex)
-    out = np.broadcast_to(a, w.shape + a.shape[-2:])
-    chain = element_matrices(spec)
+    a = np.array(amps, dtype=complex)  # a copy: an empty chain returns it
+    out = a.reshape(a.shape + (1,) * w.ndim)
     if indices is None and any(m.material is not None for m in chain):
         indices = el.refractive_indices(spec.model, w, spec.temperature)
     for matrix in chain:
         out = matrix.apply(out, w, indices)
-    return out if chain else out.copy()
+    # without a dispersive element the grid axes are still unbroadcast
+    shape = a.shape + w.shape
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+def transfer(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
+    """Push mode amplitudes through the element chain.
+
+    ``amps`` holds k input vectors over the mode basis, shape (4, k); the
+    result is U(omega) @ amps, shape (4, k) + omega.shape, with U = E_n ...
+    E_2 E_1 (first listed element acts first), formed without a 4x4 per
+    element and frequency. ``indices`` are (n_H, n_V) on omega at the chip
+    temperature; when absent they are computed here, once per chain.
+    """
+    return _walk(element_matrices(spec), spec, omega, amps, indices)
+
+
+def transfer_rows(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
+    """U(omega)^T @ amps, as ``transfer``: for unit vectors e_m as ``amps``,
+    column r of the result is row m_r of U."""
+    chain = [m.transposed() for m in reversed(element_matrices(spec))]
+    return _walk(chain, spec, omega, amps, indices)
 
 
 def compose(spec: CircuitSpec, omega) -> np.ndarray:
     """Total transfer matrix of the chain, shape ``omega.shape + (4, 4)``."""
-    return transfer(spec, omega, np.eye(4))
-
-
-@dataclass(frozen=True)
-class RoutingCoefficients:
-    """Conjugated output amplitudes for the two source photons.
-
-    ``signal[..., m]`` multiplies the amplitude for the H-polarised source
-    photon (injected in mode 1H) to be detected in basis mode m;
-    ``idler`` likewise for the V-polarised photon injected in 1V. Both
-    are the conjugated columns of the total unitary.
-    """
-
-    signal: np.ndarray
-    idler: np.ndarray
-
-
-def routing_coefficients(spec: CircuitSpec, omega) -> RoutingCoefficients:
-    """Detection-amplitude coefficients at the given frequencies."""
-    cols = transfer(spec, omega, CHANNEL1_INPUTS)
-    return RoutingCoefficients(signal=np.conj(cols[..., 0]),
-                               idler=np.conj(cols[..., 1]))
+    return np.moveaxis(transfer(spec, omega, np.eye(4)), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +172,6 @@ def parse_netlist_text(text: str, base_dir=None,
     ``base_dir`` resolves a relative material file path. A caller-provided
     ``model`` overrides any [material] file reference.
     """
-    from pathlib import Path
-
     material_entries: dict[str, tuple[str, int]] = {}
     source_entries: dict[str, tuple[float, int]] = {}
     decls: list[ElementDecl] = []
@@ -359,8 +348,6 @@ def _validate_elements(spec: CircuitSpec):
 
 def parse_netlist(path, model: MaterialModel | None = None) -> CircuitSpec:
     """Parse a netlist file; relative material paths resolve next to it."""
-    from pathlib import Path
-
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")

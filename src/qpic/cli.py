@@ -7,9 +7,9 @@ summary, the input files it read and the axis labels of its plot. Only
 ``<name>.csv`` (RFC 4180, CRLF, 12 significant digits), the gnuplot script
 of the first table when ``--gnuplot-script`` is given, ``coupler_fit.txt``
 for a coupler fit, and last the strict-JSON manifest (inputs with
-checksums, package versions, a configuration echo and the summary). An
-invalid input therefore leaves no file behind. Exit codes: 0 success,
-2 invalid input, 3 numerical failure.
+checksums, a bundled one as ``qpic/data/<name>``, package versions, a
+configuration echo and the summary). An invalid input therefore leaves no
+file behind. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def _emit(args, artifacts: Artifacts) -> None:
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": [{"path": str(p), "sha256": _sha256(Path(p))}
+        "inputs": [{"path": f"qpic/data/{p.name}" if p == _data_path(p.name)
+                    else str(p), "sha256": _sha256(p)}
                    for p in artifacts.inputs],
         "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
         "summary": summary,

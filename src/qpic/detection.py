@@ -25,7 +25,9 @@ photon p (0 H-born, 1 V-born) in detected mode r is
     D_rp = T_r0 c_0p + T_r1 c_1p,
 
 with k_2 = k_H and k_3 = k_V. A scan computes D, T_r2, T_r3 and c_kp once,
-for the modes its pairings read, and per delay forms u and the entries.
+as contiguous mode-major slices, for the rows r its pairings read (e_r
+pushed through the reversed tail with transposed blocks), and per delay
+forms u and the entries.
 
 u follows an anchored recurrence. The delays are cut into fixed blocks of
 ANCHOR_BLOCK. The first delay of a block (its anchor) evaluates exp(i k
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import CHANNEL1_INPUTS, CircuitSpec, transfer
+from .circuit import CHANNEL1_INPUTS, CircuitSpec, transfer, transfer_rows
 from .dispersion import C_UM_PS, pc_matched_wavelength
 from .elements import mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
@@ -162,8 +164,7 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     cols = transfer(spec, jsa.signal_frequencies, CHANNEL1_INPUTS)
     work = np.empty((2,) + jsa.amplitude.shape, dtype=complex)
     return _check_probability(_exchange_sum(
-        _weighted_amplitude(jsa), np.moveaxis(cols, (-2, -1), (0, 1)),
-        _query_pairs(query), work))
+        _weighted_amplitude(jsa), cols, _query_pairs(query), work))
 
 
 @dataclass
@@ -324,17 +325,13 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     indices = refractive_indices(spec.model, w, spec.temperature)
     before = spec.with_elements(spec.elements[:idx + 1])
     after = spec.with_elements(spec.elements[idx + 1:])
-    # the tail transfer is the memory peak, so it runs before cols exists
-    tail = transfer(after, w, np.eye(4), indices)
-    cols = transfer(before, w, CHANNEL1_INPUTS, indices)
-    # delay-free factors as contiguous arrays for the modes rows[r]: D_rp
-    # in fixed[r, p], T_r2 and T_r3 in t23[r], c_2p and c_3p in c23[:, p]
-    t, c = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (tail, cols))
-    fixed = np.stack([t[m, 0, None] * c[0] + t[m, 1, None] * c[1]
-                      for m in rows])
-    t23 = np.stack([t[m, 2:] for m in rows])
-    c23 = c[2:].copy()
-    del cols, tail, t, c
+    # the tail runs first, before c exists, to keep the memory peak low
+    t = transfer_rows(after, w, np.eye(4)[:, rows], indices)
+    c = transfer(before, w, CHANNEL1_INPUTS, indices)
+    # t[j, r] = T_{rows[r], j}; delay-free factors D_rp in fixed[r, p],
+    # T_r2 and T_r3 in t23[:, r], c_2p and c_3p in c23[:, p]
+    fixed = t[0, :, None] * c[0] + t[1, :, None] * c[1]
+    t23, c23 = t[2:], c[2:]
     ik = np.stack([1j * (n * w / C_UM_PS) for n in indices])
     anchor, step = _anchors(delay_values)
     step_phasor = None if anchor.all() else np.exp(ik * step)[:, None]
@@ -362,9 +359,9 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
                     np.multiply(c23[:, :, rs], work[:, None], out=u)
                 else:
                     u *= step_phasor[:, :, rs]
-                np.multiply(t23[:, 0, None, rs], u[0], out=fields)
+                np.multiply(t23[0, :, None, rs], u[0], out=fields)
                 fields += fixed[:, :, rs]
-                np.multiply(t23[:, 1, None, rs], u[1], out=tmp)
+                np.multiply(t23[1, :, None, rs], u[1], out=tmp)
                 fields += tmp
                 totals[j] += _exchange_sum((g[rs], g_rev[rs]), fields,
                                            row_pairs, work)

@@ -12,19 +12,21 @@ a dense 4x4 per frequency:
 - fp is four diagonal phases exp(i n(w) w l / c);
 - pc is a 2x2 on the channel-1 (H, V) pair; channel 2 passes unchanged.
 
-``ElementMatrix.apply`` acts with that structure on an amplitude array of
-shape (..., 4, k). The dispersive blocks (fp, pc) read the refractive
-indices (n_H, n_V) on the frequency grid, so a chain evaluates the
-Sellmeier curves once and shares them; ``circuit.transfer`` is the one
-place that walks a chain. ``evaluate`` is the element applied to the
-identity, for tests and single-element inspection.
+``ElementMatrix.apply`` acts with that structure on mode-major amplitudes
+(4, k, *grid), whose grid axes have length 1 until they depend on
+frequency; a constant element is one BLAS product on (4, k * points). The
+dispersive blocks (fp, pc) read the refractive indices (n_H, n_V) on the
+frequency grid, so a chain evaluates the Sellmeier curves once and shares
+them; ``circuit.transfer`` is the one place that walks a chain.
+``evaluate`` is the element applied to the identity, for tests and
+single-element inspection.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -63,8 +65,8 @@ class ElementMatrix:
 
     ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal" and
     "channel1": ``block(omega, indices)`` returns the per-mode phases, shape
-    ``omega.shape + (4,)``, or the channel-1 2x2, shape
-    ``omega.shape + (2, 2)``. ``material`` is the (model, temperature)
+    ``(4,) + omega.shape``, or the channel-1 2x2, shape
+    ``(2, 2) + omega.shape``. ``material`` is the (model, temperature)
     whose indices a dispersive block reads; None for the others.
     """
 
@@ -74,29 +76,37 @@ class ElementMatrix:
     material: tuple | None = None
 
     def apply(self, amps, omega, indices):
-        """This element acting on amplitudes of shape omega.shape + (4, k).
-
-        ``indices`` are (n_H, n_V) on omega at this element's material;
-        only the dispersive blocks read them (None is fine otherwise).
-        """
+        """This element acting on mode-major amplitudes (4, k, *grid), which
+        it never writes. ``indices`` are (n_H, n_V) on omega at this
+        element's material, read only by the dispersive blocks."""
         if self.structure == "dense":
-            return self.block @ amps
+            return np.tensordot(self.block, amps, 1)
         b = self.block(omega, indices)
         if self.structure == "diagonal":
-            return b[..., :, None] * amps
-        return np.concatenate((b @ amps[..., :2, :], amps[..., 2:, :]),
-                              axis=-2)
+            return b[:, None] * amps
+        out = np.empty((4,) + np.broadcast_shapes(amps.shape[1:],
+                                                  b.shape[2:]), complex)
+        np.multiply(b[:, 0, None], amps[0], out=out[:2])
+        out[:2] += b[:, 1, None] * amps[1]
+        out[2:] = amps[2:]
+        return out
+
+    def transposed(self) -> "ElementMatrix":
+        """The element with its block transposed at every frequency."""
+        block = self.block
+        if self.structure == "channel1":
+            return replace(self, block=lambda w, n: block(w, n).swapaxes(0, 1))
+        return replace(self, block=block.T) if self.structure == "dense" \
+            else self
 
     def evaluate(self, omega):
         """Dense matrix at ``omega`` (scalar or array): shape
         ``omega.shape + (4, 4)``."""
         w = np.asarray(omega, dtype=float)
-        eye = np.broadcast_to(np.eye(4, dtype=complex), w.shape + (4, 4))
-        indices = None
-        if self.material is not None:
-            model, temperature = self.material
-            indices = refractive_indices(model, w, temperature)
-        return self.apply(eye, w, indices)
+        eye = np.multiply.outer(np.eye(4, dtype=complex), np.ones(w.shape))
+        indices = None if self.material is None else \
+            refractive_indices(self.material[0], w, self.material[1])
+        return np.moveaxis(self.apply(eye, w, indices), (0, 1), (-2, -1))
 
 
 def _check_finite(label, **params):
@@ -172,7 +182,8 @@ def pc_matrix(model: MaterialModel, poling_period: float, length: float,
         # the coupled-mode core runs at the opposite detuning in this basis
         lam = wavelength_from_omega(w)
         dk = _pc_grating_mismatch(n[0], n[1], lam, poling_period)
-        return cmt._symmetric_core(kappa, -dk, length) * _PC_FRAME
+        core = cmt._symmetric_core(kappa, -dk, length) * _PC_FRAME
+        return np.moveaxis(core, (-2, -1), (0, 1))
 
     return ElementMatrix("pc", "channel1", block, (model, temperature))
 
@@ -190,8 +201,7 @@ def fp_matrix(model: MaterialModel, l1: float, l2: float,
     def block(w, n):
         kh = n[0] * w / C_UM_PS
         kv = n[1] * w / C_UM_PS
-        return np.exp(1j * np.stack((kh * l1, kv * l1, kh * l2, kv * l2),
-                                    axis=-1))
+        return np.exp(1j * np.stack((kh * l1, kv * l1, kh * l2, kv * l2)))
 
     return ElementMatrix("fp", "diagonal", block, (model, temperature))
 

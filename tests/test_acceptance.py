@@ -278,16 +278,18 @@ def test_criterion_9_property_suite():
     # literal double-loop oracle on a 3x3 grid
     tiny = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
                           qpic.GridSpec(3, 3))
-    on_b = qpic.routing_coefficients(chip, tiny.signal_frequencies)
-    on_c = qpic.routing_coefficients(chip, tiny.idler_frequencies)
+    u_b = qpic.compose(chip, tiny.signal_frequencies)
+    u_c = qpic.compose(chip, tiny.idler_frequencies)
+    signal_b, idler_b = np.conj(u_b[..., :, 0]), np.conj(u_b[..., :, 1])
+    signal_c, idler_c = np.conj(u_c[..., :, 0]), np.conj(u_c[..., :, 1])
     total = 0.0
     for i in range(3):
         for j in range(3):
             jc = 2 - j
-            amp = (tiny.amplitude[i, j] * on_b.signal[i, j, 1]
-                   * on_c.idler[i, j, 3]
-                   + tiny.amplitude[i, jc] * on_b.idler[i, j, 1]
-                   * on_c.signal[i, j, 3])
+            amp = (tiny.amplitude[i, j] * signal_b[i, j, 1]
+                   * idler_c[i, j, 3]
+                   + tiny.amplitude[i, jc] * idler_b[i, j, 1]
+                   * signal_c[i, j, 3])
             total += tiny.weights[i, j] * abs(amp) ** 2
     oracle_diff = abs(qpic.coincidence(tiny, chip) - total)
 

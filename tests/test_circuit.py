@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpic
-from qpic.circuit import (CircuitSpec, ElementDecl, compose,
-                          element_matrices, parse_netlist_text,
-                          routing_coefficients)
+from qpic.circuit import (CHANNEL1_INPUTS, CircuitSpec, ElementDecl,
+                          compose, element_matrices, parse_netlist_text,
+                          transfer, transfer_rows)
 from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
                              omega_from_wavelength)
 from qpic.errors import NetlistError
@@ -70,13 +70,14 @@ def test_compose_unitary(chip):
 
 def test_routing_columns_match_compose(chip):
     u = compose(chip, OMEGA)
-    routing = routing_coefficients(chip, OMEGA)
+    cols = transfer(chip, OMEGA, CHANNEL1_INPUTS)
     # signal enters 1H (column 0), idler enters 1V (column 1)
-    assert np.allclose(routing.signal, u[..., :, 0].conj(), atol=0)
-    assert np.allclose(routing.idler, u[..., :, 1].conj(), atol=0)
+    signal, idler = np.conj(u[..., :, 0]), np.conj(u[..., :, 1])
+    assert np.allclose(signal, np.conj(cols[:, 0]).T, atol=0)
+    assert np.allclose(idler, np.conj(cols[:, 1]).T, atol=0)
     # each routed amplitude set is a unit vector
-    assert np.allclose(np.sum(np.abs(routing.signal) ** 2, axis=-1), 1.0, atol=1e-12)
-    assert np.allclose(np.sum(np.abs(routing.idler) ** 2, axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(np.sum(np.abs(signal) ** 2, axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(np.sum(np.abs(idler) ** 2, axis=-1), 1.0, atol=1e-12)
 
 
 def test_at_temperature_rebuilds(chip):
@@ -232,6 +233,85 @@ def test_transfer_matches_dense_product(model, decls, wavelengths,
     eye = np.eye(4)
     assert np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - eye)) <= 1e-12
 
-    routing = routing_coefficients(spec, omega)
-    assert np.max(np.abs(routing.signal - u[..., :, 0].conj())) <= 1e-15
-    assert np.max(np.abs(routing.idler - u[..., :, 1].conj())) <= 1e-15
+    cols = np.moveaxis(transfer(spec, omega, CHANNEL1_INPUTS), (0, 1),
+                       (-2, -1))
+    assert np.max(np.abs(np.conj(cols[..., :, 0]) - u[..., :, 0].conj())) \
+        <= 1e-15
+    assert np.max(np.abs(np.conj(cols[..., :, 1]) - u[..., :, 1].conj())) \
+        <= 1e-15
+
+
+# every kind with the asymmetric settings that make a transpose matter: a
+# pc that converts and an eobs whose two sections differ
+ASYMMETRIC_PARAMS = dict(
+    ELEMENT_PARAMS,
+    pc=_params(poling_period=(5.0, 40.0), length=(100.0, 20000.0),
+               kappa=(1e-4, 3e-3)),
+    eobs=_params(kappa_c=(1e-4, 1e-3), half_length=(100.0, 8000.0),
+                 dbeta_1=(1e-4, 1e-3), dbeta_2=(-1e-3, -1e-4),
+                 dbeta_1_v=(1e-4, 1e-3), dbeta_2_v=(-1e-3, -1e-4)))
+
+asymmetric_decls = st.sampled_from(sorted(ASYMMETRIC_PARAMS)).flatmap(
+    lambda kind: ASYMMETRIC_PARAMS[kind].map(
+        lambda params: ElementDecl(kind=kind, params=params)))
+
+
+@given(decls=st.lists(asymmetric_decls, max_size=6),
+       rows=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+       wavelengths=st.lists(st.floats(LAMBDA_MIN, LAMBDA_MAX), min_size=1,
+                            max_size=4),
+       temperature=st.floats(TEMP_MIN, TEMP_MAX))
+def test_transfer_rows_match_compose(model, decls, rows, wavelengths,
+                                     temperature):
+    spec = CircuitSpec(elements=tuple(decls), model=model,
+                       temperature=temperature)
+    omega = omega_from_wavelength(np.array(wavelengths))
+    u = compose(spec, omega)
+    t = transfer_rows(spec, omega, np.eye(4)[:, rows])
+    assert t.shape == (4, len(rows)) + omega.shape
+    # t[j, r] = U[rows[r], j]
+    assert np.max(np.abs(np.moveaxis(t, (0, 1), (-1, -2))
+                         - u[..., rows, :])) <= 1e-14
+
+
+CONSTANT_ONLY = MINIMAL + """
+element pbs
+alpha = 1.2
+beta = 0.4
+
+element pm
+phi_h = 0.4
+phi_v = -1.1
+
+element bs
+theta = 0.3
+xi = 0.7
+"""
+
+
+@pytest.mark.parametrize("text", [MINIMAL, CONSTANT_ONLY],
+                         ids=["empty", "constant"])
+def test_frequency_free_chain_fills_the_grid(model, text):
+    spec = parse_netlist_text(text, model=model)
+    omega = OMEGA[:4].reshape(2, 2)
+    dense = compose(spec, OMEGA[0])
+    inputs = np.eye(4)[:, 1:3]
+    for push, want in ((transfer, dense[:, 1:3]),
+                       (transfer_rows, dense.T[:, 1:3])):
+        out = push(spec, omega, inputs)
+        assert out.shape == (4, 2, 2, 2)
+        assert 0 not in out.strides and out.flags.writeable
+        assert np.max(np.abs(out - want[:, :, None, None])) <= 1e-15
+        out[...] = 0.0  # an array of its own, not a view of the inputs
+    assert np.all(inputs == np.eye(4)[:, 1:3])
+
+
+def test_compose_keeps_the_shape_of_omega(chip):
+    grid = OMEGA[:4].reshape(2, 2)
+    u = compose(chip, grid)
+    assert compose(chip, OMEGA[0]).shape == (4, 4)
+    assert u.shape == (2, 2, 4, 4)
+    for i in range(2):
+        for j in range(2):
+            assert np.max(np.abs(u[i, j] - compose(chip, grid[i, j]))) \
+                <= 1e-15

@@ -68,6 +68,29 @@ def test_reproducible_byte_identical(tmp_path):
     assert ma["summary"] == mb["summary"]
 
 
+def test_manifest_names_bundled_input_by_package_path(tmp_path):
+    # an absolute path would differ between checkouts of the same code
+    code, out = run(tmp_path, "hom", *FAST_HOM)
+    assert code == 0
+    manifest = json.loads((out / "hom_manifest.json").read_text())
+    [entry] = manifest["inputs"]
+    assert entry["path"] == "qpic/data/ideal_chip.net"
+    assert not Path(entry["path"]).is_absolute()
+    bundled = Path(qpic.__path__[0]) / "data" / "ideal_chip.net"
+    assert entry["sha256"] == hashlib.sha256(bundled.read_bytes()).hexdigest()
+
+
+def test_manifest_names_user_input_as_given(tmp_path):
+    data = Path(qpic.__path__[0]) / "data"
+    for name in ("ideal_chip.net", "linbo3.material"):
+        (tmp_path / name).write_bytes((data / name).read_bytes())
+    netlist = tmp_path / "ideal_chip.net"
+    code, out = run(tmp_path, "hom", *FAST_HOM, "--netlist", str(netlist))
+    assert code == 0
+    manifest = json.loads((out / "hom_manifest.json").read_text())
+    assert manifest["inputs"][0]["path"] == str(netlist)
+
+
 def test_gnuplot_script(tmp_path):
     code, out = run(tmp_path, "hom", *FAST_HOM, "--gnuplot-script")
     assert code == 0

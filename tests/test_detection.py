@@ -7,7 +7,7 @@ import pytest
 
 import qpic
 from qpic import detection
-from qpic.circuit import parse_netlist_text, routing_coefficients
+from qpic.circuit import compose, parse_netlist_text
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
                             default_delay_values, hom_scan,
@@ -47,8 +47,11 @@ def test_double_loop_oracle(chip, jsa_small):
     query = CoincidenceQuery(pol_b="V", pol_c="V")
     fast = coincidence(jsa, chip, query)
 
-    on_b = routing_coefficients(chip, jsa.signal_frequencies)
-    on_c = routing_coefficients(chip, jsa.idler_frequencies)
+    # conjugated columns: signal enters 1H (column 0), idler 1V (column 1)
+    u_b = compose(chip, jsa.signal_frequencies)
+    u_c = compose(chip, jsa.idler_frequencies)
+    signal_b, idler_b = np.conj(u_b[..., :, 0]), np.conj(u_b[..., :, 1])
+    signal_c, idler_c = np.conj(u_c[..., :, 0]), np.conj(u_c[..., :, 1])
     mb = 1   # 1V
     mc = 3   # 2V
     f = jsa.amplitude
@@ -57,8 +60,8 @@ def test_double_loop_oracle(chip, jsa_small):
     for i in range(n_s):
         for j in range(n_d):
             jc = n_d - 1 - j
-            amp = (f[i, j] * on_b.signal[i, j, mb] * on_c.idler[i, j, mc]
-                   + f[i, jc] * on_b.idler[i, j, mb] * on_c.signal[i, j, mc])
+            amp = (f[i, j] * signal_b[i, j, mb] * idler_c[i, j, mc]
+                   + f[i, jc] * idler_b[i, j, mb] * signal_c[i, j, mc])
             total += jsa.weights[i, j] * abs(amp) ** 2
     assert fast == pytest.approx(total, abs=1e-12)
 

@@ -125,6 +125,9 @@ def test_pc_full_conversion_at_matched_wavelength(model):
     # channel 1: H fully converts to V at the matched wavelength
     assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
     assert abs(u[0, 0]) ** 2 == pytest.approx(0.0, abs=1e-9)
+    # the converter's phase convention: H -> V with +1, V -> H with -1
+    assert u[1, 0] == pytest.approx(1.0, abs=1e-9)
+    assert u[0, 1] == pytest.approx(-1.0, abs=1e-9)
     # channel 2 untouched
     assert u[2, 2] == 1
     assert u[3, 3] == 1
