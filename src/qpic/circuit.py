@@ -25,13 +25,15 @@ basis (1H, 1V, 2H, 2V). The netlist format is line based:
 Elements appear in propagation order: the first listed acts first. Keys
 are floats; unknown or duplicate keys are errors with their line number.
 
-``transfer(spec, omega, amps)`` is the one path through a chip: it builds
-the element chain once, evaluates the refractive indices (n_H, n_V) once
-on the frequency grid, and lets each element act with its block structure
-on mode-major amplitudes (4, k, *grid), spread over the grid only from the
-first dispersive element on. ``transfer_rows`` walks the reversed chain with
-transposed blocks, for rows of the unitary; ``compose`` is a transfer of
-the identity.
+``transfer_table(spec, omega, amps)`` is the one path through a chip: it
+builds the element chain once, builds one PhaseTable (indices n_H, n_V,
+wavevectors and straight phases) on the frequency grid, and lets each
+element act with its block structure on a 4 x k table of entries, where
+structural zeros stay None and the rest spread over the grid only from the
+first dispersive element that touches them. ``transfer_rows_table`` walks
+the reversed chain with transposed blocks, for rows of the unitary.
+``transfer`` and ``transfer_rows`` stack the table into one mode-major
+array (4, k, *grid); ``compose`` is a transfer of the identity.
 """
 
 from __future__ import annotations
@@ -125,36 +127,50 @@ def element_matrices(spec: CircuitSpec) -> list:
             for d in spec.elements]
 
 
-def _walk(chain, spec: CircuitSpec, omega, amps, indices) -> np.ndarray:
+def _walk(chain, spec: CircuitSpec, omega, amps, phases) -> list:
     w = np.asarray(omega, dtype=float)
-    a = np.array(amps, dtype=complex)  # a copy: an empty chain returns it
-    out = a.reshape(a.shape + (1,) * w.ndim)
-    if indices is None and any(m.material is not None for m in chain):
-        indices = el.refractive_indices(spec.model, w, spec.temperature)
+    if phases is None and any(m.material is not None for m in chain):
+        phases = el.PhaseTable(w, el.refractive_indices(spec.model, w,
+                                                        spec.temperature))
+    table = el.amplitude_table(amps, w.ndim)
     for matrix in chain:
-        out = matrix.apply(out, w, indices)
-    # without a dispersive element the grid axes are still unbroadcast
-    shape = a.shape + w.shape
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        table = matrix.apply(table, phases)
+    return table
 
 
-def transfer(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
-    """Push mode amplitudes through the element chain.
+def transfer_table(spec: CircuitSpec, omega, amps, phases=None) -> list:
+    """U(omega) @ amps as a 4 x k table of entries: None where the entry
+    is a structural zero, else an array that spreads over omega's shape
+    from the first dispersive element that touches it on.
 
-    ``amps`` holds k input vectors over the mode basis, shape (4, k); the
-    result is U(omega) @ amps, shape (4, k) + omega.shape, with U = E_n ...
-    E_2 E_1 (first listed element acts first), formed without a 4x4 per
-    element and frequency. ``indices`` are (n_H, n_V) on omega at the chip
-    temperature; when absent they are computed here, once per chain.
+    ``amps`` holds k input vectors over the mode basis, shape (4, k), and
+    its exact zeros are the structural zeros of the input. U = E_n ... E_2
+    E_1 (first listed element acts first) is never formed. ``phases`` is
+    the PhaseTable of omega at the chip temperature; when absent it is
+    built here, once per chain.
     """
-    return _walk(element_matrices(spec), spec, omega, amps, indices)
+    return _walk(element_matrices(spec), spec, omega, amps, phases)
 
 
-def transfer_rows(spec: CircuitSpec, omega, amps, indices=None) -> np.ndarray:
-    """U(omega)^T @ amps, as ``transfer``: for unit vectors e_m as ``amps``,
-    column r of the result is row m_r of U."""
+def transfer_rows_table(spec: CircuitSpec, omega, amps,
+                        phases=None) -> list:
+    """U(omega)^T @ amps as ``transfer_table``, walking the reversed chain
+    with transposed blocks: for unit vectors e_m as ``amps``, column r
+    holds row m_r of U."""
     chain = [m.transposed() for m in reversed(element_matrices(spec))]
-    return _walk(chain, spec, omega, amps, indices)
+    return _walk(chain, spec, omega, amps, phases)
+
+
+def transfer(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
+    """``transfer_table`` as one array, shape (4, k) + omega.shape."""
+    return el.dense(transfer_table(spec, omega, amps, phases),
+                    np.shape(omega))
+
+
+def transfer_rows(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
+    """``transfer_rows_table`` as one array, shape (4, k) + omega.shape."""
+    return el.dense(transfer_rows_table(spec, omega, amps, phases),
+                    np.shape(omega))
 
 
 def compose(spec: CircuitSpec, omega) -> np.ndarray:

@@ -223,6 +223,9 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
         decl = spec.elements[i]
         updates = {}
         if pc_length is not None:
+            if not pc_length > 0.0:
+                raise ValidationError(
+                    f"--pc-length must be > 0 um, got {pc_length}")
             updates["length"] = pc_length
             updates["kappa"] = np.pi / (2.0 * pc_length)
         if pc_kappa_arg is not None:

@@ -24,10 +24,15 @@ photon p (0 H-born, 1 V-born) in detected mode r is
     D_rp + T_r2 u_2p + T_r3 u_3p,   u_kp = c_kp exp(i k_k delta),
     D_rp = T_r0 c_0p + T_r1 c_1p,
 
-with k_2 = k_H and k_3 = k_V. A scan computes D, T_r2, T_r3 and c_kp once,
-as contiguous mode-major slices, for the rows r its pairings read (e_r
-pushed through the reversed tail with transposed blocks), and per delay
-forms u and the entries.
+with k_2 = k_H and k_3 = k_V. A scan reads the entry tables of both walks
+(e_r pushed through the reversed tail with transposed blocks, for the rows
+r its pairings read), in which a structural zero is None. It computes the
+live D_rp, T_r2, T_r3 and c_kp once, and per delay forms only the live
+u_kp and sums each entry's live terms in the order T_r2 u_2p, D_rp,
+T_r3 u_3p. The dropped terms are exact zeros, so the entries equal the
+dense ones. On a chain that keeps polarisation up to the scanned fp, such
+as the bundled chip, only u_2H and u_3V are live, and an entry with no
+live delay term is computed once per scan.
 
 u follows an anchored recurrence. The delays are cut into fixed blocks of
 ANCHOR_BLOCK. The first delay of a block (its anchor) evaluates exp(i k
@@ -60,9 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import CHANNEL1_INPUTS, CircuitSpec, transfer, transfer_rows
-from .dispersion import C_UM_PS, pc_matched_wavelength
-from .elements import mode_index, refractive_indices
+from .circuit import (CHANNEL1_INPUTS, CircuitSpec, transfer,
+                      transfer_rows_table, transfer_table)
+from .dispersion import pc_matched_wavelength
+from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
 from .source import (GridSpec, JointSpectralAmplitude, build_jsa,
                      marginal_spectra)
@@ -291,6 +297,25 @@ def _anchors(delays: np.ndarray):
     return anchor, step
 
 
+def _entry(terms, u, p, rs, out, tmp, zero):
+    """Transfer entry of photon p on the chunk ``rs`` of grid rows: the
+    live ones of T_r2 u_2p, D_rp and T_r3 u_3p (``terms``), summed in that
+    order into ``out``; D_rp alone is returned as a view, and no live
+    term gives ``zero``."""
+    t2, d, t3 = terms
+    f = None
+    if t2 is not None:
+        f = np.multiply(t2[rs], u[0, p], out=out)
+    if d is not None:
+        f = d[rs] if f is None else np.add(f, d[rs], out=f)
+    if t3 is not None:
+        if f is None:
+            f = np.multiply(t3[rs], u[1, p], out=out)
+        else:
+            f = np.add(f, np.multiply(t3[rs], u[1, p], out=tmp), out=out)
+    return zero if f is None else f
+
+
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
              query: CoincidenceQuery | None = None,
              scan_element=None) -> ScanResult:
@@ -304,13 +329,14 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
 
     Transfer entries take the factored form of the module docstring,
     D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta), with
-    everything but the two phasors computed once, for the modes the query
-    reads. The phasors follow the anchored recurrence described there: a
-    direct exp at the first delay of every block of ANCHOR_BLOCK delays and
-    wherever the delays stray from the recurrence's by more than STEP_RTOL
-    of the mean step, one complex product by the cached step phasor
-    otherwise. Its phase error equals a delay error of about 1e-12 um, so
-    probabilities move by about |dP/d delta| * 1e-12 um.
+    everything but the phasors computed once, for the modes the query
+    reads, and only the live terms formed. The phasors follow the anchored
+    recurrence described there: a direct exp at the first delay of every
+    block of ANCHOR_BLOCK delays and wherever the delays stray from the
+    recurrence's by more than STEP_RTOL of the mean step, one complex
+    product by the cached step phasor otherwise. Its phase error equals a
+    delay error of about 1e-12 um, so probabilities move by about
+    |dP/d delta| * 1e-12 um.
     """
     if query is None:
         query = CoincidenceQuery()
@@ -320,21 +346,34 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     rows = sorted({m for pair in pairs for m in pair})
     row_pairs = [(rows.index(mb), rows.index(mc)) for mb, mc in pairs]
 
-    # indices once per grid: shared by both transfers and the delay phases
+    # one phase table per grid: shared by both walks and the delay phases
     w = jsa.signal_frequencies
-    indices = refractive_indices(spec.model, w, spec.temperature)
+    phases = PhaseTable(w, refractive_indices(spec.model, w,
+                                              spec.temperature))
     before = spec.with_elements(spec.elements[:idx + 1])
     after = spec.with_elements(spec.elements[idx + 1:])
-    # the tail runs first, before c exists, to keep the memory peak low
-    t = transfer_rows(after, w, np.eye(4)[:, rows], indices)
-    c = transfer(before, w, CHANNEL1_INPUTS, indices)
-    # t[j, r] = T_{rows[r], j}; delay-free factors D_rp in fixed[r, p],
-    # T_r2 and T_r3 in t23[:, r], c_2p and c_3p in c23[:, p]
-    fixed = t[0, :, None] * c[0] + t[1, :, None] * c[1]
+    # the tail runs first, before c exists, to keep the memory peak low;
+    # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
+    t = [[None if e is None else np.broadcast_to(e, w.shape) for e in row]
+         for row in transfer_rows_table(after, w, np.eye(4)[:, rows],
+                                        phases)]
+    c = transfer_table(before, w, CHANNEL1_INPUTS, phases)
+    # delay-free D_rp; the live delay terms u_kp, and T_r2 or T_r3 where
+    # they reach row r
+    fixed = [[_live_sum(((tr0, c[0][p]), (tr1, c[1][p]))) for p in (0, 1)]
+             for tr0, tr1 in zip(t[0], t[1])]
     t23, c23 = t[2:], c[2:]
-    ik = np.stack([1j * (n * w / C_UM_PS) for n in indices])
+    del t, c  # the delays read only the channel-2 factors and D
+    live = [(k, p) for k in (0, 1) for p in (0, 1)
+            if c23[k][p] is not None and any(e is not None for e in t23[k])]
+    terms = [[[t23[0][r] if (0, p) in live else None, fixed[r][p],
+               t23[1][r] if (1, p) in live else None] for p in (0, 1)]
+             for r in range(len(rows))]
+    ik = {k: 1j * phases.k[k] for k in {k for k, _ in live}}
+    del phases  # its straight phases are not needed by the delays
     anchor, step = _anchors(delay_values)
-    step_phasor = None if anchor.all() else np.exp(ik * step)[:, None]
+    step_phasor = {} if anchor.all() else \
+        {k: np.exp(ikk * step) for k, ikk in ik.items()}
     g, g_rev = _weighted_amplitude(jsa)
     n_rows = max(1, CHUNK_POINTS // w.shape[1])
 
@@ -342,27 +381,32 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         """Probabilities of the block of delays that begins at ``start``.
 
         Rows of the grid are visited in chunks that stay in cache while
-        the block's delays run; u[k, p] = c_kp exp(i k delta) follows the
-        recurrence and the transfer entries are formed per chunk.
+        the block's delays run; the live u_kp = c_kp exp(i k delta) follow
+        the recurrence, and each transfer entry sums its live terms in the
+        order T_r2 u_2p, D_rp, T_r3 u_3p.
         """
         delays = delay_values[start:start + ANCHOR_BLOCK]
         totals = np.zeros(len(delays))
         for lo in range(0, w.shape[0], n_rows):
             rs = slice(lo, lo + n_rows)
-            u = np.empty_like(c23[:, :, rs])
-            fields = np.empty_like(fixed[:, :, rs])
-            tmp = np.empty_like(fields)
-            work = np.empty_like(ik[:, rs])
+            work = np.empty((2,) + g[rs].shape, complex)
+            zero = np.zeros_like(work[0])
+            u = {kp: np.empty_like(zero) for kp in live}
+            tmp = np.empty_like(zero)
+            bufs = [[np.empty_like(zero) for _ in (0, 1)] for _ in rows]
             for j, delta in enumerate(delays):
                 if anchor[start + j]:
-                    np.exp(np.multiply(ik[:, rs], delta, out=work), out=work)
-                    np.multiply(c23[:, :, rs], work[:, None], out=u)
+                    for k, ikk in ik.items():
+                        np.exp(np.multiply(ikk[rs], delta, out=work[k]),
+                               out=work[k])
+                    for k, p in live:
+                        np.multiply(c23[k][p][rs], work[k], out=u[k, p])
                 else:
-                    u *= step_phasor[:, :, rs]
-                np.multiply(t23[0, :, None, rs], u[0], out=fields)
-                fields += fixed[:, :, rs]
-                np.multiply(t23[1, :, None, rs], u[1], out=tmp)
-                fields += tmp
+                    for k, p in live:
+                        u[k, p] *= step_phasor[k][rs]
+                fields = [[_entry(terms[r][p], u, p, rs, bufs[r][p], tmp,
+                                  zero) for p in (0, 1)]
+                          for r in range(len(rows))]
                 totals[j] += _exchange_sum((g[rs], g_rev[rs]), fields,
                                            row_pairs, work)
         return [_check_probability(total) for total in totals]

@@ -12,12 +12,17 @@ a dense 4x4 per frequency:
 - fp is four diagonal phases exp(i n(w) w l / c);
 - pc is a 2x2 on the channel-1 (H, V) pair; channel 2 passes unchanged.
 
-``ElementMatrix.apply`` acts with that structure on mode-major amplitudes
-(4, k, *grid), whose grid axes have length 1 until they depend on
-frequency; a constant element is one BLAS product on (4, k * points). The
-dispersive blocks (fp, pc) read the refractive indices (n_H, n_V) on the
-frequency grid, so a chain evaluates the Sellmeier curves once and shares
-them; ``circuit.transfer`` is the one place that walks a chain.
+``ElementMatrix.apply`` acts with that structure on a 4 x k table of
+amplitude entries, one per (mode, input vector). An entry is None where the
+amplitude is a structural zero, an exact zero of the input that no element
+has filled; otherwise it is an array of shape (1,) * grid.ndim until a
+dispersive block touches it, and of the grid's shape from then on. A
+product enters a sum only when both its coefficient and its entry are
+live, in the order the dense product adds them, so the dropped terms are
+exact zeros. The dispersive blocks read one ``PhaseTable`` per frequency
+grid: the refractive indices (n_H, n_V), the wavevectors k = n w / c and
+the straight phases exp(i k l), each (polarisation, length) evaluated at
+most once. ``circuit.transfer_table`` is the one place that walks a chain.
 ``evaluate`` is the element applied to the identity, for tests and
 single-element inspection.
 """
@@ -59,43 +64,106 @@ def refractive_indices(model: MaterialModel, omega, temperature=None):
             np.asarray(index(model, "V", lam, temperature)))
 
 
+class PhaseTable:
+    """Wavevectors and straight-waveguide phases on one frequency grid.
+
+    ``k[pol]`` is n_pol(w) w / c for pol 0 (H) and 1 (V), from the
+    refractive indices (n_H, n_V) on ``omega``. ``phase(pol, length)`` is
+    exp(i k[pol] length); it is evaluated at most once per (pol, length)
+    and shared by every element and walk on the grid.
+    """
+
+    def __init__(self, omega, indices):
+        self.omega = omega
+        self.indices = indices
+        self.k = tuple(n * omega / C_UM_PS for n in indices)
+        self._phases = {}
+
+    def phase(self, pol: int, length: float):
+        key = (pol, length)
+        if key not in self._phases:
+            self._phases[key] = self._evaluate(pol, length)
+        return self._phases[key]
+
+    def _evaluate(self, pol: int, length: float):
+        return np.exp(1j * (self.k[pol] * length))
+
+
+def amplitude_table(amps, ndim: int) -> list:
+    """The columns of ``amps`` (4, k) as a 4 x k table of entries.
+
+    An exact zero becomes None, a structural zero; any other value an
+    entry of shape (1,) * ``ndim``, spread over the grid only once an
+    element's block depends on frequency.
+    """
+    return [[None if v == 0 else np.full((1,) * ndim, v) for v in row]
+            for row in np.asarray(amps, dtype=complex)]
+
+
+def dense(table, shape) -> np.ndarray:
+    """The entry table as one array (4, k) + ``shape``, 0 where None."""
+    out = np.zeros((len(table), len(table[0])) + tuple(shape), complex)
+    for i, row in enumerate(table):
+        for c, entry in enumerate(row):
+            if entry is not None:
+                out[i, c] = entry
+    return out
+
+
+def _live_sum(pairs):
+    """Sum of a * b over the pairs with both factors live, in order; None
+    when there is none. Dropped terms are exact zeros, so the sum equals
+    the dense one."""
+    total = None
+    for a, b in pairs:
+        if a is None or b is None:
+            continue
+        term = a * b
+        total = term if total is None else total + term
+    return total
+
+
 @dataclass(frozen=True)
 class ElementMatrix:
     """A labelled, frequency-resolved 4x4 unitary stored as its blocks.
 
-    ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal" and
-    "channel1": ``block(omega, indices)`` returns the per-mode phases, shape
-    ``(4,) + omega.shape``, or the channel-1 2x2, shape
+    ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal":
+    ``block`` is the straight lengths (l1, l2) of channels 1 and 2, whose
+    phases come from the grid's ``PhaseTable``. "channel1":
+    ``block(phases)`` returns the channel-1 2x2 on the table's grid, shape
     ``(2, 2) + omega.shape``. ``material`` is the (model, temperature)
     whose indices a dispersive block reads; None for the others.
     """
 
     label: str
     structure: str
-    block: np.ndarray | Callable
+    block: np.ndarray | tuple | Callable
     material: tuple | None = None
 
-    def apply(self, amps, omega, indices):
-        """This element acting on mode-major amplitudes (4, k, *grid), which
-        it never writes. ``indices`` are (n_H, n_V) on omega at this
-        element's material, read only by the dispersive blocks."""
+    def apply(self, table, phases):
+        """This element acting on a 4 x k table of amplitude entries
+        (``amplitude_table``), whose entries it never writes. Only live
+        entries and nonzero coefficients enter a product; ``phases`` is
+        the grid's PhaseTable, read only by the dispersive blocks."""
         if self.structure == "dense":
-            return np.tensordot(self.block, amps, 1)
-        b = self.block(omega, indices)
+            m = self.block
+            return [[_live_sum((m[i, j], table[j][c]) for j in range(4)
+                               if m[i, j] != 0)
+                     for c in range(len(table[0]))] for i in range(4)]
         if self.structure == "diagonal":
-            return b[:, None] * amps
-        out = np.empty((4,) + np.broadcast_shapes(amps.shape[1:],
-                                                  b.shape[2:]), complex)
-        np.multiply(b[:, 0, None], amps[0], out=out[:2])
-        out[:2] += b[:, 1, None] * amps[1]
-        out[2:] = amps[2:]
-        return out
+            return [[None if e is None else
+                     phases.phase(i % 2, self.block[i // 2]) * e
+                     for e in row] for i, row in enumerate(table)]
+        b = self.block(phases)
+        return [[_live_sum(((b[r, 0], e0), (b[r, 1], e1)))
+                 for e0, e1 in zip(table[0], table[1])]
+                for r in (0, 1)] + table[2:]
 
     def transposed(self) -> "ElementMatrix":
         """The element with its block transposed at every frequency."""
         block = self.block
         if self.structure == "channel1":
-            return replace(self, block=lambda w, n: block(w, n).swapaxes(0, 1))
+            return replace(self, block=lambda p: block(p).swapaxes(0, 1))
         return replace(self, block=block.T) if self.structure == "dense" \
             else self
 
@@ -103,10 +171,10 @@ class ElementMatrix:
         """Dense matrix at ``omega`` (scalar or array): shape
         ``omega.shape + (4, 4)``."""
         w = np.asarray(omega, dtype=float)
-        eye = np.multiply.outer(np.eye(4, dtype=complex), np.ones(w.shape))
-        indices = None if self.material is None else \
-            refractive_indices(self.material[0], w, self.material[1])
-        return np.moveaxis(self.apply(eye, w, indices), (0, 1), (-2, -1))
+        phases = None if self.material is None else PhaseTable(
+            w, refractive_indices(self.material[0], w, self.material[1]))
+        table = self.apply(amplitude_table(np.eye(4), w.ndim), phases)
+        return np.moveaxis(dense(table, w.shape), (0, 1), (-2, -1))
 
 
 def _check_finite(label, **params):
@@ -178,10 +246,11 @@ def pc_matrix(model: MaterialModel, poling_period: float, length: float,
     if kappa < 0.0:
         raise RangeError(f"pc coupling {kappa} rad/um must be >= 0")
 
-    def block(w, n):
+    def block(phases):
         # the coupled-mode core runs at the opposite detuning in this basis
-        lam = wavelength_from_omega(w)
-        dk = _pc_grating_mismatch(n[0], n[1], lam, poling_period)
+        lam = wavelength_from_omega(phases.omega)
+        n_h, n_v = phases.indices
+        dk = _pc_grating_mismatch(n_h, n_v, lam, poling_period)
         core = cmt._symmetric_core(kappa, -dk, length) * _PC_FRAME
         return np.moveaxis(core, (-2, -1), (0, 1))
 
@@ -197,13 +266,7 @@ def fp_matrix(model: MaterialModel, l1: float, l2: float,
     _check_finite("fp", l1=l1, l2=l2)
     if l1 < 0.0 or l2 < 0.0:
         raise RangeError(f"fp lengths ({l1}, {l2}) um must be >= 0")
-
-    def block(w, n):
-        kh = n[0] * w / C_UM_PS
-        kv = n[1] * w / C_UM_PS
-        return np.exp(1j * np.stack((kh * l1, kv * l1, kh * l2, kv * l2)))
-
-    return ElementMatrix("fp", "diagonal", block, (model, temperature))
+    return ElementMatrix("fp", "diagonal", (l1, l2), (model, temperature))
 
 
 def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qpic
 from qpic.circuit import (CHANNEL1_INPUTS, CircuitSpec, ElementDecl,
                           compose, element_matrices, parse_netlist_text,
-                          transfer, transfer_rows)
+                          transfer, transfer_rows, transfer_table)
 from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
                              omega_from_wavelength)
 from qpic.errors import NetlistError
@@ -315,3 +315,17 @@ def test_compose_keeps_the_shape_of_omega(chip):
         for j in range(2):
             assert np.max(np.abs(u[i, j] - compose(chip, grid[i, j]))) \
                 <= 1e-15
+
+
+def test_structural_zeros_stay_exact(chip):
+    # fp, pbs and fp keep polarisation: the H-born photon never reaches 2V
+    # and the V-born photon never reaches 2H
+    prefix = chip.with_elements(chip.elements[:3])
+    omega = OMEGA[:4].reshape(2, 2)
+    table = transfer_table(prefix, omega, CHANNEL1_INPUTS)
+    assert table[3][0] is None and table[2][1] is None
+    out = transfer(prefix, omega, CHANNEL1_INPUTS)
+    assert out.shape == (4, 2, 2, 2)
+    assert 0 not in out.strides and out.flags.writeable
+    assert np.all(out[3, 0] == 0) and np.all(out[2, 1] == 0)
+    assert np.all(out[2, 0] != 0) and np.all(out[3, 1] != 0)

@@ -7,12 +7,14 @@ import pytest
 
 import qpic
 from qpic import detection
-from qpic.circuit import compose, parse_netlist_text
+from qpic.circuit import (CHANNEL1_INPUTS, compose, parse_netlist_text,
+                          transfer_table)
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
                             default_delay_values, hom_scan,
                             imperfection_sweep, temperature_scan,
                             thread_count)
+from qpic.elements import PhaseTable
 from qpic.errors import RangeError, ValidationError
 
 SOURCE_ONLY = """
@@ -193,6 +195,57 @@ def test_recurrence_matches_stretched_chip(chip, jsa_tiny, query, grid,
         stretched = chip.with_elements(elements)
         assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
                                   abs=1e-11)
+
+
+# fp, a half-converting pc and a bs before the scanned fp: both photons
+# reach both channel-2 modes there, so all four delay terms u_kp are live
+ALL_LIVE = SOURCE_ONLY + """
+element fp
+l1 = 5000.0
+l2 = 5000.0
+
+element pc
+poling_period = 21.124408686252
+length = 2540.0
+kappa = 3.092118753533261e-4
+
+element bs
+theta = 0.7853981633974483
+xi = 0.7853981633974483
+
+element fp
+l1 = 15000.0
+l2 = 14000.0
+
+element bs
+theta = 0.5
+xi = 0.6
+"""
+
+
+@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+                         ids=["VV", "insensitive"])
+def test_all_live_scan_matches_stretched_chip(model, jsa_tiny, query,
+                                              monkeypatch):
+    chip = parse_netlist_text(ALL_LIVE, model=model)
+    w = jsa_tiny.signal_frequencies
+    c = transfer_table(chip.with_elements(chip.elements[:4]), w,
+                       CHANNEL1_INPUTS)
+    assert all(c[m][p] is not None for m in (2, 3) for p in (0, 1))
+    # chunks of 10 rows, so the 64-row grid ends in a partial chunk
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    delays = RECURRENCE_DELAYS["blocks"]
+    scan = hom_scan(jsa_tiny, chip, delays, query)
+    fp = chip.elements[3]
+    for delta, p in zip(delays, scan.probabilities):
+        elements = list(chip.elements)
+        elements[3] = fp.with_params(l2=fp.params["l2"] + delta)
+        stretched = chip.with_elements(elements)
+        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
+                                  abs=1e-11)
+    monkeypatch.setenv("QPIC_THREADS", "2")
+    threaded = hom_scan(jsa_tiny, chip, delays, query)
+    assert np.array_equal(threaded.probabilities, scan.probabilities)
 
 
 def test_anchor_plan():
@@ -424,3 +477,25 @@ def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
             monkeypatch.setattr(module, "index", counting)
     hom_scan(jsa, chip, DELAYS[:5])
     assert sorted(grid_calls) == ["H", "V"]
+
+
+@pytest.mark.parametrize("query, tail", [
+    (CoincidenceQuery(), [(1, 10000.0)]),
+    (INSENSITIVE, [(0, 10000.0), (1, 10000.0)]),
+], ids=["VV", "insensitive"])
+def test_hom_scan_evaluates_each_phase_once(chip, jsa_tiny, query, tail,
+                                            monkeypatch):
+    # every fp of the bundled chip has l1 == l2, and the tail reaches only
+    # the polarisations of the rows the query reads
+    original = PhaseTable._evaluate
+    evaluated = []
+
+    def counting(self, pol, length):
+        evaluated.append((pol, length))
+        return original(self, pol, length)
+
+    monkeypatch.setattr(PhaseTable, "_evaluate", counting)
+    hom_scan(jsa_tiny, chip, DELAYS[:5], query)
+    assert sorted(evaluated) == sorted(
+        [(pol, length) for length in (5000.0, 15000.0) for pol in (0, 1)]
+        + tail)
