@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import MaterialModel, pc_matched_wavelength, pc_mismatch
+from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
+                         pc_matched_wavelength, pc_mismatch)
 from .errors import NumericalError, RangeError, ValidationError
 
 
@@ -55,21 +56,21 @@ def coupling_matrix(kappa, dbeta, z):
     return out
 
 
-def _symmetric_core(kappa, dbeta, z):
-    # constant-coefficient propagator in the co-rotating frame; the frame
-    # phases diag(e^{i dbeta z/2}, e^{-i dbeta z/2}) are applied outside
-    kappa = np.asarray(kappa, dtype=float)
-    dbeta = np.asarray(dbeta, dtype=float)
-    z = np.asarray(z, dtype=float)
+def _core_terms(kappa, dbeta, z):
+    """(cos sz, (dbeta/2s) sin sz, (kappa/s) sin sz) of one section."""
+    kappa, dbeta, z = (np.asarray(v, dtype=float) for v in (kappa, dbeta, z))
     s = np.hypot(kappa, dbeta / 2.0)
     s_safe = np.where(s == 0.0, 1.0, s)
     phase = s * z
-    cosp = np.cos(phase)
     sinp = np.sin(phase)
-    d = (dbeta / 2.0) / s_safe * sinp
-    b = kappa / s_safe * sinp
-    shape = np.broadcast_shapes(kappa.shape, dbeta.shape, z.shape)
-    out = np.empty(shape + (2, 2), dtype=complex)
+    return np.cos(phase), (dbeta / 2.0) / s_safe * sinp, kappa / s_safe * sinp
+
+
+def _symmetric_core(kappa, dbeta, z):
+    # constant-coefficient propagator in the co-rotating frame; the frame
+    # phases diag(e^{i dbeta z/2}, e^{-i dbeta z/2}) are applied outside
+    cosp, d, b = _core_terms(kappa, dbeta, z)
+    out = np.empty(cosp.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = cosp - 1j * d
     out[..., 0, 1] = -1j * b
     out[..., 1, 0] = -1j * b
@@ -128,7 +129,8 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
 
     Returns (wavelengths, fraction). When no wavelength grid is given, one
     is centred on the matched wavelength and spans ``span_fwhm`` times the
-    estimated sinc width on each side.
+    estimated sinc width on each side; RangeError when that window leaves
+    the material's validity range (a converter too short for its window).
     """
     if wavelengths is None:
         centre = pc_matched_wavelength(model, poling_period, temperature)
@@ -139,6 +141,11 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
                                   temperature)) / (2.0 * h)
         fwhm = 2.0 * 2.783 / (length * slope)
         half = span_fwhm * fwhm
+        if not LAMBDA_MIN <= centre - half < centre + half <= LAMBDA_MAX:
+            raise RangeError(
+                f"converter length {length} um gives a conversion window "
+                f"{centre - half:.6g} to {centre + half:.6g} um, outside the "
+                f"validity range [{LAMBDA_MIN}, {LAMBDA_MAX}] um")
         wavelengths = np.linspace(centre - half, centre + half, n_points)
     else:
         wavelengths = np.asarray(wavelengths, dtype=float)

@@ -18,42 +18,54 @@ from sqrt(W) conj(F) (formed once) and the transfer entries themselves.
 
 A delay scan adds delta to channel 2 of one 'fp' element, rephasing only
 modes 2H and 2V there. With c the channel-1 input columns of the chain up
-to that element and T the transfer of the rest, the transfer entry of
-photon p (0 H-born, 1 V-born) in detected mode r is
+to that element and T the transfer of the rest (e_r pushed through the
+reversed tail with transposed blocks, for the rows r the pairings read),
+the transfer entry of photon p (0 H-born, 1 V-born) in detected mode r is
 
-    D_rp + T_r2 u_2p + T_r3 u_3p,   u_kp = c_kp exp(i k_k delta),
-    D_rp = T_r0 c_0p + T_r1 c_1p,
+    e_rp = T_r0 c_0p + T_r1 c_1p + T_r2 c_2p phi_H + T_r3 c_3p phi_V,
 
-with k_2 = k_H and k_3 = k_V. A scan reads the entry tables of both walks
-(e_r pushed through the reversed tail with transposed blocks, for the rows
-r its pairings read), in which a structural zero is None. It computes the
-live D_rp, T_r2, T_r3 and c_kp once, and per delay forms only the live
-u_kp and sums each entry's live terms in the order T_r2 u_2p, D_rp,
-T_r3 u_3p. The dropped terms are exact zeros, so the entries equal the
-dense ones. On a chain that keeps polarisation up to the scanned fp, such
-as the bundled chip, only u_2H and u_3V are live, and an entry with no
-live delay term is computed once per scan.
+with base phasors phi_k = exp(i k_k delta), of which only the live terms
+are kept (on the bundled chip only T_r2 c_20 and T_r3 c_31 carry a
+phasor). A pairing's bracket g s_b i_c^R + g^R i_b s_c^R (R the reversal
+of the difference axis) is then sum_K X_K Phi_K, each Phi_K a product of
+a phasor at w and one at w^R, and
 
-u follows an anchored recurrence. The delays are cut into fixed blocks of
-ANCHOR_BLOCK. The first delay of a block (its anchor) evaluates exp(i k
-delta) directly, and each later one multiplies u by the step phasor
-exp(i k Delta), with Delta the scan's mean step, evaluated once per scan.
-A delay that the recurrence from the last anchor, delta_a + j Delta,
-misses by more than STEP_RTOL |Delta| (an uneven grid) becomes an anchor
-itself. A uniform scan of n delays thus makes 2 ceil(n / ANCHOR_BLOCK) + 2
-grid-wide exp evaluations instead of 2 n, and an uneven one at most 2 n.
-Blocks are the unit of work of the QPIC_THREADS pool, so the result does
-not depend on the worker count. Within a block the grid is visited in
-chunks of about CHUNK_POINTS points, which stay in cache across the
-block's delays.
+    P(delta) = C + 2 Re sum_theta <Y_theta, exp(i theta delta)>,
 
-Accuracy: an anchor rounds k delta as a direct evaluation does (k ~ 9
-rad/um, so ~4e-12 rad at 4000 um). Each step adds the rounding of k Delta
-(~5e-14 rad at Delta = 50 um) and of one complex product (~2e-16), so the
-fifteenth step is off by at most ~5e-12 rad, the phase of a delay error of
-about 1e-12 um. Grid jitter moves a delay by at most STEP_RTOL |Delta| more
-(5e-12 um at Delta = 50 um; a linspace's jitter of a few ulps is far
-smaller). A probability thus moves by about |dP/d delta| * 1e-12 um.
+with C = sum |X_K|^2 and <,> the unconjugated grid sum. Y_theta sums
+X_K conj(X_L) over every pairing and every two keys K, L whose exponent
+theta, an integer combination of (k_H, k_V, k_H^R, k_V^R), is the same in
+canonical form: reversal swaps the w and w^R parts and takes Y to Y^R,
+conjugation takes theta to -theta and Y to conj Y. The grid is walked in
+chunks of about CHUNK_POINTS points; each builds its C and Y_theta once,
+in cache, then runs every delay at two array passes per exponent (a
+phasor product and a dot): 4 per delay for VV on the bundled chip (2
+exponents) and 12 for the insensitive query (6), against 12 and 38 to
+form the fields and brackets at every delay.
+
+The phasors follow an anchored recurrence. The delays are cut into fixed
+blocks of ANCHOR_BLOCK. At the first delay of a block (its anchor) each
+live phi_k is evaluated as exp(i (k_k delta)) and each exp(i theta delta)
+is a product of them, reversed or conjugated; each later delay multiplies
+it by the same product of the exp(i (k_k Delta)), Delta the mean step. A
+delay that the recurrence from the last anchor, delta_a + j Delta, misses
+by more than STEP_RTOL |Delta| (an uneven grid) becomes an anchor itself.
+A uniform scan of n delays with m live wavevectors thus makes
+m (ceil(n / ANCHOR_BLOCK) + 1) grid-wide exp evaluations, an uneven one at
+most m n. Runs of chunks are the unit of work of the QPIC_THREADS pool,
+and their values are summed in chunk order, so the result does not depend
+on the worker count.
+
+Accuracy: |theta| can reach k_H + k_V (~18 rad/um), but each phasor is a
+product of at most four base ones, so its phase error is the sum of
+theirs. An anchor rounds k delta as a direct evaluation does (k ~ 9
+rad/um, so ~4e-12 rad at 4000 um); each step adds the rounding of k Delta
+per factor (~5e-14 rad at Delta = 50 um) and ~1e-15 rad for the complex
+products. The fifteenth step of a four-factor phasor is thus off by at
+most ~2e-11 rad, per wavevector the phase of a delay error of about
+1e-12 um. Grid jitter moves a delay by at most STEP_RTOL |Delta| more
+(5e-12 um at Delta = 50 um). A probability thus moves by about
+|dP/d delta| * 1e-12 um.
 """
 
 from __future__ import annotations
@@ -297,23 +309,64 @@ def _anchors(delays: np.ndarray):
     return anchor, step
 
 
-def _entry(terms, u, p, rs, out, tmp, zero):
-    """Transfer entry of photon p on the chunk ``rs`` of grid rows: the
-    live ones of T_r2 u_2p, D_rp and T_r3 u_3p (``terms``), summed in that
-    order into ``out``; D_rp alone is returned as a view, and no live
-    term gives ``zero``."""
-    t2, d, t3 = terms
-    f = None
-    if t2 is not None:
-        f = np.multiply(t2[rs], u[0, p], out=out)
-    if d is not None:
-        f = d[rs] if f is None else np.add(f, d[rs], out=f)
-    if t3 is not None:
-        if f is None:
-            f = np.multiply(t3[rs], u[1, p], out=out)
-        else:
-            f = np.add(f, np.multiply(t3[rs], u[1, p], out=tmp), out=out)
-    return zero if f is None else f
+def _canonical(theta):
+    """Canonical form of an exponent, the integer coefficients theta of
+    (k_H, k_V, k_H^R, k_V^R): (key, reverse, negate). Reversal swaps the
+    w and w^R parts; negation is conjugation."""
+    swapped = theta[2:] + theta[:2]
+    forms = [(theta, False, False), (swapped, True, False),
+             (tuple(-n for n in theta), False, True),
+             (tuple(-n for n in swapped), True, True)]
+    key = max(form[0] for form in forms)
+    return next(form for form in forms if form[0] == key)
+
+
+def _moments(weighted, fields, pairs):
+    """C and the moments Y_theta of the exchange sum over ``pairs``.
+
+    ``fields[row]`` is the (signal, idler) pair of one detected mode, each
+    a dict of its live terms keyed by the coefficients of (k_H, k_V) in
+    their phasor. ``weighted`` is ``_weighted_amplitude`` on the same grid
+    rows. Returns C and a dict, in a fixed order, from canonical exponent
+    to Y.
+    """
+    g, g_rev = weighted
+    total = 0.0
+    moments = {}
+    for b, c in pairs:
+        (signal_b, idler_b), (signal_c, idler_c) = fields[b], fields[c]
+        x = {}  # keyed by the exponent of Phi_K, a phasor at w then at w^R
+        for weight, first, second in ((g, signal_b, idler_c),
+                                      (g_rev, idler_b, signal_c)):
+            for kb, fb in first.items():
+                for kc, fc in second.items():
+                    term = weight * fb * fc[:, ::-1]
+                    x[kb + kc] = x[kb + kc] + term if kb + kc in x else term
+        conj = {key: np.conj(v) for key, v in x.items()}
+        keys = list(x)
+        for i, a in enumerate(keys):
+            total += np.vdot(x[a], x[a]).real
+            for b_key in keys[i + 1:]:
+                theta, reverse, negate = _canonical(
+                    tuple(m - n for m, n in zip(a, b_key)))
+                y = x[b_key] * conj[a] if negate else x[a] * conj[b_key]
+                y = y[:, ::-1] if reverse else y
+                moments[theta] = moments[theta] + y if theta in moments \
+                    else np.ascontiguousarray(y)
+    return total, moments
+
+
+def _phasors(thetas, base) -> np.ndarray:
+    """exp(i theta x) on a chunk for each exponent, (len(thetas), points):
+    the product of the base phasors base[k] = exp(i k_k x), reversed for
+    the w^R parts and conjugated for negative coefficients."""
+    out = np.ones((len(thetas),) + next(iter(base.values())).shape, complex)
+    for row, theta in zip(out, thetas):
+        for i, n in enumerate(theta):
+            if n:
+                f = base[i % 2][:, ::1 if i < 2 else -1]
+                row *= np.conj(f) if n < 0 else f
+    return out.reshape(len(thetas), -1)
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
@@ -327,15 +380,10 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     a finite, strictly increasing 1-D array of at least 3 points, and the
     stretched length l2 + delay must stay >= 0 (RangeError otherwise).
 
-    Transfer entries take the factored form of the module docstring,
-    D_rp + T_r2 c_2p exp(i k_H delta) + T_r3 c_3p exp(i k_V delta), with
-    everything but the phasors computed once, for the modes the query
-    reads, and only the live terms formed. The phasors follow the anchored
-    recurrence described there: a direct exp at the first delay of every
-    block of ANCHOR_BLOCK delays and wherever the delays stray from the
-    recurrence's by more than STEP_RTOL of the mean step, one complex
-    product by the cached step phasor otherwise. Its phase error equals a
-    delay error of about 1e-12 um, so probabilities move by about
+    The probability takes the moment form of the module docstring, with
+    C and Y_theta built once per chunk of grid rows from the live transfer
+    terms of the modes the query reads, and the phasors following its
+    anchored recurrence; probabilities move by about
     |dP/d delta| * 1e-12 um.
     """
     if query is None:
@@ -358,67 +406,60 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
          for row in transfer_rows_table(after, w, np.eye(4)[:, rows],
                                         phases)]
     c = transfer_table(before, w, CHANNEL1_INPUTS, phases)
-    # delay-free D_rp; the live delay terms u_kp, and T_r2 or T_r3 where
-    # they reach row r
-    fixed = [[_live_sum(((tr0, c[0][p]), (tr1, c[1][p]))) for p in (0, 1)]
-             for tr0, tr1 in zip(t[0], t[1])]
-    t23, c23 = t[2:], c[2:]
-    del t, c  # the delays read only the channel-2 factors and D
-    live = [(k, p) for k in (0, 1) for p in (0, 1)
-            if c23[k][p] is not None and any(e is not None for e in t23[k])]
-    terms = [[[t23[0][r] if (0, p) in live else None, fixed[r][p],
-               t23[1][r] if (1, p) in live else None] for p in (0, 1)]
-             for r in range(len(rows))]
-    ik = {k: 1j * phases.k[k] for k in {k for k, _ in live}}
-    del phases  # its straight phases are not needed by the delays
+    # the live (T_rj, c_jp) factors of each term, keyed by the coefficients
+    # of (k_H, k_V) in its phasor, per row r and photon p
+    factors = [[{key: [(t[j][r], c[j][p]) for j in js
+                       if t[j][r] is not None and c[j][p] is not None]
+                 for key, js in (((0, 0), (0, 1)), ((1, 0), (2,)),
+                                 ((0, 1), (3,)))}
+                for p in (0, 1)] for r in range(len(rows))]
+    wavevector = [k if any(photon[key] for row in factors for photon in row)
+                  else None for k, key in zip(phases.k, ((1, 0), (0, 1)))]
+    del t, c, phases  # the delays read only the factors and live wavevectors
     anchor, step = _anchors(delay_values)
-    step_phasor = {} if anchor.all() else \
-        {k: np.exp(ikk * step) for k, ikk in ik.items()}
     g, g_rev = _weighted_amplitude(jsa)
     n_rows = max(1, CHUNK_POINTS // w.shape[1])
+    chunks = [slice(lo, lo + n_rows) for lo in range(0, w.shape[0], n_rows)]
 
-    def block(start: int) -> list:
-        """Probabilities of the block of delays that begins at ``start``.
+    def chunk(rs) -> np.ndarray:
+        """C + 2 Re sum_theta <Y_theta, exp(i theta delta)> of the grid
+        rows ``rs`` at every delay; C and Y_theta stay in cache."""
+        fields = [[{key: _live_sum((a[rs], b[rs]) for a, b in f)
+                    for key, f in photon.items() if f} for photon in row]
+                  for row in factors]
+        total, moments = _moments((g[rs], g_rev[rs]), fields, row_pairs)
+        values = np.full(len(delay_values), total)
+        thetas = list(moments)
+        if not thetas:
+            return values
+        y = [moments[theta].reshape(-1) for theta in thetas]
+        live = sorted({i % 2 for theta in thetas
+                       for i, n in enumerate(theta) if n})
 
-        Rows of the grid are visited in chunks that stay in cache while
-        the block's delays run; the live u_kp = c_kp exp(i k delta) follow
-        the recurrence, and each transfer entry sums its live terms in the
-        order T_r2 u_2p, D_rp, T_r3 u_3p.
-        """
-        delays = delay_values[start:start + ANCHOR_BLOCK]
-        totals = np.zeros(len(delays))
-        for lo in range(0, w.shape[0], n_rows):
-            rs = slice(lo, lo + n_rows)
-            work = np.empty((2,) + g[rs].shape, complex)
-            zero = np.zeros_like(work[0])
-            u = {kp: np.empty_like(zero) for kp in live}
-            tmp = np.empty_like(zero)
-            bufs = [[np.empty_like(zero) for _ in (0, 1)] for _ in rows]
-            for j, delta in enumerate(delays):
-                if anchor[start + j]:
-                    for k, ikk in ik.items():
-                        np.exp(np.multiply(ikk[rs], delta, out=work[k]),
-                               out=work[k])
-                    for k, p in live:
-                        np.multiply(c23[k][p][rs], work[k], out=u[k, p])
-                else:
-                    for k, p in live:
-                        u[k, p] *= step_phasor[k][rs]
-                fields = [[_entry(terms[r][p], u, p, rs, bufs[r][p], tmp,
-                                  zero) for p in (0, 1)]
-                          for r in range(len(rows))]
-                totals[j] += _exchange_sum((g[rs], g_rev[rs]), fields,
-                                           row_pairs, work)
-        return [_check_probability(total) for total in totals]
+        def phasors(x):
+            return _phasors(thetas, {k: np.exp(1j * (wavevector[k][rs] * x))
+                                     for k in live})
 
-    starts = range(0, len(delay_values), ANCHOR_BLOCK)
+        step_phasor = None if anchor.all() else phasors(step)
+        for j, delta in enumerate(delay_values):
+            if anchor[j]:
+                phasor = phasors(delta)
+            else:
+                phasor *= step_phasor
+            values[j] += 2.0 * sum(np.dot(yi, fi).real
+                                   for yi, fi in zip(y, phasor))
+        return values
+
     workers = thread_count()
-    if workers == 1:
-        blocks = [block(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block, starts))
-    probabilities = [p for b in blocks for p in b]
+    size = -(-len(chunks) // workers)
+    runs = [chunks[i:i + size] for i in range(0, len(chunks), size)]
+    # a single worker runs in this thread: a pool thread would add its own
+    # malloc arena to the peak memory
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = [v for run in (map if workers == 1 else pool.map)(
+            lambda run: [chunk(rs) for rs in run], runs) for v in run]
+    # in chunk order, whatever the worker count
+    probabilities = [_check_probability(p) for p in sum(parts)]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 

@@ -43,10 +43,6 @@ from .errors import RangeError, ValidationError
 
 BASIS = ("1H", "1V", "2H", "2V")
 
-# core * _PC_FRAME == diag(1, i) @ core @ diag(1, -i): the converter's H/V
-# phase convention applied to the coupled-mode kernel
-_PC_FRAME = np.array([[1.0, -1j], [1j, 1.0]])
-
 
 def mode_index(channel: int, pol: str) -> int:
     """Index of (channel, polarisation) in the fixed mode basis."""
@@ -247,12 +243,14 @@ def pc_matrix(model: MaterialModel, poling_period: float, length: float,
         raise RangeError(f"pc coupling {kappa} rad/um must be >= 0")
 
     def block(phases):
-        # the coupled-mode core runs at the opposite detuning in this basis
+        # diag(1, i) @ core @ diag(1, -i), the converter's H/V phase
+        # convention applied to the coupled-mode core (cmt), which runs at
+        # the opposite detuning in this basis
         lam = wavelength_from_omega(phases.omega)
         n_h, n_v = phases.indices
         dk = _pc_grating_mismatch(n_h, n_v, lam, poling_period)
-        core = cmt._symmetric_core(kappa, -dk, length) * _PC_FRAME
-        return np.moveaxis(core, (-2, -1), (0, 1))
+        cosp, d, b = cmt._core_terms(kappa, -dk, length)
+        return np.array([[cosp - 1j * d, -b], [b, cosp + 1j * d]])
 
     return ElementMatrix("pc", "channel1", block, (model, temperature))
 

@@ -232,10 +232,14 @@ def test_exit_code_negative_length(tmp_path):
     ["sweep", "--element", "pc", "--fractions", "0,nan", "--grid", "32",
      "--points", "3"],
     ["hom", "--pc-length", "0", "--grid", "32", "--points", "3"],
+    ["temp-scan", "--pc-length", "1e-9", "--grid", "32", "--points", "3"],
+    ["temp-scan", "--pc-length", "5", "--grid", "32", "--points", "3"],
+    ["pc-window", "--length", "5"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
-        "fractions-nan", "hom-pc-length-0"])
+        "fractions-nan", "hom-pc-length-0", "temp-scan-pc-length-tiny",
+        "temp-scan-pc-length-5", "pc-window-length-5"])
 def test_bad_input_exits_two(tmp_path, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}

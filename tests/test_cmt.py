@@ -117,6 +117,13 @@ def test_pc_spectrum_width_halves_with_length(model):
     assert ratio == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("length", [5.0, 1e-9])
+def test_pc_spectrum_window_outside_validity_names_length(model, length):
+    # the auto window widens as 1/length and leaves [0.4, 2.0] um
+    with pytest.raises(qpic.RangeError, match=f"converter length {length} um"):
+        pc_spectrum(model, 21.4, length, math.pi / (2 * length))
+
+
 def test_peak_fwhm_gaussian():
     x = np.linspace(-5, 5, 4001)
     sigma = 0.7

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpic
 from qpic import detection
@@ -248,6 +250,66 @@ def test_all_live_scan_matches_stretched_chip(model, jsa_tiny, query,
     assert np.array_equal(threaded.probabilities, scan.probabilities)
 
 
+CONVERTER = """
+element pc
+poling_period = 21.124408686252
+length = 2540.0
+kappa = {kappa!r}
+"""
+
+
+def _chain(lengths, scanned, pbs, bs, conversion, mixing):
+    """fp, [a mixing pc,] pbs, the scanned fp (l2 = scanned), pc, fp, bs."""
+    quarter = np.pi / (2.0 * 2540.0)
+    fp = "\nelement fp\nl1 = {!r}\nl2 = {!r}\n"
+    return (SOURCE_ONLY + fp.format(*lengths[:2])
+            + (CONVERTER.format(kappa=conversion[0] * quarter) if mixing
+               else "")
+            + "\nelement pbs\nalpha = {!r}\nbeta = {!r}\n".format(*pbs)
+            + fp.format(lengths[2], scanned)
+            + CONVERTER.format(kappa=conversion[1] * quarter)
+            + fp.format(*lengths[3:])
+            + "\nelement bs\ntheta = {!r}\nxi = {!r}\n".format(*bs))
+
+
+@settings(max_examples=12)
+@given(lengths=st.lists(st.floats(0.0, 2000.0), min_size=5, max_size=5),
+       scanned=st.floats(400.0, 1000.0),
+       pbs=st.tuples(st.floats(0.0, np.pi / 2), st.floats(0.0, np.pi / 2)),
+       bs=st.tuples(st.floats(0.0, np.pi / 4), st.floats(0.0, np.pi / 4)),
+       conversion=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       mixing=st.booleans())
+def test_random_chain_scan_matches_stretched_chip(model, jsa_tiny, lengths,
+                                                  scanned, pbs, bs,
+                                                  conversion, mixing):
+    """On random chains, with and without polarisation mixing before the
+    scanned fp (so that a photon reaches both 2H and 2V there and brackets
+    carry a phasor at b and at c), every scan point equals coincidence()
+    on the stretched chip. The stretched fp stays below 1400 um, so its
+    rounding of k (l2 + delta) moves a probability by well under 1e-12."""
+    chip = parse_netlist_text(
+        _chain(lengths, scanned, pbs, bs, conversion, mixing), model=model)
+    idx = 3 if mixing else 2
+    fp = chip.elements[idx]
+    delays = np.linspace(-400.0, 400.0, 2 * K + 5)
+    for query in (CoincidenceQuery(), INSENSITIVE):
+        scan = hom_scan(jsa_tiny, chip, delays, query)
+        for delta, p in zip(delays, scan.probabilities):
+            elements = list(chip.elements)
+            elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+            stretched = chip.with_elements(elements)
+            assert p == pytest.approx(
+                coincidence(jsa_tiny, stretched, query), abs=1e-12)
+
+
+def test_scan_without_live_pairing_is_exactly_zero(chip, jsa_tiny):
+    # a pbs fully off keeps the H-born photon out of both V detectors, so
+    # the VV pairing has no live term and no moment at all
+    scan = hom_scan(jsa_tiny, apply_imperfection(chip, "pbs", 1.0),
+                    RECURRENCE_DELAYS["blocks"])
+    assert np.all(scan.probabilities == 0.0)
+
+
 def test_anchor_plan():
     # uniform grids, jittered or not, evaluate exp only at block starts
     for grid in ("blocks", "jitter"):
@@ -423,7 +485,9 @@ def test_thread_determinism(chip, jsa_small, scan_vv, monkeypatch):
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_thread_determinism_across_blocks(chip, jsa_small, monkeypatch,
                                           threads):
-    # several anchor blocks and a partial last one, shared among workers
+    # several anchor blocks and a partial last one; the 128-row grid in 7
+    # chunks of 19 rows, so neither worker count splits them evenly
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 19 * 128)
     delays = np.linspace(-1500.0, 3700.0, 3 * K + 5)
     monkeypatch.setenv("QPIC_THREADS", "1")
     serial = hom_scan(jsa_small, chip, delays, INSENSITIVE)
@@ -499,3 +563,37 @@ def test_hom_scan_evaluates_each_phase_once(chip, jsa_tiny, query, tail,
     assert sorted(evaluated) == sorted(
         [(pol, length) for length in (5000.0, 15000.0) for pol in (0, 1)]
         + tail)
+
+
+@pytest.mark.parametrize("query, exponents, wavevectors", [
+    (CoincidenceQuery(), 2, 1), (INSENSITIVE, 6, 2),
+], ids=["VV", "insensitive"])
+def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
+                                            wavevectors, monkeypatch):
+    # VV reads k_V and k_V - k_V^R; the insensitive query adds k_H,
+    # k_H - k_H^R, k_H + k_V^R and k_H - k_V^R. The scan evaluates exp on
+    # the grid once per live wavevector at each anchor and for the step.
+    moments = detection._moments
+    built = []
+
+    def recording(*args):
+        total, y = moments(*args)
+        built.append(tuple(y))
+        return total, y
+
+    exp = np.exp
+    points = []
+
+    def counting(x, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == detection.__name__:
+            points.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(detection, "_moments", recording)
+    monkeypatch.setattr(np, "exp", counting)
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    delays = RECURRENCE_DELAYS["blocks"]  # three anchors
+    hom_scan(jsa_tiny, chip, delays, query)
+    assert len(built) == 7 and len(set(built)) == 1
+    assert len(built[0]) == exponents
+    assert sum(points) == wavevectors * (3 + 1) * jsa_tiny.amplitude.size

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 import qpic
-from qpic.dispersion import omega_from_wavelength, pc_matched_wavelength, wavevector
-from qpic.elements import (BASIS, bs_matrix, eo_bs_dbeta, eo_bs_matrix,
-                           fp_matrix, mode_index, pbs_matrix, pc_kappa,
-                           pc_matrix, pm_matrix, pm_phases)
+from qpic import cmt
+from qpic.dispersion import (_pc_grating_mismatch, omega_from_wavelength,
+                             pc_matched_wavelength, wavelength_from_omega,
+                             wavevector)
+from qpic.elements import (BASIS, PhaseTable, bs_matrix, eo_bs_dbeta,
+                           eo_bs_matrix, fp_matrix, mode_index, pbs_matrix,
+                           pc_kappa, pc_matrix, pm_matrix, pm_phases,
+                           refractive_indices)
 
 OMEGA_BAND = omega_from_wavelength(np.linspace(1.5, 1.6, 7))
 
@@ -131,6 +135,21 @@ def test_pc_full_conversion_at_matched_wavelength(model):
     # channel 2 untouched
     assert u[2, 2] == 1
     assert u[3, 3] == 1
+
+
+def test_pc_block_matches_framed_core(model, rng):
+    # diag(1, i) @ core @ diag(1, -i) as the coupled-mode core times the
+    # frame, entry by entry, with the 2x2 axes moved to the front
+    frame = np.array([[1.0, -1j], [1j, 1.0]])
+    w = omega_from_wavelength(rng.uniform(1.45, 1.65, (37, 23)))
+    phases = PhaseTable(w, refractive_indices(model, w, 31.0))
+    for kappa in (0.0, 1.3e-4, math.pi / (2 * 7600.0)):
+        block = pc_matrix(model, 21.4, 7600.0, kappa, 31.0).block(phases)
+        dk = _pc_grating_mismatch(*phases.indices, wavelength_from_omega(w),
+                                  21.4)
+        core = cmt._symmetric_core(kappa, -dk, 7600.0) * frame
+        assert block.flags.c_contiguous and block.shape == (2, 2, 37, 23)
+        assert np.array_equal(block, np.moveaxis(core, (-2, -1), (0, 1)))
 
 
 def test_pc_zero_coupling_is_phase_only(model):
