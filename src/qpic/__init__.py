@@ -15,7 +15,7 @@ from .cmt import (CouplerFit, compose_sections, conversion_fraction,
 from .detection import (CoincidenceQuery, ScanResult, SweepPoint,
                         TemperaturePoint, apply_imperfection, coincidence,
                         default_delay_values, hom_scan, imperfection_sweep,
-                        temperature_scan, thread_count)
+                        temperature_scan)
 from .dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
                          SellmeierSet, TuningCurve, default_material,
                          degenerate_wavelength, group_index, group_velocity,

@@ -116,9 +116,7 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
         raise RangeError(f"coupling {kappa} rad/um must be >= 0")
     lam = np.asarray(wavelength, dtype=float)
     dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
-    s = np.hypot(kappa, dk / 2.0)
-    s_safe = np.where(s == 0.0, 1.0, s)
-    frac = (kappa / s_safe * np.sin(s * length)) ** 2
+    frac = _core_terms(kappa, dk, length)[2] ** 2
     return frac if lam.ndim else float(frac)
 
 

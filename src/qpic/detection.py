@@ -52,9 +52,7 @@ delay that the recurrence from the last anchor, delta_a + j Delta, misses
 by more than STEP_RTOL |Delta| (an uneven grid) becomes an anchor itself.
 A uniform scan of n delays with m live wavevectors thus makes
 m (ceil(n / ANCHOR_BLOCK) + 1) grid-wide exp evaluations, an uneven one at
-most m n. Runs of chunks are the unit of work of the QPIC_THREADS pool,
-and their values are summed in chunk order, so the result does not depend
-on the worker count.
+most m n. The chunk values are summed in grid order.
 
 Accuracy: |theta| can reach k_H + k_V (~18 rad/um), but each phasor is a
 product of at most four base ones, so its phase error is the sum of
@@ -70,8 +68,6 @@ most ~2e-11 rad, per wavevector the phase of a delay error of about
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,22 +106,6 @@ class CoincidenceQuery:
                 raise ValidationError(
                     "query polarisations must be 'H' or 'V', got "
                     f"({self.pol_b!r}, {self.pol_c!r})")
-
-
-def thread_count() -> int:
-    """Worker count from QPIC_THREADS (default 1). Strictly validated."""
-    raw = os.environ.get("QPIC_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValidationError(
-            f"QPIC_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError(
-            f"QPIC_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _check_probability(p: float) -> float:
@@ -450,16 +430,8 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
                                    for yi, fi in zip(y, phasor))
         return values
 
-    workers = thread_count()
-    size = -(-len(chunks) // workers)
-    runs = [chunks[i:i + size] for i in range(0, len(chunks), size)]
-    # a single worker runs in this thread: a pool thread would add its own
-    # malloc arena to the peak memory
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = [v for run in (map if workers == 1 else pool.map)(
-            lambda run: [chunk(rs) for rs in run], runs) for v in run]
-    # in chunk order, whatever the worker count
-    probabilities = [_check_probability(p) for p in sum(parts)]
+    probabilities = [_check_probability(p)
+                     for p in sum(chunk(rs) for rs in chunks)]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 
@@ -531,11 +503,13 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     """Delay scans for a family of single-element imperfections."""
     if delay_values is None:
         delay_values = default_delay_values(41)
+    fractions = [float(f) for f in np.asarray(fractions, dtype=float)]
+    # every fraction is checked before the first scan
+    chips = [apply_imperfection(spec, target, f) for f in fractions]
     points = []
-    for fraction in np.asarray(fractions, dtype=float):
-        perturbed = apply_imperfection(spec, target, float(fraction))
+    for fraction, perturbed in zip(fractions, chips):
         scan = hom_scan(jsa, perturbed, delay_values, query)
-        points.append(SweepPoint(fraction=float(fraction),
+        points.append(SweepPoint(fraction=fraction,
                                  visibility=scan.visibility,
                                  minimum=scan.minimum, maximum=scan.maximum,
                                  baseline=scan.baseline,
@@ -580,12 +554,21 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     temperatures = np.asarray(temperatures, dtype=float)
     if temperatures.ndim != 1 or temperatures.size == 0:
         raise ValidationError("temperatures must be a non-empty 1-D list")
-    pc_idx = _first_declaration(spec, "pc")
-    pc_params = spec.elements[pc_idx].params
+    pc_params = spec.elements[_first_declaration(spec, "pc")].params
+    temperatures = temperatures.tolist()
+    # every converter window before any grid work
+    windows = []
+    for t in temperatures:
+        centre = pc_matched_wavelength(spec.model,
+                                       pc_params["poling_period"], t)
+        window_lams, window_frac = cmt.pc_spectrum(
+            spec.model, pc_params["poling_period"], pc_params["length"],
+            pc_params["kappa"], temperature=t)
+        windows.append((centre, float(cmt.peak_fwhm(window_lams,
+                                                     window_frac))))
 
     points = []
-    for temperature in temperatures:
-        t = float(temperature)
+    for t, (centre, window_fwhm) in zip(temperatures, windows):
         jsa = build_jsa(spec.model, spec.pump, spec.phase_spec, grid,
                         temperature=t)
         chip = spec.at_temperature(t)
@@ -597,12 +580,6 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         # wavelength falls as omega rises; reverse for the width helper
         signal_fwhm = float(cmt.peak_fwhm(signal.wavelength[::-1],
                                           signal.density[::-1]))
-        centre = pc_matched_wavelength(spec.model,
-                                       pc_params["poling_period"], t)
-        window_lams, window_frac = cmt.pc_spectrum(
-            spec.model, pc_params["poling_period"], pc_params["length"],
-            pc_params["kappa"], temperature=t)
-        window_fwhm = float(cmt.peak_fwhm(window_lams, window_frac))
         # outside means the marginal clears the conversion main lobe, whose
         # base half-width is pi/1.3916 = 2.2576 half-maximum half-widths
         lobe_half_base = 1.1288 * window_fwhm

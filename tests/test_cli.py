@@ -159,9 +159,10 @@ def _run_fresh(*args, cwd):
 
 def test_import_leaves_out_scipy_optimize(tmp_path):
     probe = _run_fresh("-c", "import sys, qpic.cli; "
-                       "print('scipy.optimize' in sys.modules)", cwd=tmp_path)
+                       "print('scipy.optimize' in sys.modules, "
+                       "'concurrent.futures' in sys.modules)", cwd=tmp_path)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "False False"
     # coupler-fit loads curve_fit on its own and fits as before
     fit = _run_fresh("-m", "qpic.cli", "coupler-fit", "-o", "out",
                      cwd=tmp_path)
@@ -388,12 +389,6 @@ def test_output_contract(tmp_path, command, gnuplot):
 def test_exit_code_numerical(tmp_path):
     # no phase-matched root for a wildly wrong poling period
     assert main(["tuning", "--poling", "5.0", "-o", str(tmp_path)]) == 3
-
-
-def test_exit_code_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("QPIC_THREADS", "zero")
-    assert main(["hom", "--grid", "32", "--points", "5",
-                 "-o", str(tmp_path)]) == 2
 
 
 def test_usage_error_exits_two():

@@ -14,8 +14,7 @@ from qpic.circuit import (CHANNEL1_INPUTS, compose, parse_netlist_text,
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
                             default_delay_values, hom_scan,
-                            imperfection_sweep, temperature_scan,
-                            thread_count)
+                            imperfection_sweep, temperature_scan)
 from qpic.elements import PhaseTable
 from qpic.errors import RangeError, ValidationError
 
@@ -245,9 +244,6 @@ def test_all_live_scan_matches_stretched_chip(model, jsa_tiny, query,
         stretched = chip.with_elements(elements)
         assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
                                   abs=1e-11)
-    monkeypatch.setenv("QPIC_THREADS", "2")
-    threaded = hom_scan(jsa_tiny, chip, delays, query)
-    assert np.array_equal(threaded.probabilities, scan.probabilities)
 
 
 CONVERTER = """
@@ -341,6 +337,30 @@ def test_scan_rejects_negative_length(chip, jsa_small, monkeypatch):
         temperature_scan(chip, [24.5], delay_values=delays)
     with pytest.raises(RangeError):
         imperfection_sweep(jsa_small, chip, "pc", [0.5], delay_values=delays)
+
+
+def test_temperature_scan_checks_every_window_first(chip, monkeypatch):
+    # a 5 um converter's conversion window leaves the validity range
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before the window check")
+
+    monkeypatch.setattr(detection, "build_jsa", no_grid_work)
+    elements = list(chip.elements)
+    i = [k for k, d in enumerate(elements) if d.kind == "pc"][0]
+    elements[i] = elements[i].with_params(length=5.0)
+    with pytest.raises(RangeError, match="converter length 5.0 um"):
+        temperature_scan(chip.with_elements(elements), [24.0, 25.0, 26.0],
+                         delay_values=DELAYS[:3])
+
+
+def test_sweep_checks_every_fraction_first(chip, jsa_tiny, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan before the fraction check")
+
+    monkeypatch.setattr(detection, "hom_scan", no_scan)
+    with pytest.raises(ValidationError, match="fraction 2.0 outside"):
+        imperfection_sweep(jsa_tiny, chip, "pc", [0.0, 0.5, 2.0],
+                           delay_values=DELAYS)
 
 
 def test_scan_needs_stretchable_element(model, jsa_small):
@@ -473,38 +493,6 @@ def test_imperfection_sweep_endpoints(chip, jsa_small, scan_vv):
     # fully broken converter: the V,V rate vanishes
     assert points[1].maximum < 1e-12
     assert points[0].visibility > points[1].visibility
-
-
-def test_thread_determinism(chip, jsa_small, scan_vv, monkeypatch):
-    monkeypatch.setenv("QPIC_THREADS", "2")
-    assert thread_count() == 2
-    threaded = hom_scan(jsa_small, chip, DELAYS)
-    assert np.array_equal(threaded.probabilities, scan_vv.probabilities)
-
-
-@pytest.mark.parametrize("threads", ["2", "3"])
-def test_thread_determinism_across_blocks(chip, jsa_small, monkeypatch,
-                                          threads):
-    # several anchor blocks and a partial last one; the 128-row grid in 7
-    # chunks of 19 rows, so neither worker count splits them evenly
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 19 * 128)
-    delays = np.linspace(-1500.0, 3700.0, 3 * K + 5)
-    monkeypatch.setenv("QPIC_THREADS", "1")
-    serial = hom_scan(jsa_small, chip, delays, INSENSITIVE)
-    monkeypatch.setenv("QPIC_THREADS", threads)
-    threaded = hom_scan(jsa_small, chip, delays, INSENSITIVE)
-    assert np.array_equal(threaded.probabilities, serial.probabilities)
-
-
-def test_thread_count_validation(monkeypatch):
-    monkeypatch.delenv("QPIC_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("QPIC_THREADS", "0")
-    with pytest.raises(ValidationError):
-        thread_count()
-    monkeypatch.setenv("QPIC_THREADS", "two")
-    with pytest.raises(ValidationError):
-        thread_count()
 
 
 def test_temperature_scan_smoke(chip):
