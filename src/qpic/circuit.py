@@ -22,8 +22,9 @@ basis (1H, 1V, 2H, 2V). The netlist format is line based:
     alpha = 1.5707963267948966
     beta = 1.5707963267948966
 
-Elements appear in propagation order: the first listed acts first. Keys
-are floats; unknown or duplicate keys are errors with their line number.
+Elements appear in propagation order: the first listed acts first. Values
+are finite floats; ``qpic.keyfile`` reads the line format shared with
+material and coupler-fit files, and each error names its line.
 
 ``transfer_table(spec, omega, amps)`` is the one path through a chip: it
 builds the element chain once, builds one PhaseTable (indices n_H, n_V,
@@ -32,21 +33,21 @@ element act with its block structure on a 4 x k table of entries, where
 structural zeros stay None and the rest spread over the grid only from the
 first dispersive element that touches them. ``transfer_rows_table`` walks
 the reversed chain with transposed blocks, for rows of the unitary.
-``transfer`` and ``transfer_rows`` stack the table into one mode-major
-array (4, k, *grid); ``compose`` is a transfer of the identity.
+``transfer`` stacks the table into one mode-major array (4, k, *grid);
+``compose`` is a transfer of the identity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import elements as el
-from .dispersion import MaterialModel, PhaseMatchSpec, default_material, \
-    load_material
+from . import keyfile
+from .dispersion import T_REFERENCE, MaterialModel, PhaseMatchSpec, \
+    default_material, load_material
 from .errors import NetlistError, ValidationError
 from .source import PumpSpec
 
@@ -64,9 +65,12 @@ ELEMENT_SCHEMA = {
 # the two source photons enter channel 1: H-born in 1H, V-born in 1V
 CHANNEL1_INPUTS = np.eye(4)[:, :2]
 
-_SOURCE_KEYS = {"pump_wavelength", "pulse_duration", "poling_period",
-                "pdc_length"}
-_MATERIAL_KEYS = {"file", "temperature"}
+# netlist section -> (required keys, optional keys)
+_SECTION_SCHEMA = {
+    "[material]": (set(), {"file", "temperature"}),
+    "[source]": ({"pump_wavelength", "pulse_duration", "poling_period",
+                "pdc_length"}, set()),
+}
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class CircuitSpec:
 
     elements: tuple
     model: MaterialModel = field(default_factory=default_material)
-    temperature: float = 24.5
+    temperature: float = T_REFERENCE
     pump: PumpSpec | None = None
     phase_spec: PhaseMatchSpec | None = None
 
@@ -167,12 +171,6 @@ def transfer(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
                     np.shape(omega))
 
 
-def transfer_rows(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
-    """``transfer_rows_table`` as one array, shape (4, k) + omega.shape."""
-    return el.dense(transfer_rows_table(spec, omega, amps, phases),
-                    np.shape(omega))
-
-
 def compose(spec: CircuitSpec, omega) -> np.ndarray:
     """Total transfer matrix of the chain, shape ``omega.shape + (4, 4)``."""
     return np.moveaxis(transfer(spec, omega, np.eye(4)), (0, 1), (-2, -1))
@@ -188,128 +186,47 @@ def parse_netlist_text(text: str, base_dir=None,
     ``base_dir`` resolves a relative material file path. A caller-provided
     ``model`` overrides any [material] file reference.
     """
-    material_entries: dict[str, tuple[str, int]] = {}
-    source_entries: dict[str, tuple[float, int]] = {}
+    (_, _, leading), *blocks = keyfile.read_blocks(text)
+    for key, (_, line, _) in leading.items():
+        raise NetlistError(f"key {key!r} outside any section or element",
+                           line=line)
+    sections: dict[str, dict] = {}
     decls: list[ElementDecl] = []
-    section = None  # None | "material" | "source" | ("element", kind)
-    current_params: dict[str, float] = {}
-    current_kind = None
-    current_line = 0
-    seen_material = False
-    seen_source = False
-
-    def close_element(lineno):
-        nonlocal current_kind, current_params
-        if current_kind is None:
-            return
-        required, _ = ELEMENT_SCHEMA[current_kind]
-        missing = required - set(current_params)
-        if missing:
-            raise NetlistError(
-                f"element '{current_kind}' missing required key(s) "
-                f"{sorted(missing)}", line=current_line)
-        decls.append(ElementDecl(kind=current_kind,
-                                 params=dict(current_params),
-                                 line=current_line))
-        current_kind = None
-        current_params = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") :
-            if not stripped.endswith("]"):
-                raise NetlistError("unterminated section header",
-                                   line=lineno)
-            close_element(lineno)
-            name = stripped[1:-1].strip().lower()
-            if name == "material":
-                if seen_material:
-                    raise NetlistError("duplicate [material] section",
-                                       line=lineno)
-                seen_material = True
-            elif name == "source":
-                if seen_source:
-                    raise NetlistError("duplicate [source] section",
-                                       line=lineno)
-                seen_source = True
-            else:
-                raise NetlistError(
-                    f"unknown section [{name}]; expected [material] or "
-                    f"[source]", line=lineno)
-            section = name
-            continue
-        if stripped.lower().startswith("element"):
-            close_element(lineno)
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise NetlistError(
-                    "element declaration must be 'element <kind>'",
-                    line=lineno)
-            kind = parts[1].lower()
-            if kind not in ELEMENT_SCHEMA:
-                raise NetlistError(
-                    f"unknown element kind {kind!r}; known kinds: "
-                    f"{sorted(ELEMENT_SCHEMA)}", line=lineno)
-            section = ("element",)
-            current_kind = kind
-            current_params = {}
-            current_line = lineno
-            continue
-        if "=" not in stripped:
-            raise NetlistError(f"expected 'key = value', got {stripped!r}",
-                               line=lineno)
-        key_part, value_part = line.split("=", 1)
-        key = key_part.strip().lower()
-        value_str = value_part.strip()
-        value_col = raw.index("=") + 1 + (len(value_part)
-                                          - len(value_part.lstrip())) + 1
-
-        if current_kind is not None:
-            required, optional = ELEMENT_SCHEMA[current_kind]
-            if key not in required | optional:
-                raise NetlistError(
-                    f"unknown key {key!r} for element '{current_kind}'",
-                    line=lineno)
-            if key in current_params:
-                raise NetlistError(
-                    f"duplicate key {key!r} for element '{current_kind}'",
-                    line=lineno)
-            current_params[key] = _parse_float(value_str, lineno, value_col)
-        elif section == "material":
-            if key not in _MATERIAL_KEYS:
-                raise NetlistError(
-                    f"unknown key {key!r} in [material]", line=lineno)
-            if key in material_entries:
-                raise NetlistError(f"duplicate key {key!r} in [material]",
-                                   line=lineno)
-            material_entries[key] = (value_str, lineno) if key == "file" \
-                else (_parse_float(value_str, lineno, value_col), lineno)
-        elif section == "source":
-            if key not in _SOURCE_KEYS:
-                raise NetlistError(
-                    f"unknown key {key!r} in [source]", line=lineno)
-            if key in source_entries:
-                raise NetlistError(f"duplicate key {key!r} in [source]",
-                                   line=lineno)
-            source_entries[key] = (_parse_float(value_str, lineno,
-                                                value_col), lineno)
+    for block in blocks:
+        header, line, entries = block
+        words = header.lower().split()
+        if header in _SECTION_SCHEMA:
+            if header in sections:
+                raise NetlistError(f"duplicate {header} section", line=line)
+            required, optional = _SECTION_SCHEMA[header]
+            # an empty [source] section declares no source
+            keyfile.check_keys(block, required if entries else set(),
+                               optional, header)
+            sections[header] = entries
+        elif header.startswith("["):
+            raise NetlistError(f"unknown section {header}; expected "
+                               f"[material] or [source]", line=line)
+        elif len(words) != 2 or not words[0].startswith("element"):
+            raise NetlistError(f"expected 'key = value', '[section]' or "
+                               f"'element <kind>', got {header!r}", line=line)
+        elif words[1] not in ELEMENT_SCHEMA:
+            raise NetlistError(f"unknown element kind {words[1]!r}; known "
+                               f"kinds: {sorted(ELEMENT_SCHEMA)}", line=line)
         else:
-            raise NetlistError(
-                f"key {key!r} outside any section or element", line=lineno)
-    close_element(-1)
+            kind = words[1]
+            keyfile.check_keys(block, *ELEMENT_SCHEMA[kind],
+                               f"element '{kind}'")
+            decls.append(ElementDecl(
+                kind=kind, line=line,
+                params={k: keyfile.number(e) for k, e in entries.items()}))
 
-    temperature = 24.5
-    if "temperature" in material_entries:
-        temperature = material_entries["temperature"][0]
+    material = sections.get("[material]", {})
+    temperature = (keyfile.number(material["temperature"])
+                   if "temperature" in material else T_REFERENCE)
     if model is None:
-        if "file" in material_entries:
-            ref, refline = material_entries["file"]
-            path = Path(ref)
-            if not path.is_absolute():
-                path = Path(base_dir or ".") / path
+        if "file" in material:
+            ref, refline, _ = material["file"]
+            path = Path(base_dir or ".") / ref
             if not path.exists():
                 raise NetlistError(f"material file not found: {path}",
                                    line=refline)
@@ -317,15 +234,10 @@ def parse_netlist_text(text: str, base_dir=None,
         else:
             model = default_material()
 
-    pump = None
-    phase_spec = None
-    if source_entries:
-        missing = _SOURCE_KEYS - set(source_entries)
-        if missing:
-            raise NetlistError(
-                f"[source] missing key(s) {sorted(missing)}",
-                line=min(line for _, line in source_entries.values()))
-        values = {k: v for k, (v, _) in source_entries.items()}
+    pump = phase_spec = None
+    if sections.get("[source]"):
+        values = {k: keyfile.number(e)
+                  for k, e in sections["[source]"].items()}
         pump = PumpSpec(pump_wavelength=values["pump_wavelength"],
                         pulse_duration=values["pulse_duration"])
         phase_spec = PhaseMatchSpec(poling_period=values["poling_period"],
@@ -337,18 +249,6 @@ def parse_netlist_text(text: str, base_dir=None,
                        phase_spec=phase_spec)
     _validate_elements(spec)
     return spec
-
-
-def _parse_float(text: str, lineno: int, column: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise NetlistError(f"not a number: {text!r}", line=lineno,
-                           column=column) from None
-    if not math.isfinite(value):
-        raise NetlistError(f"value must be finite: {text!r}", line=lineno,
-                           column=column)
-    return value
 
 
 def _validate_elements(spec: CircuitSpec):

@@ -19,13 +19,15 @@ keeps the closed form above as their independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import keyfile
 from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
                          pc_matched_wavelength, pc_mismatch)
-from .errors import NumericalError, RangeError, ValidationError
+from .errors import NetlistError, NumericalError, RangeError, \
+    ValidationError
 
 
 def coupling_matrix(kappa, dbeta, z):
@@ -122,11 +124,11 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
 
 def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
                 kappa: float, temperature=None, wavelengths=None,
-                n_points: int = 2001, span_fwhm: float = 4.0):
+                n_points: int = 2001):
     """Conversion spectrum of a poled section.
 
     Returns (wavelengths, fraction). When no wavelength grid is given, one
-    is centred on the matched wavelength and spans ``span_fwhm`` times the
+    is centred on the matched wavelength and spans four times the
     estimated sinc width on each side; RangeError when that window leaves
     the material's validity range (a converter too short for its window).
     """
@@ -138,7 +140,7 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
                     - pc_mismatch(model, poling_period, centre - h,
                                   temperature)) / (2.0 * h)
         fwhm = 2.0 * 2.783 / (length * slope)
-        half = span_fwhm * fwhm
+        half = 4.0 * fwhm
         if not LAMBDA_MIN <= centre - half < centre + half <= LAMBDA_MAX:
             raise RangeError(
                 f"converter length {length} um gives a conversion window "
@@ -290,22 +292,16 @@ def save_coupler_fit(fit: CouplerFit, path):
 
 
 def load_coupler_fit(path) -> CouplerFit:
-    values = {}
+    """Read a ``save_coupler_fit`` file: the four CouplerFit fields as
+    ``key = value`` lines (``qpic.keyfile``), no sections."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: line {lineno}: {exc}") from exc
-    try:
-        return CouplerFit(**values)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        text = fh.read()
+    with keyfile.in_file(path):
+        leading, *headers = keyfile.read_blocks(text)
+        for header, line, _ in headers:
+            raise NetlistError(f"expected 'key = value', got {header!r}",
+                               line=line)
+        keyfile.check_keys(leading, {f.name for f in fields(CouplerFit)},
+                           set(), "coupler fit")
+        return CouplerFit(**{k: keyfile.number(e)
+                             for k, e in leading[2].items()})

@@ -224,9 +224,8 @@ def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
 DEFAULT_DELAY_SPAN = (-1500.0, 3700.0)  # um, brackets the bundled chip dip
 
 
-def default_delay_values(n_points: int = 105,
-                         span=DEFAULT_DELAY_SPAN) -> np.ndarray:
-    return np.linspace(span[0], span[1], n_points)
+def default_delay_values(n_points: int = 105) -> np.ndarray:
+    return np.linspace(*DEFAULT_DELAY_SPAN, n_points)
 
 
 def _check_delays(delay_values) -> np.ndarray:

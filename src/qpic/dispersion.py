@@ -9,13 +9,17 @@ angular frequency in rad/ps, temperature in degrees C.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, PhaseMatchError, RangeError, ValidationError
+from . import keyfile
+from .errors import NetlistError, NumericalError, PhaseMatchError, \
+    RangeError, ValidationError
 
 C_UM_PS = 299.792458  # speed of light, um/ps
 
@@ -23,6 +27,7 @@ LAMBDA_MIN = 0.4  # um, Sellmeier validity
 LAMBDA_MAX = 2.0
 TEMP_MIN = 0.0  # C
 TEMP_MAX = 200.0
+T_REFERENCE = 24.5  # C, the temperature used when a call names none
 RESIDUAL_TOL = 1e-10  # rad/um, accepted |mismatch| at a reported root
 
 
@@ -93,19 +98,6 @@ class SellmeierSet:
                   float(temperature))
 
 
-# Congruent lithium niobate. Ordinary branch: Edwards & Lawrence 1984;
-# extraordinary branch: Jundt 1997.
-_ORDINARY = SellmeierSet(
-    form="edwards-lawrence-1984",
-    a=(4.9048, 0.11775, 0.21802, 0.027153),
-    b=(2.2314e-8, -2.9671e-8, 2.1429e-8),
-)
-_EXTRAORDINARY = SellmeierSet(
-    form="jundt-1997",
-    a=(5.35583, 0.100473, 0.20692, 100.0, 11.34927, 0.015334),
-    b=(4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5),
-)
-
 DELTA_N_MAX = 0.05
 
 
@@ -117,12 +109,11 @@ class MaterialModel:
     ``delta_n_v`` to the extraordinary branch (V/TM modes).
     """
 
-    ordinary: SellmeierSet = field(default=_ORDINARY)
-    extraordinary: SellmeierSet = field(default=_EXTRAORDINARY)
+    ordinary: SellmeierSet
+    extraordinary: SellmeierSet
     delta_n_h: float = 0.01
     delta_n_v: float = 0.01
-    temperature: float = 24.5  # C, default evaluation temperature
-    name: str = "congruent LiNbO3, Ti-indiffused"
+    name: str = "unnamed material"
 
     def __post_init__(self):
         for label, value in (("delta_n_h", self.delta_n_h),
@@ -130,12 +121,12 @@ class MaterialModel:
             if not 0.0 <= value <= DELTA_N_MAX:
                 raise RangeError(
                     f"{label} = {value} outside [0, {DELTA_N_MAX}]")
-        _check_temperature(self.temperature)
 
 
+@functools.cache
 def default_material() -> MaterialModel:
-    """The bundled congruent-LN model with 0.01 waveguide increments."""
-    return MaterialModel()
+    """The bundled congruent-LN model, ``qpic/data/linbo3.material``."""
+    return load_material(Path(__file__).parent / "data" / "linbo3.material")
 
 
 def _check_temperature(temperature):
@@ -161,10 +152,10 @@ def index(model: MaterialModel, pol: str, wavelength, temperature=None):
     """Effective index for polarisation ``pol`` ('H' or 'V').
 
     ``wavelength`` in um (scalar or array), ``temperature`` in C (defaults
-    to the model's). Raises RangeError outside the validity box.
+    to T_REFERENCE). Raises RangeError outside the validity box.
     """
     lam = _check_wavelength(wavelength)
-    t = _check_temperature(model.temperature if temperature is None
+    t = _check_temperature(T_REFERENCE if temperature is None
                            else temperature)
     if pol == "H":
         n = model.ordinary.evaluate(lam, t) + model.delta_n_h
@@ -208,22 +199,17 @@ def group_index(model: MaterialModel, pol: str, omega, temperature=None):
 PUMP_LAMBDA_MIN = 0.6  # um, telecom-band type-II downconversion pumps
 PUMP_LAMBDA_MAX = 0.9
 
-PROCESSES = ("typeII-PDC",)
-
 
 @dataclass(frozen=True)
 class PhaseMatchSpec:
-    """Quasi-phase-matching configuration of the downconversion section."""
+    """Quasi-phase-matching configuration of the type-II downconversion
+    section."""
 
     poling_period: float  # um
     pdc_length: float  # um
     pump_wavelength: float  # um
-    process: str = "typeII-PDC"
 
     def __post_init__(self):
-        if self.process not in PROCESSES:
-            raise ValidationError(
-                f"unknown process {self.process!r}; known: {PROCESSES}")
         if not self.poling_period > 0.0:
             raise RangeError(
                 f"poling period {self.poling_period} um must be > 0")
@@ -386,7 +372,7 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
     Solves delta_k(w/2 + w/2) = 0 for the common signal/idler wavelength
     inside ``bracket`` (um). Raises PhaseMatchError when no root exists.
     """
-    t = model.temperature if temperature is None else temperature
+    t = T_REFERENCE if temperature is None else temperature
 
     def mismatch(lam):
         np_pump = index(model, "H", lam / 2.0, t)
@@ -430,7 +416,7 @@ def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
     idler at w/2 - x where the mismatch vanishes; the root closest to
     degeneracy is kept. Pumps without a root land in ``omitted``.
     """
-    t = model.temperature if temperature is None else temperature
+    t = T_REFERENCE if temperature is None else temperature
     pumps, sigs, idls, omitted = [], [], [], []
     w_lo = omega_from_wavelength(signal_bracket[1])
     w_hi = omega_from_wavelength(signal_bracket[0])
@@ -461,83 +447,54 @@ def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
 # ---------------------------------------------------------------------------
 # material file parsing
 
+# section -> (required keys, optional keys)
 _SECTION_KEYS = {
-    "ordinary": {"form", "a", "b"},
-    "extraordinary": {"form", "a", "b"},
-    "waveguide": {"delta_n_h", "delta_n_v"},
+    "[ordinary]": ({"form", "a", "b"}, set()),
+    "[extraordinary]": ({"form", "a", "b"}, set()),
+    "[waveguide]": (set(), {"delta_n_h", "delta_n_v"}),
 }
 
 
 def load_material(path) -> MaterialModel:
     """Parse a material description file.
 
-    Format: an optional top-level ``name = ...`` line, then sections
-    ``[ordinary]``, ``[extraordinary]`` (keys: form, a, b with whitespace
-    separated coefficient lists) and optional ``[waveguide]`` (keys:
-    delta_n_h, delta_n_v). '#' starts a comment.
+    Format (``qpic.keyfile``): an optional leading ``name = ...`` line, then
+    sections ``[ordinary]``, ``[extraordinary]`` (keys: form, a, b with
+    whitespace separated coefficient lists) and optional ``[waveguide]``
+    (keys: delta_n_h, delta_n_v).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    name = "unnamed material"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in _SECTION_KEYS:
-                raise ValidationError(
-                    f"{path}: line {lineno}: unknown section [{current}]")
-            if current in sections:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duplicate section [{current}]")
-            sections[current] = {}
-            continue
-        if "=" not in line:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if current is None:
-            if key != "name":
-                raise ValidationError(
-                    f"{path}: line {lineno}: only 'name' may appear before "
-                    f"the first section, got {key!r}")
-            name = value
-            continue
-        if key not in _SECTION_KEYS[current]:
-            raise ValidationError(
-                f"{path}: line {lineno}: unknown key {key!r} in "
-                f"section [{current}]")
-        if key in sections[current]:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate key {key!r}")
-        sections[current][key] = value
+    with keyfile.in_file(path):
+        leading, *blocks = keyfile.read_blocks(text)
+        keyfile.check_keys(leading, set(), {"name"},
+                           "the lines before the first section")
+        sections = {}
+        for block in blocks:
+            header, line, entries = block
+            if header not in _SECTION_KEYS:
+                raise NetlistError(f"unknown section {header}", line=line)
+            if header in sections:
+                raise NetlistError(f"duplicate section {header}", line=line)
+            keyfile.check_keys(block, *_SECTION_KEYS[header], header)
+            sections[header] = entries
 
-    def build_branch(section):
-        if section not in sections:
-            raise ValidationError(f"{path}: missing section [{section}]")
-        entries = sections[section]
-        for req in ("form", "a", "b"):
-            if req not in entries:
-                raise ValidationError(
-                    f"{path}: section [{section}] missing key {req!r}")
-        try:
-            a = tuple(float(v) for v in entries["a"].split())
-            b = tuple(float(v) for v in entries["b"].split())
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}: section [{section}]: bad coefficient: {exc}") from exc
-        return SellmeierSet(form=entries["form"], a=a, b=b)
+        def coefficients(entry):
+            values, line, column = entry
+            return tuple(keyfile.number((v, line, column))
+                         for v in values.split())
 
-    wg = sections.get("waveguide", {})
-    try:
-        dn_h = float(wg.get("delta_n_h", "0.01"))
-        dn_v = float(wg.get("delta_n_v", "0.01"))
-    except ValueError as exc:
-        raise ValidationError(f"{path}: section [waveguide]: {exc}") from exc
-    return MaterialModel(ordinary=build_branch("ordinary"),
-                         extraordinary=build_branch("extraordinary"),
-                         delta_n_h=dn_h, delta_n_v=dn_v, name=name)
+        def branch(section):
+            if section not in sections:
+                raise NetlistError(f"missing section {section}")
+            entries = sections[section]
+            return SellmeierSet(form=entries["form"][0],
+                                a=coefficients(entries["a"]),
+                                b=coefficients(entries["b"]))
+
+        fields = {k: keyfile.number(e)
+                  for k, e in sections.get("[waveguide]", {}).items()}
+        if "name" in leading[2]:
+            fields["name"] = leading[2]["name"][0]
+        return MaterialModel(branch("[ordinary]"), branch("[extraordinary]"),
+                             **fields)

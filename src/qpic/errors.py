@@ -24,7 +24,8 @@ class RangeError(ValidationError):
 
 
 class NetlistError(ValidationError):
-    """Netlist syntax or semantic error, carrying the file position."""
+    """Syntax or semantic error in a line-format input file (netlist,
+    material file, coupler fit), carrying the file position."""
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, MaterialModel,
-                         PhaseMatchSpec, _bracketed_roots, group_velocity,
-                         omega_from_wavelength, pdc_mismatch,
+from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, T_REFERENCE,
+                         MaterialModel, PhaseMatchSpec, _bracketed_roots,
+                         group_velocity, omega_from_wavelength, pdc_mismatch,
                          wavelength_from_omega)
 from .errors import (RangeError, SupportTruncationError, ValidationError)
 
@@ -160,7 +160,7 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
         raise ValidationError(
             f"pump wavelength mismatch: pulse says {pump.pump_wavelength} um,"
             f" phase matching says {spec.pump_wavelength} um")
-    t = float(model.temperature if temperature is None else temperature)
+    t = float(T_REFERENCE if temperature is None else temperature)
     omega_p = pump.omega_pump
     omega_bar = omega_p / 2.0
     bw = pump.bandwidth

@@ -236,11 +236,12 @@ def test_exit_code_negative_length(tmp_path):
     ["temp-scan", "--pc-length", "1e-9", "--grid", "32", "--points", "3"],
     ["temp-scan", "--pc-length", "5", "--grid", "32", "--points", "3"],
     ["pc-window", "--length", "5"],
+    ["tuning", "--material", "{nan_material}"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
         "fractions-nan", "hom-pc-length-0", "temp-scan-pc-length-tiny",
-        "temp-scan-pc-length-5", "pc-window-length-5"])
+        "temp-scan-pc-length-5", "pc-window-length-5", "material-nan"])
 def test_bad_input_exits_two(tmp_path, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -249,6 +250,10 @@ def test_bad_input_exits_two(tmp_path, argv):
         tables[name].write_text("coupler_length_um,splitting_ratio\n"
                                 f"100.0,0.3\n{bad_row}\n200.0,0.1\n"
                                 "250.0,0.05\n")
+    material = (Path(qpic.__path__[0]) / "data" / "linbo3.material")
+    tables["nan_material"] = tmp_path / "nan.material"
+    tables["nan_material"].write_text(
+        material.read_text().replace("a = 4.9048", "a = nan"))
     out = tmp_path / "out"
     argv = [a.format(**tables) for a in argv]
     assert main([*argv, "-o", str(out)]) == 2

@@ -2,6 +2,7 @@
 fitting/spectrum helpers built on it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,3 +212,19 @@ def test_coupler_fit_roundtrip(tmp_path):
     save_coupler_fit(fit, path)
     again = load_coupler_fit(path)
     assert again == fit
+
+
+@pytest.mark.parametrize("text, where", [
+    ("beat_te = nan\noffset_te = 1\nbeat_tm = 1\noffset_tm = 1\n",
+     "line 1, column 11: value must be finite"),
+    ("beat_te = 1\noffset_te = 1\nbeat_tm = 1\noffset_tm = 1\n"
+     "BEAT_TE = 2\n", "line 5: duplicate key 'beat_te'"),
+    ("beat_te = 1\noffset_te = 1\nbeat_tm = 1\noffset_tm = 1\n"
+     "gap = 2\n", "line 5: unknown key 'gap'"),
+], ids=["nan", "repeated-key", "unknown-key"])
+def test_coupler_fit_file_rejects(tmp_path, text, where):
+    path = tmp_path / "fit.txt"
+    path.write_text(text)
+    with pytest.raises(qpic.ValidationError,
+                       match=re.escape(f"{path}: {where}")):
+        load_coupler_fit(path)

@@ -1,6 +1,7 @@
 """Refractive-index model, wavevectors, and phase-matching roots."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from qpic.errors import NumericalError, RangeError, ValidationError
 def bare(model):
     # same Sellmeier sets with the waveguide index offsets removed
     return MaterialModel(model.ordinary, model.extraordinary,
-                         delta_n_h=0.0, delta_n_v=0.0,
-                         temperature=24.5, name="bare")
+                         delta_n_h=0.0, delta_n_v=0.0, name="bare")
 
 
 def test_frozen_bulk_indices(bare):
@@ -327,6 +327,38 @@ def test_material_file_bad_form(tmp_path):
     bad.write_text("[ordinary]\nform = no-such-fit\na = 1 2 3 4\nb = 1 2 3\n")
     with pytest.raises((ValidationError, qpic.NetlistError)):
         load_material(bad)
+
+
+def _bundled_material_with(tmp_path, old, new):
+    from tests.conftest import bundled
+    text = bundled("linbo3.material").read_text()
+    assert old in text
+    path = tmp_path / "edited.material"
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("a = 4.9048", "a = nan", "line 8, column 5: value must be finite"),
+    ("-0.89e-8", "inf", "line 14, column 5: value must be finite"),
+    ("delta_n_v = 0.01", "delta_n_v = -inf",
+     "line 18, column 13: value must be finite"),
+], ids=["nan-a", "inf-b", "inf-delta-n"])
+def test_material_file_rejects_non_finite(tmp_path, old, new, where):
+    path = _bundled_material_with(tmp_path, old, new)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {where}")):
+        load_material(path)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("name =", "name = again\nname =", "line 5: duplicate key 'name'"),
+    ("[waveguide]", "[waveguide]\n[Ordinary]",
+     "line 17: duplicate section [ordinary]"),
+], ids=["repeated-name", "duplicate-section"])
+def test_material_file_rejects_repeats(tmp_path, old, new, where):
+    path = _bundled_material_with(tmp_path, old, new)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {where}")):
+        load_material(path)
 
 
 def test_delta_n_bounds(model):
