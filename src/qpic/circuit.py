@@ -47,7 +47,7 @@ import numpy as np
 from . import elements as el
 from . import keyfile
 from .dispersion import T_REFERENCE, MaterialModel, PhaseMatchSpec, \
-    default_material, load_material
+    _check_temperature, default_material, load_material
 from .errors import NetlistError, ValidationError
 from .source import PumpSpec
 
@@ -221,8 +221,11 @@ def parse_netlist_text(text: str, base_dir=None,
                 params={k: keyfile.number(e) for k, e in entries.items()}))
 
     material = sections.get("[material]", {})
-    temperature = (keyfile.number(material["temperature"])
-                   if "temperature" in material else T_REFERENCE)
+    temperature = T_REFERENCE
+    if "temperature" in material:
+        entry = material["temperature"]
+        with keyfile.at_line(entry[1]):
+            temperature = _check_temperature(keyfile.number(entry))
     if model is None:
         if "file" in material:
             ref, refline, _ = material["file"]

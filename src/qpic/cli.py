@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .circuit import CircuitSpec, parse_netlist
@@ -144,7 +143,6 @@ def _emit(args, artifacts: Artifacts) -> None:
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }

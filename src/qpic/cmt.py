@@ -241,10 +241,23 @@ def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
     return r if length.ndim else float(r)
 
 
-def _fit_branch(lengths, ratios):
-    # scipy.optimize takes most of qpic's import time; only this fit needs it
-    from scipy.optimize import curve_fit
+FIT_MAX_ITER = 100  # Levenberg-Marquardt steps per branch; 5-12 suffice
+FIT_MAX_DAMPING = 1e16
+_EPS = np.finfo(float).eps
 
+
+def _fit_branch(lengths, ratios):
+    """Least-squares (beat, offset) of one polarisation's ratio table.
+
+    Projected Levenberg-Marquardt (Marquardt 1963; Nocedal & Wright,
+    Numerical Optimization, ch. 10) with the model's analytic Jacobian:
+    each trial step is clipped into the box, taken only if the cost does
+    not rise, and the fit stops once every step component is within
+    4 eps of its parameter. NumericalError when the normal matrix is
+    singular, the damping or the step count runs out, or the fit ends on
+    a bound of the box, where the table does not determine it (a flat
+    table, for one).
+    """
     lengths = np.asarray(lengths, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
     if lengths.size < 3:
@@ -255,12 +268,47 @@ def _fit_branch(lengths, ratios):
     if not np.all((ratios >= 0.0) & (ratios <= 1.0)):
         raise ValidationError("splitting ratios must lie in [0, 1]")
     span = lengths.max() - lengths.min()
-    p0 = (max(span, 1.0), float(lengths[int(np.argmin(ratios))]))
-    popt, _ = curve_fit(_ratio_model, lengths, ratios, p0=p0,
-                        bounds=([1e-3, lengths.min() - span],
-                                [1e5, lengths.max() + span]),
-                        maxfev=20000)
-    return float(popt[0]), float(popt[1])
+    lo = np.array([1e-3, lengths.min() - span])
+    hi = np.array([1e5, lengths.max() + span])
+    p = np.array([max(span, 1.0), lengths[int(np.argmin(ratios))]])
+    damping = 1e-3
+    for _ in range(FIT_MAX_ITER):
+        theta = np.pi * (lengths - p[1]) / (2.0 * p[0])
+        r = np.sin(theta) ** 2 - ratios
+        jac = -np.sin(2.0 * theta) * np.stack(
+            [theta / p[0], np.full_like(theta, np.pi / (2.0 * p[0]))])
+        normal = jac @ jac.T
+        grad = jac @ r
+        if not (np.linalg.det(normal)
+                > 4.0 * _EPS * normal[0, 0] * normal[1, 1]):
+            raise NumericalError(f"coupler fit: singular normal matrix at "
+                                 f"beat {p[0]:.17g} um, "
+                                 f"offset {p[1]:.17g} um")
+        while True:
+            trial = np.clip(p - np.linalg.solve(
+                normal + damping * np.diag(np.diag(normal)), grad), lo, hi)
+            step = trial - p
+            # cost change without cancellation: sin^2 x - sin^2 y =
+            # sin(x - y) sin(x + y), and theta's change from the step alone
+            dtheta = -np.pi * (p[0] * step[1] + step[0] * (lengths - p[1])) \
+                / (2.0 * p[0] * trial[0])
+            dr = np.sin(dtheta) * np.sin(2.0 * theta + dtheta)
+            if dr @ (2.0 * r + dr) <= 0.0:
+                break
+            damping *= 10.0
+            if damping > FIT_MAX_DAMPING:
+                raise NumericalError("coupler fit: no step lowers the cost")
+        p = trial
+        damping /= 10.0
+        if np.all(np.abs(step) <= 4.0 * _EPS * np.abs(p)):
+            if np.any((p == lo) | (p == hi)):
+                raise NumericalError(
+                    f"coupler fit ends on a bound (beat {p[0]:.17g} um, "
+                    f"offset {p[1]:.17g} um): the ratios do not determine "
+                    f"the model")
+            return float(p[0]), float(p[1])
+    raise NumericalError(f"coupler fit did not converge in {FIT_MAX_ITER} "
+                         f"steps")
 
 
 def fit_coupler(lengths_te, ratios_te, lengths_tm, ratios_tm) -> CouplerFit:

@@ -101,6 +101,12 @@ class SellmeierSet:
 DELTA_N_MAX = 0.05
 
 
+def _check_delta_n(label, value):
+    if not 0.0 <= value <= DELTA_N_MAX:
+        raise RangeError(f"{label} = {value} outside [0, {DELTA_N_MAX}]")
+    return value
+
+
 @dataclass(frozen=True)
 class MaterialModel:
     """Waveguide material: two bulk branches plus constant index increments.
@@ -116,11 +122,8 @@ class MaterialModel:
     name: str = "unnamed material"
 
     def __post_init__(self):
-        for label, value in (("delta_n_h", self.delta_n_h),
-                             ("delta_n_v", self.delta_n_v)):
-            if not 0.0 <= value <= DELTA_N_MAX:
-                raise RangeError(
-                    f"{label} = {value} outside [0, {DELTA_N_MAX}]")
+        _check_delta_n("delta_n_h", self.delta_n_h)
+        _check_delta_n("delta_n_v", self.delta_n_v)
 
 
 @functools.cache
@@ -488,12 +491,15 @@ def load_material(path) -> MaterialModel:
             if section not in sections:
                 raise NetlistError(f"missing section {section}")
             entries = sections[section]
-            return SellmeierSet(form=entries["form"][0],
-                                a=coefficients(entries["a"]),
-                                b=coefficients(entries["b"]))
+            with keyfile.at_line(entries["form"][1]):
+                return SellmeierSet(form=entries["form"][0],
+                                    a=coefficients(entries["a"]),
+                                    b=coefficients(entries["b"]))
 
-        fields = {k: keyfile.number(e)
-                  for k, e in sections.get("[waveguide]", {}).items()}
+        fields = {}
+        for key, entry in sections.get("[waveguide]", {}).items():
+            with keyfile.at_line(entry[1]):
+                fields[key] = _check_delta_n(key, keyfile.number(entry))
         if "name" in leading[2]:
             fields["name"] = leading[2]["name"][0]
         return MaterialModel(branch("[ordinary]"), branch("[extraordinary]"),

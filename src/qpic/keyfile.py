@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
-from .errors import NetlistError
+from .errors import NetlistError, ValidationError
 
 
 def read_blocks(text: str) -> list:
@@ -78,3 +78,16 @@ def in_file(path):
     except NetlistError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+@contextmanager
+def at_line(line):
+    """Re-raise a ValidationError raised inside, unless it is a NetlistError
+    already, as a NetlistError at ``line``: the key whose value failed a
+    check made after the reader."""
+    try:
+        yield
+    except NetlistError:
+        raise
+    except ValidationError as exc:
+        raise NetlistError(str(exc), line=line) from exc

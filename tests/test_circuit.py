@@ -1,6 +1,7 @@
 """Netlist parsing and frequency-dependent circuit composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ def test_material_section_file(tmp_path, model):
     spec = qpic.parse_netlist(net)
     assert spec.temperature == 30.0
     assert spec.model.name == model.name
+
+
+def test_material_temperature_out_of_range():
+    # fp builds its phases lazily, so only the parser can catch this
+    text = "[material]\ntemperature = 500\nelement fp\nl1 = 1\nl2 = 1\n"
+    with pytest.raises(qpic.NetlistError, match=re.escape(
+            "line 2: temperature 500.0 C outside validity range")):
+        parse_netlist_text(text)
 
 
 def test_bs_unbalanced_splitting(model):

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpic
-from qpic import cli
+from qpic import cli, cmt
 from qpic.cli import main
 
 FAST_HOM = ["--grid", "64", "--points", "9"]
@@ -149,7 +149,7 @@ def test_coupler_fit_command(tmp_path):
 
 
 def _run_fresh(*args, cwd):
-    # a new interpreter: the test process has imported scipy.optimize itself
+    # a new interpreter: the test process has imported scipy itself
     src = str(Path(qpic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -157,24 +157,42 @@ def _run_fresh(*args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+_SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.'))")
+
+
 def test_import_leaves_out_scipy_optimize(tmp_path):
     probe = _run_fresh("-c", "import sys, qpic.cli; "
-                       "print('scipy.optimize' in sys.modules, "
+                       f"print({_SCIPY_MODULES}, "
                        "'concurrent.futures' in sys.modules)", cwd=tmp_path)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False False"
-    # coupler-fit loads curve_fit on its own and fits as before
-    fit = _run_fresh("-m", "qpic.cli", "coupler-fit", "-o", "out",
-                     cwd=tmp_path)
+    assert probe.stdout.strip() == "[] False"
+    # coupler-fit runs its own least squares: no scipy module at all
+    fit = _run_fresh("-c", "import sys; from qpic.cli import main; "
+                     "code = main(['coupler-fit', '-o', 'out']); "
+                     f"print(code, {_SCIPY_MODULES})", cwd=tmp_path)
     assert fit.returncode == 0, fit.stderr
+    assert fit.stdout.strip() == "0 []"
     values = dict(line.split(" = ") for line in
                   (tmp_path / "out" / "coupler_fit.txt").read_text()
                   .splitlines())
-    expected = {"beat_te": 899.6986217508351, "offset_te": 450.2115191453606,
-                "beat_tm": 850.103079273073, "offset_tm": 530.0293332726826}
+    # the least-squares minimum (test_cmt.test_bundled_fit_is_stationary)
+    expected = {"beat_te": 899.698621742866, "offset_te": 450.21151914611806,
+                "beat_tm": 850.1030792820096, "offset_tm": 530.0293332597788}
     assert values.keys() == expected.keys()
     for key, value in expected.items():
         assert float(values[key]) == pytest.approx(value, rel=1e-12)
+
+
+def test_coupler_fit_failure_exits_three(tmp_path):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("coupler_length_um,splitting_ratio\n" + "".join(
+        f"{length},0.5\n" for length in range(100, 1301, 50)))
+    out = tmp_path / "out"
+    assert main(["coupler-fit", "--te", str(flat), "-o", str(out)]) == 3
+    with mock.patch.object(cmt, "FIT_MAX_ITER", 3):
+        assert main(["coupler-fit", "-o", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_tuning_command(tmp_path):

@@ -3,12 +3,17 @@ fitting/spectrum helpers built on it."""
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import curve_fit
 
 import qpic
+from qpic import cmt
 from qpic.cmt import (CouplerFit, compose_sections, conversion_fraction,
                       coupling_matrix, fit_coupler, load_coupler_fit,
                       pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,
@@ -176,6 +181,80 @@ def test_fit_coupler_recovers_parameters(rng):
     assert fit.offset_te == pytest.approx(450.0, abs=20.0)
     assert fit.beat_tm == pytest.approx(850.0, rel=0.02)
     assert fit.offset_tm == pytest.approx(530.0, abs=20.0)
+
+
+def _jacobian_residual(lengths, ratios, beat, offset):
+    # the sin^2 model's residual and Jacobian, written out independently
+    theta = np.pi * (lengths - offset) / (2 * beat)
+    r = np.sin(theta) ** 2 - ratios
+    jac = -np.sin(2 * theta)[:, None] * np.stack(
+        [theta / beat, np.full_like(theta, np.pi / (2 * beat))], axis=1)
+    return jac, r
+
+
+def test_bundled_fit_is_stationary():
+    # the gradient J^T r vanishes to rounding at the fitted parameters; the
+    # fixed coupler-fit values in test_cli rest on this
+    fit = fit_coupler(*load_csv("coupler_ratios_te.csv"),
+                      *load_csv("coupler_ratios_tm.csv"))
+    for name, beat, offset in (("te", fit.beat_te, fit.offset_te),
+                               ("tm", fit.beat_tm, fit.offset_tm)):
+        jac, r = _jacobian_residual(*load_csv(f"coupler_ratios_{name}.csv"),
+                                    beat, offset)
+        assert np.linalg.norm(jac.T @ r) <= (
+            1e-12 * np.linalg.norm(jac) * np.linalg.norm(r))
+
+
+def _curve_fit_reference(lengths, ratios):
+    # scipy's bounded least squares from the same start in the same box, as
+    # tightly converged as it goes; it still stops up to ~7e-10 relative
+    # short of the minimum on these tables
+    span = lengths.max() - lengths.min()
+    p0 = (span, lengths[np.argmin(ratios)])
+    popt, _ = curve_fit(lambda x, b, o: np.sin(np.pi * (x - o) / (2 * b)) ** 2,
+                        lengths, ratios, p0=p0,
+                        bounds=([1e-3, lengths.min() - span],
+                                [1e5, lengths.max() + span]),
+                        maxfev=20000, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return popt
+
+
+@given(beat=st.floats(750.0, 1050.0), offset=st.floats(350.0, 750.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_matches_curve_fit(beat, offset, seed):
+    lengths = np.arange(100.0, 1301.0, 50.0)
+    ratios = synth_ratios(beat, offset, lengths, np.random.default_rng(seed))
+    fit = fit_coupler(lengths, ratios, lengths, ratios)
+    reference = _curve_fit_reference(lengths, ratios)
+    assert fit.beat_te == pytest.approx(reference[0], rel=1e-9)
+    assert fit.offset_te == pytest.approx(reference[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
+def test_fit_of_flat_table_is_numerical_error(ratio):
+    # a flat table does not determine the sin^2 model: the fit either runs
+    # out of steps or ends on a bound of its box
+    lengths = np.arange(100.0, 1301.0, 50.0)
+    ratios = np.full(lengths.shape, ratio)
+    with pytest.raises(qpic.NumericalError, match="coupler fit"):
+        fit_coupler(lengths, ratios, lengths, ratios)
+
+
+def test_fit_of_one_length_is_singular():
+    lengths = np.full(5, 300.0)
+    ratios = np.linspace(0.1, 0.5, 5)
+    with pytest.raises(qpic.NumericalError, match="singular normal matrix"):
+        fit_coupler(lengths, ratios, lengths, ratios)
+
+
+def test_fit_step_cap_is_numerical_error():
+    tables = (*load_csv("coupler_ratios_te.csv"),
+              *load_csv("coupler_ratios_tm.csv"))
+    with mock.patch.object(cmt, "FIT_MAX_ITER", 3):
+        with pytest.raises(qpic.NumericalError,
+                           match="did not converge in 3 steps"):
+            fit_coupler(*tables)
+    fit_coupler(*tables)  # the same tables fit without the cap
 
 
 def load_csv(name):

@@ -361,6 +361,23 @@ def test_material_file_rejects_repeats(tmp_path, old, new, where):
         load_material(path)
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("form = jundt-1997", "form = nope",
+     "line 12: unknown Sellmeier form 'nope'"),
+    ("a = 4.9048 0.11775", "a = 4.9048",
+     "line 7: form 'edwards-lawrence-1984' needs 4 'a'"),
+    ("delta_n_h = 0.01", "delta_n_h = 0.5",
+     "line 17: delta_n_h = 0.5 outside [0, 0.05]"),
+    ("delta_n_v = 0.01", "delta_n_v = -0.01",
+     "line 18: delta_n_v = -0.01 outside [0, 0.05]"),
+], ids=["unknown-form", "coefficient-count", "delta-n-h", "delta-n-v"])
+def test_material_file_range_errors_name_the_line(tmp_path, old, new, where):
+    path = _bundled_material_with(tmp_path, old, new)
+    with pytest.raises(qpic.NetlistError,
+                       match=re.escape(f"{path}: {where}")):
+        load_material(path)
+
+
 def test_delta_n_bounds(model):
     with pytest.raises(ValidationError):
         MaterialModel(model.ordinary, model.extraordinary,
