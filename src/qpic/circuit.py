@@ -26,13 +26,13 @@ Elements appear in propagation order: the first listed acts first. Values
 are finite floats; ``qpic.keyfile`` reads the line format shared with
 material and coupler-fit files, and each error names its line.
 
-``transfer_table(spec, omega, amps)`` is the one path through a chip: it
-builds the element chain once, builds one PhaseTable (indices n_H, n_V,
-wavevectors and straight phases) on the frequency grid, and lets each
-element act with its block structure on a 4 x k table of entries, where
-structural zeros stay None and the rest spread over the grid only from the
-first dispersive element that touches them. ``transfer_rows_table`` walks
-the reversed chain with transposed blocks, for rows of the unitary.
+``walk`` is the one path through a chip: with one PhaseTable (indices n_H,
+n_V, wavevectors and straight phases) on the frequency grid, it lets each
+element of a chain from ``element_matrices`` act with its block structure
+on a 4 x k table of entries, where structural zeros stay None and the rest
+spread over the grid only from the first dispersive element that touches
+them. ``transfer_table`` builds the chain and walks it; the reversed chain
+with transposed blocks, walked from unit vectors e_m, gives rows m of U.
 ``transfer`` stacks the table into one mode-major array (4, k, *grid);
 ``compose`` is a transfer of the identity.
 """
@@ -126,12 +126,18 @@ def build_element(decl: ElementDecl, model: MaterialModel,
     raise ValidationError(f"unknown element kind {decl.kind!r}")
 
 
-def element_matrices(spec: CircuitSpec) -> list:
-    return [build_element(d, spec.model, spec.temperature)
-            for d in spec.elements]
+def element_matrices(spec: CircuitSpec, transposed=False) -> list:
+    """The chain in propagation order, or, if ``transposed``, reversed
+    with transposed blocks: walking it computes U^T @ amps, so for unit
+    vectors e_m as ``amps``, column r holds row m_r of U."""
+    chain = [build_element(d, spec.model, spec.temperature)
+             for d in spec.elements]
+    return [m.transposed() for m in reversed(chain)] if transposed else chain
 
 
-def _walk(chain, spec: CircuitSpec, omega, amps, phases) -> list:
+def walk(chain, spec: CircuitSpec, omega, amps, phases=None) -> list:
+    """``amps`` through a chain from ``element_matrices``, as in
+    ``transfer_table``; a chain walked on many grids is built once."""
     w = np.asarray(omega, dtype=float)
     if phases is None and any(m.material is not None for m in chain):
         phases = el.PhaseTable(w, el.refractive_indices(spec.model, w,
@@ -153,16 +159,8 @@ def transfer_table(spec: CircuitSpec, omega, amps, phases=None) -> list:
     the PhaseTable of omega at the chip temperature; when absent it is
     built here, once per chain.
     """
-    return _walk(element_matrices(spec), spec, omega, amps, phases)
+    return walk(element_matrices(spec), spec, omega, amps, phases)
 
-
-def transfer_rows_table(spec: CircuitSpec, omega, amps,
-                        phases=None) -> list:
-    """U(omega)^T @ amps as ``transfer_table``, walking the reversed chain
-    with transposed blocks: for unit vectors e_m as ``amps``, column r
-    holds row m_r of U."""
-    chain = [m.transposed() for m in reversed(element_matrices(spec))]
-    return _walk(chain, spec, omega, amps, phases)
 
 
 def transfer(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
@@ -272,4 +270,5 @@ def parse_netlist(path, model: MaterialModel | None = None) -> CircuitSpec:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read netlist {p}: {exc}") from exc
-    return parse_netlist_text(text, base_dir=p.parent, model=model)
+    with keyfile.in_file(p):
+        return parse_netlist_text(text, base_dir=p.parent, model=model)

@@ -36,12 +36,16 @@ with C = sum |X_K|^2 and <,> the unconjugated grid sum. Y_theta sums
 X_K conj(X_L) over every pairing and every two keys K, L whose exponent
 theta, an integer combination of (k_H, k_V, k_H^R, k_V^R), is the same in
 canonical form: reversal swaps the w and w^R parts and takes Y to Y^R,
-conjugation takes theta to -theta and Y to conj Y. The grid is walked in
-chunks of about CHUNK_POINTS points; each builds its C and Y_theta once,
-in cache, then runs every delay at two array passes per exponent (a
+conjugation takes theta to -theta and Y to conj Y.
+
+A scan builds the two element chains once, then works through the grid
+in chunks of about CHUNK_POINTS points. Each chunk forms its frequencies
+and one PhaseTable, walks c and T on its rows, builds its C and Y_theta
+once, in cache, and runs every delay at two array passes per exponent (a
 phasor product and a dot): 4 per delay for VV on the bundled chip (2
 exponents) and 12 for the insensitive query (6), against 12 and 38 to
-form the fields and brackets at every delay.
+form the fields and brackets at every delay. c, T and the moments exist
+for one chunk only; no array the size of the grid outlives it.
 
 The phasors follow an anchored recurrence. The delays are cut into fixed
 blocks of ANCHOR_BLOCK. At the first delay of a block (its anchor) each
@@ -73,8 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import (CHANNEL1_INPUTS, CircuitSpec, transfer,
-                      transfer_rows_table, transfer_table)
+from .circuit import (CHANNEL1_INPUTS, CircuitSpec, element_matrices,
+                      transfer, walk)
 from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
@@ -123,9 +127,10 @@ def _query_pairs(query: CoincidenceQuery) -> list:
     return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in pols]
 
 
-def _weighted_amplitude(jsa: JointSpectralAmplitude):
-    """sqrt(W) conj(F) and its reversal along the difference axis."""
-    g = np.sqrt(jsa.weights) * np.conj(jsa.amplitude)
+def _weighted_amplitude(jsa: JointSpectralAmplitude, rows=slice(None)):
+    """sqrt(W) conj(F) on the grid ``rows`` and its reversal along the
+    difference axis."""
+    g = np.sqrt(jsa.weights[rows]) * np.conj(jsa.amplitude[rows])
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
@@ -359,10 +364,11 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     a finite, strictly increasing 1-D array of at least 3 points, and the
     stretched length l2 + delay must stay >= 0 (RangeError otherwise).
 
-    The probability takes the moment form of the module docstring, with
-    C and Y_theta built once per chunk of grid rows from the live transfer
-    terms of the modes the query reads, and the phasors following its
-    anchored recurrence; probabilities move by about
+    The probability takes the moment form of the module docstring. The
+    element chains before and after the scanned fp are built once; each
+    chunk of grid rows walks them on its own frequencies and builds C and
+    Y_theta from the live transfer terms of the modes the query reads. The
+    phasors follow its anchored recurrence; probabilities move by about
     |dP/d delta| * 1e-12 um.
     """
     if query is None:
@@ -373,40 +379,33 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     rows = sorted({m for pair in pairs for m in pair})
     row_pairs = [(rows.index(mb), rows.index(mc)) for mb, mc in pairs]
 
-    # one phase table per grid: shared by both walks and the delay phases
-    w = jsa.signal_frequencies
-    phases = PhaseTable(w, refractive_indices(spec.model, w,
-                                              spec.temperature))
-    before = spec.with_elements(spec.elements[:idx + 1])
-    after = spec.with_elements(spec.elements[idx + 1:])
-    # the tail runs first, before c exists, to keep the memory peak low;
-    # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
-    t = [[None if e is None else np.broadcast_to(e, w.shape) for e in row]
-         for row in transfer_rows_table(after, w, np.eye(4)[:, rows],
-                                        phases)]
-    c = transfer_table(before, w, CHANNEL1_INPUTS, phases)
-    # the live (T_rj, c_jp) factors of each term, keyed by the coefficients
-    # of (k_H, k_V) in its phasor, per row r and photon p
-    factors = [[{key: [(t[j][r], c[j][p]) for j in js
-                       if t[j][r] is not None and c[j][p] is not None]
-                 for key, js in (((0, 0), (0, 1)), ((1, 0), (2,)),
-                                 ((0, 1), (3,)))}
-                for p in (0, 1)] for r in range(len(rows))]
-    wavevector = [k if any(photon[key] for row in factors for photon in row)
-                  else None for k, key in zip(phases.k, ((1, 0), (0, 1)))]
-    del t, c, phases  # the delays read only the factors and live wavevectors
+    # the chains are built once; each chunk walks them on its own rows
+    before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
+    after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
+                             transposed=True)
     anchor, step = _anchors(delay_values)
-    g, g_rev = _weighted_amplitude(jsa)
-    n_rows = max(1, CHUNK_POINTS // w.shape[1])
-    chunks = [slice(lo, lo + n_rows) for lo in range(0, w.shape[0], n_rows)]
+    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
+    chunks = [slice(lo, lo + n_rows)
+              for lo in range(0, len(jsa.sum_grid), n_rows)]
 
     def chunk(rs) -> np.ndarray:
         """C + 2 Re sum_theta <Y_theta, exp(i theta delta)> of the grid
-        rows ``rs`` at every delay; C and Y_theta stay in cache."""
-        fields = [[{key: _live_sum((a[rs], b[rs]) for a, b in f)
-                    for key, f in photon.items() if f} for photon in row]
-                  for row in factors]
-        total, moments = _moments((g[rs], g_rev[rs]), fields, row_pairs)
+        rows ``rs`` at every delay; every array lives for this chunk only."""
+        w = (jsa.sum_grid[rs, None] + jsa.diff_grid[None, :]) / 2.0
+        # one phase table, shared by both walks and the delay phases
+        phases = PhaseTable(w, refractive_indices(spec.model, w,
+                                                  spec.temperature))
+        # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
+        t = walk(after, spec, w, np.eye(4)[:, rows], phases)
+        c = walk(before, spec, w, CHANNEL1_INPUTS, phases)
+        # the live terms of each row r and photon p, keyed by the
+        # coefficients of (k_H, k_V) in their phasor
+        terms = (((0, 0), (0, 1)), ((1, 0), (2,)), ((0, 1), (3,)))
+        fields = [[{key: f for key, js in terms if (f := _live_sum(
+                        (t[j][r], c[j][p]) for j in js)) is not None}
+                   for p in (0, 1)] for r in range(len(rows))]
+        total, moments = _moments(_weighted_amplitude(jsa, rs), fields,
+                                  row_pairs)
         values = np.full(len(delay_values), total)
         thetas = list(moments)
         if not thetas:
@@ -416,7 +415,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
                        for i, n in enumerate(theta) if n})
 
         def phasors(x):
-            return _phasors(thetas, {k: np.exp(1j * (wavevector[k][rs] * x))
+            return _phasors(thetas, {k: np.exp(1j * (phases.k[k] * x))
                                      for k in live})
 
         step_phasor = None if anchor.all() else phasors(step)

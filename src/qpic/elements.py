@@ -22,7 +22,7 @@ live, in the order the dense product adds them, so the dropped terms are
 exact zeros. The dispersive blocks read one ``PhaseTable`` per frequency
 grid: the refractive indices (n_H, n_V), the wavevectors k = n w / c and
 the straight phases exp(i k l), each (polarisation, length) evaluated at
-most once. ``circuit.transfer_table`` is the one place that walks a chain.
+most once. ``circuit.walk`` is the one place that walks a chain.
 ``evaluate`` is the element applied to the identity, for tests and
 single-element inspection.
 """

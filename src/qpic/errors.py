@@ -25,12 +25,14 @@ class RangeError(ValidationError):
 
 class NetlistError(ValidationError):
     """Syntax or semantic error in a line-format input file (netlist,
-    material file, coupler fit), carrying the file position."""
+    material file, coupler fit), carrying the file position; ``path`` is
+    set once a file has been named in the message."""
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):
         self.line = line
         self.column = column
+        self.path = None
         where = ""
         if line is not None:
             where = f"line {line}"

@@ -72,11 +72,14 @@ def number(entry) -> float:
 
 @contextmanager
 def in_file(path):
-    """Prefix the message of a NetlistError raised inside with ``path``."""
+    """Prefix the message of a NetlistError raised inside with ``path``,
+    unless a file read inside (a netlist's material) already named its own."""
     try:
         yield
     except NetlistError as exc:
-        exc.args = (f"{path}: {exc}",)
+        if exc.path is None:
+            exc.path = path
+            exc.args = (f"{path}: {exc}",)
         raise
 
 

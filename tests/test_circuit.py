@@ -12,7 +12,7 @@ import qpic
 from qpic import elements as el
 from qpic.circuit import (CHANNEL1_INPUTS, CircuitSpec, ElementDecl,
                           compose, element_matrices, parse_netlist_text,
-                          transfer, transfer_rows_table, transfer_table)
+                          transfer, transfer_table, walk)
 from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
                              omega_from_wavelength)
 from qpic.errors import NetlistError
@@ -277,8 +277,8 @@ def test_transfer_rows_match_compose(model, decls, rows, wavelengths,
                        temperature=temperature)
     omega = omega_from_wavelength(np.array(wavelengths))
     u = compose(spec, omega)
-    t = el.dense(transfer_rows_table(spec, omega, np.eye(4)[:, rows]),
-                 omega.shape)
+    chain = element_matrices(spec, transposed=True)
+    t = el.dense(walk(chain, spec, omega, np.eye(4)[:, rows]), omega.shape)
     assert t.shape == (4, len(rows)) + omega.shape
     # t[j, r] = U[rows[r], j]
     assert np.max(np.abs(np.moveaxis(t, (0, 1), (-1, -2))
@@ -307,7 +307,8 @@ def test_frequency_free_chain_fills_the_grid(model, text):
     omega = OMEGA[:4].reshape(2, 2)
     dense = compose(spec, OMEGA[0])
     inputs = np.eye(4)[:, 1:3]
-    rows = el.dense(transfer_rows_table(spec, omega, inputs), omega.shape)
+    rows = el.dense(walk(element_matrices(spec, transposed=True), spec,
+                         omega, inputs), omega.shape)
     for out, want in ((transfer(spec, omega, inputs), dense[:, 1:3]),
                       (rows, dense.T[:, 1:3])):
         assert out.shape == (4, 2, 2, 2)

@@ -409,6 +409,41 @@ def test_output_contract(tmp_path, command, gnuplot):
     assert f'plot "{first}.csv"' in (out / scripts[0]).read_text()
 
 
+def _netlist_with_material(tmp_path, netlist_edit, material_edit):
+    """A copy of the bundled netlist and material in ``tmp_path``, each
+    with one (old, new) replacement, and the material's path."""
+    data = Path(qpic.__path__[0]) / "data"
+    material = tmp_path / "bad.material"
+    material.write_text(
+        (data / "linbo3.material").read_text().replace(*material_edit))
+    netlist = tmp_path / "hot.net"
+    netlist.write_text((data / "ideal_chip.net").read_text().replace(
+        "file = linbo3.material", "file = bad.material").replace(
+        *netlist_edit))
+    return netlist, material
+
+
+def test_netlist_error_names_the_netlist(tmp_path, capsys):
+    netlist, _ = _netlist_with_material(
+        tmp_path, ("temperature = 24.5", "temperature = 500"), ("", ""))
+    assert main(["hom", "--netlist", str(netlist), "-o",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {netlist}: line 8: temperature 500.0 C outside validity "
+        f"range [0.0, 200.0] C\n")
+
+
+def test_material_error_names_only_the_material(tmp_path, capsys):
+    netlist, material = _netlist_with_material(
+        tmp_path, ("", ""), ("edwards-lawrence-1984", "no-such-form"))
+    assert main(["hom", "--netlist", str(netlist), "-o",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {material}: line 7: unknown Sellmeier "
+                          f"form 'no-such-form'")
+    assert str(netlist) not in err
+
+
 def test_exit_code_numerical(tmp_path):
     # no phase-matched root for a wildly wrong poling period
     assert main(["tuning", "--poling", "5.0", "-o", str(tmp_path)]) == 3

@@ -1,6 +1,8 @@
 """Coincidence probabilities, interferometer scans, and sweeps."""
 
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +531,61 @@ def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
             monkeypatch.setattr(module, "index", counting)
     hom_scan(jsa, chip, DELAYS[:5])
     assert sorted(grid_calls) == ["H", "V"]
+
+
+def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
+    # a scan over many chunks builds its two element chains once, and the
+    # chunks evaluate the indices of each grid point once per polarisation
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    originals = {"element_matrices": qpic.circuit.element_matrices,
+                 "index": qpic.dispersion.index}
+    calls = {name: [] for name in originals}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return originals[name](*args, **kwargs)
+        return call
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "qpic" or module_name.startswith("qpic."):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name))
+    hom_scan(jsa_tiny, chip, DELAYS[:5], INSENSITIVE)
+    assert len(calls["element_matrices"]) == 2
+    for pol in "HV":
+        sizes = [np.size(args[2]) for args in calls["index"]
+                 if args[1] == pol]
+        assert len(sizes) == 7 and sum(sizes) == jsa_tiny.amplitude.size
+
+
+def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    i = [d.kind for d in chip.elements].index("pbs")
+    elements = list(chip.elements)
+    elements[i] = elements[i].with_params(alpha=2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hom_scan(jsa_tiny, chip.with_elements(elements), DELAYS[:5])
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "pbs angles outside [0, pi/2]"]
+
+
+def test_hom_scan_keeps_no_full_grid_array(chip):
+    """At the production grid the scan's traced memory peak stays below
+    three full-grid complex arrays (12 MiB): the walk, the transfer terms,
+    the moments and the phasors exist for one chunk at a time."""
+    jsa = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+                         qpic.GridSpec(512, 512))
+    for query in (CoincidenceQuery(), INSENSITIVE):
+        tracemalloc.start()
+        try:
+            hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * jsa.amplitude.nbytes
 
 
 @pytest.mark.parametrize("query, tail", [
