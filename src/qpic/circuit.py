@@ -31,10 +31,10 @@ n_V, wavevectors and straight phases) on the frequency grid, it lets each
 element of a chain from ``element_matrices`` act with its block structure
 on a 4 x k table of entries, where structural zeros stay None and the rest
 spread over the grid only from the first dispersive element that touches
-them. ``transfer_table`` builds the chain and walks it; the reversed chain
-with transposed blocks, walked from unit vectors e_m, gives rows m of U.
-``transfer`` stacks the table into one mode-major array (4, k, *grid);
-``compose`` is a transfer of the identity.
+them. The reversed chain with transposed blocks, walked from unit vectors
+e_m, gives rows m of U. ``transfer`` walks a whole chip on one grid and
+stacks the table into one mode-major array (4, k, *grid); ``compose`` is a
+transfer of the identity.
 """
 
 from __future__ import annotations
@@ -136,8 +136,17 @@ def element_matrices(spec: CircuitSpec, transposed=False) -> list:
 
 
 def walk(chain, spec: CircuitSpec, omega, amps, phases=None) -> list:
-    """``amps`` through a chain from ``element_matrices``, as in
-    ``transfer_table``; a chain walked on many grids is built once."""
+    """U(omega) @ amps through a chain from ``element_matrices``, as a
+    4 x k table of entries: None where the entry is a structural zero,
+    else an array that spreads over omega's shape from the first
+    dispersive element that touches it on.
+
+    ``amps`` holds k input vectors over the mode basis, shape (4, k), and
+    its exact zeros are the structural zeros of the input. U = E_n ... E_2
+    E_1 (first listed element acts first) is never formed. ``phases`` is
+    the PhaseTable of omega at the chip temperature; when absent it is
+    built here. A chain walked on many grids is built once.
+    """
     w = np.asarray(omega, dtype=float)
     if phases is None and any(m.material is not None for m in chain):
         phases = el.PhaseTable(w, el.refractive_indices(spec.model, w,
@@ -148,24 +157,10 @@ def walk(chain, spec: CircuitSpec, omega, amps, phases=None) -> list:
     return table
 
 
-def transfer_table(spec: CircuitSpec, omega, amps, phases=None) -> list:
-    """U(omega) @ amps as a 4 x k table of entries: None where the entry
-    is a structural zero, else an array that spreads over omega's shape
-    from the first dispersive element that touches it on.
-
-    ``amps`` holds k input vectors over the mode basis, shape (4, k), and
-    its exact zeros are the structural zeros of the input. U = E_n ... E_2
-    E_1 (first listed element acts first) is never formed. ``phases`` is
-    the PhaseTable of omega at the chip temperature; when absent it is
-    built here, once per chain.
-    """
-    return walk(element_matrices(spec), spec, omega, amps, phases)
-
-
-
-def transfer(spec: CircuitSpec, omega, amps, phases=None) -> np.ndarray:
-    """``transfer_table`` as one array, shape (4, k) + omega.shape."""
-    return el.dense(transfer_table(spec, omega, amps, phases),
+def transfer(spec: CircuitSpec, omega, amps) -> np.ndarray:
+    """U(omega) @ amps of the whole chip as one array, shape (4, k) +
+    omega.shape, 0 at the structural zeros."""
+    return el.dense(walk(element_matrices(spec), spec, omega, amps),
                     np.shape(omega))
 
 

@@ -37,7 +37,7 @@ from .dispersion import (MaterialModel, PhaseMatchSpec, default_material,
                          pc_matched_wavelength, tuning_curve)
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
-from .source import (GridSpec, PumpSpec, build_jsa, jsa_exchange_asymmetry,
+from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
                      marginal_spectra)
 
 _CHUNK_ROWS = 8192  # rows formatted per write
@@ -189,7 +189,7 @@ def _load_model(args) -> tuple[MaterialModel, list]:
 def _load_chip(args) -> tuple[CircuitSpec, Path]:
     path = _input_path(args.netlist, "ideal_chip.net", "netlist")
     spec = parse_netlist(path)
-    if getattr(args, "temperature", None) is not None:
+    if args.temperature is not None:
         spec = spec.at_temperature(args.temperature)
     if spec.pump is None or spec.phase_spec is None:
         raise ValidationError(
@@ -197,21 +197,18 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
             f"the photon-pair source")
     pump = spec.pump
     phase = spec.phase_spec
-    if getattr(args, "tau", None) is not None:
-        pump = PumpSpec(pump_wavelength=pump.pump_wavelength,
-                        pulse_duration=args.tau)
-    if getattr(args, "pump", None) is not None:
-        pump = PumpSpec(pump_wavelength=args.pump,
-                        pulse_duration=pump.pulse_duration)
+    if args.tau is not None:
+        pump = replace(pump, pulse_duration=args.tau)
+    if args.pump is not None:
+        pump = replace(pump, pump_wavelength=args.pump)
         phase = replace(phase, pump_wavelength=args.pump)
-    if getattr(args, "pdc_length", None) is not None:
+    if args.pdc_length is not None:
         phase = replace(phase, pdc_length=args.pdc_length)
-    if getattr(args, "poling", None) is not None:
+    if args.poling is not None:
         phase = replace(phase, poling_period=args.poling)
     spec = replace(spec, pump=pump, phase_spec=phase)
 
-    pc_length = getattr(args, "pc_length", None)
-    pc_kappa_arg = getattr(args, "pc_kappa", None)
+    pc_length, pc_kappa_arg = args.pc_length, args.pc_kappa
     if pc_length is not None or pc_kappa_arg is not None:
         pc_indices = [i for i, d in enumerate(spec.elements)
                       if d.kind == "pc"]
@@ -242,7 +239,7 @@ def _grid_from(args) -> GridSpec:
 
 
 def _query_from(args) -> CoincidenceQuery:
-    label = getattr(args, "pol", "VV")
+    label = args.pol
     if label == "insensitive":
         return CoincidenceQuery(insensitive=True)
     return CoincidenceQuery(pol_b=label[0], pol_c=label[1])

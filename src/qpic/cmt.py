@@ -186,14 +186,25 @@ def _level_crossings(x, y, i, level):
     return crossings
 
 
+def _check_coupler(label: str, kappa_c, half_length):
+    """RangeError unless the coupling kappa_c is >= 0 and the section
+    length half_length is > 0; shared by every two-section coupler."""
+    if not kappa_c >= 0.0:
+        raise RangeError(f"{label} coupling {kappa_c} rad/um must be >= 0")
+    if not half_length > 0.0:
+        raise RangeError(f"{label} half length {half_length} um must be > 0")
+
+
 def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
                dbeta_per_volt: float | None = None):
     """Bar-state power of a two-section electro-optic coupler vs voltages.
 
     Returns an array of shape (len(u1), len(u2)) with the power staying in
-    the launch channel after sections driven at u1 then u2.
+    the launch channel after sections driven at u1 then u2. The coupler
+    takes the range checks of an 'eobs' element.
     """
     from .elements import EO_BS_DBETA_PER_VOLT  # local to avoid a cycle
+    _check_coupler("switch map", kappa_c, half_length)
     if dbeta_per_volt is None:
         dbeta_per_volt = EO_BS_DBETA_PER_VOLT
     u1 = np.asarray(u1_values, dtype=float)

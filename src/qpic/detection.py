@@ -14,7 +14,7 @@ with w_b = (S + d)/2 detected at b and w_c = (S - d)/2 at c. Evaluating a
 coefficient at w_c is an exact reversal of the difference axis, so every
 factor lives on one common grid. The coefficients are conjugated transfer
 entries; since |conj z| = |z|, the kernel sums the conjugated bracket, built
-from sqrt(W) conj(F) (formed once) and the transfer entries themselves.
+from sqrt(W) conj(F) (formed per chunk) and the transfer entries themselves.
 
 A delay scan adds delta to channel 2 of one 'fp' element, rephasing only
 modes 2H and 2V there. With c the channel-1 input columns of the chain up
@@ -38,14 +38,17 @@ theta, an integer combination of (k_H, k_V, k_H^R, k_V^R), is the same in
 canonical form: reversal swaps the w and w^R parts and takes Y to Y^R,
 conjugation takes theta to -theta and Y to conj Y.
 
-A scan builds the two element chains once, then works through the grid
-in chunks of about CHUNK_POINTS points. Each chunk forms its frequencies
-and one PhaseTable, walks c and T on its rows, builds its C and Y_theta
+Both ``coincidence`` and a scan work through the grid in chunks of about
+CHUNK_POINTS points (``_chunks``), each with its own frequencies and one
+PhaseTable, and both take C from one kernel, ``_moments``. ``coincidence``
+walks the whole chain on a chunk; every live transfer entry is a field
+with no phasor, so C is its probability. A scan builds the two element
+chains once, walks c and T on each chunk's rows, builds its C and Y_theta
 once, in cache, and runs every delay at two array passes per exponent (a
 phasor product and a dot): 4 per delay for VV on the bundled chip (2
 exponents) and 12 for the insensitive query (6), against 12 and 38 to
-form the fields and brackets at every delay. c, T and the moments exist
-for one chunk only; no array the size of the grid outlives it.
+form the fields and brackets at every delay. The walks and the moments
+exist for one chunk only; no array the size of the grid outlives it.
 
 The phasors follow an anchored recurrence. The delays are cut into fixed
 blocks of ANCHOR_BLOCK. At the first delay of a block (its anchor) each
@@ -77,8 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmt
-from .circuit import (CHANNEL1_INPUTS, CircuitSpec, element_matrices,
-                      transfer, walk)
+from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
 from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
@@ -127,47 +129,41 @@ def _query_pairs(query: CoincidenceQuery) -> list:
     return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in pols]
 
 
-def _weighted_amplitude(jsa: JointSpectralAmplitude, rows=slice(None)):
+def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     """sqrt(W) conj(F) on the grid ``rows`` and its reversal along the
     difference axis."""
     g = np.sqrt(jsa.weights[rows]) * np.conj(jsa.amplitude[rows])
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
-def _exchange_sum(weighted, fields, pairs, work) -> float:
-    """Exchange sum over ``pairs`` of (row at b, row at c), unchecked.
-
-    ``fields[row]`` is the (signal, idler) pair of transfer entries of one
-    detected mode and ``weighted`` is ``_weighted_amplitude(jsa)``, both on
-    the same rows of the grid; ``work`` is a complex buffer of shape
-    (2,) + that grid.
-    """
-    g, g_rev = weighted
-    amp, term = work
-    total = 0.0
-    for b, c in pairs:
-        (signal_b, idler_b), (signal_c, idler_c) = fields[b], fields[c]
-        np.multiply(g, signal_b, out=amp)
-        amp *= idler_c[:, ::-1]
-        np.multiply(g_rev, idler_b, out=term)
-        term *= signal_c[:, ::-1]
-        amp += term
-        # re^2 + im^2 in the free buffer, then numpy's pairwise sum
-        parts = np.square(amp.reshape(-1).view(float),
-                          out=term.reshape(-1).view(float))
-        total += float(parts.sum())
-    return total
+def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
+    """(rows, w, PhaseTable) of each chunk of about CHUNK_POINTS grid
+    points, in grid order: the grid rows ``rows``, their frequencies w and
+    one PhaseTable on w at the chip temperature."""
+    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
+    for lo in range(0, len(jsa.sum_grid), n_rows):
+        rows = slice(lo, lo + n_rows)
+        w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
+        yield rows, w, PhaseTable(w, refractive_indices(spec.model, w,
+                                                        spec.temperature))
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                 query: CoincidenceQuery | None = None) -> float:
-    """Coincidence probability of one detector polarisation pairing."""
+    """Coincidence probability of one detector polarisation pairing: the
+    C of ``_moments``, chunk by chunk, on the walk of the whole chain."""
     if query is None:
         query = CoincidenceQuery()
-    cols = transfer(spec, jsa.signal_frequencies, CHANNEL1_INPUTS)
-    work = np.empty((2,) + jsa.amplitude.shape, dtype=complex)
-    return _check_probability(_exchange_sum(
-        _weighted_amplitude(jsa), cols, _query_pairs(query), work))
+    chain = element_matrices(spec)
+    pairs = _query_pairs(query)
+    total = 0.0
+    for rows, w, phases in _chunks(jsa, spec):
+        c = walk(chain, spec, w, CHANNEL1_INPUTS, phases)
+        # each live entry is a field with no phasor
+        fields = [[{} if e is None else {(0, 0): e} for e in entries]
+                  for entries in c]
+        total += _moments(_weighted_amplitude(jsa, rows), fields, pairs)[0]
+    return _check_probability(total)
 
 
 @dataclass
@@ -310,9 +306,10 @@ def _moments(weighted, fields, pairs):
 
     ``fields[row]`` is the (signal, idler) pair of one detected mode, each
     a dict of its live terms keyed by the coefficients of (k_H, k_V) in
-    their phasor. ``weighted`` is ``_weighted_amplitude`` on the same grid
-    rows. Returns C and a dict, in a fixed order, from canonical exponent
-    to Y.
+    their phasor; a field with no phasor has the single key (0, 0), or no
+    key where the entry is a structural zero. ``weighted`` is
+    ``_weighted_amplitude`` on the same grid rows. Returns C and a dict,
+    in a fixed order, from canonical exponent to Y.
     """
     g, g_rev = weighted
     total = 0.0
@@ -384,17 +381,11 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
                              transposed=True)
     anchor, step = _anchors(delay_values)
-    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
-    chunks = [slice(lo, lo + n_rows)
-              for lo in range(0, len(jsa.sum_grid), n_rows)]
 
-    def chunk(rs) -> np.ndarray:
+    def chunk(rs, w, phases) -> np.ndarray:
         """C + 2 Re sum_theta <Y_theta, exp(i theta delta)> of the grid
-        rows ``rs`` at every delay; every array lives for this chunk only."""
-        w = (jsa.sum_grid[rs, None] + jsa.diff_grid[None, :]) / 2.0
-        # one phase table, shared by both walks and the delay phases
-        phases = PhaseTable(w, refractive_indices(spec.model, w,
-                                                  spec.temperature))
+        rows ``rs`` at every delay; every array lives for this chunk only.
+        ``phases`` is shared by both walks and the delay phases."""
         # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
         t = walk(after, spec, w, np.eye(4)[:, rows], phases)
         c = walk(before, spec, w, CHANNEL1_INPUTS, phases)
@@ -429,7 +420,8 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         return values
 
     probabilities = [_check_probability(p)
-                     for p in sum(chunk(rs) for rs in chunks)]
+                     for p in sum(chunk(*part)
+                                  for part in _chunks(jsa, spec))]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 
@@ -453,7 +445,7 @@ def _first_declaration(spec: CircuitSpec, kind: str) -> int:
     for i, decl in enumerate(spec.elements):
         if decl.kind == kind:
             return i
-    raise ValidationError(f"circuit has no '{kind}' element to perturb")
+    raise ValidationError(f"circuit has no '{kind}' element")
 
 
 def apply_imperfection(spec: CircuitSpec, target: str,

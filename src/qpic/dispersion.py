@@ -29,6 +29,9 @@ TEMP_MIN = 0.0  # C
 TEMP_MAX = 200.0
 T_REFERENCE = 24.5  # C, the temperature used when a call names none
 RESIDUAL_TOL = 1e-10  # rad/um, accepted |mismatch| at a reported root
+DEGENERATE_BRACKET = (1.4, 1.7)  # um, searched for the degenerate root
+PC_MATCH_BRACKET = (1.4, 1.75)  # um, searched for the converter's match
+SIGNAL_BRACKET = (1.35, 1.8)  # um, band of a tuning curve's signal
 
 
 def omega_from_wavelength(wavelength):
@@ -369,11 +372,11 @@ def _matched_wavelength(mismatch, bracket, what, kind, where):
 
 
 def degenerate_wavelength(model: MaterialModel, poling_period: float,
-                          temperature=None, bracket=(1.4, 1.7)):
+                          temperature=None):
     """Degenerate downconversion wavelength for a given poling period.
 
     Solves delta_k(w/2 + w/2) = 0 for the common signal/idler wavelength
-    inside ``bracket`` (um). Raises PhaseMatchError when no root exists.
+    inside DEGENERATE_BRACKET. Raises PhaseMatchError when no root exists.
     """
     t = T_REFERENCE if temperature is None else temperature
 
@@ -385,19 +388,20 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
             - 2.0 * np.pi / poling_period
 
     return _matched_wavelength(
-        mismatch, bracket, "degenerate wavelength", "phase",
+        mismatch, DEGENERATE_BRACKET, "degenerate wavelength", "phase",
         f"poling period {poling_period} um at {float(t)} C")
 
 
 def pc_matched_wavelength(model: MaterialModel, poling_period: float,
-                          temperature=None, bracket=(1.4, 1.75)):
-    """Wavelength where the polarisation-conversion grating is matched."""
+                          temperature=None):
+    """Wavelength where the polarisation-conversion grating is matched,
+    inside PC_MATCH_BRACKET."""
 
     def mismatch(lam):
         return pc_mismatch(model, poling_period, lam, temperature)
 
     return _matched_wavelength(
-        mismatch, bracket, "conversion wavelength", "conversion",
+        mismatch, PC_MATCH_BRACKET, "conversion wavelength", "conversion",
         f"conversion poling period {poling_period} um")
 
 
@@ -412,17 +416,18 @@ class TuningCurve:
 
 
 def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
-                 pump_wavelengths, signal_bracket=(1.35, 1.8)):
+                 pump_wavelengths):
     """Solve the energy-conserving pair for each pump wavelength.
 
     For each pump, finds the frequency offset x with signal at w/2 + x and
-    idler at w/2 - x where the mismatch vanishes; the root closest to
-    degeneracy is kept. Pumps without a root land in ``omitted``.
+    idler at w/2 - x, both inside SIGNAL_BRACKET, where the mismatch
+    vanishes; the root closest to degeneracy is kept. Pumps without a root
+    land in ``omitted``.
     """
     t = T_REFERENCE if temperature is None else temperature
     pumps, sigs, idls, omitted = [], [], [], []
-    w_lo = omega_from_wavelength(signal_bracket[1])
-    w_hi = omega_from_wavelength(signal_bracket[0])
+    w_lo = omega_from_wavelength(SIGNAL_BRACKET[1])
+    w_hi = omega_from_wavelength(SIGNAL_BRACKET[0])
     for lam_p in np.atleast_1d(np.asarray(pump_wavelengths, dtype=float)):
         w_p = float(omega_from_wavelength(lam_p))
         w_half = w_p / 2.0

@@ -279,10 +279,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     """
     _check_finite("eobs", kappa_c=kappa_c, half_length=half_length,
                   dbeta_1=dbeta_1, dbeta_2=dbeta_2)
-    if kappa_c < 0.0:
-        raise RangeError(f"eobs coupling {kappa_c} rad/um must be >= 0")
-    if not half_length > 0.0:
-        raise RangeError(f"eobs half length {half_length} um must be > 0")
+    cmt._check_coupler("eobs", kappa_c, half_length)
     if dbeta_1_v is None:
         dbeta_1_v = dbeta_1
     if dbeta_2_v is None:
@@ -306,35 +303,29 @@ PC_KAPPA_PER_VOLT = math.pi / (2.0 * 7600.0 * 20.0)  # rad/(um V)
 EO_BS_DBETA_PER_VOLT = 2e-5  # rad/(um V)
 
 
-def pm_phases(voltage: float, u_pi: float = PM_U_PI):
+def pm_phases(voltage: float):
     """Electrode voltage to (phi_h, phi_v) for the phase shifter.
 
-    The V mode picks up pi per u_pi volts; the H mode is three times
+    The V mode picks up pi per PM_U_PI volts; the H mode is three times
     stiffer on this cut, phi_h = phi_v / 3.
     """
-    _check_finite("pm_phases", voltage=voltage, u_pi=u_pi)
-    if not u_pi > 0.0:
-        raise RangeError(f"u_pi {u_pi} V must be > 0")
-    phi_v = math.pi * voltage / u_pi
+    _check_finite("pm_phases", voltage=voltage)
+    phi_v = math.pi * voltage / PM_U_PI
     return phi_v / 3.0, phi_v
 
 
-def pc_kappa(voltage: float, u_offset: float = PC_U_OFFSET,
-             kappa_per_volt: float = PC_KAPPA_PER_VOLT) -> float:
+def pc_kappa(voltage: float) -> float:
     """Converter drive voltage to coupling strength kappa (rad/um).
 
-    Conversion vanishes at ``u_offset`` and grows linearly with the
-    detuning from it; the sign of the drive only flips the coupling phase,
-    so the magnitude is returned.
+    Conversion vanishes at PC_U_OFFSET and grows by PC_KAPPA_PER_VOLT per
+    volt of detuning from it; the sign of the drive only flips the
+    coupling phase, so the magnitude is returned.
     """
-    _check_finite("pc_kappa", voltage=voltage, u_offset=u_offset,
-                  kappa_per_volt=kappa_per_volt)
-    return abs(kappa_per_volt * (voltage - u_offset))
+    _check_finite("pc_kappa", voltage=voltage)
+    return abs(PC_KAPPA_PER_VOLT * (voltage - PC_U_OFFSET))
 
 
-def eo_bs_dbeta(voltage: float,
-                dbeta_per_volt: float = EO_BS_DBETA_PER_VOLT) -> float:
+def eo_bs_dbeta(voltage: float) -> float:
     """Section electrode voltage to propagation-constant detuning."""
-    _check_finite("eo_bs_dbeta", voltage=voltage,
-                  dbeta_per_volt=dbeta_per_volt)
-    return dbeta_per_volt * voltage
+    _check_finite("eo_bs_dbeta", voltage=voltage)
+    return EO_BS_DBETA_PER_VOLT * voltage

@@ -33,6 +33,8 @@ SUM_SIGMA_FACTOR = 6.0  # default pump-axis half width, in units of Omega
 SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
 EDGE_FLOOR = 1e-3  # boundary amplitude allowed relative to the peak
 MIN_SUM_FACTOR = np.sqrt(2.0 * np.log(1.0 / EDGE_FLOOR))  # ~3.72
+RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
+MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,15 @@ def _trapezoid_weights(grid):
     return w
 
 
-def _ridge_offset(model, spec, omega_p, temperature, search=50.0):
+def _ridge_offset(model, spec, omega_p, temperature):
     """Difference-axis location of the phase-matching ridge at Sigma = w_p."""
 
     def mismatch(d):
         return pdc_mismatch(model, spec, (omega_p + d) / 2.0,
                             (omega_p - d) / 2.0, temperature)
 
-    roots = _bracketed_roots(mismatch, -search, search, 1001, xtol=1e-12)
+    roots = _bracketed_roots(mismatch, -RIDGE_SEARCH, RIDGE_SEARCH, 1001,
+                             xtol=1e-12)
     if not roots:
         warnings.warn("phase-matching ridge not found near the pump line; "
                       "centring the difference axis on zero", stacklevel=3)
@@ -259,8 +262,7 @@ class MarginalSpectra:
     idler: SpectralDensity
 
 
-def marginal_spectra(jsa: JointSpectralAmplitude,
-                     n_points: int = 2048) -> MarginalSpectra:
+def marginal_spectra(jsa: JointSpectralAmplitude) -> MarginalSpectra:
     """Marginal intensity spectra of the two photons.
 
     Integrates |F|^2 over the other photon's frequency; rows of the
@@ -277,8 +279,8 @@ def marginal_spectra(jsa: JointSpectralAmplitude,
                                      sign * half_diff[-1]))
         hi = float(half_sum[-1] + max(sign * half_diff[0],
                                       sign * half_diff[-1]))
-        omega = np.linspace(lo, hi, n_points)
-        acc = np.zeros(n_points)
+        omega = np.linspace(lo, hi, MARGINAL_POINTS)
+        acc = np.zeros(MARGINAL_POINTS)
         # at fixed w_s the other photon's measure dw_i equals dSigma, so
         # the marginal is a plain Sigma sum along resampled rows
         for r in range(len(jsa.sum_grid)):

@@ -255,11 +255,14 @@ def test_exit_code_negative_length(tmp_path):
     ["temp-scan", "--pc-length", "5", "--grid", "32", "--points", "3"],
     ["pc-window", "--length", "5"],
     ["tuning", "--material", "{nan_material}"],
+    ["switch-map", "--kappa-c=-1e-4"],
+    ["switch-map", "--half-length", "0"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
         "fractions-nan", "hom-pc-length-0", "temp-scan-pc-length-tiny",
-        "temp-scan-pc-length-5", "pc-window-length-5", "material-nan"])
+        "temp-scan-pc-length-5", "pc-window-length-5", "material-nan",
+        "switch-map-kappa-negative", "switch-map-half-length-0"])
 def test_bad_input_exits_two(tmp_path, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -442,6 +445,21 @@ def test_material_error_names_only_the_material(tmp_path, capsys):
     assert err.startswith(f"error: {material}: line 7: unknown Sellmeier "
                           f"form 'no-such-form'")
     assert str(netlist) not in err
+
+
+def test_temp_scan_without_converter(tmp_path, capsys):
+    # the bundled chip without its pc: the scan has nothing to read the
+    # converter window from
+    text = (Path(qpic.__path__[0]) / "data" / "ideal_chip.net").read_text()
+    blocks = text.replace("file = linbo3.material\n", "").split("\n\n")
+    netlist = tmp_path / "no_pc.net"
+    netlist.write_text("\n\n".join(b for b in blocks
+                                    if not b.startswith("element pc")))
+    out = tmp_path / "out"
+    assert main(["temp-scan", "--netlist", str(netlist), "--grid", "32",
+                 "--points", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: circuit has no 'pc' element\n"
+    assert not out.exists()
 
 
 def test_exit_code_numerical(tmp_path):

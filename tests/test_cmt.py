@@ -167,6 +167,14 @@ def test_switch_map_symmetry_and_extremes():
     assert np.all(bar >= -1e-12) and np.all(bar <= 1 + 1e-12)
 
 
+@pytest.mark.parametrize("kappa_c, half_length", [
+    (-1e-4, 4000.0), (math.nan, 4000.0), (1e-4, 0.0), (1e-4, math.nan),
+], ids=["kappa-negative", "kappa-nan", "half-length-0", "half-length-nan"])
+def test_switch_map_rejects_what_eobs_rejects(kappa_c, half_length):
+    with pytest.raises(qpic.RangeError):
+        switch_map(kappa_c, half_length, [0.0, 1.0], [0.0, 1.0])
+
+
 def synth_ratios(beat, offset, lengths, rng):
     clean = np.sin(np.pi * (lengths - offset) / (2 * beat)) ** 2
     return np.clip(clean + rng.normal(0, 1e-3, lengths.shape), 0, 1)

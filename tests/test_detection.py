@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import qpic
 from qpic import detection
-from qpic.circuit import (CHANNEL1_INPUTS, compose, parse_netlist_text,
-                          transfer_table)
+from qpic.circuit import (CHANNEL1_INPUTS, compose, element_matrices,
+                          parse_netlist_text, walk)
 from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
                             apply_imperfection, coincidence,
                             default_delay_values, hom_scan,
@@ -232,8 +232,8 @@ def test_all_live_scan_matches_stretched_chip(model, jsa_tiny, query,
                                               monkeypatch):
     chip = parse_netlist_text(ALL_LIVE, model=model)
     w = jsa_tiny.signal_frequencies
-    c = transfer_table(chip.with_elements(chip.elements[:4]), w,
-                       CHANNEL1_INPUTS)
+    prefix = chip.with_elements(chip.elements[:4])
+    c = walk(element_matrices(prefix), prefix, w, CHANNEL1_INPUTS)
     assert all(c[m][p] is not None for m in (2, 3) for p in (0, 1))
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
@@ -270,13 +270,18 @@ def _chain(lengths, scanned, pbs, bs, conversion, mixing):
             + "\nelement bs\ntheta = {!r}\nxi = {!r}\n".format(*bs))
 
 
+# the arguments of _chain
+CHAINS = dict(
+    lengths=st.lists(st.floats(0.0, 2000.0), min_size=5, max_size=5),
+    scanned=st.floats(400.0, 1000.0),
+    pbs=st.tuples(st.floats(0.0, np.pi / 2), st.floats(0.0, np.pi / 2)),
+    bs=st.tuples(st.floats(0.0, np.pi / 4), st.floats(0.0, np.pi / 4)),
+    conversion=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    mixing=st.booleans())
+
+
 @settings(max_examples=12)
-@given(lengths=st.lists(st.floats(0.0, 2000.0), min_size=5, max_size=5),
-       scanned=st.floats(400.0, 1000.0),
-       pbs=st.tuples(st.floats(0.0, np.pi / 2), st.floats(0.0, np.pi / 2)),
-       bs=st.tuples(st.floats(0.0, np.pi / 4), st.floats(0.0, np.pi / 4)),
-       conversion=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-       mixing=st.booleans())
+@given(**CHAINS)
 def test_random_chain_scan_matches_stretched_chip(model, jsa_tiny, lengths,
                                                   scanned, pbs, bs,
                                                   conversion, mixing):
@@ -298,6 +303,31 @@ def test_random_chain_scan_matches_stretched_chip(model, jsa_tiny, lengths,
             stretched = chip.with_elements(elements)
             assert p == pytest.approx(
                 coincidence(jsa_tiny, stretched, query), abs=1e-12)
+
+
+@settings(max_examples=12)
+@given(**CHAINS)
+def test_probability_budget_on_random_chains(model, jsa_tiny, lengths,
+                                             scanned, pbs, bs, conversion,
+                                             mixing):
+    """A unitary chip loses no pair: P_insensitive + (S_11 + S_22)/2 = 1,
+    with S_nn the exchange sum over the ordered pairs (b, c) of modes that
+    both lie in channel n. Summed over every ordered pair of modes, the
+    exchange sum is twice the norm of the two-photon state."""
+    chip = parse_netlist_text(
+        _chain(lengths, scanned, pbs, bs, conversion, mixing), model=model)
+    chain = element_matrices(chip)
+    same = [(b, c) for modes in ((0, 1), (2, 3)) for b in modes
+            for c in modes]
+    s = 0.0
+    for rows, w, phases in detection._chunks(jsa_tiny, chip):
+        walked = walk(chain, chip, w, CHANNEL1_INPUTS, phases)
+        fields = [[{} if e is None else {(0, 0): e} for e in entries]
+                  for entries in walked]
+        s += detection._moments(detection._weighted_amplitude(jsa_tiny, rows),
+                                fields, same)[0]
+    p = coincidence(jsa_tiny, chip, INSENSITIVE)
+    assert p + s / 2.0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scan_without_live_pairing_is_exactly_zero(chip, jsa_tiny):
@@ -573,19 +603,23 @@ def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
 
 
 def test_hom_scan_keeps_no_full_grid_array(chip):
-    """At the production grid the scan's traced memory peak stays below
-    three full-grid complex arrays (12 MiB): the walk, the transfer terms,
-    the moments and the phasors exist for one chunk at a time."""
+    """At the production grid the traced memory peak of a scan, and of
+    coincidence(), stays below three full-grid complex arrays (12 MiB):
+    the walk, the transfer terms, the moments and the phasors exist for
+    one chunk at a time."""
     jsa = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
                          qpic.GridSpec(512, 512))
-    for query in (CoincidenceQuery(), INSENSITIVE):
-        tracemalloc.start()
-        try:
-            hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), query)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * jsa.amplitude.nbytes
+    delays = np.linspace(-1500.0, 3700.0, 21)
+    for run in (lambda q: hom_scan(jsa, chip, delays, q),
+                lambda q: coincidence(jsa, chip, q)):
+        for query in (CoincidenceQuery(), INSENSITIVE):
+            tracemalloc.start()
+            try:
+                run(query)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * jsa.amplitude.nbytes
 
 
 @pytest.mark.parametrize("query, tail", [
