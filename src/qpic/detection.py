@@ -49,6 +49,8 @@ phasor product and a dot): 4 per delay for VV on the bundled chip (2
 exponents) and 12 for the insensitive query (6), against 12 and 38 to
 form the fields and brackets at every delay. The walks and the moments
 exist for one chunk only; no array the size of the grid outlives it.
+CHUNK_POINTS lives in ``source``, whose ``build_jsa`` fills the amplitude
+in row blocks of the same size.
 
 The phasors follow an anchored recurrence. The delays are cut into fixed
 blocks of ANCHOR_BLOCK. At the first delay of a block (its anchor) each
@@ -84,14 +86,13 @@ from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
 from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
-from .source import (GridSpec, JointSpectralAmplitude, build_jsa,
-                     marginal_spectra)
+from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
+                     build_jsa, marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
 
 ANCHOR_BLOCK = 16  # delays per block; each block starts with a direct exp
 STEP_RTOL = 1e-13  # recurrence delay error allowed, relative to the step
-CHUNK_POINTS = 8192  # grid points per cache-resident chunk of a scan block
 
 POLARISATIONS = ("H", "V")
 
@@ -564,6 +565,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         chip = spec.at_temperature(t)
         scan = hom_scan(jsa, chip, delay_values, query)
         marginals = marginal_spectra(jsa)
+        del jsa  # one JSA at a time: free it before the next is built
         signal = marginals.signal
         signal_peak = signal.peak_wavelength
         idler_peak = marginals.idler.peak_wavelength

@@ -35,6 +35,7 @@ EDGE_FLOOR = 1e-3  # boundary amplitude allowed relative to the peak
 MIN_SUM_FACTOR = np.sqrt(2.0 * np.log(1.0 / EDGE_FLOOR))  # ~3.72
 RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
 MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
+CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,16 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
               temperature=None) -> JointSpectralAmplitude:
     """Sample and normalise the joint spectral amplitude.
 
+    The raw product form is filled into one preallocated array in blocks
+    of max(1, CHUNK_POINTS // size_diff) grid rows, each with its own
+    frequencies, mismatch, sinc-exp factor and non-positive-frequency
+    check, so no other full-grid array exists while it fills. Every value
+    is elementwise, so the blocks give the bits of a whole-grid
+    evaluation. The edge/peak check and the norm sum(weights |raw|^2) run
+    on the whole array as one expression, so C is the same float; ``raw``
+    is then scaled in place. ``meta`` records the raw norm and the
+    edge/peak ratio.
+
     Raises SupportTruncationError when the pump-axis edges still carry
     more than 1e-3 of the peak amplitude.
     """
@@ -191,16 +202,19 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
     # force exact antisymmetry so signal/idler exchange is a pure reversal
     diff_grid = 0.5 * (diff_grid - diff_grid[::-1])
 
-    omega_s = (sum_grid[:, None] + diff_grid[None, :]) / 2.0
-    omega_i = (sum_grid[:, None] - diff_grid[None, :]) / 2.0
-    if np.any(omega_i <= 0.0) or np.any(omega_s <= 0.0):
-        raise RangeError("difference-axis span reaches non-positive "
-                         "frequencies; narrow the grid")
-
-    dk = pdc_mismatch(model, spec, omega_s, omega_i, t)
-    u = dk * spec.pdc_length / 2.0
     envelope = np.exp(-((sum_grid - omega_p) ** 2) / (2.0 * bw ** 2))
-    raw = envelope[:, None] * np.sinc(u / np.pi) * np.exp(1j * u)
+    raw = np.empty((grid.size_sum, grid.size_diff), dtype=complex)
+    n_rows = max(1, CHUNK_POINTS // grid.size_diff)
+    for lo in range(0, grid.size_sum, n_rows):
+        rows = slice(lo, lo + n_rows)
+        omega_s = (sum_grid[rows, None] + diff_grid[None, :]) / 2.0
+        omega_i = (sum_grid[rows, None] - diff_grid[None, :]) / 2.0
+        if np.any(omega_i <= 0.0) or np.any(omega_s <= 0.0):
+            raise RangeError("difference-axis span reaches non-positive "
+                             "frequencies; narrow the grid")
+        dk = pdc_mismatch(model, spec, omega_s, omega_i, t)
+        u = dk * spec.pdc_length / 2.0
+        raw[rows] = envelope[rows, None] * np.sinc(u / np.pi) * np.exp(1j * u)
 
     peak = float(np.max(np.abs(raw)))
     edge = float(max(np.max(np.abs(raw[0, :])), np.max(np.abs(raw[-1, :]))))
@@ -219,11 +233,13 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
         raise SupportTruncationError(
             "amplitude integral is not positive and finite on this grid")
     c = 1.0 / np.sqrt(total)
+    raw *= c
     return JointSpectralAmplitude(
-        sum_grid=sum_grid, diff_grid=diff_grid, amplitude=c * raw,
+        sum_grid=sum_grid, diff_grid=diff_grid, amplitude=raw,
         weights=weights, normalization=c, pump=pump, phase_spec=spec,
         model=model, temperature=t, ridge_offset=float(d_star),
-        meta={"raw_norm": total, "sum_half_width": float(s_half),
+        meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
+              "sum_half_width": float(s_half),
               "diff_half_width": float(d_half)})
 
 

@@ -1,6 +1,7 @@
 """Biphoton joint spectral amplitude on the rotated (sum, difference) grid."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import qpic
 from qpic import source
 from qpic.dispersion import pdc_mismatch
-from qpic.source import (GridSpec, PumpSpec, _ridge_offset, build_jsa,
+from qpic.source import (EDGE_FLOOR, GridSpec, PumpSpec, _ridge_offset,
+                         _trapezoid_weights, build_jsa,
                          jsa_exchange_asymmetry, marginal_spectra)
 
 
@@ -41,6 +43,88 @@ def test_signal_idler_frequencies(jsa_medium):
     d = jsa_medium.diff_grid[None, :]
     assert np.allclose(ws + wi, np.broadcast_to(s, ws.shape), atol=1e-9)
     assert np.allclose(ws - wi, np.broadcast_to(d, ws.shape), atol=1e-9)
+
+
+@pytest.mark.parametrize("size, chunk_points", [
+    ((512, 512), None),
+    ((37, 23), 5 * 23),  # blocks of 5 rows: the last one holds 2
+], ids=["512x512", "37x23-partial-block"])
+def test_row_blocks_match_whole_grid(chip, monkeypatch, size, chunk_points):
+    if chunk_points is not None:
+        monkeypatch.setattr(source, "CHUNK_POINTS", chunk_points)
+    jsa = build_jsa(chip.model, chip.pump, chip.phase_spec, GridSpec(*size))
+    # the whole-grid evaluation the row blocks must reproduce bit for bit
+    s, d = jsa.sum_grid, jsa.diff_grid
+    omega_s = (s[:, None] + d[None, :]) / 2.0
+    omega_i = (s[:, None] - d[None, :]) / 2.0
+    dk = pdc_mismatch(chip.model, chip.phase_spec, omega_s, omega_i,
+                      jsa.temperature)
+    u = dk * chip.phase_spec.pdc_length / 2.0
+    bw = chip.pump.bandwidth
+    envelope = np.exp(-((s - chip.pump.omega_pump) ** 2) / (2.0 * bw ** 2))
+    raw = envelope[:, None] * np.sinc(u / np.pi) * np.exp(1j * u)
+    weights = 0.5 * np.outer(_trapezoid_weights(s), _trapezoid_weights(d))
+    total = float(np.sum(weights * np.abs(raw) ** 2))
+    c = 1.0 / np.sqrt(total)
+    assert np.array_equal(jsa.weights, weights)
+    assert jsa.normalization == c
+    assert jsa.meta["raw_norm"] == total
+    assert np.array_equal(jsa.amplitude, c * raw)
+
+
+def test_build_jsa_keeps_no_full_grid_transient(chip):
+    """At the production grid the traced memory peak of build_jsa stays
+    below 10 MiB: the result (a 4 MiB amplitude and 2 MiB of weights) plus
+    the norm's float transients; frequencies, mismatch and the sinc-exp
+    factor exist for one block of rows at a time."""
+    tracemalloc.start()
+    try:
+        jsa = build_jsa(chip.model, chip.pump, chip.phase_spec,
+                        GridSpec(512, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jsa.amplitude.nbytes == 4 * 2 ** 20
+    assert peak < 10 * 2 ** 20
+
+
+def test_edge_peak_ratio_recorded(jsa_medium):
+    mag = np.abs(jsa_medium.amplitude)
+    edge = max(np.max(mag[0, :]), np.max(mag[-1, :]))
+    ratio = jsa_medium.meta["edge_peak_ratio"]
+    assert ratio == pytest.approx(edge / np.max(mag), rel=1e-12)
+    assert ratio < EDGE_FLOOR
+
+
+def _whole_grid_error(chip, grid):
+    # the error of evaluating the mismatch on the whole grid at once
+    omega_p = chip.pump.omega_pump
+    s_half = source.SUM_SIGMA_FACTOR * chip.pump.bandwidth
+    s = np.linspace(omega_p - s_half, omega_p + s_half, grid.size_sum)
+    d = np.linspace(-grid.diff_half_width, grid.diff_half_width,
+                    grid.size_diff)
+    d = 0.5 * (d - d[::-1])
+    with pytest.raises(qpic.RangeError) as info:
+        pdc_mismatch(chip.model, chip.phase_spec, (s[:, None] + d) / 2.0,
+                     (s[:, None] - d) / 2.0)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("half_width, message", [
+    (3000.0, "difference-axis span reaches non-positive frequencies; "
+             "narrow the grid"),
+    (600.0, None),  # signal and idler beyond 2 um: the whole-grid message
+], ids=["non-positive", "sellmeier-box"])
+def test_grid_errors_raised_from_row_blocks(chip, monkeypatch, half_width,
+                                            message):
+    monkeypatch.setattr(source, "CHUNK_POINTS", 4 * 64, raising=False)
+    grid = GridSpec(64, 64, diff_half_width=half_width)
+    if message is None:
+        message = _whole_grid_error(chip, grid)
+        assert "um outside validity range [0.4, 2.0] um" in message
+    with pytest.raises(qpic.RangeError) as info:
+        build_jsa(chip.model, chip.pump, chip.phase_spec, grid)
+    assert str(info.value) == message
 
 
 def test_peak_sits_on_phase_matching_ridge(jsa_medium):
