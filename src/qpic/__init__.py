@@ -6,8 +6,8 @@ two-detector coincidence probabilities, including interferometer scans
 and component-imperfection studies.
 """
 
-from .circuit import (CircuitSpec, ElementDecl, compose, element_matrices,
-                      parse_netlist, parse_netlist_text, transfer)
+from .circuit import (CircuitSpec, ElementDecl, element_matrices,
+                      parse_netlist, parse_netlist_text)
 from .cmt import (CouplerFit, compose_sections, conversion_fraction,
                   coupling_matrix, fit_coupler, load_coupler_fit,
                   pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,

@@ -32,9 +32,7 @@ element of a chain from ``element_matrices`` act with its block structure
 on a 4 x k table of entries, where structural zeros stay None and the rest
 spread over the grid only from the first dispersive element that touches
 them. The reversed chain with transposed blocks, walked from unit vectors
-e_m, gives rows m of U. ``transfer`` walks a whole chip on one grid and
-stacks the table into one mode-major array (4, k, *grid); ``compose`` is a
-transfer of the identity.
+e_m, gives rows m of U.
 """
 
 from __future__ import annotations
@@ -104,8 +102,7 @@ class CircuitSpec:
         return replace(self, elements=tuple(elements))
 
 
-def build_element(decl: ElementDecl, model: MaterialModel,
-                  temperature: float) -> el.ElementMatrix:
+def build_element(decl: ElementDecl) -> el.ElementMatrix:
     """Instantiate the transfer-matrix factory for one declaration."""
     p = decl.params
     if decl.kind == "pbs":
@@ -115,10 +112,9 @@ def build_element(decl: ElementDecl, model: MaterialModel,
     if decl.kind == "pm":
         return el.pm_matrix(p["phi_h"], p["phi_v"])
     if decl.kind == "pc":
-        return el.pc_matrix(model, p["poling_period"], p["length"],
-                            p["kappa"], temperature)
+        return el.pc_matrix(p["poling_period"], p["length"], p["kappa"])
     if decl.kind == "fp":
-        return el.fp_matrix(model, p["l1"], p["l2"], temperature)
+        return el.fp_matrix(p["l1"], p["l2"])
     if decl.kind == "eobs":
         return el.eo_bs_matrix(p["kappa_c"], p["half_length"],
                                p["dbeta_1"], p["dbeta_2"],
@@ -130,43 +126,26 @@ def element_matrices(spec: CircuitSpec, transposed=False) -> list:
     """The chain in propagation order, or, if ``transposed``, reversed
     with transposed blocks: walking it computes U^T @ amps, so for unit
     vectors e_m as ``amps``, column r holds row m_r of U."""
-    chain = [build_element(d, spec.model, spec.temperature)
-             for d in spec.elements]
+    chain = [build_element(d) for d in spec.elements]
     return [m.transposed() for m in reversed(chain)] if transposed else chain
 
 
-def walk(chain, spec: CircuitSpec, omega, amps, phases=None) -> list:
+def walk(chain, amps, phases) -> list:
     """U(omega) @ amps through a chain from ``element_matrices``, as a
     4 x k table of entries: None where the entry is a structural zero,
-    else an array that spreads over omega's shape from the first
+    else an array that spreads over the grid's shape from the first
     dispersive element that touches it on.
 
     ``amps`` holds k input vectors over the mode basis, shape (4, k), and
     its exact zeros are the structural zeros of the input. U = E_n ... E_2
     E_1 (first listed element acts first) is never formed. ``phases`` is
-    the PhaseTable of omega at the chip temperature; when absent it is
-    built here. A chain walked on many grids is built once.
+    the PhaseTable of the grid omega at the chip temperature. A chain
+    walked on many grids is built once.
     """
-    w = np.asarray(omega, dtype=float)
-    if phases is None and any(m.material is not None for m in chain):
-        phases = el.PhaseTable(w, el.refractive_indices(spec.model, w,
-                                                        spec.temperature))
-    table = el.amplitude_table(amps, w.ndim)
+    table = el.amplitude_table(amps, np.ndim(phases.omega))
     for matrix in chain:
         table = matrix.apply(table, phases)
     return table
-
-
-def transfer(spec: CircuitSpec, omega, amps) -> np.ndarray:
-    """U(omega) @ amps of the whole chip as one array, shape (4, k) +
-    omega.shape, 0 at the structural zeros."""
-    return el.dense(walk(element_matrices(spec), spec, omega, amps),
-                    np.shape(omega))
-
-
-def compose(spec: CircuitSpec, omega) -> np.ndarray:
-    """Total transfer matrix of the chain, shape ``omega.shape + (4, 4)``."""
-    return np.moveaxis(transfer(spec, omega, np.eye(4)), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +231,7 @@ def _validate_elements(spec: CircuitSpec):
     # is attached so the user sees where the bad element was declared
     for decl in spec.elements:
         try:
-            build_element(decl, spec.model, spec.temperature)
+            build_element(decl)
         except ValidationError as exc:
             raise NetlistError(f"element '{decl.kind}': {exc}",
                                line=decl.line) from exc

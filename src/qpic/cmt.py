@@ -114,7 +114,7 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
     """
     if not length > 0.0:
         raise RangeError(f"section length {length} um must be > 0")
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise RangeError(f"coupling {kappa} rad/um must be >= 0")
     lam = np.asarray(wavelength, dtype=float)
     dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
@@ -201,7 +201,8 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
 
     Returns an array of shape (len(u1), len(u2)) with the power staying in
     the launch channel after sections driven at u1 then u2. The coupler
-    takes the range checks of an 'eobs' element.
+    takes the range checks of an 'eobs' element; any other non-finite
+    input raises ValidationError.
     """
     from .elements import EO_BS_DBETA_PER_VOLT  # local to avoid a cycle
     _check_coupler("switch map", kappa_c, half_length)
@@ -209,6 +210,11 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
         dbeta_per_volt = EO_BS_DBETA_PER_VOLT
     u1 = np.asarray(u1_values, dtype=float)
     u2 = np.asarray(u2_values, dtype=float)
+    for label, value in (("kappa_c", kappa_c), ("half_length", half_length),
+                         ("u1", u1), ("u2", u2),
+                         ("dbeta_per_volt", dbeta_per_volt)):
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"switch map: {label} must be finite")
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)

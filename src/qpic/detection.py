@@ -87,7 +87,7 @@ from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
 from .errors import NumericalError, RangeError, ValidationError
 from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
-                     build_jsa, marginal_spectra)
+                     _quadrature_weights, build_jsa, marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
 
@@ -133,20 +133,21 @@ def _query_pairs(query: CoincidenceQuery) -> list:
 def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     """sqrt(W) conj(F) on the grid ``rows`` and its reversal along the
     difference axis."""
-    g = np.sqrt(jsa.weights[rows]) * np.conj(jsa.amplitude[rows])
+    weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid, rows)
+    g = np.sqrt(weights) * np.conj(jsa.amplitude[rows])
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
 def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
-    """(rows, w, PhaseTable) of each chunk of about CHUNK_POINTS grid
-    points, in grid order: the grid rows ``rows``, their frequencies w and
-    one PhaseTable on w at the chip temperature."""
+    """(rows, PhaseTable) of each chunk of about CHUNK_POINTS grid points,
+    in grid order: the grid rows ``rows`` and one PhaseTable on their
+    frequencies w = (Sigma + d)/2 at the chip temperature."""
     n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
     for lo in range(0, len(jsa.sum_grid), n_rows):
         rows = slice(lo, lo + n_rows)
         w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
-        yield rows, w, PhaseTable(w, refractive_indices(spec.model, w,
-                                                        spec.temperature))
+        yield rows, PhaseTable(w, refractive_indices(spec.model, w,
+                                                     spec.temperature))
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -158,8 +159,8 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     chain = element_matrices(spec)
     pairs = _query_pairs(query)
     total = 0.0
-    for rows, w, phases in _chunks(jsa, spec):
-        c = walk(chain, spec, w, CHANNEL1_INPUTS, phases)
+    for rows, phases in _chunks(jsa, spec):
+        c = walk(chain, CHANNEL1_INPUTS, phases)
         # each live entry is a field with no phasor
         fields = [[{} if e is None else {(0, 0): e} for e in entries]
                   for entries in c]
@@ -182,9 +183,6 @@ class ScanResult:
     dip_position: float  # parabola-refined location of the minimum
     dip_fwhm: float | None  # None when a flank never recrosses half depth
     boundary_warning: bool  # minimum sits on the scan edge
-
-    def as_rows(self):
-        return np.column_stack([self.values, self.probabilities])
 
 
 def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
@@ -383,13 +381,13 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
                              transposed=True)
     anchor, step = _anchors(delay_values)
 
-    def chunk(rs, w, phases) -> np.ndarray:
+    def chunk(rs, phases) -> np.ndarray:
         """C + 2 Re sum_theta <Y_theta, exp(i theta delta)> of the grid
         rows ``rs`` at every delay; every array lives for this chunk only.
         ``phases`` is shared by both walks and the delay phases."""
         # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
-        t = walk(after, spec, w, np.eye(4)[:, rows], phases)
-        c = walk(before, spec, w, CHANNEL1_INPUTS, phases)
+        t = walk(after, np.eye(4)[:, rows], phases)
+        c = walk(before, CHANNEL1_INPUTS, phases)
         # the live terms of each row r and photon p, keyed by the
         # coefficients of (k_H, k_V) in their phasor
         terms = (((0, 0), (0, 1)), ((1, 0), (2,)), ((0, 1), (3,)))

@@ -146,8 +146,9 @@ def _check_temperature(temperature):
 
 def _check_wavelength(wavelength):
     lam = np.asarray(wavelength, dtype=float)
-    if lam.size and (np.any(lam < LAMBDA_MIN) or np.any(lam > LAMBDA_MAX)):
-        bad = lam.flat[int(np.argmax((lam < LAMBDA_MIN) | (lam > LAMBDA_MAX)))]
+    inside = (lam >= LAMBDA_MIN) & (lam <= LAMBDA_MAX)  # False for NaN
+    if not np.all(inside):
+        bad = lam.flat[int(np.argmin(inside))]
         raise RangeError(
             f"wavelength {bad} um outside validity range "
             f"[{LAMBDA_MIN}, {LAMBDA_MAX}] um")
@@ -175,9 +176,10 @@ def index(model: MaterialModel, pol: str, wavelength, temperature=None):
 def wavevector(model: MaterialModel, pol: str, omega, temperature=None):
     """Propagation constant k = n(omega) * omega / c in rad/um."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
+    positive = w > 0.0  # False for NaN
+    if not np.all(positive):
         raise RangeError("angular frequency must be positive, got "
-                         f"{float(np.min(w))} rad/ps")
+                         f"{float(w.flat[int(np.argmin(positive))])} rad/ps")
     n = index(model, pol, wavelength_from_omega(w), temperature)
     k = n * w / C_UM_PS
     return k if w.ndim else float(k)

@@ -22,9 +22,9 @@ live, in the order the dense product adds them, so the dropped terms are
 exact zeros. The dispersive blocks read one ``PhaseTable`` per frequency
 grid: the refractive indices (n_H, n_V), the wavevectors k = n w / c and
 the straight phases exp(i k l), each (polarisation, length) evaluated at
-most once. ``circuit.walk`` is the one place that walks a chain.
-``evaluate`` is the element applied to the identity, for tests and
-single-element inspection.
+most once. ``circuit.walk`` is the one place that walks a chain;
+``evaluate`` writes one element's block out as a dense 4x4 on a
+PhaseTable's grid, for tests and single-element inspection.
 """
 
 from __future__ import annotations
@@ -96,16 +96,6 @@ def amplitude_table(amps, ndim: int) -> list:
             for row in np.asarray(amps, dtype=complex)]
 
 
-def dense(table, shape) -> np.ndarray:
-    """The entry table as one array (4, k) + ``shape``, 0 where None."""
-    out = np.zeros((len(table), len(table[0])) + tuple(shape), complex)
-    for i, row in enumerate(table):
-        for c, entry in enumerate(row):
-            if entry is not None:
-                out[i, c] = entry
-    return out
-
-
 def _live_sum(pairs):
     """Sum of a * b over the pairs with both factors live, in order; None
     when there is none. Dropped terms are exact zeros, so the sum equals
@@ -127,14 +117,12 @@ class ElementMatrix:
     ``block`` is the straight lengths (l1, l2) of channels 1 and 2, whose
     phases come from the grid's ``PhaseTable``. "channel1":
     ``block(phases)`` returns the channel-1 2x2 on the table's grid, shape
-    ``(2, 2) + omega.shape``. ``material`` is the (model, temperature)
-    whose indices a dispersive block reads; None for the others.
+    ``(2, 2) + omega.shape``.
     """
 
     label: str
     structure: str
     block: np.ndarray | tuple | Callable
-    material: tuple | None = None
 
     def apply(self, table, phases):
         """This element acting on a 4 x k table of amplitude entries
@@ -163,14 +151,21 @@ class ElementMatrix:
         return replace(self, block=block.T) if self.structure == "dense" \
             else self
 
-    def evaluate(self, omega):
-        """Dense matrix at ``omega`` (scalar or array): shape
-        ``omega.shape + (4, 4)``."""
-        w = np.asarray(omega, dtype=float)
-        phases = None if self.material is None else PhaseTable(
-            w, refractive_indices(self.material[0], w, self.material[1]))
-        table = self.apply(amplitude_table(np.eye(4), w.ndim), phases)
-        return np.moveaxis(dense(table, w.shape), (0, 1), (-2, -1))
+    def evaluate(self, phases) -> np.ndarray:
+        """The element as one dense 4x4 on the grid of ``phases``, shape
+        ``omega.shape + (4, 4)``, built from its block alone: no command
+        forms it, but tests and single-element inspection do."""
+        u = np.zeros(np.shape(phases.omega) + (4, 4), dtype=complex)
+        if self.structure == "dense":
+            u[...] = self.block
+        elif self.structure == "diagonal":
+            for m in range(4):
+                u[..., m, m] = phases.phase(m % 2, self.block[m // 2])
+        else:
+            u[..., :2, :2] = np.moveaxis(self.block(phases), (0, 1),
+                                         (-2, -1))
+            u[..., 2, 2] = u[..., 3, 3] = 1.0
+        return u
 
 
 def _check_finite(label, **params):
@@ -227,13 +222,14 @@ def pm_matrix(phi_h: float, phi_v: float) -> ElementMatrix:
     return ElementMatrix("pm", "dense", m)
 
 
-def pc_matrix(model: MaterialModel, poling_period: float, length: float,
-              kappa: float, temperature=None) -> ElementMatrix:
+def pc_matrix(poling_period: float, length: float,
+              kappa: float) -> ElementMatrix:
     """Polarisation converter in channel 1 (poled H <-> V coupling).
 
     The 2x2 channel-1 block follows from coupled-mode evolution over
     ``length`` with coupling ``kappa`` (rad/um) and wavelength-dependent
-    mismatch set by ``poling_period``; channel 2 is untouched.
+    mismatch set by ``poling_period``; channel 2 is untouched. The
+    indices come from the grid's ``PhaseTable``.
     """
     _check_finite("pc", poling_period=poling_period, length=length,
                   kappa=kappa)
@@ -252,11 +248,10 @@ def pc_matrix(model: MaterialModel, poling_period: float, length: float,
         cosp, d, b = cmt._core_terms(kappa, -dk, length)
         return np.array([[cosp - 1j * d, -b], [b, cosp + 1j * d]])
 
-    return ElementMatrix("pc", "channel1", block, (model, temperature))
+    return ElementMatrix("pc", "channel1", block)
 
 
-def fp_matrix(model: MaterialModel, l1: float, l2: float,
-              temperature=None) -> ElementMatrix:
+def fp_matrix(l1: float, l2: float) -> ElementMatrix:
     """Two parallel dispersive straights: length l1 in channel 1, l2 in 2.
 
     Pure diagonal phases exp(i w n_pol(w) l / c) per mode.
@@ -264,7 +259,7 @@ def fp_matrix(model: MaterialModel, l1: float, l2: float,
     _check_finite("fp", l1=l1, l2=l2)
     if l1 < 0.0 or l2 < 0.0:
         raise RangeError(f"fp lengths ({l1}, {l2}) um must be >= 0")
-    return ElementMatrix("fp", "diagonal", (l1, l2), (model, temperature))
+    return ElementMatrix("fp", "diagonal", (l1, l2))
 
 
 def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,

@@ -97,14 +97,15 @@ class JointSpectralAmplitude:
 
     ``amplitude[i, j]`` is F at Sigma = sum_grid[i], d = diff_grid[j], so
     the signal frequency is (Sigma + d)/2 and the idler (Sigma - d)/2.
-    ``weights`` are trapezoid quadrature weights including the Jacobian
-    1/2; sum(weights * |amplitude|^2) == 1.
+    No weights are stored: the quadrature weight of grid point (i, j) is
+    0.5 w_sum[i] w_diff[j], the trapezoid weights of the two axes times
+    the Jacobian 1/2 (``_quadrature_weights``), and
+    sum(weights * |amplitude|^2) == 1.
     """
 
     sum_grid: np.ndarray
     diff_grid: np.ndarray
     amplitude: np.ndarray
-    weights: np.ndarray
     normalization: float  # C, applied to the raw product form
     pump: PumpSpec
     phase_spec: PhaseMatchSpec
@@ -114,17 +115,9 @@ class JointSpectralAmplitude:
     meta: dict = field(default_factory=dict)
 
     @property
-    def signal_frequencies(self) -> np.ndarray:
-        """2D map of w_s over the grid, shape (size_sum, size_diff)."""
-        return (self.sum_grid[:, None] + self.diff_grid[None, :]) / 2.0
-
-    @property
-    def idler_frequencies(self) -> np.ndarray:
-        return (self.sum_grid[:, None] - self.diff_grid[None, :]) / 2.0
-
-    @property
     def norm(self) -> float:
-        return float(np.sum(self.weights * np.abs(self.amplitude) ** 2))
+        return float(np.sum(_quadrature_weights(self.sum_grid, self.diff_grid)
+                            * np.abs(self.amplitude) ** 2))
 
 
 def _trapezoid_weights(grid):
@@ -132,6 +125,14 @@ def _trapezoid_weights(grid):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def _quadrature_weights(sum_grid, diff_grid, rows=slice(None)):
+    """Weights of the grid ``rows``, shape (rows, size_diff): 0.5 times
+    the outer product of the two axes' trapezoid weights, so any rows give
+    the floats of the whole grid's weights there."""
+    return 0.5 * np.outer(_trapezoid_weights(sum_grid)[rows],
+                          _trapezoid_weights(diff_grid))
 
 
 def _ridge_offset(model, spec, omega_p, temperature):
@@ -226,9 +227,8 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
             f"use at least {needed:.4g} rad/ps",
             suggested_half_width=needed)
 
-    weights = 0.5 * np.outer(_trapezoid_weights(sum_grid),
-                             _trapezoid_weights(diff_grid))
-    total = float(np.sum(weights * np.abs(raw) ** 2))
+    total = float(np.sum(_quadrature_weights(sum_grid, diff_grid)
+                         * np.abs(raw) ** 2))
     if not np.isfinite(total) or total <= 0.0:
         raise SupportTruncationError(
             "amplitude integral is not positive and finite on this grid")
@@ -236,7 +236,7 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
     raw *= c
     return JointSpectralAmplitude(
         sum_grid=sum_grid, diff_grid=diff_grid, amplitude=raw,
-        weights=weights, normalization=c, pump=pump, phase_spec=spec,
+        normalization=c, pump=pump, phase_spec=spec,
         model=model, temperature=t, ridge_offset=float(d_star),
         meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
               "sum_half_width": float(s_half),
@@ -250,10 +250,11 @@ def jsa_exchange_asymmetry(jsa: JointSpectralAmplitude) -> float:
     the interferometer, so the spectral shape alone is compared:
     || |F| - |F_exchanged| ||_2 / || F ||_2.
     """
+    weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid)
     mag = np.abs(jsa.amplitude)
     diff = mag - mag[:, ::-1]
-    num = np.sqrt(np.sum(jsa.weights * diff ** 2))
-    den = np.sqrt(np.sum(jsa.weights * mag ** 2))
+    num = np.sqrt(np.sum(weights * diff ** 2))
+    den = np.sqrt(np.sum(weights * mag ** 2))
     return float(num / den)
 
 

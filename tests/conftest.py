@@ -11,6 +11,8 @@ import pytest
 from hypothesis import settings
 
 import qpic
+from qpic.circuit import element_matrices, walk
+from tests.oracles import phase_table
 
 # reproducible property tests: fixed example sequence, no timing limits
 settings.register_profile("qpic", derandomize=True, deadline=None)
@@ -19,6 +21,20 @@ settings.load_profile("qpic")
 
 def bundled(name):
     return resources.files("qpic.data") / name
+
+
+def walked(spec, omega, amps=np.eye(4), transposed=False):
+    """U(omega) @ amps from the library's walk of the chip (U^T @ amps if
+    ``transposed``), as one array omega.shape + (4, k), 0 at the
+    structural zeros."""
+    phases = phase_table(omega, spec.model, spec.temperature)
+    table = walk(element_matrices(spec, transposed), amps, phases)
+    out = np.zeros(np.shape(omega) + (4, len(table[0])), dtype=complex)
+    for i, row in enumerate(table):
+        for c, entry in enumerate(row):
+            if entry is not None:
+                out[..., i, c] = entry
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ from scipy.integrate import solve_ivp
 import qpic
 from qpic.cmt import compose_sections, coupling_matrix, pc_spectrum, peak_fwhm
 from qpic.detection import CoincidenceQuery, apply_imperfection
-from tests.conftest import bundled
+from tests import oracles
+from tests.conftest import bundled, walked
 
 GRID = qpic.GridSpec(512, 512)
 DELAYS = qpic.default_delay_values(105)
@@ -272,17 +273,17 @@ def test_criterion_9_property_suite():
         qpic.pbs_matrix(0.7, 1.2),
         qpic.bs_matrix(0.5, 0.785),
         qpic.pm_matrix(0.3, 2.2),
-        qpic.pc_matrix(model, 21.124408686252, 2540.0, 6.184237507066522e-4),
-        qpic.fp_matrix(model, 5000.0, 15000.0),
+        qpic.pc_matrix(21.124408686252, 2540.0, 6.184237507066522e-4),
+        qpic.fp_matrix(5000.0, 15000.0),
         qpic.eo_bs_matrix(math.pi / 16000.0, 4000.0, 1e-4, -1e-4),
     ]
+    # each element from its block; the chip from the walk the commands run
+    phases = oracles.phase_table(omega, model)
     eye = np.eye(4)
     defect = max(
         float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - eye)))
-        for u in [em.evaluate(omega) for em in mats])
-    composed = qpic.compose(chip, omega)
-    defect = max(defect, float(np.max(np.abs(
-        np.swapaxes(composed.conj(), -1, -2) @ composed - eye))))
+        for u in [em.evaluate(phases) for em in mats]
+        + [walked(chip, omega)])
 
     # normalization drift under 2x refinement of the default grid
     fine = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
@@ -293,20 +294,8 @@ def test_criterion_9_property_suite():
     # literal double-loop oracle on a 3x3 grid
     tiny = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
                           qpic.GridSpec(3, 3))
-    u_b = qpic.compose(chip, tiny.signal_frequencies)
-    u_c = qpic.compose(chip, tiny.idler_frequencies)
-    signal_b, idler_b = np.conj(u_b[..., :, 0]), np.conj(u_b[..., :, 1])
-    signal_c, idler_c = np.conj(u_c[..., :, 0]), np.conj(u_c[..., :, 1])
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            jc = 2 - j
-            amp = (tiny.amplitude[i, j] * signal_b[i, j, 1]
-                   * idler_c[i, j, 3]
-                   + tiny.amplitude[i, jc] * idler_b[i, j, 1]
-                   * signal_c[i, j, 3])
-            total += tiny.weights[i, j] * abs(amp) ** 2
-    oracle_diff = abs(qpic.coincidence(tiny, chip) - total)
+    oracle_diff = abs(qpic.coincidence(tiny, chip)
+                      - oracles.coincidence(tiny, chip, 1, 3))
 
     # closed-form coupled-mode solution against direct integration
     cmt_err = 0.0

@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpic
-from qpic import elements as el
 from qpic.circuit import (CHANNEL1_INPUTS, CircuitSpec, ElementDecl,
-                          compose, element_matrices, parse_netlist_text,
-                          transfer, walk)
+                          element_matrices, parse_netlist_text, walk)
 from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
                              omega_from_wavelength)
 from qpic.errors import NetlistError
+from tests import oracles
+from tests.conftest import walked
 
 OMEGA = omega_from_wavelength(np.linspace(1.52, 1.58, 5))
 
@@ -40,7 +40,7 @@ def test_bundled_chip_structure(chip):
 def test_empty_element_list_is_identity(model):
     spec = parse_netlist_text(MINIMAL, model=model)
     assert spec.elements == ()
-    u = compose(spec, OMEGA)
+    u = walked(spec, OMEGA)
     assert np.allclose(u, np.eye(4), atol=0)
 
 
@@ -56,27 +56,28 @@ alpha = 1.5707963267948966
 beta = 1.5707963267948966
 """
     spec = parse_netlist_text(text, model=model)
-    u = compose(spec, OMEGA[0])
-    mats = [em.evaluate(OMEGA[0]) for em in element_matrices(spec)]
+    u = walked(spec, OMEGA[0])
+    phases = oracles.phase_table(OMEGA[0])
+    mats = [em.evaluate(phases) for em in element_matrices(spec)]
     assert np.allclose(u, mats[1] @ mats[0], atol=1e-15)
     # 1H phase then H passthrough with i: entry (0,0) = i e^{i 0.4}
     assert u[0, 0] == pytest.approx(1j * np.exp(0.4j))
 
 
 def test_compose_unitary(chip):
-    u = compose(chip, OMEGA)
+    u = walked(chip, OMEGA)
     eye = np.eye(4)
     defect = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - eye))
     assert defect < 1e-12
 
 
 def test_routing_columns_match_compose(chip):
-    u = compose(chip, OMEGA)
-    cols = transfer(chip, OMEGA, CHANNEL1_INPUTS)
+    u = oracles.chip_matrix(chip, OMEGA)
+    cols = walked(chip, OMEGA, CHANNEL1_INPUTS)
     # signal enters 1H (column 0), idler enters 1V (column 1)
     signal, idler = np.conj(u[..., :, 0]), np.conj(u[..., :, 1])
-    assert np.allclose(signal, np.conj(cols[:, 0]).T, atol=0)
-    assert np.allclose(idler, np.conj(cols[:, 1]).T, atol=0)
+    assert np.allclose(signal, np.conj(cols[..., 0]), atol=0)
+    assert np.allclose(idler, np.conj(cols[..., 1]), atol=0)
     # each routed amplitude set is a unit vector
     assert np.allclose(np.sum(np.abs(signal) ** 2, axis=-1), 1.0, atol=1e-12)
     assert np.allclose(np.sum(np.abs(idler) ** 2, axis=-1), 1.0, atol=1e-12)
@@ -86,8 +87,8 @@ def test_at_temperature_rebuilds(chip):
     warm = chip.at_temperature(30.0)
     assert warm.temperature == 30.0
     assert [e.kind for e in warm.elements] == [e.kind for e in chip.elements]
-    u_cold = compose(chip, OMEGA[0])
-    u_warm = compose(warm, OMEGA[0])
+    u_cold = walked(chip, OMEGA[0])
+    u_warm = walked(warm, OMEGA[0])
     assert np.max(np.abs(u_cold - u_warm)) > 1e-6
 
 
@@ -133,7 +134,7 @@ def test_source_section_optional(model):
     spec = parse_netlist_text("element fp\nl1 = 1.0\nl2 = 1.0\n", model=model)
     assert spec.pump is None
     assert spec.phase_spec is None
-    u = compose(spec, OMEGA[0])
+    u = walked(spec, OMEGA[0])
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
 
@@ -161,7 +162,7 @@ dbeta_1_v = 1.0e-2
 dbeta_2_v = 1.0e-2
 """
     spec = parse_netlist_text(text, model=model)
-    u = compose(spec, OMEGA[0])
+    u = walked(spec, OMEGA[0])
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     # H fully crosses at zero detuning; strongly detuned V stays put
     assert abs(u[2, 0]) ** 2 > 0.99
@@ -197,7 +198,7 @@ def test_material_temperature_out_of_range():
 def test_bs_unbalanced_splitting(model):
     text = MINIMAL + "\nelement bs\ntheta = 0.5235987755982988\nxi = 0.5235987755982988\n"
     spec = parse_netlist_text(text, model=model)
-    u = compose(spec, OMEGA[0])
+    u = walked(spec, OMEGA[0])
     assert abs(u[0, 0]) ** 2 == pytest.approx(math.cos(math.pi / 6) ** 2, abs=1e-12)
     assert abs(u[2, 0]) ** 2 == pytest.approx(math.sin(math.pi / 6) ** 2, abs=1e-12)
 
@@ -233,18 +234,15 @@ def test_transfer_matches_dense_product(model, decls, wavelengths,
     spec = CircuitSpec(elements=tuple(decls), model=model,
                        temperature=temperature)
     omega = omega_from_wavelength(np.array(wavelengths))
-    u = compose(spec, omega)
+    u = walked(spec, omega)
 
-    product = np.broadcast_to(np.eye(4), omega.shape + (4, 4))
-    for em in element_matrices(spec):
-        product = em.evaluate(omega) @ product
+    product = oracles.chip_matrix(spec, omega)
     assert np.max(np.abs(u - product)) <= 1e-13
 
     eye = np.eye(4)
     assert np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - eye)) <= 1e-12
 
-    cols = np.moveaxis(transfer(spec, omega, CHANNEL1_INPUTS), (0, 1),
-                       (-2, -1))
+    cols = walked(spec, omega, CHANNEL1_INPUTS)
     assert np.max(np.abs(np.conj(cols[..., :, 0]) - u[..., :, 0].conj())) \
         <= 1e-15
     assert np.max(np.abs(np.conj(cols[..., :, 1]) - u[..., :, 1].conj())) \
@@ -276,13 +274,11 @@ def test_transfer_rows_match_compose(model, decls, rows, wavelengths,
     spec = CircuitSpec(elements=tuple(decls), model=model,
                        temperature=temperature)
     omega = omega_from_wavelength(np.array(wavelengths))
-    u = compose(spec, omega)
-    chain = element_matrices(spec, transposed=True)
-    t = el.dense(walk(chain, spec, omega, np.eye(4)[:, rows]), omega.shape)
-    assert t.shape == (4, len(rows)) + omega.shape
-    # t[j, r] = U[rows[r], j]
-    assert np.max(np.abs(np.moveaxis(t, (0, 1), (-1, -2))
-                         - u[..., rows, :])) <= 1e-14
+    u = oracles.chip_matrix(spec, omega)
+    t = walked(spec, omega, np.eye(4)[:, rows], transposed=True)
+    assert t.shape == omega.shape + (4, len(rows))
+    # t[..., j, r] = U[rows[r], j]
+    assert np.max(np.abs(np.swapaxes(t, -1, -2) - u[..., rows, :])) <= 1e-14
 
 
 CONSTANT_ONLY = MINIMAL + """
@@ -305,27 +301,24 @@ xi = 0.7
 def test_frequency_free_chain_fills_the_grid(model, text):
     spec = parse_netlist_text(text, model=model)
     omega = OMEGA[:4].reshape(2, 2)
-    dense = compose(spec, OMEGA[0])
+    dense = oracles.chip_matrix(spec, OMEGA[0])
     inputs = np.eye(4)[:, 1:3]
-    rows = el.dense(walk(element_matrices(spec, transposed=True), spec,
-                         omega, inputs), omega.shape)
-    for out, want in ((transfer(spec, omega, inputs), dense[:, 1:3]),
-                      (rows, dense.T[:, 1:3])):
-        assert out.shape == (4, 2, 2, 2)
-        assert 0 not in out.strides and out.flags.writeable
-        assert np.max(np.abs(out - want[:, :, None, None])) <= 1e-15
-        out[...] = 0.0  # an array of its own, not a view of the inputs
+    for out, want in ((walked(spec, omega, inputs), dense[:, 1:3]),
+                      (walked(spec, omega, inputs, transposed=True),
+                       dense.T[:, 1:3])):
+        assert out.shape == (2, 2, 4, 2)
+        assert np.max(np.abs(out - want)) <= 1e-15
     assert np.all(inputs == np.eye(4)[:, 1:3])
 
 
 def test_compose_keeps_the_shape_of_omega(chip):
     grid = OMEGA[:4].reshape(2, 2)
-    u = compose(chip, grid)
-    assert compose(chip, OMEGA[0]).shape == (4, 4)
+    u = walked(chip, grid)
+    assert walked(chip, OMEGA[0]).shape == (4, 4)
     assert u.shape == (2, 2, 4, 4)
     for i in range(2):
         for j in range(2):
-            assert np.max(np.abs(u[i, j] - compose(chip, grid[i, j]))) \
+            assert np.max(np.abs(u[i, j] - walked(chip, grid[i, j]))) \
                 <= 1e-15
 
 
@@ -334,10 +327,36 @@ def test_structural_zeros_stay_exact(chip):
     # and the V-born photon never reaches 2H
     prefix = chip.with_elements(chip.elements[:3])
     omega = OMEGA[:4].reshape(2, 2)
-    table = walk(element_matrices(prefix), prefix, omega, CHANNEL1_INPUTS)
+    table = walk(element_matrices(prefix), CHANNEL1_INPUTS,
+                 oracles.phase_table(omega, prefix.model, prefix.temperature))
     assert table[3][0] is None and table[2][1] is None
-    out = transfer(prefix, omega, CHANNEL1_INPUTS)
-    assert out.shape == (4, 2, 2, 2)
-    assert 0 not in out.strides and out.flags.writeable
-    assert np.all(out[3, 0] == 0) and np.all(out[2, 1] == 0)
-    assert np.all(out[2, 0] != 0) and np.all(out[3, 1] != 0)
+    out = walked(prefix, omega, CHANNEL1_INPUTS)
+    assert out.shape == (2, 2, 4, 2)
+    assert np.all(out[..., 3, 0] == 0) and np.all(out[..., 2, 1] == 0)
+    assert np.all(out[..., 2, 0] != 0) and np.all(out[..., 3, 1] != 0)
+
+
+def test_public_api():
+    # adding or removing an export is a deliberate edit of this list
+    assert sorted(qpic.__all__) == [
+        "BASIS", "C_UM_PS", "CircuitSpec", "CoincidenceQuery", "CouplerFit",
+        "ElementDecl", "ElementMatrix", "GridSpec", "JointSpectralAmplitude",
+        "MarginalSpectra", "MaterialModel", "NetlistError", "NumericalError",
+        "PhaseMatchError", "PhaseMatchSpec", "PumpSpec", "QpicError",
+        "RangeError", "ScanResult", "SellmeierSet", "SpectralDensity",
+        "SupportTruncationError", "SweepPoint", "TemperaturePoint",
+        "TuningCurve", "ValidationError", "apply_imperfection", "bs_matrix",
+        "build_jsa", "circuit", "cmt", "coincidence", "compose_sections",
+        "conversion_fraction", "coupling_matrix", "default_delay_values",
+        "default_material", "degenerate_wavelength", "detection",
+        "dispersion", "element_matrices", "elements", "eo_bs_dbeta",
+        "eo_bs_matrix", "errors", "fit_coupler", "fp_matrix", "group_index",
+        "group_velocity", "hom_scan", "imperfection_sweep", "index",
+        "jsa_exchange_asymmetry", "keyfile", "load_coupler_fit",
+        "load_material", "marginal_spectra", "mode_index",
+        "omega_from_wavelength", "parse_netlist", "parse_netlist_text",
+        "pbs_angles", "pbs_matrix", "pc_kappa", "pc_matched_wavelength",
+        "pc_matrix", "pc_mismatch", "pc_spectrum", "pdc_mismatch",
+        "peak_fwhm", "pm_matrix", "pm_phases", "save_coupler_fit", "source",
+        "splitting_ratio", "switch_map", "temperature_scan", "tuning_curve",
+        "wavelength_from_omega", "wavevector"]

@@ -123,6 +123,14 @@ def test_pc_spectrum_width_halves_with_length(model):
     assert ratio == pytest.approx(0.5, abs=0.02)
 
 
+def test_converter_rejects_non_finite(model):
+    # a comparison with NaN is False, so the checks must be positive ones
+    with pytest.raises(qpic.RangeError, match="coupling nan rad/um"):
+        conversion_fraction(model, 21.4, 7600.0, math.nan, 1.55)
+    with pytest.raises(qpic.RangeError, match="wavelength nan um"):
+        pc_spectrum(model, 21.4, 7600.0, 2e-4, wavelengths=[1.55, math.nan])
+
+
 @pytest.mark.parametrize("length", [5.0, 1e-9])
 def test_pc_spectrum_window_outside_validity_names_length(model, length):
     # the auto window widens as 1/length and leaves [0.4, 2.0] um
@@ -173,6 +181,18 @@ def test_switch_map_symmetry_and_extremes():
 def test_switch_map_rejects_what_eobs_rejects(kappa_c, half_length):
     with pytest.raises(qpic.RangeError):
         switch_map(kappa_c, half_length, [0.0, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("coupler, u1, u2, per_volt, name", [
+    ((math.inf, 4000.0), [0.0], [0.0], None, "kappa_c"),
+    ((1e-4, math.inf), [0.0], [0.0], None, "half_length"),
+    ((1e-4, 4000.0), [0.0, math.nan], [0.0], None, "u1"),
+    ((1e-4, 4000.0), [0.0], [math.inf], None, "u2"),
+    ((1e-4, 4000.0), [0.0], [0.0], math.nan, "dbeta_per_volt"),
+], ids=["kappa-inf", "half-length-inf", "u1-nan", "u2-inf", "per-volt-nan"])
+def test_switch_map_rejects_non_finite(coupler, u1, u2, per_volt, name):
+    with pytest.raises(qpic.ValidationError, match=f"{name} must be finite"):
+        switch_map(*coupler, u1, u2, per_volt)
 
 
 def synth_ratios(beat, offset, lengths, rng):

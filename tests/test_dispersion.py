@@ -74,6 +74,10 @@ def test_wavelength_range_enforced(model):
         index(model, "H", 2.5)
     with pytest.raises(RangeError):
         index(model, "H", 1.55, 300.0)
+    # a comparison with NaN is False, so the check must be a positive one
+    for bad in (math.nan, math.inf, np.array([1.55, math.nan])):
+        with pytest.raises(RangeError, match=r"wavelength (nan|inf) um"):
+            index(model, "H", bad)
 
 
 def test_bad_polarization(model):
@@ -90,6 +94,9 @@ def test_wavevector_monotonic(model):
 def test_wavevector_rejects_nonpositive(model):
     with pytest.raises(ValidationError):
         wavevector(model, "H", 0.0)
+    for bad in (math.nan, np.array([1.2, math.nan])):
+        with pytest.raises(RangeError, match="got nan rad/ps"):
+            wavevector(model, "H", bad)
 
 
 def test_group_velocity_against_wide_stencil(model):

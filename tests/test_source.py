@@ -9,8 +9,8 @@ import pytest
 import qpic
 from qpic import source
 from qpic.dispersion import pdc_mismatch
-from qpic.source import (EDGE_FLOOR, GridSpec, PumpSpec, _ridge_offset,
-                         _trapezoid_weights, build_jsa,
+from qpic.source import (EDGE_FLOOR, GridSpec, PumpSpec, _quadrature_weights,
+                         _ridge_offset, _trapezoid_weights, build_jsa,
                          jsa_exchange_asymmetry, marginal_spectra)
 
 
@@ -22,8 +22,11 @@ def test_grid_shapes(jsa_medium):
     assert jsa_medium.amplitude.shape == (256, 256)
     assert jsa_medium.sum_grid.shape == (256,)
     assert jsa_medium.diff_grid.shape == (256,)
-    assert jsa_medium.weights.shape == (256, 256)
-    assert np.all(jsa_medium.weights >= 0)
+    weights = _quadrature_weights(jsa_medium.sum_grid, jsa_medium.diff_grid)
+    assert weights.shape == (256, 256)
+    assert np.all(weights >= 0)
+    assert _quadrature_weights(jsa_medium.sum_grid, jsa_medium.diff_grid,
+                               slice(7, 12)).shape == (5, 256)
 
 
 def test_diff_grid_exactly_antisymmetric(jsa_medium):
@@ -34,15 +37,6 @@ def test_diff_grid_exactly_antisymmetric(jsa_medium):
 def test_sum_grid_centred_on_pump(jsa_medium):
     centre = 0.5 * (jsa_medium.sum_grid[0] + jsa_medium.sum_grid[-1])
     assert centre == pytest.approx(jsa_medium.pump.omega_pump, rel=1e-12)
-
-
-def test_signal_idler_frequencies(jsa_medium):
-    ws = jsa_medium.signal_frequencies
-    wi = jsa_medium.idler_frequencies
-    s = jsa_medium.sum_grid[:, None]
-    d = jsa_medium.diff_grid[None, :]
-    assert np.allclose(ws + wi, np.broadcast_to(s, ws.shape), atol=1e-9)
-    assert np.allclose(ws - wi, np.broadcast_to(d, ws.shape), atol=1e-9)
 
 
 @pytest.mark.parametrize("size, chunk_points", [
@@ -66,7 +60,10 @@ def test_row_blocks_match_whole_grid(chip, monkeypatch, size, chunk_points):
     weights = 0.5 * np.outer(_trapezoid_weights(s), _trapezoid_weights(d))
     total = float(np.sum(weights * np.abs(raw) ** 2))
     c = 1.0 / np.sqrt(total)
-    assert np.array_equal(jsa.weights, weights)
+    # the weights of any rows are the floats of the whole grid's weights
+    assert np.array_equal(_quadrature_weights(s, d), weights)
+    assert np.array_equal(_quadrature_weights(s, d, slice(3, 8)),
+                          weights[3:8])
     assert jsa.normalization == c
     assert jsa.meta["raw_norm"] == total
     assert np.array_equal(jsa.amplitude, c * raw)
@@ -74,9 +71,9 @@ def test_row_blocks_match_whole_grid(chip, monkeypatch, size, chunk_points):
 
 def test_build_jsa_keeps_no_full_grid_transient(chip):
     """At the production grid the traced memory peak of build_jsa stays
-    below 10 MiB: the result (a 4 MiB amplitude and 2 MiB of weights) plus
-    the norm's float transients; frequencies, mismatch and the sinc-exp
-    factor exist for one block of rows at a time."""
+    below 10 MiB: the result (a 4 MiB amplitude and its two axes) plus
+    the norm's weights and float transients; frequencies, mismatch and
+    the sinc-exp factor exist for one block of rows at a time."""
     tracemalloc.start()
     try:
         jsa = build_jsa(chip.model, chip.pump, chip.phase_spec,
@@ -85,6 +82,8 @@ def test_build_jsa_keeps_no_full_grid_transient(chip):
     finally:
         tracemalloc.stop()
     assert jsa.amplitude.nbytes == 4 * 2 ** 20
+    assert sum(v.nbytes for v in vars(jsa).values()
+               if isinstance(v, np.ndarray)) == 4 * 2 ** 20 + 2 * 512 * 8
     assert peak < 10 * 2 ** 20
 
 
@@ -162,7 +161,8 @@ def test_short_pulse_strongly_asymmetric(chip):
 def test_short_pulse_sum_profile_is_pump_gaussian(chip):
     pump = PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
     jsa = build_jsa(chip.model, pump, chip.phase_spec, GridSpec(256, 256))
-    prof = np.sum(jsa.weights * np.abs(jsa.amplitude) ** 2, axis=1)
+    prof = np.sum(_quadrature_weights(jsa.sum_grid, jsa.diff_grid)
+                  * np.abs(jsa.amplitude) ** 2, axis=1)
     s = jsa.sum_grid
     mu = np.sum(s * prof) / np.sum(prof)
     sigma = np.sqrt(np.sum((s - mu) ** 2 * prof) / np.sum(prof))
