@@ -39,6 +39,12 @@ def coupling_matrix(kappa, dbeta, z):
     kappa = np.asarray(kappa, dtype=float)
     dbeta = np.asarray(dbeta, dtype=float)
     z = np.asarray(z, dtype=float)
+    for label, value in (("coupling", kappa), ("mismatch", dbeta),
+                         ("section length", z)):
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            raise RangeError(f"{label} {value.flat[int(np.argmin(finite))]} "
+                             f"must be finite")
     if np.any(z < 0.0):
         raise RangeError("section length must be >= 0")
     s = np.hypot(kappa, dbeta / 2.0)
@@ -112,10 +118,10 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
     Equals (kappa/s)^2 sin^2(s L) with the wavelength-dependent mismatch
     of the conversion grating.
     """
-    if not length > 0.0:
-        raise RangeError(f"section length {length} um must be > 0")
-    if not kappa >= 0.0:
-        raise RangeError(f"coupling {kappa} rad/um must be >= 0")
+    if not (np.isfinite(length) and length > 0.0):
+        raise RangeError(f"section length {length} um must be finite and > 0")
+    if not (np.isfinite(kappa) and kappa >= 0.0):
+        raise RangeError(f"coupling {kappa} rad/um must be finite and >= 0")
     lam = np.asarray(wavelength, dtype=float)
     dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
     frac = _core_terms(kappa, dk, length)[2] ** 2

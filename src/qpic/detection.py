@@ -40,43 +40,41 @@ conjugation takes theta to -theta and Y to conj Y.
 
 Both ``coincidence`` and a scan work through the grid in chunks of about
 CHUNK_POINTS points (``_chunks``), each with its own frequencies and one
-PhaseTable, and both take C from one kernel, ``_moments``. ``coincidence``
-walks the whole chain on a chunk; every live transfer entry is a field
-with no phasor, so C is its probability. A scan builds the two element
-chains once, walks c and T on each chunk's rows, builds its C and Y_theta
-once, in cache, and runs every delay at two array passes per exponent (a
-phasor product and a dot): 4 per delay for VV on the bundled chip (2
-exponents) and 12 for the insensitive query (6), against 12 and 38 to
-form the fields and brackets at every delay. The walks and the moments
-exist for one chunk only; no array the size of the grid outlives it.
-CHUNK_POINTS lives in ``source``, whose ``build_jsa`` fills the amplitude
-in row blocks of the same size.
+PhaseTable, and take C from one kernel, ``_moments``. ``coincidence``
+walks the whole chain on a chunk, where every live entry is a field with
+no phasor. A scan builds the two chains once and walks c and T on each
+chunk; no array the size of the grid outlives a chunk. CHUNK_POINTS lives
+in ``source``, whose ``build_jsa`` fills the amplitude in row blocks.
 
-The phasors follow an anchored recurrence. The delays are cut into fixed
-blocks of ANCHOR_BLOCK. At the first delay of a block (its anchor) each
-live phi_k is evaluated as exp(i (k_k delta)) and each exp(i theta delta)
-is a product of them, reversed or conjugated; each later delay multiplies
-it by the same product of the exp(i (k_k Delta)), Delta the mean step. A
-delay that the recurrence from the last anchor, delta_a + j Delta, misses
-by more than STEP_RTOL |Delta| (an uneven grid) becomes an anchor itself.
-A uniform scan of n delays with m live wavevectors thus makes
-m (ceil(n / ANCHOR_BLOCK) + 1) grid-wide exp evaluations, an uneven one at
-most m n. The chunk values are summed in grid order.
+A scan expands each exponent in a Taylor series along the sum axis
+(Anderson & Dahleh, SIAM J. Sci. Comput. 17 (1996) 913). With the grid
+rows cut into blocks, theta_c(d) theta on a block's centre row and
+eps = theta - theta_c, a block adds
 
-Accuracy: |theta| can reach k_H + k_V (~18 rad/um), but each phasor is a
-product of at most four base ones, so its phase error is the sum of
-theirs. An anchor rounds k delta as a direct evaluation does (k ~ 9
-rad/um, so ~4e-12 rad at 4000 um); each step adds the rounding of k Delta
-per factor (~5e-14 rad at Delta = 50 um) and ~1e-15 rad for the complex
-products. The fifteenth step of a four-factor phasor is thus off by at
-most ~2e-11 rad, per wavevector the phase of a delay error of about
-1e-12 um. Grid jitter moves a delay by at most STEP_RTOL |Delta| more
-(5e-12 um at Delta = 50 um). A probability thus moves by about
-|dP/d delta| * 1e-12 um.
+    sum_d exp(i theta_c(d) delta) sum_n (i delta)^n M_n(d),
+    M_n(d) = sum_S Y_theta(S, d) eps(S, d)^n / n!,   n <= N.
+
+Each chunk multiplies its Y_theta by eps in place and adds the row sums to
+M_n. Once a block is complete, each tile of about CHUNK_POINTS (delay,
+column) points costs N + 1 Horner steps, one exp of theta_c delta and one
+reduction; no exp runs on the grid, and uneven delays cost nothing extra.
+
+Plan (``_plan``, per exponent, before its moments): along a column theta
+is monotone in S (k and, in normal dispersion, dk/dw rise with w; k_H and
+k_V have different group indices), so rho = max |eps| max |delta| comes
+from a block's edge rows. N is the least with rho^(N+1) e^rho / (N+1)! <=
+eps_mach, which bounds the truncation by eps_mach sum |Y_theta|. The terms
+sum to at most e^rho sum |Y_theta|, so rounding grows like e^rho; RHO_CAP
+= 4 holds it within 55 eps_mach (1.2e-14) of sum |Y_theta|. The block
+count is the one of least work within the cap: rows (N + 1) for the
+moments plus blocks delays (N + 1 + EXP_TERMS) for the tiles. A 1000 ps
+pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens of blocks.
+A one-row block has eps = 0 and N = 0, the direct sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +89,8 @@ from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
 
 PROBABILITY_SLACK = 1e-9
 
-ANCHOR_BLOCK = 16  # delays per block; each block starts with a direct exp
-STEP_RTOL = 1e-13  # recurrence delay error allowed, relative to the step
+RHO_CAP = 4.0  # max |eps| max |delta| of a block: rounding grows like e^rho
+EXP_TERMS = 20  # one complex exp on a tile costs about 20 Horner terms
 
 POLARISATIONS = ("H", "V")
 
@@ -138,16 +136,20 @@ def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
+def _row_phases(jsa: JointSpectralAmplitude, spec: CircuitSpec, rows):
+    """One PhaseTable on the frequencies w = (Sigma + d)/2 of the grid rows
+    ``rows`` (a slice or row indices) at the chip temperature."""
+    w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
+    return PhaseTable(w, refractive_indices(spec.model, w, spec.temperature))
+
+
 def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
     """(rows, PhaseTable) of each chunk of about CHUNK_POINTS grid points,
-    in grid order: the grid rows ``rows`` and one PhaseTable on their
-    frequencies w = (Sigma + d)/2 at the chip temperature."""
+    in grid order: the grid rows ``rows`` and ``_row_phases`` on them."""
     n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
     for lo in range(0, len(jsa.sum_grid), n_rows):
         rows = slice(lo, lo + n_rows)
-        w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
-        yield rows, PhaseTable(w, refractive_indices(spec.model, w,
-                                                     spec.temperature))
+        yield rows, _row_phases(jsa, spec, rows)
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -270,24 +272,6 @@ def _find_scan_element(spec: CircuitSpec, scan_element, delays) -> int:
     return idx
 
 
-def _anchors(delays: np.ndarray):
-    """Which delays evaluate their phasors directly, and the mean step.
-
-    The first delay of every block of ANCHOR_BLOCK is an anchor, and so is
-    any delay that the recurrence from the last anchor a, delays[a] +
-    (j - a) * step, misses by more than STEP_RTOL * |step|.
-    """
-    step = (delays[-1] - delays[0]) / (len(delays) - 1)
-    anchor = np.zeros(len(delays), dtype=bool)
-    a = 0
-    for j, delta in enumerate(delays):
-        if j % ANCHOR_BLOCK == 0 or abs(delta - (delays[a] + (j - a) * step)) \
-                > STEP_RTOL * abs(step):
-            anchor[j] = True
-            a = j
-    return anchor, step
-
-
 def _canonical(theta):
     """Canonical form of an exponent, the integer coefficients theta of
     (k_H, k_V, k_H^R, k_V^R): (key, reverse, negate). Reversal swaps the
@@ -322,31 +306,122 @@ def _moments(weighted, fields, pairs):
                 for kc, fc in second.items():
                     term = weight * fb * fc[:, ::-1]
                     x[kb + kc] = x[kb + kc] + term if kb + kc in x else term
-        conj = {key: np.conj(v) for key, v in x.items()}
         keys = list(x)
         for i, a in enumerate(keys):
             total += np.vdot(x[a], x[a]).real
             for b_key in keys[i + 1:]:
                 theta, reverse, negate = _canonical(
                     tuple(m - n for m, n in zip(a, b_key)))
-                y = x[b_key] * conj[a] if negate else x[a] * conj[b_key]
+                y = x[b_key] * np.conj(x[a]) if negate \
+                    else x[a] * np.conj(x[b_key])
                 y = y[:, ::-1] if reverse else y
                 moments[theta] = moments[theta] + y if theta in moments \
                     else np.ascontiguousarray(y)
     return total, moments
 
 
-def _phasors(thetas, base) -> np.ndarray:
-    """exp(i theta x) on a chunk for each exponent, (len(thetas), points):
-    the product of the base phasors base[k] = exp(i k_k x), reversed for
-    the w^R parts and conjugated for negative coefficients."""
-    out = np.ones((len(thetas),) + next(iter(base.values())).shape, complex)
-    for row, theta in zip(out, thetas):
-        for i, n in enumerate(theta):
-            if n:
-                f = base[i % 2][:, ::1 if i < 2 else -1]
-                row *= np.conj(f) if n < 0 else f
-    return out.reshape(len(thetas), -1)
+def _exponent(theta, k) -> np.ndarray:
+    """theta on the rows of ``k`` = (k_H, k_V), reversed along the
+    difference axis for the w^R parts."""
+    return sum(n * k[i % 2][..., ::1 if i < 2 else -1]
+               for i, n in enumerate(theta) if n)
+
+
+def _terms(rho: float) -> int:
+    """The least N with rho^(N+1) e^rho / (N+1)! <= eps_mach, a bound on
+    the remainder of exp(i x) after the x^N term for |x| <= rho."""
+    n, bound = 0, rho * math.exp(rho)
+    while bound > np.finfo(float).eps:
+        n += 1
+        bound *= rho / (n + 1)
+    return n
+
+
+@dataclass
+class _Block:
+    """Grid rows [lo, hi) of one exponent: theta on the centre row, rho
+    and, once a chunk reaches them, the sums of Y_theta eps^n, n <= N."""
+
+    lo: int
+    hi: int
+    centre: np.ndarray
+    rho: float
+    moments: np.ndarray | None = None
+
+    @property
+    def terms(self) -> int:
+        return _terms(self.rho)
+
+    def add(self, y: np.ndarray, theta: np.ndarray, start: int):
+        """Add the rows of Y_theta from grid row ``start`` on, theta the
+        exponent on them; both are overwritten."""
+        rows = slice(max(self.lo - start, 0), max(self.hi - start, 0))
+        y, eps = y[rows], theta[rows]
+        if len(y):
+            if self.moments is None:
+                self.moments = np.zeros((self.terms + 1, y.shape[1]), complex)
+            eps -= self.centre
+            self.moments[0] += y.sum(axis=0)
+            for moment in self.moments[1:]:
+                y *= eps
+                moment += y.sum(axis=0)
+
+    def values(self, delays: np.ndarray) -> np.ndarray:
+        """2 Re <Y_theta, exp(i theta delta)> over the rows at every delay,
+        Horner in delta on tiles of about CHUNK_POINTS points."""
+        factorials = np.cumprod([1.0, *range(1, len(self.moments))])
+        m = self.moments / factorials[:, None]
+        out = np.empty(len(delays))
+        step = max(1, CHUNK_POINTS // m.shape[1])
+        for lo in range(0, len(delays), step):
+            delta = delays[lo:lo + step, None]
+            tile = np.repeat(m[-1:], len(delta), axis=0)
+            for moment in m[-2::-1]:
+                tile *= 1j * delta
+                tile += moment
+            tile *= np.exp(1j * (delta * self.centre))
+            out[lo:lo + step] = 2.0 * tile.sum(axis=1).real
+        return out
+
+
+def _plan(jsa: JointSpectralAmplitude, spec: CircuitSpec, theta,
+          delays) -> list:
+    """The row blocks of ``theta`` of least counted work among the block
+    counts with rho <= RHO_CAP. A block's rho comes from theta on its
+    first, centre and last rows; the search scales that of one whole-grid
+    block by the block height, and adds blocks while the exact rho misses."""
+    n_rows, n_diff = len(jsa.sum_grid), len(jsa.diff_grid)
+    reach = float(np.max(np.abs(delays)))
+    step = 3 * max(1, CHUNK_POINTS // (3 * n_diff))  # rows per index call
+
+    def blocks(count):
+        edges = [i * n_rows // count for i in range(count + 1)]
+        rows = [r for lo, hi in zip(edges, edges[1:])
+                for r in (lo, (lo + hi - 1) // 2, hi - 1)]
+        lines = np.concatenate([
+            _exponent(theta, _row_phases(jsa, spec, rows[i:i + step]).k)
+            for i in range(0, len(rows), step)]).reshape(count, 3, n_diff)
+        rho = reach * np.max(np.abs(lines - lines[:, 1:2]), axis=(1, 2))
+        return [_Block(lo, hi, line[1].copy(), float(r))
+                for lo, hi, line, r in zip(edges, edges[1:], lines, rho)]
+
+    whole = blocks(1)
+
+    def work(count):  # per difference column
+        rho = whole[0].rho * (-(-n_rows // count) // 2) / (n_rows // 2)
+        if rho > RHO_CAP:
+            return np.inf
+        terms = _terms(rho) + 1
+        return n_rows * terms + count * len(delays) * (terms + EXP_TERMS)
+
+    # the least count of each block height
+    count = min(sorted({-(-n_rows // m) for m in range(1, n_rows + 1)}),
+                key=work)
+    plan = whole if count == 1 else blocks(count)
+    while max(block.rho for block in plan) > RHO_CAP:
+        count += 1
+        plan = blocks(count)
+    return plan
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
@@ -362,10 +437,9 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
 
     The probability takes the moment form of the module docstring. The
     element chains before and after the scanned fp are built once; each
-    chunk of grid rows walks them on its own frequencies and builds C and
-    Y_theta from the live transfer terms of the modes the query reads. The
-    phasors follow its anchored recurrence; probabilities move by about
-    |dP/d delta| * 1e-12 um.
+    chunk of grid rows walks them, builds C and Y_theta from the live
+    transfer terms of the modes the query reads and adds Y_theta to the
+    Taylor moments of its blocks. A complete block gives every delay.
     """
     if query is None:
         query = CoincidenceQuery()
@@ -379,12 +453,13 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
     after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
                              transposed=True)
-    anchor, step = _anchors(delay_values)
 
-    def chunk(rs, phases) -> np.ndarray:
-        """C + 2 Re sum_theta <Y_theta, exp(i theta delta)> of the grid
-        rows ``rs`` at every delay; every array lives for this chunk only.
-        ``phases`` is shared by both walks and the delay phases."""
+    plans = {}
+
+    def chunk(rs, phases) -> float:
+        """C of the grid rows ``rs``, whose Y_theta go into the moments of
+        each exponent's blocks; ``phases`` is shared by both walks and the
+        exponents."""
         # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
         t = walk(after, np.eye(4)[:, rows], phases)
         c = walk(before, CHANNEL1_INPUTS, phases)
@@ -396,31 +471,23 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
                    for p in (0, 1)] for r in range(len(rows))]
         total, moments = _moments(_weighted_amplitude(jsa, rs), fields,
                                   row_pairs)
-        values = np.full(len(delay_values), total)
-        thetas = list(moments)
-        if not thetas:
-            return values
-        y = [moments[theta].reshape(-1) for theta in thetas]
-        live = sorted({i % 2 for theta in thetas
-                       for i, n in enumerate(theta) if n})
+        for theta, y in moments.items():
+            if theta not in plans:  # every chunk has the same exponents
+                plans[theta] = _plan(jsa, spec, theta, delay_values)
+            theta_rows = _exponent(theta, phases.k)
+            for block in plans[theta]:
+                block.add(y, theta_rows, rs.start)
+        return total
 
-        def phasors(x):
-            return _phasors(thetas, {k: np.exp(1j * (phases.k[k] * x))
-                                     for k in live})
+    values = np.zeros(len(delay_values))
+    for rs, phases in _chunks(jsa, spec):
+        values += chunk(rs, phases)
+        del phases  # the chunk goes before any tile is built
+        for plan in plans.values():
+            while plan and plan[0].hi <= rs.stop:
+                values += plan.pop(0).values(delay_values)
 
-        step_phasor = None if anchor.all() else phasors(step)
-        for j, delta in enumerate(delay_values):
-            if anchor[j]:
-                phasor = phasors(delta)
-            else:
-                phasor *= step_phasor
-            values[j] += 2.0 * sum(np.dot(yi, fi).real
-                                   for yi, fi in zip(y, phasor))
-        return values
-
-    probabilities = [_check_probability(p)
-                     for p in sum(chunk(*part)
-                                  for part in _chunks(jsa, spec))]
+    probabilities = [_check_probability(p) for p in values]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)
 
 

@@ -129,6 +129,22 @@ def test_converter_rejects_non_finite(model):
         conversion_fraction(model, 21.4, 7600.0, math.nan, 1.55)
     with pytest.raises(qpic.RangeError, match="wavelength nan um"):
         pc_spectrum(model, 21.4, 7600.0, 2e-4, wavelengths=[1.55, math.nan])
+    with pytest.raises(qpic.RangeError, match="section length inf um"):
+        conversion_fraction(model, 21.4, math.inf, 1e-4, 1.55)
+    with pytest.raises(qpic.RangeError, match="coupling inf rad/um"):
+        conversion_fraction(model, 21.4, 1000.0, math.inf, 1.55)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((math.nan, 0.0, 100.0), "coupling nan"),
+    ((1e-3, math.nan, 100.0), "mismatch nan"),
+    ((1e-3, 0.0, math.inf), "section length inf"),
+    (([1e-3, -math.inf], 0.0, 100.0), "coupling -inf"),
+    ((1e-3, [0.0, 1e-4], [100.0, math.nan]), "section length nan"),
+], ids=["kappa", "dbeta", "z", "kappa-element", "z-element"])
+def test_coupling_matrix_rejects_non_finite(args, match):
+    with pytest.raises(qpic.RangeError, match=match):
+        coupling_matrix(*args)
 
 
 @pytest.mark.parametrize("length", [5.0, 1e-9])

@@ -1,5 +1,6 @@
 """Coincidence probabilities, interferometer scans, and sweeps."""
 
+import math
 import sys
 import tracemalloc
 import warnings
@@ -145,9 +146,9 @@ def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
                                atol=1e-15)
 
 
-K = detection.ANCHOR_BLOCK
+K = 16
 RECURRENCE_DELAYS = {
-    # three anchor blocks, the last one partial
+    # three blocks of K delays, the last one partial
     "blocks": np.linspace(-1500.0, 3700.0, 2 * K + 5),
     # linspace steps that differ from the mean step by an ulp
     "jitter": np.linspace(-1000.0, 1000.0, 100),
@@ -161,9 +162,9 @@ RECURRENCE_DELAYS = {
 @pytest.mark.parametrize("grid", list(RECURRENCE_DELAYS))
 def test_recurrence_matches_stretched_chip(chip, jsa_tiny, query, grid,
                                           monkeypatch):
-    """The phasor recurrence, its re-anchoring, the block edges and the
-    grid chunks keep every point equal to coincidence() on the stretched
-    leaky-pbs chip."""
+    """Delay grids in blocks of K, with jittered steps and with uneven
+    steps, over grid chunks that end in a partial one, keep every point
+    equal to coincidence() on the stretched leaky-pbs chip."""
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     delays = RECURRENCE_DELAYS[grid]
@@ -177,6 +178,128 @@ def test_recurrence_matches_stretched_chip(chip, jsa_tiny, query, grid,
         stretched = chip.with_elements(elements)
         assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
                                   abs=1e-11)
+
+
+@pytest.fixture(scope="module")
+def jsa_short(chip):
+    pump = qpic.PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
+    return qpic.build_jsa(chip.model, pump, chip.phase_spec,
+                          qpic.GridSpec(64, 64))
+
+
+@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+                         ids=["VV", "insensitive"])
+def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
+                                                monkeypatch):
+    """A 1 ps pump widens the sum axis a thousandfold, so the expansion
+    needs many row blocks; every point still equals coincidence() on the
+    stretched leaky-pbs chip."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    plan = detection._plan
+    blocks = []  # the scan evaluates and drops each block of a plan
+
+    def recording(*args):
+        blocks.append(len(made := plan(*args)))
+        return made
+
+    monkeypatch.setattr(detection, "_plan", recording)
+    delays = RECURRENCE_DELAYS["blocks"]
+    chip = apply_imperfection(chip, "pbs", 0.25)
+    scan = hom_scan(jsa_short, chip, delays, query)
+    assert max(blocks) > 10
+    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
+    fp = chip.elements[idx]
+    for delta, p in zip(delays, scan.probabilities):
+        elements = list(chip.elements)
+        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+        stretched = chip.with_elements(elements)
+        assert p == pytest.approx(coincidence(jsa_short, stretched, query),
+                                  abs=1e-11)
+
+
+def test_block_matches_direct_sum(rng):
+    """A block at the rho cap, fed in two chunks that also carry rows of
+    other blocks, gives 2 Re sum Y exp(i theta delta) at every delay within
+    its rounding bound e^rho eps_mach sum |Y|. Its last terms, of order
+    rho^N / N!, matter at that level."""
+    delays = np.array([-3700.0, -1234.5, 0.0, 17.0, 2500.0, 3700.0])
+    rows, cols = 9, 6
+    centre = rng.uniform(0.01, 0.02, cols)
+    eps = np.linspace(-1.0, 1.0, rows - 2)[:, None] \
+        * rng.uniform(0.5, 1.0, cols) * detection.RHO_CAP / 3700.0
+    theta = np.concatenate([np.full((1, cols), 9.0), centre + eps,
+                            np.full((1, cols), 9.0)])
+    y = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    rho = 3700.0 * np.max(np.abs(eps))
+    block = detection._Block(1, rows - 1, centre, rho)
+    assert block.terms > 25
+    for part in (slice(0, 4), slice(4, rows)):
+        block.add(y[part].copy(), theta[part].copy(), part.start)
+    block.add(y.copy(), theta.copy(), rows)  # all rows past the block
+    inside = slice(1, rows - 1)
+    direct = [2.0 * np.sum(y[inside] * np.exp(1j * theta[inside] * d)).real
+              for d in delays]
+    np.testing.assert_allclose(block.values(delays), direct, rtol=0.0,
+                               atol=math.exp(rho) * np.finfo(float).eps
+                               * np.abs(y[inside]).sum())
+
+
+# the canonical exponents of the insensitive query on the bundled chip
+EXPONENTS = [(0, 1, 0, 0), (0, 1, 0, -1), (1, 0, 0, 0), (1, 0, -1, 0),
+             (1, 0, 0, 1), (1, 0, 0, -1)]
+
+
+@pytest.mark.parametrize("pump", ["long", "short"])
+def test_block_plan(chip, jsa_tiny, jsa_short, pump, monkeypatch):
+    """Every block of a plan meets the rho cap and covers all of its rows:
+    rho from the block's edge rows bounds max |eps| max |delta| over every
+    row of the block. N is the least number of terms whose remainder bound
+    rho^(N+1) e^rho / (N+1)! is at most eps_mach."""
+    jsa = jsa_tiny if pump == "long" else jsa_short
+    delays = RECURRENCE_DELAYS["uneven"]
+    reach = np.max(np.abs(delays))
+    k = detection._row_phases(jsa, chip, slice(None)).k
+    counts = []
+    for theta in EXPONENTS:
+        plan = detection._plan(jsa, chip, theta, delays)
+        counts.append(len(plan))
+        assert [b.lo for b in plan] == [0] + [b.hi for b in plan[:-1]]
+        assert plan[-1].hi == len(jsa.sum_grid)
+        full = detection._exponent(theta, k)
+        for block in plan:
+            assert block.rho <= detection.RHO_CAP
+            eps = full[block.lo:block.hi] - block.centre
+            assert reach * np.max(np.abs(eps)) <= block.rho * (1.0 + 1e-12)
+
+            def bound(n):
+                return (block.rho ** (n + 1) * math.exp(block.rho)
+                        / math.factorial(n + 1))
+
+            assert bound(block.terms) <= np.finfo(float).eps
+            assert block.terms == 0 or bound(block.terms - 1) \
+                > np.finfo(float).eps
+    if pump == "long":
+        assert counts == [1] * len(EXPONENTS)
+        return
+    assert max(counts) > 10
+    # delays so long that even two-row blocks miss the cap: one-row
+    # blocks, eps = 0 and N = 0, the direct sum
+    plan = detection._plan(jsa, chip, EXPONENTS[0], delays * 100.0)
+    assert [(b.hi - b.lo, b.rho, b.terms) for b in plan] == \
+        [(1, 0.0, 0)] * len(jsa.sum_grid)
+    # a cap just below the exact rho of some block count, which the
+    # search's estimate (linear in the block height) may still meet: the
+    # plan then adds blocks until the exact rho meets it
+    full = detection._exponent(EXPONENTS[0], k)
+    n_rows = len(jsa.sum_grid)
+    for count in range(2, 40):
+        edges = [i * n_rows // count for i in range(count + 1)]
+        exact = reach * max(
+            np.max(np.abs(full[lo:hi] - full[(lo + hi - 1) // 2]))
+            for lo, hi in zip(edges, edges[1:]))
+        monkeypatch.setattr(detection, "RHO_CAP", exact * (1.0 - 1e-9))
+        plan = detection._plan(jsa, chip, EXPONENTS[0], delays)
+        assert max(b.rho for b in plan) <= detection.RHO_CAP
 
 
 # fp, a half-converting pc and a bs before the scanned fp: both photons
@@ -315,23 +438,6 @@ def test_scan_without_live_pairing_is_exactly_zero(chip, jsa_tiny):
     scan = hom_scan(jsa_tiny, apply_imperfection(chip, "pbs", 1.0),
                     RECURRENCE_DELAYS["blocks"])
     assert np.all(scan.probabilities == 0.0)
-
-
-def test_anchor_plan():
-    # uniform grids, jittered or not, evaluate exp only at block starts
-    for grid in ("blocks", "jitter"):
-        delays = RECURRENCE_DELAYS[grid]
-        anchor, step = detection._anchors(delays)
-        assert np.flatnonzero(anchor).tolist() == list(range(0, len(delays), K))
-        assert step == pytest.approx(np.mean(np.diff(delays)), rel=1e-12)
-    # an uneven grid re-anchors at every delay
-    anchor, _ = detection._anchors(RECURRENCE_DELAYS["uneven"])
-    assert anchor.all()
-    # one stray delay re-anchors there and the recurrence resumes after it
-    delays = np.arange(2 * K, dtype=float) * 50.0
-    delays[5] += 1e-6
-    anchor, _ = detection._anchors(delays)
-    assert np.flatnonzero(anchor).tolist() == [0, 5, 6, K]
 
 
 def test_scan_rejects_negative_length(chip, jsa_small, monkeypatch):
@@ -561,12 +667,30 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
             for name, original in originals.items():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name))
+    plan = detection._plan
+    lines = []  # (blocks, the index calls) of each block plan
+
+    def planning(*args):
+        first = len(calls["index"])
+        made = plan(*args)
+        lines.append((len(made), range(first, len(calls["index"]))))
+        return made
+
+    monkeypatch.setattr(detection, "_plan", planning)
     hom_scan(jsa_tiny, chip, DELAYS[:5], INSENSITIVE)
     assert len(calls["element_matrices"]) == 2
+    in_plan = {i for _, made in lines for i in made}
+    n_diff = len(jsa_tiny.diff_grid)
     for pol in "HV":
-        sizes = [np.size(args[2]) for args in calls["index"]
-                 if args[1] == pol]
+        sizes = [np.size(args[2]) for i, args in enumerate(calls["index"])
+                 if args[1] == pol and i not in in_plan]
         assert len(sizes) == 7 and sum(sizes) == jsa_tiny.amplitude.size
+        # each plan evaluates the edge and centre rows of one whole-grid
+        # block, then of each of its blocks when it has more than one
+        sizes = [np.size(args[2]) for i, args in enumerate(calls["index"])
+                 if args[1] == pol and i in in_plan]
+        assert sum(sizes) == 3 * n_diff * sum(
+            1 + (blocks if blocks > 1 else 0) for blocks, _ in lines)
 
 
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
@@ -623,14 +747,15 @@ def test_hom_scan_evaluates_each_phase_once(chip, jsa_tiny, query, tail,
         + tail)
 
 
-@pytest.mark.parametrize("query, exponents, wavevectors", [
-    (CoincidenceQuery(), 2, 1), (INSENSITIVE, 6, 2),
+@pytest.mark.parametrize("query, exponents", [
+    (CoincidenceQuery(), 2), (INSENSITIVE, 6),
 ], ids=["VV", "insensitive"])
 def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
-                                            wavevectors, monkeypatch):
+                                            monkeypatch):
     # VV reads k_V and k_V - k_V^R; the insensitive query adds k_H,
-    # k_H - k_H^R, k_H + k_V^R and k_H - k_V^R. The scan evaluates exp on
-    # the grid once per live wavevector at each anchor and for the step.
+    # k_H - k_H^R, k_H + k_V^R and k_H - k_V^R. No exp runs on a grid
+    # chunk: the scan evaluates exp once per delay and difference column
+    # on the centre row of each block, on an even or an uneven grid.
     moments = detection._moments
     built = []
 
@@ -639,19 +764,34 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
         built.append(tuple(y))
         return total, y
 
+    plan = detection._plan
+    blocks = []  # the scan evaluates and drops each block of a plan
+
+    def planning(*args):
+        blocks.append(len(made := plan(*args)))
+        return made
+
     exp = np.exp
     points = []
 
     def counting(x, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == detection.__name__:
-            points.append(np.size(x))
+            points.append(np.shape(x))
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(detection, "_moments", recording)
+    monkeypatch.setattr(detection, "_plan", planning)
     monkeypatch.setattr(np, "exp", counting)
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    delays = RECURRENCE_DELAYS["blocks"]  # three anchors
-    hom_scan(jsa_tiny, chip, delays, query)
-    assert len(built) == 7 and len(set(built)) == 1
-    assert len(built[0]) == exponents
-    assert sum(points) == wavevectors * (3 + 1) * jsa_tiny.amplitude.size
+    n_diff = len(jsa_tiny.diff_grid)
+    for grid in ("blocks", "uneven"):
+        for recorded in (built, blocks, points):
+            recorded.clear()
+        delays = RECURRENCE_DELAYS[grid]
+        hom_scan(jsa_tiny, chip, delays, query)
+        assert len(built) == 7 and len(set(built)) == 1
+        assert len(built[0]) == exponents == len(blocks)
+        assert all(len(shape) == 2 and shape[0] <= 10 and shape[1] == n_diff
+                   for shape in points)
+        assert sum(np.prod(shape) for shape in points) == \
+            sum(blocks) * len(delays) * n_diff
