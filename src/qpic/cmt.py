@@ -11,8 +11,9 @@ phase mismatch dbeta:
 
 with s = sqrt(kappa^2 + (dbeta/2)^2). Total power is conserved.
 
-``_symmetric_core`` is the propagator kernel of stepwise-detuned couplers
-and of the chip's polarisation converter element; ``coupling_matrix``
+``_core_terms`` is the propagator kernel of stepwise-detuned couplers
+(via ``_symmetric_core``), ``conversion_fraction`` and the chip's
+polarisation converter (``elements.pc_matrix``); ``coupling_matrix``
 keeps the closed form above as their independent reference.
 """
 

@@ -48,8 +48,8 @@ in ``source``, whose ``build_jsa`` fills the amplitude in row blocks.
 
 A scan expands each exponent in a Taylor series along the sum axis
 (Anderson & Dahleh, SIAM J. Sci. Comput. 17 (1996) 913). With the grid
-rows cut into blocks, theta_c(d) theta on a block's centre row and
-eps = theta - theta_c, a block adds
+rows cut into blocks, theta_c(d) a block's reference line (``ref``, not
+necessarily a grid row) and eps = theta - theta_c, a block adds
 
     sum_d exp(i theta_c(d) delta) sum_n (i delta)^n M_n(d),
     M_n(d) = sum_S Y_theta(S, d) eps(S, d)^n / n!,   n <= N.
@@ -59,23 +59,23 @@ M_n. Once a block is complete, each tile of about CHUNK_POINTS (delay,
 column) points costs N + 1 Horner steps, one exp of theta_c delta and one
 reduction; no exp runs on the grid, and uneven delays cost nothing extra.
 
-Plan (``_plan``, per exponent, before its moments): along a column theta
-is monotone in S (k and, in normal dispersion, dk/dw rise with w; k_H and
-k_V have different group indices), so rho = max |eps| max |delta| comes
-from a block's edge rows. N is the least with rho^(N+1) e^rho / (N+1)! <=
-eps_mach, which bounds the truncation by eps_mach sum |Y_theta|. The terms
-sum to at most e^rho sum |Y_theta|, so rounding grows like e^rho; RHO_CAP
-= 4 holds it within 55 eps_mach (1.2e-14) of sum |Y_theta|. The block
-count is the one of least work within the cap: rows (N + 1) for the
-moments plus blocks delays (N + 1 + EXP_TERMS) for the tiles. A 1000 ps
-pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens of blocks.
-A one-row block has eps = 0 and N = 0, the direct sum.
+Blocks (per exponent, as the chunks stream past): a chunk measures
+rho = max |eps| max |delta| on each row and adds the leading rows with
+rho <= RHO_CAP to the exponent's open block, with N the least for which
+rho^(N+1) e^rho / (N+1)! <= eps_mach at their largest rho; this bounds the
+truncation by eps_mach sum |Y_theta|. The terms sum to at most
+e^rho sum |Y_theta|, so RHO_CAP = 4 holds rounding within 55 eps_mach
+(1.2e-14) of it. The first row past the cap closes the block and opens the
+next, whose reference moves from theta on that row along the chunk's slope
+toward the cap distance, not past the middle of the rows left; where one
+row's move misses the cap it stays there (eps = 0, N = 0: the direct sum).
+A 1000 ps pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,7 +90,6 @@ from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
 PROBABILITY_SLACK = 1e-9
 
 RHO_CAP = 4.0  # max |eps| max |delta| of a block: rounding grows like e^rho
-EXP_TERMS = 20  # one complex exp on a tile costs about 20 Horner terms
 
 POLARISATIONS = ("H", "V")
 
@@ -136,20 +135,16 @@ def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
-def _row_phases(jsa: JointSpectralAmplitude, spec: CircuitSpec, rows):
-    """One PhaseTable on the frequencies w = (Sigma + d)/2 of the grid rows
-    ``rows`` (a slice or row indices) at the chip temperature."""
-    w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
-    return PhaseTable(w, refractive_indices(spec.model, w, spec.temperature))
-
-
 def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
     """(rows, PhaseTable) of each chunk of about CHUNK_POINTS grid points,
-    in grid order: the grid rows ``rows`` and ``_row_phases`` on them."""
+    in grid order: the grid rows ``rows`` and one PhaseTable on their
+    frequencies w = (Sigma + d)/2 at the chip temperature."""
     n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
     for lo in range(0, len(jsa.sum_grid), n_rows):
         rows = slice(lo, lo + n_rows)
-        yield rows, _row_phases(jsa, spec, rows)
+        w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
+        yield rows, PhaseTable(w, refractive_indices(spec.model, w,
+                                                     spec.temperature))
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -339,38 +334,38 @@ def _terms(rho: float) -> int:
 
 @dataclass
 class _Block:
-    """Grid rows [lo, hi) of one exponent: theta on the centre row, rho
-    and, once a chunk reaches them, the sums of Y_theta eps^n, n <= N."""
+    """Consecutive grid rows of one exponent: the reference line ``ref``
+    and the sums of Y_theta eps^n, eps = theta - ref, for n up to the
+    largest N any of its rows needed."""
 
-    lo: int
-    hi: int
-    centre: np.ndarray
-    rho: float
-    moments: np.ndarray | None = None
+    ref: np.ndarray
+    moments: list = field(default_factory=list)
 
-    @property
-    def terms(self) -> int:
-        return _terms(self.rho)
+    @classmethod
+    def opening(cls, first, slope, left: int, reach: float) -> "_Block":
+        """A block opening on a row with theta ``first``, ``left`` grid rows
+        from the end; ``slope`` is theta's move per row on the chunk."""
+        step = reach * float(np.max(np.abs(slope)))  # rho of one row's move
+        # 0.99: the first row stays strictly inside the cap
+        shift = min((left - 1) / 2.0, 0.99 * RHO_CAP / step) \
+            if 0.0 < step <= RHO_CAP else 0.0
+        return cls(first + shift * slope)
 
-    def add(self, y: np.ndarray, theta: np.ndarray, start: int):
-        """Add the rows of Y_theta from grid row ``start`` on, theta the
-        exponent on them; both are overwritten."""
-        rows = slice(max(self.lo - start, 0), max(self.hi - start, 0))
-        y, eps = y[rows], theta[rows]
-        if len(y):
-            if self.moments is None:
-                self.moments = np.zeros((self.terms + 1, y.shape[1]), complex)
-            eps -= self.centre
-            self.moments[0] += y.sum(axis=0)
-            for moment in self.moments[1:]:
-                y *= eps
-                moment += y.sum(axis=0)
+    def add(self, y: np.ndarray, eps: np.ndarray, terms: int):
+        """Add rows of Y_theta to the moments n <= ``terms``, with eps the
+        rows' theta - ref; y is overwritten."""
+        self.moments += [np.zeros(y.shape[1], complex)
+                         for _ in range(terms + 1 - len(self.moments))]
+        self.moments[0] += y.sum(axis=0)
+        for moment in self.moments[1:terms + 1]:
+            y *= eps
+            moment += y.sum(axis=0)
 
     def values(self, delays: np.ndarray) -> np.ndarray:
         """2 Re <Y_theta, exp(i theta delta)> over the rows at every delay,
         Horner in delta on tiles of about CHUNK_POINTS points."""
         factorials = np.cumprod([1.0, *range(1, len(self.moments))])
-        m = self.moments / factorials[:, None]
+        m = np.array(self.moments) / factorials[:, None]
         out = np.empty(len(delays))
         step = max(1, CHUNK_POINTS // m.shape[1])
         for lo in range(0, len(delays), step):
@@ -379,49 +374,9 @@ class _Block:
             for moment in m[-2::-1]:
                 tile *= 1j * delta
                 tile += moment
-            tile *= np.exp(1j * (delta * self.centre))
+            tile *= np.exp(1j * (delta * self.ref))
             out[lo:lo + step] = 2.0 * tile.sum(axis=1).real
         return out
-
-
-def _plan(jsa: JointSpectralAmplitude, spec: CircuitSpec, theta,
-          delays) -> list:
-    """The row blocks of ``theta`` of least counted work among the block
-    counts with rho <= RHO_CAP. A block's rho comes from theta on its
-    first, centre and last rows; the search scales that of one whole-grid
-    block by the block height, and adds blocks while the exact rho misses."""
-    n_rows, n_diff = len(jsa.sum_grid), len(jsa.diff_grid)
-    reach = float(np.max(np.abs(delays)))
-    step = 3 * max(1, CHUNK_POINTS // (3 * n_diff))  # rows per index call
-
-    def blocks(count):
-        edges = [i * n_rows // count for i in range(count + 1)]
-        rows = [r for lo, hi in zip(edges, edges[1:])
-                for r in (lo, (lo + hi - 1) // 2, hi - 1)]
-        lines = np.concatenate([
-            _exponent(theta, _row_phases(jsa, spec, rows[i:i + step]).k)
-            for i in range(0, len(rows), step)]).reshape(count, 3, n_diff)
-        rho = reach * np.max(np.abs(lines - lines[:, 1:2]), axis=(1, 2))
-        return [_Block(lo, hi, line[1].copy(), float(r))
-                for lo, hi, line, r in zip(edges, edges[1:], lines, rho)]
-
-    whole = blocks(1)
-
-    def work(count):  # per difference column
-        rho = whole[0].rho * (-(-n_rows // count) // 2) / (n_rows // 2)
-        if rho > RHO_CAP:
-            return np.inf
-        terms = _terms(rho) + 1
-        return n_rows * terms + count * len(delays) * (terms + EXP_TERMS)
-
-    # the least count of each block height
-    count = min(sorted({-(-n_rows // m) for m in range(1, n_rows + 1)}),
-                key=work)
-    plan = whole if count == 1 else blocks(count)
-    while max(block.rho for block in plan) > RHO_CAP:
-        count += 1
-        plan = blocks(count)
-    return plan
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
@@ -438,8 +393,9 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     The probability takes the moment form of the module docstring. The
     element chains before and after the scanned fp are built once; each
     chunk of grid rows walks them, builds C and Y_theta from the live
-    transfer terms of the modes the query reads and adds Y_theta to the
-    Taylor moments of its blocks. A complete block gives every delay.
+    transfer terms of the modes the query reads and adds its rows to each
+    exponent's open block. A block closed by a row past the rho cap gives
+    every delay.
     """
     if query is None:
         query = CoincidenceQuery()
@@ -448,13 +404,16 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     pairs = _query_pairs(query)
     rows = sorted({m for pair in pairs for m in pair})
     row_pairs = [(rows.index(mb), rows.index(mc)) for mb, mc in pairs]
+    reach = float(np.max(np.abs(delay_values)))
+    n_rows = len(jsa.sum_grid)
 
     # the chains are built once; each chunk walks them on its own rows
     before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
     after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
                              transposed=True)
 
-    plans = {}
+    blocks = {}  # the open block of each exponent
+    closed = []
 
     def chunk(rs, phases) -> float:
         """C of the grid rows ``rs``, whose Y_theta go into the moments of
@@ -472,20 +431,34 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         total, moments = _moments(_weighted_amplitude(jsa, rs), fields,
                                   row_pairs)
         for theta, y in moments.items():
-            if theta not in plans:  # every chunk has the same exponents
-                plans[theta] = _plan(jsa, spec, theta, delay_values)
             theta_rows = _exponent(theta, phases.k)
-            for block in plans[theta]:
-                block.add(y, theta_rows, rs.start)
+            slope = (theta_rows[-1] - theta_rows[0]) / max(len(y) - 1, 1)
+            start = 0  # the first row of the chunk in no block yet
+            while start < len(y):
+                if theta not in blocks:
+                    blocks[theta] = _Block.opening(
+                        theta_rows[start], slope, n_rows - rs.start - start,
+                        reach)
+                eps = theta_rows[start:] - blocks[theta].ref
+                rho = reach * np.max(np.abs(eps), axis=1)
+                taken = next((i for i, r in enumerate(rho) if r > RHO_CAP),
+                             len(rho))
+                if taken:
+                    blocks[theta].add(y[start:start + taken], eps[:taken],
+                                      _terms(rho[:taken].max()))
+                start += taken
+                if start < len(y):
+                    closed.append(blocks.pop(theta))
         return total
 
     values = np.zeros(len(delay_values))
     for rs, phases in _chunks(jsa, spec):
         values += chunk(rs, phases)
         del phases  # the chunk goes before any tile is built
-        for plan in plans.values():
-            while plan and plan[0].hi <= rs.stop:
-                values += plan.pop(0).values(delay_values)
+        while closed:
+            values += closed.pop(0).values(delay_values)
+    for block in blocks.values():
+        values += block.values(delay_values)
 
     probabilities = [_check_probability(p) for p in values]
     return _analyse_scan("delta_l_um", delay_values, probabilities, query)

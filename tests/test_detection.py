@@ -195,18 +195,18 @@ def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
     needs many row blocks; every point still equals coincidence() on the
     stretched leaky-pbs chip."""
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    plan = detection._plan
-    blocks = []  # the scan evaluates and drops each block of a plan
+    values = detection._Block.values
+    blocks = []  # the scan evaluates each block once, when it closes
 
-    def recording(*args):
-        blocks.append(len(made := plan(*args)))
-        return made
+    def recording(self, delays):
+        blocks.append(self)
+        return values(self, delays)
 
-    monkeypatch.setattr(detection, "_plan", recording)
+    monkeypatch.setattr(detection._Block, "values", recording)
     delays = RECURRENCE_DELAYS["blocks"]
     chip = apply_imperfection(chip, "pbs", 0.25)
     scan = hom_scan(jsa_short, chip, delays, query)
-    assert max(blocks) > 10
+    assert len(blocks) > 10
     idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
     fp = chip.elements[idx]
     for delta, p in zip(delays, scan.probabilities):
@@ -218,30 +218,29 @@ def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
 
 
 def test_block_matches_direct_sum(rng):
-    """A block at the rho cap, fed in two chunks that also carry rows of
-    other blocks, gives 2 Re sum Y exp(i theta delta) at every delay within
-    its rounding bound e^rho eps_mach sum |Y|. Its last terms, of order
-    rho^N / N!, matter at that level."""
+    """A block at the rho cap, fed in two chunks, the rows near its
+    reference first with the fewer terms they need, gives
+    2 Re sum Y exp(i theta delta) at every delay within its rounding bound
+    e^rho eps_mach sum |Y|. Its last terms, of order rho^N / N!, matter at
+    that level."""
     delays = np.array([-3700.0, -1234.5, 0.0, 17.0, 2500.0, 3700.0])
-    rows, cols = 9, 6
-    centre = rng.uniform(0.01, 0.02, cols)
-    eps = np.linspace(-1.0, 1.0, rows - 2)[:, None] \
+    rows, cols = 7, 6
+    ref = rng.uniform(0.01, 0.02, cols)
+    eps = np.linspace(-1.0, 1.0, rows)[:, None] \
         * rng.uniform(0.5, 1.0, cols) * detection.RHO_CAP / 3700.0
-    theta = np.concatenate([np.full((1, cols), 9.0), centre + eps,
-                            np.full((1, cols), 9.0)])
     y = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     rho = 3700.0 * np.max(np.abs(eps))
-    block = detection._Block(1, rows - 1, centre, rho)
-    assert block.terms > 25
-    for part in (slice(0, 4), slice(4, rows)):
-        block.add(y[part].copy(), theta[part].copy(), part.start)
-    block.add(y.copy(), theta.copy(), rows)  # all rows past the block
-    inside = slice(1, rows - 1)
-    direct = [2.0 * np.sum(y[inside] * np.exp(1j * theta[inside] * d)).real
+    block = detection._Block(ref)
+    for part in ([2, 3, 4], [0, 1, 5, 6]):
+        terms = detection._terms(3700.0 * np.max(np.abs(eps[part])))
+        block.add(y[part], eps[part].copy(), terms)
+        assert len(block.moments) == terms + 1
+    assert len(block.moments) > 25
+    direct = [2.0 * np.sum(y * np.exp(1j * (ref + eps) * d)).real
               for d in delays]
     np.testing.assert_allclose(block.values(delays), direct, rtol=0.0,
                                atol=math.exp(rho) * np.finfo(float).eps
-                               * np.abs(y[inside]).sum())
+                               * np.abs(y).sum())
 
 
 # the canonical exponents of the insensitive query on the bundled chip
@@ -249,57 +248,149 @@ EXPONENTS = [(0, 1, 0, 0), (0, 1, 0, -1), (1, 0, 0, 0), (1, 0, -1, 0),
              (1, 0, 0, 1), (1, 0, 0, -1)]
 
 
+def _grid_k(jsa, chip):
+    """(k_H, k_V) on the whole grid."""
+    w = (jsa.sum_grid[:, None] + jsa.diff_grid[None, :]) / 2.0
+    return PhaseTable(w, qpic.elements.refractive_indices(
+        chip.model, w, chip.temperature)).k
+
+
+def _stream(monkeypatch, exponent=detection._exponent):
+    """Record, while a scan runs, each block and its adds (exponent, eps,
+    terms), keyed by the block's id, and the ids of the blocks in the order
+    they are evaluated; ``exponent`` stands in for the scan's theta on a
+    chunk's rows."""
+    adds, closed = {}, []
+    current = []
+    add, values = detection._Block.add, detection._Block.values
+
+    def theta_rows(theta, k):
+        current[:] = [theta]
+        return exponent(theta, k)
+
+    def recording_add(self, y, eps, terms):
+        assert id(self) not in closed
+        adds.setdefault(id(self), (self, []))[1].append(
+            (current[0], eps.copy(), terms))
+        return add(self, y, eps, terms)
+
+    def recording_values(self, delays):
+        closed.append(id(self))
+        return values(self, delays)
+
+    monkeypatch.setattr(detection, "_exponent", theta_rows)
+    monkeypatch.setattr(detection._Block, "add", recording_add)
+    monkeypatch.setattr(detection._Block, "values", recording_values)
+    return adds, closed
+
+
 @pytest.mark.parametrize("pump", ["long", "short"])
-def test_block_plan(chip, jsa_tiny, jsa_short, pump, monkeypatch):
-    """Every block of a plan meets the rho cap and covers all of its rows:
-    rho from the block's edge rows bounds max |eps| max |delta| over every
-    row of the block. N is the least number of terms whose remainder bound
-    rho^(N+1) e^rho / (N+1)! is at most eps_mach."""
+def test_streamed_blocks(chip, jsa_tiny, jsa_short, pump, monkeypatch):
+    """Over chunks of 10 rows, every grid row enters exactly one block per
+    exponent, in grid order; each block is evaluated once, after its last
+    row, and its measured rho = max |eps| max |delta| meets the cap. Each
+    chunk's N is the least whose remainder bound rho^(N+1) e^rho / (N+1)!
+    at that chunk's rho is at most eps_mach."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     jsa = jsa_tiny if pump == "long" else jsa_short
     delays = RECURRENCE_DELAYS["uneven"]
-    reach = np.max(np.abs(delays))
-    k = detection._row_phases(jsa, chip, slice(None)).k
-    counts = []
-    for theta in EXPONENTS:
-        plan = detection._plan(jsa, chip, theta, delays)
-        counts.append(len(plan))
-        assert [b.lo for b in plan] == [0] + [b.hi for b in plan[:-1]]
-        assert plan[-1].hi == len(jsa.sum_grid)
-        full = detection._exponent(theta, k)
-        for block in plan:
-            assert block.rho <= detection.RHO_CAP
-            eps = full[block.lo:block.hi] - block.centre
-            assert reach * np.max(np.abs(eps)) <= block.rho * (1.0 + 1e-12)
+    k = _grid_k(jsa, chip)
 
-            def bound(n):
-                return (block.rho ** (n + 1) * math.exp(block.rho)
-                        / math.factorial(n + 1))
+    def bound(rho, n):
+        return rho ** (n + 1) * math.exp(rho) / math.factorial(n + 1)
 
-            assert bound(block.terms) <= np.finfo(float).eps
-            assert block.terms == 0 or bound(block.terms - 1) \
-                > np.finfo(float).eps
+    def scan(delays):
+        adds, closed = _stream(monkeypatch)
+        hom_scan(jsa, chip, delays, INSENSITIVE)
+        reach = np.max(np.abs(delays))
+        assert sorted(closed) == sorted(adds)
+        lines = {theta: [] for theta in EXPONENTS}
+        counts = dict.fromkeys(EXPONENTS, 0)
+        for block, made in adds.values():
+            theta = made[0][0]
+            counts[theta] += 1
+            assert all(t == theta for t, _, _ in made)
+            rhos = [reach * np.max(np.abs(eps)) for _, eps, _ in made]
+            assert max(rhos) <= detection.RHO_CAP
+            for rho, (_, eps, terms) in zip(rhos, made):
+                lines[theta].append(eps + block.ref)
+                assert bound(rho, terms) <= np.finfo(float).eps
+                assert terms == 0 or bound(rho, terms - 1) \
+                    > np.finfo(float).eps
+        for theta in EXPONENTS:
+            np.testing.assert_allclose(
+                np.concatenate(lines[theta]), detection._exponent(theta, k),
+                rtol=1e-13)
+        return adds, counts
+
+    _, counts = scan(delays)
     if pump == "long":
-        assert counts == [1] * len(EXPONENTS)
+        assert list(counts.values()) == [1] * len(EXPONENTS)
         return
-    assert max(counts) > 10
-    # delays so long that even two-row blocks miss the cap: one-row
-    # blocks, eps = 0 and N = 0, the direct sum
-    plan = detection._plan(jsa, chip, EXPONENTS[0], delays * 100.0)
-    assert [(b.hi - b.lo, b.rho, b.terms) for b in plan] == \
-        [(1, 0.0, 0)] * len(jsa.sum_grid)
-    # a cap just below the exact rho of some block count, which the
-    # search's estimate (linear in the block height) may still meet: the
-    # plan then adds blocks until the exact rho meets it
-    full = detection._exponent(EXPONENTS[0], k)
-    n_rows = len(jsa.sum_grid)
-    for count in range(2, 40):
-        edges = [i * n_rows // count for i in range(count + 1)]
-        exact = reach * max(
-            np.max(np.abs(full[lo:hi] - full[(lo + hi - 1) // 2]))
-            for lo, hi in zip(edges, edges[1:]))
-        monkeypatch.setattr(detection, "RHO_CAP", exact * (1.0 - 1e-9))
-        plan = detection._plan(jsa, chip, EXPONENTS[0], delays)
-        assert max(b.rho for b in plan) <= detection.RHO_CAP
+    assert max(counts.values()) > 10
+    # steps so long that the next row always misses the cap: one-row
+    # blocks, eps = 0 and N = 0, the direct sum. k_p - k_p^R moves along S
+    # only at second order and is left out.
+    adds, counts = scan(delays[0] + (delays - delays[0]) * 100.0)
+    moving = [theta for theta in EXPONENTS
+              if theta[:2] != tuple(-n for n in theta[2:])]
+    assert len(moving) == 4
+    assert all(counts[theta] == len(jsa.sum_grid) for theta in moving)
+    assert all(len(made) == 1 and len(eps) == 1 and terms == 0
+               and not eps.any() for _, made in adds.values()
+               for theta, eps, terms in made if theta in moving)
+
+
+def test_streamed_blocks_follow_a_theta_not_monotone_in_s(
+        chip, jsa_short, monkeypatch):
+    """A synthetic theta that swings back and forth along the sum axis
+    across several caps still gives the direct sum
+    C + 2 Re sum Y exp(i theta delta) within the rounding bound
+    (e^RHO_CAP + 2 max |theta delta|) eps_mach sum |Y|: the series' e^rho
+    and the rounding of theta delta in both sums."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    delays = RECURRENCE_DELAYS["uneven"]
+    reach = np.max(np.abs(delays))
+    amplitude = 2.0 * detection.RHO_CAP / reach
+    k_h = _grid_k(jsa_short, chip)[0]
+    lo, hi = np.min(k_h + k_h[:, ::-1]), np.max(k_h + k_h[:, ::-1])
+
+    def bumpy(theta, k):
+        # k_H(w) + k_H(w^R) rises with S; theta turns eight times along it
+        s = (k[0] + k[0][:, ::-1] - lo) / (hi - lo)
+        return amplitude * np.sin(8.0 * np.pi * s + sum(theta)) \
+            * (1.0 + 0.1 * np.cos(np.arange(s.shape[1])))
+
+    thetas, moments = [], []
+    original = detection._moments
+
+    def recording(*args):
+        total, y = original(*args)
+        moments.append((total, {key: v.copy() for key, v in y.items()}))
+        return total, y
+
+    def theta_rows(theta, k):
+        thetas.append(bumpy(theta, k))
+        return thetas[-1]
+
+    _, closed = _stream(monkeypatch, theta_rows)
+    monkeypatch.setattr(detection, "_moments", recording)
+    monkeypatch.setattr(detection, "_check_probability", float)
+    scan = hom_scan(jsa_short, chip, delays, INSENSITIVE)
+    assert len(closed) > 2 * len(EXPONENTS)
+    thetas = iter(thetas)
+    direct, size = np.zeros(len(delays)), 0.0
+    for total, ys in moments:
+        direct += total
+        for y in ys.values():
+            theta = next(thetas)
+            direct += [2.0 * np.sum(y * np.exp(1j * theta * d)).real
+                       for d in delays]
+            size += np.abs(y).sum()
+    np.testing.assert_allclose(
+        scan.probabilities, direct, rtol=0.0,
+        atol=(math.exp(detection.RHO_CAP) + 2.0 * 1.1 * amplitude * reach)
+        * np.finfo(float).eps * size)
 
 
 # fp, a half-converting pc and a bs before the scanned fp: both photons
@@ -667,30 +758,13 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
             for name, original in originals.items():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name))
-    plan = detection._plan
-    lines = []  # (blocks, the index calls) of each block plan
-
-    def planning(*args):
-        first = len(calls["index"])
-        made = plan(*args)
-        lines.append((len(made), range(first, len(calls["index"]))))
-        return made
-
-    monkeypatch.setattr(detection, "_plan", planning)
     hom_scan(jsa_tiny, chip, DELAYS[:5], INSENSITIVE)
     assert len(calls["element_matrices"]) == 2
-    in_plan = {i for _, made in lines for i in made}
-    n_diff = len(jsa_tiny.diff_grid)
+    # the chunks make every index call: the blocks reuse their k
     for pol in "HV":
-        sizes = [np.size(args[2]) for i, args in enumerate(calls["index"])
-                 if args[1] == pol and i not in in_plan]
+        sizes = [np.size(args[2]) for args in calls["index"] if args[1] == pol]
         assert len(sizes) == 7 and sum(sizes) == jsa_tiny.amplitude.size
-        # each plan evaluates the edge and centre rows of one whole-grid
-        # block, then of each of its blocks when it has more than one
-        sizes = [np.size(args[2]) for i, args in enumerate(calls["index"])
-                 if args[1] == pol and i in in_plan]
-        assert sum(sizes) == 3 * n_diff * sum(
-            1 + (blocks if blocks > 1 else 0) for blocks, _ in lines)
+    assert len(calls["index"]) == 14
 
 
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
@@ -755,7 +829,7 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
     # VV reads k_V and k_V - k_V^R; the insensitive query adds k_H,
     # k_H - k_H^R, k_H + k_V^R and k_H - k_V^R. No exp runs on a grid
     # chunk: the scan evaluates exp once per delay and difference column
-    # on the centre row of each block, on an even or an uneven grid.
+    # on the reference line of each block, on an even or an uneven grid.
     moments = detection._moments
     built = []
 
@@ -764,12 +838,12 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
         built.append(tuple(y))
         return total, y
 
-    plan = detection._plan
-    blocks = []  # the scan evaluates and drops each block of a plan
+    values = detection._Block.values
+    blocks = []  # the scan evaluates each block once, when it closes
 
-    def planning(*args):
-        blocks.append(len(made := plan(*args)))
-        return made
+    def evaluating(self, delays):
+        blocks.append(self)
+        return values(self, delays)
 
     exp = np.exp
     points = []
@@ -780,7 +854,7 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(detection, "_moments", recording)
-    monkeypatch.setattr(detection, "_plan", planning)
+    monkeypatch.setattr(detection._Block, "values", evaluating)
     monkeypatch.setattr(np, "exp", counting)
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     n_diff = len(jsa_tiny.diff_grid)
@@ -794,4 +868,4 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
         assert all(len(shape) == 2 and shape[0] <= 10 and shape[1] == n_diff
                    for shape in points)
         assert sum(np.prod(shape) for shape in points) == \
-            sum(blocks) * len(delays) * n_diff
+            len(blocks) * len(delays) * n_diff
