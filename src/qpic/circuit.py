@@ -25,6 +25,9 @@ basis (1H, 1V, 2H, 2V). The netlist format is line based:
 Elements appear in propagation order: the first listed acts first. Values
 are finite floats; ``qpic.keyfile`` reads the line format shared with
 material and coupler-fit files, and each error names its line.
+``ELEMENT_FACTORIES`` maps each element kind to its factory in
+``qpic.elements``, whose parameter names are the kind's keys: required
+where the parameter has no default, optional where it has one.
 
 ``walk`` is the one path through a chip: with one PhaseTable (indices n_H,
 n_V, wavevectors and straight phases) on the frequency grid, it lets each
@@ -37,6 +40,7 @@ e_m, gives rows m of U.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -49,16 +53,10 @@ from .dispersion import T_REFERENCE, MaterialModel, PhaseMatchSpec, \
 from .errors import NetlistError, ValidationError
 from .source import PumpSpec
 
-# element kind -> (required keys, optional keys)
-ELEMENT_SCHEMA = {
-    "pbs": ({"alpha", "beta"}, set()),
-    "bs": ({"theta", "xi"}, set()),
-    "pm": ({"phi_h", "phi_v"}, set()),
-    "pc": ({"poling_period", "length", "kappa"}, set()),
-    "fp": ({"l1", "l2"}, set()),
-    "eobs": ({"kappa_c", "half_length", "dbeta_1", "dbeta_2"},
-             {"dbeta_1_v", "dbeta_2_v"}),
-}
+# element kind -> factory, whose parameters are the kind's netlist keys
+ELEMENT_FACTORIES = {"pbs": el.pbs_matrix, "bs": el.bs_matrix,
+                     "pm": el.pm_matrix, "pc": el.pc_matrix,
+                     "fp": el.fp_matrix, "eobs": el.eo_bs_matrix}
 
 # the two source photons enter channel 1: H-born in 1H, V-born in 1V
 CHANNEL1_INPUTS = np.eye(4)[:, :2]
@@ -104,22 +102,17 @@ class CircuitSpec:
 
 def build_element(decl: ElementDecl) -> el.ElementMatrix:
     """Instantiate the transfer-matrix factory for one declaration."""
-    p = decl.params
-    if decl.kind == "pbs":
-        return el.pbs_matrix(p["alpha"], p["beta"])
-    if decl.kind == "bs":
-        return el.bs_matrix(p["theta"], p["xi"])
-    if decl.kind == "pm":
-        return el.pm_matrix(p["phi_h"], p["phi_v"])
-    if decl.kind == "pc":
-        return el.pc_matrix(p["poling_period"], p["length"], p["kappa"])
-    if decl.kind == "fp":
-        return el.fp_matrix(p["l1"], p["l2"])
-    if decl.kind == "eobs":
-        return el.eo_bs_matrix(p["kappa_c"], p["half_length"],
-                               p["dbeta_1"], p["dbeta_2"],
-                               p.get("dbeta_1_v"), p.get("dbeta_2_v"))
-    raise ValidationError(f"unknown element kind {decl.kind!r}")
+    if decl.kind not in ELEMENT_FACTORIES:
+        raise ValidationError(f"unknown element kind {decl.kind!r}")
+    return ELEMENT_FACTORIES[decl.kind](**decl.params)
+
+
+def _element_keys(kind: str) -> tuple[set, set]:
+    """(required, optional) netlist keys of an element kind: the
+    parameters of its factory without and with a default."""
+    params = inspect.signature(ELEMENT_FACTORIES[kind]).parameters.values()
+    return ({p.name for p in params if p.default is p.empty},
+            {p.name for p in params if p.default is not p.empty})
 
 
 def element_matrices(spec: CircuitSpec, transposed=False) -> list:
@@ -151,12 +144,11 @@ def walk(chain, amps, phases) -> list:
 # ---------------------------------------------------------------------------
 # netlist parsing
 
-def parse_netlist_text(text: str, base_dir=None,
-                       model: MaterialModel | None = None) -> CircuitSpec:
+def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
     """Parse netlist source text into a CircuitSpec.
 
-    ``base_dir`` resolves a relative material file path. A caller-provided
-    ``model`` overrides any [material] file reference.
+    ``base_dir`` resolves a relative material file path; without a
+    [material] file the chip uses the bundled congruent LN.
     """
     (_, _, leading), *blocks = keyfile.read_blocks(text)
     for key, (_, line, _) in leading.items():
@@ -181,12 +173,13 @@ def parse_netlist_text(text: str, base_dir=None,
         elif len(words) != 2 or not words[0].startswith("element"):
             raise NetlistError(f"expected 'key = value', '[section]' or "
                                f"'element <kind>', got {header!r}", line=line)
-        elif words[1] not in ELEMENT_SCHEMA:
+        elif words[1] not in ELEMENT_FACTORIES:
             raise NetlistError(f"unknown element kind {words[1]!r}; known "
-                               f"kinds: {sorted(ELEMENT_SCHEMA)}", line=line)
+                               f"kinds: {sorted(ELEMENT_FACTORIES)}",
+                               line=line)
         else:
             kind = words[1]
-            keyfile.check_keys(block, *ELEMENT_SCHEMA[kind],
+            keyfile.check_keys(block, *_element_keys(kind),
                                f"element '{kind}'")
             decls.append(ElementDecl(
                 kind=kind, line=line,
@@ -198,16 +191,15 @@ def parse_netlist_text(text: str, base_dir=None,
         entry = material["temperature"]
         with keyfile.at_line(entry[1]):
             temperature = _check_temperature(keyfile.number(entry))
-    if model is None:
-        if "file" in material:
-            ref, refline, _ = material["file"]
-            path = Path(base_dir or ".") / ref
-            if not path.exists():
-                raise NetlistError(f"material file not found: {path}",
-                                   line=refline)
-            model = load_material(path)
-        else:
-            model = default_material()
+    if "file" in material:
+        ref, refline, _ = material["file"]
+        path = Path(base_dir or ".") / ref
+        if not path.exists():
+            raise NetlistError(f"material file not found: {path}",
+                               line=refline)
+        model = load_material(path)
+    else:
+        model = default_material()
 
     pump = phase_spec = None
     if sections.get("[source]"):
@@ -237,7 +229,7 @@ def _validate_elements(spec: CircuitSpec):
                                line=decl.line) from exc
 
 
-def parse_netlist(path, model: MaterialModel | None = None) -> CircuitSpec:
+def parse_netlist(path) -> CircuitSpec:
     """Parse a netlist file; relative material paths resolve next to it."""
     p = Path(path)
     try:
@@ -245,4 +237,4 @@ def parse_netlist(path, model: MaterialModel | None = None) -> CircuitSpec:
     except OSError as exc:
         raise ValidationError(f"cannot read netlist {p}: {exc}") from exc
     with keyfile.in_file(p):
-        return parse_netlist_text(text, base_dir=p.parent, model=model)
+        return parse_netlist_text(text, base_dir=p.parent)

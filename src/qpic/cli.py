@@ -32,9 +32,9 @@ from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
     peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
 from .detection import (CoincidenceQuery, hom_scan, imperfection_sweep,
                         temperature_scan)
-from .dispersion import (MaterialModel, PhaseMatchSpec, default_material,
-                         degenerate_wavelength, load_material,
-                         pc_matched_wavelength, tuning_curve)
+from .dispersion import (DATA_DIR, MaterialModel, PhaseMatchSpec,
+                         default_material, degenerate_wavelength,
+                         load_material, pc_matched_wavelength, tuning_curve)
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
@@ -52,12 +52,6 @@ class Artifacts(NamedTuple):
     inputs: list
     plot: tuple = ()  # (xlabel, ylabel, gnuplot "using") of the first table
     fit: CouplerFit | None = None
-
-
-def _data_path(name: str) -> Path:
-    from importlib.resources import files
-
-    return Path(str(files("qpic.data").joinpath(name)))
 
 
 def _csv_field(text: str) -> str:
@@ -135,7 +129,7 @@ def _emit(args, artifacts: Artifacts) -> None:
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": [{"path": f"qpic/data/{p.name}" if p == _data_path(p.name)
+        "inputs": [{"path": f"qpic/data/{p.name}" if p == DATA_DIR / p.name
                     else str(p), "sha256": _sha256(p)}
                    for p in artifacts.inputs],
         "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
@@ -173,7 +167,7 @@ def _float_list(text: str, option: str) -> list[float]:
 def _input_path(value, bundled: str, what: str) -> Path:
     """The existing file an option names, or the bundled default."""
     if not value:
-        return _data_path(bundled)
+        return DATA_DIR / bundled
     path = Path(value)
     if not path.exists():
         raise ValidationError(f"{what} not found: {path}")
@@ -354,8 +348,8 @@ def cmd_sweep(args) -> Artifacts:
                     _grid_from(args), temperature=spec.temperature)
     points = imperfection_sweep(jsa, spec, args.element, fractions,
                                 _delays_from(args), _query_from(args))
-    rows = [(p.fraction, p.visibility, p.minimum, p.maximum, p.baseline,
-             p.dip_position) for p in points]
+    rows = [(p.fraction, p.scan.visibility, p.scan.minimum, p.scan.maximum,
+             p.scan.baseline, p.scan.dip_position) for p in points]
     tables = [("sweep_summary",
                ["fraction", "visibility", "min_probability",
                 "max_probability", "baseline", "dip_position_um"],
@@ -365,7 +359,7 @@ def cmd_sweep(args) -> Artifacts:
                     [p.scan.values, p.scan.probabilities])
                    for k, p in enumerate(points)]
     summary = {"element": args.element,
-               "visibilities": [p.visibility for p in points]}
+               "visibilities": [p.scan.visibility for p in points]}
     return Artifacts(tables, summary, [netlist],
                      ("imperfection fraction", "visibility", "1:2"))
 
@@ -463,7 +457,7 @@ def cmd_temp_scan(args) -> Artifacts:
              if args.temperatures else list(_temperatures_from(args)))
     points = temperature_scan(spec, temps, _delays_from(args),
                               _query_from(args), _grid_from(args))
-    rows = [(p.temperature, p.visibility, p.scan.minimum, p.scan.baseline,
+    rows = [(p.temperature, p.scan.visibility, p.scan.minimum, p.scan.baseline,
              p.scan.dip_position, p.signal_peak, p.idler_peak,
              p.window_centre, p.signal_fwhm, p.window_fwhm,
              p.outside_window) for p in points]
@@ -472,9 +466,9 @@ def cmd_temp_scan(args) -> Artifacts:
               "dip_position_um", "signal_peak_um", "idler_peak_um",
               "window_centre_um", "signal_fwhm_um", "window_fwhm_um",
               "outside_window"], [np.array(c) for c in zip(*rows)])
-    best = max(points, key=lambda p: p.visibility)
+    best = max(points, key=lambda p: p.scan.visibility)
     summary = {"best_temperature_c": best.temperature,
-               "best_visibility": best.visibility}
+               "best_visibility": best.scan.visibility}
     return Artifacts([table], summary, [netlist],
                      ("temperature (C)", "visibility", "1:2"))
 

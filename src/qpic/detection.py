@@ -16,11 +16,12 @@ factor lives on one common grid. The coefficients are conjugated transfer
 entries; since |conj z| = |z|, the kernel sums the conjugated bracket, built
 from sqrt(W) conj(F) (formed per chunk) and the transfer entries themselves.
 
-A delay scan adds delta to channel 2 of one 'fp' element, rephasing only
-modes 2H and 2V there. With c the channel-1 input columns of the chain up
-to that element and T the transfer of the rest (e_r pushed through the
-reversed tail with transposed blocks, for the rows r the pairings read),
-the transfer entry of photon p (0 H-born, 1 V-born) in detected mode r is
+A delay scan adds delta to channel 2 of the second 'fp' element,
+rephasing only modes 2H and 2V there. With c the channel-1 input columns
+of the chain up to that element and T the transfer of the rest (e_r
+pushed through the reversed tail with transposed blocks, for the rows r
+the pairings read), the transfer entry of photon p (0 H-born, 1 V-born)
+in detected mode r is
 
     e_rp = T_r0 c_0p + T_r1 c_1p + T_r2 c_2p phi_H + T_r3 c_3p phi_V,
 
@@ -82,7 +83,7 @@ import numpy as np
 from . import cmt
 from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
 from .dispersion import pc_matched_wavelength
-from .elements import PhaseTable, _live_sum, mode_index, refractive_indices
+from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError
 from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
                      _quadrature_weights, build_jsa, marginal_spectra)
@@ -143,8 +144,7 @@ def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
     for lo in range(0, len(jsa.sum_grid), n_rows):
         rows = slice(lo, lo + n_rows)
         w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
-        yield rows, PhaseTable(w, refractive_indices(spec.model, w,
-                                                     spec.temperature))
+        yield rows, PhaseTable(spec.model, w, spec.temperature)
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -169,10 +169,8 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
 class ScanResult:
     """One scanned curve of coincidence probability plus dip summaries."""
 
-    parameter: str
-    values: np.ndarray
+    values: np.ndarray  # channel-2 length detunings, um
     probabilities: np.ndarray
-    query: CoincidenceQuery
     baseline: float  # large-delay estimate: mean of the outermost samples
     minimum: float
     maximum: float
@@ -182,7 +180,7 @@ class ScanResult:
     boundary_warning: bool  # minimum sits on the scan edge
 
 
-def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
+def _analyse_scan(values, probabilities) -> ScanResult:
     values = np.asarray(values, dtype=float)
     p = np.asarray(probabilities, dtype=float)
     n = len(p)
@@ -211,9 +209,9 @@ def _analyse_scan(parameter, values, probabilities, query) -> ScanResult:
                                        -0.5 * (baseline + minimum))
     fwhm = None if None in (left, right) else float(right - left)
 
-    return ScanResult(parameter=parameter, values=values, probabilities=p,
-                      query=query, baseline=baseline, minimum=minimum,
-                      maximum=maximum, visibility=float(visibility),
+    return ScanResult(values=values, probabilities=p, baseline=baseline,
+                      minimum=minimum, maximum=maximum,
+                      visibility=float(visibility),
                       dip_position=dip_position, dip_fwhm=fwhm,
                       boundary_warning=boundary)
 
@@ -238,27 +236,14 @@ def _check_delays(delay_values) -> np.ndarray:
     return d
 
 
-def _find_scan_element(spec: CircuitSpec, scan_element, delays) -> int:
-    """Index of the scanned 'fp'; its channel-2 length must stay >= 0 at
-    every one of the (increasing) ``delays``."""
-    if scan_element is None:
-        fp_indices = [i for i, d in enumerate(spec.elements)
-                      if d.kind == "fp"]
-        if len(fp_indices) < 2:
-            raise ValidationError(
-                "delay scan needs a second 'fp' element to stretch; pass "
-                "scan_element to pick one explicitly")
-        idx = fp_indices[1]
-    else:
-        idx = int(scan_element)
-        if not 0 <= idx < len(spec.elements):
-            raise ValidationError(
-                f"scan_element {idx} out of range for {len(spec.elements)} "
-                f"elements")
-        if spec.elements[idx].kind != "fp":
-            raise ValidationError(
-                f"scan_element {idx} is '{spec.elements[idx].kind}', not "
-                f"'fp'")
+def _scanned_fp(spec: CircuitSpec, delays) -> int:
+    """Index of the scanned 'fp', the second one; its channel-2 length
+    must stay >= 0 at every one of the (increasing) ``delays``."""
+    fp_indices = [i for i, d in enumerate(spec.elements) if d.kind == "fp"]
+    if len(fp_indices) < 2:
+        raise ValidationError("delay scan needs a second 'fp' element to "
+                              "stretch")
+    idx = fp_indices[1]
     l2 = spec.elements[idx].params["l2"]
     if l2 + delays[0] < 0.0:
         raise RangeError(
@@ -380,15 +365,14 @@ class _Block:
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
-             query: CoincidenceQuery | None = None,
-             scan_element=None) -> ScanResult:
+             query: CoincidenceQuery | None = None) -> ScanResult:
     """Coincidence probability versus channel-2 length detuning.
 
-    The scanned element is an 'fp' pair of straights (the second one by
-    default); each delay value adds to its channel-2 length, so the offset
-    where both arms balance appears as the interference dip. Delays must be
-    a finite, strictly increasing 1-D array of at least 3 points, and the
-    stretched length l2 + delay must stay >= 0 (RangeError otherwise).
+    The scanned element is the second 'fp' pair of straights; each delay
+    value adds to its channel-2 length, so the offset where both arms
+    balance appears as the interference dip. Delays must be a finite,
+    strictly increasing 1-D array of at least 3 points, and the stretched
+    length l2 + delay must stay >= 0 (RangeError otherwise).
 
     The probability takes the moment form of the module docstring. The
     element chains before and after the scanned fp are built once; each
@@ -400,7 +384,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     if query is None:
         query = CoincidenceQuery()
     delay_values = _check_delays(delay_values)
-    idx = _find_scan_element(spec, scan_element, delay_values)
+    idx = _scanned_fp(spec, delay_values)
     pairs = _query_pairs(query)
     rows = sorted({m for pair in pairs for m in pair})
     row_pairs = [(rows.index(mb), rows.index(mc)) for mb, mc in pairs]
@@ -461,19 +445,14 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         values += block.values(delay_values)
 
     probabilities = [_check_probability(p) for p in values]
-    return _analyse_scan("delta_l_um", delay_values, probabilities, query)
+    return _analyse_scan(delay_values, probabilities)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Summary of one imperfection setting."""
+    """The scan at one imperfection setting."""
 
     fraction: float
-    visibility: float
-    minimum: float
-    maximum: float
-    baseline: float
-    dip_position: float
     scan: ScanResult
 
 
@@ -535,15 +514,8 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     fractions = [float(f) for f in np.asarray(fractions, dtype=float)]
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
-    points = []
-    for fraction, perturbed in zip(fractions, chips):
-        scan = hom_scan(jsa, perturbed, delay_values, query)
-        points.append(SweepPoint(fraction=fraction,
-                                 visibility=scan.visibility,
-                                 minimum=scan.minimum, maximum=scan.maximum,
-                                 baseline=scan.baseline,
-                                 dip_position=scan.dip_position, scan=scan))
-    return points
+    return [SweepPoint(fraction, hom_scan(jsa, chip, delay_values, query))
+            for fraction, chip in zip(fractions, chips)]
 
 
 @dataclass(frozen=True)
@@ -558,10 +530,6 @@ class TemperaturePoint:
     window_centre: float  # um, converter phase-matched wavelength
     window_fwhm: float  # um
     outside_window: bool  # marginal peak clear of the conversion main lobe
-
-    @property
-    def visibility(self) -> float:
-        return self.scan.visibility
 
 
 def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
@@ -579,7 +547,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     if delay_values is None:
         delay_values = default_delay_values(41)
     delay_values = _check_delays(delay_values)
-    _find_scan_element(spec, None, delay_values)  # before any grid work
+    _scanned_fp(spec, delay_values)  # before any grid work
     temperatures = np.asarray(temperatures, dtype=float)
     if temperatures.ndim != 1 or temperatures.size == 0:
         raise ValidationError("temperatures must be a non-empty 1-D list")

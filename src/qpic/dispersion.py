@@ -22,6 +22,7 @@ from .errors import NetlistError, NumericalError, PhaseMatchError, \
     RangeError, ValidationError
 
 C_UM_PS = 299.792458  # speed of light, um/ps
+DATA_DIR = Path(__file__).parent / "data"  # the bundled inputs, qpic/data
 
 LAMBDA_MIN = 0.4  # um, Sellmeier validity
 LAMBDA_MAX = 2.0
@@ -132,7 +133,7 @@ class MaterialModel:
 @functools.cache
 def default_material() -> MaterialModel:
     """The bundled congruent-LN model, ``qpic/data/linbo3.material``."""
-    return load_material(Path(__file__).parent / "data" / "linbo3.material")
+    return load_material(DATA_DIR / "linbo3.material")
 
 
 def _check_temperature(temperature):

@@ -12,6 +12,10 @@ a dense 4x4 per frequency:
 - fp is four diagonal phases exp(i n(w) w l / c);
 - pc is a 2x2 on the channel-1 (H, V) pair; channel 2 passes unchanged.
 
+Each netlist kind has one factory here (``circuit.ELEMENT_FACTORIES``),
+whose parameter names are the kind's netlist keys: renaming a parameter
+renames a key.
+
 ``ElementMatrix.apply`` acts with that structure on a 4 x k table of
 amplitude entries, one per (mode, input vector). An entry is None where the
 amplitude is a structural zero, an exact zero of the input that no element
@@ -20,11 +24,12 @@ dispersive block touches it, and of the grid's shape from then on. A
 product enters a sum only when both its coefficient and its entry are
 live, in the order the dense product adds them, so the dropped terms are
 exact zeros. The dispersive blocks read one ``PhaseTable`` per frequency
-grid: the refractive indices (n_H, n_V), the wavevectors k = n w / c and
-the straight phases exp(i k l), each (polarisation, length) evaluated at
-most once. ``circuit.walk`` is the one place that walks a chain;
-``evaluate`` writes one element's block out as a dense 4x4 on a
-PhaseTable's grid, for tests and single-element inspection.
+grid: the refractive indices (n_H, n_V) of the material at the chip
+temperature, the wavevectors k = n w / c and the straight phases
+exp(i k l), each (polarisation, length) evaluated at most once.
+``circuit.walk`` is the one place that walks a chain; ``evaluate`` writes
+one element's block out as a dense 4x4 on a PhaseTable's grid, for tests
+and single-element inspection.
 """
 
 from __future__ import annotations
@@ -53,26 +58,23 @@ def mode_index(channel: int, pol: str) -> int:
     return (channel - 1) * 2 + (0 if pol == "H" else 1)
 
 
-def refractive_indices(model: MaterialModel, omega, temperature=None):
-    """(n_H, n_V) at angular frequencies ``omega`` (rad/ps)."""
-    lam = wavelength_from_omega(omega)
-    return (np.asarray(index(model, "H", lam, temperature)),
-            np.asarray(index(model, "V", lam, temperature)))
-
-
 class PhaseTable:
-    """Wavevectors and straight-waveguide phases on one frequency grid.
+    """Refractive indices, wavevectors and straight-waveguide phases on
+    one frequency grid.
 
-    ``k[pol]`` is n_pol(w) w / c for pol 0 (H) and 1 (V), from the
-    refractive indices (n_H, n_V) on ``omega``. ``phase(pol, length)`` is
-    exp(i k[pol] length); it is evaluated at most once per (pol, length)
-    and shared by every element and walk on the grid.
+    ``indices`` holds (n_H, n_V) of ``model`` on ``omega`` (rad/ps) at
+    ``temperature``, and ``k[pol]`` is n_pol(w) w / c for pol 0 (H) and
+    1 (V). ``phase(pol, length)`` is exp(i k[pol] length); it is evaluated
+    at most once per (pol, length) and shared by every element and walk on
+    the grid.
     """
 
-    def __init__(self, omega, indices):
+    def __init__(self, model: MaterialModel, omega, temperature):
+        lam = wavelength_from_omega(omega)
         self.omega = omega
-        self.indices = indices
-        self.k = tuple(n * omega / C_UM_PS for n in indices)
+        self.indices = tuple(np.asarray(index(model, pol, lam, temperature))
+                             for pol in ("H", "V"))
+        self.k = tuple(n * omega / C_UM_PS for n in self.indices)
         self._phases = {}
 
     def phase(self, pol: int, length: float):
@@ -111,7 +113,7 @@ def _live_sum(pairs):
 
 @dataclass(frozen=True)
 class ElementMatrix:
-    """A labelled, frequency-resolved 4x4 unitary stored as its blocks.
+    """A frequency-resolved 4x4 unitary stored as its blocks.
 
     ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal":
     ``block`` is the straight lengths (l1, l2) of channels 1 and 2, whose
@@ -120,7 +122,6 @@ class ElementMatrix:
     ``(2, 2) + omega.shape``.
     """
 
-    label: str
     structure: str
     block: np.ndarray | tuple | Callable
 
@@ -192,7 +193,7 @@ def pbs_matrix(alpha: float, beta: float) -> ElementMatrix:
                   [0, 1j * cb, 0, sb],
                   [ca, 0, 1j * sa, 0],
                   [0, sb, 0, 1j * cb]], dtype=complex)
-    return ElementMatrix("pbs", "dense", m)
+    return ElementMatrix("dense", m)
 
 
 def bs_matrix(theta: float, xi: float) -> ElementMatrix:
@@ -212,14 +213,14 @@ def bs_matrix(theta: float, xi: float) -> ElementMatrix:
                   [0, cx, 0, 1j * sx],
                   [1j * st, 0, ct, 0],
                   [0, 1j * sx, 0, cx]], dtype=complex)
-    return ElementMatrix("bs", "dense", m)
+    return ElementMatrix("dense", m)
 
 
 def pm_matrix(phi_h: float, phi_v: float) -> ElementMatrix:
     """Channel-1 phase shifter: phases phi_h and phi_v on 1H and 1V."""
     _check_finite("pm", phi_h=phi_h, phi_v=phi_v)
     m = np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v), 1.0, 1.0])
-    return ElementMatrix("pm", "dense", m)
+    return ElementMatrix("dense", m)
 
 
 def pc_matrix(poling_period: float, length: float,
@@ -248,7 +249,7 @@ def pc_matrix(poling_period: float, length: float,
         cosp, d, b = cmt._core_terms(kappa, -dk, length)
         return np.array([[cosp - 1j * d, -b], [b, cosp + 1j * d]])
 
-    return ElementMatrix("pc", "channel1", block)
+    return ElementMatrix("channel1", block)
 
 
 def fp_matrix(l1: float, l2: float) -> ElementMatrix:
@@ -259,7 +260,7 @@ def fp_matrix(l1: float, l2: float) -> ElementMatrix:
     _check_finite("fp", l1=l1, l2=l2)
     if l1 < 0.0 or l2 < 0.0:
         raise RangeError(f"fp lengths ({l1}, {l2}) um must be >= 0")
-    return ElementMatrix("fp", "diagonal", (l1, l2))
+    return ElementMatrix("diagonal", (l1, l2))
 
 
 def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
@@ -286,7 +287,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     # H modes live at indices (0, 2), V modes at (1, 3)
     m[np.ix_((0, 2), (0, 2))] = mh
     m[np.ix_((1, 3), (1, 3))] = mv
-    return ElementMatrix("eobs", "dense", m)
+    return ElementMatrix("dense", m)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,6 @@ class JointSpectralAmplitude:
     amplitude: np.ndarray
     normalization: float  # C, applied to the raw product form
     pump: PumpSpec
-    phase_spec: PhaseMatchSpec
-    model: MaterialModel
     temperature: float
     ridge_offset: float = 0.0  # difference-axis centre of the sinc ridge
     meta: dict = field(default_factory=dict)
@@ -236,8 +234,7 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
     raw *= c
     return JointSpectralAmplitude(
         sum_grid=sum_grid, diff_grid=diff_grid, amplitude=raw,
-        normalization=c, pump=pump, phase_spec=spec,
-        model=model, temperature=t, ridge_offset=float(d_star),
+        normalization=c, pump=pump, temperature=t, ridge_offset=float(d_star),
         meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
               "sum_half_width": float(s_half),
               "diff_half_width": float(d_half)})

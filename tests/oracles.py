@@ -11,15 +11,14 @@ import numpy as np
 
 from qpic.circuit import element_matrices
 from qpic.dispersion import default_material
-from qpic.elements import PhaseTable, refractive_indices
+from qpic.elements import PhaseTable
 from qpic.source import _trapezoid_weights
 
 
 def phase_table(omega, model=None, temperature=None) -> PhaseTable:
     """The PhaseTable on ``omega`` (the bundled material by default)."""
-    w = np.asarray(omega, dtype=float)
-    return PhaseTable(w, refractive_indices(model or default_material(), w,
-                                            temperature))
+    return PhaseTable(model or default_material(),
+                      np.asarray(omega, dtype=float), temperature)
 
 
 def chip_matrix(spec, omega) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_criterion_6_temperature():
     points = get("temp_points", lambda: qpic.temperature_scan(
         chip, temps, delay_values=SWEEP_DELAYS, grid=GRID))
     by_t = {p.temperature: p for p in points}
-    vis = {t: by_t[t].visibility for t in temps}
+    vis = {t: by_t[t].scan.visibility for t in temps}
 
     peak_ok = max(vis, key=vis.get) == 24.5
     rising = all(vis[a] < vis[b] for a, b in
@@ -211,7 +211,8 @@ def test_criterion_6_temperature():
     falling = all(vis[a] > vis[b] for a, b in
                   [(24.5, 25.5), (25.5, 27.5), (27.5, 29.5)])
     outside = [p for p in points if p.outside_window]
-    outside_ok = len(outside) > 0 and all(p.visibility < 0.05 for p in outside)
+    outside_ok = len(outside) > 0 and all(p.scan.visibility < 0.05
+                                           for p in outside)
 
     ok = peak_ok and rising and falling and outside_ok
     report(6, ok,

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpic
-from qpic.circuit import (CHANNEL1_INPUTS, CircuitSpec, ElementDecl,
-                          element_matrices, parse_netlist_text, walk)
+from qpic import circuit
+from qpic.circuit import (CHANNEL1_INPUTS, ELEMENT_FACTORIES, CircuitSpec,
+                          ElementDecl, element_matrices, parse_netlist_text,
+                          walk)
 from qpic.dispersion import (LAMBDA_MAX, LAMBDA_MIN, TEMP_MAX, TEMP_MIN,
                              omega_from_wavelength)
 from qpic.errors import NetlistError
@@ -37,14 +39,14 @@ def test_bundled_chip_structure(chip):
     assert chip.phase_spec.pdc_length == 20700.0
 
 
-def test_empty_element_list_is_identity(model):
-    spec = parse_netlist_text(MINIMAL, model=model)
+def test_empty_element_list_is_identity():
+    spec = parse_netlist_text(MINIMAL)
     assert spec.elements == ()
     u = walked(spec, OMEGA)
     assert np.allclose(u, np.eye(4), atol=0)
 
 
-def test_compose_order(model):
+def test_compose_order():
     # last element in the file acts last: U = E_n ... E_1
     text = MINIMAL + """
 element pm
@@ -55,7 +57,7 @@ element pbs
 alpha = 1.5707963267948966
 beta = 1.5707963267948966
 """
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     u = walked(spec, OMEGA[0])
     phases = oracles.phase_table(OMEGA[0])
     mats = [em.evaluate(phases) for em in element_matrices(spec)]
@@ -98,60 +100,101 @@ def test_with_elements_replaces(chip):
     assert trimmed.model is chip.model
 
 
-def test_unknown_element_kind(model):
+def test_unknown_element_kind():
     with pytest.raises(NetlistError, match="line 8"):
-        parse_netlist_text(MINIMAL + "\nelement warp\nspeed = 9\n", model=model)
+        parse_netlist_text(MINIMAL + "\nelement warp\nspeed = 9\n")
 
 
-def test_unknown_parameter(model):
-    text = MINIMAL + "\nelement fp\nl1 = 10.0\nl2 = 10.0\nl3 = 10.0\n"
-    with pytest.raises(NetlistError, match="l3"):
-        parse_netlist_text(text, model=model)
+# the netlist format: element kind -> (required keys, optional keys)
+NETLIST_KEYS = {
+    "pbs": ({"alpha", "beta"}, set()),
+    "bs": ({"theta", "xi"}, set()),
+    "pm": ({"phi_h", "phi_v"}, set()),
+    "pc": ({"poling_period", "length", "kappa"}, set()),
+    "fp": ({"l1", "l2"}, set()),
+    "eobs": ({"kappa_c", "half_length", "dbeta_1", "dbeta_2"},
+             {"dbeta_1_v", "dbeta_2_v"}),
+}
+
+# a valid value of every key
+KEY_VALUES = {"alpha": 1.5707963267948966, "beta": 1.5707963267948966,
+              "theta": 0.7853981633974483, "xi": 0.7853981633974483,
+              "phi_h": 0.4, "phi_v": 0.0, "poling_period": 21.124408686252,
+              "length": 2540.0, "kappa": 3.092118753533261e-4, "l1": 10.0,
+              "l2": 10.0, "kappa_c": 1.9634954084936207e-4,
+              "half_length": 4000.0, "dbeta_1": 0.0, "dbeta_2": 0.0,
+              "dbeta_1_v": 1.0e-2, "dbeta_2_v": 1.0e-2}
 
 
-def test_missing_parameter(model):
-    text = MINIMAL + "\nelement fp\nl1 = 10.0\n"
-    with pytest.raises(NetlistError, match="l2"):
-        parse_netlist_text(text, model=model)
+def element_text(kind, keys):
+    return f"\nelement {kind}\n" + "".join(
+        f"{key} = {KEY_VALUES[key]!r}\n" for key in sorted(keys))
 
 
-def test_duplicate_parameter(model):
+def test_netlist_keys_are_the_factory_parameters():
+    # renaming a factory parameter renames a netlist key: it must show here
+    assert set(ELEMENT_FACTORIES) == set(NETLIST_KEYS)
+    for kind, (required, optional) in NETLIST_KEYS.items():
+        assert circuit._element_keys(kind) == (required, optional)
+        for keys in (required, required | optional):
+            spec = parse_netlist_text(MINIMAL + element_text(kind, keys))
+            assert spec.elements[0].kind == kind
+            assert set(spec.elements[0].params) == keys
+
+
+def test_unknown_parameter():
+    for kind, (required, optional) in NETLIST_KEYS.items():
+        text = MINIMAL + element_text(kind, required | optional) \
+            + "l3 = 10.0\n"
+        with pytest.raises(NetlistError, match=f"'l3' in element '{kind}'"):
+            parse_netlist_text(text)
+
+
+def test_missing_parameter():
+    for kind, (required, optional) in NETLIST_KEYS.items():
+        for key in required:
+            text = MINIMAL + element_text(kind, required - {key})
+            with pytest.raises(NetlistError, match=f"missing key.*'{key}'"):
+                parse_netlist_text(text)
+
+
+def test_duplicate_parameter():
     text = MINIMAL + "\nelement fp\nl1 = 10.0\nl1 = 11.0\nl2 = 10.0\n"
     with pytest.raises(NetlistError, match="duplicate"):
-        parse_netlist_text(text, model=model)
+        parse_netlist_text(text)
 
 
-def test_bad_number_reports_position(model):
+def test_bad_number_reports_position():
     text = MINIMAL + "\nelement fp\nl1 = ten\nl2 = 10.0\n"
     with pytest.raises(NetlistError) as info:
-        parse_netlist_text(text, model=model)
+        parse_netlist_text(text)
     assert "line 9" in str(info.value)
     assert "column" in str(info.value)
 
 
-def test_source_section_optional(model):
+def test_source_section_optional():
     # a circuit-only netlist parses; the source fields stay unset
-    spec = parse_netlist_text("element fp\nl1 = 1.0\nl2 = 1.0\n", model=model)
+    spec = parse_netlist_text("element fp\nl1 = 1.0\nl2 = 1.0\n")
     assert spec.pump is None
     assert spec.phase_spec is None
     u = walked(spec, OMEGA[0])
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
 
-def test_unknown_source_key(model):
+def test_unknown_source_key():
     bad = MINIMAL.replace("pdc_length", "pdc_size")
     with pytest.raises(NetlistError):
-        parse_netlist_text(bad, model=model)
+        parse_netlist_text(bad)
 
 
-def test_line_numbers_on_decls(model):
+def test_line_numbers_on_decls():
     text = MINIMAL + "\nelement fp\nl1 = 1.0\nl2 = 2.0\n"
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     assert spec.elements[0].line == 8
     assert spec.elements[0].params == {"l1": 1.0, "l2": 2.0}
 
 
-def test_eobs_optional_parameters(model):
+def test_eobs_optional_parameters():
     text = MINIMAL + """
 element eobs
 kappa_c = 1.9634954084936207e-4
@@ -161,7 +204,7 @@ dbeta_2 = 0.0
 dbeta_1_v = 1.0e-2
 dbeta_2_v = 1.0e-2
 """
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     u = walked(spec, OMEGA[0])
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     # H fully crosses at zero detuning; strongly detuned V stays put
@@ -169,10 +212,10 @@ dbeta_2_v = 1.0e-2
     assert abs(u[1, 1]) ** 2 > 0.99
 
 
-def test_negative_length_rejected(model):
+def test_negative_length_rejected():
     text = MINIMAL + "\nelement fp\nl1 = -5.0\nl2 = 10.0\n"
     with pytest.raises((NetlistError, qpic.RangeError)):
-        parse_netlist_text(text, model=model)
+        parse_netlist_text(text)
 
 
 def test_material_section_file(tmp_path, model):
@@ -195,9 +238,9 @@ def test_material_temperature_out_of_range():
         parse_netlist_text(text)
 
 
-def test_bs_unbalanced_splitting(model):
+def test_bs_unbalanced_splitting():
     text = MINIMAL + "\nelement bs\ntheta = 0.5235987755982988\nxi = 0.5235987755982988\n"
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     u = walked(spec, OMEGA[0])
     assert abs(u[0, 0]) ** 2 == pytest.approx(math.cos(math.pi / 6) ** 2, abs=1e-12)
     assert abs(u[2, 0]) ** 2 == pytest.approx(math.sin(math.pi / 6) ** 2, abs=1e-12)
@@ -298,8 +341,8 @@ xi = 0.7
 
 @pytest.mark.parametrize("text", [MINIMAL, CONSTANT_ONLY],
                          ids=["empty", "constant"])
-def test_frequency_free_chain_fills_the_grid(model, text):
-    spec = parse_netlist_text(text, model=model)
+def test_frequency_free_chain_fills_the_grid(text):
+    spec = parse_netlist_text(text)
     omega = OMEGA[:4].reshape(2, 2)
     dense = oracles.chip_matrix(spec, OMEGA[0])
     inputs = np.eye(4)[:, 1:3]

@@ -39,8 +39,8 @@ def scan_vv(chip, jsa_small):
     return hom_scan(jsa_small, chip, DELAYS)
 
 
-def test_identity_circuit_no_coincidence(model, jsa_small):
-    bare = parse_netlist_text(SOURCE_ONLY, model=model)
+def test_identity_circuit_no_coincidence(jsa_small):
+    bare = parse_netlist_text(SOURCE_ONLY)
     # both photons stay in channel 1, so the two detectors never fire together
     assert coincidence(jsa_small, bare) == pytest.approx(0.0, abs=1e-15)
     assert coincidence(jsa_small, bare, INSENSITIVE) == pytest.approx(0.0, abs=1e-15)
@@ -64,10 +64,10 @@ def test_exchange_amplitude_alignment(chip, jsa_small):
     assert p_vh == pytest.approx(p_hv, abs=0.05)
 
 
-def test_bs_only_closed_form(model, jsa_small):
+def test_bs_only_closed_form(jsa_small):
     theta, xi = 0.6, 0.3
     text = SOURCE_ONLY + f"\nelement bs\ntheta = {theta}\nxi = {xi}\n"
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     # photons distinguishable by polarization: no interference term
     p = coincidence(jsa_small, spec, CoincidenceQuery(pol_b="H", pol_c="V"))
     assert p == pytest.approx(np.cos(theta) ** 2 * np.sin(xi) ** 2, abs=1e-12)
@@ -92,7 +92,6 @@ def test_probabilities_in_range(chip, jsa_small):
 
 def test_scan_summary(scan_vv):
     s = scan_vv
-    assert s.parameter == "delta_l_um"
     assert len(s.values) == len(s.probabilities) == len(DELAYS)
     assert not s.boundary_warning
     assert s.baseline == pytest.approx(0.489, abs=0.02)
@@ -110,29 +109,36 @@ def jsa_tiny(chip):
                           qpic.GridSpec(64, 64))
 
 
+def assert_scan_matches_stretched_chip(jsa, chip, delays, query, tol):
+    """Each point of the scan of ``chip`` equals coincidence() on the chip
+    whose scanned fp, the second one, has channel-2 length l2 + delta,
+    routed through the whole chain without the factored delay kernel."""
+    scan = hom_scan(jsa, chip, delays, query)
+    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
+    fp = chip.elements[idx]
+    for delta, p in zip(delays, scan.probabilities):
+        elements = list(chip.elements)
+        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+        stretched = chip.with_elements(elements)
+        assert p == pytest.approx(coincidence(jsa, stretched, query),
+                                  abs=tol)
+
+
 @pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
                          ids=["VV", "insensitive"])
 @pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
 def test_scan_matches_stretched_chip(chip, jsa_tiny, query, pbs_error):
-    """Each scan point equals coincidence() on the chip whose scanned fp
-    has channel-2 length l2 + delta, routed through the whole chain
-    without the factored delay kernel. A leaky pbs puts both photons in
-    both channel-2 modes at the scanned fp, so both delay phases matter.
+    """Each scan point equals coincidence() on the stretched chip. A leaky
+    pbs puts both photons in both channel-2 modes at the scanned fp, so
+    both delay phases matter.
 
     The two differ only by phase rounding: the stretched fp rounds
     k (l2 + delta), about 1e5 rad, where the scan multiplies exp(i k l2) by
     exp(i k delta), which moves the probabilities by up to 7e-13 at 64x64.
     """
     chip = apply_imperfection(chip, "pbs", pbs_error)
-    scan = hom_scan(jsa_tiny, chip, ORACLE_DELAYS, query)
-    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
-    fp = chip.elements[idx]
-    for delta, p in zip(ORACLE_DELAYS, scan.probabilities):
-        elements = list(chip.elements)
-        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
-        stretched = chip.with_elements(elements)
-        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
-                                  abs=1e-11)
+    assert_scan_matches_stretched_chip(jsa_tiny, chip, ORACLE_DELAYS, query,
+                                       1e-11)
 
 
 def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
@@ -146,10 +152,9 @@ def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
                                atol=1e-15)
 
 
-K = 16
-RECURRENCE_DELAYS = {
-    # three blocks of K delays, the last one partial
-    "blocks": np.linspace(-1500.0, 3700.0, 2 * K + 5),
+DELAY_GRIDS = {
+    # at chunks of 10 x 64 points, three tiles of 10 delays and a partial one
+    "tiles": np.linspace(-1500.0, 3700.0, 37),
     # linspace steps that differ from the mean step by an ulp
     "jitter": np.linspace(-1000.0, 1000.0, 100),
     "uneven": np.cumsum([-1200.0, 310.0, 95.0, 400.0, 12.5, 250.0, 700.0,
@@ -159,25 +164,18 @@ RECURRENCE_DELAYS = {
 
 @pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
                          ids=["VV", "insensitive"])
-@pytest.mark.parametrize("grid", list(RECURRENCE_DELAYS))
-def test_recurrence_matches_stretched_chip(chip, jsa_tiny, query, grid,
+@pytest.mark.parametrize("grid", list(DELAY_GRIDS))
+def test_delay_grids_match_stretched_chip(chip, jsa_tiny, query, grid,
                                           monkeypatch):
-    """Delay grids in blocks of K, with jittered steps and with uneven
-    steps, over grid chunks that end in a partial one, keep every point
-    equal to coincidence() on the stretched leaky-pbs chip."""
+    """Delay grids in tiles ending in a partial one, with jittered steps
+    and with uneven steps, over grid chunks that end in a partial one,
+    keep every point equal to coincidence() on the stretched leaky-pbs
+    chip."""
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    delays = RECURRENCE_DELAYS[grid]
     chip = apply_imperfection(chip, "pbs", 0.25)
-    scan = hom_scan(jsa_tiny, chip, delays, query)
-    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
-    fp = chip.elements[idx]
-    for delta, p in zip(delays, scan.probabilities):
-        elements = list(chip.elements)
-        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
-        stretched = chip.with_elements(elements)
-        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
-                                  abs=1e-11)
+    assert_scan_matches_stretched_chip(jsa_tiny, chip, DELAY_GRIDS[grid],
+                                       query, 1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -203,18 +201,10 @@ def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
         return values(self, delays)
 
     monkeypatch.setattr(detection._Block, "values", recording)
-    delays = RECURRENCE_DELAYS["blocks"]
     chip = apply_imperfection(chip, "pbs", 0.25)
-    scan = hom_scan(jsa_short, chip, delays, query)
+    assert_scan_matches_stretched_chip(jsa_short, chip, DELAY_GRIDS["tiles"],
+                                       query, 1e-11)
     assert len(blocks) > 10
-    idx = [i for i, d in enumerate(chip.elements) if d.kind == "fp"][1]
-    fp = chip.elements[idx]
-    for delta, p in zip(delays, scan.probabilities):
-        elements = list(chip.elements)
-        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
-        stretched = chip.with_elements(elements)
-        assert p == pytest.approx(coincidence(jsa_short, stretched, query),
-                                  abs=1e-11)
 
 
 def test_block_matches_direct_sum(rng):
@@ -251,8 +241,7 @@ EXPONENTS = [(0, 1, 0, 0), (0, 1, 0, -1), (1, 0, 0, 0), (1, 0, -1, 0),
 def _grid_k(jsa, chip):
     """(k_H, k_V) on the whole grid."""
     w = (jsa.sum_grid[:, None] + jsa.diff_grid[None, :]) / 2.0
-    return PhaseTable(w, qpic.elements.refractive_indices(
-        chip.model, w, chip.temperature)).k
+    return PhaseTable(chip.model, w, chip.temperature).k
 
 
 def _stream(monkeypatch, exponent=detection._exponent):
@@ -293,7 +282,7 @@ def test_streamed_blocks(chip, jsa_tiny, jsa_short, pump, monkeypatch):
     at that chunk's rho is at most eps_mach."""
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     jsa = jsa_tiny if pump == "long" else jsa_short
-    delays = RECURRENCE_DELAYS["uneven"]
+    delays = DELAY_GRIDS["uneven"]
     k = _grid_k(jsa, chip)
 
     def bound(rho, n):
@@ -349,7 +338,7 @@ def test_streamed_blocks_follow_a_theta_not_monotone_in_s(
     (e^RHO_CAP + 2 max |theta delta|) eps_mach sum |Y|: the series' e^rho
     and the rounding of theta delta in both sums."""
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    delays = RECURRENCE_DELAYS["uneven"]
+    delays = DELAY_GRIDS["uneven"]
     reach = np.max(np.abs(delays))
     amplitude = 2.0 * detection.RHO_CAP / reach
     k_h = _grid_k(jsa_short, chip)[0]
@@ -421,24 +410,17 @@ xi = 0.6
 
 @pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
                          ids=["VV", "insensitive"])
-def test_all_live_scan_matches_stretched_chip(model, jsa_tiny, query,
+def test_all_live_scan_matches_stretched_chip(jsa_tiny, query,
                                               monkeypatch):
-    chip = parse_netlist_text(ALL_LIVE, model=model)
+    chip = parse_netlist_text(ALL_LIVE)
     prefix = chip.with_elements(chip.elements[:4])
     _, phases = next(detection._chunks(jsa_tiny, prefix))
     c = walk(element_matrices(prefix), CHANNEL1_INPUTS, phases)
     assert all(c[m][p] is not None for m in (2, 3) for p in (0, 1))
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    delays = RECURRENCE_DELAYS["blocks"]
-    scan = hom_scan(jsa_tiny, chip, delays, query)
-    fp = chip.elements[3]
-    for delta, p in zip(delays, scan.probabilities):
-        elements = list(chip.elements)
-        elements[3] = fp.with_params(l2=fp.params["l2"] + delta)
-        stretched = chip.with_elements(elements)
-        assert p == pytest.approx(coincidence(jsa_tiny, stretched, query),
-                                  abs=1e-11)
+    assert_scan_matches_stretched_chip(jsa_tiny, chip, DELAY_GRIDS["tiles"],
+                                       query, 1e-11)
 
 
 CONVERTER = """
@@ -471,11 +453,12 @@ CHAINS = dict(
     bs=st.tuples(st.floats(0.0, np.pi / 4), st.floats(0.0, np.pi / 4)),
     conversion=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     mixing=st.booleans())
+CHAIN_DELAYS = np.linspace(-400.0, 400.0, 37)  # the scanned l2 is >= 400 um
 
 
 @settings(max_examples=12)
 @given(**CHAINS)
-def test_random_chain_scan_matches_stretched_chip(model, jsa_tiny, lengths,
+def test_random_chain_scan_matches_stretched_chip(jsa_tiny, lengths,
                                                   scanned, pbs, bs,
                                                   conversion, mixing):
     """On random chains, with and without polarisation mixing before the
@@ -484,23 +467,15 @@ def test_random_chain_scan_matches_stretched_chip(model, jsa_tiny, lengths,
     on the stretched chip. The stretched fp stays below 1400 um, so its
     rounding of k (l2 + delta) moves a probability by well under 1e-12."""
     chip = parse_netlist_text(
-        _chain(lengths, scanned, pbs, bs, conversion, mixing), model=model)
-    idx = 3 if mixing else 2
-    fp = chip.elements[idx]
-    delays = np.linspace(-400.0, 400.0, 2 * K + 5)
+        _chain(lengths, scanned, pbs, bs, conversion, mixing))
     for query in (CoincidenceQuery(), INSENSITIVE):
-        scan = hom_scan(jsa_tiny, chip, delays, query)
-        for delta, p in zip(delays, scan.probabilities):
-            elements = list(chip.elements)
-            elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
-            stretched = chip.with_elements(elements)
-            assert p == pytest.approx(
-                coincidence(jsa_tiny, stretched, query), abs=1e-12)
+        assert_scan_matches_stretched_chip(jsa_tiny, chip, CHAIN_DELAYS,
+                                           query, 1e-12)
 
 
 @settings(max_examples=12)
 @given(**CHAINS)
-def test_probability_budget_on_random_chains(model, jsa_tiny, lengths,
+def test_probability_budget_on_random_chains(jsa_tiny, lengths,
                                              scanned, pbs, bs, conversion,
                                              mixing):
     """A unitary chip loses no pair: P_insensitive + (S_11 + S_22)/2 = 1,
@@ -508,7 +483,7 @@ def test_probability_budget_on_random_chains(model, jsa_tiny, lengths,
     both lie in channel n. Summed over every ordered pair of modes, the
     exchange sum is twice the norm of the two-photon state."""
     chip = parse_netlist_text(
-        _chain(lengths, scanned, pbs, bs, conversion, mixing), model=model)
+        _chain(lengths, scanned, pbs, bs, conversion, mixing))
     chain = element_matrices(chip)
     same = [(b, c) for modes in ((0, 1), (2, 3)) for b in modes
             for c in modes]
@@ -523,11 +498,67 @@ def test_probability_budget_on_random_chains(model, jsa_tiny, lengths,
     assert p + s / 2.0 == pytest.approx(1.0, abs=1e-12)
 
 
+# a pbs at alpha = 0, beta = pi/2 crosses both polarisations
+CROSSING = "\nelement pbs\nalpha = 0.0\nbeta = {!r}\n".format(np.pi / 2)
+
+
+@settings(max_examples=12)
+@given(**CHAINS)
+def test_channel_swap_exchange_symmetry_on_random_chains(
+        jsa_tiny, lengths, scanned, pbs, bs, conversion, mixing):
+    """A last element that swaps the channels swaps which detector sees
+    which polarisation: the scan of (pol_b, pol_c) on the crossed chip is
+    the scan of (pol_c, pol_b) on the chip, and the insensitive scan
+    stays the same."""
+    text = _chain(lengths, scanned, pbs, bs, conversion, mixing)
+    chip = parse_netlist_text(text)
+    crossed = parse_netlist_text(text + CROSSING)
+    queries = [(CoincidenceQuery(pol_b=b, pol_c=c),
+                CoincidenceQuery(pol_b=c, pol_c=b))
+               for b in "HV" for c in "HV"] + [(INSENSITIVE, INSENSITIVE)]
+    for query, swapped in queries:
+        np.testing.assert_allclose(
+            hom_scan(jsa_tiny, crossed, CHAIN_DELAYS, query).probabilities,
+            hom_scan(jsa_tiny, chip, CHAIN_DELAYS, swapped).probabilities,
+            rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=12)
+@given(**CHAINS, common=st.floats(0.0, 2000.0))
+def test_common_mode_length_after_converter_keeps_scan_on_random_chains(
+        jsa_tiny, lengths, scanned, pbs, bs, conversion, mixing, common):
+    """The same length added to both straights of the fp after the
+    converter, where only a polarisation-keeping bs follows, multiplies
+    every detected mode by a phase of its own, the same in both exchange
+    terms, so no scan probability moves. The first fp is not such a
+    place: a pbs follows it.
+
+    Each straight rounds its phase k (l + common) on its own, to about
+    eps k l with k < 10 rad/um, and the bs mixes the two straights; over
+    300 chains the change moved probabilities by at most 0.14 eps k l
+    with k = 9.5 rad/um (6.9e-13 at l = 2500 um), so the bound adds
+    eps k l to 1e-13."""
+    chip = parse_netlist_text(
+        _chain(lengths, scanned, pbs, bs, conversion, mixing))
+    idx = len(chip.elements) - 2  # the fp between the converter and the bs
+    fp = chip.elements[idx]
+    longest = max(fp.params["l1"], fp.params["l2"]) + common
+    elements = list(chip.elements)
+    elements[idx] = fp.with_params(l1=fp.params["l1"] + common,
+                                   l2=fp.params["l2"] + common)
+    longer = chip.with_elements(elements)
+    for query in (CoincidenceQuery(), INSENSITIVE):
+        np.testing.assert_allclose(
+            hom_scan(jsa_tiny, longer, CHAIN_DELAYS, query).probabilities,
+            hom_scan(jsa_tiny, chip, CHAIN_DELAYS, query).probabilities,
+            rtol=0.0, atol=1e-13 + np.finfo(float).eps * 10.0 * longest)
+
+
 def test_scan_without_live_pairing_is_exactly_zero(chip, jsa_tiny):
     # a pbs fully off keeps the H-born photon out of both V detectors, so
     # the VV pairing has no live term and no moment at all
     scan = hom_scan(jsa_tiny, apply_imperfection(chip, "pbs", 1.0),
-                    RECURRENCE_DELAYS["blocks"])
+                    DELAY_GRIDS["tiles"])
     assert np.all(scan.probabilities == 0.0)
 
 
@@ -536,7 +567,7 @@ def test_scan_rejects_negative_length(chip, jsa_small, monkeypatch):
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work before the length check")
 
-    monkeypatch.setattr(detection, "refractive_indices", no_grid_work)
+    monkeypatch.setattr(detection, "PhaseTable", no_grid_work)
     monkeypatch.setattr(detection, "build_jsa", no_grid_work)
     delays = [-20000.0, -19000.0, -18000.0]
     with pytest.raises(RangeError, match="must be >= 0"):
@@ -571,21 +602,11 @@ def test_sweep_checks_every_fraction_first(chip, jsa_tiny, monkeypatch):
                            delay_values=DELAYS)
 
 
-def test_scan_needs_stretchable_element(model, jsa_small):
+def test_scan_needs_stretchable_element(jsa_small):
     text = SOURCE_ONLY + "\nelement bs\ntheta = 0.785\nxi = 0.785\n"
-    spec = parse_netlist_text(text, model=model)
+    spec = parse_netlist_text(text)
     with pytest.raises(ValidationError):
         hom_scan(jsa_small, spec, DELAYS)
-
-
-def test_scan_element_override(chip, jsa_small):
-    by_default = hom_scan(jsa_small, chip, DELAYS[:5])
-    explicit = hom_scan(jsa_small, chip, DELAYS[:5], scan_element=2)
-    assert np.array_equal(by_default.probabilities, explicit.probabilities)
-    with pytest.raises(ValidationError):
-        hom_scan(jsa_small, chip, DELAYS[:5], scan_element=1)  # a pbs
-    with pytest.raises(ValidationError):
-        hom_scan(jsa_small, chip, DELAYS[:5], scan_element=99)
 
 
 @pytest.mark.parametrize("delays", [
@@ -598,7 +619,7 @@ def test_scan_rejects_bad_delays(chip, jsa_small, monkeypatch, delays):
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work before delay validation")
 
-    monkeypatch.setattr(detection, "refractive_indices", no_grid_work)
+    monkeypatch.setattr(detection, "PhaseTable", no_grid_work)
     with pytest.raises(ValidationError):
         hom_scan(jsa_small, chip, delays)
 
@@ -607,7 +628,7 @@ def test_dip_vertex_on_uneven_steps():
     # an exact parabola sampled unevenly: the vertex is recovered exactly
     values = np.array([-4.0, -1.0, 0.0, 3.0, 4.0, 9.0, 10.0])
     p = 0.1 + 0.01 * (values - 3.7) ** 2
-    scan = detection._analyse_scan("x", values, p, CoincidenceQuery())
+    scan = detection._analyse_scan(values, p)
     assert scan.dip_position == pytest.approx(3.7, abs=1e-12)
 
 
@@ -642,12 +663,11 @@ def test_dip_fwhm_matches_loop_reference(rng):
         p = 0.5 - 0.4 * np.exp(-((values - centre) / rng.uniform(0.5, 20.0))
                                ** 2) + rng.normal(0.0, 0.02, n)
         expected = _loop_dip_fwhm(values, p)
-        scan = detection._analyse_scan("x", values, p, CoincidenceQuery())
+        scan = detection._analyse_scan(values, p)
         assert scan.dip_fwhm == expected
         widths.add(expected is None)
     assert widths == {True, False}  # closed and open flanks both occur
-    flat = detection._analyse_scan("x", np.arange(5.0), np.full(5, 0.25),
-                                   CoincidenceQuery())
+    flat = detection._analyse_scan(np.arange(5.0), np.full(5, 0.25))
     assert flat.dip_fwhm is None
 
 
@@ -697,10 +717,11 @@ def test_imperfection_sweep_endpoints(chip, jsa_small, scan_vv):
     points = imperfection_sweep(jsa_small, chip, "pc", [0.0, 1.0],
                                 delay_values=DELAYS)
     assert [p.fraction for p in points] == [0.0, 1.0]
-    assert points[0].minimum == pytest.approx(scan_vv.minimum, abs=1e-12)
+    assert points[0].scan.minimum == pytest.approx(scan_vv.minimum,
+                                                   abs=1e-12)
     # fully broken converter: the V,V rate vanishes
-    assert points[1].maximum < 1e-12
-    assert points[0].visibility > points[1].visibility
+    assert points[1].scan.maximum < 1e-12
+    assert points[0].scan.visibility > points[1].scan.visibility
 
 
 def test_temperature_scan_smoke(chip):
@@ -709,7 +730,7 @@ def test_temperature_scan_smoke(chip):
                               grid=qpic.GridSpec(96, 96))
     assert [p.temperature for p in points] == [24.5, 29.5]
     on, off = points
-    assert on.visibility > off.visibility
+    assert on.scan.visibility > off.scan.visibility
     assert not on.outside_window
     assert on.signal_peak == pytest.approx(1.55, abs=2e-3)
     assert on.window_centre == pytest.approx(1.55, abs=2e-3)
@@ -858,10 +879,10 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
     monkeypatch.setattr(np, "exp", counting)
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     n_diff = len(jsa_tiny.diff_grid)
-    for grid in ("blocks", "uneven"):
+    for grid in ("tiles", "uneven"):
         for recorded in (built, blocks, points):
             recorded.clear()
-        delays = RECURRENCE_DELAYS[grid]
+        delays = DELAY_GRIDS[grid]
         hom_scan(jsa_tiny, chip, delays, query)
         assert len(built) == 7 and len(set(built)) == 1
         assert len(built[0]) == exponents == len(blocks)

@@ -12,8 +12,7 @@ from qpic.dispersion import (_pc_grating_mismatch, omega_from_wavelength,
                              wavevector)
 from qpic.elements import (BASIS, PhaseTable, bs_matrix, eo_bs_dbeta,
                            eo_bs_matrix, fp_matrix, mode_index, pbs_matrix,
-                           pc_kappa, pc_matrix, pm_matrix, pm_phases,
-                           refractive_indices)
+                           pc_kappa, pc_matrix, pm_matrix, pm_phases)
 from tests import oracles
 
 OMEGA_BAND = omega_from_wavelength(np.linspace(1.5, 1.6, 7))
@@ -147,7 +146,7 @@ def test_pc_block_matches_framed_core(model, rng):
     # frame, entry by entry, with the 2x2 axes moved to the front
     frame = np.array([[1.0, -1j], [1j, 1.0]])
     w = omega_from_wavelength(rng.uniform(1.45, 1.65, (37, 23)))
-    phases = PhaseTable(w, refractive_indices(model, w, 31.0))
+    phases = PhaseTable(model, w, 31.0)
     for kappa in (0.0, 1.3e-4, math.pi / (2 * 7600.0)):
         block = pc_matrix(21.4, 7600.0, kappa).block(phases)
         dk = _pc_grating_mismatch(*phases.indices, wavelength_from_omega(w),
