@@ -9,15 +9,14 @@ and component-imperfection studies.
 from .circuit import (CircuitSpec, ElementDecl, element_matrices,
                       parse_netlist, parse_netlist_text)
 from .cmt import (CouplerFit, compose_sections, conversion_fraction,
-                  coupling_matrix, fit_coupler, load_coupler_fit,
-                  pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,
-                  splitting_ratio, switch_map)
+                  fit_coupler, load_coupler_fit, pbs_angles, pc_spectrum,
+                  peak_fwhm, save_coupler_fit, splitting_ratio, switch_map)
 from .detection import (CoincidenceQuery, ScanResult, SweepPoint,
                         TemperaturePoint, apply_imperfection, coincidence,
                         default_delay_values, hom_scan, imperfection_sweep,
                         temperature_scan)
-from .dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
-                         SellmeierSet, TuningCurve, default_material,
+from .dispersion import (C_UM_PS, MaterialModel, SellmeierSet,
+                         TuningCurve, default_material,
                          degenerate_wavelength, group_index, group_velocity,
                          index, load_material, omega_from_wavelength,
                          pc_matched_wavelength, pc_mismatch, pdc_mismatch,
@@ -29,7 +28,7 @@ from .errors import (NetlistError, NumericalError, PhaseMatchError,
                      QpicError, RangeError, SupportTruncationError,
                      ValidationError)
 from .source import (GridSpec, JointSpectralAmplitude, MarginalSpectra,
-                     PumpSpec, SpectralDensity, build_jsa,
+                     SourceSpec, SpectralDensity, build_jsa,
                      jsa_exchange_asymmetry, marginal_spectra)
 
 __version__ = "0.1.0"

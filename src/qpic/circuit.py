@@ -27,7 +27,8 @@ are finite floats; ``qpic.keyfile`` reads the line format shared with
 material and coupler-fit files, and each error names its line.
 ``ELEMENT_FACTORIES`` maps each element kind to its factory in
 ``qpic.elements``, whose parameter names are the kind's keys: required
-where the parameter has no default, optional where it has one.
+where the parameter has no default, optional where it has one. The
+[source] keys are the fields of ``source.SourceSpec``, all required.
 
 ``walk`` is the one path through a chip: with one PhaseTable (indices n_H,
 n_V, wavevectors and straight phases) on the frequency grid, it lets each
@@ -41,17 +42,18 @@ e_m, gives rows m of U.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import elements as el
 from . import keyfile
-from .dispersion import T_REFERENCE, MaterialModel, PhaseMatchSpec, \
-    _check_temperature, default_material, load_material
+from .dispersion import T_REFERENCE, MaterialModel, _check_temperature, \
+    default_material, load_material
 from .errors import NetlistError, ValidationError
-from .source import PumpSpec
+from .source import SourceSpec
 
 # element kind -> factory, whose parameters are the kind's netlist keys
 ELEMENT_FACTORIES = {"pbs": el.pbs_matrix, "bs": el.bs_matrix,
@@ -64,8 +66,7 @@ CHANNEL1_INPUTS = np.eye(4)[:, :2]
 # netlist section -> (required keys, optional keys)
 _SECTION_SCHEMA = {
     "[material]": (set(), {"file", "temperature"}),
-    "[source]": ({"pump_wavelength", "pulse_duration", "poling_period",
-                "pdc_length"}, set()),
+    "[source]": ({f.name for f in fields(SourceSpec)}, set()),
 }
 
 
@@ -90,8 +91,7 @@ class CircuitSpec:
     elements: tuple
     model: MaterialModel = field(default_factory=default_material)
     temperature: float = T_REFERENCE
-    pump: PumpSpec | None = None
-    phase_spec: PhaseMatchSpec | None = None
+    source: SourceSpec | None = None
 
     def at_temperature(self, temperature: float) -> "CircuitSpec":
         return replace(self, temperature=float(temperature))
@@ -101,9 +101,19 @@ class CircuitSpec:
 
 
 def build_element(decl: ElementDecl) -> el.ElementMatrix:
-    """Instantiate the transfer-matrix factory for one declaration."""
+    """Instantiate the factory of one declaration; ValidationError for an
+    unknown kind, an unknown or missing key, or a value not a number."""
     if decl.kind not in ELEMENT_FACTORIES:
         raise ValidationError(f"unknown element kind {decl.kind!r}")
+    required, optional = _element_keys(decl.kind)
+    what = f"element '{decl.kind}'"
+    for key in sorted(required - set(decl.params)):
+        raise ValidationError(f"{what}: missing key {key!r}")
+    for key, value in decl.params.items():
+        if key not in required | optional:
+            raise ValidationError(f"{what}: unknown key {key!r}")
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{what}: {key} = {value!r} is not a number")
     return ELEMENT_FACTORIES[decl.kind](**decl.params)
 
 
@@ -201,19 +211,13 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
     else:
         model = default_material()
 
-    pump = phase_spec = None
+    source = None
     if sections.get("[source]"):
-        values = {k: keyfile.number(e)
-                  for k, e in sections["[source]"].items()}
-        pump = PumpSpec(pump_wavelength=values["pump_wavelength"],
-                        pulse_duration=values["pulse_duration"])
-        phase_spec = PhaseMatchSpec(poling_period=values["poling_period"],
-                                    pdc_length=values["pdc_length"],
-                                    pump_wavelength=values["pump_wavelength"])
+        source = SourceSpec(**{k: keyfile.number(e)
+                               for k, e in sections["[source]"].items()})
 
     spec = CircuitSpec(elements=tuple(decls), model=model,
-                       temperature=temperature, pump=pump,
-                       phase_spec=phase_spec)
+                       temperature=temperature, source=source)
     _validate_elements(spec)
     return spec
 

@@ -32,9 +32,9 @@ from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
     peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
 from .detection import (CoincidenceQuery, hom_scan, imperfection_sweep,
                         temperature_scan)
-from .dispersion import (DATA_DIR, MaterialModel, PhaseMatchSpec,
-                         default_material, degenerate_wavelength,
-                         load_material, pc_matched_wavelength, tuning_curve)
+from .dispersion import (DATA_DIR, MaterialModel, default_material,
+                         degenerate_wavelength, load_material,
+                         pc_matched_wavelength, tuning_curve)
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
@@ -185,22 +185,14 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
     spec = parse_netlist(path)
     if args.temperature is not None:
         spec = spec.at_temperature(args.temperature)
-    if spec.pump is None or spec.phase_spec is None:
+    if spec.source is None:
         raise ValidationError(
             f"netlist {path} has no [source] section; this command needs "
             f"the photon-pair source")
-    pump = spec.pump
-    phase = spec.phase_spec
-    if args.tau is not None:
-        pump = replace(pump, pulse_duration=args.tau)
-    if args.pump is not None:
-        pump = replace(pump, pump_wavelength=args.pump)
-        phase = replace(phase, pump_wavelength=args.pump)
-    if args.pdc_length is not None:
-        phase = replace(phase, pdc_length=args.pdc_length)
-    if args.poling is not None:
-        phase = replace(phase, poling_period=args.poling)
-    spec = replace(spec, pump=pump, phase_spec=phase)
+    overrides = {"pulse_duration": args.tau, "pump_wavelength": args.pump,
+                 "pdc_length": args.pdc_length, "poling_period": args.poling}
+    spec = replace(spec, source=replace(spec.source, **{
+        k: v for k, v in overrides.items() if v is not None}))
 
     pc_length, pc_kappa_arg = args.pc_length, args.pc_kappa
     if pc_length is not None or pc_kappa_arg is not None:
@@ -274,9 +266,7 @@ def cmd_tuning(args) -> Artifacts:
 
     if args.pump_points:
         pumps = np.linspace(args.pump_min, args.pump_max, args.pump_points)
-        spec = PhaseMatchSpec(poling_period=args.poling, pdc_length=20700.0,
-                              pump_wavelength=float(np.median(pumps)))
-        curve = tuning_curve(model, spec, args.pump_temperature, pumps)
+        curve = tuning_curve(model, args.poling, args.pump_temperature, pumps)
         tables.append(("tuning_pump",
                        ["pump_wavelength_um", "signal_wavelength_um",
                         "idler_wavelength_um"],
@@ -288,8 +278,8 @@ def cmd_tuning(args) -> Artifacts:
 
 def cmd_jsa(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
-                    _grid_from(args), temperature=spec.temperature)
+    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+                    temperature=spec.temperature)
     marginals = marginal_spectra(jsa)
     signal, idler = marginals.signal, marginals.idler
     photon = np.repeat(["signal", "idler"],
@@ -327,8 +317,8 @@ _SCAN_HEADER = ["delta_l_um", "coincidence_probability"]
 
 def cmd_hom(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
-                    _grid_from(args), temperature=spec.temperature)
+    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+                    temperature=spec.temperature)
     scan = hom_scan(jsa, spec, _delays_from(args), _query_from(args))
     summary = {"visibility": scan.visibility, "minimum": scan.minimum,
                "maximum": scan.maximum, "baseline": scan.baseline,
@@ -344,8 +334,8 @@ def cmd_hom(args) -> Artifacts:
 def cmd_sweep(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     fractions = _float_list(args.fractions, "--fractions")
-    jsa = build_jsa(spec.model, spec.pump, spec.phase_spec,
-                    _grid_from(args), temperature=spec.temperature)
+    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+                    temperature=spec.temperature)
     points = imperfection_sweep(jsa, spec, args.element, fractions,
                                 _delays_from(args), _query_from(args))
     rows = [(p.fraction, p.scan.visibility, p.scan.minimum, p.scan.maximum,

@@ -11,10 +11,11 @@ phase mismatch dbeta:
 
 with s = sqrt(kappa^2 + (dbeta/2)^2). Total power is conserved.
 
-``_core_terms`` is the propagator kernel of stepwise-detuned couplers
-(via ``_symmetric_core``), ``conversion_fraction`` and the chip's
-polarisation converter (``elements.pc_matrix``); ``coupling_matrix``
-keeps the closed form above as their independent reference.
+``_core_terms`` is the one propagator kernel: of stepwise-detuned
+couplers (``compose_sections``, one section of which is the closed form
+above), of ``conversion_fraction`` and of the chip's polarisation
+converter (``elements.pc_matrix``). The tests keep the closed form
+written out as an independent reference.
 """
 
 from __future__ import annotations
@@ -29,40 +30,6 @@ from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
                          pc_matched_wavelength, pc_mismatch)
 from .errors import NetlistError, NumericalError, RangeError, \
     ValidationError
-
-
-def coupling_matrix(kappa, dbeta, z):
-    """Transfer matrix of one uniform section, acting on (A_te, A_tm).
-
-    Broadcasts over array-valued kappa, dbeta or z; the matrix axes are
-    appended, so the result has shape ``broadcast_shape + (2, 2)``.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    dbeta = np.asarray(dbeta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    for label, value in (("coupling", kappa), ("mismatch", dbeta),
-                         ("section length", z)):
-        finite = np.isfinite(value)
-        if not np.all(finite):
-            raise RangeError(f"{label} {value.flat[int(np.argmin(finite))]} "
-                             f"must be finite")
-    if np.any(z < 0.0):
-        raise RangeError("section length must be >= 0")
-    s = np.hypot(kappa, dbeta / 2.0)
-    s_safe = np.where(s == 0.0, 1.0, s)
-    phase = s * z
-    cosp = np.cos(phase)
-    sinp = np.sin(phase)
-    d = (dbeta / 2.0) / s_safe * sinp
-    b = kappa / s_safe * sinp
-    e = np.exp(1j * dbeta * z / 2.0)
-    shape = np.broadcast_shapes(kappa.shape, dbeta.shape, z.shape)
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = (cosp - 1j * d) * e
-    out[..., 0, 1] = -1j * b * e
-    out[..., 1, 0] = -1j * b * np.conj(e)
-    out[..., 1, 1] = (cosp + 1j * d) * np.conj(e)
-    return out
 
 
 def _core_terms(kappa, dbeta, z):
@@ -93,16 +60,25 @@ def compose_sections(kappa, dbetas, length):
     The rotating frame accumulates continuously across the boundaries, so
     the result is diag(e^{i phi/2}, e^{-i phi/2}) applied to the product
     of the symmetric per-section cores, phi = sum(dbeta_k) * length.
-    Broadcasts over arrays inside ``dbetas``.
+    Broadcasts over arrays in ``kappa``, ``dbetas`` and ``length``.
+    RangeError for a non-finite input or a negative length.
     """
-    if np.any(np.asarray(length, dtype=float) < 0.0):
+    kappa, length = (np.asarray(v, dtype=float) for v in (kappa, length))
+    dbetas = [np.asarray(d, dtype=float) for d in dbetas]
+    for label, value in [("coupling", kappa), ("section length", length),
+                         *[("mismatch", d) for d in dbetas]]:
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            raise RangeError(f"{label} {value.flat[int(np.argmin(finite))]} "
+                             f"must be finite")
+    if np.any(length < 0.0):
         raise RangeError("section length must be >= 0")
     total = None
     phi = 0.0
     for dbeta in dbetas:
         core = _symmetric_core(kappa, dbeta, length)
         total = core if total is None else core @ total
-        phi = phi + np.asarray(dbeta, dtype=float) * length
+        phi = phi + dbeta * length
     if total is None:
         raise ValidationError("compose_sections needs at least one section")
     frame = np.zeros(total.shape, dtype=complex)

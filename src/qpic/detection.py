@@ -541,7 +541,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     joint amplitude is rebuilt per temperature so both the emission and
     the conversion window move.
     """
-    if spec.pump is None or spec.phase_spec is None:
+    if spec.source is None:
         raise ValidationError(
             "temperature scan needs the netlist [source] section")
     if delay_values is None:
@@ -566,8 +566,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
 
     points = []
     for t, (centre, window_fwhm) in zip(temperatures, windows):
-        jsa = build_jsa(spec.model, spec.pump, spec.phase_spec, grid,
-                        temperature=t)
+        jsa = build_jsa(spec.model, spec.source, grid, temperature=t)
         chip = spec.at_temperature(t)
         scan = hom_scan(jsa, chip, delay_values, query)
         marginals = marginal_spectra(jsa)

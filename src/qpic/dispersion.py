@@ -3,8 +3,9 @@
 Effective indices are modelled as bulk congruent lithium niobate Sellmeier
 curves plus a constant waveguide increment per polarisation. The H (TE)
 polarisation rides the ordinary branch, V (TM) the extraordinary branch,
-and the pump is H-polarised. Units throughout: lengths in um, time in ps,
-angular frequency in rad/ps, temperature in degrees C.
+and the pump is H-polarised. Phase-matching functions take the grating's
+poling period, which must be > 0, as a number. Units throughout: lengths
+in um, time in ps, angular frequency in rad/ps, temperature in degrees C.
 """
 
 from __future__ import annotations
@@ -145,14 +146,15 @@ def _check_temperature(temperature):
     return t
 
 
-def _check_wavelength(wavelength):
+def _check_wavelength(wavelength, band=(LAMBDA_MIN, LAMBDA_MAX),
+                      what="wavelength {} um outside validity range"):
+    """The wavelengths as an array; a RangeError names the first outside
+    ``band`` (NaN included) in the words of ``what``."""
     lam = np.asarray(wavelength, dtype=float)
-    inside = (lam >= LAMBDA_MIN) & (lam <= LAMBDA_MAX)  # False for NaN
+    inside = (lam >= band[0]) & (lam <= band[1])  # False for NaN
     if not np.all(inside):
-        bad = lam.flat[int(np.argmin(inside))]
-        raise RangeError(
-            f"wavelength {bad} um outside validity range "
-            f"[{LAMBDA_MIN}, {LAMBDA_MAX}] um")
+        raise RangeError(f"{what.format(lam.flat[int(np.argmin(inside))])} "
+                         f"[{band[0]}, {band[1]}] um")
     return lam
 
 
@@ -209,28 +211,14 @@ PUMP_LAMBDA_MIN = 0.6  # um, telecom-band type-II downconversion pumps
 PUMP_LAMBDA_MAX = 0.9
 
 
-@dataclass(frozen=True)
-class PhaseMatchSpec:
-    """Quasi-phase-matching configuration of the type-II downconversion
-    section."""
-
-    poling_period: float  # um
-    pdc_length: float  # um
-    pump_wavelength: float  # um
-
-    def __post_init__(self):
-        if not self.poling_period > 0.0:
-            raise RangeError(
-                f"poling period {self.poling_period} um must be > 0")
-        if not self.pdc_length > 0.0:
-            raise RangeError(f"pdc length {self.pdc_length} um must be > 0")
-        if not PUMP_LAMBDA_MIN <= self.pump_wavelength <= PUMP_LAMBDA_MAX:
-            raise RangeError(
-                f"pump wavelength {self.pump_wavelength} um outside "
-                f"[{PUMP_LAMBDA_MIN}, {PUMP_LAMBDA_MAX}] um")
+def _grating(poling_period: float) -> float:
+    """2 pi / poling_period in rad/um; RangeError unless the period > 0."""
+    if not poling_period > 0.0:
+        raise RangeError(f"poling period {poling_period} um must be > 0")
+    return 2.0 * np.pi / poling_period
 
 
-def pdc_mismatch(model: MaterialModel, spec: PhaseMatchSpec,
+def pdc_mismatch(model: MaterialModel, poling_period: float,
                  omega_signal, omega_idler, temperature=None):
     """Phase mismatch of H-pump -> H-signal + V-idler downconversion.
 
@@ -239,13 +227,13 @@ def pdc_mismatch(model: MaterialModel, spec: PhaseMatchSpec,
     momentum of normally dispersive material, so a positive poling period
     around 9 um phase-matches 1.55 um degeneracy.
     """
+    grating = _grating(poling_period)
     ws = np.asarray(omega_signal, dtype=float)
     wi = np.asarray(omega_idler, dtype=float)
     kp = wavevector(model, "H", ws + wi, temperature)
     ks = wavevector(model, "H", ws, temperature)
     ki = wavevector(model, "V", wi, temperature)
-    dk = (np.asarray(kp) - np.asarray(ks) - np.asarray(ki)
-          - 2.0 * np.pi / spec.poling_period)
+    dk = np.asarray(kp) - np.asarray(ks) - np.asarray(ki) - grating
     return dk if (ws.ndim or wi.ndim) else float(dk)
 
 
@@ -264,10 +252,8 @@ def pc_mismatch(model: MaterialModel, poling_period: float, wavelength,
 
 def _pc_grating_mismatch(n_h, n_v, lam, poling_period: float):
     # pc_mismatch from indices already evaluated at lam
-    if not poling_period > 0.0:
-        raise RangeError(f"poling period {poling_period} um must be > 0")
-    return 2.0 * np.pi * (np.asarray(n_h) - np.asarray(n_v)) / lam \
-        - 2.0 * np.pi / poling_period
+    grating = _grating(poling_period)
+    return 2.0 * np.pi * (np.asarray(n_h) - np.asarray(n_v)) / lam - grating
 
 
 def _bracketed_roots(fn, lo, hi, samples, xtol=1e-14):
@@ -379,16 +365,17 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
     """Degenerate downconversion wavelength for a given poling period.
 
     Solves delta_k(w/2 + w/2) = 0 for the common signal/idler wavelength
-    inside DEGENERATE_BRACKET. Raises PhaseMatchError when no root exists.
+    inside DEGENERATE_BRACKET. Raises RangeError unless the period is > 0
+    and PhaseMatchError when no root exists.
     """
+    grating = _grating(poling_period)
     t = T_REFERENCE if temperature is None else temperature
 
     def mismatch(lam):
         np_pump = index(model, "H", lam / 2.0, t)
         nh = index(model, "H", lam, t)
         nv = index(model, "V", lam, t)
-        return (2.0 * np.pi / lam) * (2.0 * np_pump - nh - nv) \
-            - 2.0 * np.pi / poling_period
+        return (2.0 * np.pi / lam) * (2.0 * np_pump - nh - nv) - grating
 
     return _matched_wavelength(
         mismatch, DEGENERATE_BRACKET, "degenerate wavelength", "phase",
@@ -418,20 +405,25 @@ class TuningCurve:
     omitted: tuple  # pump wavelengths with no phase-matched pair in band
 
 
-def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
+def tuning_curve(model: MaterialModel, poling_period: float, temperature,
                  pump_wavelengths):
     """Solve the energy-conserving pair for each pump wavelength.
 
     For each pump, finds the frequency offset x with signal at w/2 + x and
     idler at w/2 - x, both inside SIGNAL_BRACKET, where the mismatch
     vanishes; the root closest to degeneracy is kept. Pumps without a root
-    land in ``omitted``.
+    land in ``omitted``. Every pump must lie in [PUMP_LAMBDA_MIN,
+    PUMP_LAMBDA_MAX] and the period must be > 0, else RangeError.
     """
+    pumps = np.atleast_1d(_check_wavelength(
+        pump_wavelengths, (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
+        "pump wavelength {} um outside"))
+    _grating(poling_period)
     t = T_REFERENCE if temperature is None else temperature
-    pumps, sigs, idls, omitted = [], [], [], []
+    found, sigs, idls, omitted = [], [], [], []
     w_lo = omega_from_wavelength(SIGNAL_BRACKET[1])
     w_hi = omega_from_wavelength(SIGNAL_BRACKET[0])
-    for lam_p in np.atleast_1d(np.asarray(pump_wavelengths, dtype=float)):
+    for lam_p in pumps:
         w_p = float(omega_from_wavelength(lam_p))
         w_half = w_p / 2.0
         x_max = min(w_half - w_lo, w_hi - w_half)
@@ -440,7 +432,8 @@ def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
             continue
 
         def mismatch(x):
-            return pdc_mismatch(model, spec, w_half + x, w_half - x, t)
+            return pdc_mismatch(model, poling_period, w_half + x, w_half - x,
+                                t)
 
         roots = _bracketed_roots(mismatch, -x_max, x_max, 401)
         if not roots:
@@ -448,10 +441,10 @@ def tuning_curve(model: MaterialModel, spec: PhaseMatchSpec, temperature,
             continue
         x = min(roots, key=abs)
         _verify_residual(mismatch, x, "tuning curve")
-        pumps.append(float(lam_p))
+        found.append(float(lam_p))
         sigs.append(float(wavelength_from_omega(w_half + x)))
         idls.append(float(wavelength_from_omega(w_half - x)))
-    return TuningCurve(pump=np.array(pumps), signal=np.array(sigs),
+    return TuningCurve(pump=np.array(found), signal=np.array(sigs),
                        idler=np.array(idls), omitted=tuple(omitted))
 
 

@@ -8,6 +8,8 @@ sinc phase-matching profile:
                     * Sinc(dk L / 2) * exp(i dk L / 2),
 
 with Sinc(x) = sin(x)/x, dk the type-II mismatch and L the poled length.
+``SourceSpec`` holds w_p, tau = 1/Omega, the poling period and L, the
+netlist's [source] keys.
 Because the pump envelope pins w_s + w_i to a band that is orders of
 magnitude narrower than the phase-matching band for long pulses, the
 amplitude is sampled on a rotated grid: one axis is the total frequency
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, T_REFERENCE,
-                         MaterialModel, PhaseMatchSpec, _bracketed_roots,
-                         group_velocity, omega_from_wavelength, pdc_mismatch,
-                         wavelength_from_omega)
+                         MaterialModel, _bracketed_roots, _check_wavelength,
+                         _grating, group_velocity, omega_from_wavelength,
+                         pdc_mismatch, wavelength_from_omega)
 from .errors import (RangeError, SupportTruncationError, ValidationError)
 
 SUM_SIGMA_FACTOR = 6.0  # default pump-axis half width, in units of Omega
@@ -39,24 +41,26 @@ CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    """Pulsed pump: centre wavelength (um) and duration tau (ps).
-
-    The spectral envelope is exp[-(w - w_p)^2 / (2 Omega^2)] with
-    Omega = 1/tau (rad/ps).
-    """
+class SourceSpec:
+    """One pump pulse on one poled section; the fields are the [source]
+    keys. Lengths in um, tau in ps; the pump's spectral envelope is
+    exp[-(w - w_p)^2 / (2 Omega^2)] with Omega = 1/tau (rad/ps)."""
 
     pump_wavelength: float
     pulse_duration: float
+    poling_period: float
+    pdc_length: float
 
     def __post_init__(self):
         if not self.pulse_duration > 0.0:
             raise RangeError(
                 f"pulse duration {self.pulse_duration} ps must be > 0")
-        if not PUMP_LAMBDA_MIN <= self.pump_wavelength <= PUMP_LAMBDA_MAX:
-            raise RangeError(
-                f"pump wavelength {self.pump_wavelength} um outside "
-                f"[{PUMP_LAMBDA_MIN}, {PUMP_LAMBDA_MAX}] um")
+        _check_wavelength(self.pump_wavelength,
+                          (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
+                          "pump wavelength {} um outside")
+        _grating(self.poling_period)
+        if not self.pdc_length > 0.0:
+            raise RangeError(f"pdc length {self.pdc_length} um must be > 0")
 
     @property
     def bandwidth(self) -> float:
@@ -83,6 +87,9 @@ class GridSpec:
     diff_half_width: float | None = None
 
     def __post_init__(self):
+        sizes = (self.size_sum, self.size_diff)
+        if not all(isinstance(n, (int, np.integer)) for n in sizes):
+            raise ValidationError(f"grid sizes must be integers, got {sizes}")
         if self.size_sum < 3 or self.size_diff < 3:
             raise ValidationError("grid needs at least 3 points per axis")
         for label, value in (("sum_half_width", self.sum_half_width),
@@ -107,7 +114,7 @@ class JointSpectralAmplitude:
     diff_grid: np.ndarray
     amplitude: np.ndarray
     normalization: float  # C, applied to the raw product form
-    pump: PumpSpec
+    source: SourceSpec
     temperature: float
     ridge_offset: float = 0.0  # difference-axis centre of the sinc ridge
     meta: dict = field(default_factory=dict)
@@ -133,11 +140,12 @@ def _quadrature_weights(sum_grid, diff_grid, rows=slice(None)):
                           _trapezoid_weights(diff_grid))
 
 
-def _ridge_offset(model, spec, omega_p, temperature):
+def _ridge_offset(model, source, temperature):
     """Difference-axis location of the phase-matching ridge at Sigma = w_p."""
+    omega_p = source.omega_pump
 
     def mismatch(d):
-        return pdc_mismatch(model, spec, (omega_p + d) / 2.0,
+        return pdc_mismatch(model, source.poling_period, (omega_p + d) / 2.0,
                             (omega_p - d) / 2.0, temperature)
 
     roots = _bracketed_roots(mismatch, -RIDGE_SEARCH, RIDGE_SEARCH, 1001,
@@ -149,7 +157,7 @@ def _ridge_offset(model, spec, omega_p, temperature):
     return min(roots, key=abs)
 
 
-def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
+def build_jsa(model: MaterialModel, source: SourceSpec,
               grid: GridSpec | None = None,
               temperature=None) -> JointSpectralAmplitude:
     """Sample and normalise the joint spectral amplitude.
@@ -169,20 +177,16 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
     """
     if grid is None:
         grid = GridSpec()
-    if abs(pump.pump_wavelength - spec.pump_wavelength) > 1e-12:
-        raise ValidationError(
-            f"pump wavelength mismatch: pulse says {pump.pump_wavelength} um,"
-            f" phase matching says {spec.pump_wavelength} um")
     t = float(T_REFERENCE if temperature is None else temperature)
-    omega_p = pump.omega_pump
+    omega_p = source.omega_pump
     omega_bar = omega_p / 2.0
-    bw = pump.bandwidth
+    bw = source.bandwidth
 
     s_half = grid.sum_half_width
     if s_half is None:
         s_half = SUM_SIGMA_FACTOR * bw
 
-    d_star = _ridge_offset(model, spec, omega_p, t)
+    d_star = _ridge_offset(model, source, t)
     d_half = grid.diff_half_width
     if d_half is None:
         # group-velocity walk-off sets the sinc lobe spacing along d
@@ -190,7 +194,7 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
         vg_v = group_velocity(model, "V", omega_bar - d_star / 2.0, t)
         vg_p = group_velocity(model, "H", omega_p, t)
         walkoff = abs(1.0 / vg_h - 1.0 / vg_v)
-        lobe_span = 4.0 * SINC_LOBES * np.pi / (walkoff * spec.pdc_length)
+        lobe_span = 4.0 * SINC_LOBES * np.pi / (walkoff * source.pdc_length)
         # the ridge drifts along d as Sigma moves off the pump line
         tilt = abs(2.0 * (1.0 / vg_p - (1.0 / vg_h + 1.0 / vg_v) / 2.0)
                    / (1.0 / vg_h - 1.0 / vg_v))
@@ -211,8 +215,8 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
         if np.any(omega_i <= 0.0) or np.any(omega_s <= 0.0):
             raise RangeError("difference-axis span reaches non-positive "
                              "frequencies; narrow the grid")
-        dk = pdc_mismatch(model, spec, omega_s, omega_i, t)
-        u = dk * spec.pdc_length / 2.0
+        dk = pdc_mismatch(model, source.poling_period, omega_s, omega_i, t)
+        u = dk * source.pdc_length / 2.0
         raw[rows] = envelope[rows, None] * np.sinc(u / np.pi) * np.exp(1j * u)
 
     peak = float(np.max(np.abs(raw)))
@@ -234,7 +238,8 @@ def build_jsa(model: MaterialModel, pump: PumpSpec, spec: PhaseMatchSpec,
     raw *= c
     return JointSpectralAmplitude(
         sum_grid=sum_grid, diff_grid=diff_grid, amplitude=raw,
-        normalization=c, pump=pump, temperature=t, ridge_offset=float(d_star),
+        normalization=c, source=source, temperature=t,
+        ridge_offset=float(d_star),
         meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
               "sum_half_width": float(s_half),
               "diff_half_width": float(d_half)})

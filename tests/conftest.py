@@ -50,13 +50,13 @@ def chip():
 @pytest.fixture(scope="session")
 def jsa_small(chip):
     # coarse grid, enough for structural checks
-    return qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    return qpic.build_jsa(chip.model, chip.source,
                           qpic.GridSpec(128, 128))
 
 
 @pytest.fixture(scope="session")
 def jsa_medium(chip):
-    return qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    return qpic.build_jsa(chip.model, chip.source,
                           qpic.GridSpec(256, 256))
 
 

@@ -1,4 +1,5 @@
-"""Dense references for the tests: chips and coincidences.
+"""Dense references for the tests: chips, coincidences and one
+coupled-mode section.
 
 A chip's U is the ``np.matmul`` product of its elements' dense 4x4s, each
 written straight from its block (``ElementMatrix.evaluate``), first
@@ -52,3 +53,24 @@ def coincidence(jsa, spec, mb, mc) -> float:
                    + f[i, jc] * idler_b[i, j, mb] * signal_c[i, j, mc])
             total += 0.5 * w_sum[i] * w_diff[j] * abs(amp) ** 2
     return total
+
+
+def coupling_matrix(kappa, dbeta, z) -> np.ndarray:
+    """The closed-form transfer matrix of one uniform coupled-mode section
+    on (A_te, A_tm), written out entry by entry from the formula in the
+    ``qpic.cmt`` docstring, with no shared kernel; shape
+    ``broadcast_shape + (2, 2)``."""
+    kappa, dbeta, z = (np.asarray(v, dtype=float) for v in (kappa, dbeta, z))
+    s = np.hypot(kappa, dbeta / 2.0)
+    s_safe = np.where(s == 0.0, 1.0, s)
+    cosp, sinp = np.cos(s * z), np.sin(s * z)
+    d = (dbeta / 2.0) / s_safe * sinp
+    b = kappa / s_safe * sinp
+    e = np.exp(1j * dbeta * z / 2.0)
+    out = np.empty(np.broadcast_shapes(kappa.shape, dbeta.shape, z.shape)
+                   + (2, 2), dtype=complex)
+    out[..., 0, 0] = (cosp - 1j * d) * e
+    out[..., 0, 1] = -1j * b * e
+    out[..., 1, 0] = -1j * b * np.conj(e)
+    out[..., 1, 1] = (cosp + 1j * d) * np.conj(e)
+    return out

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qpic
-from qpic.cmt import compose_sections, coupling_matrix, pc_spectrum, peak_fwhm
+from qpic.cmt import compose_sections, pc_spectrum, peak_fwhm
 from qpic.detection import CoincidenceQuery, apply_imperfection
 from tests import oracles
 from tests.conftest import bundled, walked
@@ -57,7 +57,7 @@ def the_chip():
 def jsa_1ns():
     chip = the_chip()
     return get("jsa_1ns", lambda: qpic.build_jsa(
-        chip.model, chip.pump, chip.phase_spec, GRID))
+        chip.model, chip.source, GRID))
 
 
 def scan_ideal():
@@ -92,8 +92,7 @@ def test_reported_quantities_converge_with_grid():
     # 256^2 -> 512^2 gaps are 4.7e-8 (visibility), 2.2e-8 (minimum) and
     # 6.1e-6 um (FWHM)
     chip = the_chip()
-    half = qpic.hom_scan(qpic.build_jsa(chip.model, chip.pump,
-                                        chip.phase_spec,
+    half = qpic.hom_scan(qpic.build_jsa(chip.model, chip.source,
                                         qpic.GridSpec(256, 256)),
                          chip, DELAYS)
     full = scan_ideal()
@@ -104,10 +103,10 @@ def test_reported_quantities_converge_with_grid():
 
 def test_criterion_2_pulse_duration():
     chip = the_chip()
-    pump = qpic.PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
+    pump = dataclasses.replace(chip.source, pulse_duration=1.0)
 
     def build():
-        jsa = qpic.build_jsa(chip.model, pump, chip.phase_spec, GRID)
+        jsa = qpic.build_jsa(chip.model, pump, GRID)
         return qpic.hom_scan(jsa, chip, DELAYS)
 
     fast = get("scan_1ps", build)
@@ -123,9 +122,9 @@ def test_criterion_3_pdc_length():
     chip = the_chip()
 
     def build():
-        spec = dataclasses.replace(chip.phase_spec, pdc_length=10700.0)
-        jsa = qpic.build_jsa(chip.model, chip.pump, spec, GRID)
-        return qpic.hom_scan(jsa, dataclasses.replace(chip, phase_spec=spec),
+        spec = dataclasses.replace(chip.source, pdc_length=10700.0)
+        jsa = qpic.build_jsa(chip.model, spec, GRID)
+        return qpic.hom_scan(jsa, dataclasses.replace(chip, source=spec),
                              DELAYS)
 
     short = get("scan_short_pdc", build)
@@ -136,7 +135,7 @@ def test_criterion_3_pdc_length():
     # V-born photon by an extra dL/2 of birefringent group walkoff,
     # compensated in the scanned channel at the V group index
     w_deg = qpic.omega_from_wavelength(qpic.degenerate_wavelength(
-        chip.model, chip.phase_spec.poling_period))
+        chip.model, chip.source.poling_period))
     ngh = qpic.group_index(chip.model, "H", w_deg)
     ngv = qpic.group_index(chip.model, "V", w_deg)
     predicted = (20700.0 - 10700.0) / 2.0 * (ngh - ngv) / ngv
@@ -228,7 +227,7 @@ def test_criterion_7_dispersion_slopes():
     t_grid = np.linspace(15.0, 40.0, 6)
 
     deg = np.array([qpic.degenerate_wavelength(
-        model, chip.phase_spec.poling_period, t) for t in t_grid])
+        model, chip.source.poling_period, t) for t in t_grid])
     deg_slope = np.polyfit(t_grid, deg, 1)[0] * 1e3  # nm per C
 
     pcw = np.array([qpic.pc_matched_wavelength(model, 21.124408686252, t)
@@ -236,7 +235,7 @@ def test_criterion_7_dispersion_slopes():
     pc_slope = np.polyfit(t_grid, pcw, 1)[0] * 1e3
 
     detune = 2e-4
-    curve = qpic.tuning_curve(model, chip.phase_spec, 24.5,
+    curve = qpic.tuning_curve(model, chip.source.poling_period, 24.5,
                               [0.775 - detune, 0.775 + detune])
     splits = np.abs(curve.signal - curve.idler) / detune
     split_ratio = float(np.nanmean(splits))
@@ -287,13 +286,13 @@ def test_criterion_9_property_suite():
         + [walked(chip, omega)])
 
     # normalization drift under 2x refinement of the default grid
-    fine = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    fine = qpic.build_jsa(chip.model, chip.source,
                           qpic.GridSpec(1024, 1024))
     drift = abs(fine.meta["raw_norm"] - jsa_1ns().meta["raw_norm"]) \
         / fine.meta["raw_norm"]
 
     # literal double-loop oracle on a 3x3 grid
-    tiny = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    tiny = qpic.build_jsa(chip.model, chip.source,
                           qpic.GridSpec(3, 3))
     oracle_diff = abs(qpic.coincidence(tiny, chip)
                       - oracles.coincidence(tiny, chip, 1, 3))
@@ -302,8 +301,7 @@ def test_criterion_9_property_suite():
     cmt_err = 0.0
     for kappa, dbs, length in [(2e-4, (5e-4,), 3000.0),
                                (math.pi / 16000.0, (3e-4, -1e-4), 4000.0)]:
-        analytic = compose_sections(kappa, dbs, length) if len(dbs) > 1 \
-            else coupling_matrix(kappa, dbs[0], length)
+        analytic = compose_sections(kappa, dbs, length)
         numeric = _ode_transfer(kappa, dbs, length)
         cmt_err = max(cmt_err, float(np.max(np.abs(analytic - numeric))))
 

@@ -1,5 +1,6 @@
 """Netlist parsing and frequency-dependent circuit composition."""
 
+import dataclasses
 import math
 import re
 
@@ -34,9 +35,9 @@ def test_bundled_chip_structure(chip):
     kinds = [e.kind for e in chip.elements]
     assert kinds == ["fp", "pbs", "fp", "pc", "fp", "bs"]
     assert chip.temperature == 24.5
-    assert chip.pump.pump_wavelength == 0.775
-    assert chip.pump.pulse_duration == 1000.0
-    assert chip.phase_spec.pdc_length == 20700.0
+    assert chip.source.pump_wavelength == 0.775
+    assert chip.source.pulse_duration == 1000.0
+    assert chip.source.pdc_length == 20700.0
 
 
 def test_empty_element_list_is_identity():
@@ -175,10 +176,34 @@ def test_bad_number_reports_position():
 def test_source_section_optional():
     # a circuit-only netlist parses; the source fields stay unset
     spec = parse_netlist_text("element fp\nl1 = 1.0\nl2 = 1.0\n")
-    assert spec.pump is None
-    assert spec.phase_spec is None
+    assert spec.source is None
     u = walked(spec, OMEGA[0])
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+
+def test_source_keys_are_the_spec_fields():
+    # renaming a SourceSpec field renames a [source] key: it must show here
+    keys = {"pump_wavelength", "pulse_duration", "poling_period",
+            "pdc_length"}
+    assert {f.name for f in dataclasses.fields(qpic.SourceSpec)} == keys
+    assert circuit._SECTION_SCHEMA["[source]"] == (keys, set())
+    assert parse_netlist_text(MINIMAL).source == qpic.SourceSpec(
+        pump_wavelength=0.775, pulse_duration=1000.0,
+        poling_period=9.217870197227, pdc_length=20700.0)
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"l1": 1.0, "l2": 1.0, "l3": 2.0}, "element 'fp': unknown key 'l3'"),
+    ({"l1": 1.0}, "element 'fp': missing key 'l2'"),
+    ({"l1": "1", "l2": 1.0}, "element 'fp': l1 = '1' is not a number"),
+], ids=["unknown", "missing", "not-a-number"])
+def test_build_element_rejects_bad_params(jsa_small, params, match):
+    # a chip built in the library, not parsed, meets the same key checks
+    decl = ElementDecl("fp", params)
+    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
+        circuit.build_element(decl)
+    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
+        qpic.coincidence(jsa_small, CircuitSpec(elements=(decl,)))
 
 
 def test_unknown_source_key():
@@ -385,12 +410,12 @@ def test_public_api():
         "BASIS", "C_UM_PS", "CircuitSpec", "CoincidenceQuery", "CouplerFit",
         "ElementDecl", "ElementMatrix", "GridSpec", "JointSpectralAmplitude",
         "MarginalSpectra", "MaterialModel", "NetlistError", "NumericalError",
-        "PhaseMatchError", "PhaseMatchSpec", "PumpSpec", "QpicError",
-        "RangeError", "ScanResult", "SellmeierSet", "SpectralDensity",
+        "PhaseMatchError", "QpicError", "RangeError", "ScanResult",
+        "SellmeierSet", "SourceSpec", "SpectralDensity",
         "SupportTruncationError", "SweepPoint", "TemperaturePoint",
         "TuningCurve", "ValidationError", "apply_imperfection", "bs_matrix",
         "build_jsa", "circuit", "cmt", "coincidence", "compose_sections",
-        "conversion_fraction", "coupling_matrix", "default_delay_values",
+        "conversion_fraction", "default_delay_values",
         "default_material", "degenerate_wavelength", "detection",
         "dispersion", "element_matrices", "elements", "eo_bs_dbeta",
         "eo_bs_matrix", "errors", "fit_coupler", "fp_matrix", "group_index",

@@ -235,6 +235,17 @@ def test_exit_code_negative_length(tmp_path):
                  "-18000", "--points", "3", "-o", str(tmp_path)]) == 2
 
 
+# what the error message of a test_bad_input_exits_two case must name,
+# where the case pins it: every pump is checked, not only the median
+_ERROR_NAMES = {
+    "tuning-pumps-below-range": "pump wavelength 0.3 um outside [0.6, 0.9]",
+    "tuning-pumps-straddle-range":
+        "pump wavelength 0.5 um outside [0.6, 0.9]",
+    "tuning-poling-0": "poling period 0.0 um must be > 0",
+    "tuning-poling-negative": "poling period -9.0 um must be > 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["jsa", "--grid", "0"],
     ["pc-window", "--length", "0"],
@@ -257,13 +268,19 @@ def test_exit_code_negative_length(tmp_path):
     ["tuning", "--material", "{nan_material}"],
     ["switch-map", "--kappa-c=-1e-4"],
     ["switch-map", "--half-length", "0"],
+    ["tuning", "--pump-points", "5", "--pump-min", "0.3", "--pump-max", "0.5"],
+    ["tuning", "--pump-points", "5", "--pump-min", "0.5", "--pump-max", "0.7"],
+    ["tuning", "--poling", "0"],
+    ["tuning", "--poling", "-9"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
         "fractions-nan", "hom-pc-length-0", "temp-scan-pc-length-tiny",
         "temp-scan-pc-length-5", "pc-window-length-5", "material-nan",
-        "switch-map-kappa-negative", "switch-map-half-length-0"])
-def test_bad_input_exits_two(tmp_path, argv):
+        "switch-map-kappa-negative", "switch-map-half-length-0",
+        "tuning-pumps-below-range", "tuning-pumps-straddle-range",
+        "tuning-poling-0", "tuning-poling-negative"])
+def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
     for name, bad_row in tables.items():
@@ -279,6 +296,8 @@ def test_bad_input_exits_two(tmp_path, argv):
     argv = [a.format(**tables) for a in argv]
     assert main([*argv, "-o", str(out)]) == 2
     assert not out.exists()  # nothing is written before every check passed
+    named = _ERROR_NAMES.get(request.node.callspec.id, "")
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

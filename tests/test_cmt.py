@@ -15,11 +15,12 @@ from scipy.optimize import curve_fit
 import qpic
 from qpic import cmt
 from qpic.cmt import (CouplerFit, compose_sections, conversion_fraction,
-                      coupling_matrix, fit_coupler, load_coupler_fit,
-                      pbs_angles, pc_spectrum, peak_fwhm, save_coupler_fit,
-                      splitting_ratio, switch_map)
+                      fit_coupler, load_coupler_fit, pbs_angles, pc_spectrum,
+                      peak_fwhm, save_coupler_fit, splitting_ratio,
+                      switch_map)
 from qpic.dispersion import pc_matched_wavelength
 from tests.conftest import bundled
+from tests.oracles import coupling_matrix
 
 
 def ode_oracle(kappa, sections, length):
@@ -54,7 +55,7 @@ def ode_oracle(kappa, sections, length):
     (5e-5, 2e-3, 8000.0),
 ])
 def test_single_section_matches_ode(kappa, dbeta, length):
-    analytic = coupling_matrix(kappa, dbeta, length)
+    analytic = compose_sections(kappa, (dbeta,), length)
     numeric = ode_oracle(kappa, [dbeta], length)
     assert np.max(np.abs(analytic - numeric)) < 1e-8
 
@@ -85,14 +86,14 @@ def test_compose_swap_symmetric_magnitudes():
 
 
 def test_coupling_matrix_unitary():
-    u = coupling_matrix(4e-4, 7e-4, 6000.0)
+    u = compose_sections(4e-4, (7e-4,), 6000.0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
 def test_full_conversion():
     length = 5000.0
     kappa = math.pi / (2 * length)
-    u = coupling_matrix(kappa, 0.0, length)
+    u = compose_sections(kappa, (0.0,), length)
     assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -143,8 +144,9 @@ def test_converter_rejects_non_finite(model):
     ((1e-3, [0.0, 1e-4], [100.0, math.nan]), "section length nan"),
 ], ids=["kappa", "dbeta", "z", "kappa-element", "z-element"])
 def test_coupling_matrix_rejects_non_finite(args, match):
+    kappa, dbeta, length = args
     with pytest.raises(qpic.RangeError, match=match):
-        coupling_matrix(*args)
+        compose_sections(kappa, (dbeta,), length)
 
 
 @pytest.mark.parametrize("length", [5.0, 1e-9])

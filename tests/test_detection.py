@@ -1,5 +1,6 @@
 """Coincidence probabilities, interferometer scans, and sweeps."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -105,7 +106,7 @@ ORACLE_DELAYS = np.linspace(-1500.0, 3700.0, 9)
 
 @pytest.fixture(scope="module")
 def jsa_tiny(chip):
-    return qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    return qpic.build_jsa(chip.model, chip.source,
                           qpic.GridSpec(64, 64))
 
 
@@ -180,9 +181,8 @@ def test_delay_grids_match_stretched_chip(chip, jsa_tiny, query, grid,
 
 @pytest.fixture(scope="module")
 def jsa_short(chip):
-    pump = qpic.PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
-    return qpic.build_jsa(chip.model, pump, chip.phase_spec,
-                          qpic.GridSpec(64, 64))
+    pump = dataclasses.replace(chip.source, pulse_duration=1.0)
+    return qpic.build_jsa(chip.model, pump, qpic.GridSpec(64, 64))
 
 
 @pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
@@ -742,7 +742,7 @@ def test_temperature_scan_smoke(chip):
 def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
     # n_H and n_V on the JSA grid are shared by every element and by the
     # delay phases: one index() call per polarisation, not one per element
-    jsa = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    jsa = qpic.build_jsa(chip.model, chip.source,
                          qpic.GridSpec(64, 64))
     original = qpic.dispersion.index
     grid_calls = []
@@ -805,7 +805,7 @@ def test_hom_scan_keeps_no_full_grid_array(chip):
     coincidence(), stays below three full-grid complex arrays (12 MiB):
     the walk, the transfer terms, the moments and the phasors exist for
     one chunk at a time."""
-    jsa = qpic.build_jsa(chip.model, chip.pump, chip.phase_spec,
+    jsa = qpic.build_jsa(chip.model, chip.source,
                          qpic.GridSpec(512, 512))
     delays = np.linspace(-1500.0, 3700.0, 21)
     for run in (lambda q: hom_scan(jsa, chip, delays, q),

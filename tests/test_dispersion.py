@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qpic
-from qpic.dispersion import (C_UM_PS, MaterialModel, PhaseMatchSpec,
+from qpic.dispersion import (C_UM_PS, MaterialModel,
                              _brent, _bracketed_roots, _matched_wavelength,
                              degenerate_wavelength, group_index,
                              group_velocity, index, load_material,
@@ -130,10 +130,8 @@ def test_degenerate_wavelength_frozen(model):
 def test_degenerate_root_residual(model):
     period = 9.217870197227
     lam = degenerate_wavelength(model, period)
-    spec = PhaseMatchSpec(poling_period=period, pdc_length=20700.0,
-                          pump_wavelength=lam / 2.0)
     w = omega_from_wavelength(lam)
-    assert abs(pdc_mismatch(model, spec, w, w)) < 1e-10
+    assert abs(pdc_mismatch(model, period, w, w)) < 1e-10
 
 
 def test_pc_matched_wavelength_frozen(model):
@@ -190,19 +188,18 @@ def test_bracketed_roots_match_scalar_scan(fn, lo, hi, samples, expected):
 
 @pytest.mark.parametrize("temperature", [20.0, 24.5, 28.0])
 def test_phase_matching_scans_match_scalar_scan(model, temperature):
-    spec = PhaseMatchSpec(poling_period=9.217870197227, pdc_length=20700.0,
-                          pump_wavelength=0.775)
+    period = 9.217870197227
     w_p = float(omega_from_wavelength(0.775))
 
     def conversion(lam):
         return pc_mismatch(model, 21.4, lam, temperature)
 
     def pair(x):  # tuning_curve's offset scan
-        return pdc_mismatch(model, spec, w_p / 2 + x, w_p / 2 - x,
+        return pdc_mismatch(model, period, w_p / 2 + x, w_p / 2 - x,
                             temperature)
 
     def ridge(d):  # source._ridge_offset's scan
-        return pdc_mismatch(model, spec, (w_p + d) / 2, (w_p - d) / 2,
+        return pdc_mismatch(model, period, (w_p + d) / 2, (w_p - d) / 2,
                             temperature)
 
     for fn, lo, hi, samples, xtol in [(conversion, 1.4, 1.75, 301, 1e-14),
@@ -307,10 +304,8 @@ def test_degeneracy_slope_sign(model):
 
 def test_tuning_curve_branches(model):
     period = 9.217870197227
-    spec = PhaseMatchSpec(poling_period=period, pdc_length=20700.0,
-                          pump_wavelength=0.775)
     pumps = np.array([0.7745, 0.775, 0.7755])
-    curve = tuning_curve(model, spec, 24.5, pumps)
+    curve = tuning_curve(model, period, 24.5, pumps)
     assert curve.signal.shape == pumps.shape
     kept = ~np.isnan(curve.signal)
     assert np.any(kept)
@@ -389,3 +384,21 @@ def test_delta_n_bounds(model):
     with pytest.raises(ValidationError):
         MaterialModel(model.ordinary, model.extraordinary,
                       delta_n_h=0.2, delta_n_v=0.01)
+
+
+@pytest.mark.parametrize("period", [0.0, -9.0])
+def test_phase_matching_rejects_non_positive_period(model, period):
+    # 0 used to divide by zero and -9 to end in "no phase-matching"
+    w = float(omega_from_wavelength(1.55))
+    for call in (lambda: degenerate_wavelength(model, period),
+                 lambda: pdc_mismatch(model, period, w, w),
+                 lambda: tuning_curve(model, period, 24.5, [0.775])):
+        with pytest.raises(RangeError,
+                           match=f"poling period {period} um must be > 0"):
+            call()
+
+
+def test_tuning_curve_checks_every_pump(model):
+    with pytest.raises(RangeError, match=re.escape(
+            "pump wavelength 0.5 um outside [0.6, 0.9] um")):
+        tuning_curve(model, 9.217870197227, 24.5, [0.5, 0.6, 0.7])

@@ -46,11 +46,9 @@ def assert_bundled_material(model):
 def assert_chip(spec, chain):
     assert [(d.kind, d.params, d.line) for d in spec.elements] == chain
     assert spec.temperature == 24.5
-    assert (spec.pump.pump_wavelength, spec.pump.pulse_duration) == \
-        (0.775, 1000.0)
-    phase = spec.phase_spec
-    assert (phase.poling_period, phase.pdc_length, phase.pump_wavelength) \
-        == (9.217870197227, 20700.0, 0.775)
+    assert spec.source == qpic.SourceSpec(
+        pump_wavelength=0.775, pulse_duration=1000.0,
+        poling_period=9.217870197227, pdc_length=20700.0)
     assert_bundled_material(spec.model)
 
 
@@ -87,3 +85,14 @@ def test_blocks_keep_case_free_keys_positions_and_file_order():
 def test_reader_rejects(text, message):
     with pytest.raises(qpic.NetlistError, match=re.escape(message)):
         read_blocks(text)
+
+
+def test_readme_python_blocks_run(monkeypatch, capsys):
+    # the "Library use" snippet runs from the repository root, so an API
+    # change cannot leave it stale
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    monkeypatch.chdir(README.parent)
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out

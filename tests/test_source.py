@@ -9,7 +9,7 @@ import pytest
 import qpic
 from qpic import source
 from qpic.dispersion import pdc_mismatch
-from qpic.source import (EDGE_FLOOR, GridSpec, PumpSpec, _quadrature_weights,
+from qpic.source import (EDGE_FLOOR, GridSpec, SourceSpec, _quadrature_weights,
                          _ridge_offset, _trapezoid_weights, build_jsa,
                          jsa_exchange_asymmetry, marginal_spectra)
 
@@ -36,7 +36,7 @@ def test_diff_grid_exactly_antisymmetric(jsa_medium):
 
 def test_sum_grid_centred_on_pump(jsa_medium):
     centre = 0.5 * (jsa_medium.sum_grid[0] + jsa_medium.sum_grid[-1])
-    assert centre == pytest.approx(jsa_medium.pump.omega_pump, rel=1e-12)
+    assert centre == pytest.approx(jsa_medium.source.omega_pump, rel=1e-12)
 
 
 @pytest.mark.parametrize("size, chunk_points", [
@@ -46,16 +46,16 @@ def test_sum_grid_centred_on_pump(jsa_medium):
 def test_row_blocks_match_whole_grid(chip, monkeypatch, size, chunk_points):
     if chunk_points is not None:
         monkeypatch.setattr(source, "CHUNK_POINTS", chunk_points)
-    jsa = build_jsa(chip.model, chip.pump, chip.phase_spec, GridSpec(*size))
+    jsa = build_jsa(chip.model, chip.source, GridSpec(*size))
     # the whole-grid evaluation the row blocks must reproduce bit for bit
     s, d = jsa.sum_grid, jsa.diff_grid
     omega_s = (s[:, None] + d[None, :]) / 2.0
     omega_i = (s[:, None] - d[None, :]) / 2.0
-    dk = pdc_mismatch(chip.model, chip.phase_spec, omega_s, omega_i,
+    dk = pdc_mismatch(chip.model, chip.source.poling_period, omega_s, omega_i,
                       jsa.temperature)
-    u = dk * chip.phase_spec.pdc_length / 2.0
-    bw = chip.pump.bandwidth
-    envelope = np.exp(-((s - chip.pump.omega_pump) ** 2) / (2.0 * bw ** 2))
+    u = dk * chip.source.pdc_length / 2.0
+    bw = chip.source.bandwidth
+    envelope = np.exp(-((s - chip.source.omega_pump) ** 2) / (2.0 * bw ** 2))
     raw = envelope[:, None] * np.sinc(u / np.pi) * np.exp(1j * u)
     weights = 0.5 * np.outer(_trapezoid_weights(s), _trapezoid_weights(d))
     total = float(np.sum(weights * np.abs(raw) ** 2))
@@ -76,7 +76,7 @@ def test_build_jsa_keeps_no_full_grid_transient(chip):
     the sinc-exp factor exist for one block of rows at a time."""
     tracemalloc.start()
     try:
-        jsa = build_jsa(chip.model, chip.pump, chip.phase_spec,
+        jsa = build_jsa(chip.model, chip.source,
                         GridSpec(512, 512))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -97,15 +97,15 @@ def test_edge_peak_ratio_recorded(jsa_medium):
 
 def _whole_grid_error(chip, grid):
     # the error of evaluating the mismatch on the whole grid at once
-    omega_p = chip.pump.omega_pump
-    s_half = source.SUM_SIGMA_FACTOR * chip.pump.bandwidth
+    omega_p = chip.source.omega_pump
+    s_half = source.SUM_SIGMA_FACTOR * chip.source.bandwidth
     s = np.linspace(omega_p - s_half, omega_p + s_half, grid.size_sum)
     d = np.linspace(-grid.diff_half_width, grid.diff_half_width,
                     grid.size_diff)
     d = 0.5 * (d - d[::-1])
     with pytest.raises(qpic.RangeError) as info:
-        pdc_mismatch(chip.model, chip.phase_spec, (s[:, None] + d) / 2.0,
-                     (s[:, None] - d) / 2.0)
+        pdc_mismatch(chip.model, chip.source.poling_period,
+                     (s[:, None] + d) / 2.0, (s[:, None] - d) / 2.0)
     return str(info.value)
 
 
@@ -122,7 +122,7 @@ def test_grid_errors_raised_from_row_blocks(chip, monkeypatch, half_width,
         message = _whole_grid_error(chip, grid)
         assert "um outside validity range [0.4, 2.0] um" in message
     with pytest.raises(qpic.RangeError) as info:
-        build_jsa(chip.model, chip.pump, chip.phase_spec, grid)
+        build_jsa(chip.model, chip.source, grid)
     assert str(info.value) == message
 
 
@@ -140,8 +140,8 @@ def test_phase_equals_accumulated_mismatch(chip, jsa_medium):
     for j in (100, 128, 156):
         ws = 0.5 * (jsa_medium.sum_grid[i] + jsa_medium.diff_grid[j])
         wi = 0.5 * (jsa_medium.sum_grid[i] - jsa_medium.diff_grid[j])
-        u = pdc_mismatch(chip.model, chip.phase_spec, ws, wi) \
-            * chip.phase_spec.pdc_length / 2.0
+        u = pdc_mismatch(chip.model, chip.source.poling_period, ws, wi) \
+            * chip.source.pdc_length / 2.0
         got = np.angle(jsa_medium.amplitude[i, j])
         want = np.mod(u + np.pi, 2 * np.pi) - np.pi
         if np.cos(want) > 0:  # stay off the sinc sign flips
@@ -153,14 +153,14 @@ def test_long_pulse_nearly_exchange_symmetric(jsa_medium):
 
 
 def test_short_pulse_strongly_asymmetric(chip):
-    pump = PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
-    jsa = build_jsa(chip.model, pump, chip.phase_spec, GridSpec(256, 256))
+    pump = dataclasses.replace(chip.source, pulse_duration=1.0)
+    jsa = build_jsa(chip.model, pump, GridSpec(256, 256))
     assert jsa_exchange_asymmetry(jsa) > 0.5
 
 
 def test_short_pulse_sum_profile_is_pump_gaussian(chip):
-    pump = PumpSpec(pump_wavelength=0.775, pulse_duration=1.0)
-    jsa = build_jsa(chip.model, pump, chip.phase_spec, GridSpec(256, 256))
+    pump = dataclasses.replace(chip.source, pulse_duration=1.0)
+    jsa = build_jsa(chip.model, pump, GridSpec(256, 256))
     prof = np.sum(_quadrature_weights(jsa.sum_grid, jsa.diff_grid)
                   * np.abs(jsa.amplitude) ** 2, axis=1)
     s = jsa.sum_grid
@@ -172,8 +172,8 @@ def test_short_pulse_sum_profile_is_pump_gaussian(chip):
 
 
 def test_refinement_norm_drift(chip):
-    coarse = build_jsa(chip.model, chip.pump, chip.phase_spec, GridSpec(128, 128))
-    fine = build_jsa(chip.model, chip.pump, chip.phase_spec, GridSpec(256, 256))
+    coarse = build_jsa(chip.model, chip.source, GridSpec(128, 128))
+    fine = build_jsa(chip.model, chip.source, GridSpec(256, 256))
     drift = abs(fine.meta["raw_norm"] - coarse.meta["raw_norm"]) / fine.meta["raw_norm"]
     assert drift < 1e-4
 
@@ -188,8 +188,8 @@ def test_marginals_normalized_and_peaked(jsa_medium):
 
 
 def test_marginal_width_scales_inversely_with_length(chip, jsa_medium):
-    half = dataclasses.replace(chip.phase_spec, pdc_length=10350.0)
-    jh = build_jsa(chip.model, chip.pump, half, GridSpec(256, 256))
+    half = dataclasses.replace(chip.source, pdc_length=10350.0)
+    jh = build_jsa(chip.model, half, GridSpec(256, 256))
     def width(jsa):
         sd = marginal_spectra(jsa).signal
         return qpic.peak_fwhm(sd.wavelength[::-1], sd.intensity[::-1])
@@ -198,8 +198,8 @@ def test_marginal_width_scales_inversely_with_length(chip, jsa_medium):
 
 
 def test_long_waveguide_marginal_below_nanometre(chip):
-    spec = dataclasses.replace(chip.phase_spec, pdc_length=30000.0)
-    jsa = build_jsa(chip.model, chip.pump, spec, GridSpec(256, 256))
+    spec = dataclasses.replace(chip.source, pdc_length=30000.0)
+    jsa = build_jsa(chip.model, spec, GridSpec(256, 256))
     sd = marginal_spectra(jsa).signal
     width_nm = qpic.peak_fwhm(sd.wavelength[::-1], sd.intensity[::-1]) * 1e3
     assert width_nm < 1.0
@@ -208,37 +208,50 @@ def test_long_waveguide_marginal_below_nanometre(chip):
 def test_truncated_support_raises(chip):
     grid = GridSpec(128, 128, sum_half_width=0.002)
     with pytest.raises(qpic.SupportTruncationError) as info:
-        build_jsa(chip.model, chip.pump, chip.phase_spec, grid)
+        build_jsa(chip.model, chip.source, grid)
     assert info.value.suggested_half_width is not None
     assert info.value.suggested_half_width > 0.002
 
 
 def test_ridge_not_found_warns_and_centres_on_zero(chip):
-    spec = dataclasses.replace(chip.phase_spec, poling_period=5.0)
+    spec = dataclasses.replace(chip.source, poling_period=5.0)
     with pytest.warns(UserWarning, match="ridge not found"):
-        d_star = _ridge_offset(chip.model, spec, chip.pump.omega_pump, 24.5)
+        d_star = _ridge_offset(chip.model, spec, 24.5)
     assert d_star == 0.0
 
 
 def test_ridge_offset_takes_root_nearest_zero(chip, monkeypatch):
-    def three_ridges(model, spec, omega_s, omega_i, temperature):
+    def three_ridges(model, poling_period, omega_s, omega_i, temperature):
         d = omega_s - omega_i
         return (d + 30.0) * (d + 4.0) * (d - 7.0)
 
     monkeypatch.setattr(source, "pdc_mismatch", three_ridges)
-    d_star = _ridge_offset(chip.model, chip.phase_spec, chip.pump.omega_pump,
-                           24.5)
+    d_star = _ridge_offset(chip.model, chip.source, 24.5)
     assert d_star == pytest.approx(-4.0, abs=1e-11)
 
 
-def test_pump_wavelength_mismatch_raises(chip):
-    pump = PumpSpec(pump_wavelength=0.78, pulse_duration=1000.0)
-    with pytest.raises(qpic.ValidationError):
-        build_jsa(chip.model, pump, chip.phase_spec)
-
-
 def test_pump_spec_derived_quantities():
-    pump = PumpSpec(pump_wavelength=0.775, pulse_duration=2.0)
+    pump = SourceSpec(pump_wavelength=0.775, pulse_duration=2.0,
+                      poling_period=9.2, pdc_length=20700.0)
     assert pump.bandwidth == pytest.approx(0.5)
     assert pump.omega_pump == pytest.approx(
         qpic.omega_from_wavelength(0.775), rel=1e-14)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pump_wavelength", 0.5, "pump wavelength 0.5 um outside [0.6, 0.9] um"),
+    ("pulse_duration", 0.0, "pulse duration 0.0 ps must be > 0"),
+    ("poling_period", -1.0, "poling period -1.0 um must be > 0"),
+    ("pdc_length", float("nan"), "pdc length nan um must be > 0"),
+], ids=["pump", "tau", "poling", "pdc-length-nan"])
+def test_source_spec_range_checks(chip, field, value, message):
+    with pytest.raises(qpic.RangeError) as info:
+        dataclasses.replace(chip.source, **{field: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sizes", [(5.5, 64), (64, "64"), (64.0, 64)])
+def test_grid_spec_rejects_non_integer_sizes(sizes):
+    with pytest.raises(qpic.ValidationError, match="must be integers"):
+        GridSpec(*sizes)
+    assert GridSpec(np.int64(5), 5).size_sum == 5
