@@ -31,12 +31,14 @@ where the parameter has no default, optional where it has one. The
 [source] keys are the fields of ``source.SourceSpec``, all required.
 
 ``walk`` is the one path through a chip: with one PhaseTable (indices n_H,
-n_V, wavevectors and straight phases) on the frequency grid, it lets each
+n_V, wavevectors and straight phases) on a frequency grid, it lets each
 element of a chain from ``element_matrices`` act with its block structure
 on a 4 x k table of entries, where structural zeros stay None and the rest
 spread over the grid only from the first dispersive element that touches
 them. The reversed chain with transposed blocks, walked from unit vectors
-e_m, gives rows m of U.
+e_m, gives rows m of U. ``detection`` walks a chain once per panel of grid
+rows, on Chebyshev nodes of the sum axis whose frequencies, and so whose
+phases, are np.longdouble, and interpolates the entries to the rows.
 """
 
 from __future__ import annotations

@@ -140,11 +140,19 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
 def peak_fwhm(x, y):
     """Full width at half maximum of a single-peaked sampled curve.
 
-    Linear interpolation on both flanks of the global maximum. Raises
-    NumericalError when either half-maximum crossing is outside the grid.
+    Linear interpolation on both flanks of the global maximum. x must be
+    finite and strictly increasing, with one y per x (ValidationError).
+    Raises NumericalError when either half-maximum crossing is outside the
+    grid.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValidationError(f"peak width needs one y per x, got shapes "
+                              f"{x.shape} and {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)):
+        raise ValidationError("peak width needs finite, strictly increasing "
+                              "x")
     i = int(np.argmax(y))
     half = y[i] / 2.0
     if i == 0 or i == len(y) - 1 or not max(y[0], y[-1]) <= half < y[i]:
@@ -312,7 +320,14 @@ def _fit_branch(lengths, ratios):
 
 
 def fit_coupler(lengths_te, ratios_te, lengths_tm, ratios_tm) -> CouplerFit:
-    """Least-squares fit of the sin^2 model, one branch per polarisation."""
+    """Least-squares fit of the sin^2 model, one branch per polarisation.
+    Each branch needs as many ratios as lengths (ValidationError)."""
+    for pol, lengths, ratios in (("TE", lengths_te, ratios_te),
+                                 ("TM", lengths_tm, ratios_tm)):
+        if np.shape(lengths) != np.shape(ratios):
+            raise ValidationError(
+                f"coupler fit: {pol} has {np.shape(lengths)} lengths but "
+                f"{np.shape(ratios)} ratios")
     beat_te, offset_te = _fit_branch(lengths_te, ratios_te)
     beat_tm, offset_tm = _fit_branch(lengths_tm, ratios_tm)
     return CouplerFit(beat_te=beat_te, offset_te=offset_te,

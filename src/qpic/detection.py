@@ -39,13 +39,23 @@ theta, an integer combination of (k_H, k_V, k_H^R, k_V^R), is the same in
 canonical form: reversal swaps the w and w^R parts and takes Y to Y^R,
 conjugation takes theta to -theta and Y to conj Y.
 
-Both ``coincidence`` and a scan work through the grid in chunks of about
-CHUNK_POINTS points (``_chunks``), each with its own frequencies and one
-PhaseTable, and take C from one kernel, ``_moments``. ``coincidence``
-walks the whole chain on a chunk, where every live entry is a field with
-no phasor. A scan builds the two chains once and walks c and T on each
-chunk; no array the size of the grid outlives a chunk. CHUNK_POINTS lives
-in ``source``, whose ``build_jsa`` fills the amplitude in row blocks.
+Both ``coincidence`` (the whole chain, every live entry a field with no
+phasor) and a scan (c and T) take the chip from ``_chip_on_nodes`` and C
+from ``_moments``, in chunks of about CHUNK_POINTS grid points (the row
+blocks of ``source.build_jsa``). Along S each chip entry is nearly a
+plane wave, so chunks are grouped into panels that turn by at most TURN
+rad (k on the end rows times the straights' length), each walked once on
+NODES Chebyshev points of its sum span; a chunk's fields and k = (k_H,
+k_V) are their interpolant, one real (rows x NODES) product per entry
+(Trefethen, Approximation Theory and Approximation Practice, ch. 8). An
+entry whose last two coefficients exceed TAIL (Aurentz & Trefethen, ACM
+TOMS 43 (2017) 33) halves its panel; a chunk that fails, like a panel of
+no more rows than nodes, is walked on its rows in plain float64. Node
+phases k L (~1.5e5 rad) are formed and reduced mod 2 pi in np.longdouble:
+their double rounding, ~3e-11 rad, averages out over rows, but an
+interpolant would carry it along S. k is interpolated about its double
+value on a node. Node state lives for one panel, and no array the size
+of the grid outlives a chunk.
 
 A scan expands each exponent in a Taylor series along the sum axis
 (Anderson & Dahleh, SIAM J. Sci. Comput. 17 (1996) 913). With the grid
@@ -92,6 +102,12 @@ PROBABILITY_SLACK = 1e-9
 
 RHO_CAP = 4.0  # max |eps| max |delta| of a block: rounding grows like e^rho
 
+NODES = 16  # Chebyshev nodes of the sum axis per panel
+TURN = 2.0  # rad, the phase turn over a panel that NODES nodes resolve
+# the largest last two Chebyshev coefficients a panel keeps; every fitted
+# entry is at most 1 (fields of a unitary chip, and k - k0 ~ 1e-5)
+TAIL = 1e-13
+
 POLARISATIONS = ("H", "V")
 
 
@@ -136,15 +152,69 @@ def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
-def _chunks(jsa: JointSpectralAmplitude, spec: CircuitSpec):
-    """(rows, PhaseTable) of each chunk of about CHUNK_POINTS grid points,
-    in grid order: the grid rows ``rows`` and one PhaseTable on their
-    frequencies w = (Sigma + d)/2 at the chip temperature."""
-    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
-    for lo in range(0, len(jsa.sum_grid), n_rows):
-        rows = slice(lo, lo + n_rows)
-        w = (jsa.sum_grid[rows, None] + jsa.diff_grid[None, :]) / 2.0
-        yield rows, PhaseTable(spec.model, w, spec.temperature)
+def _chip_on_nodes(jsa: JointSpectralAmplitude, spec: CircuitSpec,
+                   fields_of):
+    """(rows, fields, k) of each chunk of about CHUNK_POINTS grid points,
+    in grid order: ``fields_of(phases)`` and k = (k_H, k_V) of a
+    PhaseTable, on the grid ``rows`` (see the module docstring)."""
+    s, d = jsa.sum_grid, jsa.diff_grid
+    step = max(1, CHUNK_POINTS // len(d))
+    chunks = list(range(0, len(s), step))
+    ends = PhaseTable(spec.model, (s[[0, -1], None] + d) / 2.0,
+                      spec.temperature)
+    turn = max(np.ptp(k, axis=0).max() for k in ends.k) * sum(
+        max(e.params["l1"], e.params["l2"]) for e in spec.elements
+        if e.kind == "fp")
+    size = max(1, int(len(chunks) * TURN / max(turn, TURN)))  # per panel
+    panels = [chunks[i:i + size] for i in range(0, len(chunks), size)]
+    while panels:
+        panel = panels.pop(0)
+        lo, hi = panel[0], min(panel[-1] + step, len(s)) - 1
+        centre, half = (s[hi] + s[lo]) / 2.0, (s[hi] - s[lo]) / 2.0
+        fit = None  # unless the panel has more rows than nodes
+        if hi - lo >= NODES:
+            fit = _fit(spec, fields_of, centre, half, d)
+            if fit is None and len(panel) > 1:  # failed the tail test
+                panels[:0] = [panel[:len(panel) // 2],
+                              panel[len(panel) // 2:]]
+                continue
+        for start in panel:
+            rows = slice(start, start + step)
+            if fit is None:  # the nodes are the rows
+                phases = PhaseTable(spec.model, (s[rows, None] + d) / 2.0,
+                                    spec.temperature)
+                yield rows, fields_of(phases), phases.k
+                continue
+            x = np.clip((s[rows] - centre) / half, -1.0, 1.0)
+            t = np.cos(np.outer(np.arccos(x), np.arange(NODES)))  # T_n(x)
+            yield (rows, _each(lambda a: (t @ a).view(complex), fit[0]),
+                   tuple(k0 + t @ a for k0, a in zip(*fit[1:])))
+
+
+def _fit(spec: CircuitSpec, fields_of, centre, half, diff_grid):
+    """Chebyshev coefficients of the fields and of k - k0 on NODES nodes
+    of the sum span centre +- half, k0 the double k of the first node,
+    and k0; None where any of them fails the tail test."""
+    angles = np.pi * (np.arange(NODES) + 0.5) / NODES  # x = cos(angles)
+    to_coeffs = 2.0 / NODES * np.cos(np.outer(np.arange(NODES), angles))
+    to_coeffs[0] /= 2.0
+    nodes = centre + half * np.cos(angles).astype(np.longdouble)
+    phases = PhaseTable(spec.model, (nodes[:, None] + diff_grid) / 2.0,
+                        spec.temperature)
+    fields = _each(lambda a: to_coeffs @ a.view(float), fields_of(phases))
+    k0 = [k[:1].astype(float) for k in phases.k]
+    k = [to_coeffs @ (k - k0).astype(float) for k, k0 in zip(phases.k, k0)]
+    tails = k + [a for row in fields for f in row for a in f.values()
+                 if a.size > 1]
+    if all(np.all(np.abs(a[-2:]) <= TAIL) for a in tails):
+        return fields, k0, k
+    return None
+
+
+def _each(fn, fields):
+    """``fields`` with ``fn`` applied to every entry that is not constant."""
+    return [[{key: fn(a) if a.size > 1 else a for key, a in f.items()}
+             for f in row] for row in fields]
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -154,14 +224,16 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     if query is None:
         query = CoincidenceQuery()
     chain = element_matrices(spec)
+
+    def fields_of(phases):  # each live entry is a field with no phasor
+        return [[{} if e is None else {(0, 0): e} for e in entries]
+                for entries in walk(chain, CHANNEL1_INPUTS, phases)]
+
     pairs = _query_pairs(query)
     total = 0.0
-    for rows, phases in _chunks(jsa, spec):
-        c = walk(chain, CHANNEL1_INPUTS, phases)
-        # each live entry is a field with no phasor
-        fields = [[{} if e is None else {(0, 0): e} for e in entries]
-                  for entries in c]
+    for rows, fields, k in _chip_on_nodes(jsa, spec, fields_of):
         total += _moments(_weighted_amplitude(jsa, rows), fields, pairs)[0]
+        del fields, k  # before the next chunk is walked
     return _check_probability(total)
 
 
@@ -375,11 +447,11 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     length l2 + delay must stay >= 0 (RangeError otherwise).
 
     The probability takes the moment form of the module docstring. The
-    element chains before and after the scanned fp are built once; each
-    chunk of grid rows walks them, builds C and Y_theta from the live
-    transfer terms of the modes the query reads and adds its rows to each
-    exponent's open block. A block closed by a row past the rho cap gives
-    every delay.
+    element chains before and after the scanned fp are built once and
+    walked on each panel's nodes; each chunk of grid rows builds C and
+    Y_theta from the live transfer terms of the modes the query reads and
+    adds its rows to each exponent's open block. A block closed by a row
+    past the rho cap gives every delay.
     """
     if query is None:
         query = CoincidenceQuery()
@@ -391,31 +463,32 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     reach = float(np.max(np.abs(delay_values)))
     n_rows = len(jsa.sum_grid)
 
-    # the chains are built once; each chunk walks them on its own rows
+    # the chains are built once and walked on each panel's nodes
     before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
     after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
                              transposed=True)
 
-    blocks = {}  # the open block of each exponent
-    closed = []
-
-    def chunk(rs, phases) -> float:
-        """C of the grid rows ``rs``, whose Y_theta go into the moments of
-        each exponent's blocks; ``phases`` is shared by both walks and the
-        exponents."""
+    def fields_of(phases):
         # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero
         t = walk(after, np.eye(4)[:, rows], phases)
         c = walk(before, CHANNEL1_INPUTS, phases)
         # the live terms of each row r and photon p, keyed by the
         # coefficients of (k_H, k_V) in their phasor
         terms = (((0, 0), (0, 1)), ((1, 0), (2,)), ((0, 1), (3,)))
-        fields = [[{key: f for key, js in terms if (f := _live_sum(
-                        (t[j][r], c[j][p]) for j in js)) is not None}
-                   for p in (0, 1)] for r in range(len(rows))]
+        return [[{key: f for key, js in terms if (f := _live_sum(
+                    (t[j][r], c[j][p]) for j in js)) is not None}
+                 for p in (0, 1)] for r in range(len(rows))]
+
+    blocks = {}  # the open block of each exponent
+    closed = []
+
+    def chunk(rs, fields, k) -> float:
+        """C of the grid rows ``rs``, whose Y_theta go into the moments of
+        each exponent's blocks; k = (k_H, k_V) on those rows."""
         total, moments = _moments(_weighted_amplitude(jsa, rs), fields,
                                   row_pairs)
         for theta, y in moments.items():
-            theta_rows = _exponent(theta, phases.k)
+            theta_rows = _exponent(theta, k)
             slope = (theta_rows[-1] - theta_rows[0]) / max(len(y) - 1, 1)
             start = 0  # the first row of the chunk in no block yet
             while start < len(y):
@@ -436,9 +509,9 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         return total
 
     values = np.zeros(len(delay_values))
-    for rs, phases in _chunks(jsa, spec):
-        values += chunk(rs, phases)
-        del phases  # the chunk goes before any tile is built
+    for rs, fields, k in _chip_on_nodes(jsa, spec, fields_of):
+        values += chunk(rs, fields, k)
+        del fields, k  # the chunk goes before any tile is built
         while closed:
             values += closed.pop(0).values(delay_values)
     for block in blocks.values():
@@ -508,10 +581,14 @@ def apply_imperfection(spec: CircuitSpec, target: str,
 def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                        target: str, fractions, delay_values=None,
                        query: CoincidenceQuery | None = None):
-    """Delay scans for a family of single-element imperfections."""
+    """Delay scans for a family of single-element imperfections; at least
+    one fraction (ValidationError)."""
     if delay_values is None:
         delay_values = default_delay_values(41)
     fractions = [float(f) for f in np.asarray(fractions, dtype=float)]
+    if not fractions:
+        raise ValidationError("imperfection sweep needs at least one "
+                              "fraction")
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
     return [SweepPoint(fraction, hom_scan(jsa, chip, delay_values, query))

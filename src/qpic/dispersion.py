@@ -43,7 +43,14 @@ def omega_from_wavelength(wavelength):
 
 def wavelength_from_omega(omega):
     """Angular frequency (rad/ps) to vacuum wavelength (um)."""
-    return 2.0 * np.pi * C_UM_PS / np.asarray(omega, dtype=float)
+    return 2.0 * np.pi * C_UM_PS / _floats(omega)
+
+
+def _floats(x):
+    """``x`` as an array of its floating dtype (np.longdouble kept), else
+    of float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(float)
 
 
 def _ordinary_shifted_pole(a, b, lam, t):
@@ -99,8 +106,7 @@ class SellmeierSet:
 
     def evaluate(self, wavelength, temperature):
         fn, _, _ = _SELLMEIER_FORMS[self.form]
-        return fn(self.a, self.b, np.asarray(wavelength, dtype=float),
-                  float(temperature))
+        return fn(self.a, self.b, _floats(wavelength), float(temperature))
 
 
 DELTA_N_MAX = 0.05
@@ -150,7 +156,7 @@ def _check_wavelength(wavelength, band=(LAMBDA_MIN, LAMBDA_MAX),
                       what="wavelength {} um outside validity range"):
     """The wavelengths as an array; a RangeError names the first outside
     ``band`` (NaN included) in the words of ``what``."""
-    lam = np.asarray(wavelength, dtype=float)
+    lam = _floats(wavelength)
     inside = (lam >= band[0]) & (lam <= band[1])  # False for NaN
     if not np.all(inside):
         raise RangeError(f"{what.format(lam.flat[int(np.argmin(inside))])} "

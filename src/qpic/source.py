@@ -61,6 +61,9 @@ class SourceSpec:
         _grating(self.poling_period)
         if not self.pdc_length > 0.0:
             raise RangeError(f"pdc length {self.pdc_length} um must be > 0")
+        for name in ("pulse_duration", "poling_period", "pdc_length"):
+            if getattr(self, name) == np.inf:
+                raise RangeError(f"source {name} must be finite, got inf")
 
     @property
     def bandwidth(self) -> float:
@@ -135,9 +138,10 @@ def _trapezoid_weights(grid):
 def _quadrature_weights(sum_grid, diff_grid, rows=slice(None)):
     """Weights of the grid ``rows``, shape (rows, size_diff): 0.5 times
     the outer product of the two axes' trapezoid weights, so any rows give
-    the floats of the whole grid's weights there."""
-    return 0.5 * np.outer(_trapezoid_weights(sum_grid)[rows],
-                          _trapezoid_weights(diff_grid))
+    the floats of the whole grid's weights there. Halving one factor is
+    exact, so no second array of the grid's size is made."""
+    return np.outer(0.5 * _trapezoid_weights(sum_grid)[rows],
+                    _trapezoid_weights(diff_grid))
 
 
 def _ridge_offset(model, source, temperature):
@@ -219,7 +223,8 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
         u = dk * source.pdc_length / 2.0
         raw[rows] = envelope[rows, None] * np.sinc(u / np.pi) * np.exp(1j * u)
 
-    peak = float(np.max(np.abs(raw)))
+    mag2 = np.abs(raw)
+    peak = float(np.max(mag2))
     edge = float(max(np.max(np.abs(raw[0, :])), np.max(np.abs(raw[-1, :]))))
     if peak == 0.0 or edge > EDGE_FLOOR * peak:
         needed = max(MIN_SUM_FACTOR * bw * 1.05, 2.0 * s_half)
@@ -229,8 +234,10 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
             f"use at least {needed:.4g} rad/ps",
             suggested_half_width=needed)
 
-    total = float(np.sum(_quadrature_weights(sum_grid, diff_grid)
-                         * np.abs(raw) ** 2))
+    mag2 **= 2  # in place: the same floats, one full-grid array fewer
+    mag2 *= _quadrature_weights(sum_grid, diff_grid)
+    total = float(np.sum(mag2))
+    del mag2
     if not np.isfinite(total) or total <= 0.0:
         raise SupportTruncationError(
             "amplitude integral is not positive and finite on this grid")

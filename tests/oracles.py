@@ -1,19 +1,61 @@
-"""Dense references for the tests: chips, coincidences and one
-coupled-mode section.
+"""Dense references for the tests: chips, coincidences, one coupled-mode
+section and the chip walked on every grid row.
 
 A chip's U is the ``np.matmul`` product of its elements' dense 4x4s, each
 written straight from its block (``ElementMatrix.evaluate``), first
-element acting first. Nothing here walks a chain, so the library's walk,
-its live sums and the chunked exchange kernel are checked against an
-independent computation.
+element acting first. The dense references walk no chain, so the
+library's walk, its live sums and the chunked exchange kernel are checked
+against an independent computation.
+
+``row_walk`` stands in for ``detection._chip_on_nodes``: it walks the chip
+on every grid row, chunk by chunk, with no nodes and no interpolation. On
+a ``PhaseTable`` it is the float64 row walk; on an ``ExtendedPhases`` it is
+the pointwise extended-precision phase path, the model's exact value up to
+eps_ld k L ~ 3e-14 rad per straight, against which any two chip walks can
+be ranked.
 """
 
 import numpy as np
 
+from qpic import detection
 from qpic.circuit import element_matrices
-from qpic.dispersion import default_material
+from qpic.dispersion import C_UM_PS, default_material
 from qpic.elements import PhaseTable
 from qpic.source import _trapezoid_weights
+
+TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
+
+
+class ExtendedPhases(PhaseTable):
+    """A PhaseTable on ``omega`` in np.longdouble: the model's indices at
+    extended precision, and each straight phase n w L / c formed and
+    reduced mod 2 pi in extended precision before it is rounded to a
+    double and exponentiated."""
+
+    def __init__(self, model, omega, temperature):
+        super().__init__(model, np.asarray(omega, dtype=np.longdouble),
+                         temperature)
+
+    def _evaluate(self, pol, length):
+        x = self.indices[pol] * self.omega * np.longdouble(length) / C_UM_PS
+        return np.exp(1j * np.fmod(x, TWO_PI).astype(float))
+
+
+def row_walk(table=PhaseTable):
+    """A stand-in for ``detection._chip_on_nodes`` that walks every chunk
+    on its own grid rows with a ``table`` of their frequencies."""
+
+    def chip(jsa, spec, fields_of):
+        s, d = jsa.sum_grid, jsa.diff_grid
+        step = max(1, detection.CHUNK_POINTS // len(d))
+        for lo in range(0, len(s), step):
+            rows = slice(lo, lo + step)
+            phases = table(spec.model, (s[rows, None] + d) / 2.0,
+                           spec.temperature)
+            yield rows, fields_of(phases), tuple(np.asarray(k, dtype=float)
+                                                 for k in phases.k)
+
+    return chip
 
 
 def phase_table(omega, model=None, temperature=None) -> PhaseTable:

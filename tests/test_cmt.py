@@ -171,6 +171,19 @@ def test_peak_fwhm_needs_flanks():
         peak_fwhm(x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([3.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0]),
+], ids=["unsorted", "repeated", "nan", "inf", "lengths"])
+def test_peak_fwhm_needs_increasing_finite_x(x, y):
+    # unsorted x gave a width of -0.5
+    with pytest.raises(qpic.ValidationError):
+        peak_fwhm(x, y)
+
+
 @pytest.mark.parametrize("peak", [np.nan, 0.0, -1.0])
 def test_peak_fwhm_needs_a_positive_peak(peak):
     x = np.linspace(0, 1, 51)
@@ -284,6 +297,17 @@ def test_fit_of_flat_table_is_numerical_error(ratio):
     ratios = np.full(lengths.shape, ratio)
     with pytest.raises(qpic.NumericalError, match="coupler fit"):
         fit_coupler(lengths, ratios, lengths, ratios)
+
+
+@pytest.mark.parametrize("branch", ["TE", "TM"])
+def test_fit_coupler_needs_a_ratio_per_length(branch):
+    # numpy raised a broadcast ValueError
+    lengths = np.linspace(100.0, 900.0, 9)
+    ratios = np.sin(np.pi * lengths / 1600.0) ** 2
+    tables = [lengths, ratios, lengths, ratios]
+    tables[0 if branch == "TE" else 2] = np.append(lengths, 1000.0)
+    with pytest.raises(qpic.ValidationError, match=f"{branch} has"):
+        fit_coupler(*tables)
 
 
 def test_fit_of_one_length_is_singular():

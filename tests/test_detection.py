@@ -239,9 +239,9 @@ EXPONENTS = [(0, 1, 0, 0), (0, 1, 0, -1), (1, 0, 0, 0), (1, 0, -1, 0),
 
 
 def _grid_k(jsa, chip):
-    """(k_H, k_V) on the whole grid."""
-    w = (jsa.sum_grid[:, None] + jsa.diff_grid[None, :]) / 2.0
-    return PhaseTable(chip.model, w, chip.temperature).k
+    """(k_H, k_V) on the whole grid, as the chunks of a scan read them."""
+    ks = [k for _, _, k in detection._chip_on_nodes(jsa, chip, lambda p: [])]
+    return tuple(np.concatenate([k[i] for k in ks]) for i in (0, 1))
 
 
 def _stream(monkeypatch, exponent=detection._exponent):
@@ -414,7 +414,8 @@ def test_all_live_scan_matches_stretched_chip(jsa_tiny, query,
                                               monkeypatch):
     chip = parse_netlist_text(ALL_LIVE)
     prefix = chip.with_elements(chip.elements[:4])
-    _, phases = next(detection._chunks(jsa_tiny, prefix))
+    phases = oracles.phase_table(
+        (jsa_tiny.sum_grid[:, None] + jsa_tiny.diff_grid) / 2.0)
     c = walk(element_matrices(prefix), CHANNEL1_INPUTS, phases)
     assert all(c[m][p] is not None for m in (2, 3) for p in (0, 1))
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
@@ -481,17 +482,21 @@ def test_probability_budget_on_random_chains(jsa_tiny, lengths,
     """A unitary chip loses no pair: P_insensitive + (S_11 + S_22)/2 = 1,
     with S_nn the exchange sum over the ordered pairs (b, c) of modes that
     both lie in channel n. Summed over every ordered pair of modes, the
-    exchange sum is twice the norm of the two-photon state."""
+    exchange sum is twice the norm of the two-photon state. S_nn comes
+    from the fields the panels interpolate, as P does."""
     chip = parse_netlist_text(
         _chain(lengths, scanned, pbs, bs, conversion, mixing))
     chain = element_matrices(chip)
     same = [(b, c) for modes in ((0, 1), (2, 3)) for b in modes
             for c in modes]
+
+    def fields_of(phases):
+        return [[{} if e is None else {(0, 0): e} for e in entries]
+                for entries in walk(chain, CHANNEL1_INPUTS, phases)]
+
     s = 0.0
-    for rows, phases in detection._chunks(jsa_tiny, chip):
-        walked = walk(chain, CHANNEL1_INPUTS, phases)
-        fields = [[{} if e is None else {(0, 0): e} for e in entries]
-                  for entries in walked]
+    for rows, fields, _ in detection._chip_on_nodes(jsa_tiny, chip,
+                                                    fields_of):
         s += detection._moments(detection._weighted_amplitude(jsa_tiny, rows),
                                 fields, same)[0]
     p = coincidence(jsa_tiny, chip, INSENSITIVE)
@@ -600,6 +605,12 @@ def test_sweep_checks_every_fraction_first(chip, jsa_tiny, monkeypatch):
     with pytest.raises(ValidationError, match="fraction 2.0 outside"):
         imperfection_sweep(jsa_tiny, chip, "pc", [0.0, 0.5, 2.0],
                            delay_values=DELAYS)
+
+
+def test_sweep_needs_a_fraction(chip, jsa_tiny):
+    # an empty sweep returned []; the CLI refuses an empty list already
+    with pytest.raises(ValidationError, match="at least one fraction"):
+        imperfection_sweep(jsa_tiny, chip, "pc", [], delay_values=DELAYS)
 
 
 def test_scan_needs_stretchable_element(jsa_small):
@@ -740,16 +751,17 @@ def test_temperature_scan_smoke(chip):
 
 
 def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
-    # n_H and n_V on the JSA grid are shared by every element and by the
-    # delay phases: one index() call per polarisation, not one per element
+    # n_H and n_V are shared by every element and by the delay exponents:
+    # at the 1000 ps pump the 64x64 grid is one panel, so each index is
+    # evaluated once on its NODES x 64 nodes and once on the two end rows
+    # whose k sizes the panels, and never on the grid
     jsa = qpic.build_jsa(chip.model, chip.source,
                          qpic.GridSpec(64, 64))
     original = qpic.dispersion.index
-    grid_calls = []
+    calls = []
 
     def counting(model, pol, wavelength, temperature=None):
-        if np.size(wavelength) == jsa.amplitude.size:
-            grid_calls.append(pol)
+        calls.append((pol, np.size(wavelength)))
         return original(model, pol, wavelength, temperature)
 
     for name, module in list(sys.modules.items()):
@@ -757,12 +769,14 @@ def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
                 and getattr(module, "index", None) is original:
             monkeypatch.setattr(module, "index", counting)
     hom_scan(jsa, chip, DELAYS[:5])
-    assert sorted(grid_calls) == ["H", "V"]
+    assert sorted(calls) == sorted((pol, n) for pol in "HV"
+                                   for n in (2 * 64, detection.NODES * 64))
 
 
 def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
-    # a scan over many chunks builds its two element chains once, and the
-    # chunks evaluate the indices of each grid point once per polarisation
+    # a scan over many chunks builds its two element chains once, and
+    # evaluates the indices once per polarisation on the end rows and on
+    # the nodes of the one panel, none per chunk
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     originals = {"element_matrices": qpic.circuit.element_matrices,
                  "index": qpic.dispersion.index}
@@ -781,11 +795,11 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
                     monkeypatch.setattr(module, name, counting(name))
     hom_scan(jsa_tiny, chip, DELAYS[:5], INSENSITIVE)
     assert len(calls["element_matrices"]) == 2
-    # the chunks make every index call: the blocks reuse their k
+    # the panel makes every index call: the chunks and blocks reuse its k
     for pol in "HV":
         sizes = [np.size(args[2]) for args in calls["index"] if args[1] == pol]
-        assert len(sizes) == 7 and sum(sizes) == jsa_tiny.amplitude.size
-    assert len(calls["index"]) == 14
+        assert sizes == [2 * 64, detection.NODES * 64]
+    assert len(calls["index"]) == 4
 
 
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
@@ -890,3 +904,143 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
                    for shape in points)
         assert sum(np.prod(shape) for shape in points) == \
             len(blocks) * len(delays) * n_diff
+
+
+def _scan_on(walker, monkeypatch, *args):
+    """hom_scan's probabilities with ``walker`` in place of the chip on
+    nodes."""
+    with monkeypatch.context() as m:
+        m.setattr(detection, "_chip_on_nodes", walker)
+        return hom_scan(*args).probabilities
+
+
+@pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
+def test_nodes_are_no_farther_from_extended_oracle(chip, jsa_tiny, pbs_error,
+                                                   monkeypatch):
+    """Against the pointwise extended-precision phase path, the node path
+    is no farther than the float64 row walk: the row walk rounds each
+    k L of ~1.5e5 rad to a double (~3e-11 rad), the nodes carry ~1e-14
+    rad and interpolate it. Measured at 64x64: nodes 3-5e-13, rows
+    2.5-3.4e-12."""
+    chip = apply_imperfection(chip, "pbs", pbs_error)
+    for query in (CoincidenceQuery(), INSENSITIVE):
+        args = (jsa_tiny, chip, ORACLE_DELAYS, query)
+        exact = _scan_on(oracles.row_walk(oracles.ExtendedPhases),
+                         monkeypatch, *args)
+        rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
+        nodes = hom_scan(*args).probabilities
+        assert np.max(np.abs(nodes - exact)) <= np.max(np.abs(rows - exact))
+
+
+@pytest.mark.parametrize("tau, grid, chunk_rows", [
+    (1000.0, (64, 64), 10), (100.0, (256, 64), 16), (10.0, (2048, 16), 8),
+], ids=["1000ps", "100ps", "10ps"])
+def test_panels_match_row_walk(chip, tau, grid, chunk_rows, monkeypatch):
+    """Panels agree with the row walk within the spread that the row
+    walk's own rounding gives a probability.
+
+    The two walks feed the same kernel and differ by the phase of each
+    field, by delta_phi_i at grid point i: the row walk rounds k L and
+    k delta to doubles, the nodes are ~1e-14 rad from exact. With
+    X = A + B, |A|, |B| <= |F| and w_i = W_i |F_i|^2, a probability moves
+    by at most 8 w_i |delta_phi_i| per point. Rounding errors are
+    independent from point to point, so the sum spreads by at most
+    8 sigma sqrt(sum w_i^2), sigma the rms rounding of the phase over the
+    chip's straights plus the largest delay, measured here against
+    ExtendedPhases. The grids are sized so that several panels of more
+    than NODES rows run: 1, 8 and ~85 of them."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", chunk_rows * grid[1])
+    source = dataclasses.replace(chip.source, pulse_duration=tau)
+    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
+    fit = detection._fit
+    fitted = []  # the fits of one scan
+
+    def recording(*args):
+        fitted.append(fit(*args))
+        return fitted[-1]
+
+    omega = (jsa.sum_grid[:, None] + jsa.diff_grid) / 2.0
+    length = 30000.0 + np.max(np.abs(DELAYS))  # the bundled chip's fp
+    double, exact = (table(chip.model, omega, chip.temperature)
+                     for table in (PhaseTable, oracles.ExtendedPhases))
+    sigma = max(np.sqrt(np.mean(np.angle(
+        double.phase(pol, length) / exact.phase(pol, length)) ** 2))
+        for pol in (0, 1))
+    w = detection._quadrature_weights(jsa.sum_grid, jsa.diff_grid) \
+        * np.abs(jsa.amplitude) ** 2
+    bound = 8.0 * sigma * np.sqrt(np.sum(w ** 2))
+    for pbs_error in (0.0, 0.25):
+        leaky = apply_imperfection(chip, "pbs", pbs_error)
+        for query in (CoincidenceQuery(), INSENSITIVE):
+            args = (jsa, leaky, DELAYS, query)
+            rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
+            fitted.clear()
+            with monkeypatch.context() as m:
+                m.setattr(detection, "_fit", recording)
+                nodes = hom_scan(*args).probabilities
+            assert sum(f is not None for f in fitted) \
+                >= {1000.0: 1, 100.0: 8, 10.0: 80}[tau]
+            assert np.max(np.abs(nodes - rows)) <= bound
+            assert not np.array_equal(nodes, rows)
+
+
+@pytest.mark.parametrize("grid", [64, 512])
+def test_short_pump_is_the_row_walk(chip, grid, monkeypatch):
+    """At 1 ps no panel of more than NODES rows turns by less than TURN:
+    512 rows give chunks of NODES rows, walked on their rows, and a 64x64
+    grid one chunk whose panel fails the tail test. Either way the
+    probabilities are the row walk's, bit for bit."""
+    source = dataclasses.replace(chip.source, pulse_duration=1.0)
+    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(grid, grid))
+    queries = [CoincidenceQuery()] + ([INSENSITIVE] if grid == 64 else [])
+    for query in queries:
+        args = (jsa, chip, DELAYS, query)
+        np.testing.assert_array_equal(
+            hom_scan(*args).probabilities,
+            _scan_on(oracles.row_walk(), monkeypatch, *args))
+
+
+def test_tail_test_splits_panels(chip, jsa_tiny, monkeypatch):
+    """Four nodes cannot follow the 1.4 rad turn of the bundled chip: the
+    panel fails the tail test, its halves fail it down to single chunks,
+    and every chunk is walked on its rows, so the scan is the row walk's
+    bit for bit. Used without the test, the same panels move the
+    probabilities by far more than any rounding."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(detection, "NODES", 4)
+    fit = detection._fit
+    spans = []
+
+    def recording(spec, fields_of, centre, half, diff_grid):
+        result = fit(spec, fields_of, centre, half, diff_grid)
+        spans.append((half, result is None))
+        return result
+
+    monkeypatch.setattr(detection, "_fit", recording)
+    args = (jsa_tiny, chip, DELAYS, INSENSITIVE)
+    rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
+    np.testing.assert_array_equal(hom_scan(*args).probabilities, rows)
+    # the whole grid, its halves, ... down to the first 6 chunks, each
+    # refused; the last chunk's 4 rows are its own nodes
+    assert len(spans) == 12 and all(failed for _, failed in spans)
+    assert spans[0][0] > spans[1][0] > spans[2][0]
+    monkeypatch.setattr(detection, "TAIL", np.inf)
+    monkeypatch.setattr(detection, "_check_probability", float)
+    assert np.max(np.abs(hom_scan(*args).probabilities - rows)) > 1e-6
+
+
+# the tracemalloc peak of the per-chunk row walk this path replaced, for
+# the scan below (numpy 2.4.6); no per-chunk table of the walk comes back
+ROW_WALK_PEAK = 6.95 * 2 ** 20
+
+
+def test_node_path_peak_not_above_row_walk(chip):
+    jsa = qpic.build_jsa(chip.model, chip.source,
+                         qpic.GridSpec(512, 512))
+    tracemalloc.start()
+    try:
+        hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), INSENSITIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ROW_WALK_PEAK

@@ -67,6 +67,20 @@ def test_wavelength_omega_roundtrip():
         2.0 * math.pi * C_UM_PS / 1.55, abs=1e-9)
 
 
+@pytest.mark.parametrize("pol", ["H", "V"])
+def test_index_keeps_extended_precision(model, pol):
+    # the sum-axis nodes of detection pass np.longdouble frequencies; the
+    # indices keep that precision, and round to the double indices
+    omega = np.linspace(1200.0, 1230.0, 7)
+    lam = wavelength_from_omega(omega.astype(np.longdouble))
+    n = index(model, pol, lam, 30.0)
+    assert lam.dtype == n.dtype == np.longdouble
+    np.testing.assert_allclose(n.astype(float),
+                               index(model, pol, wavelength_from_omega(omega),
+                                     30.0),
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_wavelength_range_enforced(model):
     with pytest.raises(RangeError):
         index(model, "H", 0.2)

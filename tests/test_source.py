@@ -250,6 +250,21 @@ def test_source_spec_range_checks(chip, field, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field", ["pulse_duration", "pdc_length",
+                                   "poling_period"])
+def test_source_spec_rejects_infinite(chip, field, monkeypatch):
+    # an infinite duration or length reached build_jsa, which warned and
+    # raised SupportTruncationError; an infinite period gave no grating
+    def no_jsa(*args, **kwargs):
+        raise AssertionError("JSA built from a non-finite source")
+
+    monkeypatch.setattr(source, "_ridge_offset", no_jsa)
+    with pytest.raises(qpic.RangeError,
+                       match=f"source {field} must be finite, got inf"):
+        build_jsa(chip.model, dataclasses.replace(chip.source,
+                                                  **{field: np.inf}))
+
+
 @pytest.mark.parametrize("sizes", [(5.5, 64), (64, "64"), (64.0, 64)])
 def test_grid_spec_rejects_non_integer_sizes(sizes):
     with pytest.raises(qpic.ValidationError, match="must be integers"):
