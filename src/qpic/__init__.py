@@ -25,8 +25,7 @@ from .elements import (BASIS, ElementMatrix, bs_matrix, eo_bs_dbeta,
                        eo_bs_matrix, fp_matrix, mode_index, pbs_matrix,
                        pc_kappa, pc_matrix, pm_matrix, pm_phases)
 from .errors import (NetlistError, NumericalError, PhaseMatchError,
-                     QpicError, RangeError, SupportTruncationError,
-                     ValidationError)
+                     QpicError, RangeError, ValidationError)
 from .source import (GridSpec, JointSpectralAmplitude, MarginalSpectra,
                      SourceSpec, SpectralDensity, build_jsa,
                      jsa_exchange_asymmetry, marginal_spectra)

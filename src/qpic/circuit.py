@@ -238,9 +238,6 @@ def _validate_elements(spec: CircuitSpec):
 def parse_netlist(path) -> CircuitSpec:
     """Parse a netlist file; relative material paths resolve next to it."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read netlist {p}: {exc}") from exc
+    text = keyfile.read_text(p, "netlist")
     with keyfile.in_file(p):
         return parse_netlist_text(text, base_dir=p.parent)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -30,13 +31,14 @@ from . import __version__
 from .circuit import CircuitSpec, parse_netlist
 from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
     peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
-from .detection import (CoincidenceQuery, hom_scan, imperfection_sweep,
-                        temperature_scan)
+from .detection import (DEFAULT_DELAY_SPAN, CoincidenceQuery, hom_scan,
+                        imperfection_sweep, temperature_scan)
 from .dispersion import (DATA_DIR, MaterialModel, default_material,
                          degenerate_wavelength, load_material,
                          pc_matched_wavelength, tuning_curve)
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
+from .keyfile import read_text
 from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
                      marginal_spectra)
 
@@ -408,20 +410,19 @@ def cmd_switch_map(args) -> Artifacts:
 
 def _read_ratio_csv(path: Path):
     lengths, ratios = [], []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValidationError(f"{path}: expected a two-column CSV")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                lengths.append(float(row[0]))
-                ratios.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(
-                    f"{path}: line {lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path, "ratio table"),
+                                    newline=""))
+    header = next(reader, None)
+    if header is None or len(header) < 2:
+        raise ValidationError(f"{path}: expected a two-column CSV")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            lengths.append(float(row[0]))
+            ratios.append(float(row[1]))
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
     return np.array(lengths), np.array(ratios)
 
 
@@ -497,9 +498,9 @@ def _add_chip_options(p, grid_default=512):
 
 
 def _add_scan_options(p, points_default=105):
-    p.add_argument("--lmin", type=_finite, default=-1500.0,
+    p.add_argument("--lmin", type=_finite, default=DEFAULT_DELAY_SPAN[0],
                    help="first delay length (um)")
-    p.add_argument("--lmax", type=_finite, default=3700.0,
+    p.add_argument("--lmax", type=_finite, default=DEFAULT_DELAY_SPAN[1],
                    help="last delay length (um)")
     p.add_argument("--points", type=int, default=points_default,
                    help=f"number of delay samples (default {points_default})")

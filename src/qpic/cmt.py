@@ -147,9 +147,9 @@ def peak_fwhm(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValidationError(f"peak width needs one y per x, got shapes "
-                              f"{x.shape} and {y.shape}")
+    if x.ndim != 1 or x.shape != y.shape or not x.size:
+        raise ValidationError(f"peak width needs one y per x and at least "
+                              f"one x, got shapes {x.shape} and {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)):
         raise ValidationError("peak width needs finite, strictly increasing "
                               "x")
@@ -229,6 +229,9 @@ class CouplerFit:
     offset_tm: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([getattr(self, f.name)
+                                   for f in fields(self)])):
+            raise RangeError(f"coupler fit values must be finite: {self}")
         if self.beat_te <= 0.0 or self.beat_tm <= 0.0:
             raise RangeError("beat lengths must be > 0")
 
@@ -240,6 +243,8 @@ def _ratio_model(length, beat, offset):
 def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
     """Unwanted-port power fraction at a given coupler length."""
     length = np.asarray(coupler_length, dtype=float)
+    if not np.all(np.isfinite(length)):
+        raise RangeError(f"coupler length {coupler_length} um must be finite")
     if pol == "H":
         r = _ratio_model(length, fit.beat_te, fit.offset_te)
     elif pol == "V":
@@ -357,8 +362,7 @@ def save_coupler_fit(fit: CouplerFit, path):
 def load_coupler_fit(path) -> CouplerFit:
     """Read a ``save_coupler_fit`` file: the four CouplerFit fields as
     ``key = value`` lines (``qpic.keyfile``), no sections."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = keyfile.read_text(path, "coupler fit")
     with keyfile.in_file(path):
         leading, *headers = keyfile.read_blocks(text)
         for header, line, _ in headers:

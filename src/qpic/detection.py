@@ -49,8 +49,8 @@ NODES Chebyshev points of its sum span; a chunk's fields and k = (k_H,
 k_V) are their interpolant, one real (rows x NODES) product per entry
 (Trefethen, Approximation Theory and Approximation Practice, ch. 8). An
 entry whose last two coefficients exceed TAIL (Aurentz & Trefethen, ACM
-TOMS 43 (2017) 33) halves its panel; a chunk that fails, like a panel of
-no more rows than nodes, is walked on its rows in plain float64. Node
+TOMS 43 (2017) 33) refuses its panel, whose chunks, like those of a panel
+of no more rows than nodes, are walked on their rows in plain float64. Node
 phases k L (~1.5e5 rad) are formed and reduced mod 2 pi in np.longdouble:
 their double rounding, ~3e-11 rad, averages out over rows, but an
 interpolant would carry it along S. k is interpolated about its double
@@ -167,17 +167,13 @@ def _chip_on_nodes(jsa: JointSpectralAmplitude, spec: CircuitSpec,
         if e.kind == "fp")
     size = max(1, int(len(chunks) * TURN / max(turn, TURN)))  # per panel
     panels = [chunks[i:i + size] for i in range(0, len(chunks), size)]
-    while panels:
-        panel = panels.pop(0)
+    for panel in panels:
         lo, hi = panel[0], min(panel[-1] + step, len(s)) - 1
         centre, half = (s[hi] + s[lo]) / 2.0, (s[hi] - s[lo]) / 2.0
-        fit = None  # unless the panel has more rows than nodes
-        if hi - lo >= NODES:
-            fit = _fit(spec, fields_of, centre, half, d)
-            if fit is None and len(panel) > 1:  # failed the tail test
-                panels[:0] = [panel[:len(panel) // 2],
-                              panel[len(panel) // 2:]]
-                continue
+        # None (walk the rows) for a panel of no more rows than nodes or
+        # one that fails the tail test
+        fit = _fit(spec, fields_of, centre, half, d) if hi - lo >= NODES \
+            else None
         for start in panel:
             rows = slice(start, start + step)
             if fit is None:  # the nodes are the rows

@@ -473,8 +473,7 @@ def load_material(path) -> MaterialModel:
     whitespace separated coefficient lists) and optional ``[waveguide]``
     (keys: delta_n_h, delta_n_v).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = keyfile.read_text(path, "material file")
     with keyfile.in_file(path):
         leading, *blocks = keyfile.read_blocks(text)
         keyfile.check_keys(leading, set(), {"name"},

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the simulator.
 
-Two branches matter to callers: ValidationError for bad inputs (CLI exit
-code 2) and NumericalError for computations that cannot produce a
-trustworthy number (CLI exit code 3).
+Two branches matter to callers: ValidationError for bad inputs and
+unreadable files (CLI exit code 2) and NumericalError for computations
+that cannot produce a trustworthy number (CLI exit code 3).
 """
 
 from __future__ import annotations
@@ -49,13 +49,3 @@ class NumericalError(QpicError):
 class PhaseMatchError(NumericalError):
     """No phase-matching solution inside the search band."""
 
-
-class SupportTruncationError(NumericalError):
-    """A frequency grid clips the amplitude it is meant to hold.
-
-    ``suggested_half_width`` carries a span (rad/ps) that would pass.
-    """
-
-    def __init__(self, message: str, suggested_half_width: float | None = None):
-        self.suggested_half_width = suggested_half_width
-        super().__init__(message)

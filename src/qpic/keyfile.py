@@ -17,6 +17,16 @@ from contextlib import contextmanager
 from .errors import NetlistError, ValidationError
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file ``path``, newlines as written; a
+    ValidationError naming ``what`` and the path if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_blocks(text: str) -> list:
     """``[(header, line, {key: (text, line, column)})]`` in file order."""
     blocks = [(None, None, {})]

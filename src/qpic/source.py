@@ -29,12 +29,10 @@ from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, T_REFERENCE,
                          MaterialModel, _bracketed_roots, _check_wavelength,
                          _grating, group_velocity, omega_from_wavelength,
                          pdc_mismatch, wavelength_from_omega)
-from .errors import (RangeError, SupportTruncationError, ValidationError)
+from .errors import NumericalError, RangeError, ValidationError
 
-SUM_SIGMA_FACTOR = 6.0  # default pump-axis half width, in units of Omega
+SUM_SIGMA_FACTOR = 6.0  # pump-axis half width, in units of Omega
 SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
-EDGE_FLOOR = 1e-3  # boundary amplitude allowed relative to the peak
-MIN_SUM_FACTOR = np.sqrt(2.0 * np.log(1.0 / EDGE_FLOOR))  # ~3.72
 RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
 MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
 CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
@@ -77,17 +75,13 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling of the rotated (sum, difference) frequency plane.
-
-    Half widths are in rad/ps; None picks physics-based defaults (6 Omega
-    along the sum axis, the 4th sinc zero plus ridge margins along the
-    difference axis).
-    """
+    """Points per axis of the rotated (sum, difference) frequency plane.
+    ``build_jsa`` sets the spans from the source: 6 Omega along the sum
+    axis; along the difference axis the 4th sinc zero of the walk-off over
+    pdc_length, plus the ridge's offset and its drift over the sum span."""
 
     size_sum: int = 512
     size_diff: int = 512
-    sum_half_width: float | None = None
-    diff_half_width: float | None = None
 
     def __post_init__(self):
         sizes = (self.size_sum, self.size_diff)
@@ -95,10 +89,6 @@ class GridSpec:
             raise ValidationError(f"grid sizes must be integers, got {sizes}")
         if self.size_sum < 3 or self.size_diff < 3:
             raise ValidationError("grid needs at least 3 points per axis")
-        for label, value in (("sum_half_width", self.sum_half_width),
-                             ("diff_half_width", self.diff_half_width)):
-            if value is not None and not value > 0.0:
-                raise ValidationError(f"{label} must be > 0, got {value}")
 
 
 @dataclass
@@ -171,13 +161,14 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     frequencies, mismatch, sinc-exp factor and non-positive-frequency
     check, so no other full-grid array exists while it fills. Every value
     is elementwise, so the blocks give the bits of a whole-grid
-    evaluation. The edge/peak check and the norm sum(weights |raw|^2) run
-    on the whole array as one expression, so C is the same float; ``raw``
-    is then scaled in place. ``meta`` records the raw norm and the
-    edge/peak ratio.
+    evaluation. The norm sum(weights |raw|^2) runs on the whole array as
+    one expression, so C is the same float; ``raw`` is then scaled in
+    place. ``meta`` records the raw norm, the pump-axis edge/peak ratio
+    (~1e-8: the envelope is exp(-18) at 6 Omega) and both half widths.
 
-    Raises SupportTruncationError when the pump-axis edges still carry
-    more than 1e-3 of the peak amplitude.
+    The source sets the spans (see ``GridSpec``). RangeError when they
+    reach a non-positive frequency; NumericalError when the amplitude
+    integral is not positive and finite.
     """
     if grid is None:
         grid = GridSpec()
@@ -186,23 +177,19 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     omega_bar = omega_p / 2.0
     bw = source.bandwidth
 
-    s_half = grid.sum_half_width
-    if s_half is None:
-        s_half = SUM_SIGMA_FACTOR * bw
+    s_half = SUM_SIGMA_FACTOR * bw
 
     d_star = _ridge_offset(model, source, t)
-    d_half = grid.diff_half_width
-    if d_half is None:
-        # group-velocity walk-off sets the sinc lobe spacing along d
-        vg_h = group_velocity(model, "H", omega_bar + d_star / 2.0, t)
-        vg_v = group_velocity(model, "V", omega_bar - d_star / 2.0, t)
-        vg_p = group_velocity(model, "H", omega_p, t)
-        walkoff = abs(1.0 / vg_h - 1.0 / vg_v)
-        lobe_span = 4.0 * SINC_LOBES * np.pi / (walkoff * source.pdc_length)
-        # the ridge drifts along d as Sigma moves off the pump line
-        tilt = abs(2.0 * (1.0 / vg_p - (1.0 / vg_h + 1.0 / vg_v) / 2.0)
-                   / (1.0 / vg_h - 1.0 / vg_v))
-        d_half = abs(d_star) + lobe_span + tilt * s_half
+    # group-velocity walk-off sets the sinc lobe spacing along d
+    vg_h = group_velocity(model, "H", omega_bar + d_star / 2.0, t)
+    vg_v = group_velocity(model, "V", omega_bar - d_star / 2.0, t)
+    vg_p = group_velocity(model, "H", omega_p, t)
+    walkoff = abs(1.0 / vg_h - 1.0 / vg_v)
+    lobe_span = 4.0 * SINC_LOBES * np.pi / (walkoff * source.pdc_length)
+    # the ridge drifts along d as Sigma moves off the pump line
+    tilt = abs(2.0 * (1.0 / vg_p - (1.0 / vg_h + 1.0 / vg_v) / 2.0)
+               / (1.0 / vg_h - 1.0 / vg_v))
+    d_half = abs(d_star) + lobe_span + tilt * s_half
 
     sum_grid = np.linspace(omega_p - s_half, omega_p + s_half, grid.size_sum)
     diff_grid = np.linspace(-d_half, d_half, grid.size_diff)
@@ -217,8 +204,10 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
         omega_s = (sum_grid[rows, None] + diff_grid[None, :]) / 2.0
         omega_i = (sum_grid[rows, None] - diff_grid[None, :]) / 2.0
         if np.any(omega_i <= 0.0) or np.any(omega_s <= 0.0):
-            raise RangeError("difference-axis span reaches non-positive "
-                             "frequencies; narrow the grid")
+            raise RangeError(
+                f"difference-axis span reaches non-positive frequencies; "
+                f"it widens as pdc_length ({source.pdc_length} um) or "
+                f"pulse_duration ({source.pulse_duration} ps) shrinks")
         dk = pdc_mismatch(model, source.poling_period, omega_s, omega_i, t)
         u = dk * source.pdc_length / 2.0
         raw[rows] = envelope[rows, None] * np.sinc(u / np.pi) * np.exp(1j * u)
@@ -226,20 +215,12 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     mag2 = np.abs(raw)
     peak = float(np.max(mag2))
     edge = float(max(np.max(np.abs(raw[0, :])), np.max(np.abs(raw[-1, :]))))
-    if peak == 0.0 or edge > EDGE_FLOOR * peak:
-        needed = max(MIN_SUM_FACTOR * bw * 1.05, 2.0 * s_half)
-        raise SupportTruncationError(
-            f"sum-axis half width {s_half:.4g} rad/ps clips the pump "
-            f"envelope (edge/peak = {edge / peak if peak else np.inf:.2e}); "
-            f"use at least {needed:.4g} rad/ps",
-            suggested_half_width=needed)
-
     mag2 **= 2  # in place: the same floats, one full-grid array fewer
     mag2 *= _quadrature_weights(sum_grid, diff_grid)
     total = float(np.sum(mag2))
     del mag2
     if not np.isfinite(total) or total <= 0.0:
-        raise SupportTruncationError(
+        raise NumericalError(
             "amplitude integral is not positive and finite on this grid")
     c = 1.0 / np.sqrt(total)
     raw *= c

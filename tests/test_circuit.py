@@ -412,7 +412,7 @@ def test_public_api():
         "MarginalSpectra", "MaterialModel", "NetlistError", "NumericalError",
         "PhaseMatchError", "QpicError", "RangeError", "ScanResult",
         "SellmeierSet", "SourceSpec", "SpectralDensity",
-        "SupportTruncationError", "SweepPoint", "TemperaturePoint",
+        "SweepPoint", "TemperaturePoint",
         "TuningCurve", "ValidationError", "apply_imperfection", "bs_matrix",
         "build_jsa", "circuit", "cmt", "coincidence", "compose_sections",
         "conversion_fraction", "default_delay_values",

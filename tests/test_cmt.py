@@ -177,9 +177,10 @@ def test_peak_fwhm_needs_flanks():
     ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0]),
     ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0]),
     ([0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0]),
-], ids=["unsorted", "repeated", "nan", "inf", "lengths"])
+    ([], []),
+], ids=["unsorted", "repeated", "nan", "inf", "lengths", "empty"])
 def test_peak_fwhm_needs_increasing_finite_x(x, y):
-    # unsorted x gave a width of -0.5
+    # unsorted x gave a width of -0.5, no x numpy's argmax error
     with pytest.raises(qpic.ValidationError):
         peak_fwhm(x, y)
 
@@ -352,6 +353,29 @@ def test_pbs_angles_from_fit():
     r_v = splitting_ratio(fit, 500.0, "V")
     assert math.sin(alpha) ** 2 == pytest.approx(1.0 - r_h, abs=1e-12)
     assert math.sin(beta) ** 2 == pytest.approx(1.0 - r_v, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["beat_te", "offset_te", "beat_tm",
+                                   "offset_tm"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_coupler_fit_rejects_non_finite(field, value):
+    # only beats <= 0 were rejected: a NaN beat or offset passed
+    values = dict(beat_te=900.0, offset_te=450.0, beat_tm=850.0,
+                  offset_tm=530.0)
+    with pytest.raises(qpic.RangeError, match="must be finite"):
+        CouplerFit(**{**values, field: value})
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf, [500.0, np.nan]])
+def test_coupler_length_must_be_finite(length):
+    # both gave NaN with a RuntimeWarning
+    fit = CouplerFit(beat_te=900.0, offset_te=450.0,
+                     beat_tm=850.0, offset_tm=530.0)
+    with pytest.raises(qpic.RangeError, match="must be finite"):
+        splitting_ratio(fit, length, "H")
+    if np.ndim(length) == 0:
+        with pytest.raises(qpic.RangeError, match="must be finite"):
+            pbs_angles(fit, length)
 
 
 def test_coupler_fit_roundtrip(tmp_path):

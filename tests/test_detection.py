@@ -914,6 +914,20 @@ def _scan_on(walker, monkeypatch, *args):
         return hom_scan(*args).probabilities
 
 
+def _scan_fits(monkeypatch, *args):
+    """hom_scan's probabilities and what each of its ``_fit`` calls
+    returned (None for a refused panel)."""
+    fit, fitted = detection._fit, []
+
+    def recording(*fit_args):
+        fitted.append(fit(*fit_args))
+        return fitted[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(detection, "_fit", recording)
+        return hom_scan(*args).probabilities, fitted
+
+
 @pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
 def test_nodes_are_no_farther_from_extended_oracle(chip, jsa_tiny, pbs_error,
                                                    monkeypatch):
@@ -952,13 +966,6 @@ def test_panels_match_row_walk(chip, tau, grid, chunk_rows, monkeypatch):
     monkeypatch.setattr(detection, "CHUNK_POINTS", chunk_rows * grid[1])
     source = dataclasses.replace(chip.source, pulse_duration=tau)
     jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
-    fit = detection._fit
-    fitted = []  # the fits of one scan
-
-    def recording(*args):
-        fitted.append(fit(*args))
-        return fitted[-1]
-
     omega = (jsa.sum_grid[:, None] + jsa.diff_grid) / 2.0
     length = 30000.0 + np.max(np.abs(DELAYS))  # the bundled chip's fp
     double, exact = (table(chip.model, omega, chip.temperature)
@@ -974,14 +981,32 @@ def test_panels_match_row_walk(chip, tau, grid, chunk_rows, monkeypatch):
         for query in (CoincidenceQuery(), INSENSITIVE):
             args = (jsa, leaky, DELAYS, query)
             rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
-            fitted.clear()
-            with monkeypatch.context() as m:
-                m.setattr(detection, "_fit", recording)
-                nodes = hom_scan(*args).probabilities
+            nodes, fitted = _scan_fits(monkeypatch, *args)
             assert sum(f is not None for f in fitted) \
                 >= {1000.0: 1, 100.0: 8, 10.0: 80}[tau]
             assert np.max(np.abs(nodes - rows)) <= bound
             assert not np.array_equal(nodes, rows)
+
+
+@pytest.mark.parametrize("tau, grid, chunk_rows, panels", [
+    (1000.0, (64, 64), 10, 1), (100.0, (256, 64), 16, 8),
+], ids=["1000ps", "100ps"])
+def test_refused_panels_walk_their_rows(chip, tau, grid, chunk_rows, panels,
+                                        monkeypatch):
+    """With every fit refused (TAIL = -1), as where np.longdouble is
+    float64, each panel of the grids of test_panels_match_row_walk costs
+    one fit and its chunks are walked on their rows: the probabilities
+    are the row walk's bit for bit."""
+    monkeypatch.setattr(detection, "CHUNK_POINTS", chunk_rows * grid[1])
+    monkeypatch.setattr(detection, "TAIL", -1.0)
+    source = dataclasses.replace(chip.source, pulse_duration=tau)
+    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
+    for query in (CoincidenceQuery(), INSENSITIVE):
+        args = (jsa, chip, DELAYS, query)
+        nodes, fitted = _scan_fits(monkeypatch, *args)
+        assert len(fitted) == panels and all(f is None for f in fitted)
+        np.testing.assert_array_equal(
+            nodes, _scan_on(oracles.row_walk(), monkeypatch, *args))
 
 
 @pytest.mark.parametrize("grid", [64, 512])
@@ -1000,30 +1025,18 @@ def test_short_pump_is_the_row_walk(chip, grid, monkeypatch):
             _scan_on(oracles.row_walk(), monkeypatch, *args))
 
 
-def test_tail_test_splits_panels(chip, jsa_tiny, monkeypatch):
+def test_tail_test_refuses_panel(chip, jsa_tiny, monkeypatch):
     """Four nodes cannot follow the 1.4 rad turn of the bundled chip: the
-    panel fails the tail test, its halves fail it down to single chunks,
-    and every chunk is walked on its rows, so the scan is the row walk's
-    bit for bit. Used without the test, the same panels move the
-    probabilities by far more than any rounding."""
+    one panel fails the tail test and every chunk is walked on its rows,
+    so the scan is the row walk's bit for bit. Used without the test, the
+    same panel moves the probabilities by far more than any rounding."""
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     monkeypatch.setattr(detection, "NODES", 4)
-    fit = detection._fit
-    spans = []
-
-    def recording(spec, fields_of, centre, half, diff_grid):
-        result = fit(spec, fields_of, centre, half, diff_grid)
-        spans.append((half, result is None))
-        return result
-
-    monkeypatch.setattr(detection, "_fit", recording)
     args = (jsa_tiny, chip, DELAYS, INSENSITIVE)
     rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
-    np.testing.assert_array_equal(hom_scan(*args).probabilities, rows)
-    # the whole grid, its halves, ... down to the first 6 chunks, each
-    # refused; the last chunk's 4 rows are its own nodes
-    assert len(spans) == 12 and all(failed for _, failed in spans)
-    assert spans[0][0] > spans[1][0] > spans[2][0]
+    nodes, fitted = _scan_fits(monkeypatch, *args)
+    np.testing.assert_array_equal(nodes, rows)
+    assert fitted == [None]
     monkeypatch.setattr(detection, "TAIL", np.inf)
     monkeypatch.setattr(detection, "_check_probability", float)
     assert np.max(np.abs(hom_scan(*args).probabilities - rows)) > 1e-6

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qpic
+from qpic.cli import _read_ratio_csv, main
 from qpic.keyfile import read_blocks
 from tests.conftest import bundled
 
@@ -96,3 +97,59 @@ def test_readme_python_blocks_run(monkeypatch, capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+# each file reader: the name its errors give the file, and the commands
+# that read one (no command loads a coupler fit)
+READERS = {
+    "netlist": (qpic.parse_netlist,
+                [["hom", "--grid", "32", "--points", "3", "--netlist"]]),
+    "material file": (qpic.load_material, [["tuning", "--material"],
+                                           ["pc-window", "--material"]]),
+    "coupler fit": (qpic.load_coupler_fit, []),
+    "ratio table": (_read_ratio_csv, [["coupler-fit", "--te"]]),
+}
+
+
+def _unreadable(tmp_path, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":  # not UTF-8
+        path.write_bytes(b"\x7fELF\x02\x80\xff\x00\n")
+    return path
+
+
+def assert_exits_two(tmp_path, capsys, argv, path):
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+@pytest.mark.parametrize("what", list(READERS))
+def test_unreadable_file_is_a_validation_error(tmp_path, capsys, what, kind):
+    # a directory or a non-UTF-8 file gave IsADirectoryError or
+    # UnicodeDecodeError, and exit 1 with a traceback
+    read, commands = READERS[what]
+    path = _unreadable(tmp_path, kind)
+    with pytest.raises(qpic.ValidationError,
+                       match=re.escape(f"cannot read {what} {path}: ")):
+        read(path)
+    for argv in commands:
+        assert_exits_two(tmp_path, capsys, [*argv, str(path)], path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_netlist_material(tmp_path, capsys, kind):
+    material = _unreadable(tmp_path, kind)
+    netlist = tmp_path / "chip.net"
+    netlist.write_text(bundled("ideal_chip.net").read_text().replace(
+        "file = linbo3.material", f"file = {kind}"))
+    message = f"cannot read material file {material}: "
+    with pytest.raises(qpic.ValidationError, match=re.escape(message)):
+        qpic.parse_netlist(netlist)
+    assert_exits_two(tmp_path, capsys, READERS["netlist"][1][0]
+                     + [str(netlist)], material)

@@ -9,7 +9,7 @@ import pytest
 import qpic
 from qpic import source
 from qpic.dispersion import pdc_mismatch
-from qpic.source import (EDGE_FLOOR, GridSpec, SourceSpec, _quadrature_weights,
+from qpic.source import (GridSpec, SourceSpec, _quadrature_weights,
                          _ridge_offset, _trapezoid_weights, build_jsa,
                          jsa_exchange_asymmetry, marginal_spectra)
 
@@ -92,38 +92,29 @@ def test_edge_peak_ratio_recorded(jsa_medium):
     edge = max(np.max(mag[0, :]), np.max(mag[-1, :]))
     ratio = jsa_medium.meta["edge_peak_ratio"]
     assert ratio == pytest.approx(edge / np.max(mag), rel=1e-12)
-    assert ratio < EDGE_FLOOR
+    assert ratio < 1e-3
 
 
-def _whole_grid_error(chip, grid):
-    # the error of evaluating the mismatch on the whole grid at once
-    omega_p = chip.source.omega_pump
-    s_half = source.SUM_SIGMA_FACTOR * chip.source.bandwidth
-    s = np.linspace(omega_p - s_half, omega_p + s_half, grid.size_sum)
-    d = np.linspace(-grid.diff_half_width, grid.diff_half_width,
-                    grid.size_diff)
-    d = 0.5 * (d - d[::-1])
-    with pytest.raises(qpic.RangeError) as info:
-        pdc_mismatch(chip.model, chip.source.poling_period,
-                     (s[:, None] + d) / 2.0, (s[:, None] - d) / 2.0)
-    return str(info.value)
-
-
-@pytest.mark.parametrize("half_width, message", [
-    (3000.0, "difference-axis span reaches non-positive frequencies; "
-             "narrow the grid"),
-    (600.0, None),  # signal and idler beyond 2 um: the whole-grid message
+@pytest.mark.parametrize("pdc_length, message", [
+    (50.0, "difference-axis span reaches non-positive frequencies; it "
+           "widens as pdc_length (50.0 um) or pulse_duration (1000.0 ps) "
+           "shrinks"),
+    (100.0, "wavelength 6.5"),  # signal and idler beyond 2 um
 ], ids=["non-positive", "sellmeier-box"])
-def test_grid_errors_raised_from_row_blocks(chip, monkeypatch, half_width,
+def test_grid_errors_raised_from_row_blocks(chip, monkeypatch, pdc_length,
                                             message):
-    monkeypatch.setattr(source, "CHUNK_POINTS", 4 * 64, raising=False)
-    grid = GridSpec(64, 64, diff_half_width=half_width)
-    if message is None:
-        message = _whole_grid_error(chip, grid)
-        assert "um outside validity range [0.4, 2.0] um" in message
-    with pytest.raises(qpic.RangeError) as info:
-        build_jsa(chip.model, chip.source, grid)
-    assert str(info.value) == message
+    """A short poled section widens the difference axis past what the
+    model covers; blocks of 4 rows raise the error of one block of the
+    whole grid."""
+    spec = dataclasses.replace(chip.source, pdc_length=pdc_length)
+    errors = []
+    for rows in (4, 64):
+        monkeypatch.setattr(source, "CHUNK_POINTS", rows * 64)
+        with pytest.raises(qpic.RangeError) as info:
+            build_jsa(chip.model, spec, GridSpec(64, 64))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(message)
 
 
 def test_peak_sits_on_phase_matching_ridge(jsa_medium):
@@ -205,14 +196,6 @@ def test_long_waveguide_marginal_below_nanometre(chip):
     assert width_nm < 1.0
 
 
-def test_truncated_support_raises(chip):
-    grid = GridSpec(128, 128, sum_half_width=0.002)
-    with pytest.raises(qpic.SupportTruncationError) as info:
-        build_jsa(chip.model, chip.source, grid)
-    assert info.value.suggested_half_width is not None
-    assert info.value.suggested_half_width > 0.002
-
-
 def test_ridge_not_found_warns_and_centres_on_zero(chip):
     spec = dataclasses.replace(chip.source, poling_period=5.0)
     with pytest.warns(UserWarning, match="ridge not found"):
@@ -254,7 +237,7 @@ def test_source_spec_range_checks(chip, field, value, message):
                                    "poling_period"])
 def test_source_spec_rejects_infinite(chip, field, monkeypatch):
     # an infinite duration or length reached build_jsa, which warned and
-    # raised SupportTruncationError; an infinite period gave no grating
+    # raised a numerical error; an infinite period gave no grating
     def no_jsa(*args, **kwargs):
         raise AssertionError("JSA built from a non-finite source")
 
