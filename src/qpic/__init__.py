@@ -11,8 +11,8 @@ from .circuit import (CircuitSpec, ElementDecl, element_matrices,
 from .cmt import (CouplerFit, compose_sections, conversion_fraction,
                   fit_coupler, load_coupler_fit, pbs_angles, pc_spectrum,
                   peak_fwhm, save_coupler_fit, splitting_ratio, switch_map)
-from .detection import (CoincidenceQuery, ScanResult, SweepPoint,
-                        TemperaturePoint, apply_imperfection, coincidence,
+from .detection import (ScanResult, SweepPoint, TemperaturePoint,
+                        apply_imperfection, coincidence,
                         default_delay_values, hom_scan, imperfection_sweep,
                         temperature_scan)
 from .dispersion import (C_UM_PS, MaterialModel, SellmeierSet,

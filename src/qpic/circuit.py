@@ -101,6 +101,13 @@ class CircuitSpec:
     def with_elements(self, elements) -> "CircuitSpec":
         return replace(self, elements=tuple(elements))
 
+    def index_of(self, kind: str) -> int:
+        """Index of the first element of ``kind``; ValidationError if none."""
+        for i, decl in enumerate(self.elements):
+            if decl.kind == kind:
+                return i
+        raise ValidationError(f"circuit has no '{kind}' element")
+
 
 def build_element(decl: ElementDecl) -> el.ElementMatrix:
     """Instantiate the factory of one declaration; ValidationError for an
@@ -205,11 +212,8 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
             temperature = _check_temperature(keyfile.number(entry))
     if "file" in material:
         ref, refline, _ = material["file"]
-        path = Path(base_dir or ".") / ref
-        if not path.exists():
-            raise NetlistError(f"material file not found: {path}",
-                               line=refline)
-        model = load_material(path)
+        with keyfile.at_line(refline):
+            model = load_material(Path(base_dir or ".") / ref)
     else:
         model = default_material()
 

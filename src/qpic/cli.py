@@ -1,15 +1,17 @@
 """Command line interface.
 
-Each ``cmd_*`` function validates its options, computes, and returns an
-``Artifacts``: its tables as ``(name, header, columns)``, a result
-summary, the input files it read and the axis labels of its plot. Only
-``_emit`` writes. It creates the output directory, writes every table as
-``<name>.csv`` (RFC 4180, CRLF, 12 significant digits), the gnuplot script
-of the first table when ``--gnuplot-script`` is given, ``coupler_fit.txt``
-for a coupler fit, and last the strict-JSON manifest (inputs with
-checksums, a bundled one as ``qpic/data/<name>``, package versions, a
-configuration echo and the summary). An invalid input therefore leaves no
-file behind. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Each ``cmd_*`` function passes its options to the library, which checks
+them (a command checks only what numpy or a division meets first), and
+returns an ``Artifacts``: its tables as ``(name, header, columns)``, a
+result summary, the input files it read and the axis labels of its plot.
+Only ``_emit`` writes. It creates the output directory, writes every
+table as ``<name>.csv`` (RFC 4180, CRLF, 12 significant digits), the
+gnuplot script of the first table when ``--gnuplot-script`` is given,
+``coupler_fit.txt`` for a coupler fit, and last the strict-JSON manifest
+(inputs with checksums, a bundled one as ``qpic/data/<name>``, package
+versions, a configuration echo and the summary). An invalid input
+therefore leaves no file behind. Exit codes: 0 success, 2 invalid input,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from . import __version__
 from .circuit import CircuitSpec, parse_netlist
 from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
     peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
-from .detection import (DEFAULT_DELAY_SPAN, CoincidenceQuery, hom_scan,
-                        imperfection_sweep, temperature_scan)
+from .detection import (DEFAULT_DELAY_SPAN, IMPERFECTION_TARGETS, QUERIES,
+                        hom_scan, imperfection_sweep, temperature_scan)
 from .dispersion import (DATA_DIR, MaterialModel, default_material,
                          degenerate_wavelength, load_material,
                          pc_matched_wavelength, tuning_curve)
@@ -166,24 +168,21 @@ def _float_list(text: str, option: str) -> list[float]:
     return values
 
 
-def _input_path(value, bundled: str, what: str) -> Path:
-    """The existing file an option names, or the bundled default."""
+def _input_path(value, bundled: str) -> Path:
+    """The file an option names, or the bundled default."""
     if not value:
         return DATA_DIR / bundled
-    path = Path(value)
-    if not path.exists():
-        raise ValidationError(f"{what} not found: {path}")
-    return path
+    return Path(value)
 
 
 def _load_model(args) -> tuple[MaterialModel, list]:
-    path = _input_path(args.material, "linbo3.material", "material file")
+    path = _input_path(args.material, "linbo3.material")
     return (load_material(path) if args.material else default_material(),
             [path])
 
 
 def _load_chip(args) -> tuple[CircuitSpec, Path]:
-    path = _input_path(args.netlist, "ideal_chip.net", "netlist")
+    path = _input_path(args.netlist, "ideal_chip.net")
     spec = parse_netlist(path)
     if args.temperature is not None:
         spec = spec.at_temperature(args.temperature)
@@ -198,12 +197,7 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
 
     pc_length, pc_kappa_arg = args.pc_length, args.pc_kappa
     if pc_length is not None or pc_kappa_arg is not None:
-        pc_indices = [i for i, d in enumerate(spec.elements)
-                      if d.kind == "pc"]
-        if not pc_indices:
-            raise ValidationError("netlist has no 'pc' element to override")
-        i = pc_indices[0]
-        decl = spec.elements[i]
+        i = spec.index_of("pc")
         updates = {}
         if pc_length is not None:
             if not pc_length > 0.0:
@@ -214,23 +208,9 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
         if pc_kappa_arg is not None:
             updates["kappa"] = pc_kappa_arg
         elements = list(spec.elements)
-        elements[i] = decl.with_params(**updates)
+        elements[i] = spec.elements[i].with_params(**updates)
         spec = spec.with_elements(elements)
     return spec, path
-
-
-def _grid_from(args) -> GridSpec:
-    n = args.grid
-    if n < 3:
-        raise ValidationError(f"--grid must be >= 3, got {n}")
-    return GridSpec(size_sum=n, size_diff=n)
-
-
-def _query_from(args) -> CoincidenceQuery:
-    label = args.pol
-    if label == "insensitive":
-        return CoincidenceQuery(insensitive=True)
-    return CoincidenceQuery(pol_b=label[0], pol_c=label[1])
 
 
 def _temperatures_from(args) -> np.ndarray:
@@ -280,7 +260,7 @@ def cmd_tuning(args) -> Artifacts:
 
 def cmd_jsa(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+    jsa = build_jsa(spec.model, spec.source, GridSpec(args.grid, args.grid),
                     temperature=spec.temperature)
     marginals = marginal_spectra(jsa)
     signal, idler = marginals.signal, marginals.idler
@@ -319,9 +299,9 @@ _SCAN_HEADER = ["delta_l_um", "coincidence_probability"]
 
 def cmd_hom(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+    jsa = build_jsa(spec.model, spec.source, GridSpec(args.grid, args.grid),
                     temperature=spec.temperature)
-    scan = hom_scan(jsa, spec, _delays_from(args), _query_from(args))
+    scan = hom_scan(jsa, spec, _delays_from(args), args.pol)
     summary = {"visibility": scan.visibility, "minimum": scan.minimum,
                "maximum": scan.maximum, "baseline": scan.baseline,
                "dip_position_um": scan.dip_position,
@@ -336,10 +316,10 @@ def cmd_hom(args) -> Artifacts:
 def cmd_sweep(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     fractions = _float_list(args.fractions, "--fractions")
-    jsa = build_jsa(spec.model, spec.source, _grid_from(args),
+    jsa = build_jsa(spec.model, spec.source, GridSpec(args.grid, args.grid),
                     temperature=spec.temperature)
     points = imperfection_sweep(jsa, spec, args.element, fractions,
-                                _delays_from(args), _query_from(args))
+                                _delays_from(args), args.pol)
     rows = [(p.fraction, p.scan.visibility, p.scan.minimum, p.scan.maximum,
              p.scan.baseline, p.scan.dip_position) for p in points]
     tables = [("sweep_summary",
@@ -427,8 +407,8 @@ def _read_ratio_csv(path: Path):
 
 
 def cmd_coupler_fit(args) -> Artifacts:
-    te_path = _input_path(args.te, "coupler_ratios_te.csv", "ratio table")
-    tm_path = _input_path(args.tm, "coupler_ratios_tm.csv", "ratio table")
+    te_path = _input_path(args.te, "coupler_ratios_te.csv")
+    tm_path = _input_path(args.tm, "coupler_ratios_tm.csv")
     fit = fit_coupler(*_read_ratio_csv(te_path), *_read_ratio_csv(tm_path))
     alpha, beta = pbs_angles(fit, args.length)
     summary = {
@@ -446,8 +426,8 @@ def cmd_temp_scan(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     temps = (_float_list(args.temperatures, "--temperatures")
              if args.temperatures else list(_temperatures_from(args)))
-    points = temperature_scan(spec, temps, _delays_from(args),
-                              _query_from(args), _grid_from(args))
+    points = temperature_scan(spec, temps, _delays_from(args), args.pol,
+                              GridSpec(args.grid, args.grid))
     rows = [(p.temperature, p.scan.visibility, p.scan.minimum, p.scan.baseline,
              p.scan.dip_position, p.signal_peak, p.idler_peak,
              p.window_centre, p.signal_fwhm, p.window_fwhm,
@@ -475,7 +455,7 @@ def _add_common(p, plots=True):
                        help="also write a gnuplot script for the main CSV")
 
 
-def _add_chip_options(p, grid_default=512):
+def _add_chip_options(p):
     p.add_argument("--netlist", default=None,
                    help="chip netlist (default: bundled reference chip)")
     p.add_argument("--temperature", type=_finite, default=None,
@@ -493,8 +473,8 @@ def _add_chip_options(p, grid_default=512):
                         "reset to pi/(2 length) unless --pc-kappa is given")
     p.add_argument("--pc-kappa", type=_finite, default=None,
                    help="override the converter coupling (rad/um)")
-    p.add_argument("--grid", type=int, default=grid_default,
-                   help=f"points per grid axis (default {grid_default})")
+    p.add_argument("--grid", type=int, default=512,
+                   help="points per grid axis (default 512)")
 
 
 def _add_scan_options(p, points_default=105):
@@ -504,8 +484,7 @@ def _add_scan_options(p, points_default=105):
                    help="last delay length (um)")
     p.add_argument("--points", type=int, default=points_default,
                    help=f"number of delay samples (default {points_default})")
-    p.add_argument("--pol", default="VV",
-                   choices=["HH", "HV", "VH", "VV", "insensitive"],
+    p.add_argument("--pol", default="VV", choices=QUERIES,
                    help="detector polarisation pairing (default VV)")
 
 
@@ -551,8 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_chip_options(p)
     _add_scan_options(p, points_default=41)
-    p.add_argument("--element", required=True,
-                   choices=["bs", "pbs", "pbs-one-pol", "pc"])
+    p.add_argument("--element", required=True, choices=IMPERFECTION_TARGETS)
     p.add_argument("--fractions", default="0,0.25,0.5,0.75,1",
                    help="comma separated imperfection fractions")
     p.add_argument("--full-scans", action="store_true",

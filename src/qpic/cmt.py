@@ -21,6 +21,7 @@ written out as an independent reference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,14 +96,20 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
     Equals (kappa/s)^2 sin^2(s L) with the wavelength-dependent mismatch
     of the conversion grating.
     """
-    if not (np.isfinite(length) and length > 0.0):
-        raise RangeError(f"section length {length} um must be finite and > 0")
-    if not (np.isfinite(kappa) and kappa >= 0.0):
-        raise RangeError(f"coupling {kappa} rad/um must be finite and >= 0")
+    _check_section(length, kappa)
     lam = np.asarray(wavelength, dtype=float)
     dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
     frac = _core_terms(kappa, dk, length)[2] ** 2
     return frac if lam.ndim else float(frac)
+
+
+def _check_section(length, kappa):
+    """RangeError unless the section length is finite and > 0 and the
+    coupling finite and >= 0."""
+    if not (np.isfinite(length) and length > 0.0):
+        raise RangeError(f"section length {length} um must be finite and > 0")
+    if not (np.isfinite(kappa) and kappa >= 0.0):
+        raise RangeError(f"coupling {kappa} rad/um must be finite and >= 0")
 
 
 def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
@@ -112,10 +119,14 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
 
     Returns (wavelengths, fraction). When no wavelength grid is given, one
     is centred on the matched wavelength and spans four times the
-    estimated sinc width on each side; RangeError when that window leaves
-    the material's validity range (a converter too short for its window).
+    estimated sinc width on each side in ``n_points`` (an int >= 3);
+    RangeError when that window leaves the material's validity range (a
+    converter too short for its window).
     """
+    _check_section(length, kappa)
     if wavelengths is None:
+        if not isinstance(n_points, numbers.Integral) or n_points < 3:
+            raise ValidationError(f"n_points {n_points!r} is not an int >= 3")
         centre = pc_matched_wavelength(model, poling_period, temperature)
         # FWHM of sin^2(dk L / 2)/..: dk L spans ~ 5.57 rad across half max
         h = centre * 1e-4
@@ -192,8 +203,8 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
 
     Returns an array of shape (len(u1), len(u2)) with the power staying in
     the launch channel after sections driven at u1 then u2. The coupler
-    takes the range checks of an 'eobs' element; any other non-finite
-    input raises ValidationError.
+    takes the range checks of an 'eobs' element; voltages not 1-D or any
+    other non-finite input raise ValidationError.
     """
     from .elements import EO_BS_DBETA_PER_VOLT  # local to avoid a cycle
     _check_coupler("switch map", kappa_c, half_length)
@@ -206,6 +217,8 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
                          ("dbeta_per_volt", dbeta_per_volt)):
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"switch map: {label} must be finite")
+    if u1.ndim != 1 or u2.ndim != 1:
+        raise ValidationError("switch map: u1 and u2 must be 1-D")
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)

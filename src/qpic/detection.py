@@ -86,6 +86,7 @@ A 1000 ps pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,25 +109,9 @@ TURN = 2.0  # rad, the phase turn over a panel that NODES nodes resolve
 # entry is at most 1 (fields of a unitary chip, and k - k0 ~ 1e-5)
 TAIL = 1e-13
 
-POLARISATIONS = ("H", "V")
-
-
-@dataclass(frozen=True)
-class CoincidenceQuery:
-    """Which coincidence to score: detector-b and detector-c polarisation,
-    or the polarisation-insensitive sum over all four combinations."""
-
-    pol_b: str = "V"
-    pol_c: str = "V"
-    insensitive: bool = False
-
-    def __post_init__(self):
-        if not self.insensitive:
-            if self.pol_b not in POLARISATIONS or \
-                    self.pol_c not in POLARISATIONS:
-                raise ValidationError(
-                    "query polarisations must be 'H' or 'V', got "
-                    f"({self.pol_b!r}, {self.pol_c!r})")
+# which coincidence to score: the polarisations at detectors b and c, or
+# the polarisation-insensitive sum over the four of them
+QUERIES = ("HH", "HV", "VH", "VV", "insensitive")
 
 
 def _check_probability(p: float) -> float:
@@ -137,11 +122,13 @@ def _check_probability(p: float) -> float:
     return float(p)
 
 
-def _query_pairs(query: CoincidenceQuery) -> list:
-    """(mode at b, mode at c) of every pairing the query sums."""
-    pols = [(pb, pc) for pb in POLARISATIONS for pc in POLARISATIONS] \
-        if query.insensitive else [(query.pol_b, query.pol_c)]
-    return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in pols]
+def _query_pairs(query: str) -> list:
+    """(mode at b, mode at c) of every pairing the query sums;
+    ValidationError for a label not in QUERIES."""
+    if not (isinstance(query, str) and query in QUERIES):
+        raise ValidationError(f"query {query!r} not one of {QUERIES}")
+    labels = QUERIES[:4] if query == "insensitive" else [query]
+    return [(mode_index(1, pb), mode_index(2, pc)) for pb, pc in labels]
 
 
 def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
@@ -214,18 +201,16 @@ def _each(fn, fields):
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
-                query: CoincidenceQuery | None = None) -> float:
-    """Coincidence probability of one detector polarisation pairing: the
+                query: str = "VV") -> float:
+    """Coincidence probability of the ``query``, a label of QUERIES: the
     C of ``_moments``, chunk by chunk, on the walk of the whole chain."""
-    if query is None:
-        query = CoincidenceQuery()
+    pairs = _query_pairs(query)
     chain = element_matrices(spec)
 
     def fields_of(phases):  # each live entry is a field with no phasor
         return [[{} if e is None else {(0, 0): e} for e in entries]
                 for entries in walk(chain, CHANNEL1_INPUTS, phases)]
 
-    pairs = _query_pairs(query)
     total = 0.0
     for rows, fields, k in _chip_on_nodes(jsa, spec, fields_of):
         total += _moments(_weighted_amplitude(jsa, rows), fields, pairs)[0]
@@ -288,15 +273,27 @@ DEFAULT_DELAY_SPAN = (-1500.0, 3700.0)  # um, brackets the bundled chip dip
 
 
 def default_delay_values(n_points: int = 105) -> np.ndarray:
+    """``n_points`` delays, an integer >= 3, over DEFAULT_DELAY_SPAN."""
+    if not isinstance(n_points, numbers.Integral) or n_points < 3:
+        raise ValidationError(f"n_points {n_points!r} is not an int >= 3")
     return np.linspace(*DEFAULT_DELAY_SPAN, n_points)
 
 
+def _values(values, least: int, message: str) -> np.ndarray:
+    """``values`` as a 1-D float array of at least ``least`` entries;
+    ValidationError(``message``) otherwise."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{message}, got {values!r}") from None
+    if a.ndim != 1 or a.size < least:
+        raise ValidationError(f"{message}, got shape {a.shape}")
+    return a
+
+
 def _check_delays(delay_values) -> np.ndarray:
-    d = np.asarray(delay_values, dtype=float)
-    if d.ndim != 1 or d.size < 3:
-        raise ValidationError(
-            "delay values must be a 1-D array of at least 3 points, got "
-            f"shape {d.shape}")
+    d = _values(delay_values, 3, "delay values must be a 1-D list of at "
+                "least 3 numbers")
     if not np.all(np.isfinite(d)):
         raise ValidationError("delay values must be finite")
     if not np.all(np.diff(d) > 0.0):
@@ -433,8 +430,9 @@ class _Block:
 
 
 def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
-             query: CoincidenceQuery | None = None) -> ScanResult:
-    """Coincidence probability versus channel-2 length detuning.
+             query: str = "VV") -> ScanResult:
+    """Coincidence probability of the ``query``, a label of QUERIES,
+    versus channel-2 length detuning.
 
     The scanned element is the second 'fp' pair of straights; each delay
     value adds to its channel-2 length, so the offset where both arms
@@ -449,8 +447,6 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     adds its rows to each exponent's open block. A block closed by a row
     past the rho cap gives every delay.
     """
-    if query is None:
-        query = CoincidenceQuery()
     delay_values = _check_delays(delay_values)
     idx = _scanned_fp(spec, delay_values)
     pairs = _query_pairs(query)
@@ -528,13 +524,6 @@ class SweepPoint:
 IMPERFECTION_TARGETS = ("bs", "pbs", "pbs-one-pol", "pc")
 
 
-def _first_declaration(spec: CircuitSpec, kind: str) -> int:
-    for i, decl in enumerate(spec.elements):
-        if decl.kind == kind:
-            return i
-    raise ValidationError(f"circuit has no '{kind}' element")
-
-
 def apply_imperfection(spec: CircuitSpec, target: str,
                        fraction: float) -> CircuitSpec:
     """Scale one element away from its ideal setting by ``fraction``.
@@ -553,21 +542,21 @@ def apply_imperfection(spec: CircuitSpec, target: str,
     scale = 1.0 - fraction
     elements = list(spec.elements)
     if target == "bs":
-        i = _first_declaration(spec, "bs")
+        i = spec.index_of("bs")
         ideal = np.pi / 4.0
         elements[i] = elements[i].with_params(theta=scale * ideal,
                                               xi=scale * ideal)
     elif target == "pbs":
-        i = _first_declaration(spec, "pbs")
+        i = spec.index_of("pbs")
         ideal = np.pi / 2.0
         elements[i] = elements[i].with_params(alpha=scale * ideal,
                                               beta=scale * ideal)
     elif target == "pbs-one-pol":
-        i = _first_declaration(spec, "pbs")
+        i = spec.index_of("pbs")
         ideal = np.pi / 2.0
         elements[i] = elements[i].with_params(alpha=scale * ideal)
     else:  # pc
-        i = _first_declaration(spec, "pc")
+        i = spec.index_of("pc")
         length = spec.elements[i].params["length"]
         elements[i] = elements[i].with_params(
             kappa=scale * np.pi / (2.0 * length))
@@ -576,15 +565,13 @@ def apply_imperfection(spec: CircuitSpec, target: str,
 
 def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                        target: str, fractions, delay_values=None,
-                       query: CoincidenceQuery | None = None):
+                       query: str = "VV"):
     """Delay scans for a family of single-element imperfections; at least
     one fraction (ValidationError)."""
     if delay_values is None:
         delay_values = default_delay_values(41)
-    fractions = [float(f) for f in np.asarray(fractions, dtype=float)]
-    if not fractions:
-        raise ValidationError("imperfection sweep needs at least one "
-                              "fraction")
+    fractions = _values(fractions, 1, "imperfection sweep needs at least "
+                        "one fraction, as a 1-D list of numbers").tolist()
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
     return [SweepPoint(fraction, hom_scan(jsa, chip, delay_values, query))
@@ -606,8 +593,7 @@ class TemperaturePoint:
 
 
 def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
-                     query: CoincidenceQuery | None = None,
-                     grid: GridSpec | None = None):
+                     query: str = "VV", grid: GridSpec | None = None):
     """Re-derive source and chip at each temperature and scan the dip.
 
     The circuit must carry a [source] section and a 'pc' element; the
@@ -621,11 +607,10 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         delay_values = default_delay_values(41)
     delay_values = _check_delays(delay_values)
     _scanned_fp(spec, delay_values)  # before any grid work
-    temperatures = np.asarray(temperatures, dtype=float)
-    if temperatures.ndim != 1 or temperatures.size == 0:
-        raise ValidationError("temperatures must be a non-empty 1-D list")
-    pc_params = spec.elements[_first_declaration(spec, "pc")].params
-    temperatures = temperatures.tolist()
+    _query_pairs(query)
+    temperatures = _values(temperatures, 1, "temperatures must be a "
+                           "non-empty 1-D list of numbers").tolist()
+    pc_params = spec.elements[spec.index_of("pc")].params
     # every converter window before any grid work
     windows = []
     for t in temperatures:

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 import qpic
 from qpic.cmt import compose_sections, pc_spectrum, peak_fwhm
-from qpic.detection import CoincidenceQuery, apply_imperfection
+from qpic.detection import apply_imperfection
 from tests import oracles
 from tests.conftest import bundled, walked
 
@@ -165,7 +165,7 @@ def test_criterion_4_pc_length():
 def test_criterion_5_imperfections():
     chip = the_chip()
     jsa = jsa_1ns()
-    insensitive = CoincidenceQuery(insensitive=True)
+    insensitive = "insensitive"
 
     # with the recombining splitter removed the photons are guaranteed to
     # separate, so any-polarisation coincidence must sit at exactly one

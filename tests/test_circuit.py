@@ -255,6 +255,15 @@ def test_material_section_file(tmp_path, model):
     assert spec.model.name == model.name
 
 
+def test_missing_material_file_names_its_line(tmp_path):
+    net = tmp_path / "chip.net"
+    net.write_text("[material]\nfile = none.material\n" + MINIMAL)
+    material = tmp_path / "none.material"
+    with pytest.raises(NetlistError, match=re.escape(
+            f"{net}: line 2: cannot read material file {material}: ")):
+        qpic.parse_netlist(net)
+
+
 def test_material_temperature_out_of_range():
     # fp builds its phases lazily, so only the parser can catch this
     text = "[material]\ntemperature = 500\nelement fp\nl1 = 1\nl2 = 1\n"
@@ -407,7 +416,7 @@ def test_structural_zeros_stay_exact(chip):
 def test_public_api():
     # adding or removing an export is a deliberate edit of this list
     assert sorted(qpic.__all__) == [
-        "BASIS", "C_UM_PS", "CircuitSpec", "CoincidenceQuery", "CouplerFit",
+        "BASIS", "C_UM_PS", "CircuitSpec", "CouplerFit",
         "ElementDecl", "ElementMatrix", "GridSpec", "JointSpectralAmplitude",
         "MarginalSpectra", "MaterialModel", "NetlistError", "NumericalError",
         "PhaseMatchError", "QpicError", "RangeError", "ScanResult",

@@ -1,5 +1,6 @@
 """Command line interface: artifacts, formats, exit codes, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qpic
 from qpic import cli, cmt
 from qpic.cli import main
+from qpic.detection import IMPERFECTION_TARGETS, QUERIES
 
 FAST_HOM = ["--grid", "64", "--points", "9"]
 
@@ -466,19 +468,62 @@ def test_material_error_names_only_the_material(tmp_path, capsys):
     assert str(netlist) not in err
 
 
-def test_temp_scan_without_converter(tmp_path, capsys):
-    # the bundled chip without its pc: the scan has nothing to read the
-    # converter window from
+def _netlist_without_pc(tmp_path):
+    """The bundled chip without its pc."""
     text = (Path(qpic.__path__[0]) / "data" / "ideal_chip.net").read_text()
     blocks = text.replace("file = linbo3.material\n", "").split("\n\n")
     netlist = tmp_path / "no_pc.net"
     netlist.write_text("\n\n".join(b for b in blocks
                                     if not b.startswith("element pc")))
+    return netlist
+
+
+def test_temp_scan_without_converter(tmp_path, capsys):
+    # the scan has nothing to read the converter window from
+    netlist = _netlist_without_pc(tmp_path)
     out = tmp_path / "out"
     assert main(["temp-scan", "--netlist", str(netlist), "--grid", "32",
                  "--points", "3", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: circuit has no 'pc' element\n"
     assert not out.exists()
+
+
+def test_pc_override_without_converter(tmp_path, capsys):
+    netlist = _netlist_without_pc(tmp_path)
+    out = tmp_path / "out"
+    assert main(["hom", "--netlist", str(netlist), "--pc-length", "2000",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: circuit has no 'pc' element\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("netlist", ["hom", "--netlist"]),
+    ("material file", ["tuning", "--material"]),
+    ("ratio table", ["coupler-fit", "--te"]),
+], ids=["netlist", "material", "ratio-table"])
+def test_missing_input_has_the_reader_message(tmp_path, capsys, what, argv):
+    # one message for a missing file, the library's, not a second CLI one
+    path = tmp_path / "missing"
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {what} {path}: ")
+    assert not out.exists()
+
+
+def test_choices_are_the_library_vocabulary():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, dest):
+        return next(tuple(a.choices) for a in commands[command]._actions
+                    if a.dest == dest)
+
+    for command in ("hom", "sweep", "temp-scan"):
+        assert choices(command, "pol") == QUERIES
+    assert choices("sweep", "element") == IMPERFECTION_TARGETS
 
 
 def test_exit_code_numerical(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ import qpic
 from qpic import detection
 from qpic.circuit import (CHANNEL1_INPUTS, element_matrices,
                           parse_netlist_text, walk)
-from qpic.detection import (IMPERFECTION_TARGETS, CoincidenceQuery,
+from qpic.detection import (IMPERFECTION_TARGETS, QUERIES,
                             apply_imperfection, coincidence,
                             default_delay_values, hom_scan,
                             imperfection_sweep, temperature_scan)
@@ -32,7 +33,6 @@ pdc_length = 20700.0
 """
 
 DELAYS = np.linspace(-1500.0, 3700.0, 27)
-INSENSITIVE = CoincidenceQuery(insensitive=True)
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +44,13 @@ def test_identity_circuit_no_coincidence(jsa_small):
     bare = parse_netlist_text(SOURCE_ONLY)
     # both photons stay in channel 1, so the two detectors never fire together
     assert coincidence(jsa_small, bare) == pytest.approx(0.0, abs=1e-15)
-    assert coincidence(jsa_small, bare, INSENSITIVE) == pytest.approx(0.0, abs=1e-15)
+    assert coincidence(jsa_small, bare, "insensitive") == pytest.approx(0.0, abs=1e-15)
 
 
 def test_double_loop_oracle(chip, jsa_small):
     # independent re-computation of the coincidence sum, point by point,
     # on the dense product of the chip's elements
-    fast = coincidence(jsa_small, chip, CoincidenceQuery(pol_b="V", pol_c="V"))
+    fast = coincidence(jsa_small, chip, "VV")
     total = oracles.coincidence(jsa_small, chip, 1, 3)  # 1V and 2V
     assert fast == pytest.approx(total, abs=1e-12)
 
@@ -58,9 +58,9 @@ def test_double_loop_oracle(chip, jsa_small):
 def test_exchange_amplitude_alignment(chip, jsa_small):
     # the two pairings must be evaluated at swapped frequencies; with the
     # exchange term dropped the probabilities differ
-    query = CoincidenceQuery(pol_b="V", pol_c="H")
+    query = "VH"
     p_vh = coincidence(jsa_small, chip, query)
-    p_hv = coincidence(jsa_small, chip, CoincidenceQuery(pol_b="H", pol_c="V"))
+    p_hv = coincidence(jsa_small, chip, "HV")
     # the bundled chip is symmetric enough that both orientations are close
     assert p_vh == pytest.approx(p_hv, abs=0.05)
 
@@ -70,16 +70,16 @@ def test_bs_only_closed_form(jsa_small):
     text = SOURCE_ONLY + f"\nelement bs\ntheta = {theta}\nxi = {xi}\n"
     spec = parse_netlist_text(text)
     # photons distinguishable by polarization: no interference term
-    p = coincidence(jsa_small, spec, CoincidenceQuery(pol_b="H", pol_c="V"))
+    p = coincidence(jsa_small, spec, "HV")
     assert p == pytest.approx(np.cos(theta) ** 2 * np.sin(xi) ** 2, abs=1e-12)
-    p2 = coincidence(jsa_small, spec, CoincidenceQuery(pol_b="V", pol_c="H"))
+    p2 = coincidence(jsa_small, spec, "VH")
     assert p2 == pytest.approx(np.cos(xi) ** 2 * np.sin(theta) ** 2, abs=1e-12)
 
 
 def test_insensitive_is_sum_of_orientations(chip, jsa_small):
-    total = coincidence(jsa_small, chip, INSENSITIVE)
+    total = coincidence(jsa_small, chip, "insensitive")
     parts = sum(
-        coincidence(jsa_small, chip, CoincidenceQuery(pol_b=b, pol_c=c))
+        coincidence(jsa_small, chip, b + c)
         for b in "HV" for c in "HV")
     assert total == pytest.approx(parts, abs=1e-12)
 
@@ -87,7 +87,7 @@ def test_insensitive_is_sum_of_orientations(chip, jsa_small):
 def test_probabilities_in_range(chip, jsa_small):
     for b in "HV":
         for c in "HV":
-            p = coincidence(jsa_small, chip, CoincidenceQuery(pol_b=b, pol_c=c))
+            p = coincidence(jsa_small, chip, b + c)
             assert -1e-12 <= p <= 1.0 + 1e-9
 
 
@@ -125,7 +125,7 @@ def assert_scan_matches_stretched_chip(jsa, chip, delays, query, tol):
                                   abs=tol)
 
 
-@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+@pytest.mark.parametrize("query", ["VV", "insensitive"],
                          ids=["VV", "insensitive"])
 @pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
 def test_scan_matches_stretched_chip(chip, jsa_tiny, query, pbs_error):
@@ -145,9 +145,9 @@ def test_scan_matches_stretched_chip(chip, jsa_tiny, query, pbs_error):
 def test_insensitive_scan_is_sum_of_pairings(chip, jsa_tiny):
     # the four pairings share field rows; none may leak into another
     chip = apply_imperfection(chip, "pbs", 0.25)
-    total = hom_scan(jsa_tiny, chip, ORACLE_DELAYS, INSENSITIVE)
+    total = hom_scan(jsa_tiny, chip, ORACLE_DELAYS, "insensitive")
     parts = sum(hom_scan(jsa_tiny, chip, ORACLE_DELAYS,
-                         CoincidenceQuery(pol_b=b, pol_c=c)).probabilities
+                         b + c).probabilities
                 for b in "HV" for c in "HV")
     np.testing.assert_allclose(total.probabilities, parts, rtol=0.0,
                                atol=1e-15)
@@ -163,7 +163,7 @@ DELAY_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+@pytest.mark.parametrize("query", ["VV", "insensitive"],
                          ids=["VV", "insensitive"])
 @pytest.mark.parametrize("grid", list(DELAY_GRIDS))
 def test_delay_grids_match_stretched_chip(chip, jsa_tiny, query, grid,
@@ -185,7 +185,7 @@ def jsa_short(chip):
     return qpic.build_jsa(chip.model, pump, qpic.GridSpec(64, 64))
 
 
-@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+@pytest.mark.parametrize("query", ["VV", "insensitive"],
                          ids=["VV", "insensitive"])
 def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
                                                 monkeypatch):
@@ -290,7 +290,7 @@ def test_streamed_blocks(chip, jsa_tiny, jsa_short, pump, monkeypatch):
 
     def scan(delays):
         adds, closed = _stream(monkeypatch)
-        hom_scan(jsa, chip, delays, INSENSITIVE)
+        hom_scan(jsa, chip, delays, "insensitive")
         reach = np.max(np.abs(delays))
         assert sorted(closed) == sorted(adds)
         lines = {theta: [] for theta in EXPONENTS}
@@ -365,7 +365,7 @@ def test_streamed_blocks_follow_a_theta_not_monotone_in_s(
     _, closed = _stream(monkeypatch, theta_rows)
     monkeypatch.setattr(detection, "_moments", recording)
     monkeypatch.setattr(detection, "_check_probability", float)
-    scan = hom_scan(jsa_short, chip, delays, INSENSITIVE)
+    scan = hom_scan(jsa_short, chip, delays, "insensitive")
     assert len(closed) > 2 * len(EXPONENTS)
     thetas = iter(thetas)
     direct, size = np.zeros(len(delays)), 0.0
@@ -408,7 +408,7 @@ xi = 0.6
 """
 
 
-@pytest.mark.parametrize("query", [CoincidenceQuery(), INSENSITIVE],
+@pytest.mark.parametrize("query", ["VV", "insensitive"],
                          ids=["VV", "insensitive"])
 def test_all_live_scan_matches_stretched_chip(jsa_tiny, query,
                                               monkeypatch):
@@ -469,7 +469,7 @@ def test_random_chain_scan_matches_stretched_chip(jsa_tiny, lengths,
     rounding of k (l2 + delta) moves a probability by well under 1e-12."""
     chip = parse_netlist_text(
         _chain(lengths, scanned, pbs, bs, conversion, mixing))
-    for query in (CoincidenceQuery(), INSENSITIVE):
+    for query in ("VV", "insensitive"):
         assert_scan_matches_stretched_chip(jsa_tiny, chip, CHAIN_DELAYS,
                                            query, 1e-12)
 
@@ -499,7 +499,7 @@ def test_probability_budget_on_random_chains(jsa_tiny, lengths,
                                                     fields_of):
         s += detection._moments(detection._weighted_amplitude(jsa_tiny, rows),
                                 fields, same)[0]
-    p = coincidence(jsa_tiny, chip, INSENSITIVE)
+    p = coincidence(jsa_tiny, chip, "insensitive")
     assert p + s / 2.0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -518,9 +518,9 @@ def test_channel_swap_exchange_symmetry_on_random_chains(
     text = _chain(lengths, scanned, pbs, bs, conversion, mixing)
     chip = parse_netlist_text(text)
     crossed = parse_netlist_text(text + CROSSING)
-    queries = [(CoincidenceQuery(pol_b=b, pol_c=c),
-                CoincidenceQuery(pol_b=c, pol_c=b))
-               for b in "HV" for c in "HV"] + [(INSENSITIVE, INSENSITIVE)]
+    queries = [(b + c,
+                c + b)
+               for b in "HV" for c in "HV"] + [("insensitive", "insensitive")]
     for query, swapped in queries:
         np.testing.assert_allclose(
             hom_scan(jsa_tiny, crossed, CHAIN_DELAYS, query).probabilities,
@@ -552,7 +552,7 @@ def test_common_mode_length_after_converter_keeps_scan_on_random_chains(
     elements[idx] = fp.with_params(l1=fp.params["l1"] + common,
                                    l2=fp.params["l2"] + common)
     longer = chip.with_elements(elements)
-    for query in (CoincidenceQuery(), INSENSITIVE):
+    for query in ("VV", "insensitive"):
         np.testing.assert_allclose(
             hom_scan(jsa_tiny, longer, CHAIN_DELAYS, query).probabilities,
             hom_scan(jsa_tiny, chip, CHAIN_DELAYS, query).probabilities,
@@ -633,6 +633,57 @@ def test_scan_rejects_bad_delays(chip, jsa_small, monkeypatch, delays):
     monkeypatch.setattr(detection, "PhaseTable", no_grid_work)
     with pytest.raises(ValidationError):
         hom_scan(jsa_small, chip, delays)
+
+
+@pytest.mark.parametrize("query", ["XX", "vv", None])
+@pytest.mark.parametrize("scan", ["coincidence", "hom_scan",
+                                  "imperfection_sweep", "temperature_scan"])
+def test_scans_reject_bad_query(chip, jsa_small, monkeypatch, scan, query):
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before query validation")
+
+    monkeypatch.setattr(detection, "PhaseTable", no_grid_work)
+    monkeypatch.setattr(detection, "build_jsa", no_grid_work)
+    calls = {
+        "coincidence": lambda: coincidence(jsa_small, chip, query),
+        "hom_scan": lambda: hom_scan(jsa_small, chip, DELAYS, query),
+        "imperfection_sweep": lambda: imperfection_sweep(
+            jsa_small, chip, "pc", [0.0], DELAYS, query),
+        "temperature_scan": lambda: temperature_scan(chip, [24.5], DELAYS,
+                                                     query),
+    }
+    with pytest.raises(ValidationError, match=re.escape(
+            f"query {query!r} not one of {QUERIES}")):
+        calls[scan]()
+
+
+# calls that raised a bare ZeroDivisionError, ValueError or TypeError, a
+# misleading window RangeError, or returned a (1, 1, 1) switch map
+BAD_CALLS = {
+    "pc-length-0": lambda c, j: qpic.pc_spectrum(c.model, 21.4, 0.0, 0.1),
+    "pc-length-negative":
+        lambda c, j: qpic.pc_spectrum(c.model, 21.4, -5.0, 0.1),
+    "pc-length-nan": lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.nan, 0.1),
+    "pc-length-inf": lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.inf, 0.1),
+    "pc-points-negative": lambda c, j: qpic.pc_spectrum(
+        c.model, 21.4, 7620.0, 0.1, n_points=-1),
+    "delays-not-numbers": lambda c, j: hom_scan(j, c, ["a", "b", "c"]),
+    "temperatures-not-numbers":
+        lambda c, j: temperature_scan(c, ["a"], DELAYS),
+    "fractions-2-D":
+        lambda c, j: imperfection_sweep(j, c, "pc", [[0.1, 0.2]], DELAYS),
+    "fractions-not-numbers":
+        lambda c, j: imperfection_sweep(j, c, "pc", ["a"], DELAYS),
+    "delay-points-negative": lambda c, j: default_delay_values(-1),
+    "switch-map-2-D": lambda c, j: qpic.switch_map(1e-4, 4000.0, [[0.0]],
+                                                   [0.0]),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_CALLS.values()), ids=list(BAD_CALLS))
+def test_entry_points_reject_bad_input(chip, jsa_small, call):
+    with pytest.raises(ValidationError):
+        call(chip, jsa_small)
 
 
 def test_dip_vertex_on_uneven_steps():
@@ -793,7 +844,7 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
             for name, original in originals.items():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name))
-    hom_scan(jsa_tiny, chip, DELAYS[:5], INSENSITIVE)
+    hom_scan(jsa_tiny, chip, DELAYS[:5], "insensitive")
     assert len(calls["element_matrices"]) == 2
     # the panel makes every index call: the chunks and blocks reuse its k
     for pol in "HV":
@@ -824,7 +875,7 @@ def test_hom_scan_keeps_no_full_grid_array(chip):
     delays = np.linspace(-1500.0, 3700.0, 21)
     for run in (lambda q: hom_scan(jsa, chip, delays, q),
                 lambda q: coincidence(jsa, chip, q)):
-        for query in (CoincidenceQuery(), INSENSITIVE):
+        for query in ("VV", "insensitive"):
             tracemalloc.start()
             try:
                 run(query)
@@ -835,8 +886,8 @@ def test_hom_scan_keeps_no_full_grid_array(chip):
 
 
 @pytest.mark.parametrize("query, tail", [
-    (CoincidenceQuery(), [(1, 10000.0)]),
-    (INSENSITIVE, [(0, 10000.0), (1, 10000.0)]),
+    ("VV", [(1, 10000.0)]),
+    ("insensitive", [(0, 10000.0), (1, 10000.0)]),
 ], ids=["VV", "insensitive"])
 def test_hom_scan_evaluates_each_phase_once(chip, jsa_tiny, query, tail,
                                             monkeypatch):
@@ -857,7 +908,7 @@ def test_hom_scan_evaluates_each_phase_once(chip, jsa_tiny, query, tail,
 
 
 @pytest.mark.parametrize("query, exponents", [
-    (CoincidenceQuery(), 2), (INSENSITIVE, 6),
+    ("VV", 2), ("insensitive", 6),
 ], ids=["VV", "insensitive"])
 def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
                                             monkeypatch):
@@ -937,7 +988,7 @@ def test_nodes_are_no_farther_from_extended_oracle(chip, jsa_tiny, pbs_error,
     rad and interpolate it. Measured at 64x64: nodes 3-5e-13, rows
     2.5-3.4e-12."""
     chip = apply_imperfection(chip, "pbs", pbs_error)
-    for query in (CoincidenceQuery(), INSENSITIVE):
+    for query in ("VV", "insensitive"):
         args = (jsa_tiny, chip, ORACLE_DELAYS, query)
         exact = _scan_on(oracles.row_walk(oracles.ExtendedPhases),
                          monkeypatch, *args)
@@ -978,7 +1029,7 @@ def test_panels_match_row_walk(chip, tau, grid, chunk_rows, monkeypatch):
     bound = 8.0 * sigma * np.sqrt(np.sum(w ** 2))
     for pbs_error in (0.0, 0.25):
         leaky = apply_imperfection(chip, "pbs", pbs_error)
-        for query in (CoincidenceQuery(), INSENSITIVE):
+        for query in ("VV", "insensitive"):
             args = (jsa, leaky, DELAYS, query)
             rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
             nodes, fitted = _scan_fits(monkeypatch, *args)
@@ -1001,7 +1052,7 @@ def test_refused_panels_walk_their_rows(chip, tau, grid, chunk_rows, panels,
     monkeypatch.setattr(detection, "TAIL", -1.0)
     source = dataclasses.replace(chip.source, pulse_duration=tau)
     jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
-    for query in (CoincidenceQuery(), INSENSITIVE):
+    for query in ("VV", "insensitive"):
         args = (jsa, chip, DELAYS, query)
         nodes, fitted = _scan_fits(monkeypatch, *args)
         assert len(fitted) == panels and all(f is None for f in fitted)
@@ -1017,7 +1068,7 @@ def test_short_pump_is_the_row_walk(chip, grid, monkeypatch):
     probabilities are the row walk's, bit for bit."""
     source = dataclasses.replace(chip.source, pulse_duration=1.0)
     jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(grid, grid))
-    queries = [CoincidenceQuery()] + ([INSENSITIVE] if grid == 64 else [])
+    queries = ["VV"] + (["insensitive"] if grid == 64 else [])
     for query in queries:
         args = (jsa, chip, DELAYS, query)
         np.testing.assert_array_equal(
@@ -1032,7 +1083,7 @@ def test_tail_test_refuses_panel(chip, jsa_tiny, monkeypatch):
     same panel moves the probabilities by far more than any rounding."""
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     monkeypatch.setattr(detection, "NODES", 4)
-    args = (jsa_tiny, chip, DELAYS, INSENSITIVE)
+    args = (jsa_tiny, chip, DELAYS, "insensitive")
     rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
     nodes, fitted = _scan_fits(monkeypatch, *args)
     np.testing.assert_array_equal(nodes, rows)
@@ -1052,7 +1103,7 @@ def test_node_path_peak_not_above_row_walk(chip):
                          qpic.GridSpec(512, 512))
     tracemalloc.start()
     try:
-        hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), INSENSITIVE)
+        hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), "insensitive")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
