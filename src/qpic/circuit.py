@@ -54,7 +54,7 @@ from . import elements as el
 from . import keyfile
 from .dispersion import T_REFERENCE, MaterialModel, _check_temperature, \
     default_material, load_material
-from .errors import NetlistError, ValidationError
+from .errors import NetlistError, ValidationError, real
 from .source import SourceSpec
 
 # element kind -> factory, whose parameters are the kind's netlist keys
@@ -96,7 +96,7 @@ class CircuitSpec:
     source: SourceSpec | None = None
 
     def at_temperature(self, temperature: float) -> "CircuitSpec":
-        return replace(self, temperature=float(temperature))
+        return replace(self, temperature=real(temperature, "temperature"))
 
     def with_elements(self, elements) -> "CircuitSpec":
         return replace(self, elements=tuple(elements))

@@ -21,7 +21,6 @@ written out as an independent reference.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from . import keyfile
 from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
                          pc_matched_wavelength, pc_mismatch)
 from .errors import NetlistError, NumericalError, RangeError, \
-    ValidationError
+    ValidationError, axis, count, real, reals
 
 
 def _core_terms(kappa, dbeta, z):
@@ -64,8 +63,8 @@ def compose_sections(kappa, dbetas, length):
     Broadcasts over arrays in ``kappa``, ``dbetas`` and ``length``.
     RangeError for a non-finite input or a negative length.
     """
-    kappa, length = (np.asarray(v, dtype=float) for v in (kappa, length))
-    dbetas = [np.asarray(d, dtype=float) for d in dbetas]
+    kappa, length = reals(kappa, "coupling"), reals(length, "section length")
+    dbetas = [reals(d, "mismatch") for d in dbetas]
     for label, value in [("coupling", kappa), ("section length", length),
                          *[("mismatch", d) for d in dbetas]]:
         finite = np.isfinite(value)
@@ -96,20 +95,23 @@ def conversion_fraction(model: MaterialModel, poling_period: float,
     Equals (kappa/s)^2 sin^2(s L) with the wavelength-dependent mismatch
     of the conversion grating.
     """
-    _check_section(length, kappa)
-    lam = np.asarray(wavelength, dtype=float)
+    length, kappa = _check_section("section", length, kappa)
+    lam = reals(wavelength, "wavelength")
     dk = np.asarray(pc_mismatch(model, poling_period, lam, temperature))
     frac = _core_terms(kappa, dk, length)[2] ** 2
     return frac if lam.ndim else float(frac)
 
 
-def _check_section(length, kappa):
-    """RangeError unless the section length is finite and > 0 and the
-    coupling finite and >= 0."""
-    if not (np.isfinite(length) and length > 0.0):
-        raise RangeError(f"section length {length} um must be finite and > 0")
-    if not (np.isfinite(kappa) and kappa >= 0.0):
-        raise RangeError(f"coupling {kappa} rad/um must be finite and >= 0")
+def _check_section(label: str, length, coupling):
+    """(length, coupling) of a coupled section as finite floats;
+    RangeError unless the length is > 0 and the coupling >= 0."""
+    length = real(length, f"{label} length")
+    coupling = real(coupling, f"{label} coupling")
+    if not length > 0.0:
+        raise RangeError(f"{label} length {length} um must be > 0")
+    if coupling < 0.0:
+        raise RangeError(f"{label} coupling {coupling} rad/um must be >= 0")
+    return length, coupling
 
 
 def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
@@ -123,10 +125,9 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
     RangeError when that window leaves the material's validity range (a
     converter too short for its window).
     """
-    _check_section(length, kappa)
+    length, kappa = _check_section("section", length, kappa)
     if wavelengths is None:
-        if not isinstance(n_points, numbers.Integral) or n_points < 3:
-            raise ValidationError(f"n_points {n_points!r} is not an int >= 3")
+        n_points = count(n_points, "n_points", 3)
         centre = pc_matched_wavelength(model, poling_period, temperature)
         # FWHM of sin^2(dk L / 2)/..: dk L spans ~ 5.57 rad across half max
         h = centre * 1e-4
@@ -142,7 +143,7 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
                 f"validity range [{LAMBDA_MIN}, {LAMBDA_MAX}] um")
         wavelengths = np.linspace(centre - half, centre + half, n_points)
     else:
-        wavelengths = np.asarray(wavelengths, dtype=float)
+        wavelengths = reals(wavelengths, "wavelengths")
     frac = conversion_fraction(model, poling_period, length, kappa,
                                wavelengths, temperature)
     return wavelengths, frac
@@ -151,19 +152,16 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
 def peak_fwhm(x, y):
     """Full width at half maximum of a single-peaked sampled curve.
 
-    Linear interpolation on both flanks of the global maximum. x must be
-    finite and strictly increasing, with one y per x (ValidationError).
+    Linear interpolation on both flanks of the global maximum. x is an
+    ``axis`` of at least one point, with one y per x (ValidationError).
     Raises NumericalError when either half-maximum crossing is outside the
-    grid.
+    grid, and so for a NaN y: the curves passed here are computed, and a
+    NaN in them is a numerical failure (CLI exit code 3).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or not x.size:
-        raise ValidationError(f"peak width needs one y per x and at least "
-                              f"one x, got shapes {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)):
-        raise ValidationError("peak width needs finite, strictly increasing "
-                              "x")
+    x, y = axis(x, "peak width x", 1), reals(y, "peak width y")
+    if x.shape != y.shape:
+        raise ValidationError(f"peak width needs one y per x, got shapes "
+                              f"{x.shape} and {y.shape}")
     i = int(np.argmax(y))
     half = y[i] / 2.0
     if i == 0 or i == len(y) - 1 or not max(y[0], y[-1]) <= half < y[i]:
@@ -188,13 +186,7 @@ def _level_crossings(x, y, i, level):
     return crossings
 
 
-def _check_coupler(label: str, kappa_c, half_length):
-    """RangeError unless the coupling kappa_c is >= 0 and the section
-    length half_length is > 0; shared by every two-section coupler."""
-    if not kappa_c >= 0.0:
-        raise RangeError(f"{label} coupling {kappa_c} rad/um must be >= 0")
-    if not half_length > 0.0:
-        raise RangeError(f"{label} half length {half_length} um must be > 0")
+EO_BS_DBETA_PER_VOLT = 2e-5  # rad/(um V), of each 'eobs' section
 
 
 def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
@@ -203,22 +195,14 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
 
     Returns an array of shape (len(u1), len(u2)) with the power staying in
     the launch channel after sections driven at u1 then u2. The coupler
-    takes the range checks of an 'eobs' element; voltages not 1-D or any
-    other non-finite input raise ValidationError.
+    takes the range checks of an 'eobs' element; voltages not a non-empty
+    1-D list raise ValidationError, and a non-finite input RangeError.
     """
-    from .elements import EO_BS_DBETA_PER_VOLT  # local to avoid a cycle
-    _check_coupler("switch map", kappa_c, half_length)
-    if dbeta_per_volt is None:
-        dbeta_per_volt = EO_BS_DBETA_PER_VOLT
-    u1 = np.asarray(u1_values, dtype=float)
-    u2 = np.asarray(u2_values, dtype=float)
-    for label, value in (("kappa_c", kappa_c), ("half_length", half_length),
-                         ("u1", u1), ("u2", u2),
-                         ("dbeta_per_volt", dbeta_per_volt)):
-        if not np.all(np.isfinite(value)):
-            raise ValidationError(f"switch map: {label} must be finite")
-    if u1.ndim != 1 or u2.ndim != 1:
-        raise ValidationError("switch map: u1 and u2 must be 1-D")
+    half_length, kappa_c = _check_section("switch map", half_length, kappa_c)
+    dbeta_per_volt = real(EO_BS_DBETA_PER_VOLT if dbeta_per_volt is None
+                          else dbeta_per_volt, "switch map: dbeta_per_volt")
+    u1, u2 = (reals(u, "switch map voltages", 1, 1)
+              for u in (u1_values, u2_values))
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)
@@ -242,9 +226,8 @@ class CouplerFit:
     offset_tm: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([getattr(self, f.name)
-                                   for f in fields(self)])):
-            raise RangeError(f"coupler fit values must be finite: {self}")
+        for f in fields(self):
+            real(getattr(self, f.name), f"coupler fit {f.name}")
         if self.beat_te <= 0.0 or self.beat_tm <= 0.0:
             raise RangeError("beat lengths must be > 0")
 
@@ -255,7 +238,7 @@ def _ratio_model(length, beat, offset):
 
 def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
     """Unwanted-port power fraction at a given coupler length."""
-    length = np.asarray(coupler_length, dtype=float)
+    length = reals(coupler_length, "coupler length")
     if not np.all(np.isfinite(length)):
         raise RangeError(f"coupler length {coupler_length} um must be finite")
     if pol == "H":
@@ -284,11 +267,8 @@ def _fit_branch(lengths, ratios):
     a bound of the box, where the table does not determine it (a flat
     table, for one).
     """
-    lengths = np.asarray(lengths, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    if lengths.size < 3:
-        raise ValidationError("coupler fit needs at least 3 points per "
-                              "polarisation")
+    lengths = reals(lengths, "coupler fit lengths", 1, 3)
+    ratios = reals(ratios, "splitting ratios")
     if not np.all(np.isfinite(lengths)):
         raise ValidationError("coupler lengths must be finite")
     if not np.all((ratios >= 0.0) & (ratios <= 1.0)):
@@ -358,8 +338,9 @@ def pbs_angles(fit: CouplerFit, coupler_length: float):
     The complement of each unwanted-port ratio is the designed routing
     probability: sin^2 alpha = 1 - r_H, sin^2 beta = 1 - r_V.
     """
-    r_h = splitting_ratio(fit, coupler_length, "H")
-    r_v = splitting_ratio(fit, coupler_length, "V")
+    length = real(coupler_length, "coupler length")
+    r_h = splitting_ratio(fit, length, "H")
+    r_v = splitting_ratio(fit, length, "V")
     return (math.asin(math.sqrt(1.0 - r_h)),
             math.asin(math.sqrt(1.0 - r_v)))
 

@@ -86,7 +86,6 @@ A 1000 ps pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,8 @@ from . import cmt
 from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
 from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index
-from .errors import NumericalError, RangeError, ValidationError
+from .errors import NumericalError, RangeError, ValidationError, axis, \
+    count, real, reals
 from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
                      _quadrature_weights, build_jsa, marginal_spectra)
 
@@ -274,31 +274,7 @@ DEFAULT_DELAY_SPAN = (-1500.0, 3700.0)  # um, brackets the bundled chip dip
 
 def default_delay_values(n_points: int = 105) -> np.ndarray:
     """``n_points`` delays, an integer >= 3, over DEFAULT_DELAY_SPAN."""
-    if not isinstance(n_points, numbers.Integral) or n_points < 3:
-        raise ValidationError(f"n_points {n_points!r} is not an int >= 3")
-    return np.linspace(*DEFAULT_DELAY_SPAN, n_points)
-
-
-def _values(values, least: int, message: str) -> np.ndarray:
-    """``values`` as a 1-D float array of at least ``least`` entries;
-    ValidationError(``message``) otherwise."""
-    try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{message}, got {values!r}") from None
-    if a.ndim != 1 or a.size < least:
-        raise ValidationError(f"{message}, got shape {a.shape}")
-    return a
-
-
-def _check_delays(delay_values) -> np.ndarray:
-    d = _values(delay_values, 3, "delay values must be a 1-D list of at "
-                "least 3 numbers")
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("delay values must be finite")
-    if not np.all(np.diff(d) > 0.0):
-        raise ValidationError("delay values must be strictly increasing")
-    return d
+    return np.linspace(*DEFAULT_DELAY_SPAN, count(n_points, "n_points", 3))
 
 
 def _scanned_fp(spec: CircuitSpec, delays) -> int:
@@ -447,7 +423,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     adds its rows to each exponent's open block. A block closed by a row
     past the rho cap gives every delay.
     """
-    delay_values = _check_delays(delay_values)
+    delay_values = axis(delay_values, "delay values", 3)
     idx = _scanned_fp(spec, delay_values)
     pairs = _query_pairs(query)
     rows = sorted({m for pair in pairs for m in pair})
@@ -536,7 +512,7 @@ def apply_imperfection(spec: CircuitSpec, target: str,
         raise ValidationError(
             f"unknown imperfection target {target!r}; "
             f"known: {IMPERFECTION_TARGETS}")
-    if not 0.0 <= fraction <= 1.0:
+    if not 0.0 <= real(fraction, "imperfection fraction") <= 1.0:
         raise ValidationError(
             f"imperfection fraction {fraction} outside [0, 1]")
     scale = 1.0 - fraction
@@ -570,8 +546,7 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     one fraction (ValidationError)."""
     if delay_values is None:
         delay_values = default_delay_values(41)
-    fractions = _values(fractions, 1, "imperfection sweep needs at least "
-                        "one fraction, as a 1-D list of numbers").tolist()
+    fractions = reals(fractions, "sweep fractions", 1, 1).tolist()
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
     return [SweepPoint(fraction, hom_scan(jsa, chip, delay_values, query))
@@ -605,11 +580,10 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
             "temperature scan needs the netlist [source] section")
     if delay_values is None:
         delay_values = default_delay_values(41)
-    delay_values = _check_delays(delay_values)
+    delay_values = axis(delay_values, "delay values", 3)
     _scanned_fp(spec, delay_values)  # before any grid work
     _query_pairs(query)
-    temperatures = _values(temperatures, 1, "temperatures must be a "
-                           "non-empty 1-D list of numbers").tolist()
+    temperatures = reals(temperatures, "temperatures", 1, 1).tolist()
     pc_params = spec.elements[spec.index_of("pc")].params
     # every converter window before any grid work
     windows = []

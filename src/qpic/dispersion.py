@@ -20,7 +20,7 @@ import numpy as np
 
 from . import keyfile
 from .errors import NetlistError, NumericalError, PhaseMatchError, \
-    RangeError, ValidationError
+    RangeError, ValidationError, real, reals
 
 C_UM_PS = 299.792458  # speed of light, um/ps
 DATA_DIR = Path(__file__).parent / "data"  # the bundled inputs, qpic/data
@@ -38,19 +38,12 @@ SIGNAL_BRACKET = (1.35, 1.8)  # um, band of a tuning curve's signal
 
 def omega_from_wavelength(wavelength):
     """Vacuum wavelength (um) to angular frequency (rad/ps)."""
-    return 2.0 * np.pi * C_UM_PS / np.asarray(wavelength, dtype=float)
+    return 2.0 * np.pi * C_UM_PS / reals(wavelength, "wavelength")
 
 
 def wavelength_from_omega(omega):
     """Angular frequency (rad/ps) to vacuum wavelength (um)."""
-    return 2.0 * np.pi * C_UM_PS / _floats(omega)
-
-
-def _floats(x):
-    """``x`` as an array of its floating dtype (np.longdouble kept), else
-    of float64."""
-    x = np.asarray(x)
-    return x if x.dtype.kind == "f" else x.astype(float)
+    return 2.0 * np.pi * C_UM_PS / reals(omega, "angular frequency")
 
 
 def _ordinary_shifted_pole(a, b, lam, t):
@@ -103,17 +96,20 @@ class SellmeierSet:
             raise ValidationError(
                 f"form '{self.form}' needs {na} 'a' and {nb} 'b' coefficients, "
                 f"got {len(self.a)} and {len(self.b)}")
+        for value in (*self.a, *self.b):
+            real(value, f"form '{self.form}' coefficient")
 
     def evaluate(self, wavelength, temperature):
         fn, _, _ = _SELLMEIER_FORMS[self.form]
-        return fn(self.a, self.b, _floats(wavelength), float(temperature))
+        return fn(self.a, self.b, reals(wavelength, "wavelength"),
+                  real(temperature, "temperature"))
 
 
 DELTA_N_MAX = 0.05
 
 
 def _check_delta_n(label, value):
-    if not 0.0 <= value <= DELTA_N_MAX:
+    if not 0.0 <= real(value, label) <= DELTA_N_MAX:
         raise RangeError(f"{label} = {value} outside [0, {DELTA_N_MAX}]")
     return value
 
@@ -143,8 +139,10 @@ def default_material() -> MaterialModel:
     return load_material(DATA_DIR / "linbo3.material")
 
 
-def _check_temperature(temperature):
-    t = float(temperature)
+def _check_temperature(temperature=None):
+    """The temperature in C (T_REFERENCE for None), checked."""
+    t = real(T_REFERENCE if temperature is None else temperature,
+             "temperature")
     if not TEMP_MIN <= t <= TEMP_MAX:
         raise RangeError(
             f"temperature {t} C outside validity range "
@@ -156,7 +154,7 @@ def _check_wavelength(wavelength, band=(LAMBDA_MIN, LAMBDA_MAX),
                       what="wavelength {} um outside validity range"):
     """The wavelengths as an array; a RangeError names the first outside
     ``band`` (NaN included) in the words of ``what``."""
-    lam = _floats(wavelength)
+    lam = reals(wavelength, "wavelength")
     inside = (lam >= band[0]) & (lam <= band[1])  # False for NaN
     if not np.all(inside):
         raise RangeError(f"{what.format(lam.flat[int(np.argmin(inside))])} "
@@ -171,8 +169,7 @@ def index(model: MaterialModel, pol: str, wavelength, temperature=None):
     to T_REFERENCE). Raises RangeError outside the validity box.
     """
     lam = _check_wavelength(wavelength)
-    t = _check_temperature(T_REFERENCE if temperature is None
-                           else temperature)
+    t = _check_temperature(temperature)
     if pol == "H":
         n = model.ordinary.evaluate(lam, t) + model.delta_n_h
     elif pol == "V":
@@ -184,7 +181,7 @@ def index(model: MaterialModel, pol: str, wavelength, temperature=None):
 
 def wavevector(model: MaterialModel, pol: str, omega, temperature=None):
     """Propagation constant k = n(omega) * omega / c in rad/um."""
-    w = np.asarray(omega, dtype=float)
+    w = reals(omega, "angular frequency")
     positive = w > 0.0  # False for NaN
     if not np.all(positive):
         raise RangeError("angular frequency must be positive, got "
@@ -196,7 +193,7 @@ def wavevector(model: MaterialModel, pol: str, omega, temperature=None):
 
 def group_velocity(model: MaterialModel, pol: str, omega, temperature=None):
     """Group velocity dw/dk in um/ps via a central difference in omega."""
-    w = np.asarray(omega, dtype=float)
+    w = reals(omega, "angular frequency")
     h = w * 1e-6
     kp = wavevector(model, pol, w + h, temperature)
     km = wavevector(model, pol, w - h, temperature)
@@ -218,8 +215,9 @@ PUMP_LAMBDA_MAX = 0.9
 
 
 def _grating(poling_period: float) -> float:
-    """2 pi / poling_period in rad/um; RangeError unless the period > 0."""
-    if not poling_period > 0.0:
+    """2 pi / poling_period in rad/um; RangeError unless the period is
+    finite and > 0."""
+    if not real(poling_period, "poling period") > 0.0:
         raise RangeError(f"poling period {poling_period} um must be > 0")
     return 2.0 * np.pi / poling_period
 
@@ -234,8 +232,8 @@ def pdc_mismatch(model: MaterialModel, poling_period: float,
     around 9 um phase-matches 1.55 um degeneracy.
     """
     grating = _grating(poling_period)
-    ws = np.asarray(omega_signal, dtype=float)
-    wi = np.asarray(omega_idler, dtype=float)
+    ws = reals(omega_signal, "signal angular frequency")
+    wi = reals(omega_idler, "idler angular frequency")
     kp = wavevector(model, "H", ws + wi, temperature)
     ks = wavevector(model, "H", ws, temperature)
     ki = wavevector(model, "V", wi, temperature)
@@ -249,7 +247,7 @@ def pc_mismatch(model: MaterialModel, poling_period: float, wavelength,
 
     delta_k = (2 pi / lambda)(n_H - n_V) - 2 pi / poling_period, rad/um.
     """
-    lam = np.asarray(wavelength, dtype=float)
+    lam = reals(wavelength, "wavelength")
     nh = index(model, "H", lam, temperature)
     nv = index(model, "V", lam, temperature)
     dk = _pc_grating_mismatch(nh, nv, lam, poling_period)
@@ -375,7 +373,7 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
     and PhaseMatchError when no root exists.
     """
     grating = _grating(poling_period)
-    t = T_REFERENCE if temperature is None else temperature
+    t = _check_temperature(temperature)
 
     def mismatch(lam):
         np_pump = index(model, "H", lam / 2.0, t)
@@ -385,7 +383,7 @@ def degenerate_wavelength(model: MaterialModel, poling_period: float,
 
     return _matched_wavelength(
         mismatch, DEGENERATE_BRACKET, "degenerate wavelength", "phase",
-        f"poling period {poling_period} um at {float(t)} C")
+        f"poling period {poling_period} um at {t} C")
 
 
 def pc_matched_wavelength(model: MaterialModel, poling_period: float,
@@ -425,7 +423,7 @@ def tuning_curve(model: MaterialModel, poling_period: float, temperature,
         pump_wavelengths, (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
         "pump wavelength {} um outside"))
     _grating(poling_period)
-    t = T_REFERENCE if temperature is None else temperature
+    t = _check_temperature(temperature)
     found, sigs, idls, omitted = [], [], [], []
     w_lo = omega_from_wavelength(SIGNAL_BRACKET[1])
     w_hi = omega_from_wavelength(SIGNAL_BRACKET[0])

@@ -43,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from . import cmt
-from .dispersion import (C_UM_PS, MaterialModel, _pc_grating_mismatch,
-                         index, wavelength_from_omega)
-from .errors import RangeError, ValidationError
+from .dispersion import (C_UM_PS, MaterialModel, _grating,
+                         _pc_grating_mismatch, index, wavelength_from_omega)
+from .errors import RangeError, ValidationError, real
 
 BASIS = ("1H", "1V", "2H", "2V")
 
@@ -174,12 +174,6 @@ class ElementMatrix:
         return u
 
 
-def _check_finite(label, **params):
-    for key, value in params.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{label}: {key} must be finite, got {value}")
-
-
 def pbs_matrix(alpha: float, beta: float) -> ElementMatrix:
     """Polarising splitter between the two channels.
 
@@ -187,7 +181,7 @@ def pbs_matrix(alpha: float, beta: float) -> ElementMatrix:
     alpha = beta = pi/2 keeps H in its channel (phase i) and swaps V
     across channels. Angles outside [0, pi/2] only trigger a warning.
     """
-    _check_finite("pbs", alpha=alpha, beta=beta)
+    alpha, beta = real(alpha, "pbs: alpha"), real(beta, "pbs: beta")
     if not (0.0 <= alpha <= math.pi / 2 and 0.0 <= beta <= math.pi / 2):
         warnings.warn("pbs angles outside [0, pi/2]; matrix stays unitary "
                       "but the setting is outside the calibrated range",
@@ -207,7 +201,7 @@ def bs_matrix(theta: float, xi: float) -> ElementMatrix:
     theta couples the H modes, xi the V modes; theta = xi = pi/4 is the
     balanced setting. Angles outside [0, pi/4] only trigger a warning.
     """
-    _check_finite("bs", theta=theta, xi=xi)
+    theta, xi = real(theta, "bs: theta"), real(xi, "bs: xi")
     if not (0.0 <= theta <= math.pi / 4 and 0.0 <= xi <= math.pi / 4):
         warnings.warn("bs angles outside [0, pi/4]; matrix stays unitary "
                       "but the setting is outside the calibrated range",
@@ -223,7 +217,7 @@ def bs_matrix(theta: float, xi: float) -> ElementMatrix:
 
 def pm_matrix(phi_h: float, phi_v: float) -> ElementMatrix:
     """Channel-1 phase shifter: phases phi_h and phi_v on 1H and 1V."""
-    _check_finite("pm", phi_h=phi_h, phi_v=phi_v)
+    phi_h, phi_v = real(phi_h, "pm: phi_h"), real(phi_v, "pm: phi_v")
     m = np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v), 1.0, 1.0])
     return ElementMatrix("dense", m)
 
@@ -237,12 +231,8 @@ def pc_matrix(poling_period: float, length: float,
     mismatch set by ``poling_period``; channel 2 is untouched. The
     indices come from the grid's ``PhaseTable``.
     """
-    _check_finite("pc", poling_period=poling_period, length=length,
-                  kappa=kappa)
-    if not length > 0.0:
-        raise RangeError(f"pc length {length} um must be > 0")
-    if kappa < 0.0:
-        raise RangeError(f"pc coupling {kappa} rad/um must be >= 0")
+    _grating(poling_period)
+    length, kappa = cmt._check_section("pc", length, kappa)
 
     def block(phases):
         # diag(1, i) @ core @ diag(1, -i), the converter's H/V phase
@@ -262,7 +252,7 @@ def fp_matrix(l1: float, l2: float) -> ElementMatrix:
 
     Pure diagonal phases exp(i w n_pol(w) l / c) per mode.
     """
-    _check_finite("fp", l1=l1, l2=l2)
+    l1, l2 = real(l1, "fp: l1"), real(l2, "fp: l2")
     if l1 < 0.0 or l2 < 0.0:
         raise RangeError(f"fp lengths ({l1}, {l2}) um must be >= 0")
     return ElementMatrix("diagonal", (l1, l2))
@@ -278,9 +268,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     V-mode detunings are overridden. Frequency independent within a pulse
     bandwidth, so the element is one constant matrix.
     """
-    _check_finite("eobs", kappa_c=kappa_c, half_length=half_length,
-                  dbeta_1=dbeta_1, dbeta_2=dbeta_2)
-    cmt._check_coupler("eobs", kappa_c, half_length)
+    half_length, kappa_c = cmt._check_section("eobs", half_length, kappa_c)
     if dbeta_1_v is None:
         dbeta_1_v = dbeta_1
     if dbeta_2_v is None:
@@ -301,7 +289,6 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
 PM_U_PI = 5.0  # V for a pi shift on the V mode
 PC_U_OFFSET = 5.5  # V, residual-birefringence bias of the converter
 PC_KAPPA_PER_VOLT = math.pi / (2.0 * 7600.0 * 20.0)  # rad/(um V)
-EO_BS_DBETA_PER_VOLT = 2e-5  # rad/(um V)
 
 
 def pm_phases(voltage: float):
@@ -310,8 +297,7 @@ def pm_phases(voltage: float):
     The V mode picks up pi per PM_U_PI volts; the H mode is three times
     stiffer on this cut, phi_h = phi_v / 3.
     """
-    _check_finite("pm_phases", voltage=voltage)
-    phi_v = math.pi * voltage / PM_U_PI
+    phi_v = math.pi * real(voltage, "pm_phases: voltage") / PM_U_PI
     return phi_v / 3.0, phi_v
 
 
@@ -322,11 +308,10 @@ def pc_kappa(voltage: float) -> float:
     volt of detuning from it; the sign of the drive only flips the
     coupling phase, so the magnitude is returned.
     """
-    _check_finite("pc_kappa", voltage=voltage)
+    voltage = real(voltage, "pc_kappa: voltage")
     return abs(PC_KAPPA_PER_VOLT * (voltage - PC_U_OFFSET))
 
 
 def eo_bs_dbeta(voltage: float) -> float:
     """Section electrode voltage to propagation-constant detuning."""
-    _check_finite("eo_bs_dbeta", voltage=voltage)
-    return EO_BS_DBETA_PER_VOLT * voltage
+    return cmt.EO_BS_DBETA_PER_VOLT * real(voltage, "eo_bs_dbeta: voltage")

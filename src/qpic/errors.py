@@ -1,11 +1,20 @@
-"""Exception taxonomy shared across the simulator.
+"""Exception taxonomy shared across the simulator, and the readers of the
+numbers a public call takes.
 
 Two branches matter to callers: ValidationError for bad inputs and
 unreadable files (CLI exit code 2) and NumericalError for computations
-that cannot produce a trustworthy number (CLI exit code 3).
+that cannot produce a trustworthy number (CLI exit code 3). Each public
+call reads its numbers with ``real``, ``reals``, ``axis`` or ``count``,
+which raise ValidationError for a non-number and RangeError for a NaN or
+infinite scalar or axis point; range checks stay with the caller.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class QpicError(Exception):
@@ -49,3 +58,48 @@ class NumericalError(QpicError):
 class PhaseMatchError(NumericalError):
     """No phase-matching solution inside the search band."""
 
+
+def real(value, what: str) -> float:
+    """``value`` as a float: a ``numbers.Real`` (numpy scalars are, a str
+    is not) that is finite (RangeError)."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise RangeError(f"{what} must be finite, got {value}")
+    return float(value)
+
+
+def reals(values, what: str, ndim: int | None = None,
+          least: int = 0) -> np.ndarray:
+    """``values`` as an array of its floating dtype (np.longdouble kept),
+    else as float64; with ``ndim`` given, of that many dimensions and
+    ``least`` or more entries. No copy and no finiteness pass: a grid's
+    read costs one np.asarray, and range checks catch NaN and inf."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list
+        a = np.asarray(None)
+    if a.dtype.kind not in "biuf":  # a str, None or a ragged list
+        raise ValidationError(f"{what} must be numbers, got {values!r}")
+    if ndim is not None and (a.ndim != ndim or a.size < least):
+        raise ValidationError(f"{what} must be a {ndim}-D array of {least} "
+                              f"or more numbers, got shape {a.shape}")
+    return a if a.dtype.kind == "f" else a.astype(float)
+
+
+def axis(values, what: str, least: int) -> np.ndarray:
+    """``reals`` of a 1-D axis of at least ``least`` points, which must be
+    finite (RangeError) and strictly increasing."""
+    a = reals(values, what, 1, least)
+    if not np.all(finite := np.isfinite(a)):
+        raise RangeError(f"{what} must be finite, got {a[np.argmin(finite)]}")
+    if not np.all(np.diff(a) > 0.0):
+        raise ValidationError(f"{what} must be strictly increasing")
+    return a
+
+
+def count(n, what: str, least: int) -> int:
+    """``n`` as an int of at least ``least``."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise ValidationError(f"{what} {n!r} is not an int >= {least}")
+    return int(n)

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, T_REFERENCE,
-                         MaterialModel, _bracketed_roots, _check_wavelength,
-                         _grating, group_velocity, omega_from_wavelength,
-                         pdc_mismatch, wavelength_from_omega)
-from .errors import NumericalError, RangeError, ValidationError
+from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, MaterialModel,
+                         _bracketed_roots, _check_temperature,
+                         _check_wavelength, _grating, group_velocity,
+                         omega_from_wavelength, pdc_mismatch,
+                         wavelength_from_omega)
+from .errors import NumericalError, RangeError, count, real
 
 SUM_SIGMA_FACTOR = 6.0  # pump-axis half width, in units of Omega
 SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
@@ -50,18 +51,15 @@ class SourceSpec:
     pdc_length: float
 
     def __post_init__(self):
-        if not self.pulse_duration > 0.0:
+        if not real(self.pulse_duration, "source pulse_duration") > 0.0:
             raise RangeError(
                 f"pulse duration {self.pulse_duration} ps must be > 0")
         _check_wavelength(self.pump_wavelength,
                           (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
                           "pump wavelength {} um outside")
-        _grating(self.poling_period)
-        if not self.pdc_length > 0.0:
+        _grating(real(self.poling_period, "source poling_period"))
+        if not real(self.pdc_length, "source pdc_length") > 0.0:
             raise RangeError(f"pdc length {self.pdc_length} um must be > 0")
-        for name in ("pulse_duration", "poling_period", "pdc_length"):
-            if getattr(self, name) == np.inf:
-                raise RangeError(f"source {name} must be finite, got inf")
 
     @property
     def bandwidth(self) -> float:
@@ -84,11 +82,8 @@ class GridSpec:
     size_diff: int = 512
 
     def __post_init__(self):
-        sizes = (self.size_sum, self.size_diff)
-        if not all(isinstance(n, (int, np.integer)) for n in sizes):
-            raise ValidationError(f"grid sizes must be integers, got {sizes}")
-        if self.size_sum < 3 or self.size_diff < 3:
-            raise ValidationError("grid needs at least 3 points per axis")
+        count(self.size_sum, "grid size_sum", 3)
+        count(self.size_diff, "grid size_diff", 3)
 
 
 @dataclass
@@ -161,10 +156,10 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     frequencies, mismatch, sinc-exp factor and non-positive-frequency
     check, so no other full-grid array exists while it fills. Every value
     is elementwise, so the blocks give the bits of a whole-grid
-    evaluation. The norm sum(weights |raw|^2) runs on the whole array as
-    one expression, so C is the same float; ``raw`` is then scaled in
-    place. ``meta`` records the raw norm, the pump-axis edge/peak ratio
-    (~1e-8: the envelope is exp(-18) at 6 Omega) and both half widths.
+    evaluation, as do the per-block weights on |raw|^2. The norm sums the
+    whole array as one expression, so C is the same float; ``raw`` is then
+    scaled in place. ``meta`` records the raw norm, the pump-axis edge/peak
+    ratio (~1e-8: the envelope is exp(-18) at 6 Omega) and both half widths.
 
     The source sets the spans (see ``GridSpec``). RangeError when they
     reach a non-positive frequency; NumericalError when the amplitude
@@ -172,7 +167,7 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     """
     if grid is None:
         grid = GridSpec()
-    t = float(T_REFERENCE if temperature is None else temperature)
+    t = _check_temperature(temperature)
     omega_p = source.omega_pump
     omega_bar = omega_p / 2.0
     bw = source.bandwidth
@@ -216,7 +211,9 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     peak = float(np.max(mag2))
     edge = float(max(np.max(np.abs(raw[0, :])), np.max(np.abs(raw[-1, :]))))
     mag2 **= 2  # in place: the same floats, one full-grid array fewer
-    mag2 *= _quadrature_weights(sum_grid, diff_grid)
+    for lo in range(0, grid.size_sum, n_rows):  # nor a grid of weights
+        rows = slice(lo, lo + n_rows)
+        mag2[rows] *= _quadrature_weights(sum_grid, diff_grid, rows)
     total = float(np.sum(mag2))
     del mag2
     if not np.isfinite(total) or total <= 0.0:
@@ -243,9 +240,10 @@ def jsa_exchange_asymmetry(jsa: JointSpectralAmplitude) -> float:
     weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid)
     mag = np.abs(jsa.amplitude)
     diff = mag - mag[:, ::-1]
-    num = np.sqrt(np.sum(weights * diff ** 2))
-    den = np.sqrt(np.sum(weights * mag ** 2))
-    return float(num / den)
+    for x in (diff, mag):  # in place: the floats of weights * x ** 2
+        x **= 2
+        x *= weights
+    return float(np.sqrt(np.sum(diff)) / np.sqrt(np.sum(mag)))
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,16 @@ def test_pc_spectrum_width_halves_with_length(model):
 
 def test_converter_rejects_non_finite(model):
     # a comparison with NaN is False, so the checks must be positive ones
-    with pytest.raises(qpic.RangeError, match="coupling nan rad/um"):
+    with pytest.raises(qpic.RangeError,
+                       match="section coupling must be finite, got nan"):
         conversion_fraction(model, 21.4, 7600.0, math.nan, 1.55)
     with pytest.raises(qpic.RangeError, match="wavelength nan um"):
         pc_spectrum(model, 21.4, 7600.0, 2e-4, wavelengths=[1.55, math.nan])
-    with pytest.raises(qpic.RangeError, match="section length inf um"):
+    with pytest.raises(qpic.RangeError,
+                       match="section length must be finite, got inf"):
         conversion_fraction(model, 21.4, math.inf, 1e-4, 1.55)
-    with pytest.raises(qpic.RangeError, match="coupling inf rad/um"):
+    with pytest.raises(qpic.RangeError,
+                       match="section coupling must be finite, got inf"):
         conversion_fraction(model, 21.4, 1000.0, math.inf, 1.55)
 
 
@@ -216,13 +219,14 @@ def test_switch_map_rejects_what_eobs_rejects(kappa_c, half_length):
 
 
 @pytest.mark.parametrize("coupler, u1, u2, per_volt, name", [
-    ((math.inf, 4000.0), [0.0], [0.0], None, "kappa_c"),
-    ((1e-4, math.inf), [0.0], [0.0], None, "half_length"),
-    ((1e-4, 4000.0), [0.0, math.nan], [0.0], None, "u1"),
-    ((1e-4, 4000.0), [0.0], [math.inf], None, "u2"),
+    ((math.inf, 4000.0), [0.0], [0.0], None, "switch map coupling"),
+    ((1e-4, math.inf), [0.0], [0.0], None, "switch map length"),
+    ((1e-4, 4000.0), [0.0, math.nan], [0.0], None, "mismatch nan"),
+    ((1e-4, 4000.0), [0.0], [math.inf], None, "mismatch inf"),
     ((1e-4, 4000.0), [0.0], [0.0], math.nan, "dbeta_per_volt"),
 ], ids=["kappa-inf", "half-length-inf", "u1-nan", "u2-inf", "per-volt-nan"])
 def test_switch_map_rejects_non_finite(coupler, u1, u2, per_volt, name):
+    # a voltage reaches compose_sections' check as a section's mismatch
     with pytest.raises(qpic.ValidationError, match=f"{name} must be finite"):
         switch_map(*coupler, u1, u2, per_volt)
 

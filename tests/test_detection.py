@@ -609,7 +609,8 @@ def test_sweep_checks_every_fraction_first(chip, jsa_tiny, monkeypatch):
 
 def test_sweep_needs_a_fraction(chip, jsa_tiny):
     # an empty sweep returned []; the CLI refuses an empty list already
-    with pytest.raises(ValidationError, match="at least one fraction"):
+    with pytest.raises(ValidationError,
+                       match="fractions must be a 1-D array of 1 or more"):
         imperfection_sweep(jsa_tiny, chip, "pc", [], delay_values=DELAYS)
 
 
@@ -657,33 +658,161 @@ def test_scans_reject_bad_query(chip, jsa_small, monkeypatch, scan, query):
         calls[scan]()
 
 
-# calls that raised a bare ZeroDivisionError, ValueError or TypeError, a
-# misleading window RangeError, or returned a (1, 1, 1) switch map
-BAD_CALLS = {
-    "pc-length-0": lambda c, j: qpic.pc_spectrum(c.model, 21.4, 0.0, 0.1),
-    "pc-length-negative":
-        lambda c, j: qpic.pc_spectrum(c.model, 21.4, -5.0, 0.1),
-    "pc-length-nan": lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.nan, 0.1),
-    "pc-length-inf": lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.inf, 0.1),
-    "pc-points-negative": lambda c, j: qpic.pc_spectrum(
-        c.model, 21.4, 7620.0, 0.1, n_points=-1),
-    "delays-not-numbers": lambda c, j: hom_scan(j, c, ["a", "b", "c"]),
-    "temperatures-not-numbers":
-        lambda c, j: temperature_scan(c, ["a"], DELAYS),
-    "fractions-2-D":
-        lambda c, j: imperfection_sweep(j, c, "pc", [[0.1, 0.2]], DELAYS),
-    "fractions-not-numbers":
-        lambda c, j: imperfection_sweep(j, c, "pc", ["a"], DELAYS),
-    "delay-points-negative": lambda c, j: default_delay_values(-1),
-    "switch-map-2-D": lambda c, j: qpic.switch_map(1e-4, 4000.0, [[0.0]],
-                                                   [0.0]),
+FIT = qpic.CouplerFit(beat_te=900.0, offset_te=450.0, beat_tm=850.0,
+                      offset_tm=530.0)
+
+# One row per public call that takes a number: the call with x in one of
+# its numeric arguments, and what a NaN or an infinite x raises there.
+# None marks a unit conversion of arrays, through which NaN passes as a
+# value. A NaN or inf y of peak_fwhm is a NumericalError by design: its
+# curves are computed, so a NaN there is a numerical failure (exit 3).
+NUMBER_ARGS = {
+    "pbs_matrix": (lambda c, j, x: qpic.pbs_matrix(x, 1.0), RangeError),
+    "bs_matrix": (lambda c, j, x: qpic.bs_matrix(0.7, x), RangeError),
+    "pm_matrix": (lambda c, j, x: qpic.pm_matrix(x, 0.0), RangeError),
+    "pc_matrix": (lambda c, j, x: qpic.pc_matrix(21.4, 7620.0, x),
+                  RangeError),
+    "fp_matrix": (lambda c, j, x: qpic.fp_matrix(x, 1.0), RangeError),
+    "eo_bs_matrix": (lambda c, j, x: qpic.eo_bs_matrix(1e-4, 4000.0, x, 0.0),
+                     RangeError),
+    "pm_phases": (lambda c, j, x: qpic.pm_phases(x), RangeError),
+    "pc_kappa": (lambda c, j, x: qpic.pc_kappa(x), RangeError),
+    "eo_bs_dbeta": (lambda c, j, x: qpic.eo_bs_dbeta(x), RangeError),
+    "mode_index": (lambda c, j, x: qpic.mode_index(x, "H"), ValidationError),
+    "ElementDecl": (lambda c, j, x: element_matrices(c.with_elements(
+        [qpic.ElementDecl("fp", {"l1": x, "l2": 1.0})])), RangeError),
+    "CircuitSpec": (lambda c, j, x: coincidence(
+        j, dataclasses.replace(c, temperature=x)), RangeError),
+    "CircuitSpec.at_temperature": (lambda c, j, x: c.at_temperature(x),
+                                   RangeError),
+    "compose_sections": (lambda c, j, x: qpic.compose_sections(
+        x, [0.0], 10.0), RangeError),
+    "conversion_fraction": (lambda c, j, x: qpic.conversion_fraction(
+        c.model, 21.4, x, 1e-4, 1.55), RangeError),
+    "pc_spectrum": (lambda c, j, x: qpic.pc_spectrum(
+        c.model, 21.4, 7620.0, x), RangeError),
+    "peak_fwhm": (lambda c, j, x: qpic.peak_fwhm(
+        [0.0, 1.0, 2.0], [0.0, x, 0.0]), qpic.NumericalError),
+    "peak_fwhm.x": (lambda c, j, x: qpic.peak_fwhm(
+        [x, 1.0, 2.0], [0.0, 1.0, 0.0]), RangeError),
+    "switch_map": (lambda c, j, x: qpic.switch_map(
+        1e-4, 4000.0, [x], [0.0]), RangeError),
+    "CouplerFit": (lambda c, j, x: qpic.CouplerFit(x, 0.0, 1.0, 0.0),
+                   RangeError),
+    "splitting_ratio": (lambda c, j, x: qpic.splitting_ratio(FIT, x, "H"),
+                        RangeError),
+    # fit tables are data, checked as a whole
+    "fit_coupler": (lambda c, j, x: qpic.fit_coupler(
+        [x, 1.0, 2.0], [0.1, 0.5, 0.9], [0.0, 1.0, 2.0], [0.1, 0.5, 0.9]),
+        ValidationError),
+    "pbs_angles": (lambda c, j, x: qpic.pbs_angles(FIT, x), RangeError),
+    "omega_from_wavelength": (lambda c, j, x: qpic.omega_from_wavelength(x),
+                              None),
+    "wavelength_from_omega": (lambda c, j, x: qpic.wavelength_from_omega(x),
+                              None),
+    "index": (lambda c, j, x: qpic.index(c.model, "H", 1.55, x), RangeError),
+    "wavevector": (lambda c, j, x: qpic.wavevector(c.model, "H", x),
+                   RangeError),
+    "group_velocity": (lambda c, j, x: qpic.group_velocity(c.model, "H", x),
+                       RangeError),
+    "group_index": (lambda c, j, x: qpic.group_index(c.model, "H", x),
+                    RangeError),
+    "pdc_mismatch": (lambda c, j, x: qpic.pdc_mismatch(
+        c.model, 9.2, x, 1.2), RangeError),
+    "pc_mismatch": (lambda c, j, x: qpic.pc_mismatch(c.model, 21.4, x),
+                    RangeError),
+    "degenerate_wavelength": (lambda c, j, x: qpic.degenerate_wavelength(
+        c.model, x, 24.5), RangeError),
+    "pc_matched_wavelength": (lambda c, j, x: qpic.pc_matched_wavelength(
+        c.model, 21.4, x), RangeError),
+    "tuning_curve": (lambda c, j, x: qpic.tuning_curve(
+        c.model, 9.2, 24.5, [x]), RangeError),
+    "MaterialModel": (lambda c, j, x: qpic.MaterialModel(
+        c.model.ordinary, c.model.extraordinary, x), RangeError),
+    "SellmeierSet": (lambda c, j, x: qpic.SellmeierSet(
+        c.model.ordinary.form, (x, *c.model.ordinary.a[1:]),
+        c.model.ordinary.b), RangeError),
+    "SourceSpec": (lambda c, j, x: qpic.SourceSpec(0.775, x, 9.2, 20700.0),
+                   RangeError),
+    "GridSpec": (lambda c, j, x: qpic.GridSpec(x, 32), ValidationError),
+    "build_jsa": (lambda c, j, x: qpic.build_jsa(c.model, c.source,
+                                                 temperature=x), RangeError),
+    "default_delay_values": (lambda c, j, x: default_delay_values(x),
+                             ValidationError),
+    "hom_scan": (lambda c, j, x: hom_scan(j, c, [x, 1.0, 2.0]), RangeError),
+    "apply_imperfection": (lambda c, j, x: apply_imperfection(c, "pc", x),
+                           RangeError),
+    "imperfection_sweep": (lambda c, j, x: imperfection_sweep(
+        j, c, "pc", [x], DELAYS), RangeError),
+    "temperature_scan": (lambda c, j, x: temperature_scan(c, [x], DELAYS),
+                         RangeError),
 }
 
+# the public callables that take no number: files, text and records whose
+# numbers were read where they were made (exceptions aside)
+NO_NUMBER = {
+    "default_material", "load_coupler_fit", "load_material", "parse_netlist",
+    "parse_netlist_text", "save_coupler_fit",
+    "coincidence", "element_matrices", "jsa_exchange_asymmetry",
+    "marginal_spectra", "ElementMatrix", "JointSpectralAmplitude",
+    "MarginalSpectra", "ScanResult", "SpectralDensity", "SweepPoint",
+    "TemperaturePoint", "TuningCurve",
+}
 
-@pytest.mark.parametrize("call", list(BAD_CALLS.values()), ids=list(BAD_CALLS))
-def test_entry_points_reject_bad_input(chip, jsa_small, call):
-    with pytest.raises(ValidationError):
+# calls that raised a bare ZeroDivisionError, ValueError or TypeError, a
+# misleading window RangeError, or returned a (1, 1, 1) switch map; then
+# each NUMBER_ARGS row given a str, and a NaN and an inf where it raises
+BAD_CALLS = {
+    "pc-length-0": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, 0.0, 0.1),
+                    RangeError),
+    "pc-length-negative":
+        (lambda c, j: qpic.pc_spectrum(c.model, 21.4, -5.0, 0.1), RangeError),
+    "pc-length-nan": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.nan,
+                                                    0.1), RangeError),
+    "pc-length-inf": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.inf,
+                                                    0.1), RangeError),
+    "pc-points-negative": (lambda c, j: qpic.pc_spectrum(
+        c.model, 21.4, 7620.0, 0.1, n_points=-1), ValidationError),
+    "delays-not-numbers": (lambda c, j: hom_scan(j, c, ["a", "b", "c"]),
+                           ValidationError),
+    "temperatures-not-numbers":
+        (lambda c, j: temperature_scan(c, ["a"], DELAYS), ValidationError),
+    "fractions-2-D": (lambda c, j: imperfection_sweep(
+        j, c, "pc", [[0.1, 0.2]], DELAYS), ValidationError),
+    "fractions-not-numbers":
+        (lambda c, j: imperfection_sweep(j, c, "pc", ["a"], DELAYS),
+         ValidationError),
+    "delay-points-negative": (lambda c, j: default_delay_values(-1),
+                              ValidationError),
+    "switch-map-2-D": (lambda c, j: qpic.switch_map(1e-4, 4000.0, [[0.0]],
+                                                    [0.0]), ValidationError),
+    "pbs-angles-array": (lambda c, j: qpic.pbs_angles(FIT, [500.0, 600.0]),
+                         ValidationError),
+}
+for _name, (_call, _error) in NUMBER_ARGS.items():
+    for _x, _raised in (("a", ValidationError), (math.nan, _error),
+                        (math.inf, _error)):
+        if _raised is not None:
+            BAD_CALLS[f"{_name}-{_x}"] = (
+                lambda c, j, call=_call, x=_x: call(c, j, x), _raised)
+
+
+@pytest.mark.parametrize("call, error", list(BAD_CALLS.values()),
+                         ids=list(BAD_CALLS))
+def test_entry_points_reject_bad_input(chip, jsa_small, call, error):
+    # the exact class: a qpic error, never a bare TypeError or ValueError
+    with pytest.raises(qpic.QpicError) as info:
         call(chip, jsa_small)
+    assert type(info.value) is error
+
+
+def test_every_public_call_has_a_row():
+    # a new public call that takes a number needs a NUMBER_ARGS row
+    public = {name for name in qpic.__all__
+              if callable(obj := getattr(qpic, name))
+              and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert NO_NUMBER <= public
+    assert {key.split(".")[0] for key in NUMBER_ARGS} == public - NO_NUMBER
 
 
 def test_dip_vertex_on_uneven_steps():

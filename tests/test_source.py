@@ -225,7 +225,7 @@ def test_pump_spec_derived_quantities():
     ("pump_wavelength", 0.5, "pump wavelength 0.5 um outside [0.6, 0.9] um"),
     ("pulse_duration", 0.0, "pulse duration 0.0 ps must be > 0"),
     ("poling_period", -1.0, "poling period -1.0 um must be > 0"),
-    ("pdc_length", float("nan"), "pdc length nan um must be > 0"),
+    ("pdc_length", float("nan"), "source pdc_length must be finite, got nan"),
 ], ids=["pump", "tau", "poling", "pdc-length-nan"])
 def test_source_spec_range_checks(chip, field, value, message):
     with pytest.raises(qpic.RangeError) as info:
@@ -250,6 +250,6 @@ def test_source_spec_rejects_infinite(chip, field, monkeypatch):
 
 @pytest.mark.parametrize("sizes", [(5.5, 64), (64, "64"), (64.0, 64)])
 def test_grid_spec_rejects_non_integer_sizes(sizes):
-    with pytest.raises(qpic.ValidationError, match="must be integers"):
+    with pytest.raises(qpic.ValidationError, match="is not an int >= 3"):
         GridSpec(*sizes)
     assert GridSpec(np.int64(5), 5).size_sum == 5
