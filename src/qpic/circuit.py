@@ -44,7 +44,6 @@ phases, are np.longdouble, and interpolates the entries to the rows.
 from __future__ import annotations
 
 import inspect
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -74,11 +73,17 @@ _SECTION_SCHEMA = {
 
 @dataclass(frozen=True)
 class ElementDecl:
-    """One netlist element: kind plus its numeric parameters."""
+    """One netlist element: kind plus its numeric parameters, each read by
+    ``errors.real`` when the declaration is built."""
 
     kind: str
     params: dict
     line: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", {
+            key: real(value, f"element '{self.kind}': {key}")
+            for key, value in self.params.items()})
 
     def with_params(self, **updates) -> "ElementDecl":
         merged = dict(self.params)
@@ -88,15 +93,20 @@ class ElementDecl:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """A parsed chip: material, temperature, source and element chain."""
+    """A parsed chip: material, temperature, source and element chain.
+    The temperature is range-checked when the spec is built."""
 
     elements: tuple
     model: MaterialModel = field(default_factory=default_material)
     temperature: float = T_REFERENCE
     source: SourceSpec | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "temperature",
+                           _check_temperature(self.temperature))
+
     def at_temperature(self, temperature: float) -> "CircuitSpec":
-        return replace(self, temperature=real(temperature, "temperature"))
+        return replace(self, temperature=temperature)
 
     def with_elements(self, elements) -> "CircuitSpec":
         return replace(self, elements=tuple(elements))
@@ -111,18 +121,16 @@ class CircuitSpec:
 
 def build_element(decl: ElementDecl) -> el.ElementMatrix:
     """Instantiate the factory of one declaration; ValidationError for an
-    unknown kind, an unknown or missing key, or a value not a number."""
+    unknown kind or an unknown or missing key."""
     if decl.kind not in ELEMENT_FACTORIES:
         raise ValidationError(f"unknown element kind {decl.kind!r}")
     required, optional = _element_keys(decl.kind)
     what = f"element '{decl.kind}'"
     for key in sorted(required - set(decl.params)):
         raise ValidationError(f"{what}: missing key {key!r}")
-    for key, value in decl.params.items():
+    for key in decl.params:
         if key not in required | optional:
             raise ValidationError(f"{what}: unknown key {key!r}")
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{what}: {key} = {value!r} is not a number")
     return ELEMENT_FACTORIES[decl.kind](**decl.params)
 
 

@@ -12,12 +12,20 @@ gnuplot script of the first table when ``--gnuplot-script`` is given,
 versions, a configuration echo and the summary). An invalid input
 therefore leaves no file behind. Exit codes: 0 success, 2 invalid input,
 3 numerical failure.
+
+A CSV float is written byte for byte as ``'%.11e' % v``, but assembled in
+numpy: its 12 digits are rint(m) for m = |v| 10**(11 - e), e =
+floor(log10|v|). m is off the exact value by less than 2.3e-4, so where
+m is more than 5e-3 from a rounding tie, rint(m) is the correctly rounded
+significand that ``%`` prints. Values nearer a tie, and those that are
+zero, non-finite, subnormal or have |e| >= 100, are formatted by ``%``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -45,7 +53,35 @@ from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
                      marginal_spectra)
 
 _CHUNK_ROWS = 8192  # rows formatted per write
-_FORMATS = {"f": "%.11e", "b": "%d", "U": "%s"}  # by dtype kind
+
+
+def _digit_table(width: int) -> np.ndarray:
+    """The ``width``-digit strings of 0 ... 10**width - 1, as S<width>."""
+    digits = np.indices((10,) * width, np.uint8).reshape(width, -1).T
+    return np.ascontiguousarray(digits + ord("0")).view(f"S{width}").ravel()
+
+
+@functools.cache
+def _float_tables():
+    """What ``_float_fields`` looks up, built on its first call: built on
+    import, it raised the peak RSS of commands that write small tables.
+
+    10**(11 - e) for e = -99 ... 99, each correctly rounded (float() of a
+    decimal literal), at index e + 99; the "e+XX" text of the same e; the
+    digit groups by width; and a fast field: sign, d, ".", then the other
+    11 digits in groups of 3, 4 and 4, and the exponent.
+    """
+    scale = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])
+    exponent = np.array([b"e%+03d" % e for e in range(-99, 100)])
+    digits = {n: _digit_table(n) for n in (1, 3, 4)}
+    field = np.dtype([("sign", "S1"), ("lead", "S1"), ("point", "S1"),
+                      ("d3", "S3"), ("d4", "S4"), ("d4_", "S4"),
+                      ("exp", "S4")])
+    return scale, exponent, digits, field
+
+
+# largest |m - rint(m)| of a fast field; 20x the error bound of m
+_ROUNDING_MARGIN = 0.5 - 5e-3
 
 
 class Artifacts(NamedTuple):
@@ -65,23 +101,91 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """``'%.11e' % v`` of each value, as the rows of a NUL-padded uint8
+    matrix of 18 or more columns.
+
+    With e = floor(log10|v|) and m = |v| 10**(11 - e), the digits are
+    rint(m). m is one product with a correctly rounded power of ten, so it
+    is off the exact value by less than 2.3e-4 while m < 1e12. A value
+    whose m lies in [1e11 + 1, 1e12 - 1) and within 0.495 of an integer
+    therefore rounds to that integer exactly, as Python's correctly
+    rounded ``%`` does, and a log10 off by one only moves m out of that
+    range. Any other value (zero, non-finite, subnormal, |e| >= 100, or
+    m near a tie) is formatted by ``%`` into a field widened to fit it.
+    """
+    scale, exponent, digits, field_type = _float_tables()
+    x = values.astype(np.float64, copy=False)
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):  # log10(0)
+        e = np.floor(np.log10(a))
+    fast = np.abs(e) < 100  # False for 0, subnormals, NaN and inf
+    e = np.where(fast, e, 0.0).astype(np.intp) + 99
+    m = np.where(fast, a, 1.0) * scale[e]
+    r = np.rint(m)
+    fast &= ((m >= 1e11 + 1) & (m < 1e12 - 1)
+             & (np.abs(m - r) <= _ROUNDING_MARGIN))
+    r[~fast] = 0.0  # m of 13 digits would overrun the lead table
+    field = np.empty(len(x), field_type)
+    field["sign"] = np.where(np.signbit(x), b"-", b"")
+    field["point"] = b"."
+    field["exp"] = exponent[e]
+    # each quotient of r < 2**52 by a power of ten is floored exactly
+    for name, size, unit in [("lead", 1, 1e11), ("d3", 3, 1e8),
+                             ("d4", 4, 1e4), ("d4_", 4, 1.0)]:
+        group = np.floor(r / unit)
+        r -= group * unit
+        field[name] = digits[size][group.astype(np.intp)]
+    out = field.view(np.uint8).reshape(len(x), field_type.itemsize)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array([b"%.11e" % v for v in x[slow].tolist()])
+        width = text.dtype.itemsize
+        if width > out.shape[1]:
+            out = np.pad(out, [(0, 0), (0, width - out.shape[1])])
+        out[slow] = 0
+        out[slow, :width] = text.view(np.uint8).reshape(len(slow), width)
+    return out
+
+
+def _bool_fields(values: np.ndarray) -> np.ndarray:
+    return (values.astype(np.uint8) + ord("0"))[:, None]
+
+
+def _str_fields(values: np.ndarray) -> np.ndarray:
+    text = np.array([_csv_field(s).encode() for s in values.tolist()])
+    return text.view(np.uint8).reshape(len(values), text.dtype.itemsize)
+
+
+_FIELDS = {"f": _float_fields, "b": _bool_fields, "U": _str_fields}
+
+
 def _write_columns(path: Path, header, columns) -> None:
     """Write one CSV table from equal-length column arrays.
 
-    Each column gets one format from its dtype: ``%.11e`` for float (12
-    significant digits), ``%d`` for bool, ``%s`` for str.
-    Rows are formatted ``_CHUNK_ROWS`` at a time, so the file never exists
-    as one list of Python values.
+    A float is written as ``%.11e`` writes it (12 significant digits), a
+    bool as 0 or 1 and a str in its ``_csv_field`` quoting. A float's
+    digits are rint(m), where m is off the exact scaled value by less than
+    2.3e-4; a value with m within 5e-3 of a tie goes to ``%``, so every
+    other rint(m) is the correctly rounded significand (``_float_fields``).
+    Rows are written ``_CHUNK_ROWS`` at a time: each column becomes a
+    matrix of UTF-8 fields padded with NUL, the matrices are joined with
+    the commas and CRLFs, and one mask drops the padding. So no str cell
+    may hold a NUL.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join(_FORMATS[c.dtype.kind] for c in columns) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_csv_field, header)) + "\r\n").encode())
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
-            chunk = [list(map(_csv_field, part)) if c.dtype.kind == "U"
-                     else part for c, part in zip(columns, chunk)]
-            fh.write("".join(map(row.__mod__, zip(*chunk))))
+            fields = [_FIELDS[c.dtype.kind](c[start:start + _CHUNK_ROWS])
+                      for c in columns]
+            comma, crlf = (np.broadcast_to(np.frombuffer(s, np.uint8),
+                                           (len(fields[0]), len(s)))
+                           for s in (b",", b"\r\n"))
+            rows = np.concatenate(
+                [part for f in fields for part in (f, comma)][:-1] + [crlf],
+                axis=1)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def _sha256(path: Path) -> str:
@@ -273,6 +377,15 @@ def cmd_jsa(args) -> Artifacts:
                                           getattr(idler, f)])
                           for f in ("wavelength", "omega", "density",
                                     "intensity"))])]
+    # the asymmetry's grid temporaries are freed before the dump's columns
+    summary = {
+        "exchange_asymmetry": jsa_exchange_asymmetry(jsa),
+        "normalization": jsa.normalization,
+        "ridge_offset_rad_ps": jsa.ridge_offset,
+        "signal_peak_um": signal.peak_wavelength,
+        "idler_peak_um": idler.peak_wavelength,
+        "temperature_c": spec.temperature,
+    }
     if args.dump_grid:
         n_sum, n_diff = jsa.amplitude.shape
         amplitude = jsa.amplitude.ravel()
@@ -282,14 +395,6 @@ def cmd_jsa(args) -> Artifacts:
                        [np.repeat(jsa.sum_grid, n_diff),
                         np.tile(jsa.diff_grid, n_sum),
                         amplitude.real, amplitude.imag]))
-    summary = {
-        "exchange_asymmetry": jsa_exchange_asymmetry(jsa),
-        "normalization": jsa.normalization,
-        "ridge_offset_rad_ps": jsa.ridge_offset,
-        "signal_peak_um": signal.peak_wavelength,
-        "idler_peak_um": idler.peak_wavelength,
-        "temperature_c": spec.temperature,
-    }
     return Artifacts(tables, summary, [netlist],
                      ("wavelength (um)", "normalised intensity", "2:5"))
 

@@ -29,7 +29,7 @@ from . import keyfile
 from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
                          pc_matched_wavelength, pc_mismatch)
 from .errors import NetlistError, NumericalError, RangeError, \
-    ValidationError, axis, count, real, reals
+    ValidationError, axis, count, finite, real, reals
 
 
 def _core_terms(kappa, dbeta, z):
@@ -201,8 +201,8 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
     half_length, kappa_c = _check_section("switch map", half_length, kappa_c)
     dbeta_per_volt = real(EO_BS_DBETA_PER_VOLT if dbeta_per_volt is None
                           else dbeta_per_volt, "switch map: dbeta_per_volt")
-    u1, u2 = (reals(u, "switch map voltages", 1, 1)
-              for u in (u1_values, u2_values))
+    u1, u2 = (finite(u, f"switch map {name}", 1)
+              for name, u in [("u1", u1_values), ("u2", u2_values)])
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)

@@ -4,9 +4,10 @@ numbers a public call takes.
 Two branches matter to callers: ValidationError for bad inputs and
 unreadable files (CLI exit code 2) and NumericalError for computations
 that cannot produce a trustworthy number (CLI exit code 3). Each public
-call reads its numbers with ``real``, ``reals``, ``axis`` or ``count``,
-which raise ValidationError for a non-number and RangeError for a NaN or
-infinite scalar or axis point; range checks stay with the caller.
+call reads its numbers with ``real``, ``reals``, ``finite``, ``axis`` or
+``count``, which raise ValidationError for a non-number and RangeError for
+a NaN or infinite scalar or point of a ``finite`` array or an axis; range
+checks stay with the caller.
 """
 
 from __future__ import annotations
@@ -87,12 +88,19 @@ def reals(values, what: str, ndim: int | None = None,
     return a if a.dtype.kind == "f" else a.astype(float)
 
 
-def axis(values, what: str, least: int) -> np.ndarray:
-    """``reals`` of a 1-D axis of at least ``least`` points, which must be
-    finite (RangeError) and strictly increasing."""
+def finite(values, what: str, least: int) -> np.ndarray:
+    """``reals`` of a 1-D array of at least ``least`` numbers, which must
+    be finite (RangeError)."""
     a = reals(values, what, 1, least)
-    if not np.all(finite := np.isfinite(a)):
-        raise RangeError(f"{what} must be finite, got {a[np.argmin(finite)]}")
+    if not np.all(ok := np.isfinite(a)):
+        raise RangeError(f"{what} must be finite, got {a[np.argmin(ok)]}")
+    return a
+
+
+def axis(values, what: str, least: int) -> np.ndarray:
+    """``finite`` of a 1-D axis of at least ``least`` points, which must
+    be strictly increasing."""
+    a = finite(values, what, least)
     if not np.all(np.diff(a) > 0.0):
         raise ValidationError(f"{what} must be strictly increasing")
     return a

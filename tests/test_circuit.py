@@ -195,15 +195,16 @@ def test_source_keys_are_the_spec_fields():
 @pytest.mark.parametrize("params, match", [
     ({"l1": 1.0, "l2": 1.0, "l3": 2.0}, "element 'fp': unknown key 'l3'"),
     ({"l1": 1.0}, "element 'fp': missing key 'l2'"),
-    ({"l1": "1", "l2": 1.0}, "element 'fp': l1 = '1' is not a number"),
+    ({"l1": "1", "l2": 1.0}, "element 'fp': l1 must be a number, got '1'"),
 ], ids=["unknown", "missing", "not-a-number"])
 def test_build_element_rejects_bad_params(jsa_small, params, match):
-    # a chip built in the library, not parsed, meets the same key checks
-    decl = ElementDecl("fp", params)
+    # a chip built in the library, not parsed, meets the same checks; a
+    # value not a number already fails when the declaration is built
     with pytest.raises(qpic.ValidationError, match=re.escape(match)):
-        circuit.build_element(decl)
+        circuit.build_element(ElementDecl("fp", params))
     with pytest.raises(qpic.ValidationError, match=re.escape(match)):
-        qpic.coincidence(jsa_small, CircuitSpec(elements=(decl,)))
+        qpic.coincidence(jsa_small,
+                         CircuitSpec(elements=(ElementDecl("fp", params),)))
 
 
 def test_unknown_source_key():
@@ -265,11 +266,15 @@ def test_missing_material_file_names_its_line(tmp_path):
 
 
 def test_material_temperature_out_of_range():
-    # fp builds its phases lazily, so only the parser can catch this
+    # the parser names the line; a spec built in the library is checked
+    # when it is built
     text = "[material]\ntemperature = 500\nelement fp\nl1 = 1\nl2 = 1\n"
     with pytest.raises(qpic.NetlistError, match=re.escape(
             "line 2: temperature 500.0 C outside validity range")):
         parse_netlist_text(text)
+    with pytest.raises(qpic.RangeError, match=re.escape(
+            "temperature 500.0 C outside validity range")):
+        CircuitSpec(elements=(), temperature=500.0)
 
 
 def test_bs_unbalanced_splitting():

@@ -353,7 +353,11 @@ def _old_fmt(value):
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
-                   5e-324, -2.2e-310, 1e300, -1e-300, 9.999999999995e299]
+                   5e-324, -2.2e-310, 1e300, -1e-300, 9.999999999995e299,
+                   # near ties and decade boundaries of the 12-digit rounding
+                   9.9999999999949, 1.000000000005, 123456789012.5, 1e22,
+                   1e23, -1e-100, 9.9999999999996, 999999999999.7,
+                   -99999999999.9, 1e-99, 9.99999999999e99]
 # csv.writer writes a lone empty field as "", so cells are never empty
 _CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                    blacklist_characters="\x00"),
@@ -379,19 +383,62 @@ def _tables(draw):
     return header, columns
 
 
-@given(table=_tables(), chunk_rows=st.integers(1, 5))
-def test_column_writer_matches_csv_writer(tmp_path_factory, table,
-                                          chunk_rows):
-    header, columns = table
+def _assert_writes_as_csv_writer(path, header, columns, chunk_rows):
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
     for row in zip(*columns):
         writer.writerow([_old_fmt(v) for v in row])
-    path = tmp_path_factory.getbasetemp() / "column_writer.csv"
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
         cli._write_columns(path, header, columns)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@given(table=_tables(), chunk_rows=st.integers(1, 5))
+def test_column_writer_matches_csv_writer(tmp_path_factory, table,
+                                          chunk_rows):
+    _assert_writes_as_csv_writer(
+        tmp_path_factory.getbasetemp() / "column_writer.csv", *table,
+        chunk_rows)
+
+
+def test_column_writer_is_exact_on_every_float(tmp_path):
+    # 10**6 floats of random bit patterns (every exponent, NaN payloads,
+    # subnormals) and 10**5 decimal ties (k + 1/2) 10**j, whose binary
+    # value sits just off the 12-digit tie on either side, and the special
+    # floats
+    rng = np.random.default_rng(27)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                        endpoint=False).view(np.float64)
+    ties = ((rng.integers(10 ** 11, 10 ** 12, 10 ** 5) + 0.5)
+            * 10.0 ** rng.integers(-110, 89, 10 ** 5))
+    _assert_writes_as_csv_writer(tmp_path / "floats.csv", ["a", "b"],
+                                 bits.reshape(2, -1), cli._CHUNK_ROWS)
+    _assert_writes_as_csv_writer(tmp_path / "ties.csv", ["t"],
+                                 [np.append(ties, _SPECIAL_FLOATS)],
+                                 cli._CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("bias", [-0.5, 0.5])
+def test_column_writer_survives_a_log10_off_by_one(tmp_path, bias):
+    # floor(log10|v|) is off by one for about half of these values; the
+    # range test on m must send each of them to %
+    log10 = np.log10
+    values = np.geomspace(1e-90, 1e90, 10 ** 4) * (1.0 + 1e-9)
+    with mock.patch.object(np, "log10", lambda a: log10(a) + bias):
+        _assert_writes_as_csv_writer(tmp_path / "log10.csv", ["v"],
+                                     [np.append(values, _SPECIAL_FLOATS)],
+                                     cli._CHUNK_ROWS)
+
+
+def test_column_writer_chunk_edges(tmp_path):
+    # fallback fields in the first and last row of a chunk; -5e-324 and
+    # -1e-100 are 19 bytes, wider than a fast field
+    floats = np.array([-5e-324, 1.5, -2.5, np.nan, 0.0, 3.25, 4.0, -1e-100])
+    columns = [floats, floats[::-1], floats > 0.0,
+               np.array(["a", "b,c", 'd"', "e"] * 2)]
+    _assert_writes_as_csv_writer(tmp_path / "edges.csv",
+                                 ["x", "y", "up", "name"], columns, 4)
 
 
 CONTRACT_CASES = {

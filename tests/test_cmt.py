@@ -221,13 +221,12 @@ def test_switch_map_rejects_what_eobs_rejects(kappa_c, half_length):
 @pytest.mark.parametrize("coupler, u1, u2, per_volt, name", [
     ((math.inf, 4000.0), [0.0], [0.0], None, "switch map coupling"),
     ((1e-4, math.inf), [0.0], [0.0], None, "switch map length"),
-    ((1e-4, 4000.0), [0.0, math.nan], [0.0], None, "mismatch nan"),
-    ((1e-4, 4000.0), [0.0], [math.inf], None, "mismatch inf"),
+    ((1e-4, 4000.0), [0.0, math.nan], [0.0], None, "switch map u1"),
+    ((1e-4, 4000.0), [0.0], [math.inf], None, "switch map u2"),
     ((1e-4, 4000.0), [0.0], [0.0], math.nan, "dbeta_per_volt"),
 ], ids=["kappa-inf", "half-length-inf", "u1-nan", "u2-inf", "per-volt-nan"])
 def test_switch_map_rejects_non_finite(coupler, u1, u2, per_volt, name):
-    # a voltage reaches compose_sections' check as a section's mismatch
-    with pytest.raises(qpic.ValidationError, match=f"{name} must be finite"):
+    with pytest.raises(qpic.RangeError, match=f"{name} must be finite"):
         switch_map(*coupler, u1, u2, per_volt)
 
 

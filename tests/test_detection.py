@@ -679,10 +679,10 @@ NUMBER_ARGS = {
     "pc_kappa": (lambda c, j, x: qpic.pc_kappa(x), RangeError),
     "eo_bs_dbeta": (lambda c, j, x: qpic.eo_bs_dbeta(x), RangeError),
     "mode_index": (lambda c, j, x: qpic.mode_index(x, "H"), ValidationError),
-    "ElementDecl": (lambda c, j, x: element_matrices(c.with_elements(
-        [qpic.ElementDecl("fp", {"l1": x, "l2": 1.0})])), RangeError),
-    "CircuitSpec": (lambda c, j, x: coincidence(
-        j, dataclasses.replace(c, temperature=x)), RangeError),
+    "ElementDecl": (lambda c, j, x: qpic.ElementDecl(
+        "fp", {"l1": x, "l2": 1.0}), RangeError),
+    "CircuitSpec": (lambda c, j, x: dataclasses.replace(c, temperature=x),
+                    RangeError),
     "CircuitSpec.at_temperature": (lambda c, j, x: c.at_temperature(x),
                                    RangeError),
     "compose_sections": (lambda c, j, x: qpic.compose_sections(
