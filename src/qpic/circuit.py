@@ -27,8 +27,10 @@ are finite floats; ``qpic.keyfile`` reads the line format shared with
 material and coupler-fit files, and each error names its line.
 ``ELEMENT_FACTORIES`` maps each element kind to its factory in
 ``qpic.elements``, whose parameter names are the kind's keys: required
-where the parameter has no default, optional where it has one. The
-[source] keys are the fields of ``source.SourceSpec``, all required.
+where the parameter has no default, optional where it has one. An
+``ElementDecl`` is checked and built once, when it is declared; an edit,
+``CircuitSpec.with_params``, declares a new one. The [source] keys are
+the fields of ``source.SourceSpec``, all required.
 
 ``walk`` is the one path through a chip: with one PhaseTable (indices n_H,
 n_V, wavevectors and straight phases) on a frequency grid, it lets each
@@ -73,22 +75,28 @@ _SECTION_SCHEMA = {
 
 @dataclass(frozen=True)
 class ElementDecl:
-    """One netlist element: kind plus its numeric parameters, each read by
-    ``errors.real`` when the declaration is built."""
+    """One netlist element, checked and built once, when it is declared:
+    each value is read by ``errors.real``, the keys must be the factory's
+    parameters, and ``matrix`` is what the factory builds from them."""
 
     kind: str
     params: dict
     line: int = 0
+    matrix: el.ElementMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", {
-            key: real(value, f"element '{self.kind}': {key}")
-            for key, value in self.params.items()})
-
-    def with_params(self, **updates) -> "ElementDecl":
-        merged = dict(self.params)
-        merged.update(updates)
-        return ElementDecl(kind=self.kind, params=merged, line=self.line)
+        what = f"element '{self.kind}'"
+        params = {key: real(value, f"{what}: {key}")
+                  for key, value in self.params.items()}
+        required, optional = _element_keys(self.kind)
+        for key in sorted(required - set(params)):
+            raise ValidationError(f"{what}: missing key {key!r}")
+        for key in params:
+            if key not in required | optional:
+                raise ValidationError(f"{what}: unknown key {key!r}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "matrix",
+                           ELEMENT_FACTORIES[self.kind](**params))
 
 
 @dataclass(frozen=True)
@@ -102,14 +110,22 @@ class CircuitSpec:
     source: SourceSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "temperature",
-                           _check_temperature(self.temperature))
+        object.__setattr__(self, "temperature", _check_temperature(
+            real(self.temperature, "temperature")))
 
     def at_temperature(self, temperature: float) -> "CircuitSpec":
         return replace(self, temperature=temperature)
 
     def with_elements(self, elements) -> "CircuitSpec":
         return replace(self, elements=tuple(elements))
+
+    def with_params(self, kind: str, **updates) -> "CircuitSpec":
+        """The chip with ``updates`` to the first element of ``kind``."""
+        i = self.index_of(kind)
+        elements = list(self.elements)
+        decl = elements[i]
+        elements[i] = ElementDecl(kind, {**decl.params, **updates}, decl.line)
+        return self.with_elements(elements)
 
     def index_of(self, kind: str) -> int:
         """Index of the first element of ``kind``; ValidationError if none."""
@@ -119,24 +135,12 @@ class CircuitSpec:
         raise ValidationError(f"circuit has no '{kind}' element")
 
 
-def build_element(decl: ElementDecl) -> el.ElementMatrix:
-    """Instantiate the factory of one declaration; ValidationError for an
-    unknown kind or an unknown or missing key."""
-    if decl.kind not in ELEMENT_FACTORIES:
-        raise ValidationError(f"unknown element kind {decl.kind!r}")
-    required, optional = _element_keys(decl.kind)
-    what = f"element '{decl.kind}'"
-    for key in sorted(required - set(decl.params)):
-        raise ValidationError(f"{what}: missing key {key!r}")
-    for key in decl.params:
-        if key not in required | optional:
-            raise ValidationError(f"{what}: unknown key {key!r}")
-    return ELEMENT_FACTORIES[decl.kind](**decl.params)
-
-
 def _element_keys(kind: str) -> tuple[set, set]:
     """(required, optional) netlist keys of an element kind: the
     parameters of its factory without and with a default."""
+    if kind not in ELEMENT_FACTORIES:
+        raise ValidationError(f"unknown element kind {kind!r}; known "
+                              f"kinds: {sorted(ELEMENT_FACTORIES)}")
     params = inspect.signature(ELEMENT_FACTORIES[kind]).parameters.values()
     return ({p.name for p in params if p.default is p.empty},
             {p.name for p in params if p.default is not p.empty})
@@ -146,7 +150,7 @@ def element_matrices(spec: CircuitSpec, transposed=False) -> list:
     """The chain in propagation order, or, if ``transposed``, reversed
     with transposed blocks: walking it computes U^T @ amps, so for unit
     vectors e_m as ``amps``, column r holds row m_r of U."""
-    chain = [build_element(d) for d in spec.elements]
+    chain = [d.matrix for d in spec.elements]
     return [m.transposed() for m in reversed(chain)] if transposed else chain
 
 
@@ -182,7 +186,7 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
         raise NetlistError(f"key {key!r} outside any section or element",
                            line=line)
     sections: dict[str, dict] = {}
-    decls: list[ElementDecl] = []
+    decls = []  # (kind, line, params), declared after material and source
     for block in blocks:
         header, line, entries = block
         words = header.lower().split()
@@ -200,17 +204,13 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
         elif len(words) != 2 or not words[0].startswith("element"):
             raise NetlistError(f"expected 'key = value', '[section]' or "
                                f"'element <kind>', got {header!r}", line=line)
-        elif words[1] not in ELEMENT_FACTORIES:
-            raise NetlistError(f"unknown element kind {words[1]!r}; known "
-                               f"kinds: {sorted(ELEMENT_FACTORIES)}",
-                               line=line)
         else:
             kind = words[1]
-            keyfile.check_keys(block, *_element_keys(kind),
-                               f"element '{kind}'")
-            decls.append(ElementDecl(
-                kind=kind, line=line,
-                params={k: keyfile.number(e) for k, e in entries.items()}))
+            with keyfile.at_line(line):
+                keys = _element_keys(kind)
+            keyfile.check_keys(block, *keys, f"element '{kind}'")
+            decls.append((kind, line, {k: keyfile.number(e)
+                                       for k, e in entries.items()}))
 
     material = sections.get("[material]", {})
     temperature = T_REFERENCE
@@ -230,21 +230,16 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
         source = SourceSpec(**{k: keyfile.number(e)
                                for k, e in sections["[source]"].items()})
 
-    spec = CircuitSpec(elements=tuple(decls), model=model,
-                       temperature=temperature, source=source)
-    _validate_elements(spec)
-    return spec
-
-
-def _validate_elements(spec: CircuitSpec):
-    # instantiating runs each element's own range checks; netlist position
-    # is attached so the user sees where the bad element was declared
-    for decl in spec.elements:
+    elements = []
+    for kind, line, params in decls:
+        # a factory's range check names the line of its element
         try:
-            build_element(decl)
+            elements.append(ElementDecl(kind, params, line))
         except ValidationError as exc:
-            raise NetlistError(f"element '{decl.kind}': {exc}",
-                               line=decl.line) from exc
+            raise NetlistError(f"element '{kind}': {exc}", line=line) \
+                from exc
+    return CircuitSpec(elements=tuple(elements), model=model,
+                       temperature=temperature, source=source)
 
 
 def parse_netlist(path) -> CircuitSpec:

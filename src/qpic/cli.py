@@ -299,21 +299,17 @@ def _load_chip(args) -> tuple[CircuitSpec, Path]:
     spec = replace(spec, source=replace(spec.source, **{
         k: v for k, v in overrides.items() if v is not None}))
 
-    pc_length, pc_kappa_arg = args.pc_length, args.pc_kappa
-    if pc_length is not None or pc_kappa_arg is not None:
-        i = spec.index_of("pc")
-        updates = {}
-        if pc_length is not None:
-            if not pc_length > 0.0:
-                raise ValidationError(
-                    f"--pc-length must be > 0 um, got {pc_length}")
-            updates["length"] = pc_length
-            updates["kappa"] = np.pi / (2.0 * pc_length)
-        if pc_kappa_arg is not None:
-            updates["kappa"] = pc_kappa_arg
-        elements = list(spec.elements)
-        elements[i] = spec.elements[i].with_params(**updates)
-        spec = spec.with_elements(elements)
+    updates = {}
+    if args.pc_length is not None:
+        if not args.pc_length > 0.0:
+            raise ValidationError(
+                f"--pc-length must be > 0 um, got {args.pc_length}")
+        updates["length"] = args.pc_length
+        updates["kappa"] = np.pi / (2.0 * args.pc_length)
+    if args.pc_kappa is not None:
+        updates["kappa"] = args.pc_kappa
+    if updates:
+        spec = spec.with_params("pc", **updates)
     return spec, path
 
 

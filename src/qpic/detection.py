@@ -497,7 +497,12 @@ class SweepPoint:
     scan: ScanResult
 
 
-IMPERFECTION_TARGETS = ("bs", "pbs", "pbs-one-pol", "pc")
+# imperfection target -> (element kind, ideal angle, angles it scales);
+# the "pc" target scales the converter's coupling
+_ANGLE_TARGETS = {"bs": ("bs", np.pi / 4.0, ("theta", "xi")),
+                  "pbs": ("pbs", np.pi / 2.0, ("alpha", "beta")),
+                  "pbs-one-pol": ("pbs", np.pi / 2.0, ("alpha",))}
+IMPERFECTION_TARGETS = (*_ANGLE_TARGETS, "pc")
 
 
 def apply_imperfection(spec: CircuitSpec, target: str,
@@ -516,27 +521,11 @@ def apply_imperfection(spec: CircuitSpec, target: str,
         raise ValidationError(
             f"imperfection fraction {fraction} outside [0, 1]")
     scale = 1.0 - fraction
-    elements = list(spec.elements)
-    if target == "bs":
-        i = spec.index_of("bs")
-        ideal = np.pi / 4.0
-        elements[i] = elements[i].with_params(theta=scale * ideal,
-                                              xi=scale * ideal)
-    elif target == "pbs":
-        i = spec.index_of("pbs")
-        ideal = np.pi / 2.0
-        elements[i] = elements[i].with_params(alpha=scale * ideal,
-                                              beta=scale * ideal)
-    elif target == "pbs-one-pol":
-        i = spec.index_of("pbs")
-        ideal = np.pi / 2.0
-        elements[i] = elements[i].with_params(alpha=scale * ideal)
-    else:  # pc
-        i = spec.index_of("pc")
-        length = spec.elements[i].params["length"]
-        elements[i] = elements[i].with_params(
-            kappa=scale * np.pi / (2.0 * length))
-    return spec.with_elements(elements)
+    if target == "pc":
+        length = spec.elements[spec.index_of("pc")].params["length"]
+        return spec.with_params("pc", kappa=scale * np.pi / (2.0 * length))
+    kind, ideal, angles = _ANGLE_TARGETS[target]
+    return spec.with_params(kind, **dict.fromkeys(angles, scale * ideal))
 
 
 def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,

@@ -14,7 +14,7 @@ a dense 4x4 per frequency:
 
 Each netlist kind has one factory here (``circuit.ELEMENT_FACTORIES``),
 whose parameter names are the kind's netlist keys: renaming a parameter
-renames a key.
+renames a key. ``circuit.ElementDecl`` calls it once per declaration.
 
 ``ElementMatrix.apply`` acts with that structure on a 4 x k table of
 amplitude entries, one per (mode, input vector). An entry is None where the

@@ -65,15 +65,8 @@ def scan_ideal():
 
 
 def with_pc_length(spec, length):
-    elements = []
-    for decl in spec.elements:
-        if decl.kind == "pc":
-            params = dict(decl.params)
-            params["length"] = length
-            params["kappa"] = math.pi / (2.0 * length)
-            decl = dataclasses.replace(decl, params=params)
-        elements.append(decl)
-    return spec.with_elements(tuple(elements))
+    return spec.with_params("pc", length=length,
+                            kappa=math.pi / (2.0 * length))
 
 
 def test_criterion_1_ideal_dip():

@@ -192,19 +192,32 @@ def test_source_keys_are_the_spec_fields():
         poling_period=9.217870197227, pdc_length=20700.0)
 
 
-@pytest.mark.parametrize("params, match", [
-    ({"l1": 1.0, "l2": 1.0, "l3": 2.0}, "element 'fp': unknown key 'l3'"),
-    ({"l1": 1.0}, "element 'fp': missing key 'l2'"),
-    ({"l1": "1", "l2": 1.0}, "element 'fp': l1 must be a number, got '1'"),
-], ids=["unknown", "missing", "not-a-number"])
-def test_build_element_rejects_bad_params(jsa_small, params, match):
-    # a chip built in the library, not parsed, meets the same checks; a
-    # value not a number already fails when the declaration is built
-    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
-        circuit.build_element(ElementDecl("fp", params))
-    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
-        qpic.coincidence(jsa_small,
-                         CircuitSpec(elements=(ElementDecl("fp", params),)))
+@pytest.mark.parametrize("params, error, match", [
+    ({"l1": 1.0, "l2": 1.0, "l3": 2.0}, qpic.ValidationError,
+     "element 'fp': unknown key 'l3'"),
+    ({"l1": 1.0}, qpic.ValidationError, "element 'fp': missing key 'l2'"),
+    ({"l1": "1", "l2": 1.0}, qpic.ValidationError,
+     "element 'fp': l1 must be a number, got '1'"),
+    ({"l1": -1.0, "l2": 1.0}, qpic.RangeError,
+     "fp lengths (-1.0, 1.0) um must be >= 0"),
+], ids=["unknown", "missing", "not-a-number", "range"])
+def test_build_element_rejects_bad_params(params, error, match):
+    # a chip built in the library, not parsed, meets the same checks, and
+    # the factory's own, when the declaration is built
+    with pytest.raises(error, match=re.escape(match)) as info:
+        ElementDecl("fp", params)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("unset", [
+    lambda spec: CircuitSpec(elements=(), temperature=None),
+    lambda spec: dataclasses.replace(spec, temperature=None),
+], ids=["CircuitSpec", "replace"])
+def test_chip_temperature_must_be_set(chip, unset):
+    # None is no temperature: the chip is not silently at T_REFERENCE
+    with pytest.raises(qpic.ValidationError,
+                       match="temperature must be a number, got None"):
+        unset(chip)
 
 
 def test_unknown_source_key():

@@ -1,6 +1,7 @@
 """Coincidence probabilities, interferometer scans, and sweeps."""
 
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -119,7 +120,8 @@ def assert_scan_matches_stretched_chip(jsa, chip, delays, query, tol):
     fp = chip.elements[idx]
     for delta, p in zip(delays, scan.probabilities):
         elements = list(chip.elements)
-        elements[idx] = fp.with_params(l2=fp.params["l2"] + delta)
+        elements[idx] = dataclasses.replace(
+            fp, params={**fp.params, "l2": fp.params["l2"] + delta})
         stretched = chip.with_elements(elements)
         assert p == pytest.approx(coincidence(jsa, stretched, query),
                                   abs=tol)
@@ -549,8 +551,8 @@ def test_common_mode_length_after_converter_keeps_scan_on_random_chains(
     fp = chip.elements[idx]
     longest = max(fp.params["l1"], fp.params["l2"]) + common
     elements = list(chip.elements)
-    elements[idx] = fp.with_params(l1=fp.params["l1"] + common,
-                                   l2=fp.params["l2"] + common)
+    elements[idx] = dataclasses.replace(fp, params={
+        "l1": fp.params["l1"] + common, "l2": fp.params["l2"] + common})
     longer = chip.with_elements(elements)
     for query in ("VV", "insensitive"):
         np.testing.assert_allclose(
@@ -589,11 +591,9 @@ def test_temperature_scan_checks_every_window_first(chip, monkeypatch):
         raise AssertionError("grid work before the window check")
 
     monkeypatch.setattr(detection, "build_jsa", no_grid_work)
-    elements = list(chip.elements)
-    i = [k for k, d in enumerate(elements) if d.kind == "pc"][0]
-    elements[i] = elements[i].with_params(length=5.0)
     with pytest.raises(RangeError, match="converter length 5.0 um"):
-        temperature_scan(chip.with_elements(elements), [24.0, 25.0, 26.0],
+        temperature_scan(chip.with_params("pc", length=5.0),
+                         [24.0, 25.0, 26.0],
                          delay_values=DELAYS[:3])
 
 
@@ -685,6 +685,8 @@ NUMBER_ARGS = {
                     RangeError),
     "CircuitSpec.at_temperature": (lambda c, j, x: c.at_temperature(x),
                                    RangeError),
+    "CircuitSpec.with_params": (lambda c, j, x: c.with_params("fp", l1=x),
+                                RangeError),
     "compose_sections": (lambda c, j, x: qpic.compose_sections(
         x, [0.0], 10.0), RangeError),
     "conversion_fraction": (lambda c, j, x: qpic.conversion_fraction(
@@ -983,15 +985,41 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
 
 
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
+    # the angle warning comes once, when the pbs is declared; no scan of
+    # the chip repeats it
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    i = [d.kind for d in chip.elements].index("pbs")
-    elements = list(chip.elements)
-    elements[i] = elements[i].with_params(alpha=2.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        hom_scan(jsa_tiny, chip.with_elements(elements), DELAYS[:5])
+        leaky = chip.with_params("pbs", alpha=2.0)
     assert [str(w.message).split(";")[0] for w in caught] == [
         "pbs angles outside [0, pi/2]"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hom_scan(jsa_tiny, leaky, DELAYS[:5])
+    assert caught == []
+
+
+def test_scans_build_no_element(chip, jsa_tiny, monkeypatch):
+    # each declaration is built once: a scan reuses its matrix, and a
+    # sweep declares one element per fraction
+    calls = []
+
+    def counting(factory):
+        @functools.wraps(factory)  # the netlist keys are its parameters
+        def call(*args, **kwargs):
+            calls.append(factory.__name__)
+            return factory(*args, **kwargs)
+        return call
+
+    for kind, factory in list(qpic.circuit.ELEMENT_FACTORIES.items()):
+        monkeypatch.setitem(qpic.circuit.ELEMENT_FACTORIES, kind,
+                            counting(factory))
+    hom_scan(jsa_tiny, chip, DELAYS[:5])
+    temperature_scan(chip, [24.0, 25.0], DELAYS[:3],
+                     grid=qpic.GridSpec(64, 64))
+    assert calls == []
+    imperfection_sweep(jsa_tiny, chip, "pbs", [0.0, 0.25, 0.5], DELAYS[:3])
+    assert calls == ["pbs_matrix"] * 3
 
 
 def test_hom_scan_keeps_no_full_grid_array(chip):
