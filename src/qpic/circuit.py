@@ -46,6 +46,7 @@ phases, are np.longdouble, and interpolates the entries to the rows.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -86,6 +87,9 @@ class ElementDecl:
 
     def __post_init__(self):
         what = f"element '{self.kind}'"
+        if not isinstance(self.params, Mapping):
+            raise ValidationError(f"{what}: params must be a mapping of key "
+                                  f"to value, got {self.params!r}")
         params = {key: real(value, f"{what}: {key}")
                   for key, value in self.params.items()}
         required, optional = _element_keys(self.kind)
@@ -102,7 +106,8 @@ class ElementDecl:
 @dataclass(frozen=True)
 class CircuitSpec:
     """A parsed chip: material, temperature, source and element chain.
-    The temperature is range-checked when the spec is built."""
+    The chain is stored as a tuple of ElementDecl and the temperature is
+    range-checked when the spec is built (ValidationError otherwise)."""
 
     elements: tuple
     model: MaterialModel = field(default_factory=default_material)
@@ -110,6 +115,17 @@ class CircuitSpec:
     source: SourceSpec | None = None
 
     def __post_init__(self):
+        try:
+            elements = tuple(self.elements)
+        except TypeError:
+            raise ValidationError(f"circuit elements must be a sequence of "
+                                  f"ElementDecl, got {self.elements!r}") \
+                from None
+        for decl in elements:
+            if not isinstance(decl, ElementDecl):
+                raise ValidationError(
+                    f"circuit element {decl!r} is not an ElementDecl")
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "temperature", _check_temperature(
             real(self.temperature, "temperature")))
 
@@ -117,7 +133,7 @@ class CircuitSpec:
         return replace(self, temperature=temperature)
 
     def with_elements(self, elements) -> "CircuitSpec":
-        return replace(self, elements=tuple(elements))
+        return replace(self, elements=elements)
 
     def with_params(self, kind: str, **updates) -> "CircuitSpec":
         """The chip with ``updates`` to the first element of ``kind``."""
@@ -238,7 +254,7 @@ def parse_netlist_text(text: str, base_dir=None) -> CircuitSpec:
         except ValidationError as exc:
             raise NetlistError(f"element '{kind}': {exc}", line=line) \
                 from exc
-    return CircuitSpec(elements=tuple(elements), model=model,
+    return CircuitSpec(elements=elements, model=model,
                        temperature=temperature, source=source)
 
 

@@ -81,6 +81,10 @@ next, whose reference moves from theta on that row along the chunk's slope
 toward the cap distance, not past the middle of the rows left; where one
 row's move misses the cap it stays there (eps = 0, N = 0: the direct sum).
 A 1000 ps pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens.
+
+``temperature_scan`` and ``imperfection_sweep`` run each temperature or
+fraction as one job of ``workers.forked_map``, one forked process per
+available core, with results, warnings and errors as in a serial loop.
 """
 
 from __future__ import annotations
@@ -538,8 +542,10 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     fractions = reals(fractions, "sweep fractions", 1, 1).tolist()
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
-    return [SweepPoint(fraction, hom_scan(jsa, chip, delay_values, query))
-            for fraction, chip in zip(fractions, chips)]
+    from .workers import forked_map  # hom's import compiles none of it
+    scans = forked_map(
+        lambda chip: hom_scan(jsa, chip, delay_values, query), chips)
+    return [SweepPoint(f, scan) for f, scan in zip(fractions, scans)]
 
 
 @dataclass(frozen=True)
@@ -585,13 +591,11 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         windows.append((centre, float(cmt.peak_fwhm(window_lams,
                                                      window_frac))))
 
-    points = []
-    for t, (centre, window_fwhm) in zip(temperatures, windows):
+    def point(job) -> TemperaturePoint:
+        t, (centre, window_fwhm) = job
         jsa = build_jsa(spec.model, spec.source, grid, temperature=t)
-        chip = spec.at_temperature(t)
-        scan = hom_scan(jsa, chip, delay_values, query)
+        scan = hom_scan(jsa, spec.at_temperature(t), delay_values, query)
         marginals = marginal_spectra(jsa)
-        del jsa  # one JSA at a time: free it before the next is built
         signal = marginals.signal
         signal_peak = signal.peak_wavelength
         idler_peak = marginals.idler.peak_wavelength
@@ -602,10 +606,13 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         # base half-width is pi/1.3916 = 2.2576 half-maximum half-widths
         lobe_half_base = 1.1288 * window_fwhm
         outside = abs(signal_peak - centre) > 0.5 * signal_fwhm + lobe_half_base
-        points.append(TemperaturePoint(
+        return TemperaturePoint(
             temperature=t, scan=scan, signal_peak=signal_peak,
             idler_peak=idler_peak, signal_fwhm=signal_fwhm,
             window_centre=float(centre), window_fwhm=window_fwhm,
-            outside_window=bool(outside)))
-    return points
+            outside_window=bool(outside))
+
+    from .workers import forked_map  # hom's import compiles none of it
+    # one JSA per process at a time: each job frees its own
+    return forked_map(point, list(zip(temperatures, windows)))
 

@@ -200,13 +200,36 @@ def test_source_keys_are_the_spec_fields():
      "element 'fp': l1 must be a number, got '1'"),
     ({"l1": -1.0, "l2": 1.0}, qpic.RangeError,
      "fp lengths (-1.0, 1.0) um must be >= 0"),
-], ids=["unknown", "missing", "not-a-number", "range"])
+    (None, qpic.ValidationError,
+     "element 'fp': params must be a mapping of key to value, got None"),
+    ([("l1", 1.0), ("l2", 1.0)], qpic.ValidationError,
+     "element 'fp': params must be a mapping of key to value, got [("),
+], ids=["unknown", "missing", "not-a-number", "range", "None", "pairs"])
 def test_build_element_rejects_bad_params(params, error, match):
     # a chip built in the library, not parsed, meets the same checks, and
     # the factory's own, when the declaration is built
     with pytest.raises(error, match=re.escape(match)) as info:
         ElementDecl("fp", params)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("elements, match", [
+    (("fp",), "circuit element 'fp' is not an ElementDecl"),
+    ([("fp", {"l1": 1.0, "l2": 1.0})],
+     "circuit element ('fp', {'l1': 1.0, 'l2': 1.0}) is not an ElementDecl"),
+    (None, "circuit elements must be a sequence of ElementDecl, got None"),
+], ids=["kind", "pair", "None"])
+def test_chip_elements_must_be_declarations(chip, elements, match):
+    # a chip that builds can be scanned: no AttributeError at the first walk
+    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
+        CircuitSpec(elements=elements)
+    with pytest.raises(qpic.ValidationError, match=re.escape(match)):
+        chip.with_elements(elements)
+
+
+def test_chip_stores_its_elements_as_a_tuple(chip):
+    assert chip.with_elements(list(chip.elements)).elements == chip.elements
+    assert type(CircuitSpec(elements=[]).elements) is tuple
 
 
 @pytest.mark.parametrize("unset", [

@@ -164,11 +164,13 @@ _SCIPY_MODULES = ("sorted(m for m in sys.modules "
 
 
 def test_import_leaves_out_scipy_optimize(tmp_path):
+    # the scans fork their workers with os alone: no process pool either
     probe = _run_fresh("-c", "import sys, qpic.cli; "
                        f"print({_SCIPY_MODULES}, "
-                       "'concurrent.futures' in sys.modules)", cwd=tmp_path)
+                       "'concurrent.futures' in sys.modules, "
+                       "'multiprocessing' in sys.modules)", cwd=tmp_path)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "[] False"
+    assert probe.stdout.strip() == "[] False False"
     # coupler-fit runs its own least squares: no scipy module at all
     fit = _run_fresh("-c", "import sys; from qpic.cli import main; "
                      "code = main(['coupler-fit', '-o', 'out']); "

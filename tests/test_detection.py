@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpic
-from qpic import detection
+from qpic import detection, workers
 from qpic.circuit import (CHANNEL1_INPUTS, element_matrices,
                           parse_netlist_text, walk)
 from qpic.detection import (IMPERFECTION_TARGETS, QUERIES,
@@ -1020,6 +1021,147 @@ def test_scans_build_no_element(chip, jsa_tiny, monkeypatch):
     assert calls == []
     imperfection_sweep(jsa_tiny, chip, "pbs", [0.0, 0.25, 0.5], DELAYS[:3])
     assert calls == ["pbs_matrix"] * 3
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_same(a, b):
+    """Equal records, every array bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+TEMPERATURES = [23.0, 24.0, 25.0, 26.0]
+GRID = qpic.GridSpec(32, 32)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_map_runs_the_jobs_in_order(monkeypatch, n_workers):
+    _cores(monkeypatch, n_workers)
+    results = workers.forked_map(lambda job: (job, os.getpid()),
+                                 list(range(5)))
+    assert [job for job, _ in results] == list(range(5))
+    # job i runs in share i % n_workers, share 0 in the caller
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == n_workers
+    assert all(pids[i] == pids[i % n_workers] for i in range(5))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_forked_scans_match_the_serial_loop(chip, jsa_tiny, monkeypatch,
+                                            n_workers):
+    def scans():
+        return (temperature_scan(chip, TEMPERATURES, DELAYS[:5],
+                                 "insensitive", GRID),
+                imperfection_sweep(jsa_tiny, chip, "pbs",
+                                   [0.0, 0.25, 0.5, 0.75, 1.0], DELAYS[:5]))
+
+    _cores(monkeypatch, 1)
+    serial = scans()
+    _cores(monkeypatch, n_workers)
+    forked = scans()
+    _assert_no_child_left()
+    for a, b in zip(serial, forked):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+
+
+def _patched_build(monkeypatch, before):
+    """detection.build_jsa that first calls before(temperature)."""
+    build = qpic.source.build_jsa
+
+    def patched(*args, temperature, **kwargs):
+        before(temperature)
+        return build(*args, temperature=temperature, **kwargs)
+
+    monkeypatch.setattr(detection, "build_jsa", patched)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch,
+                                                 n_workers):
+    # at 3 workers the caller's share (23, 26) fails too, after the child
+    # whose share is 24 failed: the earlier job's error wins
+    def fail(t):
+        if t in (24.0, 26.0):
+            raise RangeError(f"no source at {t} C")
+
+    _cores(monkeypatch, n_workers)
+    _patched_build(monkeypatch, fail)
+    with pytest.raises(RangeError, match=r"^no source at 24.0 C$") as info:
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    assert type(info.value) is RangeError
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_replays_warnings_in_job_order(chip, monkeypatch,
+                                                   n_workers):
+    _cores(monkeypatch, n_workers)
+    _patched_build(monkeypatch, lambda t: t == 25.0 and warnings.warn(
+        "ridge moved", UserWarning))
+    with pytest.warns(UserWarning, match="ridge moved") as record:
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    assert [str(w.message) for w in record] == ["ridge moved"]
+
+    _patched_build(monkeypatch, lambda t: warnings.warn(f"built at {t}"))
+    with pytest.warns(UserWarning) as record:
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    assert [str(w.message) for w in record] == [
+        f"built at {t}" for t in TEMPERATURES]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_keeps_the_callers_filters(chip, monkeypatch, n_workers):
+    _cores(monkeypatch, n_workers)
+    _patched_build(monkeypatch, lambda t: warnings.warn("same place"))
+    # "default" shows a warning once per place, across jobs as in the
+    # serial loop: each replay uses the registry of the raising module
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    assert [str(w.message) for w in caught] == ["same place"]
+    # "error" raises the warning, from whichever process met it
+    _patched_build(monkeypatch, lambda t: t == 24.0 and warnings.warn(
+        "overflow", RuntimeWarning))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    _assert_no_child_left()
+
+
+def test_forked_scan_raises_for_a_dead_child(chip, monkeypatch):
+    caller = os.getpid()
+
+    def die(t):
+        if os.getpid() != caller:
+            os._exit(1)
+
+    _cores(monkeypatch, 2)
+    _patched_build(monkeypatch, die)
+    with pytest.raises(ChildProcessError,
+                       match=r"worker process \d+ ended without its results"):
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    _assert_no_child_left()
 
 
 def test_hom_scan_keeps_no_full_grid_array(chip):
