@@ -8,9 +8,10 @@ and component-imperfection studies.
 
 from .circuit import (CircuitSpec, ElementDecl, element_matrices,
                       parse_netlist, parse_netlist_text)
-from .cmt import (CouplerFit, compose_sections, conversion_fraction,
-                  fit_coupler, load_coupler_fit, pbs_angles, pc_spectrum,
-                  peak_fwhm, save_coupler_fit, splitting_ratio, switch_map)
+from .cmt import (ConversionWindow, CouplerFit, compose_sections,
+                  conversion_fraction, fit_coupler, load_coupler_fit,
+                  pbs_angles, pc_window, peak_fwhm, save_coupler_fit,
+                  splitting_ratio, switch_map)
 from .detection import (ScanResult, SweepPoint, TemperaturePoint,
                         apply_imperfection, coincidence,
                         default_delay_values, hom_scan, imperfection_sweep,

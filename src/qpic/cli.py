@@ -39,13 +39,12 @@ import numpy as np
 
 from . import __version__
 from .circuit import CircuitSpec, parse_netlist
-from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_spectrum, \
-    peak_fwhm, save_coupler_fit, splitting_ratio, switch_map
+from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_window, \
+    save_coupler_fit, splitting_ratio, switch_map
 from .detection import (DEFAULT_DELAY_SPAN, IMPERFECTION_TARGETS, QUERIES,
                         hom_scan, imperfection_sweep, temperature_scan)
 from .dispersion import (DATA_DIR, MaterialModel, default_material,
-                         degenerate_wavelength, load_material,
-                         pc_matched_wavelength, tuning_curve)
+                         degenerate_wavelength, load_material, tuning_curve)
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .keyfile import read_text
@@ -455,19 +454,18 @@ def cmd_pc_window(args) -> Artifacts:
             raise ValidationError(
                 "--lmin and --lmax must both be given with lmax > lmin")
         wavelengths = np.linspace(args.lmin, args.lmax, args.points)
-    lams, frac = pc_spectrum(model, args.poling, args.length, kappa,
-                             temperature=args.temperature,
-                             wavelengths=wavelengths,
-                             n_points=args.points)
+    window = pc_window(model, args.poling, args.length, kappa,
+                       temperature=args.temperature, wavelengths=wavelengths,
+                       n_points=args.points)
     summary = {
-        "centre_um": pc_matched_wavelength(model, args.poling,
-                                           args.temperature),
-        "fwhm_um": peak_fwhm(lams, frac),
-        "peak_fraction": float(np.max(frac)),
+        "centre_um": window.centre,
+        "fwhm_um": window.fwhm,
+        "peak_fraction": float(np.max(window.fraction)),
         "kappa_rad_um": float(kappa),
     }
     return Artifacts([("pc_window", ["wavelength_um", "conversion_fraction"],
-                       [lams, frac])], summary, inputs,
+                       [window.wavelengths, window.fraction])],
+                     summary, inputs,
                      ("wavelength (um)", "conversion fraction", "1:2"))
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +64,8 @@ def compose_sections(kappa, dbetas, length):
     Broadcasts over arrays in ``kappa``, ``dbetas`` and ``length``.
     RangeError for a non-finite input or a negative length.
     """
-    kappa, length = reals(kappa, "coupling"), reals(length, "section length")
-    dbetas = [reals(d, "mismatch") for d in dbetas]
-    for label, value in [("coupling", kappa), ("section length", length),
-                         *[("mismatch", d) for d in dbetas]]:
-        finite = np.isfinite(value)
-        if not np.all(finite):
-            raise RangeError(f"{label} {value.flat[int(np.argmin(finite))]} "
-                             f"must be finite")
+    kappa, length = finite(kappa, "coupling"), finite(length, "section length")
+    dbetas = [finite(d, "mismatch") for d in dbetas]
     if np.any(length < 0.0):
         raise RangeError("section length must be >= 0")
     total = None
@@ -114,21 +109,29 @@ def _check_section(label: str, length, coupling):
     return length, coupling
 
 
-def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
-                kappa: float, temperature=None, wavelengths=None,
-                n_points: int = 2001):
-    """Conversion spectrum of a poled section.
+class ConversionWindow(NamedTuple):
+    """What ``pc_window`` returns; wavelengths in um."""
 
-    Returns (wavelengths, fraction). When no wavelength grid is given, one
-    is centred on the matched wavelength and spans four times the
-    estimated sinc width on each side in ``n_points`` (an int >= 3);
-    RangeError when that window leaves the material's validity range (a
-    converter too short for its window).
+    centre: float  # the phase-matched wavelength
+    fwhm: float  # of the sampled fraction, by ``peak_fwhm``
+    wavelengths: np.ndarray
+    fraction: np.ndarray  # converted TE -> TM power at each wavelength
+
+
+def pc_window(model: MaterialModel, poling_period: float, length: float,
+              kappa: float, temperature=None, wavelengths=None,
+              n_points: int = 2001) -> ConversionWindow:
+    """Conversion window of a poled section, its centre solved once.
+
+    When no wavelength grid is given, one is centred on the matched
+    wavelength and spans four times the estimated sinc width on each side
+    in ``n_points`` (an int >= 3); RangeError when that window leaves the
+    material's validity range (a converter too short for its window).
     """
     length, kappa = _check_section("section", length, kappa)
+    centre = pc_matched_wavelength(model, poling_period, temperature)
     if wavelengths is None:
         n_points = count(n_points, "n_points", 3)
-        centre = pc_matched_wavelength(model, poling_period, temperature)
         # FWHM of sin^2(dk L / 2)/..: dk L spans ~ 5.57 rad across half max
         h = centre * 1e-4
         slope = abs(pc_mismatch(model, poling_period, centre + h, temperature)
@@ -146,7 +149,8 @@ def pc_spectrum(model: MaterialModel, poling_period: float, length: float,
         wavelengths = reals(wavelengths, "wavelengths")
     frac = conversion_fraction(model, poling_period, length, kappa,
                                wavelengths, temperature)
-    return wavelengths, frac
+    return ConversionWindow(centre, float(peak_fwhm(wavelengths, frac)),
+                            wavelengths, frac)
 
 
 def peak_fwhm(x, y):
@@ -201,7 +205,7 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
     half_length, kappa_c = _check_section("switch map", half_length, kappa_c)
     dbeta_per_volt = real(EO_BS_DBETA_PER_VOLT if dbeta_per_volt is None
                           else dbeta_per_volt, "switch map: dbeta_per_volt")
-    u1, u2 = (finite(u, f"switch map {name}", 1)
+    u1, u2 = (finite(u, f"switch map {name}", 1, 1)
               for name, u in [("u1", u1_values), ("u2", u2_values)])
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
@@ -238,9 +242,7 @@ def _ratio_model(length, beat, offset):
 
 def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
     """Unwanted-port power fraction at a given coupler length."""
-    length = reals(coupler_length, "coupler length")
-    if not np.all(np.isfinite(length)):
-        raise RangeError(f"coupler length {coupler_length} um must be finite")
+    length = finite(coupler_length, "coupler length")
     if pol == "H":
         r = _ratio_model(length, fit.beat_te, fit.offset_te)
     elif pol == "V":

@@ -96,7 +96,6 @@ import numpy as np
 
 from . import cmt
 from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
-from .dispersion import pc_matched_wavelength
 from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError, axis, \
     count, real, reals
@@ -579,17 +578,13 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     _scanned_fp(spec, delay_values)  # before any grid work
     _query_pairs(query)
     temperatures = reals(temperatures, "temperatures", 1, 1).tolist()
-    pc_params = spec.elements[spec.index_of("pc")].params
-    # every converter window before any grid work
+    pc = spec.elements[spec.index_of("pc")].params
+    # every converter window's (centre, fwhm) before any grid work
     windows = []
     for t in temperatures:
-        centre = pc_matched_wavelength(spec.model,
-                                       pc_params["poling_period"], t)
-        window_lams, window_frac = cmt.pc_spectrum(
-            spec.model, pc_params["poling_period"], pc_params["length"],
-            pc_params["kappa"], temperature=t)
-        windows.append((centre, float(cmt.peak_fwhm(window_lams,
-                                                     window_frac))))
+        window = cmt.pc_window(spec.model, pc["poling_period"], pc["length"],
+                               pc["kappa"], temperature=t)
+        windows.append((window.centre, window.fwhm))
 
     def point(job) -> TemperaturePoint:
         t, (centre, window_fwhm) = job

@@ -88,19 +88,21 @@ def reals(values, what: str, ndim: int | None = None,
     return a if a.dtype.kind == "f" else a.astype(float)
 
 
-def finite(values, what: str, least: int) -> np.ndarray:
-    """``reals`` of a 1-D array of at least ``least`` numbers, which must
-    be finite (RangeError)."""
-    a = reals(values, what, 1, least)
+def finite(values, what: str, ndim: int | None = None,
+           least: int = 0) -> np.ndarray:
+    """``reals`` of ``values``, of any shape unless ``ndim`` is given,
+    whose every entry must be finite (RangeError)."""
+    a = reals(values, what, ndim, least)
     if not np.all(ok := np.isfinite(a)):
-        raise RangeError(f"{what} must be finite, got {a[np.argmin(ok)]}")
+        raise RangeError(f"{what} must be finite, got "
+                         f"{a.flat[np.argmin(ok)]}")
     return a
 
 
 def axis(values, what: str, least: int) -> np.ndarray:
     """``finite`` of a 1-D axis of at least ``least`` points, which must
     be strictly increasing."""
-    a = finite(values, what, least)
+    a = finite(values, what, 1, least)
     if not np.all(np.diff(a) > 0.0):
         raise ValidationError(f"{what} must be strictly increasing")
     return a

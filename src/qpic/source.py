@@ -102,7 +102,6 @@ class JointSpectralAmplitude:
     diff_grid: np.ndarray
     amplitude: np.ndarray
     normalization: float  # C, applied to the raw product form
-    source: SourceSpec
     temperature: float
     ridge_offset: float = 0.0  # difference-axis centre of the sinc ridge
     meta: dict = field(default_factory=dict)
@@ -223,7 +222,7 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     raw *= c
     return JointSpectralAmplitude(
         sum_grid=sum_grid, diff_grid=diff_grid, amplitude=raw,
-        normalization=c, source=source, temperature=t,
+        normalization=c, temperature=t,
         ridge_offset=float(d_star),
         meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
               "sum_half_width": float(s_half),

@@ -7,14 +7,14 @@ those of the process's CPU affinity. Each child runs its share in job
 order, up to its first error, sends (ok, result or exception, warnings)
 per job back over a pipe with ``pickle``, and ends with ``os._exit``.
 Every process runs the same code on the same inputs as the serial loop,
-so the results are bit-identical whatever the worker count. The caller
-reaps every child, also on error, and raises ChildProcessError for a
-child that ended without its results. It then walks the jobs in order:
+so the results are bit-identical whatever the worker count; one worker
+is the caller alone, which forks nothing. The caller reaps every child,
+also on error, and raises NumericalError for a child that ended without
+its results (killed by a signal, say). It then walks the jobs in order:
 it re-issues each job's warnings through its own filters (with the
 registry of the module that raised them, as ``warnings.warn`` would), and
-raises the first job's error. With one core or one job the jobs run
-inline. The one native thread pool of the process, OpenBLAS's, stops and
-restarts around a fork by its own atfork handlers.
+raises the first job's error. The one native thread pool of the process,
+OpenBLAS's, stops and restarts around a fork by its own atfork handlers.
 
 ``detection`` imports this module inside the scans that use it, so that
 the commands that run no scan of many jobs compile none of it.
@@ -27,6 +27,8 @@ import pickle
 import sys
 import warnings
 
+from .errors import NumericalError
+
 
 def forked_map(fn, jobs: list) -> list:
     """[fn(job) for job in jobs], dealt over one forked process per
@@ -34,9 +36,7 @@ def forked_map(fn, jobs: list) -> list:
     job order (see the module docstring)."""
     cores = len(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(jobs))
-    if workers < 2:
-        return [fn(job) for job in jobs]
+    workers = max(1, min(cores, len(jobs)))
     children = []  # (pid, read end of its pipe) of shares 1, 2, ...
     try:
         for share in range(1, workers):
@@ -59,7 +59,7 @@ def forked_map(fn, jobs: list) -> list:
             try:
                 shares.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(
+                raise NumericalError(
                     f"worker process {pid} ended without its results") \
                     from None
     finally:

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qpic
-from qpic.cmt import compose_sections, pc_spectrum, peak_fwhm
+from qpic.cmt import compose_sections, pc_window
 from qpic.detection import apply_imperfection
 from tests import oracles
 from tests.conftest import bundled, walked
@@ -245,10 +245,8 @@ def test_criterion_7_dispersion_slopes():
 def test_criterion_8_pc_spectrum():
     model = the_chip().model
     length = 7600.0
-    lam1, f1 = pc_spectrum(model, 21.4, length, math.pi / (2 * length))
-    lam2, f2 = pc_spectrum(model, 21.4, 2 * length, math.pi / (4 * length))
-    w1 = peak_fwhm(lam1, f1) * 1e3
-    w2 = peak_fwhm(lam2, f2) * 1e3
+    w1 = pc_window(model, 21.4, length, math.pi / (2 * length)).fwhm * 1e3
+    w2 = pc_window(model, 21.4, 2 * length, math.pi / (4 * length)).fwhm * 1e3
     ratio = w2 / w1
     ok = 3.2 * 0.7 <= w1 <= 3.2 * 1.3 and abs(ratio - 0.5) <= 0.02
     report(8, ok,

@@ -457,7 +457,7 @@ def test_structural_zeros_stay_exact(chip):
 def test_public_api():
     # adding or removing an export is a deliberate edit of this list
     assert sorted(qpic.__all__) == [
-        "BASIS", "C_UM_PS", "CircuitSpec", "CouplerFit",
+        "BASIS", "C_UM_PS", "CircuitSpec", "ConversionWindow", "CouplerFit",
         "ElementDecl", "ElementMatrix", "GridSpec", "JointSpectralAmplitude",
         "MarginalSpectra", "MaterialModel", "NetlistError", "NumericalError",
         "PhaseMatchError", "QpicError", "RangeError", "ScanResult",
@@ -474,7 +474,7 @@ def test_public_api():
         "load_material", "marginal_spectra", "mode_index",
         "omega_from_wavelength", "parse_netlist", "parse_netlist_text",
         "pbs_angles", "pbs_matrix", "pc_kappa", "pc_matched_wavelength",
-        "pc_matrix", "pc_mismatch", "pc_spectrum", "pdc_mismatch",
+        "pc_matrix", "pc_mismatch", "pc_window", "pdc_mismatch",
         "peak_fwhm", "pm_matrix", "pm_phases", "save_coupler_fit", "source",
         "splitting_ratio", "switch_map", "temperature_scan", "tuning_curve",
         "wavelength_from_omega", "wavevector"]

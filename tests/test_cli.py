@@ -594,3 +594,60 @@ def test_pol_option(tmp_path):
     # without polarisation selection the baseline sits near 1/2 but the
     # scan still dips
     assert manifest["summary"]["baseline"] == pytest.approx(0.5, abs=0.02)
+
+
+def test_dead_worker_exits_three(tmp_path, monkeypatch, capsys):
+    # a worker killed before it sends its results (a signal, the OOM
+    # killer) is a numerical failure: exit 3, and nothing written
+    caller, build = os.getpid(), qpic.source.build_jsa
+
+    def die_in_child(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(qpic.detection, "build_jsa", die_in_child)
+    code, out = run(tmp_path, "temp-scan", "--grid", "32", "--points", "3",
+                    "--temperatures", "24,25")
+    assert code == 3
+    assert re.fullmatch(r"numerical error: worker process \d+ ended without "
+                        r"its results\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+# each override against the same command without it: the manifest echoes
+# the value, and exactly the named tables change
+OVERRIDES = [
+    (["jsa", "--grid", "32"], "--tau", 2.0, "tau", {"jsa_marginals"}),
+    (["jsa", "--grid", "32"], "--pump", 0.7755, "pump", {"jsa_marginals"}),
+    (["jsa", "--grid", "32"], "--pdc-length", 10000.0, "pdc_length",
+     {"jsa_marginals"}),
+    (["hom", "--grid", "32", "--points", "9"], "--pc-kappa", 1e-4,
+     "pc_kappa", {"hom_scan"}),
+    (["pc-window"], "--kappa", 1e-4, "kappa", {"pc_window"}),
+    (["pc-window"], "--voltage", 12.0, "voltage", {"pc_window"}),
+    (["switch-map", "--points", "21"], "--dbeta-per-volt", 4e-5,
+     "dbeta_per_volt", {"switch_map"}),
+    (["tuning", "--pump-points", "5"], "--pump-temperature", 30.0,
+     "pump_temperature", {"tuning_pump"}),
+]
+
+
+@pytest.mark.parametrize("argv, option, value, key, changed", OVERRIDES,
+                         ids=[f"{a[0]}{o}" for a, o, *_ in OVERRIDES])
+def test_option_overrides(tmp_path, argv, option, value, key, changed):
+    code, base = run(tmp_path / "base", *argv)
+    assert code == 0
+    code, out = run(tmp_path / "override", *argv, option, str(value))
+    assert code == 0
+    command = argv[0].replace("-", "_")
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert manifest["config"][key] == value
+    tables = {p.stem for p in base.glob("*.csv")}
+    assert tables == {p.stem for p in out.glob("*.csv")}
+    assert {t for t in tables if (base / f"{t}.csv").read_bytes()
+            != (out / f"{t}.csv").read_bytes()} == changed
+    if command == "pc_window":
+        assert manifest["summary"]["kappa_rad_um"] == (
+            value if option == "--kappa" else qpic.pc_kappa(value))

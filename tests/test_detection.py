@@ -692,7 +692,7 @@ NUMBER_ARGS = {
         x, [0.0], 10.0), RangeError),
     "conversion_fraction": (lambda c, j, x: qpic.conversion_fraction(
         c.model, 21.4, x, 1e-4, 1.55), RangeError),
-    "pc_spectrum": (lambda c, j, x: qpic.pc_spectrum(
+    "pc_window": (lambda c, j, x: qpic.pc_window(
         c.model, 21.4, 7620.0, x), RangeError),
     "peak_fwhm": (lambda c, j, x: qpic.peak_fwhm(
         [0.0, 1.0, 2.0], [0.0, x, 0.0]), qpic.NumericalError),
@@ -757,7 +757,8 @@ NO_NUMBER = {
     "default_material", "load_coupler_fit", "load_material", "parse_netlist",
     "parse_netlist_text", "save_coupler_fit",
     "coincidence", "element_matrices", "jsa_exchange_asymmetry",
-    "marginal_spectra", "ElementMatrix", "JointSpectralAmplitude",
+    "marginal_spectra", "ConversionWindow", "ElementMatrix",
+    "JointSpectralAmplitude",
     "MarginalSpectra", "ScanResult", "SpectralDensity", "SweepPoint",
     "TemperaturePoint", "TuningCurve",
 }
@@ -766,15 +767,15 @@ NO_NUMBER = {
 # misleading window RangeError, or returned a (1, 1, 1) switch map; then
 # each NUMBER_ARGS row given a str, and a NaN and an inf where it raises
 BAD_CALLS = {
-    "pc-length-0": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, 0.0, 0.1),
+    "pc-length-0": (lambda c, j: qpic.pc_window(c.model, 21.4, 0.0, 0.1),
                     RangeError),
     "pc-length-negative":
-        (lambda c, j: qpic.pc_spectrum(c.model, 21.4, -5.0, 0.1), RangeError),
-    "pc-length-nan": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.nan,
-                                                    0.1), RangeError),
-    "pc-length-inf": (lambda c, j: qpic.pc_spectrum(c.model, 21.4, np.inf,
-                                                    0.1), RangeError),
-    "pc-points-negative": (lambda c, j: qpic.pc_spectrum(
+        (lambda c, j: qpic.pc_window(c.model, 21.4, -5.0, 0.1), RangeError),
+    "pc-length-nan": (lambda c, j: qpic.pc_window(c.model, 21.4, np.nan,
+                                                  0.1), RangeError),
+    "pc-length-inf": (lambda c, j: qpic.pc_window(c.model, 21.4, np.inf,
+                                                  0.1), RangeError),
+    "pc-points-negative": (lambda c, j: qpic.pc_window(
         c.model, 21.4, 7620.0, 0.1, n_points=-1), ValidationError),
     "delays-not-numbers": (lambda c, j: hom_scan(j, c, ["a", "b", "c"]),
                            ValidationError),
@@ -1158,10 +1159,60 @@ def test_forked_scan_raises_for_a_dead_child(chip, monkeypatch):
 
     _cores(monkeypatch, 2)
     _patched_build(monkeypatch, die)
-    with pytest.raises(ChildProcessError,
+    with pytest.raises(qpic.NumericalError,
                        match=r"worker process \d+ ended without its results"):
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     _assert_no_child_left()
+
+
+def test_one_core_forks_nothing(chip, jsa_tiny, monkeypatch):
+    # one worker is the caller alone: its jobs run in order in this
+    # process, a job's warning is replayed once and the first error raised
+    def no_fork():
+        raise AssertionError("forked with one core")
+
+    _cores(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for t, point in zip(TEMPERATURES, temperature_scan(
+            chip, TEMPERATURES, DELAYS[:5], "insensitive", GRID)):
+        jsa = qpic.build_jsa(chip.model, chip.source, GRID, temperature=t)
+        _assert_same(point.scan, hom_scan(jsa, chip.at_temperature(t),
+                                          DELAYS[:5], "insensitive"))
+    fractions = [0.0, 0.5, 1.0]
+    for f, point in zip(fractions, imperfection_sweep(
+            jsa_tiny, chip, "pbs", fractions, DELAYS[:5])):
+        _assert_same(point.scan, hom_scan(
+            jsa_tiny, apply_imperfection(chip, "pbs", f), DELAYS[:5]))
+
+    def fail(t):
+        if t == 24.0:
+            warnings.warn("ridge moved", UserWarning)
+        if t >= 25.0:
+            raise RangeError(f"no source at {t} C")
+
+    _patched_build(monkeypatch, fail)
+    with pytest.warns(UserWarning, match="ridge moved") as record, \
+            pytest.raises(RangeError, match=r"^no source at 25.0 C$"):
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    assert [str(w.message) for w in record] == ["ridge moved"]
+
+    scanned = []
+    scan = detection.hom_scan
+
+    def patched(*args):
+        scanned.append(len(scanned))
+        if len(scanned) == 1:
+            warnings.warn("first fraction", UserWarning)
+        if len(scanned) == 2:
+            raise RangeError("second fraction")
+        return scan(*args)
+
+    monkeypatch.setattr(detection, "hom_scan", patched)
+    with pytest.warns(UserWarning, match="first fraction") as record, \
+            pytest.raises(RangeError, match="^second fraction$"):
+        imperfection_sweep(jsa_tiny, chip, "pbs", fractions, DELAYS[:5])
+    assert [str(w.message) for w in record] == ["first fraction"]
+    assert scanned == [0, 1]  # the serial loop stops at its first error
 
 
 def test_hom_scan_keeps_no_full_grid_array(chip):

@@ -34,9 +34,9 @@ def test_diff_grid_exactly_antisymmetric(jsa_medium):
     assert np.array_equal(d, -d[::-1])
 
 
-def test_sum_grid_centred_on_pump(jsa_medium):
+def test_sum_grid_centred_on_pump(chip, jsa_medium):
     centre = 0.5 * (jsa_medium.sum_grid[0] + jsa_medium.sum_grid[-1])
-    assert centre == pytest.approx(jsa_medium.source.omega_pump, rel=1e-12)
+    assert centre == pytest.approx(chip.source.omega_pump, rel=1e-12)
 
 
 @pytest.mark.parametrize("size, chunk_points", [
