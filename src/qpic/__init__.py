@@ -15,7 +15,7 @@ from .cmt import (ConversionWindow, CouplerFit, compose_sections,
 from .detection import (ScanResult, SweepPoint, TemperaturePoint,
                         apply_imperfection, coincidence,
                         default_delay_values, hom_scan, imperfection_sweep,
-                        temperature_scan)
+                        scan_grid, temperature_scan)
 from .dispersion import (C_UM_PS, MaterialModel, SellmeierSet,
                          TuningCurve, default_material,
                          degenerate_wavelength, group_index, group_velocity,

@@ -38,9 +38,8 @@ element of a chain from ``element_matrices`` act with its block structure
 on a 4 x k table of entries, where structural zeros stay None and the rest
 spread over the grid only from the first dispersive element that touches
 them. The reversed chain with transposed blocks, walked from unit vectors
-e_m, gives rows m of U. ``detection`` walks a chain once per panel of grid
-rows, on Chebyshev nodes of the sum axis whose frequencies, and so whose
-phases, are np.longdouble, and interpolates the entries to the rows.
+e_m, gives rows m of U. ``detection`` walks a chain once per chunk of
+grid rows.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ from .circuit import CircuitSpec, parse_netlist
 from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_window, \
     save_coupler_fit, splitting_ratio, switch_map
 from .detection import (DEFAULT_DELAY_SPAN, IMPERFECTION_TARGETS, QUERIES,
-                        hom_scan, imperfection_sweep, temperature_scan)
+                        hom_scan, imperfection_sweep, scan_grid,
+                        temperature_scan)
 from .dispersion import (DATA_DIR, MaterialModel, default_material,
                          degenerate_wavelength, load_material, tuning_curve)
 from .elements import pc_kappa
@@ -399,9 +400,11 @@ _SCAN_HEADER = ["delta_l_um", "coincidence_probability"]
 
 def cmd_hom(args) -> Artifacts:
     spec, netlist = _load_chip(args)
-    jsa = build_jsa(spec.model, spec.source, GridSpec(args.grid, args.grid),
+    delays = _delays_from(args)
+    jsa = build_jsa(spec.model, spec.source,
+                    scan_grid(spec, delays, args.grid),
                     temperature=spec.temperature)
-    scan = hom_scan(jsa, spec, _delays_from(args), args.pol)
+    scan = hom_scan(jsa, spec, delays, args.pol)
     summary = {"visibility": scan.visibility, "minimum": scan.minimum,
                "maximum": scan.maximum, "baseline": scan.baseline,
                "dip_position_um": scan.dip_position,
@@ -416,10 +419,12 @@ def cmd_hom(args) -> Artifacts:
 def cmd_sweep(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     fractions = _float_list(args.fractions, "--fractions")
-    jsa = build_jsa(spec.model, spec.source, GridSpec(args.grid, args.grid),
+    delays = _delays_from(args)
+    jsa = build_jsa(spec.model, spec.source,
+                    scan_grid(spec, delays, args.grid),
                     temperature=spec.temperature)
-    points = imperfection_sweep(jsa, spec, args.element, fractions,
-                                _delays_from(args), args.pol)
+    points = imperfection_sweep(jsa, spec, args.element, fractions, delays,
+                                args.pol)
     rows = [(p.fraction, p.scan.visibility, p.scan.minimum, p.scan.maximum,
              p.scan.baseline, p.scan.dip_position) for p in points]
     tables = [("sweep_summary",
@@ -525,8 +530,9 @@ def cmd_temp_scan(args) -> Artifacts:
     spec, netlist = _load_chip(args)
     temps = (_float_list(args.temperatures, "--temperatures")
              if args.temperatures else list(_temperatures_from(args)))
-    points = temperature_scan(spec, temps, _delays_from(args), args.pol,
-                              GridSpec(args.grid, args.grid))
+    delays = _delays_from(args)
+    points = temperature_scan(spec, temps, delays, args.pol,
+                              scan_grid(spec, delays, args.grid))
     rows = [(p.temperature, p.scan.visibility, p.scan.minimum, p.scan.baseline,
              p.scan.dip_position, p.signal_peak, p.idler_peak,
              p.window_centre, p.signal_fwhm, p.window_fwhm,
@@ -573,7 +579,8 @@ def _add_chip_options(p):
     p.add_argument("--pc-kappa", type=_finite, default=None,
                    help="override the converter coupling (rad/um)")
     p.add_argument("--grid", type=int, default=512,
-                   help="points per grid axis (default 512)")
+                   help="difference-axis points of a scan (sum rows follow"
+                        " the chip); both axes of jsa (default 512)")
 
 
 def _add_scan_options(p, points_default=105):

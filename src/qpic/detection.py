@@ -40,22 +40,22 @@ canonical form: reversal swaps the w and w^R parts and takes Y to Y^R,
 conjugation takes theta to -theta and Y to conj Y.
 
 Both ``coincidence`` (the whole chain, every live entry a field with no
-phasor) and a scan (c and T) take the chip from ``_chip_on_nodes`` and C
+phasor) and a scan (c and T) take the chip from ``_chip_on_rows`` and C
 from ``_moments``, in chunks of about CHUNK_POINTS grid points (the row
-blocks of ``source.build_jsa``). Along S each chip entry is nearly a
-plane wave, so chunks are grouped into panels that turn by at most TURN
-rad (k on the end rows times the straights' length), each walked once on
-NODES Chebyshev points of its sum span; a chunk's fields and k = (k_H,
-k_V) are their interpolant, one real (rows x NODES) product per entry
-(Trefethen, Approximation Theory and Approximation Practice, ch. 8). An
-entry whose last two coefficients exceed TAIL (Aurentz & Trefethen, ACM
-TOMS 43 (2017) 33) refuses its panel, whose chunks, like those of a panel
-of no more rows than nodes, are walked on their rows in plain float64. Node
-phases k L (~1.5e5 rad) are formed and reduced mod 2 pi in np.longdouble:
-their double rounding, ~3e-11 rad, averages out over rows, but an
-interpolant would carry it along S. k is interpolated about its double
-value on a node. Node state lives for one panel, and no array the size
-of the grid outlives a chunk.
+blocks of ``source.build_jsa``), each walked on its own rows in float64;
+no array the size of the grid outlives a chunk.
+
+``scan_grid`` gives a scan's sum axis the rows the trapezoid rule needs
+(Trefethen & Weideman, SIAM Rev. 56 (2014) 385): the weight is the pump
+envelope exp(-(S - w_p)^2 / Omega^2), cut at 6 Omega, times factors
+whose phase turns by at most G per rad/ps of S, G the sinc ridge's drift
+pdc_length |1/v_p - (1/v_H + 1/v_V)/2| plus each element's spread of
+group delay over its paths (the scanned fp's at the outer delays). The
+aliased error stays below the envelope's exp(-36) at its edge once the
+row step h has 2 pi / h >= G + 12 / Omega. At least MIN_SUM_POINTS grid
+points are kept, as the float64 rounding of phases k L ~ 1.5e5 rad
+averages over them (a probability's floor is ~1.5e-12 at 2^15 points,
+~5e-12 at 2^13); the count is rounded up to a power of two.
 
 A scan expands each exponent in a Taylor series along the sum axis
 (Anderson & Dahleh, SIAM J. Sci. Comput. 17 (1996) 913). With the grid
@@ -96,21 +96,19 @@ import numpy as np
 
 from . import cmt
 from .circuit import CHANNEL1_INPUTS, CircuitSpec, element_matrices, walk
+from .dispersion import group_velocity
 from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError, axis, \
     count, real, reals
-from .source import (CHUNK_POINTS, GridSpec, JointSpectralAmplitude,
-                     _quadrature_weights, build_jsa, marginal_spectra)
+from .source import (CHUNK_POINTS, SUM_SIGMA_FACTOR, GridSpec,
+                     JointSpectralAmplitude, _quadrature_weights, build_jsa,
+                     marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
 
 RHO_CAP = 4.0  # max |eps| max |delta| of a block: rounding grows like e^rho
 
-NODES = 16  # Chebyshev nodes of the sum axis per panel
-TURN = 2.0  # rad, the phase turn over a panel that NODES nodes resolve
-# the largest last two Chebyshev coefficients a panel keeps; every fitted
-# entry is at most 1 (fields of a unitary chip, and k - k0 ~ 1e-5)
-TAIL = 1e-13
+MIN_SUM_POINTS = 2 ** 15  # the fewest grid points ``scan_grid`` gives
 
 # which coincidence to score: the polarisations at detectors b and c, or
 # the polarisation-insensitive sum over the four of them
@@ -142,65 +140,18 @@ def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
     return g, np.ascontiguousarray(g[:, ::-1])
 
 
-def _chip_on_nodes(jsa: JointSpectralAmplitude, spec: CircuitSpec,
-                   fields_of):
+def _chip_on_rows(jsa: JointSpectralAmplitude, spec: CircuitSpec,
+                  fields_of):
     """(rows, fields, k) of each chunk of about CHUNK_POINTS grid points,
-    in grid order: ``fields_of(phases)`` and k = (k_H, k_V) of a
-    PhaseTable, on the grid ``rows`` (see the module docstring)."""
+    in grid order: ``fields_of(phases)`` and k = (k_H, k_V) of the
+    PhaseTable on the grid ``rows``."""
     s, d = jsa.sum_grid, jsa.diff_grid
     step = max(1, CHUNK_POINTS // len(d))
-    chunks = list(range(0, len(s), step))
-    ends = PhaseTable(spec.model, (s[[0, -1], None] + d) / 2.0,
-                      spec.temperature)
-    turn = max(np.ptp(k, axis=0).max() for k in ends.k) * sum(
-        max(e.params["l1"], e.params["l2"]) for e in spec.elements
-        if e.kind == "fp")
-    size = max(1, int(len(chunks) * TURN / max(turn, TURN)))  # per panel
-    panels = [chunks[i:i + size] for i in range(0, len(chunks), size)]
-    for panel in panels:
-        lo, hi = panel[0], min(panel[-1] + step, len(s)) - 1
-        centre, half = (s[hi] + s[lo]) / 2.0, (s[hi] - s[lo]) / 2.0
-        # None (walk the rows) for a panel of no more rows than nodes or
-        # one that fails the tail test
-        fit = _fit(spec, fields_of, centre, half, d) if hi - lo >= NODES \
-            else None
-        for start in panel:
-            rows = slice(start, start + step)
-            if fit is None:  # the nodes are the rows
-                phases = PhaseTable(spec.model, (s[rows, None] + d) / 2.0,
-                                    spec.temperature)
-                yield rows, fields_of(phases), phases.k
-                continue
-            x = np.clip((s[rows] - centre) / half, -1.0, 1.0)
-            t = np.cos(np.outer(np.arccos(x), np.arange(NODES)))  # T_n(x)
-            yield (rows, _each(lambda a: (t @ a).view(complex), fit[0]),
-                   tuple(k0 + t @ a for k0, a in zip(*fit[1:])))
-
-
-def _fit(spec: CircuitSpec, fields_of, centre, half, diff_grid):
-    """Chebyshev coefficients of the fields and of k - k0 on NODES nodes
-    of the sum span centre +- half, k0 the double k of the first node,
-    and k0; None where any of them fails the tail test."""
-    angles = np.pi * (np.arange(NODES) + 0.5) / NODES  # x = cos(angles)
-    to_coeffs = 2.0 / NODES * np.cos(np.outer(np.arange(NODES), angles))
-    to_coeffs[0] /= 2.0
-    nodes = centre + half * np.cos(angles).astype(np.longdouble)
-    phases = PhaseTable(spec.model, (nodes[:, None] + diff_grid) / 2.0,
-                        spec.temperature)
-    fields = _each(lambda a: to_coeffs @ a.view(float), fields_of(phases))
-    k0 = [k[:1].astype(float) for k in phases.k]
-    k = [to_coeffs @ (k - k0).astype(float) for k, k0 in zip(phases.k, k0)]
-    tails = k + [a for row in fields for f in row for a in f.values()
-                 if a.size > 1]
-    if all(np.all(np.abs(a[-2:]) <= TAIL) for a in tails):
-        return fields, k0, k
-    return None
-
-
-def _each(fn, fields):
-    """``fields`` with ``fn`` applied to every entry that is not constant."""
-    return [[{key: fn(a) if a.size > 1 else a for key, a in f.items()}
-             for f in row] for row in fields]
+    for start in range(0, len(s), step):
+        rows = slice(start, start + step)
+        phases = PhaseTable(spec.model, (s[rows, None] + d) / 2.0,
+                            spec.temperature)
+        yield rows, fields_of(phases), phases.k
 
 
 def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
@@ -215,7 +166,7 @@ def coincidence(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                 for entries in walk(chain, CHANNEL1_INPUTS, phases)]
 
     total = 0.0
-    for rows, fields, k in _chip_on_nodes(jsa, spec, fields_of):
+    for rows, fields, k in _chip_on_rows(jsa, spec, fields_of):
         total += _moments(_weighted_amplitude(jsa, rows), fields, pairs)[0]
         del fields, k  # before the next chunk is walked
     return _check_probability(total)
@@ -294,6 +245,41 @@ def _scanned_fp(spec: CircuitSpec, delays) -> int:
             f"scanned fp channel-2 length l2 + delay = {l2} + {delays[0]} "
             f"um must be >= 0")
     return idx
+
+
+def scan_grid(spec: CircuitSpec, delay_values,
+              size_diff: int = 512) -> GridSpec:
+    """The grid of a delay scan of ``spec`` (with a [source] section):
+    ``size_diff`` difference points and the sum rows of the module
+    docstring's rule, whose inputs (ps, rad/ps) go into ``rule``."""
+    if spec.source is None:
+        raise ValidationError("a scan grid needs the [source] section")
+    delays = axis(delay_values, "delay values", 3)
+    scanned = _scanned_fp(spec, delays)
+    size_diff = count(size_diff, "grid size_diff", 3)
+    source, w = spec.source, spec.source.omega_pump
+    # group delays per um: H and V at the degenerate frequency, the pump
+    h, v, pump = (1.0 / group_velocity(spec.model, pol, x, spec.temperature)
+                  for pol, x in (("H", w / 2.0), ("V", w / 2.0), ("H", w)))
+    drift = source.pdc_length * abs(pump - (h + v) / 2.0)
+    chip = 0.0
+    for i, e in enumerate(spec.elements):
+        if e.kind == "pc":
+            chip += e.params["length"] * abs(h - v)
+        elif e.kind == "fp":  # the scanned one at its outer delays
+            l1 = e.params["l1"]
+            l2s = e.params["l2"] + (delays[[0, -1]] if i == scanned else 0.0)
+            chip += max(max(l1, l2) * max(h, v) - min(l1, l2) * min(h, v)
+                        for l2 in np.atleast_1d(l2s))
+    need = 1.0 + SUM_SIGMA_FACTOR / np.pi * (
+        source.bandwidth * (drift + chip) + 2.0 * SUM_SIGMA_FACTOR)
+    if not need < np.inf:
+        raise RangeError(f"source pulse_duration {source.pulse_duration} "
+                         f"ps: the sum axis needs {need} rows")
+    rows = max(math.ceil(need), -(-MIN_SUM_POINTS // size_diff))
+    return GridSpec(1 << (rows - 1).bit_length(), size_diff, {
+        "bandwidth_rad_ps": source.bandwidth, "ridge_drift_ps": drift,
+        "chip_spread_ps": float(chip), "rows_needed": float(need)})
 
 
 def _canonical(theta):
@@ -421,10 +407,10 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
 
     The probability takes the moment form of the module docstring. The
     element chains before and after the scanned fp are built once and
-    walked on each panel's nodes; each chunk of grid rows builds C and
-    Y_theta from the live transfer terms of the modes the query reads and
-    adds its rows to each exponent's open block. A block closed by a row
-    past the rho cap gives every delay.
+    walked on each chunk of grid rows, which builds C and Y_theta from the
+    live transfer terms of the modes the query reads and adds its rows to
+    each exponent's open block. A block closed by a row past the rho cap
+    gives every delay. ``scan_grid`` sizes a grid for the scan.
     """
     delay_values = axis(delay_values, "delay values", 3)
     idx = _scanned_fp(spec, delay_values)
@@ -434,7 +420,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     reach = float(np.max(np.abs(delay_values)))
     n_rows = len(jsa.sum_grid)
 
-    # the chains are built once and walked on each panel's nodes
+    # the chains are built once and walked on each chunk's rows
     before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
     after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
                              transposed=True)
@@ -480,7 +466,7 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
         return total
 
     values = np.zeros(len(delay_values))
-    for rs, fields, k in _chip_on_nodes(jsa, spec, fields_of):
+    for rs, fields, k in _chip_on_rows(jsa, spec, fields_of):
         values += chunk(rs, fields, k)
         del fields, k  # the chunk goes before any tile is built
         while closed:
@@ -567,7 +553,8 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
 
     The circuit must carry a [source] section and a 'pc' element; the
     joint amplitude is rebuilt per temperature so both the emission and
-    the conversion window move.
+    the conversion window move. ``grid`` defaults to ``scan_grid`` of the
+    chip and the delays.
     """
     if spec.source is None:
         raise ValidationError(
@@ -578,6 +565,8 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
     _scanned_fp(spec, delay_values)  # before any grid work
     _query_pairs(query)
     temperatures = reals(temperatures, "temperatures", 1, 1).tolist()
+    if grid is None:
+        grid = scan_grid(spec, delay_values)
     pc = spec.elements[spec.index_of("pc")].params
     # every converter window's (centre, fwhm) before any grid work
     windows = []

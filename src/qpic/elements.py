@@ -24,8 +24,7 @@ dispersive block touches it, and of the grid's shape from then on. A
 product enters a sum only when both its coefficient and its entry are
 live, in the order the dense product adds them, so the dropped terms are
 exact zeros. The dispersive blocks read one ``PhaseTable`` per frequency
-grid (a chunk's rows, or a panel's sum-axis nodes in extended precision):
-the refractive indices (n_H, n_V) of the material at the chip
+grid (a chunk's rows): the refractive indices (n_H, n_V) of the material at the chip
 temperature, the wavevectors k = n w / c and the straight phases
 exp(i k l), each (polarisation, length) evaluated at most once.
 ``circuit.walk`` is the one place that walks a chain; ``evaluate`` writes
@@ -67,8 +66,7 @@ class PhaseTable:
     ``temperature``, and ``k[pol]`` is n_pol(w) w / c for pol 0 (H) and
     1 (V), in the dtype of ``omega``. ``phase(pol, length)`` is
     exp(i k[pol] length); it is evaluated at most once per (pol, length)
-    and shared by every element and walk on the grid. On an np.longdouble
-    grid, k length is reduced mod 2 pi before it is rounded to a double.
+    and shared by every element and walk on the grid.
     """
 
     def __init__(self, model: MaterialModel, omega, temperature):
@@ -86,10 +84,7 @@ class PhaseTable:
         return self._phases[key]
 
     def _evaluate(self, pol: int, length: float):
-        x = self.k[pol] * length
-        if x.dtype == np.longdouble:  # 2 pi to extended precision
-            x = np.fmod(x, 2.0 * np.arccos(np.longdouble(-1.0))).astype(float)
-        return np.exp(1j * x)
+        return np.exp(1j * (self.k[pol] * length))
 
 
 def amplitude_table(amps, ndim: int) -> list:

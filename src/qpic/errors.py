@@ -72,8 +72,8 @@ def real(value, what: str) -> float:
 
 def reals(values, what: str, ndim: int | None = None,
           least: int = 0) -> np.ndarray:
-    """``values`` as an array of its floating dtype (np.longdouble kept),
-    else as float64; with ``ndim`` given, of that many dimensions and
+    """``values`` as an array of its floating dtype, of any width, else
+    as float64; with ``ndim`` given, of that many dimensions and
     ``least`` or more entries. No copy and no finiteness pass: a grid's
     read costs one np.asarray, and range checks catch NaN and inf."""
     try:

@@ -76,10 +76,12 @@ class GridSpec:
     """Points per axis of the rotated (sum, difference) frequency plane.
     ``build_jsa`` sets the spans from the source: 6 Omega along the sum
     axis; along the difference axis the 4th sinc zero of the walk-off over
-    pdc_length, plus the ridge's offset and its drift over the sum span."""
+    pdc_length, plus the ridge's offset and its drift over the sum span.
+    ``rule``: the inputs of ``detection.scan_grid``'s size_sum, if any."""
 
     size_sum: int = 512
     size_diff: int = 512
+    rule: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         count(self.size_sum, "grid size_sum", 3)
@@ -152,17 +154,19 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
 
     The raw product form is filled into one preallocated array in blocks
     of max(1, CHUNK_POINTS // size_diff) grid rows, each with its own
-    frequencies, mismatch, sinc-exp factor and non-positive-frequency
-    check, so no other full-grid array exists while it fills. Every value
-    is elementwise, so the blocks give the bits of a whole-grid
-    evaluation, as do the per-block weights on |raw|^2. The norm sums the
-    whole array as one expression, so C is the same float; ``raw`` is then
-    scaled in place. ``meta`` records the raw norm, the pump-axis edge/peak
-    ratio (~1e-8: the envelope is exp(-18) at 6 Omega) and both half widths.
+    frequencies, mismatch and sinc-exp factor, so no other full-grid array
+    exists while it fills. Every value is elementwise, so the blocks give
+    the bits of a whole-grid evaluation, as do the per-block weights on
+    |raw|^2. The norm sums the whole array as one expression, so C is the
+    same float; ``raw`` is then scaled in place. ``meta`` records the raw
+    norm, the pump-axis edge/peak ratio (~1e-8: the envelope is exp(-18)
+    at 6 Omega), both half widths, the sum rows and the grid's ``rule``.
 
-    The source sets the spans (see ``GridSpec``). RangeError when they
-    reach a non-positive frequency; NumericalError when the amplitude
-    integral is not positive and finite.
+    The source sets the spans (see ``GridSpec``). RangeError, before any
+    grid array exists, when Omega^2 is not finite and positive, or the
+    spans, an infinite lobe span among them, reach a non-positive
+    frequency (the axes are exact at their ends); NumericalError when the
+    amplitude integral is not positive and finite.
     """
     if grid is None:
         grid = GridSpec()
@@ -170,6 +174,9 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     omega_p = source.omega_pump
     omega_bar = omega_p / 2.0
     bw = source.bandwidth
+    if not 0.0 < bw * bw < np.inf:
+        raise RangeError(f"source pulse_duration {source.pulse_duration} "
+                         f"ps: (1/pulse_duration)^2 not finite and positive")
 
     s_half = SUM_SIGMA_FACTOR * bw
 
@@ -179,11 +186,17 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     vg_v = group_velocity(model, "V", omega_bar - d_star / 2.0, t)
     vg_p = group_velocity(model, "H", omega_p, t)
     walkoff = abs(1.0 / vg_h - 1.0 / vg_v)
-    lobe_span = 4.0 * SINC_LOBES * np.pi / (walkoff * source.pdc_length)
+    spread = walkoff * source.pdc_length  # 0 where it underflows
+    lobe_span = 4.0 * SINC_LOBES * np.pi / spread if spread else np.inf
     # the ridge drifts along d as Sigma moves off the pump line
     tilt = abs(2.0 * (1.0 / vg_p - (1.0 / vg_h + 1.0 / vg_v) / 2.0)
                / (1.0 / vg_h - 1.0 / vg_v))
     d_half = abs(d_star) + lobe_span + tilt * s_half
+    if not (omega_p - s_half) - d_half > 0.0:
+        raise RangeError(
+            f"difference-axis span reaches non-positive frequencies; "
+            f"it widens as pdc_length ({source.pdc_length} um) or "
+            f"pulse_duration ({source.pulse_duration} ps) shrinks")
 
     sum_grid = np.linspace(omega_p - s_half, omega_p + s_half, grid.size_sum)
     diff_grid = np.linspace(-d_half, d_half, grid.size_diff)
@@ -197,11 +210,6 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
         rows = slice(lo, lo + n_rows)
         omega_s = (sum_grid[rows, None] + diff_grid[None, :]) / 2.0
         omega_i = (sum_grid[rows, None] - diff_grid[None, :]) / 2.0
-        if np.any(omega_i <= 0.0) or np.any(omega_s <= 0.0):
-            raise RangeError(
-                f"difference-axis span reaches non-positive frequencies; "
-                f"it widens as pdc_length ({source.pdc_length} um) or "
-                f"pulse_duration ({source.pulse_duration} ps) shrinks")
         dk = pdc_mismatch(model, source.poling_period, omega_s, omega_i, t)
         u = dk * source.pdc_length / 2.0
         raw[rows] = envelope[rows, None] * np.sinc(u / np.pi) * np.exp(1j * u)
@@ -226,7 +234,8 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
         ridge_offset=float(d_star),
         meta={"raw_norm": total, "edge_peak_ratio": edge / peak,
               "sum_half_width": float(s_half),
-              "diff_half_width": float(d_half)})
+              "diff_half_width": float(d_half), "sum_rows": grid.size_sum,
+              "sum_rule": dict(grid.rule)})
 
 
 def jsa_exchange_asymmetry(jsa: JointSpectralAmplitude) -> float:

@@ -7,12 +7,11 @@ element acting first. The dense references walk no chain, so the
 library's walk, its live sums and the chunked exchange kernel are checked
 against an independent computation.
 
-``row_walk`` stands in for ``detection._chip_on_nodes``: it walks the chip
-on every grid row, chunk by chunk, with no nodes and no interpolation. On
-a ``PhaseTable`` it is the float64 row walk; on an ``ExtendedPhases`` it is
-the pointwise extended-precision phase path, the model's exact value up to
-eps_ld k L ~ 3e-14 rad per straight, against which any two chip walks can
-be ranked.
+``row_walk`` stands in for ``detection._chip_on_rows``: it walks the chip
+on every grid row, chunk by chunk. On a ``PhaseTable`` it is the float64
+row walk; on an ``ExtendedPhases`` it is the pointwise extended-precision
+phase path, the model's exact value up to eps_ld k L ~ 3e-14 rad per
+straight, against which the row walk's rounding is measured.
 """
 
 import numpy as np
@@ -42,7 +41,7 @@ class ExtendedPhases(PhaseTable):
 
 
 def row_walk(table=PhaseTable):
-    """A stand-in for ``detection._chip_on_nodes`` that walks every chunk
+    """A stand-in for ``detection._chip_on_rows`` that walks every chunk
     on its own grid rows with a ``table`` of their frequencies."""
 
     def chip(jsa, spec, fields_of):

@@ -475,6 +475,6 @@ def test_public_api():
         "omega_from_wavelength", "parse_netlist", "parse_netlist_text",
         "pbs_angles", "pbs_matrix", "pc_kappa", "pc_matched_wavelength",
         "pc_matrix", "pc_mismatch", "pc_window", "pdc_mismatch",
-        "peak_fwhm", "pm_matrix", "pm_phases", "save_coupler_fit", "source",
-        "splitting_ratio", "switch_map", "temperature_scan", "tuning_curve",
+        "peak_fwhm", "pm_matrix", "pm_phases", "save_coupler_fit",
+        "scan_grid", "source", "splitting_ratio", "switch_map", "temperature_scan", "tuning_curve",
         "wavelength_from_omega", "wavevector"]

@@ -233,6 +233,16 @@ def test_exit_code_validation(tmp_path):
                  "-o", str(tmp_path)]) == 2
 
 
+def test_negative_exponent_in_the_equals_form(tmp_path):
+    # argparse reads a value such as -1.5e3 after a space as an option
+    # (Python 3.11); joined to its option by "=" it is a value
+    code, out = run(tmp_path, "hom", "--grid", "16", "--points", "5",
+                    "--lmin=-1.5e3", "--lmax", "3700")
+    assert code == 0
+    rows = (out / "hom_scan.csv").read_bytes().split(b"\r\n")
+    assert float(rows[1].split(b",")[0]) == -1500.0
+
+
 def test_exit_code_negative_length(tmp_path):
     # l2 + delay < 0 at the scanned fp (l2 = 15000 um on the bundled chip)
     assert main(["hom", "--grid", "32", "--lmin", "-20000", "--lmax",
@@ -247,6 +257,8 @@ _ERROR_NAMES = {
         "pump wavelength 0.5 um outside [0.6, 0.9]",
     "tuning-poling-0": "poling period 0.0 um must be > 0",
     "tuning-poling-negative": "poling period -9.0 um must be > 0",
+    "hom-tau-1e-200": "pulse_duration 1e-200 ps",
+    "hom-pdc-length-subnormal": "pdc_length (5e-324 um)",
 }
 
 
@@ -276,6 +288,8 @@ _ERROR_NAMES = {
     ["tuning", "--pump-points", "5", "--pump-min", "0.5", "--pump-max", "0.7"],
     ["tuning", "--poling", "0"],
     ["tuning", "--poling", "-9"],
+    ["hom", "--tau", "1e-200", "--grid", "16", "--points", "5"],
+    ["hom", "--pdc-length", "5e-324", "--grid", "16", "--points", "5"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -283,7 +297,8 @@ _ERROR_NAMES = {
         "temp-scan-pc-length-5", "pc-window-length-5", "material-nan",
         "switch-map-kappa-negative", "switch-map-half-length-0",
         "tuning-pumps-below-range", "tuning-pumps-straddle-range",
-        "tuning-poling-0", "tuning-poling-negative"])
+        "tuning-poling-0", "tuning-poling-negative", "hom-tau-1e-200",
+        "hom-pdc-length-subnormal"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}

@@ -243,7 +243,7 @@ EXPONENTS = [(0, 1, 0, 0), (0, 1, 0, -1), (1, 0, 0, 0), (1, 0, -1, 0),
 
 def _grid_k(jsa, chip):
     """(k_H, k_V) on the whole grid, as the chunks of a scan read them."""
-    ks = [k for _, _, k in detection._chip_on_nodes(jsa, chip, lambda p: [])]
+    ks = [k for _, _, k in detection._chip_on_rows(jsa, chip, lambda p: [])]
     return tuple(np.concatenate([k[i] for k in ks]) for i in (0, 1))
 
 
@@ -486,7 +486,7 @@ def test_probability_budget_on_random_chains(jsa_tiny, lengths,
     with S_nn the exchange sum over the ordered pairs (b, c) of modes that
     both lie in channel n. Summed over every ordered pair of modes, the
     exchange sum is twice the norm of the two-photon state. S_nn comes
-    from the fields the panels interpolate, as P does."""
+    from the fields of the row walk, as P does."""
     chip = parse_netlist_text(
         _chain(lengths, scanned, pbs, bs, conversion, mixing))
     chain = element_matrices(chip)
@@ -498,8 +498,8 @@ def test_probability_budget_on_random_chains(jsa_tiny, lengths,
                 for entries in walk(chain, CHANNEL1_INPUTS, phases)]
 
     s = 0.0
-    for rows, fields, _ in detection._chip_on_nodes(jsa_tiny, chip,
-                                                    fields_of):
+    for rows, fields, _ in detection._chip_on_rows(jsa_tiny, chip,
+                                                   fields_of):
         s += detection._moments(detection._weighted_amplitude(jsa_tiny, rows),
                                 fields, same)[0]
     p = coincidence(jsa_tiny, chip, "insensitive")
@@ -749,6 +749,10 @@ NUMBER_ARGS = {
         j, c, "pc", [x], DELAYS), RangeError),
     "temperature_scan": (lambda c, j, x: temperature_scan(c, [x], DELAYS),
                          RangeError),
+    "scan_grid": (lambda c, j, x: qpic.scan_grid(c, [x, 1.0, 2.0]),
+                  RangeError),
+    "scan_grid.size_diff": (lambda c, j, x: qpic.scan_grid(c, DELAYS, x),
+                            ValidationError),
 }
 
 # the public callables that take no number: files, text and records whose
@@ -792,6 +796,8 @@ BAD_CALLS = {
                                                     [0.0]), ValidationError),
     "pbs-angles-array": (lambda c, j: qpic.pbs_angles(FIT, [500.0, 600.0]),
                          ValidationError),
+    "scan-grid-no-source": (lambda c, j: qpic.scan_grid(
+        dataclasses.replace(c, source=None), DELAYS), ValidationError),
 }
 for _name, (_call, _error) in NUMBER_ARGS.items():
     for _x, _raised in (("a", ValidationError), (math.nan, _error),
@@ -936,9 +942,8 @@ def test_temperature_scan_smoke(chip):
 
 def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
     # n_H and n_V are shared by every element and by the delay exponents:
-    # at the 1000 ps pump the 64x64 grid is one panel, so each index is
-    # evaluated once on its NODES x 64 nodes and once on the two end rows
-    # whose k sizes the panels, and never on the grid
+    # the 64x64 grid is one chunk, walked once, so each index is evaluated
+    # once on the grid
     jsa = qpic.build_jsa(chip.model, chip.source,
                          qpic.GridSpec(64, 64))
     original = qpic.dispersion.index
@@ -953,14 +958,13 @@ def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
                 and getattr(module, "index", None) is original:
             monkeypatch.setattr(module, "index", counting)
     hom_scan(jsa, chip, DELAYS[:5])
-    assert sorted(calls) == sorted((pol, n) for pol in "HV"
-                                   for n in (2 * 64, detection.NODES * 64))
+    assert sorted(calls) == [("H", 64 * 64), ("V", 64 * 64)]
 
 
 def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
-    # a scan over many chunks builds its two element chains once, and
-    # evaluates the indices once per polarisation on the end rows and on
-    # the nodes of the one panel, none per chunk
+    # a scan over many chunks builds its two element chains once and walks
+    # each chunk once: one index call per polarisation and chunk, on the
+    # chunk's 10 rows (4 in the last), and none for the blocks
     monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
     originals = {"element_matrices": qpic.circuit.element_matrices,
                  "index": qpic.dispersion.index}
@@ -979,11 +983,10 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
                     monkeypatch.setattr(module, name, counting(name))
     hom_scan(jsa_tiny, chip, DELAYS[:5], "insensitive")
     assert len(calls["element_matrices"]) == 2
-    # the panel makes every index call: the chunks and blocks reuse its k
     for pol in "HV":
         sizes = [np.size(args[2]) for args in calls["index"] if args[1] == pol]
-        assert sizes == [2 * 64, detection.NODES * 64]
-    assert len(calls["index"]) == 4
+        assert sizes == [10 * 64] * 6 + [4 * 64]
+    assert len(calls["index"]) == 14
 
 
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
@@ -1308,153 +1311,105 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
 
 
 def _scan_on(walker, monkeypatch, *args):
-    """hom_scan's probabilities with ``walker`` in place of the chip on
-    nodes."""
+    """hom_scan's probabilities with ``walker`` in place of the row walk."""
     with monkeypatch.context() as m:
-        m.setattr(detection, "_chip_on_nodes", walker)
+        m.setattr(detection, "_chip_on_rows", walker)
         return hom_scan(*args).probabilities
 
 
-def _scan_fits(monkeypatch, *args):
-    """hom_scan's probabilities and what each of its ``_fit`` calls
-    returned (None for a refused panel)."""
-    fit, fitted = detection._fit, []
-
-    def recording(*fit_args):
-        fitted.append(fit(*fit_args))
-        return fitted[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(detection, "_fit", recording)
-        return hom_scan(*args).probabilities, fitted
+# the stated max |dP| of a scan on the grid of scan_grid against a
+# 1024-row walk or the exact phases: the float64 walk's rounding floor
+# over the grid's >= 2^15 points (measured up to 2.1e-12 at 64 x 512; on
+# 64 rows it grows to 4.8e-12 at 128 difference points and 7.2e-12 at 64)
+ROW_BOUND = 3e-12
 
 
 @pytest.mark.parametrize("pbs_error", [0.0, 0.25], ids=["ideal", "leaky-pbs"])
-def test_nodes_are_no_farther_from_extended_oracle(chip, jsa_tiny, pbs_error,
-                                                   monkeypatch):
-    """Against the pointwise extended-precision phase path, the node path
-    is no farther than the float64 row walk: the row walk rounds each
-    k L of ~1.5e5 rad to a double (~3e-11 rad), the nodes carry ~1e-14
-    rad and interpolate it. Measured at 64x64: nodes 3-5e-13, rows
-    2.5-3.4e-12."""
+def test_row_walk_is_near_extended_oracle(chip, pbs_error, monkeypatch):
+    """On the grid of scan_grid at 256 difference points, the float64 row
+    walk is within ROW_BOUND of the pointwise extended-precision phase
+    path: the row walk rounds each k L of ~1.5e5 rad to a double (~3e-11
+    rad), and the rounding averages over the grid's points."""
     chip = apply_imperfection(chip, "pbs", pbs_error)
+    jsa = qpic.build_jsa(chip.model, chip.source,
+                         detection.scan_grid(chip, ORACLE_DELAYS, 256))
     for query in ("VV", "insensitive"):
-        args = (jsa_tiny, chip, ORACLE_DELAYS, query)
+        args = (jsa, chip, ORACLE_DELAYS, query)
         exact = _scan_on(oracles.row_walk(oracles.ExtendedPhases),
                          monkeypatch, *args)
-        rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
-        nodes = hom_scan(*args).probabilities
-        assert np.max(np.abs(nodes - exact)) <= np.max(np.abs(rows - exact))
+        rows = hom_scan(*args).probabilities
+        assert np.max(np.abs(rows - exact)) <= ROW_BOUND
 
 
-@pytest.mark.parametrize("tau, grid, chunk_rows", [
-    (1000.0, (64, 64), 10), (100.0, (256, 64), 16), (10.0, (2048, 16), 8),
-], ids=["1000ps", "100ps", "10ps"])
-def test_panels_match_row_walk(chip, tau, grid, chunk_rows, monkeypatch):
-    """Panels agree with the row walk within the spread that the row
-    walk's own rounding gives a probability.
-
-    The two walks feed the same kernel and differ by the phase of each
-    field, by delta_phi_i at grid point i: the row walk rounds k L and
-    k delta to doubles, the nodes are ~1e-14 rad from exact. With
-    X = A + B, |A|, |B| <= |F| and w_i = W_i |F_i|^2, a probability moves
-    by at most 8 w_i |delta_phi_i| per point. Rounding errors are
-    independent from point to point, so the sum spreads by at most
-    8 sigma sqrt(sum w_i^2), sigma the rms rounding of the phase over the
-    chip's straights plus the largest delay, measured here against
-    ExtendedPhases. The grids are sized so that several panels of more
-    than NODES rows run: 1, 8 and ~85 of them."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", chunk_rows * grid[1])
-    source = dataclasses.replace(chip.source, pulse_duration=tau)
-    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
-    omega = (jsa.sum_grid[:, None] + jsa.diff_grid) / 2.0
-    length = 30000.0 + np.max(np.abs(DELAYS))  # the bundled chip's fp
-    double, exact = (table(chip.model, omega, chip.temperature)
-                     for table in (PhaseTable, oracles.ExtendedPhases))
-    sigma = max(np.sqrt(np.mean(np.angle(
-        double.phase(pol, length) / exact.phase(pol, length)) ** 2))
-        for pol in (0, 1))
-    w = detection._quadrature_weights(jsa.sum_grid, jsa.diff_grid) \
-        * np.abs(jsa.amplitude) ** 2
-    bound = 8.0 * sigma * np.sqrt(np.sum(w ** 2))
-    for pbs_error in (0.0, 0.25):
-        leaky = apply_imperfection(chip, "pbs", pbs_error)
-        for query in ("VV", "insensitive"):
-            args = (jsa, leaky, DELAYS, query)
-            rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
-            nodes, fitted = _scan_fits(monkeypatch, *args)
-            assert sum(f is not None for f in fitted) \
-                >= {1000.0: 1, 100.0: 8, 10.0: 80}[tau]
-            assert np.max(np.abs(nodes - rows)) <= bound
-            assert not np.array_equal(nodes, rows)
+RULE_TAUS = (1000.0, 100.0, 10.0, 1.0, 0.5, 0.2)  # ps
 
 
-@pytest.mark.parametrize("tau, grid, chunk_rows, panels", [
-    (1000.0, (64, 64), 10, 1), (100.0, (256, 64), 16, 8),
-], ids=["1000ps", "100ps"])
-def test_refused_panels_walk_their_rows(chip, tau, grid, chunk_rows, panels,
-                                        monkeypatch):
-    """With every fit refused (TAIL = -1), as where np.longdouble is
-    float64, each panel of the grids of test_panels_match_row_walk costs
-    one fit and its chunks are walked on their rows: the probabilities
-    are the row walk's bit for bit."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", chunk_rows * grid[1])
-    monkeypatch.setattr(detection, "TAIL", -1.0)
-    source = dataclasses.replace(chip.source, pulse_duration=tau)
-    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(*grid))
-    for query in ("VV", "insensitive"):
-        args = (jsa, chip, DELAYS, query)
-        nodes, fitted = _scan_fits(monkeypatch, *args)
-        assert len(fitted) == panels and all(f is None for f in fitted)
-        np.testing.assert_array_equal(
-            nodes, _scan_on(oracles.row_walk(), monkeypatch, *args))
+def _pumped(chip, tau):
+    return dataclasses.replace(chip, source=dataclasses.replace(
+        chip.source, pulse_duration=tau))
 
 
-@pytest.mark.parametrize("grid", [64, 512])
-def test_short_pump_is_the_row_walk(chip, grid, monkeypatch):
-    """At 1 ps no panel of more than NODES rows turns by less than TURN:
-    512 rows give chunks of NODES rows, walked on their rows, and a 64x64
-    grid one chunk whose panel fails the tail test. Either way the
-    probabilities are the row walk's, bit for bit."""
-    source = dataclasses.replace(chip.source, pulse_duration=1.0)
-    jsa = qpic.build_jsa(chip.model, source, qpic.GridSpec(grid, grid))
-    queries = ["VV"] + (["insensitive"] if grid == 64 else [])
-    for query in queries:
-        args = (jsa, chip, DELAYS, query)
-        np.testing.assert_array_equal(
-            hom_scan(*args).probabilities,
-            _scan_on(oracles.row_walk(), monkeypatch, *args))
+@pytest.fixture(scope="module")
+def rule_jsas(chip):
+    """The chip at a pump of ``tau`` ps and its JSAs on the grid of
+    scan_grid and on 1024 sum rows, both at 128 difference points; each
+    built once."""
+
+    @functools.cache
+    def jsas(tau):
+        spec = _pumped(chip, tau)
+        return spec, [qpic.build_jsa(spec.model, spec.source, grid)
+                      for grid in (qpic.scan_grid(spec, DELAYS, 128),
+                                   qpic.GridSpec(1024, 128))]
+
+    return jsas
 
 
-def test_tail_test_refuses_panel(chip, jsa_tiny, monkeypatch):
-    """Four nodes cannot follow the 1.4 rad turn of the bundled chip: the
-    one panel fails the tail test and every chunk is walked on its rows,
-    so the scan is the row walk's bit for bit. Used without the test, the
-    same panel moves the probabilities by far more than any rounding."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
-    monkeypatch.setattr(detection, "NODES", 4)
-    args = (jsa_tiny, chip, DELAYS, "insensitive")
-    rows = _scan_on(oracles.row_walk(), monkeypatch, *args)
-    nodes, fitted = _scan_fits(monkeypatch, *args)
-    np.testing.assert_array_equal(nodes, rows)
-    assert fitted == [None]
-    monkeypatch.setattr(detection, "TAIL", np.inf)
-    monkeypatch.setattr(detection, "_check_probability", float)
-    assert np.max(np.abs(hom_scan(*args).probabilities - rows)) > 1e-6
+@pytest.mark.parametrize("query", ["VV", "insensitive"])
+@pytest.mark.parametrize("tau", RULE_TAUS)
+def test_resolved_rows_within_bound_of_1024_rows(rule_jsas, tau, query):
+    spec, (resolved, dense) = rule_jsas(tau)
+    got = hom_scan(resolved, spec, DELAYS, query).probabilities
+    want = hom_scan(dense, spec, DELAYS, query).probabilities
+    assert np.max(np.abs(got - want)) <= ROW_BOUND
 
 
-# the tracemalloc peak of the per-chunk row walk this path replaced, for
-# the scan below (numpy 2.4.6); no per-chunk table of the walk comes back
-ROW_WALK_PEAK = 6.95 * 2 ** 20
+def test_scan_grid_rows_follow_the_pump(chip, rule_jsas):
+    """The bundled chip's 1000 ps source needs few sum rows, and a shorter
+    pump never fewer; at 0.2 ps, 64 rows would miss the 1024-row walk by
+    far more than any rounding. The JSA records the rows and the rule's
+    inputs; a grid given as is is honoured and records no rule."""
+    grids = [qpic.scan_grid(_pumped(chip, tau), DELAYS) for tau in RULE_TAUS]
+    rows = [g.size_sum for g in grids]
+    assert rows[0] <= 128
+    assert rows == sorted(rows) and rows[-1] > 64
+    assert all(g.size_diff == 512 for g in grids)
+    # never fewer grid points than the walk's rounding floor asks for
+    assert qpic.scan_grid(chip, DELAYS, 16).size_sum == 2 ** 15 // 16
+    spec, (resolved, dense) = rule_jsas(0.2)
+    assert resolved.meta["sum_rows"] == resolved.amplitude.shape[0]
+    assert resolved.meta["sum_rule"] == qpic.scan_grid(spec, DELAYS,
+                                                       128).rule
+    assert dense.meta["sum_rule"] == {}
+    few = qpic.build_jsa(spec.model, spec.source, qpic.GridSpec(64, 128))
+    assert few.amplitude.shape == (64, 128)
+    assert np.max(np.abs(hom_scan(few, spec, DELAYS).probabilities
+                         - hom_scan(dense, spec, DELAYS).probabilities)) > 1e-3
+    # the delay reach widens the scanned fp's spread of group delays
+    assert qpic.scan_grid(chip, 2.0 * DELAYS).rule["chip_spread_ps"] > \
+        grids[0].rule["chip_spread_ps"]
 
 
-def test_node_path_peak_not_above_row_walk(chip):
-    jsa = qpic.build_jsa(chip.model, chip.source,
-                         qpic.GridSpec(512, 512))
-    tracemalloc.start()
-    try:
-        hom_scan(jsa, chip, np.linspace(-1500.0, 3700.0, 21), "insensitive")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ROW_WALK_PEAK
+def test_temperature_scan_sizes_its_grid(chip, monkeypatch):
+    built = []
+    build = detection.build_jsa
+
+    def recording(model, source, grid, temperature=None):
+        built.append(grid)
+        return build(model, source, grid, temperature)
+
+    monkeypatch.setattr(detection, "build_jsa", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    temperature_scan(chip, [24.5], DELAYS[::6])
+    assert built == [qpic.scan_grid(chip, DELAYS[::6])]
+    assert built[0].rule == qpic.scan_grid(chip, DELAYS[::6]).rule

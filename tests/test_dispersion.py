@@ -69,8 +69,9 @@ def test_wavelength_omega_roundtrip():
 
 @pytest.mark.parametrize("pol", ["H", "V"])
 def test_index_keeps_extended_precision(model, pol):
-    # the sum-axis nodes of detection pass np.longdouble frequencies; the
-    # indices keep that precision, and round to the double indices
+    # the extended-precision oracle of the tests passes np.longdouble
+    # frequencies; the indices keep that precision, and round to the
+    # double indices
     omega = np.linspace(1200.0, 1230.0, 7)
     lam = wavelength_from_omega(omega.astype(np.longdouble))
     n = index(model, pol, lam, 30.0)
