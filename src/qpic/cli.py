@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
+import gc
 import io
 import json
 import math
@@ -160,35 +160,43 @@ def _str_fields(values: np.ndarray) -> np.ndarray:
 _FIELDS = {"f": _float_fields, "b": _bool_fields, "U": _str_fields}
 
 
-def _write_columns(path: Path, header, columns) -> None:
-    """Write one CSV table from equal-length column arrays.
+def _fields(block: np.ndarray) -> np.ndarray:
+    """``block``'s fields on a last axis, formatted once along stride 0."""
+    once = block[tuple(slice(None) if stride else slice(0, 1)
+                       for stride in block.strides)]
+    fields = _FIELDS[block.dtype.kind](once.ravel())
+    return np.broadcast_to(fields.reshape(*once.shape, fields.shape[1]),
+                           (*block.shape, fields.shape[1]))
 
-    A float is written as ``%.11e`` writes it (12 significant digits), a
-    bool as 0 or 1 and a str in its ``_csv_field`` quoting. A float's
-    digits are rint(m), where m is off the exact scaled value by less than
-    2.3e-4; a value with m within 5e-3 of a tie goes to ``%``, so every
-    other rint(m) is the correctly rounded significand (``_float_fields``).
-    Rows are written ``_CHUNK_ROWS`` at a time: each column becomes a
-    matrix of UTF-8 fields padded with NUL, the matrices are joined with
-    the commas and CRLFs, and one mask drops the padding. So no str cell
-    may hold a NUL.
+
+def _write_columns(path: Path, header, columns) -> None:
+    """Write one CSV table from column arrays of one shape, a row per
+    element in C order: a float as ``%.11e`` writes it, a bool as 0 or 1,
+    a str in its ``_csv_field`` quoting. Blocks of leading rows, of at
+    most ``_CHUNK_ROWS`` elements or one row, are written one at a time:
+    each column becomes an array of UTF-8 fields padded with NUL (a
+    stride-0 axis formatted once), the arrays are joined with the commas
+    and CRLFs, and one mask drops the padding. So no str cell may hold a
+    NUL.
     """
     columns = [np.asarray(c) for c in columns]
+    shape = columns[0].shape
+    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
     with open(path, "wb") as fh:
         fh.write((",".join(map(_csv_field, header)) + "\r\n").encode())
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            fields = [_FIELDS[c.dtype.kind](c[start:start + _CHUNK_ROWS])
-                      for c in columns]
+        for start in range(0, shape[0], step):
+            fields = [_fields(c[start:start + step]) for c in columns]
             comma, crlf = (np.broadcast_to(np.frombuffer(s, np.uint8),
-                                           (len(fields[0]), len(s)))
+                                           (*fields[0].shape[:-1], len(s)))
                            for s in (b",", b"\r\n"))
             rows = np.concatenate(
                 [part for f in fields for part in (f, comma)][:-1] + [crlf],
-                axis=1)
+                axis=-1)
             fh.write(rows[rows != 0].tobytes())
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # loaded after the work: OpenSSL is ~3.5 MB of RSS
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -373,7 +381,6 @@ def cmd_jsa(args) -> Artifacts:
                                           getattr(idler, f)])
                           for f in ("wavelength", "omega", "density",
                                     "intensity"))])]
-    # the asymmetry's grid temporaries are freed before the dump's columns
     summary = {
         "exchange_asymmetry": jsa_exchange_asymmetry(jsa),
         "normalization": jsa.normalization,
@@ -383,14 +390,12 @@ def cmd_jsa(args) -> Artifacts:
         "temperature_c": spec.temperature,
     }
     if args.dump_grid:
-        n_sum, n_diff = jsa.amplitude.shape
-        amplitude = jsa.amplitude.ravel()
         tables.append(("jsa_grid",
                        ["sum_rad_ps", "diff_rad_ps", "re_amplitude",
                         "im_amplitude"],
-                       [np.repeat(jsa.sum_grid, n_diff),
-                        np.tile(jsa.diff_grid, n_sum),
-                        amplitude.real, amplitude.imag]))
+                       [*np.broadcast_arrays(jsa.sum_grid[:, None],
+                                             jsa.diff_grid),
+                        jsa.amplitude.real, jsa.amplitude.imag]))
     return Artifacts(tables, summary, [netlist],
                      ("wavelength (um)", "normalised intensity", "2:5"))
 
@@ -485,10 +490,9 @@ def cmd_switch_map(args) -> Artifacts:
     summary = {"bar_min": bar.min(), "bar_max": bar.max(),
                "bar_min_at_v": voltages[list(i_min)].tolist(),
                "bar_max_at_v": voltages[list(i_max)].tolist()}
-    n = len(voltages)
     return Artifacts([("switch_map", ["u1_v", "u2_v", "bar_fraction"],
-                       [np.repeat(voltages, n), np.tile(voltages, n),
-                        bar.ravel()])], summary, [],
+                       [*np.broadcast_arrays(voltages[:, None], voltages),
+                        bar])], summary, [],
                      ("U1 (V)", "U2 (V)", "1:2:3"))
 
 
@@ -714,6 +718,8 @@ def main(argv=None) -> int:
     except QpicError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        gc.freeze()  # exit code set: teardown skips collecting these objects
 
 
 if __name__ == "__main__":

@@ -100,9 +100,9 @@ from .dispersion import group_velocity
 from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError, axis, \
     count, real, reals
-from .source import (CHUNK_POINTS, SUM_SIGMA_FACTOR, GridSpec,
-                     JointSpectralAmplitude, _quadrature_weights, build_jsa,
-                     marginal_spectra)
+from .source import (CHUNK_POINTS, MAX_GRID_POINTS, SUM_SIGMA_FACTOR,
+                     GridSpec, JointSpectralAmplitude, _quadrature_weights,
+                     build_jsa, marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
 
@@ -251,7 +251,8 @@ def scan_grid(spec: CircuitSpec, delay_values,
               size_diff: int = 512) -> GridSpec:
     """The grid of a delay scan of ``spec`` (with a [source] section):
     ``size_diff`` difference points and the sum rows of the module
-    docstring's rule, whose inputs (ps, rad/ps) go into ``rule``."""
+    docstring's rule, whose inputs (ps, rad/ps) go into ``rule``.
+    RangeError when the grid would exceed MAX_GRID_POINTS points."""
     if spec.source is None:
         raise ValidationError("a scan grid needs the [source] section")
     delays = axis(delay_values, "delay values", 3)
@@ -273,9 +274,10 @@ def scan_grid(spec: CircuitSpec, delay_values,
                         for l2 in np.atleast_1d(l2s))
     need = 1.0 + SUM_SIGMA_FACTOR / np.pi * (
         source.bandwidth * (drift + chip) + 2.0 * SUM_SIGMA_FACTOR)
-    if not need < np.inf:
-        raise RangeError(f"source pulse_duration {source.pulse_duration} "
-                         f"ps: the sum axis needs {need} rows")
+    if not need * size_diff <= MAX_GRID_POINTS:
+        raise RangeError(f"scan grid of {need:.6g} sum rows (pulse_duration "
+                         f"{source.pulse_duration} ps) x size_diff "
+                         f"{size_diff} > {MAX_GRID_POINTS} points")
     rows = max(math.ceil(need), -(-MIN_SUM_POINTS // size_diff))
     return GridSpec(1 << (rows - 1).bit_length(), size_diff, {
         "bandwidth_rad_ps": source.bandwidth, "ridge_drift_ps": drift,

@@ -37,6 +37,7 @@ SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
 RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
 MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
 CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
+MAX_GRID_POINTS = 1 << 24  # GridSpec's ceiling: a 256 MiB amplitude
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class GridSpec:
     def __post_init__(self):
         count(self.size_sum, "grid size_sum", 3)
         count(self.size_diff, "grid size_diff", 3)
+        if self.size_sum * self.size_diff > MAX_GRID_POINTS:
+            raise RangeError(f"grid size_sum {self.size_sum} x size_diff "
+                             f"{self.size_diff} > {MAX_GRID_POINTS} points")
 
 
 @dataclass
@@ -244,14 +248,18 @@ def jsa_exchange_asymmetry(jsa: JointSpectralAmplitude) -> float:
     The centre phase exp(i dk L / 2) is a pure group delay compensated by
     the interferometer, so the spectral shape alone is compared:
     || |F| - |F_exchanged| ||_2 / || F ||_2.
+    The sums run over blocks of about CHUNK_POINTS points, so no grid-sized
+    array is made (within 1e-15 relative of one whole-grid sum).
     """
-    weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid)
-    mag = np.abs(jsa.amplitude)
-    diff = mag - mag[:, ::-1]
-    for x in (diff, mag):  # in place: the floats of weights * x ** 2
-        x **= 2
-        x *= weights
-    return float(np.sqrt(np.sum(diff)) / np.sqrt(np.sum(mag)))
+    odd = total = 0.0
+    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
+    for lo in range(0, len(jsa.sum_grid), n_rows):
+        rows = slice(lo, lo + n_rows)
+        weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid, rows)
+        mag = np.abs(jsa.amplitude[rows])
+        odd += float(np.sum(weights * (mag - mag[:, ::-1]) ** 2))
+        total += float(np.sum(weights * mag ** 2))
+    return float(np.sqrt(odd) / np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -282,7 +290,6 @@ def marginal_spectra(jsa: JointSpectralAmplitude) -> MarginalSpectra:
     rotated grid are resampled onto a common frequency axis by linear
     interpolation. Each density integrates to 1 up to interpolation error.
     """
-    mag2 = np.abs(jsa.amplitude) ** 2
     w_sum = _trapezoid_weights(jsa.sum_grid)
     half_sum = jsa.sum_grid / 2.0
     half_diff = jsa.diff_grid / 2.0
@@ -298,7 +305,8 @@ def marginal_spectra(jsa: JointSpectralAmplitude) -> MarginalSpectra:
         # the marginal is a plain Sigma sum along resampled rows
         for r in range(len(jsa.sum_grid)):
             d_needed = sign * (2.0 * omega - jsa.sum_grid[r])
-            acc += w_sum[r] * np.interp(d_needed, jsa.diff_grid, mag2[r, :],
+            acc += w_sum[r] * np.interp(d_needed, jsa.diff_grid,
+                                        np.abs(jsa.amplitude[r]) ** 2,
                                         left=0.0, right=0.0)
         return SpectralDensity(
             omega=omega, density=acc,

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -259,6 +260,13 @@ _ERROR_NAMES = {
     "tuning-poling-negative": "poling period -9.0 um must be > 0",
     "hom-tau-1e-200": "pulse_duration 1e-200 ps",
     "hom-pdc-length-subnormal": "pdc_length (5e-324 um)",
+    "jsa-grid-over-ceiling":
+        "grid size_sum 200000 x size_diff 200000 > 16777216 points",
+    "hom-sum-rows-over-ceiling":
+        "scan grid of 144915 sum rows (pulse_duration 1.0 ps) x size_diff "
+        "512 > 16777216 points",
+    "hom-rounded-rows-over-ceiling":
+        "grid size_sum 32 x size_diff 600000 > 16777216 points",
 }
 
 
@@ -290,6 +298,9 @@ _ERROR_NAMES = {
     ["tuning", "--poling", "-9"],
     ["hom", "--tau", "1e-200", "--grid", "16", "--points", "5"],
     ["hom", "--pdc-length", "5e-324", "--grid", "16", "--points", "5"],
+    ["jsa", "--grid", "200000"],
+    ["hom", "--tau", "1", "--lmax", "1e7"],
+    ["hom", "--grid", "600000"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -298,7 +309,8 @@ _ERROR_NAMES = {
         "switch-map-kappa-negative", "switch-map-half-length-0",
         "tuning-pumps-below-range", "tuning-pumps-straddle-range",
         "tuning-poling-0", "tuning-poling-negative", "hom-tau-1e-200",
-        "hom-pdc-length-subnormal"])
+        "hom-pdc-length-subnormal", "jsa-grid-over-ceiling",
+        "hom-sum-rows-over-ceiling", "hom-rounded-rows-over-ceiling"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -388,15 +400,23 @@ _COLUMN_VALUES = {
 
 @st.composite
 def _tables(draw):
+    # columns of one 1-D or 2-D shape, each broadcast (stride 0) along
+    # the axes where it holds one value
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)),
                           min_size=1, max_size=4))
-    n_rows = draw(st.integers(0, 12))
+    shape = (draw(st.integers(0, 12)),
+             *draw(st.lists(st.integers(1, 4), max_size=1)))
     header = draw(st.lists(_CELL_TEXT, min_size=len(kinds),
                            max_size=len(kinds)))
-    columns = [np.array(draw(st.lists(_COLUMN_VALUES[k], min_size=n_rows,
-                                      max_size=n_rows)),
-                        dtype={"float": float, "bool": bool, "str": str}[k])
-               for k in kinds]
+    columns = []
+    for k in kinds:
+        held = [n if draw(st.booleans()) else 1 for n in shape]
+        size = int(np.prod(held))
+        values = draw(st.lists(_COLUMN_VALUES[k], min_size=size,
+                               max_size=size))
+        columns.append(np.broadcast_to(np.array(
+            values, dtype={"float": float, "bool": bool, "str": str}[k])
+            .reshape(held), shape))
     return header, columns
 
 
@@ -404,7 +424,7 @@ def _assert_writes_as_csv_writer(path, header, columns, chunk_rows):
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
-    for row in zip(*columns):
+    for row in zip(*(np.ravel(c) for c in columns)):  # rows in C order
         writer.writerow([_old_fmt(v) for v in row])
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
         cli._write_columns(path, header, columns)
@@ -456,6 +476,21 @@ def test_column_writer_chunk_edges(tmp_path):
                np.array(["a", "b,c", 'd"', "e"] * 2)]
     _assert_writes_as_csv_writer(tmp_path / "edges.csv",
                                  ["x", "y", "up", "name"], columns, 4)
+
+
+def test_jsa_dump_holds_one_grid(tmp_path):
+    # with writer blocks of 4 grid rows, the peak is build_jsa's: the
+    # amplitude, the |F|^2 of its norm and one block of rows; the
+    # marginals, the exchange asymmetry and the dump add no grid array
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "_CHUNK_ROWS", 1024):
+            assert main(["jsa", "--dump-grid", "--grid", "256",
+                         "-o", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 256 * 256 * 16  # complex128 amplitude bytes
 
 
 CONTRACT_CASES = {

@@ -798,6 +798,12 @@ BAD_CALLS = {
                          ValidationError),
     "scan-grid-no-source": (lambda c, j: qpic.scan_grid(
         dataclasses.replace(c, source=None), DELAYS), ValidationError),
+    # grids above MAX_GRID_POINTS, refused before any array exists
+    "grid-over-ceiling": (lambda c, j: qpic.GridSpec(1 << 12, 1 << 12 | 1),
+                          RangeError),
+    "scan-grid-over-ceiling": (lambda c, j: qpic.scan_grid(
+        dataclasses.replace(c, source=dataclasses.replace(
+            c.source, pulse_duration=1.0)), [0.0, 5e6, 1e7]), RangeError),
 }
 for _name, (_call, _error) in NUMBER_ARGS.items():
     for _x, _raised in (("a", ValidationError), (math.nan, _error),
