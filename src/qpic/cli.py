@@ -24,6 +24,7 @@ zero, non-finite, subnormal or have |e| >= 100, are formatted by ``%``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import functools
 import gc
@@ -49,10 +50,12 @@ from .dispersion import (DATA_DIR, MaterialModel, default_material,
 from .elements import pc_kappa
 from .errors import NumericalError, QpicError, RangeError, ValidationError
 from .keyfile import read_text
-from .source import (GridSpec, build_jsa, jsa_exchange_asymmetry,
-                     marginal_spectra)
+from .source import (MAX_GRID_POINTS, GridSpec, _row_blocks, build_jsa,
+                     jsa_exchange_asymmetry, marginal_spectra)
 
-_CHUNK_ROWS = 8192  # rows formatted per write
+# at exit, before the interpreter's last collections: teardown skips
+# every object left, and a caller that lives on keeps its collector
+atexit.register(gc.freeze)
 
 
 def _digit_table(width: int) -> np.ndarray:
@@ -172,20 +175,18 @@ def _fields(block: np.ndarray) -> np.ndarray:
 def _write_columns(path: Path, header, columns) -> None:
     """Write one CSV table from column arrays of one shape, a row per
     element in C order: a float as ``%.11e`` writes it, a bool as 0 or 1,
-    a str in its ``_csv_field`` quoting. Blocks of leading rows, of at
-    most ``_CHUNK_ROWS`` elements or one row, are written one at a time:
-    each column becomes an array of UTF-8 fields padded with NUL (a
-    stride-0 axis formatted once), the arrays are joined with the commas
-    and CRLFs, and one mask drops the padding. So no str cell may hold a
-    NUL.
+    a str in its ``_csv_field`` quoting. Each of the ``_row_blocks`` of
+    the leading axis is written in turn: each column becomes an array of
+    UTF-8 fields padded with NUL (a stride-0 axis formatted once), the
+    arrays are joined with the commas and CRLFs, and one mask drops the
+    padding. So no str cell may hold a NUL.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
-    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
     with open(path, "wb") as fh:
         fh.write((",".join(map(_csv_field, header)) + "\r\n").encode())
-        for start in range(0, shape[0], step):
-            fields = [_fields(c[start:start + step]) for c in columns]
+        for block in _row_blocks(shape[0], math.prod(shape[1:])):
+            fields = [_fields(c[block]) for c in columns]
             comma, crlf = (np.broadcast_to(np.frombuffer(s, np.uint8),
                                            (*fields[0].shape[:-1], len(s)))
                            for s in (b",", b"\r\n"))
@@ -269,6 +270,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(n, option: str, least: int = 0, points=None) -> None:
+    """Check ``n``, the value of ``option``: at least ``least``
+    (ValidationError), and the array it sizes, of ``points`` (default
+    ``n``), at most MAX_GRID_POINTS (RangeError). Each count the CLI makes
+    an array of is checked here, before numpy allocates anything."""
+    if n < least:
+        raise ValidationError(f"{option} must be >= {least}, got {n}")
+    points = n if points is None else points
+    if not points <= MAX_GRID_POINTS:
+        raise RangeError(f"{option} {n}: {points:.6g} points > "
+                         f"{MAX_GRID_POINTS}")
+
+
 def _float_list(text: str, option: str) -> list[float]:
     """The finite numbers of a comma separated option, at least one."""
     try:
@@ -326,12 +340,14 @@ def _temperatures_from(args) -> np.ndarray:
         raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
     if not args.tmax >= args.tmin:
         raise ValidationError("--tmax must not be below --tmin")
+    # np.arange makes ceil((stop - start) / step) of them
+    _count(args.tstep, "--tstep", points=(
+        args.tmax + args.tstep / 2.0 - args.tmin) / args.tstep)
     return np.arange(args.tmin, args.tmax + args.tstep / 2.0, args.tstep)
 
 
 def _delays_from(args) -> np.ndarray:
-    if args.points < 3:
-        raise ValidationError(f"--points must be >= 3, got {args.points}")
+    _count(args.points, "--points", 3)
     if not args.lmax > args.lmin:
         raise ValidationError("--lmax must be greater than --lmin")
     return np.linspace(args.lmin, args.lmax, args.points)
@@ -343,8 +359,8 @@ def _delays_from(args) -> np.ndarray:
 def cmd_tuning(args) -> Artifacts:
     model, inputs = _load_model(args)
     temps = _temperatures_from(args)
-    if args.pump_points and args.pump_points < 2:
-        raise ValidationError("--pump-points must be >= 2")
+    if args.pump_points:
+        _count(args.pump_points, "--pump-points", 2)
     lams = np.array([degenerate_wavelength(model, args.poling, float(t))
                      for t in temps])
     tables = [("tuning_temperature",
@@ -450,8 +466,7 @@ def cmd_pc_window(args) -> Artifacts:
     model, inputs = _load_model(args)
     if not args.length > 0.0:
         raise RangeError(f"--length must be > 0 um, got {args.length}")
-    if args.points < 3:
-        raise ValidationError(f"--points must be >= 3, got {args.points}")
+    _count(args.points, "--points", 3)
     kappa = args.kappa
     if args.voltage is not None:
         kappa = pc_kappa(args.voltage)
@@ -480,8 +495,7 @@ def cmd_pc_window(args) -> Artifacts:
 
 
 def cmd_switch_map(args) -> Artifacts:
-    if args.points < 2:
-        raise ValidationError(f"--points must be >= 2, got {args.points}")
+    _count(args.points, "--points", 2, points=args.points ** 2)
     voltages = np.linspace(args.umin, args.umax, args.points)
     bar = switch_map(args.kappa_c, args.half_length, voltages, voltages,
                      args.dbeta_per_volt)
@@ -718,8 +732,6 @@ def main(argv=None) -> int:
     except QpicError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        gc.freeze()  # exit code set: teardown skips collecting these objects
 
 
 if __name__ == "__main__":

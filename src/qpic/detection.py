@@ -41,9 +41,9 @@ conjugation takes theta to -theta and Y to conj Y.
 
 Both ``coincidence`` (the whole chain, every live entry a field with no
 phasor) and a scan (c and T) take the chip from ``_chip_on_rows`` and C
-from ``_moments``, in chunks of about CHUNK_POINTS grid points (the row
-blocks of ``source.build_jsa``), each walked on its own rows in float64;
-no array the size of the grid outlives a chunk.
+from ``_moments``, in chunks of grid rows (``source._row_blocks``), each
+walked on its own rows in float64; no array the size of the grid outlives
+a chunk.
 
 ``scan_grid`` gives a scan's sum axis the rows the trapezoid rule needs
 (Trefethen & Weideman, SIAM Rev. 56 (2014) 385): the weight is the pump
@@ -66,9 +66,10 @@ necessarily a grid row) and eps = theta - theta_c, a block adds
     M_n(d) = sum_S Y_theta(S, d) eps(S, d)^n / n!,   n <= N.
 
 Each chunk multiplies its Y_theta by eps in place and adds the row sums to
-M_n. Once a block is complete, each tile of about CHUNK_POINTS (delay,
-column) points costs N + 1 Horner steps, one exp of theta_c delta and one
-reduction; no exp runs on the grid, and uneven delays cost nothing extra.
+M_n. Once a block is complete, each tile of (delay, column) points, the
+``_row_blocks`` of the delays, costs N + 1 Horner steps, one exp of
+theta_c delta and one reduction; no exp runs on the grid, and uneven
+delays cost nothing extra.
 
 Blocks (per exponent, as the chunks stream past): a chunk measures
 rho = max |eps| max |delta| on each row and adds the leading rows with
@@ -100,8 +101,8 @@ from .dispersion import group_velocity
 from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError, axis, \
     count, real, reals
-from .source import (CHUNK_POINTS, MAX_GRID_POINTS, SUM_SIGMA_FACTOR,
-                     GridSpec, JointSpectralAmplitude, _quadrature_weights,
+from .source import (MAX_GRID_POINTS, SUM_SIGMA_FACTOR, GridSpec,
+                     JointSpectralAmplitude, _quadrature_weights, _row_blocks,
                      build_jsa, marginal_spectra)
 
 PROBABILITY_SLACK = 1e-9
@@ -142,13 +143,11 @@ def _weighted_amplitude(jsa: JointSpectralAmplitude, rows):
 
 def _chip_on_rows(jsa: JointSpectralAmplitude, spec: CircuitSpec,
                   fields_of):
-    """(rows, fields, k) of each chunk of about CHUNK_POINTS grid points,
+    """(rows, fields, k) of each chunk, the ``_row_blocks`` of the grid,
     in grid order: ``fields_of(phases)`` and k = (k_H, k_V) of the
     PhaseTable on the grid ``rows``."""
     s, d = jsa.sum_grid, jsa.diff_grid
-    step = max(1, CHUNK_POINTS // len(d))
-    for start in range(0, len(s), step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(len(s), len(d)):
         phases = PhaseTable(spec.model, (s[rows, None] + d) / 2.0,
                             spec.temperature)
         yield rows, fields_of(phases), phases.k
@@ -380,19 +379,18 @@ class _Block:
 
     def values(self, delays: np.ndarray) -> np.ndarray:
         """2 Re <Y_theta, exp(i theta delta)> over the rows at every delay,
-        Horner in delta on tiles of about CHUNK_POINTS points."""
+        Horner in delta on tiles, the ``_row_blocks`` of the delays."""
         factorials = np.cumprod([1.0, *range(1, len(self.moments))])
         m = np.array(self.moments) / factorials[:, None]
         out = np.empty(len(delays))
-        step = max(1, CHUNK_POINTS // m.shape[1])
-        for lo in range(0, len(delays), step):
-            delta = delays[lo:lo + step, None]
+        for rows in _row_blocks(len(delays), m.shape[1]):
+            delta = delays[rows, None]
             tile = np.repeat(m[-1:], len(delta), axis=0)
             for moment in m[-2::-1]:
                 tile *= 1j * delta
                 tile += moment
             tile *= np.exp(1j * (delta * self.ref))
-            out[lo:lo + step] = 2.0 * tile.sum(axis=1).real
+            out[rows] = 2.0 * tile.sum(axis=1).real
         return out
 
 

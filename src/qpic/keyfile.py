@@ -6,7 +6,9 @@ line is a header (``[section]``, returned as ``[section]`` in lower case,
 or ``element <kind>``) that opens a new block; the lines before the first
 header form a leading block with header None. Each loader checks its own
 schema on the blocks; every error is a NetlistError naming the line, and
-the column for a value.
+the column for a value. A number is what Python's ``float`` reads, so
+``1_000``, ``٣٠٠٠`` and ``５０００`` are numbers and ``0x10`` is not, and it
+must be finite.
 """
 
 from __future__ import annotations

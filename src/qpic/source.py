@@ -134,6 +134,13 @@ def _quadrature_weights(sum_grid, diff_grid, rows=slice(None)):
                     _trapezoid_weights(diff_grid))
 
 
+def _row_blocks(n: int, width: int):
+    """Slices of ``n`` rows of ``width`` points in blocks of max(1,
+    CHUNK_POINTS // width) rows, the blocks of every pass over a grid."""
+    step = max(1, CHUNK_POINTS // width)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _ridge_offset(model, source, temperature):
     """Difference-axis location of the phase-matching ridge at Sigma = w_p."""
     omega_p = source.omega_pump
@@ -156,12 +163,11 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
               temperature=None) -> JointSpectralAmplitude:
     """Sample and normalise the joint spectral amplitude.
 
-    The raw product form is filled into one preallocated array in blocks
-    of max(1, CHUNK_POINTS // size_diff) grid rows, each with its own
-    frequencies, mismatch and sinc-exp factor, so no other full-grid array
-    exists while it fills. Every value is elementwise, so the blocks give
-    the bits of a whole-grid evaluation, as do the per-block weights on
-    |raw|^2. The norm sums the whole array as one expression, so C is the
+    The raw product form is filled into one preallocated array by
+    ``_row_blocks``, each with its own frequencies, mismatch and sinc-exp
+    factor, so no other full-grid array exists while it fills. Every value
+    is elementwise, so the blocks give the bits of a whole-grid
+    evaluation, as do the per-block weights on |raw|^2. The norm sums the whole array as one expression, so C is the
     same float; ``raw`` is then scaled in place. ``meta`` records the raw
     norm, the pump-axis edge/peak ratio (~1e-8: the envelope is exp(-18)
     at 6 Omega), both half widths, the sum rows and the grid's ``rule``.
@@ -209,9 +215,7 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
 
     envelope = np.exp(-((sum_grid - omega_p) ** 2) / (2.0 * bw ** 2))
     raw = np.empty((grid.size_sum, grid.size_diff), dtype=complex)
-    n_rows = max(1, CHUNK_POINTS // grid.size_diff)
-    for lo in range(0, grid.size_sum, n_rows):
-        rows = slice(lo, lo + n_rows)
+    for rows in _row_blocks(grid.size_sum, grid.size_diff):
         omega_s = (sum_grid[rows, None] + diff_grid[None, :]) / 2.0
         omega_i = (sum_grid[rows, None] - diff_grid[None, :]) / 2.0
         dk = pdc_mismatch(model, source.poling_period, omega_s, omega_i, t)
@@ -222,8 +226,7 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     peak = float(np.max(mag2))
     edge = float(max(np.max(np.abs(raw[0, :])), np.max(np.abs(raw[-1, :]))))
     mag2 **= 2  # in place: the same floats, one full-grid array fewer
-    for lo in range(0, grid.size_sum, n_rows):  # nor a grid of weights
-        rows = slice(lo, lo + n_rows)
+    for rows in _row_blocks(grid.size_sum, grid.size_diff):  # no weights grid
         mag2[rows] *= _quadrature_weights(sum_grid, diff_grid, rows)
     total = float(np.sum(mag2))
     del mag2
@@ -248,13 +251,11 @@ def jsa_exchange_asymmetry(jsa: JointSpectralAmplitude) -> float:
     The centre phase exp(i dk L / 2) is a pure group delay compensated by
     the interferometer, so the spectral shape alone is compared:
     || |F| - |F_exchanged| ||_2 / || F ||_2.
-    The sums run over blocks of about CHUNK_POINTS points, so no grid-sized
-    array is made (within 1e-15 relative of one whole-grid sum).
+    The sums run over ``_row_blocks``, so no grid-sized array is made
+    (within 1e-15 relative of one whole-grid sum).
     """
     odd = total = 0.0
-    n_rows = max(1, CHUNK_POINTS // len(jsa.diff_grid))
-    for lo in range(0, len(jsa.sum_grid), n_rows):
-        rows = slice(lo, lo + n_rows)
+    for rows in _row_blocks(len(jsa.sum_grid), len(jsa.diff_grid)):
         weights = _quadrature_weights(jsa.sum_grid, jsa.diff_grid, rows)
         mag = np.abs(jsa.amplitude[rows])
         odd += float(np.sum(weights * (mag - mag[:, ::-1]) ** 2))
@@ -293,24 +294,24 @@ def marginal_spectra(jsa: JointSpectralAmplitude) -> MarginalSpectra:
     w_sum = _trapezoid_weights(jsa.sum_grid)
     half_sum = jsa.sum_grid / 2.0
     half_diff = jsa.diff_grid / 2.0
-
-    def marginal(sign):
+    photons = []  # (sign, omega, density): the signal, then the idler
+    for sign in (+1, -1):
         lo = float(half_sum[0] + min(sign * half_diff[0],
                                      sign * half_diff[-1]))
         hi = float(half_sum[-1] + max(sign * half_diff[0],
                                       sign * half_diff[-1]))
-        omega = np.linspace(lo, hi, MARGINAL_POINTS)
-        acc = np.zeros(MARGINAL_POINTS)
-        # at fixed w_s the other photon's measure dw_i equals dSigma, so
-        # the marginal is a plain Sigma sum along resampled rows
-        for r in range(len(jsa.sum_grid)):
+        photons.append((sign, np.linspace(lo, hi, MARGINAL_POINTS),
+                        np.zeros(MARGINAL_POINTS)))
+    # at fixed w_s the other photon's measure dw_i equals dSigma, so a
+    # marginal is a plain Sigma sum along resampled rows: one pass for both
+    for r in range(len(jsa.sum_grid)):
+        mag2 = np.abs(jsa.amplitude[r]) ** 2
+        for sign, omega, acc in photons:
             d_needed = sign * (2.0 * omega - jsa.sum_grid[r])
-            acc += w_sum[r] * np.interp(d_needed, jsa.diff_grid,
-                                        np.abs(jsa.amplitude[r]) ** 2,
+            acc += w_sum[r] * np.interp(d_needed, jsa.diff_grid, mag2,
                                         left=0.0, right=0.0)
-        return SpectralDensity(
-            omega=omega, density=acc,
-            wavelength=np.asarray(wavelength_from_omega(omega)),
-            intensity=acc / float(np.max(acc)))
-
-    return MarginalSpectra(signal=marginal(+1), idler=marginal(-1))
+    signal, idler = (SpectralDensity(
+        omega=omega, density=acc,
+        wavelength=np.asarray(wavelength_from_omega(omega)),
+        intensity=acc / float(np.max(acc))) for _, omega, acc in photons)
+    return MarginalSpectra(signal=signal, idler=idler)

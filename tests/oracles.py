@@ -16,11 +16,10 @@ straight, against which the row walk's rounding is measured.
 
 import numpy as np
 
-from qpic import detection
 from qpic.circuit import element_matrices
 from qpic.dispersion import C_UM_PS, default_material
 from qpic.elements import PhaseTable
-from qpic.source import _trapezoid_weights
+from qpic.source import _row_blocks, _trapezoid_weights
 
 TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
@@ -46,9 +45,7 @@ def row_walk(table=PhaseTable):
 
     def chip(jsa, spec, fields_of):
         s, d = jsa.sum_grid, jsa.diff_grid
-        step = max(1, detection.CHUNK_POINTS // len(d))
-        for lo in range(0, len(s), step):
-            rows = slice(lo, lo + step)
+        for rows in _row_blocks(len(s), len(d)):
             phases = table(spec.model, (s[rows, None] + d) / 2.0,
                            spec.temperature)
             yield rows, fields_of(phases), tuple(np.asarray(k, dtype=float)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import io
 import json
 import hashlib
@@ -19,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qpic
-from qpic import cli, cmt
+from qpic import cli, cmt, source
 from qpic.cli import main
 from qpic.detection import IMPERFECTION_TARGETS, QUERIES
 
@@ -267,6 +268,16 @@ _ERROR_NAMES = {
         "512 > 16777216 points",
     "hom-rounded-rows-over-ceiling":
         "grid size_sum 32 x size_diff 600000 > 16777216 points",
+    "tuning-pump-points-1": "--pump-points must be >= 2, got 1",
+    "hom-points-over-ceiling": "--points 100000000: 1e+08 points > 16777216",
+    "pc-window-points-over-ceiling":
+        "--points 1000000000: 1e+09 points > 16777216",
+    "switch-map-points-over-ceiling":
+        "--points 100000: 1e+10 points > 16777216",
+    "tuning-pump-points-over-ceiling":
+        "--pump-points 100000000: 1e+08 points > 16777216",
+    "tuning-tstep-over-ceiling": "--tstep 1e-09: 2.5e+10 points > 16777216",
+    "temp-scan-tstep-over-ceiling": "--tstep 1e-09: 9e+09 points > 16777216",
 }
 
 
@@ -301,6 +312,12 @@ _ERROR_NAMES = {
     ["jsa", "--grid", "200000"],
     ["hom", "--tau", "1", "--lmax", "1e7"],
     ["hom", "--grid", "600000"],
+    ["hom", "--points", "100000000"],
+    ["pc-window", "--points", "1000000000"],
+    ["switch-map", "--points", "100000"],
+    ["tuning", "--pump-points", "100000000"],
+    ["tuning", "--tstep", "1e-9"],
+    ["temp-scan", "--tstep", "1e-9"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -310,7 +327,10 @@ _ERROR_NAMES = {
         "tuning-pumps-below-range", "tuning-pumps-straddle-range",
         "tuning-poling-0", "tuning-poling-negative", "hom-tau-1e-200",
         "hom-pdc-length-subnormal", "jsa-grid-over-ceiling",
-        "hom-sum-rows-over-ceiling", "hom-rounded-rows-over-ceiling"])
+        "hom-sum-rows-over-ceiling", "hom-rounded-rows-over-ceiling",
+        "hom-points-over-ceiling", "pc-window-points-over-ceiling",
+        "switch-map-points-over-ceiling", "tuning-pump-points-over-ceiling",
+        "tuning-tstep-over-ceiling", "temp-scan-tstep-over-ceiling"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -352,6 +372,21 @@ def _strict_json(text):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # a caller that lives on after main keeps collecting its own garbage
+    before = gc.get_freeze_count()
+    assert main(["pc-window", "--points", "5", "-o", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_exit_freezes_what_is_left(tmp_path):
+    # atexit runs handlers last in, first out: the probe runs after the
+    # freeze that importing qpic.cli registers, before teardown collects
+    probe = ("import atexit, gc; atexit.register(lambda: print("
+             "gc.get_freeze_count() > 0)); import qpic.cli")
+    assert _run_fresh("-c", probe, cwd=tmp_path).stdout == "True\n"
 
 
 def test_single_temperature_slope_is_null(tmp_path):
@@ -420,23 +455,23 @@ def _tables(draw):
     return header, columns
 
 
-def _assert_writes_as_csv_writer(path, header, columns, chunk_rows):
+def _assert_writes_as_csv_writer(path, header, columns, chunk_points):
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(header)
     for row in zip(*(np.ravel(c) for c in columns)):  # rows in C order
         writer.writerow([_old_fmt(v) for v in row])
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(source, "CHUNK_POINTS", chunk_points):
         cli._write_columns(path, header, columns)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
-@given(table=_tables(), chunk_rows=st.integers(1, 5))
+@given(table=_tables(), chunk_points=st.integers(1, 5))
 def test_column_writer_matches_csv_writer(tmp_path_factory, table,
-                                          chunk_rows):
+                                          chunk_points):
     _assert_writes_as_csv_writer(
         tmp_path_factory.getbasetemp() / "column_writer.csv", *table,
-        chunk_rows)
+        chunk_points)
 
 
 def test_column_writer_is_exact_on_every_float(tmp_path):
@@ -450,10 +485,10 @@ def test_column_writer_is_exact_on_every_float(tmp_path):
     ties = ((rng.integers(10 ** 11, 10 ** 12, 10 ** 5) + 0.5)
             * 10.0 ** rng.integers(-110, 89, 10 ** 5))
     _assert_writes_as_csv_writer(tmp_path / "floats.csv", ["a", "b"],
-                                 bits.reshape(2, -1), cli._CHUNK_ROWS)
+                                 bits.reshape(2, -1), source.CHUNK_POINTS)
     _assert_writes_as_csv_writer(tmp_path / "ties.csv", ["t"],
                                  [np.append(ties, _SPECIAL_FLOATS)],
-                                 cli._CHUNK_ROWS)
+                                 source.CHUNK_POINTS)
 
 
 @pytest.mark.parametrize("bias", [-0.5, 0.5])
@@ -465,7 +500,7 @@ def test_column_writer_survives_a_log10_off_by_one(tmp_path, bias):
     with mock.patch.object(np, "log10", lambda a: log10(a) + bias):
         _assert_writes_as_csv_writer(tmp_path / "log10.csv", ["v"],
                                      [np.append(values, _SPECIAL_FLOATS)],
-                                     cli._CHUNK_ROWS)
+                                     source.CHUNK_POINTS)
 
 
 def test_column_writer_chunk_edges(tmp_path):
@@ -479,12 +514,12 @@ def test_column_writer_chunk_edges(tmp_path):
 
 
 def test_jsa_dump_holds_one_grid(tmp_path):
-    # with writer blocks of 4 grid rows, the peak is build_jsa's: the
+    # with row blocks of 4 grid rows, the peak is build_jsa's: the
     # amplitude, the |F|^2 of its norm and one block of rows; the
     # marginals, the exchange asymmetry and the dump add no grid array
     tracemalloc.start()
     try:
-        with mock.patch.object(cli, "_CHUNK_ROWS", 1024):
+        with mock.patch.object(source, "CHUNK_POINTS", 1024):
             assert main(["jsa", "--dump-grid", "--grid", "256",
                          "-o", str(tmp_path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpic
-from qpic import detection, workers
+from qpic import detection, source, workers
 from qpic.circuit import (CHANNEL1_INPUTS, element_matrices,
                           parse_netlist_text, walk)
 from qpic.detection import (IMPERFECTION_TARGETS, QUERIES,
@@ -176,7 +176,7 @@ def test_delay_grids_match_stretched_chip(chip, jsa_tiny, query, grid,
     keep every point equal to coincidence() on the stretched leaky-pbs
     chip."""
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     chip = apply_imperfection(chip, "pbs", 0.25)
     assert_scan_matches_stretched_chip(jsa_tiny, chip, DELAY_GRIDS[grid],
                                        query, 1e-11)
@@ -195,7 +195,7 @@ def test_short_pump_scan_matches_stretched_chip(chip, jsa_short, query,
     """A 1 ps pump widens the sum axis a thousandfold, so the expansion
     needs many row blocks; every point still equals coincidence() on the
     stretched leaky-pbs chip."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     values = detection._Block.values
     blocks = []  # the scan evaluates each block once, when it closes
 
@@ -283,7 +283,7 @@ def test_streamed_blocks(chip, jsa_tiny, jsa_short, pump, monkeypatch):
     row, and its measured rho = max |eps| max |delta| meets the cap. Each
     chunk's N is the least whose remainder bound rho^(N+1) e^rho / (N+1)!
     at that chunk's rho is at most eps_mach."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     jsa = jsa_tiny if pump == "long" else jsa_short
     delays = DELAY_GRIDS["uneven"]
     k = _grid_k(jsa, chip)
@@ -340,7 +340,7 @@ def test_streamed_blocks_follow_a_theta_not_monotone_in_s(
     C + 2 Re sum Y exp(i theta delta) within the rounding bound
     (e^RHO_CAP + 2 max |theta delta|) eps_mach sum |Y|: the series' e^rho
     and the rounding of theta delta in both sums."""
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     delays = DELAY_GRIDS["uneven"]
     reach = np.max(np.abs(delays))
     amplitude = 2.0 * detection.RHO_CAP / reach
@@ -422,7 +422,7 @@ def test_all_live_scan_matches_stretched_chip(jsa_tiny, query,
     c = walk(element_matrices(prefix), CHANNEL1_INPUTS, phases)
     assert all(c[m][p] is not None for m in (2, 3) for p in (0, 1))
     # chunks of 10 rows, so the 64-row grid ends in a partial chunk
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     assert_scan_matches_stretched_chip(jsa_tiny, chip, DELAY_GRIDS["tiles"],
                                        query, 1e-11)
 
@@ -971,7 +971,7 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
     # a scan over many chunks builds its two element chains once and walks
     # each chunk once: one index call per polarisation and chunk, on the
     # chunk's 10 rows (4 in the last), and none for the blocks
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     originals = {"element_matrices": qpic.circuit.element_matrices,
                  "index": qpic.dispersion.index}
     calls = {name: [] for name in originals}
@@ -998,7 +998,7 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
 def test_hom_scan_warns_once_per_scan(chip, jsa_tiny, monkeypatch):
     # the angle warning comes once, when the pbs is declared; no scan of
     # the chip repeats it
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         leaky = chip.with_params("pbs", alpha=2.0)
@@ -1301,7 +1301,7 @@ def test_hom_scan_builds_each_exponent_once(chip, jsa_tiny, query, exponents,
     monkeypatch.setattr(detection, "_moments", recording)
     monkeypatch.setattr(detection._Block, "values", evaluating)
     monkeypatch.setattr(np, "exp", counting)
-    monkeypatch.setattr(detection, "CHUNK_POINTS", 10 * 64)
+    monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     n_diff = len(jsa_tiny.diff_grid)
     for grid in ("tiles", "uneven"):
         for recorded in (built, blocks, points):

@@ -1,13 +1,14 @@
 """The line format shared by netlists, material files and coupler fits."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
 import qpic
-from qpic.cli import _read_ratio_csv, main
-from qpic.keyfile import read_blocks
+from qpic.cli import _finite, _read_ratio_csv, main
+from qpic.keyfile import number, read_blocks
 from tests.conftest import bundled
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -86,6 +87,28 @@ def test_blocks_keep_case_free_keys_positions_and_file_order():
 def test_reader_rejects(text, message):
     with pytest.raises(qpic.NetlistError, match=re.escape(message)):
         read_blocks(text)
+
+
+# a number is what Python's float reads, in a file and in a float option
+@pytest.mark.parametrize("text, value", [
+    ("1_000", 1000.0), ("\u0663\u0660\u0660\u0660", 3000.0),
+    ("\uff15\uff10\uff10\uff10", 5000.0),
+], ids=["underscore", "arabic-indic", "full-width"])
+def test_number_spellings_float_reads(text, value):
+    assert number((text, 1, 5)) == value
+    assert _finite(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0x10", "not a number: '0x10'"), ("nan", "value must be finite: 'nan'"),
+    ("inf", "value must be finite: 'inf'"),
+], ids=["hex", "nan", "inf"])
+def test_number_spellings_rejected(text, message):
+    with pytest.raises(qpic.NetlistError,
+                       match=re.escape(f"line 1, column 5: {message}")):
+        number((text, 1, 5))
+    with pytest.raises((ValueError, argparse.ArgumentTypeError)):
+        _finite(text)
 
 
 def test_readme_python_blocks_run(monkeypatch, capsys):
