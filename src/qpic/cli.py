@@ -10,8 +10,11 @@ gnuplot script of the first table when ``--gnuplot-script`` is given,
 ``coupler_fit.txt`` for a coupler fit, and last the strict-JSON manifest
 (inputs with checksums, a bundled one as ``qpic/data/<name>``, package
 versions, a configuration echo and the summary). An invalid input
-therefore leaves no file behind. Exit codes: 0 success, 2 invalid input,
-3 numerical failure.
+therefore leaves no file behind. The tables are dropped once written, so
+the checksums run with no grid alive: the first one imports ``hashlib``,
+whose OpenSSL maps ~3.5 MB of RSS, and on top of the amplitude of ``jsa
+--dump-grid`` it set that command's peak. Exit codes: 0 success, 2
+invalid input, 3 numerical failure.
 
 A CSV float is written byte for byte as ``'%.11e' % v``, but assembled in
 numpy: its 12 digits are rint(m) for m = |v| 10**(11 - e), e =
@@ -88,7 +91,8 @@ _ROUNDING_MARGIN = 0.5 - 5e-3
 
 
 class Artifacts(NamedTuple):
-    """What a subcommand produced, for ``_emit`` to write."""
+    """What a subcommand produced, for ``_emit`` to write (it empties
+    ``tables`` once they are written)."""
 
     tables: list  # (file stem, header, columns); the first one is plotted
     summary: dict
@@ -172,14 +176,14 @@ def _fields(block: np.ndarray) -> np.ndarray:
                            (*block.shape, fields.shape[1]))
 
 
-def _write_columns(path: Path, header, columns) -> None:
+def _write_columns(path: Path, header, columns) -> Path:
     """Write one CSV table from column arrays of one shape, a row per
     element in C order: a float as ``%.11e`` writes it, a bool as 0 or 1,
     a str in its ``_csv_field`` quoting. Each of the ``_row_blocks`` of
     the leading axis is written in turn: each column becomes an array of
     UTF-8 fields padded with NUL (a stride-0 axis formatted once), the
     arrays are joined with the commas and CRLFs, and one mask drops the
-    padding. So no str cell may hold a NUL.
+    padding. So no str cell may hold a NUL. Returns ``path``.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
@@ -194,6 +198,7 @@ def _write_columns(path: Path, header, columns) -> None:
                 [part for f in fields for part in (f, comma)][:-1] + [crlf],
                 axis=-1)
             fh.write(rows[rows != 0].tobytes())
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -224,12 +229,11 @@ def _emit(args, artifacts: Artifacts) -> None:
     summary = _jsonable(artifacts.summary)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, header, columns in artifacts.tables:
-        outputs.append(outdir / f"{name}.csv")
-        _write_columns(outputs[-1], header, columns)
+    outputs = [_write_columns(outdir / f"{name}.csv", header, columns)
+               for name, header, columns in artifacts.tables]
+    artifacts.tables.clear()  # before the checksums (module docstring)
     if getattr(args, "gnuplot_script", False):
-        name = artifacts.tables[0][0]
+        name = outputs[0].stem
         xlabel, ylabel, using = artifacts.plot
         outputs.append(outdir / f"{name}.gp")
         outputs[-1].write_text("\n".join([

@@ -241,8 +241,12 @@ def _ratio_model(length, beat, offset):
 
 
 def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):
-    """Unwanted-port power fraction at a given coupler length."""
+    """Unwanted-port power fraction at a given coupler length, or at each
+    of an array of them; RangeError for a length < 0."""
     length = finite(coupler_length, "coupler length")
+    if np.any(length < 0.0):
+        raise RangeError(f"coupler length must be >= 0 um, got "
+                         f"{np.min(length)}")
     if pol == "H":
         r = _ratio_model(length, fit.beat_te, fit.offset_te)
     elif pol == "V":

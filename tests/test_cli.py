@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -278,6 +279,7 @@ _ERROR_NAMES = {
         "--pump-points 100000000: 1e+08 points > 16777216",
     "tuning-tstep-over-ceiling": "--tstep 1e-09: 2.5e+10 points > 16777216",
     "temp-scan-tstep-over-ceiling": "--tstep 1e-09: 9e+09 points > 16777216",
+    "coupler-length-negative": "coupler length must be >= 0 um, got -1.0",
 }
 
 
@@ -318,6 +320,7 @@ _ERROR_NAMES = {
     ["tuning", "--pump-points", "100000000"],
     ["tuning", "--tstep", "1e-9"],
     ["temp-scan", "--tstep", "1e-9"],
+    ["coupler-fit", "--length=-1"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -330,7 +333,8 @@ _ERROR_NAMES = {
         "hom-sum-rows-over-ceiling", "hom-rounded-rows-over-ceiling",
         "hom-points-over-ceiling", "pc-window-points-over-ceiling",
         "switch-map-points-over-ceiling", "tuning-pump-points-over-ceiling",
-        "tuning-tstep-over-ceiling", "temp-scan-tstep-over-ceiling"])
+        "tuning-tstep-over-ceiling", "temp-scan-tstep-over-ceiling",
+        "coupler-length-negative"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -514,9 +518,12 @@ def test_column_writer_chunk_edges(tmp_path):
 
 
 def test_jsa_dump_holds_one_grid(tmp_path):
-    # with row blocks of 4 grid rows, the peak is build_jsa's: the
-    # amplitude, the |F|^2 of its norm and one block of rows; the
-    # marginals, the exchange asymmetry and the dump add no grid array
+    # with row blocks of 4 grid rows, no stage holds a second grid: the
+    # tracemalloc peak is the amplitude and one stage's own arrays, 1.72
+    # amplitudes in the write of the marginals table (which also builds
+    # the writer's lookup tables) and 1.69 in build_jsa (the |F|^2 of
+    # its norm). A second complex grid in the marginals, the exchange
+    # asymmetry or the dump would take it past 2.5
     tracemalloc.start()
     try:
         with mock.patch.object(source, "CHUNK_POINTS", 1024):
@@ -526,6 +533,31 @@ def test_jsa_dump_holds_one_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 256 * 256 * 16  # complex128 amplitude bytes
+
+
+def test_checksums_run_with_no_grid_alive(tmp_path):
+    # the first checksum imports hashlib, whose OpenSSL maps ~3.5 MB of
+    # RSS: by then no table may hold the amplitude, through its views
+    build, sha256 = cli.build_jsa, cli._sha256
+    amplitude, dead = [], []
+
+    def build_jsa(*args, **kwargs):
+        jsa = build(*args, **kwargs)
+        amplitude.append(weakref.ref(jsa.amplitude))
+        return jsa
+
+    def first_checksum(path):
+        if not dead:
+            dead.append(amplitude[0]() is None)
+        return sha256(path)
+
+    with mock.patch.object(cli, "build_jsa", build_jsa), \
+            mock.patch.object(cli, "_sha256", first_checksum):
+        assert main(["jsa", "--dump-grid", "--grid", "32",
+                     "--gnuplot-script", "-o", str(tmp_path)]) == 0
+    assert dead == [True]
+    assert 'plot "jsa_marginals.csv"' in \
+        (tmp_path / "jsa_marginals.gp").read_text()
 
 
 CONTRACT_CASES = {

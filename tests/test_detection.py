@@ -796,6 +796,14 @@ BAD_CALLS = {
                                                     [0.0]), ValidationError),
     "pbs-angles-array": (lambda c, j: qpic.pbs_angles(FIT, [500.0, 600.0]),
                          ValidationError),
+    # a negative coupler length gave ratios and angles
+    "splitting-ratio-length-negative":
+        (lambda c, j: qpic.splitting_ratio(FIT, -1.0, "H"), RangeError),
+    "splitting-ratio-lengths-negative":
+        (lambda c, j: qpic.splitting_ratio(FIT, [500.0, -1.0], "V"),
+         RangeError),
+    "pbs-angles-length-negative": (lambda c, j: qpic.pbs_angles(FIT, -1.0),
+                                   RangeError),
     "scan-grid-no-source": (lambda c, j: qpic.scan_grid(
         dataclasses.replace(c, source=None), DELAYS), ValidationError),
     # grids above MAX_GRID_POINTS, refused before any array exists
