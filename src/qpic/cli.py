@@ -45,15 +45,17 @@ from . import __version__
 from .circuit import CircuitSpec, parse_netlist
 from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_window, \
     save_coupler_fit, splitting_ratio, switch_map
-from .detection import (DEFAULT_DELAY_SPAN, IMPERFECTION_TARGETS, QUERIES,
+from .detection import (DEFAULT_DELAY_POINTS, DEFAULT_DELAY_SPAN,
+                        IMPERFECTION_TARGETS, QUERIES, SWEEP_DELAY_POINTS,
                         hom_scan, imperfection_sweep, scan_grid,
                         temperature_scan)
 from .dispersion import (DATA_DIR, MaterialModel, default_material,
                          degenerate_wavelength, load_material, tuning_curve)
 from .elements import pc_kappa
-from .errors import NumericalError, QpicError, RangeError, ValidationError
+from .errors import NumericalError, QpicError, RangeError, \
+    ValidationError, axis, count, real
 from .keyfile import read_text
-from .source import (MAX_GRID_POINTS, GridSpec, _row_blocks, build_jsa,
+from .source import (DEFAULT_GRID, GridSpec, _row_blocks, build_jsa,
                      jsa_exchange_asymmetry, marginal_spectra)
 
 # at exit, before the interpreter's last collections: teardown skips
@@ -274,19 +276,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(n, option: str, least: int = 0, points=None) -> None:
-    """Check ``n``, the value of ``option``: at least ``least``
-    (ValidationError), and the array it sizes, of ``points`` (default
-    ``n``), at most MAX_GRID_POINTS (RangeError). Each count the CLI makes
-    an array of is checked here, before numpy allocates anything."""
-    if n < least:
-        raise ValidationError(f"{option} must be >= {least}, got {n}")
-    points = n if points is None else points
-    if not points <= MAX_GRID_POINTS:
-        raise RangeError(f"{option} {n}: {points:.6g} points > "
-                         f"{MAX_GRID_POINTS}")
-
-
 def _float_list(text: str, option: str) -> list[float]:
     """The finite numbers of a comma separated option, at least one."""
     try:
@@ -344,17 +333,15 @@ def _temperatures_from(args) -> np.ndarray:
         raise ValidationError(f"--tstep must be > 0, got {args.tstep}")
     if not args.tmax >= args.tmin:
         raise ValidationError("--tmax must not be below --tmin")
-    # np.arange makes ceil((stop - start) / step) of them
-    _count(args.tstep, "--tstep", points=(
-        args.tmax + args.tstep / 2.0 - args.tmin) / args.tstep)
-    return np.arange(args.tmin, args.tmax + args.tstep / 2.0, args.tstep)
+    stop, what = args.tmax + args.tstep / 2.0, "--tstep temperatures"
+    # np.arange makes ceil((stop - tmin) / tstep) of them
+    count(math.ceil(real((stop - args.tmin) / args.tstep, what)), what, 1)
+    return axis(np.arange(args.tmin, stop, args.tstep), what, 1)
 
 
 def _delays_from(args) -> np.ndarray:
-    _count(args.points, "--points", 3)
-    if not args.lmax > args.lmin:
-        raise ValidationError("--lmax must be greater than --lmin")
-    return np.linspace(args.lmin, args.lmax, args.points)
+    # scan_grid refuses delays that are not increasing
+    return np.linspace(args.lmin, args.lmax, count(args.points, "--points", 3))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +351,7 @@ def cmd_tuning(args) -> Artifacts:
     model, inputs = _load_model(args)
     temps = _temperatures_from(args)
     if args.pump_points:
-        _count(args.pump_points, "--pump-points", 2)
+        count(args.pump_points, "--pump-points", 2)
     lams = np.array([degenerate_wavelength(model, args.poling, float(t))
                      for t in temps])
     tables = [("tuning_temperature",
@@ -470,7 +457,7 @@ def cmd_pc_window(args) -> Artifacts:
     model, inputs = _load_model(args)
     if not args.length > 0.0:
         raise RangeError(f"--length must be > 0 um, got {args.length}")
-    _count(args.points, "--points", 3)
+    count(args.points, "--points", 3)
     kappa = args.kappa
     if args.voltage is not None:
         kappa = pc_kappa(args.voltage)
@@ -499,7 +486,7 @@ def cmd_pc_window(args) -> Artifacts:
 
 
 def cmd_switch_map(args) -> Artifacts:
-    _count(args.points, "--points", 2, points=args.points ** 2)
+    count(args.points, "switch map of --points x --points", 2, args.points)
     voltages = np.linspace(args.umin, args.umax, args.points)
     bar = switch_map(args.kappa_c, args.half_length, voltages, voltages,
                      args.dbeta_per_volt)
@@ -600,12 +587,12 @@ def _add_chip_options(p):
                         "reset to pi/(2 length) unless --pc-kappa is given")
     p.add_argument("--pc-kappa", type=_finite, default=None,
                    help="override the converter coupling (rad/um)")
-    p.add_argument("--grid", type=int, default=512,
-                   help="difference-axis points of a scan (sum rows follow"
-                        " the chip); both axes of jsa (default 512)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="difference-axis points of a scan (sum rows follow "
+                        "the chip); both axes of jsa (default %(default)s)")
 
 
-def _add_scan_options(p, points_default=105):
+def _add_scan_options(p, points_default=DEFAULT_DELAY_POINTS):
     p.add_argument("--lmin", type=_finite, default=DEFAULT_DELAY_SPAN[0],
                    help="first delay length (um)")
     p.add_argument("--lmax", type=_finite, default=DEFAULT_DELAY_SPAN[1],
@@ -657,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "imperfection")
     _add_common(p)
     _add_chip_options(p)
-    _add_scan_options(p, points_default=41)
+    _add_scan_options(p, points_default=SWEEP_DELAY_POINTS)
     p.add_argument("--element", required=True, choices=IMPERFECTION_TARGETS)
     p.add_argument("--fractions", default="0,0.25,0.5,0.75,1",
                    help="comma separated imperfection fractions")
@@ -710,7 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "temperature")
     _add_common(p)
     _add_chip_options(p)
-    _add_scan_options(p, points_default=41)
+    _add_scan_options(p, points_default=SWEEP_DELAY_POINTS)
     p.add_argument("--tmin", type=_finite, default=20.5)
     p.add_argument("--tmax", type=_finite, default=29.5)
     p.add_argument("--tstep", type=_finite, default=1.0)

@@ -137,7 +137,8 @@ def pc_window(model: MaterialModel, poling_period: float, length: float,
         slope = abs(pc_mismatch(model, poling_period, centre + h, temperature)
                     - pc_mismatch(model, poling_period, centre - h,
                                   temperature)) / (2.0 * h)
-        fwhm = 2.0 * 2.783 / (length * slope)
+        # inf where length * slope underflows to 0
+        fwhm = 2.0 * 2.783 / (length * slope) if length * slope else np.inf
         half = 4.0 * fwhm
         if not LAMBDA_MIN <= centre - half < centre + half <= LAMBDA_MAX:
             raise RangeError(
@@ -200,13 +201,16 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
     Returns an array of shape (len(u1), len(u2)) with the power staying in
     the launch channel after sections driven at u1 then u2. The coupler
     takes the range checks of an 'eobs' element; voltages not a non-empty
-    1-D list raise ValidationError, and a non-finite input RangeError.
+    1-D list raise ValidationError, and a non-finite input or a map over
+    ``count``'s ceiling RangeError.
     """
     half_length, kappa_c = _check_section("switch map", half_length, kappa_c)
     dbeta_per_volt = real(EO_BS_DBETA_PER_VOLT if dbeta_per_volt is None
                           else dbeta_per_volt, "switch map: dbeta_per_volt")
     u1, u2 = (finite(u, f"switch map {name}", 1, 1)
               for name, u in [("u1", u1_values), ("u2", u2_values)])
+    count(len(u2), f"switch map of {len(u1)} u1 voltages x u2 voltages", 1,
+          len(u1))
     d1 = dbeta_per_volt * u1[:, None]
     d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)

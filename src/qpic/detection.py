@@ -101,7 +101,7 @@ from .dispersion import group_velocity
 from .elements import PhaseTable, _live_sum, mode_index
 from .errors import NumericalError, RangeError, ValidationError, axis, \
     count, real, reals
-from .source import (MAX_GRID_POINTS, SUM_SIGMA_FACTOR, GridSpec,
+from .source import (DEFAULT_GRID, SUM_SIGMA_FACTOR, GridSpec,
                      JointSpectralAmplitude, _quadrature_weights, _row_blocks,
                      build_jsa, marginal_spectra)
 
@@ -223,9 +223,11 @@ def _analyse_scan(values, probabilities) -> ScanResult:
 
 
 DEFAULT_DELAY_SPAN = (-1500.0, 3700.0)  # um, brackets the bundled chip dip
+DEFAULT_DELAY_POINTS = 105  # delays of a dip scan
+SWEEP_DELAY_POINTS = 41  # delays of each scan of a sweep or temperature scan
 
 
-def default_delay_values(n_points: int = 105) -> np.ndarray:
+def default_delay_values(n_points: int = DEFAULT_DELAY_POINTS) -> np.ndarray:
     """``n_points`` delays, an integer >= 3, over DEFAULT_DELAY_SPAN."""
     return np.linspace(*DEFAULT_DELAY_SPAN, count(n_points, "n_points", 3))
 
@@ -247,16 +249,15 @@ def _scanned_fp(spec: CircuitSpec, delays) -> int:
 
 
 def scan_grid(spec: CircuitSpec, delay_values,
-              size_diff: int = 512) -> GridSpec:
+              size_diff: int = DEFAULT_GRID) -> GridSpec:
     """The grid of a delay scan of ``spec`` (with a [source] section):
     ``size_diff`` difference points and the sum rows of the module
     docstring's rule, whose inputs (ps, rad/ps) go into ``rule``.
-    RangeError when the grid would exceed MAX_GRID_POINTS points."""
+    RangeError when the grid would exceed the ceiling of ``count``."""
     if spec.source is None:
         raise ValidationError("a scan grid needs the [source] section")
     delays = axis(delay_values, "delay values", 3)
     scanned = _scanned_fp(spec, delays)
-    size_diff = count(size_diff, "grid size_diff", 3)
     source, w = spec.source, spec.source.omega_pump
     # group delays per um: H and V at the degenerate frequency, the pump
     h, v, pump = (1.0 / group_velocity(spec.model, pol, x, spec.temperature)
@@ -272,12 +273,12 @@ def scan_grid(spec: CircuitSpec, delay_values,
             chip += max(max(l1, l2) * max(h, v) - min(l1, l2) * min(h, v)
                         for l2 in np.atleast_1d(l2s))
     need = 1.0 + SUM_SIGMA_FACTOR / np.pi * (
-        source.bandwidth * (drift + chip) + 2.0 * SUM_SIGMA_FACTOR)
-    if not need * size_diff <= MAX_GRID_POINTS:
-        raise RangeError(f"scan grid of {need:.6g} sum rows (pulse_duration "
-                         f"{source.pulse_duration} ps) x size_diff "
-                         f"{size_diff} > {MAX_GRID_POINTS} points")
-    rows = max(math.ceil(need), -(-MIN_SUM_POINTS // size_diff))
+        source.bandwidth * float(drift + chip) + 2.0 * SUM_SIGMA_FACTOR)
+    pulse = f"(pulse_duration {source.pulse_duration} ps)"
+    rows = math.ceil(real(need, f"scan grid sum rows {pulse}"))
+    size_diff = count(size_diff, f"scan grid of {need:.6g} sum rows {pulse} "
+                      f"x size_diff", 3, rows)
+    rows = max(rows, -(-MIN_SUM_POINTS // size_diff))
     return GridSpec(1 << (rows - 1).bit_length(), size_diff, {
         "bandwidth_rad_ps": source.bandwidth, "ridge_drift_ps": drift,
         "chip_spread_ps": float(chip), "rows_needed": float(need)})
@@ -523,7 +524,7 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     """Delay scans for a family of single-element imperfections; at least
     one fraction (ValidationError)."""
     if delay_values is None:
-        delay_values = default_delay_values(41)
+        delay_values = default_delay_values(SWEEP_DELAY_POINTS)
     fractions = reals(fractions, "sweep fractions", 1, 1).tolist()
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
@@ -560,7 +561,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
         raise ValidationError(
             "temperature scan needs the netlist [source] section")
     if delay_values is None:
-        delay_values = default_delay_values(41)
+        delay_values = default_delay_values(SWEEP_DELAY_POINTS)
     delay_values = axis(delay_values, "delay values", 3)
     _scanned_fp(spec, delay_values)  # before any grid work
     _query_pairs(query)

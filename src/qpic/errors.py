@@ -7,7 +7,8 @@ that cannot produce a trustworthy number (CLI exit code 3). Each public
 call reads its numbers with ``real``, ``reals``, ``finite``, ``axis`` or
 ``count``, which raise ValidationError for a non-number and RangeError for
 a NaN or infinite scalar or point of a ``finite`` array or an axis; range
-checks stay with the caller.
+checks stay with the caller, except the ceiling on sizes, which ``count``
+holds: RangeError, before numpy allocates, past MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 import numbers
 
 import numpy as np
+
+MAX_GRID_POINTS = 1 << 24  # the ceiling on sizes: a 256 MiB amplitude grid
 
 
 class QpicError(Exception):
@@ -108,8 +111,12 @@ def axis(values, what: str, least: int) -> np.ndarray:
     return a
 
 
-def count(n, what: str, least: int) -> int:
-    """``n`` as an int of at least ``least``."""
+def count(n, what: str, least: int, per: int = 1) -> int:
+    """``n`` as an int of at least ``least`` (ValidationError), times
+    ``per`` (the int points of the other axes) at most MAX_GRID_POINTS
+    (RangeError). A float size is read as ``math.ceil(real(...))``."""
     if not isinstance(n, numbers.Integral) or n < least:
         raise ValidationError(f"{what} {n!r} is not an int >= {least}")
+    if int(n) * per > MAX_GRID_POINTS:
+        raise RangeError(f"{what} {n}: more than {MAX_GRID_POINTS} points")
     return int(n)

@@ -37,7 +37,7 @@ SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
 RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
 MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
 CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
-MAX_GRID_POINTS = 1 << 24  # GridSpec's ceiling: a 256 MiB amplitude
+DEFAULT_GRID = 512  # points of each GridSpec axis and of a scan's diff axis
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,14 @@ class GridSpec:
     pdc_length, plus the ridge's offset and its drift over the sum span.
     ``rule``: the inputs of ``detection.scan_grid``'s size_sum, if any."""
 
-    size_sum: int = 512
-    size_diff: int = 512
+    size_sum: int = DEFAULT_GRID
+    size_diff: int = DEFAULT_GRID
     rule: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        count(self.size_sum, "grid size_sum", 3)
-        count(self.size_diff, "grid size_diff", 3)
-        if self.size_sum * self.size_diff > MAX_GRID_POINTS:
-            raise RangeError(f"grid size_sum {self.size_sum} x size_diff "
-                             f"{self.size_diff} > {MAX_GRID_POINTS} points")
+        size_sum = count(self.size_sum, "grid size_sum", 3)
+        count(self.size_diff, f"grid size_sum {size_sum} x size_diff", 3,
+              size_sum)
 
 
 @dataclass
@@ -167,10 +165,11 @@ def build_jsa(model: MaterialModel, source: SourceSpec,
     ``_row_blocks``, each with its own frequencies, mismatch and sinc-exp
     factor, so no other full-grid array exists while it fills. Every value
     is elementwise, so the blocks give the bits of a whole-grid
-    evaluation, as do the per-block weights on |raw|^2. The norm sums the whole array as one expression, so C is the
-    same float; ``raw`` is then scaled in place. ``meta`` records the raw
-    norm, the pump-axis edge/peak ratio (~1e-8: the envelope is exp(-18)
-    at 6 Omega), both half widths, the sum rows and the grid's ``rule``.
+    evaluation, as do the per-block weights on |raw|^2. The norm sums the
+    whole array as one expression, so C is the same float; ``raw`` is then
+    scaled in place. ``meta`` records the raw norm, the pump-axis
+    edge/peak ratio (~1e-8: the envelope is exp(-18) at 6 Omega), both
+    half widths, the sum rows and the grid's ``rule``.
 
     The source sets the spans (see ``GridSpec``). RangeError, before any
     grid array exists, when Omega^2 is not finite and positive, or the

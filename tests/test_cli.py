@@ -10,14 +10,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpic
@@ -263,22 +265,31 @@ _ERROR_NAMES = {
     "hom-tau-1e-200": "pulse_duration 1e-200 ps",
     "hom-pdc-length-subnormal": "pdc_length (5e-324 um)",
     "jsa-grid-over-ceiling":
-        "grid size_sum 200000 x size_diff 200000 > 16777216 points",
+        "grid size_sum 200000 x size_diff 200000: more than 16777216 points",
     "hom-sum-rows-over-ceiling":
         "scan grid of 144915 sum rows (pulse_duration 1.0 ps) x size_diff "
-        "512 > 16777216 points",
+        "512: more than 16777216 points",
     "hom-rounded-rows-over-ceiling":
-        "grid size_sum 32 x size_diff 600000 > 16777216 points",
-    "tuning-pump-points-1": "--pump-points must be >= 2, got 1",
-    "hom-points-over-ceiling": "--points 100000000: 1e+08 points > 16777216",
+        "grid size_sum 32 x size_diff 600000: more than 16777216 points",
+    "tuning-pump-points-1": "--pump-points 1 is not an int >= 2",
+    "hom-points-over-ceiling": "--points 100000000: more than 16777216 points",
     "pc-window-points-over-ceiling":
-        "--points 1000000000: 1e+09 points > 16777216",
+        "--points 1000000000: more than 16777216 points",
     "switch-map-points-over-ceiling":
-        "--points 100000: 1e+10 points > 16777216",
+        "switch map of --points x --points 100000: more than 16777216 points",
     "tuning-pump-points-over-ceiling":
-        "--pump-points 100000000: 1e+08 points > 16777216",
-    "tuning-tstep-over-ceiling": "--tstep 1e-09: 2.5e+10 points > 16777216",
-    "temp-scan-tstep-over-ceiling": "--tstep 1e-09: 9e+09 points > 16777216",
+        "--pump-points 100000000: more than 16777216 points",
+    "tuning-tstep-over-ceiling":
+        "--tstep temperatures 25000000001: more than 16777216 points",
+    "temp-scan-tstep-over-ceiling":
+        "--tstep temperatures 9000000001: more than 16777216 points",
+    "tuning-tstep-below-ulp-empty":
+        "--tstep temperatures 0 is not an int >= 1",
+    "tuning-tstep-below-ulp-repeats":
+        "--tstep temperatures must be strictly increasing",
+    "tuning-tstep-subnormal": "--tstep temperatures must be finite, got inf",
+    "pc-window-length-subnormal":
+        "converter length 5e-324 um gives a conversion window -inf to inf um",
     "coupler-length-negative": "coupler length must be >= 0 um, got -1.0",
 }
 
@@ -321,6 +332,11 @@ _ERROR_NAMES = {
     ["tuning", "--tstep", "1e-9"],
     ["temp-scan", "--tstep", "1e-9"],
     ["coupler-fit", "--length=-1"],
+    ["tuning", "--tmin", "20", "--tmax", "20", "--tstep", "1e-15"],
+    ["tuning", "--tmin", "20", "--tmax", "20.000000000000004", "--tstep",
+     "1e-15"],
+    ["tuning", "--tstep", "5e-324"],
+    ["pc-window", "--kappa=1e308", "--length=5e-324"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -334,7 +350,9 @@ _ERROR_NAMES = {
         "hom-points-over-ceiling", "pc-window-points-over-ceiling",
         "switch-map-points-over-ceiling", "tuning-pump-points-over-ceiling",
         "tuning-tstep-over-ceiling", "temp-scan-tstep-over-ceiling",
-        "coupler-length-negative"])
+        "coupler-length-negative", "tuning-tstep-below-ulp-empty",
+        "tuning-tstep-below-ulp-repeats", "tuning-tstep-subnormal",
+        "pc-window-length-subnormal"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -768,3 +786,76 @@ def test_option_overrides(tmp_path, argv, option, value, key, changed):
     if command == "pc_window":
         assert manifest["summary"]["kappa_rad_um"] == (
             value if option == "--kappa" else qpic.pc_kappa(value))
+
+
+
+# ROADMAP M's search: argv drawn per option from pools of edge values, a
+# few options at a time. A count of 2^24 passes the ceiling, so it is drawn
+# only where a product refuses it: 2^24 delays, window points or tuning
+# pumps would run in full (a 2^24-point window alone needs ~1.2 GB).
+_COUNTS = [0, 1, 2, 3, 1 << 24, (1 << 24) + 1, 10 ** 9]
+_FEW = [c for c in _COUNTS if c != 1 << 24]
+_FLOATS = ["1e308", "-1e308", "5e-324", "1e-15", "-0.0", "-1.5e3"]
+_CHIP = dict.fromkeys(["--temperature", "--tau", "--pump", "--poling",
+                       "--pdc-length", "--pc-length", "--pc-kappa"], _FLOATS)
+_SCAN = {**_CHIP, "--lmin": _FLOATS, "--lmax": _FLOATS,
+         "--points": [0, 1, 2, 3, 5], "--pol": QUERIES}
+# per command: its fixed argv and the pool of each option ([None]: a flag)
+_SEARCH = {
+    "tuning": ([], {**dict.fromkeys(
+        ["--poling", "--tmin", "--tmax", "--tstep", "--pump-min", "--pump-max",
+         "--pump-temperature"], _FLOATS), "--pump-points": _FEW}),
+    "jsa": (["--grid", "16"], {**_CHIP, "--dump-grid": [None]}),
+    "hom": (["--grid", "16", "--points", "5"], _SCAN),
+    "sweep": (["--grid", "16", "--points", "3", "--element", "pbs"],
+              {**_SCAN, "--element": IMPERFECTION_TARGETS,
+               "--fractions": ["0,1", ",", "1e308", "-0.0,5e-324"]}),
+    # an empty --temperatures falls back to --tmin, --tmax and --tstep
+    "temp-scan": (["--grid", "16", "--points", "3", "--temperatures", "24"],
+                  {**_SCAN, "--tmin": _FLOATS, "--tmax": _FLOATS,
+                   "--tstep": _FLOATS, "--temperatures": ["", "1e308,-0.0"]}),
+    "pc-window": ([], {**dict.fromkeys(
+        ["--poling", "--length", "--kappa", "--voltage", "--temperature",
+         "--lmin", "--lmax"], _FLOATS), "--points": _FEW}),
+    "switch-map": ([], {**dict.fromkeys(
+        ["--kappa-c", "--half-length", "--umin", "--umax", "--dbeta-per-volt"],
+        _FLOATS), "--points": _COUNTS}),
+    "coupler-fit": ([], {"--length": _FLOATS}),
+}
+
+
+@st.composite
+def _argv(draw, command):
+    fixed, pools = _SEARCH[command]
+    argv = [command, *fixed]
+    for option in draw(st.lists(st.sampled_from(sorted(pools)), max_size=3,
+                                unique=True)):
+        value = draw(st.sampled_from(pools[option]))
+        # joined by "=", as a value such as -1.5e3 must be (README)
+        argv.append(option if value is None else f"{option}={value}")
+    return argv
+
+
+@pytest.mark.parametrize("command", list(_SEARCH))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_any_argv_exits_0_2_or_3(command, data):
+    # an overflow on the way to a refusal is allowed; a run that succeeds
+    # raises none, as the suite's filter demands of every kernel
+    argv = data.draw(_argv(command))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = Path(tmp) / "out"
+        try:
+            code = main([*argv, "-o", str(out)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (0, 2, 3)
+        if code:
+            assert not out.exists()
+        else:
+            assert not [w for w in caught if w.category is RuntimeWarning]
+            _strict_json((out / f"{command.replace('-', '_')}_manifest.json")
+                         .read_text())

@@ -779,6 +779,9 @@ BAD_CALLS = {
                                                   0.1), RangeError),
     "pc-length-inf": (lambda c, j: qpic.pc_window(c.model, 21.4, np.inf,
                                                   0.1), RangeError),
+    # the window's length * slope underflowed: a ZeroDivisionError
+    "pc-length-subnormal": (lambda c, j: qpic.pc_window(c.model, 21.4, 5e-324,
+                                                        0.1), RangeError),
     "pc-points-negative": (lambda c, j: qpic.pc_window(
         c.model, 21.4, 7620.0, 0.1, n_points=-1), ValidationError),
     "delays-not-numbers": (lambda c, j: hom_scan(j, c, ["a", "b", "c"]),
@@ -812,6 +815,13 @@ BAD_CALLS = {
     "scan-grid-over-ceiling": (lambda c, j: qpic.scan_grid(
         dataclasses.replace(c, source=dataclasses.replace(
             c.source, pulse_duration=1.0)), [0.0, 5e6, 1e7]), RangeError),
+    # counts whose arrays numpy refused with a bare MemoryError
+    "delay-points-over-ceiling": (lambda c, j: default_delay_values(10 ** 13),
+                                  RangeError),
+    "pc-points-over-ceiling": (lambda c, j: qpic.pc_window(
+        c.model, 21.4, 7620.0, 0.1, n_points=10 ** 13), RangeError),
+    "switch-map-over-ceiling": (lambda c, j: qpic.switch_map(
+        1e-4, 4000.0, np.zeros(10 ** 6), np.zeros(10 ** 6)), RangeError),
 }
 for _name, (_call, _error) in NUMBER_ARGS.items():
     for _x, _raised in (("a", ValidationError), (math.nan, _error),
@@ -828,6 +838,19 @@ def test_entry_points_reject_bad_input(chip, jsa_small, call, error):
     with pytest.raises(qpic.QpicError) as info:
         call(chip, jsa_small)
     assert type(info.value) is error
+
+
+def test_count_holds_the_ceiling():
+    # the largest array passes and one point more is refused, whether the
+    # count sizes it alone or times the points of its other axes
+    count, ceiling = qpic.errors.count, qpic.errors.MAX_GRID_POINTS
+    assert count(ceiling, "n", 3) == ceiling
+    assert count(np.int64(1 << 12), "n", 3, 1 << 12) == 1 << 12
+    for n, per in [(ceiling + 1, 1), (1 << 12, (1 << 12) + 1),
+                   (np.int64(1 << 62), 4)]:  # no int64 wrap-around
+        with pytest.raises(RangeError, match=f"^n {n}: more than {ceiling} "
+                                             f"points$"):
+            count(n, "n", 3, per)
 
 
 def test_every_public_call_has_a_row():
