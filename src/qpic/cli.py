@@ -43,8 +43,8 @@ import numpy as np
 
 from . import __version__
 from .circuit import CircuitSpec, parse_netlist
-from .cmt import CouplerFit, fit_coupler, pbs_angles, pc_window, \
-    save_coupler_fit, splitting_ratio, switch_map
+from .cmt import PC_WINDOW_POINTS, CouplerFit, fit_coupler, pbs_angles, \
+    pc_window, save_coupler_fit, splitting_ratio, switch_map
 from .detection import (DEFAULT_DELAY_POINTS, DEFAULT_DELAY_SPAN,
                         IMPERFECTION_TARGETS, QUERIES, SWEEP_DELAY_POINTS,
                         hom_scan, imperfection_sweep, scan_grid,
@@ -341,6 +341,7 @@ def _temperatures_from(args) -> np.ndarray:
 
 def _delays_from(args) -> np.ndarray:
     # scan_grid refuses delays that are not increasing
+    real(args.lmax - args.lmin, "--lmax - --lmin")  # else linspace overflows
     return np.linspace(args.lmin, args.lmax, count(args.points, "--points", 3))
 
 
@@ -352,8 +353,7 @@ def cmd_tuning(args) -> Artifacts:
     temps = _temperatures_from(args)
     if args.pump_points:
         count(args.pump_points, "--pump-points", 2)
-    lams = np.array([degenerate_wavelength(model, args.poling, float(t))
-                     for t in temps])
+    lams = degenerate_wavelength(model, args.poling, temps)
     tables = [("tuning_temperature",
                ["temperature_c", "degenerate_wavelength_um"], [temps, lams])]
     # one temperature leaves the slope undefined: null, like dip_fwhm_um
@@ -362,6 +362,7 @@ def cmd_tuning(args) -> Artifacts:
                "n_temperatures": len(temps)}
 
     if args.pump_points:
+        real(args.pump_max - args.pump_min, "--pump-max - --pump-min")
         pumps = np.linspace(args.pump_min, args.pump_max, args.pump_points)
         curve = tuning_curve(model, args.poling, args.pump_temperature, pumps)
         tables.append(("tuning_pump",
@@ -469,6 +470,7 @@ def cmd_pc_window(args) -> Artifacts:
                 not args.lmax > args.lmin:
             raise ValidationError(
                 "--lmin and --lmax must both be given with lmax > lmin")
+        real(args.lmax - args.lmin, "--lmax - --lmin")
         wavelengths = np.linspace(args.lmin, args.lmax, args.points)
     window = pc_window(model, args.poling, args.length, kappa,
                        temperature=args.temperature, wavelengths=wavelengths,
@@ -487,6 +489,7 @@ def cmd_pc_window(args) -> Artifacts:
 
 def cmd_switch_map(args) -> Artifacts:
     count(args.points, "switch map of --points x --points", 2, args.points)
+    real(args.umax - args.umin, "--umax - --umin")
     voltages = np.linspace(args.umin, args.umax, args.points)
     bar = switch_map(args.kappa_c, args.half_length, voltages, voltages,
                      args.dbeta_per_volt)
@@ -667,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmin", type=_finite, default=None,
                    help="first wavelength (um); default auto around centre")
     p.add_argument("--lmax", type=_finite, default=None)
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=int, default=PC_WINDOW_POINTS)
     p.set_defaults(func=cmd_pc_window)
 
     p = sub.add_parser("switch-map", help="electro-optic coupler bar state "

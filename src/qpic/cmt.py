@@ -32,13 +32,17 @@ from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
 from .errors import NetlistError, NumericalError, RangeError, \
     ValidationError, axis, count, finite, real, reals
 
+PC_WINDOW_POINTS = 2001  # wavelengths of a conversion window
+
 
 def _core_terms(kappa, dbeta, z):
-    """(cos sz, (dbeta/2s) sin sz, (kappa/s) sin sz) of one section."""
+    """(cos sz, (dbeta/2s) sin sz, (kappa/s) sin sz) of one section;
+    RangeError, before any sin or cos, where the phase sz is not finite."""
     kappa, dbeta, z = (np.asarray(v, dtype=float) for v in (kappa, dbeta, z))
-    s = np.hypot(kappa, dbeta / 2.0)
+    with np.errstate(over="ignore"):  # an overflow is refused
+        s = np.hypot(kappa, dbeta / 2.0)
+        phase = finite(s * z, "section phase")
     s_safe = np.where(s == 0.0, 1.0, s)
-    phase = s * z
     sinp = np.sin(phase)
     return np.cos(phase), (dbeta / 2.0) / s_safe * sinp, kappa / s_safe * sinp
 
@@ -120,7 +124,7 @@ class ConversionWindow(NamedTuple):
 
 def pc_window(model: MaterialModel, poling_period: float, length: float,
               kappa: float, temperature=None, wavelengths=None,
-              n_points: int = 2001) -> ConversionWindow:
+              n_points: int = PC_WINDOW_POINTS) -> ConversionWindow:
     """Conversion window of a poled section, its centre solved once.
 
     When no wavelength grid is given, one is centred on the matched
@@ -211,8 +215,9 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
               for name, u in [("u1", u1_values), ("u2", u2_values)])
     count(len(u2), f"switch map of {len(u1)} u1 voltages x u2 voltages", 1,
           len(u1))
-    d1 = dbeta_per_volt * u1[:, None]
-    d2 = dbeta_per_volt * u2[None, :]
+    with np.errstate(over="ignore"):  # compose_sections refuses an inf
+        d1 = dbeta_per_volt * u1[:, None]
+        d2 = dbeta_per_volt * u2[None, :]
     total = compose_sections(kappa_c, (d1, d2), half_length)
     return np.abs(total[..., 0, 0]) ** 2
 
@@ -241,7 +246,9 @@ class CouplerFit:
 
 
 def _ratio_model(length, beat, offset):
-    return np.sin(np.pi * (length - offset) / (2.0 * beat)) ** 2
+    with np.errstate(over="ignore"):  # refused before the sin if it overflows
+        theta = np.pi * (length - offset) / (2.0 * beat)
+    return np.sin(finite(theta, "coupler phase")) ** 2
 
 
 def splitting_ratio(fit: CouplerFit, coupler_length, pol: str):

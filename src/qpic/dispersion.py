@@ -11,7 +11,6 @@ in um, time in ps, angular frequency in rad/ps, temperature in degrees C.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import keyfile
 from .errors import NetlistError, NumericalError, PhaseMatchError, \
-    RangeError, ValidationError, real, reals
+    RangeError, ValidationError, count, real, reals
 
 C_UM_PS = 299.792458  # speed of light, um/ps
 DATA_DIR = Path(__file__).parent / "data"  # the bundled inputs, qpic/data
@@ -100,9 +99,11 @@ class SellmeierSet:
             real(value, f"form '{self.form}' coefficient")
 
     def evaluate(self, wavelength, temperature):
+        """n at wavelengths and temperatures that broadcast, read as arrays
+        so numpy, not Python's ``**``, squares a scalar's terms too."""
         fn, _, _ = _SELLMEIER_FORMS[self.form]
         return fn(self.a, self.b, reals(wavelength, "wavelength"),
-                  real(temperature, "temperature"))
+                  reals(temperature, "temperature"))
 
 
 DELTA_N_MAX = 0.05
@@ -140,35 +141,35 @@ def default_material() -> MaterialModel:
 
 
 def _check_temperature(temperature=None):
-    """The temperature in C (T_REFERENCE for None), checked."""
-    t = real(T_REFERENCE if temperature is None else temperature,
-             "temperature")
-    if not TEMP_MIN <= t <= TEMP_MAX:
-        raise RangeError(
-            f"temperature {t} C outside validity range "
-            f"[{TEMP_MIN}, {TEMP_MAX}] C")
-    return t
+    """The temperatures in C (T_REFERENCE for None), band checked: a float
+    for a scalar, else an array."""
+    t = _check_band(T_REFERENCE if temperature is None else temperature,
+                    (TEMP_MIN, TEMP_MAX),
+                    "temperature {} C outside validity range", "C")
+    return t if t.ndim else float(t)
 
 
-def _check_wavelength(wavelength, band=(LAMBDA_MIN, LAMBDA_MAX),
-                      what="wavelength {} um outside validity range"):
-    """The wavelengths as an array; a RangeError names the first outside
-    ``band`` (NaN included) in the words of ``what``."""
-    lam = reals(wavelength, "wavelength")
-    inside = (lam >= band[0]) & (lam <= band[1])  # False for NaN
+def _check_band(values, band=(LAMBDA_MIN, LAMBDA_MAX),
+                what="wavelength {} um outside validity range", unit="um"):
+    """The values (wavelengths unless told otherwise) as an array, named
+    by the words of ``what`` before its "{}"; a RangeError names the first
+    outside ``band`` (NaN included) in the words of ``what``."""
+    a = reals(values, what.partition(" {")[0])
+    inside = (a >= band[0]) & (a <= band[1])  # False for NaN
     if not np.all(inside):
-        raise RangeError(f"{what.format(lam.flat[int(np.argmin(inside))])} "
-                         f"[{band[0]}, {band[1]}] um")
-    return lam
+        raise RangeError(f"{what.format(a.flat[int(np.argmin(inside))])} "
+                         f"[{band[0]}, {band[1]}] {unit}")
+    return a
 
 
 def index(model: MaterialModel, pol: str, wavelength, temperature=None):
     """Effective index for polarisation ``pol`` ('H' or 'V').
 
-    ``wavelength`` in um (scalar or array), ``temperature`` in C (defaults
-    to T_REFERENCE). Raises RangeError outside the validity box.
+    ``wavelength`` in um and ``temperature`` in C (defaults to
+    T_REFERENCE), scalars or arrays that broadcast together. Raises
+    RangeError outside the validity box.
     """
-    lam = _check_wavelength(wavelength)
+    lam = _check_band(wavelength)
     t = _check_temperature(temperature)
     if pol == "H":
         n = model.ordinary.evaluate(lam, t) + model.delta_n_h
@@ -176,7 +177,7 @@ def index(model: MaterialModel, pol: str, wavelength, temperature=None):
         n = model.extraordinary.evaluate(lam, t) + model.delta_n_v
     else:
         raise ValidationError(f"polarisation must be 'H' or 'V', got {pol!r}")
-    return n if lam.ndim else float(n)
+    return n if np.ndim(n) else float(n)
 
 
 def wavevector(model: MaterialModel, pol: str, omega, temperature=None):
@@ -216,10 +217,10 @@ PUMP_LAMBDA_MAX = 0.9
 
 def _grating(poling_period: float) -> float:
     """2 pi / poling_period in rad/um; RangeError unless the period is
-    finite and > 0."""
+    finite and > 0 and the grating finite."""
     if not real(poling_period, "poling period") > 0.0:
         raise RangeError(f"poling period {poling_period} um must be > 0")
-    return 2.0 * np.pi / poling_period
+    return real(2.0 * np.pi / poling_period, "2 pi / poling period")
 
 
 def pdc_mismatch(model: MaterialModel, poling_period: float,
@@ -260,142 +261,143 @@ def _pc_grating_mismatch(n_h, n_v, lam, poling_period: float):
     return 2.0 * np.pi * (np.asarray(n_h) - np.asarray(n_v)) / lam - grating
 
 
-def _bracketed_roots(fn, lo, hi, samples, xtol=1e-14):
-    """Ascending roots of fn on [lo, hi]: exact zeros among the samples and
-    a Brent refinement of each sign change between neighbouring samples.
+def _bracketed_roots(fn, p, lo, hi, samples, target, what, xtol=1e-14):
+    """(root nearest ``target``, number of roots) arrays of the problems
+    fn(x, p[k]) = 0 on [lo[k], hi[k]], lo and hi broadcast with the 1-D p:
+    nan and 0 without a root, the lowest root on a tie.
 
-    ``fn`` is called once on the whole ``linspace(lo, hi, samples)`` array,
-    so it must accept arrays. The JSA ridge offset passes ``xtol=1e-12``:
-    1e-14 would move it by ~5e-13 rad/ps and the grid amplitudes by ~5e-12.
+    Roots are the exact zeros among linspace(lo, hi, samples) and a Brent
+    refinement (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) of each sign change between neighbouring
+    samples, after ``count`` reads problems (``what``) x samples. ``fn``
+    gets the samples of the ``source._row_blocks`` of problems, p as a
+    column, then once per Brent step the lanes (a zero or sign change
+    each) still running. Each lane runs the float64 operations of the
+    loop behind ``scipy.optimize.brentq``, so it ends on its float: a
+    division by zero gives inf or nan, which bisects, as in its C code.
+    A lane stops once its bracket half-width is below (xtol + 8.9e-16
+    |x|)/2; the JSA ridge offset passes xtol=1e-12, as 1e-14 would move it
+    by ~5e-13 rad/ps and the grid amplitudes by ~5e-12. NumericalError
+    for a non-finite value at a lane's point, no convergence in 100 steps
+    or a kept root where |fn| exceeds RESIDUAL_TOL.
     """
-    xs = np.linspace(lo, hi, samples)
-    ys = np.asarray(fn(xs), dtype=float)
-    crossing = np.append(ys[:-1] * ys[1:] < 0.0, False)
-    return [xs[i] if ys[i] == 0.0 else
-            _brent(fn, xs[i], xs[i + 1], xtol=xtol, rtol=8.9e-16)
-            for i in np.flatnonzero((ys == 0.0) | crossing)]
+    from .source import _row_blocks  # source imports this module
 
-
-def _brent(fn, a, b, xtol, rtol):
-    """Root of scalar ``fn`` in [a, b] by Brent's method (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4).
-
-    A step-for-step transcription of the loop behind
-    ``scipy.optimize.brentq``, so it returns the same float. Stops when
-    the bracket half-width is below (xtol + rtol |x|)/2. Raises
-    NumericalError on a bracket without a sign change, a non-finite
-    function value, or no convergence within 100 steps.
-    """
-    def f(x):
-        fx = float(fn(x))
-        if not math.isfinite(fx):
-            raise NumericalError(f"root function is {fx} at x = {x!r}")
+    def checked(x, fx):
+        if not np.all(ok := np.isfinite(fx)):
+            raise NumericalError(f"root function is {fx[~ok][0]} at x = "
+                                 f"{float(x[~ok][0])!r}")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):  # C tests signbit; same when nonzero
-        raise NumericalError(
-            f"root bracket [{xpre!r}, {xcur!r}] has no sign change")
-    xblk = fblk = spre = scur = 0.0
+    p, lo, hi = np.broadcast_arrays(p, lo, hi)
+    count(len(p), f"root scans of {samples} samples x {what}", 0, samples)
+    ends = [(np.zeros(0, dtype=np.intp), *[np.zeros(0)] * 4)]
+    for rows in _row_blocks(len(p), samples):
+        xs = np.linspace(lo[rows], hi[rows], samples, axis=-1)
+        ys = np.asarray(fn(xs, p[rows, None]), dtype=float)
+        change = np.pad(np.abs(np.diff(np.sign(ys))) == 2.0, ((0, 0), (0, 1)))
+        r, i = np.nonzero((ys == 0.0) | change)
+        j = i + (ys[r, i] != 0.0)  # a lane at an exact zero has converged
+        ends.append((r + rows.start, xs[r, i], xs[r, j], ys[r, i], ys[r, j]))
+    problem, xpre, xcur, fpre, fcur = map(np.concatenate, zip(*ends))
+    checked(xpre, fpre), checked(xcur, fcur)
+    lane, (root, value) = np.arange(len(xcur)), np.empty((2, len(xcur)))
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
     for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        flip = (fpre < 0.0) != (fcur < 0.0)  # C: signbit, same if nonzero
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = (np.where(flip, xcur - xpre, s) for s in (spre, scur))
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk, fpre, fcur, fblk = (
+            np.where(swap, b, a) for a, b in ((xpre, xcur), (xcur, xblk),
+            (xblk, xcur), (fpre, fcur), (fcur, fblk), (fblk, fcur)))
+        delta = (xtol + 8.9e-16 * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # no interpolation step: bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # inf or nan in C, which bisects
-                pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise NumericalError(
-        f"root refinement did not converge in 100 steps; last x = {xcur!r}")
-
-
-def _verify_residual(fn, root, what):
-    res = abs(fn(root))
-    if res > RESIDUAL_TOL:
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        root[lane[done]], value[lane[done]] = xcur[done], fcur[done]
+        if done.all():
+            break
+        lane, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            a[~done] for a in (lane, xpre, xcur, xblk, fpre, fcur, fblk,
+                               spre, scur, delta, sbis))
+        with np.errstate(all="ignore"):  # inf or nan where Python raised
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,  # secant, else inverse quadratic
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        stry = np.where((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)),
+                        stry, np.inf)  # inf: no interpolation step, bisect
+        step = 2.0 * np.abs(stry) < np.minimum(np.abs(spre),
+                                               3.0 * np.abs(sbis) - delta)
+        spre, scur = np.where(step, scur, sbis), np.where(step, stry, sbis)
+        xpre, fpre, xcur = xcur, fcur, xcur + np.where(
+            np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+        fcur = checked(xcur, fn(xcur, p[problem[lane]]))
+    else:
+        raise NumericalError("root refinement did not converge in 100 "
+                             f"steps; last x = {float(xcur[0])!r}")
+    order = np.lexsort((np.abs(root - target), problem))
+    first = order[np.diff(problem[order], prepend=-1) != 0]
+    if np.any(high := np.abs(value[first]) > RESIDUAL_TOL):
+        k = first[np.argmax(high)]
         raise NumericalError(
-            f"{what} root residual {res:.3e} rad/um exceeds "
-            f"{RESIDUAL_TOL:.0e}")
-    return root
+            f"root residual {abs(value[k]):.3e} rad/um exceeds "
+            f"{RESIDUAL_TOL:.0e} at x = {float(root[k])!r}")
+    best = np.full(len(p), np.nan)
+    best[problem[first]] = root[first]
+    return best, np.bincount(problem, minlength=len(p))
 
 
-def _matched_wavelength(mismatch, bracket, what, kind, where):
-    """Residual-checked root of ``mismatch`` in ``bracket`` nearest 1.55 um;
-    PhaseMatchError if there is none, a warning if there are several."""
-    roots = _bracketed_roots(mismatch, bracket[0], bracket[1], 301)
-    if not roots:
+def _matched_wavelength(mismatch, temperature, bracket, kind, where):
+    """Residual-checked root of ``mismatch(lam, t)`` in ``bracket`` nearest
+    1.55 um at each temperature (a float for a scalar); PhaseMatchError if
+    one has none, naming it in ``where``'s "{}", a warning if several."""
+    t = _check_temperature(temperature)
+    root, found = _bracketed_roots(mismatch, np.ravel(t), *bracket, 301, 1.55,
+                                   "temperatures")
+    if not found.all():
         raise PhaseMatchError(
             f"no phase-matching in band [{bracket[0]}, {bracket[1]}] um for "
-            f"{where}")
-    if len(roots) > 1:
+            f"{where.format(np.ravel(t)[np.argmin(found)])}")
+    if np.any(found > 1):
         warnings.warn(
             f"multiple {kind}-matched wavelengths in bracket; "
             "returning the one closest to 1.55 um", stacklevel=3)
-    root = min(roots, key=lambda x: abs(x - 1.55))
-    return _verify_residual(mismatch, root, what)
+    return root.reshape(np.shape(t)) if np.ndim(t) else float(root[0])
 
 
 def degenerate_wavelength(model: MaterialModel, poling_period: float,
                           temperature=None):
-    """Degenerate downconversion wavelength for a given poling period.
+    """Degenerate downconversion wavelength for a given poling period, at
+    a temperature or at each of an array of them.
 
     Solves delta_k(w/2 + w/2) = 0 for the common signal/idler wavelength
     inside DEGENERATE_BRACKET. Raises RangeError unless the period is > 0
     and PhaseMatchError when no root exists.
     """
     grating = _grating(poling_period)
-    t = _check_temperature(temperature)
 
-    def mismatch(lam):
+    def mismatch(lam, t):
         np_pump = index(model, "H", lam / 2.0, t)
         nh = index(model, "H", lam, t)
         nv = index(model, "V", lam, t)
         return (2.0 * np.pi / lam) * (2.0 * np_pump - nh - nv) - grating
 
-    return _matched_wavelength(
-        mismatch, DEGENERATE_BRACKET, "degenerate wavelength", "phase",
-        f"poling period {poling_period} um at {t} C")
+    return _matched_wavelength(mismatch, temperature, DEGENERATE_BRACKET,
+                               "phase", f"poling period {poling_period} um "
+                               "at {} C")
 
 
 def pc_matched_wavelength(model: MaterialModel, poling_period: float,
                           temperature=None):
     """Wavelength where the polarisation-conversion grating is matched,
-    inside PC_MATCH_BRACKET."""
-
-    def mismatch(lam):
-        return pc_mismatch(model, poling_period, lam, temperature)
-
+    inside PC_MATCH_BRACKET, at a temperature or at each of an array of
+    them."""
     return _matched_wavelength(
-        mismatch, PC_MATCH_BRACKET, "conversion wavelength", "conversion",
+        functools.partial(pc_mismatch, model, poling_period), temperature,
+        PC_MATCH_BRACKET, "conversion",
         f"conversion poling period {poling_period} um")
 
 
@@ -411,7 +413,7 @@ class TuningCurve:
 
 def tuning_curve(model: MaterialModel, poling_period: float, temperature,
                  pump_wavelengths):
-    """Solve the energy-conserving pair for each pump wavelength.
+    """Solve the energy-conserving pair for every pump wavelength at once.
 
     For each pump, finds the frequency offset x with signal at w/2 + x and
     idler at w/2 - x, both inside SIGNAL_BRACKET, where the mismatch
@@ -419,37 +421,26 @@ def tuning_curve(model: MaterialModel, poling_period: float, temperature,
     land in ``omitted``. Every pump must lie in [PUMP_LAMBDA_MIN,
     PUMP_LAMBDA_MAX] and the period must be > 0, else RangeError.
     """
-    pumps = np.atleast_1d(_check_wavelength(
+    pumps = np.atleast_1d(_check_band(
         pump_wavelengths, (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
         "pump wavelength {} um outside"))
     _grating(poling_period)
     t = _check_temperature(temperature)
-    found, sigs, idls, omitted = [], [], [], []
-    w_lo = omega_from_wavelength(SIGNAL_BRACKET[1])
-    w_hi = omega_from_wavelength(SIGNAL_BRACKET[0])
-    for lam_p in pumps:
-        w_p = float(omega_from_wavelength(lam_p))
-        w_half = w_p / 2.0
-        x_max = min(w_half - w_lo, w_hi - w_half)
-        if x_max <= 0.0:
-            omitted.append(float(lam_p))
-            continue
+    w_half = omega_from_wavelength(pumps) / 2.0
+    x_max = np.minimum(w_half - omega_from_wavelength(SIGNAL_BRACKET[1]),
+                       omega_from_wavelength(SIGNAL_BRACKET[0]) - w_half)
+    solved = x_max > 0.0
 
-        def mismatch(x):
-            return pdc_mismatch(model, poling_period, w_half + x, w_half - x,
-                                t)
+    def mismatch(x, w):
+        return pdc_mismatch(model, poling_period, w + x, w - x, t)
 
-        roots = _bracketed_roots(mismatch, -x_max, x_max, 401)
-        if not roots:
-            omitted.append(float(lam_p))
-            continue
-        x = min(roots, key=abs)
-        _verify_residual(mismatch, x, "tuning curve")
-        found.append(float(lam_p))
-        sigs.append(float(wavelength_from_omega(w_half + x)))
-        idls.append(float(wavelength_from_omega(w_half - x)))
-    return TuningCurve(pump=np.array(found), signal=np.array(sigs),
-                       idler=np.array(idls), omitted=tuple(omitted))
+    x, found = _bracketed_roots(mismatch, w_half[solved], -x_max[solved],
+                                x_max[solved], 401, 0.0, "pumps")
+    solved[solved] = found > 0
+    x, w = x[found > 0], w_half[solved]
+    return TuningCurve(pump=pumps[solved], signal=wavelength_from_omega(w + x),
+                       idler=wavelength_from_omega(w - x),
+                       omitted=tuple(pumps[~solved].tolist()))
 
 
 # ---------------------------------------------------------------------------

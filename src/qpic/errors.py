@@ -114,9 +114,11 @@ def axis(values, what: str, least: int) -> np.ndarray:
 def count(n, what: str, least: int, per: int = 1) -> int:
     """``n`` as an int of at least ``least`` (ValidationError), times
     ``per`` (the int points of the other axes) at most MAX_GRID_POINTS
-    (RangeError). A float size is read as ``math.ceil(real(...))``."""
+    (RangeError, which prints ``n`` with %.6g). A float size is read as
+    ``math.ceil(real(...))``."""
     if not isinstance(n, numbers.Integral) or n < least:
         raise ValidationError(f"{what} {n!r} is not an int >= {least}")
     if int(n) * per > MAX_GRID_POINTS:
-        raise RangeError(f"{what} {n}: more than {MAX_GRID_POINTS} points")
+        shown = f"{n:.6g}" if n < 1e308 else ">= 1e+308"  # float(n) fits
+        raise RangeError(f"{what} {shown}: more than {MAX_GRID_POINTS} points")
     return int(n)

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, MaterialModel,
-                         _bracketed_roots, _check_temperature,
-                         _check_wavelength, _grating, group_velocity,
-                         omega_from_wavelength, pdc_mismatch,
-                         wavelength_from_omega)
+                         _bracketed_roots, _check_band, _check_temperature,
+                         _grating, group_velocity, omega_from_wavelength,
+                         pdc_mismatch, wavelength_from_omega)
 from .errors import NumericalError, RangeError, count, real
 
 SUM_SIGMA_FACTOR = 6.0  # pump-axis half width, in units of Omega
@@ -55,9 +54,8 @@ class SourceSpec:
         if not real(self.pulse_duration, "source pulse_duration") > 0.0:
             raise RangeError(
                 f"pulse duration {self.pulse_duration} ps must be > 0")
-        _check_wavelength(self.pump_wavelength,
-                          (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
-                          "pump wavelength {} um outside")
+        _check_band(self.pump_wavelength, (PUMP_LAMBDA_MIN, PUMP_LAMBDA_MAX),
+                    "pump wavelength {} um outside")
         _grating(real(self.poling_period, "source poling_period"))
         if not real(self.pdc_length, "source pdc_length") > 0.0:
             raise RangeError(f"pdc length {self.pdc_length} um must be > 0")
@@ -141,19 +139,18 @@ def _row_blocks(n: int, width: int):
 
 def _ridge_offset(model, source, temperature):
     """Difference-axis location of the phase-matching ridge at Sigma = w_p."""
-    omega_p = source.omega_pump
-
-    def mismatch(d):
+    def mismatch(d, omega_p):
         return pdc_mismatch(model, source.poling_period, (omega_p + d) / 2.0,
                             (omega_p - d) / 2.0, temperature)
 
-    roots = _bracketed_roots(mismatch, -RIDGE_SEARCH, RIDGE_SEARCH, 1001,
-                             xtol=1e-12)
-    if not roots:
+    d_star, found = _bracketed_roots(
+        mismatch, [source.omega_pump], -RIDGE_SEARCH, RIDGE_SEARCH, 1001, 0.0,
+        "pump lines", xtol=1e-12)
+    if not found[0]:
         warnings.warn("phase-matching ridge not found near the pump line; "
                       "centring the difference axis on zero", stacklevel=3)
         return 0.0
-    return min(roots, key=abs)
+    return float(d_star[0])
 
 
 def build_jsa(model: MaterialModel, source: SourceSpec,

@@ -272,17 +272,29 @@ _ERROR_NAMES = {
     "hom-rounded-rows-over-ceiling":
         "grid size_sum 32 x size_diff 600000: more than 16777216 points",
     "tuning-pump-points-1": "--pump-points 1 is not an int >= 2",
-    "hom-points-over-ceiling": "--points 100000000: more than 16777216 points",
+    "hom-points-over-ceiling": "--points 1e+08: more than 16777216 points",
     "pc-window-points-over-ceiling":
-        "--points 1000000000: more than 16777216 points",
+        "--points 1e+09: more than 16777216 points",
     "switch-map-points-over-ceiling":
         "switch map of --points x --points 100000: more than 16777216 points",
     "tuning-pump-points-over-ceiling":
-        "--pump-points 100000000: more than 16777216 points",
+        "--pump-points 1e+08: more than 16777216 points",
     "tuning-tstep-over-ceiling":
-        "--tstep temperatures 25000000001: more than 16777216 points",
+        "--tstep temperatures 2.5e+10: more than 16777216 points",
     "temp-scan-tstep-over-ceiling":
-        "--tstep temperatures 9000000001: more than 16777216 points",
+        "--tstep temperatures 9e+09: more than 16777216 points",
+    # a count above the ceiling prints with %.6g, not its 301 digits
+    "tuning-tmin-huge": "--tstep temperatures 2e+300: more than 16777216 "
+                        "points",
+    # every root scan is counted as problems x samples before it runs
+    "tuning-root-scans-over-ceiling":
+        "root scans of 301 samples x temperatures 62501: more than 16777216 "
+        "points",
+    "tuning-pump-scans-over-ceiling":
+        "root scans of 401 samples x pumps 41900: more than 16777216 points",
+    # the phase overflows: refused before any sin or cos warns
+    "switch-map-phase-overflow": "section phase must be finite, got inf",
+    "coupler-phase-overflow": "coupler phase must be finite, got inf",
     "tuning-tstep-below-ulp-empty":
         "--tstep temperatures 0 is not an int >= 1",
     "tuning-tstep-below-ulp-repeats":
@@ -337,6 +349,11 @@ _ERROR_NAMES = {
      "1e-15"],
     ["tuning", "--tstep", "5e-324"],
     ["pc-window", "--kappa=1e308", "--length=5e-324"],
+    ["tuning", "--tmin=-1e300"],
+    ["tuning", "--tstep", "0.0004"],
+    ["tuning", "--pump-points", "41900"],
+    ["switch-map", "--kappa-c=1e308"],
+    ["coupler-fit", "--length=1e308"],
 ], ids=["grid-0", "pc-length-0", "no-temperatures", "empty-temp-range",
         "nan-ratio", "nan-length", "inf-length", "tuning-tmax-below-tmin",
         "pc-points-0", "pc-points-1", "tuning-pump-points-1",
@@ -352,7 +369,9 @@ _ERROR_NAMES = {
         "tuning-tstep-over-ceiling", "temp-scan-tstep-over-ceiling",
         "coupler-length-negative", "tuning-tstep-below-ulp-empty",
         "tuning-tstep-below-ulp-repeats", "tuning-tstep-subnormal",
-        "pc-window-length-subnormal"])
+        "pc-window-length-subnormal", "tuning-tmin-huge",
+        "tuning-root-scans-over-ceiling", "tuning-pump-scans-over-ceiling",
+        "switch-map-phase-overflow", "coupler-phase-overflow"])
 def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     tables = {"nan_table": "150.0,nan", "nan_length_table": "nan,0.2",
               "inf_length_table": "inf,0.2"}
@@ -791,8 +810,9 @@ def test_option_overrides(tmp_path, argv, option, value, key, changed):
 
 # ROADMAP M's search: argv drawn per option from pools of edge values, a
 # few options at a time. A count of 2^24 passes the ceiling, so it is drawn
-# only where a product refuses it: 2^24 delays, window points or tuning
-# pumps would run in full (a 2^24-point window alone needs ~1.2 GB).
+# only where a product refuses it: the switch map's and the tuning pumps'
+# root scans (2^24 x 401 samples). 2^24 delays or window points would run
+# in full (a 2^24-point window alone needs ~1.2 GB).
 _COUNTS = [0, 1, 2, 3, 1 << 24, (1 << 24) + 1, 10 ** 9]
 _FEW = [c for c in _COUNTS if c != 1 << 24]
 _FLOATS = ["1e308", "-1e308", "5e-324", "1e-15", "-0.0", "-1.5e3"]
@@ -804,7 +824,7 @@ _SCAN = {**_CHIP, "--lmin": _FLOATS, "--lmax": _FLOATS,
 _SEARCH = {
     "tuning": ([], {**dict.fromkeys(
         ["--poling", "--tmin", "--tmax", "--tstep", "--pump-min", "--pump-max",
-         "--pump-temperature"], _FLOATS), "--pump-points": _FEW}),
+         "--pump-temperature"], _FLOATS), "--pump-points": _COUNTS}),
     "jsa": (["--grid", "16"], {**_CHIP, "--dump-grid": [None]}),
     "hom": (["--grid", "16", "--points", "5"], _SCAN),
     "sweep": (["--grid", "16", "--points", "3", "--element", "pbs"],
@@ -840,8 +860,8 @@ def _argv(draw, command):
 @given(data=st.data())
 @settings(max_examples=60)
 def test_any_argv_exits_0_2_or_3(command, data):
-    # an overflow on the way to a refusal is allowed; a run that succeeds
-    # raises none, as the suite's filter demands of every kernel
+    # no overflow on any exit, as the suite's filter demands of every
+    # kernel: an input whose arithmetic overflows is refused before that
     argv = data.draw(_argv(command))
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
@@ -853,9 +873,9 @@ def test_any_argv_exits_0_2_or_3(command, data):
         except SystemExit as exc:  # argparse's usage error
             code = exc.code
         assert code in (0, 2, 3)
+        assert not [w for w in caught if w.category is RuntimeWarning]
         if code:
             assert not out.exists()
         else:
-            assert not [w for w in caught if w.category is RuntimeWarning]
             _strict_json((out / f"{command.replace('-', '_')}_manifest.json")
                          .read_text())

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qpic
+from qpic import dispersion
 from qpic.dispersion import (C_UM_PS, MaterialModel,
-                             _brent, _bracketed_roots, _matched_wavelength,
+                             _bracketed_roots, _matched_wavelength,
                              degenerate_wavelength, group_index,
                              group_velocity, index, load_material,
                              omega_from_wavelength, pc_matched_wavelength,
@@ -195,119 +197,202 @@ def _scalar_roots(fn, lo, hi, samples, xtol=1e-14):
     (lambda x: x * x + 1.0, -1.0, 1.0, 11, []),
 ], ids=["several", "inner-samples", "inner-crossing", "last-sample", "none"])
 def test_bracketed_roots_match_scalar_scan(fn, lo, hi, samples, expected):
-    roots = _bracketed_roots(fn, lo, hi, samples)
-    assert roots == _scalar_roots(fn, lo, hi, samples)
-    assert roots == sorted(roots)
-    np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+    # each root is the float of the scalar scan, the nearest is kept (the
+    # lowest on a tie) and a problem without one is nan
+    scalar = _scalar_roots(fn, lo, hi, samples)
+    for target in [0.0, 4.0, 1.0, *scalar]:
+        root, n = _bracketed_roots(lambda x, _: fn(x), [0.0], lo, hi, samples,
+                                   target, "problems")
+        assert n.tolist() == [len(scalar)] and root.dtype == float
+        if scalar:
+            assert root[0] == min(scalar, key=lambda x: abs(x - target))
+        else:
+            assert np.isnan(root[0])
+    np.testing.assert_allclose(scalar, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("temperature", [20.0, 24.5, 28.0])
 def test_phase_matching_scans_match_scalar_scan(model, temperature):
+    # the library's three scans, as batches of problems in one call each:
+    # every root of every problem is the float of the scalar scan
     period = 9.217870197227
-    w_p = float(omega_from_wavelength(0.775))
+    w_half = omega_from_wavelength(np.array([0.7745, 0.775, 0.7755])) / 2
 
-    def conversion(lam):
-        return pc_mismatch(model, 21.4, lam, temperature)
+    def conversion(lam, t):
+        return pc_mismatch(model, 21.4, lam, t)
 
-    def pair(x):  # tuning_curve's offset scan
-        return pdc_mismatch(model, period, w_p / 2 + x, w_p / 2 - x,
-                            temperature)
+    def pair(x, w):  # tuning_curve's offset scan
+        return pdc_mismatch(model, period, w + x, w - x, temperature)
 
-    def ridge(d):  # source._ridge_offset's scan
+    def ridge(d, w_p):  # source._ridge_offset's scan
         return pdc_mismatch(model, period, (w_p + d) / 2, (w_p - d) / 2,
                             temperature)
 
-    for fn, lo, hi, samples, xtol in [(conversion, 1.4, 1.75, 301, 1e-14),
-                                      (pair, -100.0, 100.0, 401, 1e-14),
-                                      (ridge, -50.0, 50.0, 1001, 1e-12)]:
-        roots = _bracketed_roots(fn, lo, hi, samples, xtol=xtol)
-        assert len(roots) >= 1
-        assert roots == _scalar_roots(fn, lo, hi, samples, xtol=xtol)
+    for fn, p, lo, hi, samples, xtol in [
+            (conversion, [temperature, 30.0], 1.4, 1.75, 301, 1e-14),
+            (pair, w_half, -100.0, 100.0, 401, 1e-14),
+            (ridge, 2 * w_half, -50.0, 50.0, 1001, 1e-12)]:
+        scalar = [_scalar_roots(lambda x: fn(x, q), lo, hi, samples,
+                                xtol=xtol) for q in p]
+        assert all(scalar)
+        for target in [0.0, 1.55, *(x for roots in scalar for x in roots)]:
+            root, n = _bracketed_roots(fn, p, lo, hi, samples, target,
+                                       "problems", xtol=xtol)
+            assert n.tolist() == [len(roots) for roots in scalar]
+            assert root.tolist() == [min(roots, key=lambda x: abs(x - target))
+                                     for roots in scalar]
 
 
 def test_bracketed_roots_evaluate_samples_in_one_call():
+    # one call for the samples of every problem, then one per Brent step
+    # on the lanes still running, whatever the number of problems
     shapes = []
 
-    def fn(x):
+    def fn(x, p):
         shapes.append(np.shape(x))
-        return np.cos(x)
+        return np.cos(x) - p
 
-    roots = _bracketed_roots(fn, 0.0, 4.0, 41)
-    assert roots == [pytest.approx(np.pi / 2, abs=1e-14)]
-    # the whole sample array first, then scalar Brent refinement only
-    assert shapes[0] == (41,)
-    assert len(shapes) > 1 and set(shapes[1:]) == {()}
+    def calls(p):
+        shapes.clear()
+        root, n = _bracketed_roots(fn, p, 0.0, 3.0, 31, 0.0, "problems")
+        np.testing.assert_allclose(root, np.arccos(p), rtol=0, atol=1e-14)
+        assert n.tolist() == [1] * len(p)
+        assert shapes[0] == (len(p), 31) and len(shapes) > 1
+        assert all(len(s) == 1 and s[0] <= len(p) for s in shapes[1:])
+        return len(shapes)
+
+    levels = np.linspace(-0.9, 0.9, 7)
+    assert calls(np.repeat(0.3, 150)) == calls([0.3])
+    assert calls(levels) == max(calls([q]) for q in levels)
 
 
 coefficient = st.floats(-3.0, 3.0)
+bracket = st.tuples(st.tuples(*[coefficient] * 4), coefficient,
+                    st.floats(1e-6, 5.0), st.floats(1e-6, 5.0))
 
 
 @settings(max_examples=300)
-@given(c=st.tuples(*[coefficient] * 4), r=coefficient,
-       left=st.floats(1e-6, 5.0), right=st.floats(1e-6, 5.0),
+@given(batch=st.lists(bracket, min_size=1, max_size=6),
        scale=st.sampled_from([1.0, 1e-300]))
-def test_brent_matches_scipy_brentq(c, r, left, right, scale):
-    # scipy is a test-time oracle only: same float, same failures. The
-    # bracket straddles r, which the sin and cos terms move off the root.
-    # At scale 1e-300 products of slopes underflow to 0, and a division by
+def test_brent_matches_scipy_brentq(batch, scale):
+    # scipy is a test-time oracle only: each lane ends on brentq's float.
+    # fn uses + - * / alone, which arrays and Python floats round alike.
+    # The bracket straddles r, which the other terms move off the root. At
+    # scale 1e-300 products of slopes underflow to 0, and a division by
     # them must bisect as C's inf/nan does
-    def fn(x):
-        return scale * ((x - r) * (1.0 + c[0] ** 2 + c[1] * math.sin(3.0 * x))
-                        + c[2] * (x - r) ** 3 + 0.1 * c[3] * math.cos(x))
+    def fn(x, c0, c1, c2, c3, r):
+        d, q = x - r, 1.0 / (1.0 + x * x)
+        return scale * (d * (1.0 + c0 * c0 + c1 * x * q) + c2 * d * d * d
+                        + 0.1 * c3 * q)
 
-    a, b = r - left, r + right
+    args = np.array([[*c, r] for c, r, _, _ in batch])
+    a = args[:, 4] - [left for *_, left, _ in batch]
+    b = args[:, 4] + [right for *_, right in batch]
     for xtol in (1e-12, 1e-14):
-        try:
-            expected = brentq(fn, a, b, xtol=xtol, rtol=8.9e-16)
-        except ValueError:  # no sign change on [a, b]
-            with pytest.raises(NumericalError, match="no sign change"):
-                _brent(fn, a, b, xtol=xtol, rtol=8.9e-16)
-            continue
-        root = _brent(fn, a, b, xtol=xtol, rtol=8.9e-16)
-        assert type(root) is float
-        assert root == expected
+        with mock.patch.object(dispersion, "RESIDUAL_TOL", math.inf):
+            root, n = _bracketed_roots(
+                lambda x, k: fn(x, *np.moveaxis(args[k], -1, 0)),
+                np.arange(len(batch)), a, b, 2, 0.0, "brackets", xtol=xtol)
+        for k, row in enumerate(args.tolist()):
+            try:
+                expected = brentq(fn, a[k], b[k], args=tuple(row),
+                                  xtol=xtol, rtol=8.9e-16)
+            except ValueError:  # no sign change on [a, b]
+                assert n[k] == 0 and np.isnan(root[k])
+                continue
+            assert n[k] == 1 and root[k] == expected
 
 
 def test_brent_exact_zero_at_an_endpoint():
     for a, b in [(1.0, 2.0), (0.0, 1.0)]:
-        root = _brent(lambda x: x - 1.0, np.float64(a), np.float64(b),
-                      xtol=1e-14, rtol=8.9e-16)
-        assert type(root) is float and root == 1.0
-        assert root == brentq(lambda x: x - 1.0, a, b)
+        root, n = _bracketed_roots(lambda x, _: x - 1.0, [0.0], a, b, 2, 0.0,
+                                   "brackets")
+        assert n.tolist() == [1] and root.tolist() == [1.0]
+        assert root[0] == brentq(lambda x: x - 1.0, a, b)
 
 
-def test_brent_failures():
-    def step(x):
-        return -1.0 if x < 0.0 else 1.0
+def test_brent_failures(monkeypatch):
+    def step(x, _=None):
+        return np.where(x < 0.0, -1.0, 1.0) if np.ndim(x) else \
+            (-1.0 if x < 0.0 else 1.0)
 
-    with pytest.raises(NumericalError, match="no sign change"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    root, n = _bracketed_roots(lambda x, _: x * x + 1.0, [0.0], -1.0, 1.0,
+                               2, 0.0, "brackets")
+    assert n.tolist() == [0] and np.isnan(root[0])
+    # a non-finite value at a Brent point, or at a bracket's end
     for bad in (math.nan, math.inf):
-        with pytest.raises(NumericalError, match=f"root function is {bad}"):
-            _brent(lambda x: bad if x > 0.5 else x - 0.7, 0.0, 1.0,
-                   xtol=1e-14, rtol=8.9e-16)
+        with pytest.raises(NumericalError,
+                           match=f"root function is {bad} at x = 0.7"):
+            _bracketed_roots(lambda x, _: np.where(
+                (x > 0.6) & (x < 0.8), bad, x - 0.7), [0.0], 0.0, 1.0, 2,
+                0.0, "brackets")
+    with pytest.raises(NumericalError, match="root function is inf at x = 1"):
+        _bracketed_roots(lambda x, _: np.where(x > 0.5, np.inf, x - 0.7),
+                         [0.0], 0.0, 1.0, 2, 0.0, "brackets")
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
-    # a jump at 0: Brent converges in 100 steps at xtol 2**-97, in 101 at
+    # a jump at 0 is kept only with a residual of 1 > RESIDUAL_TOL
+    with pytest.raises(NumericalError, match=r"root residual 1\.000e\+00 "
+                       r"rad/um exceeds 1e-10 at x = "):
+        _bracketed_roots(step, [0.0], -1.0, 2.0, 2, 0.0, "brackets")
+    # Brent converges on the jump in 100 steps at xtol 2**-97, in 101 at
     # 2**-98, so the step budget counts as scipy's
-    root = _brent(step, -1.0, 2.0, xtol=2.0 ** -97, rtol=8.9e-16)
-    assert root == brentq(step, -1.0, 2.0, xtol=2.0 ** -97, rtol=8.9e-16)
+    monkeypatch.setattr(dispersion, "RESIDUAL_TOL", math.inf)
+    root, n = _bracketed_roots(step, [0.0, 1.0], -1.0, 2.0, 2, 0.0,
+                               "brackets", xtol=2.0 ** -97)
+    expected = brentq(step, -1.0, 2.0, xtol=2.0 ** -97, rtol=8.9e-16)
+    assert root.tolist() == [expected] * 2 and n.tolist() == [1, 1]
     with pytest.raises(NumericalError, match="did not converge in 100 steps"):
-        _brent(step, -1.0, 2.0, xtol=2.0 ** -98, rtol=8.9e-16)
+        _bracketed_roots(step, [0.0], -1.0, 2.0, 2, 0.0, "brackets",
+                         xtol=2.0 ** -98)
     with pytest.raises(RuntimeError, match="100 iterations"):
         brentq(step, -1.0, 2.0, xtol=2.0 ** -98, rtol=8.9e-16)
 
 
 def test_several_matched_roots_warn_and_keep_nearest_1550nm():
-    def mismatch(lam):
+    def mismatch(lam, t):
         return (lam - 1.45) * (lam - 1.56) * (lam - 1.65)
 
     with pytest.warns(UserWarning, match="multiple phase-matched "
                       "wavelengths in bracket; returning the one closest to "
                       "1.55 um"):
-        lam = _matched_wavelength(mismatch, (1.4, 1.7), "test wavelength",
-                                  "phase", "a test")
-    assert lam == pytest.approx(1.56, abs=1e-14)
+        lam = _matched_wavelength(mismatch, [20.0, 30.0], (1.4, 1.7),
+                                  "phase", "a test at {} C")
+    np.testing.assert_allclose(lam, 1.56, rtol=0.0, atol=1e-14)
+
+
+def test_root_scans_are_counted_before_sampling():
+    def fn(x, p):
+        raise AssertionError("sampled past the ceiling")
+
+    with pytest.raises(RangeError, match=re.escape(
+            "root scans of 401 samples x pumps 41839: more than 16777216 "
+            "points")):
+        _bracketed_roots(fn, np.zeros(41839), -1.0, 1.0, 401, 0.0, "pumps")
+
+
+def test_index_takes_a_temperature_array(model):
+    # elementwise the floats of scalar calls, at temperatures where Python's
+    # x ** 2 and numpy's square of a pole term differ in the last bit
+    temperatures = np.array([16.18, 20.84, 21.36, 24.5, 74.5])
+    lam = np.array([[0.8], [1.55]])
+    for pol in "HV":
+        n = index(model, pol, lam, temperatures)
+        assert n.shape == (2, 5)
+        assert n.tolist() == [[index(model, pol, x, t) for t in temperatures]
+                              for x in lam[:, 0]]
+    lams = degenerate_wavelength(model, 9.217870197227, temperatures[:4])
+    assert lams.tolist() == [degenerate_wavelength(model, 9.217870197227, t)
+                             for t in temperatures[:4]]
+    assert pc_matched_wavelength(model, 21.4, [[24.5]]).tolist() == [
+        [pc_matched_wavelength(model, 21.4, 24.5)]]
+
+
+def test_tuning_curve_without_any_open_band(model):
+    # both pumps put the signal band's edges on one side of degeneracy
+    curve = tuning_curve(model, 9.217870197227, 24.5, [0.6, 0.62])
+    assert curve.pump.shape == curve.signal.shape == (0,)
+    assert curve.omitted == (0.6, 0.62)
 
 
 def test_degeneracy_slope_sign(model):
