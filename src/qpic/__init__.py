@@ -18,8 +18,8 @@ from .detection import (ScanResult, SweepPoint, TemperaturePoint,
                         scan_grid, temperature_scan)
 from .dispersion import (C_UM_PS, MaterialModel, SellmeierSet,
                          TuningCurve, default_material,
-                         degenerate_wavelength, group_index, group_velocity,
-                         index, load_material, omega_from_wavelength,
+                         degenerate_wavelength, group_velocity, index,
+                         load_material, omega_from_wavelength,
                          pc_matched_wavelength, pc_mismatch, pdc_mismatch,
                          tuning_curve, wavelength_from_omega, wavevector)
 from .elements import (BASIS, ElementMatrix, bs_matrix, eo_bs_dbeta,

@@ -662,10 +662,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="converter poling period (um)")
     p.add_argument("--length", type=_finite, default=7620.0,
                    help="converter length (um)")
-    p.add_argument("--kappa", type=_finite, default=None,
-                   help="coupling (rad/um); default pi/(2 length)")
-    p.add_argument("--voltage", type=_finite, default=None,
-                   help="derive the coupling from a drive voltage (V)")
+    coupling = p.add_mutually_exclusive_group()
+    coupling.add_argument("--kappa", type=_finite, default=None,
+                          help="coupling (rad/um); default pi/(2 length)")
+    coupling.add_argument("--voltage", type=_finite, default=None,
+                          help="derive the coupling from a drive voltage (V)")
     p.add_argument("--temperature", type=_finite, default=None)
     p.add_argument("--lmin", type=_finite, default=None,
                    help="first wavelength (um); default auto around centre")

@@ -31,6 +31,7 @@ from .dispersion import (LAMBDA_MAX, LAMBDA_MIN, MaterialModel,
                          pc_matched_wavelength, pc_mismatch)
 from .errors import NetlistError, NumericalError, RangeError, \
     ValidationError, axis, count, finite, real, reals
+from .source import _row_blocks
 
 PC_WINDOW_POINTS = 2001  # wavelengths of a conversion window
 
@@ -130,7 +131,8 @@ def pc_window(model: MaterialModel, poling_period: float, length: float,
     When no wavelength grid is given, one is centred on the matched
     wavelength and spans four times the estimated sinc width on each side
     in ``n_points`` (an int >= 3); RangeError when that window leaves the
-    material's validity range (a converter too short for its window).
+    material's validity range (a converter too short for its window). The
+    fraction is evaluated over the ``_row_blocks`` of the wavelengths.
     """
     length, kappa = _check_section("section", length, kappa)
     centre = pc_matched_wavelength(model, poling_period, temperature)
@@ -152,8 +154,11 @@ def pc_window(model: MaterialModel, poling_period: float, length: float,
         wavelengths = np.linspace(centre - half, centre + half, n_points)
     else:
         wavelengths = reals(wavelengths, "wavelengths")
-    frac = conversion_fraction(model, poling_period, length, kappa,
-                               wavelengths, temperature)
+    frac = np.empty(wavelengths.shape)
+    for rows in _row_blocks(frac.size, 1):
+        frac.flat[rows] = conversion_fraction(
+            model, poling_period, length, kappa, wavelengths.flat[rows],
+            temperature)
     return ConversionWindow(centre, float(peak_fwhm(wavelengths, frac)),
                             wavelengths, frac)
 
@@ -206,7 +211,8 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
     the launch channel after sections driven at u1 then u2. The coupler
     takes the range checks of an 'eobs' element; voltages not a non-empty
     1-D list raise ValidationError, and a non-finite input or a map over
-    ``count``'s ceiling RangeError.
+    ``count``'s ceiling RangeError. The map is evaluated over the
+    ``_row_blocks`` of its u1 rows, so no pass holds the whole stack.
     """
     half_length, kappa_c = _check_section("switch map", half_length, kappa_c)
     dbeta_per_volt = real(EO_BS_DBETA_PER_VOLT if dbeta_per_volt is None
@@ -215,11 +221,14 @@ def switch_map(kappa_c: float, half_length: float, u1_values, u2_values,
               for name, u in [("u1", u1_values), ("u2", u2_values)])
     count(len(u2), f"switch map of {len(u1)} u1 voltages x u2 voltages", 1,
           len(u1))
-    with np.errstate(over="ignore"):  # compose_sections refuses an inf
-        d1 = dbeta_per_volt * u1[:, None]
-        d2 = dbeta_per_volt * u2[None, :]
-    total = compose_sections(kappa_c, (d1, d2), half_length)
-    return np.abs(total[..., 0, 0]) ** 2
+    with np.errstate(over="ignore"):  # an inf is refused before any block
+        d1, d2 = (finite(dbeta_per_volt * u, "mismatch")
+                  for u in (u1[:, None], u2[None, :]))
+    bar = np.empty((len(u1), len(u2)))
+    for rows in _row_blocks(len(u1), len(u2)):
+        total = compose_sections(kappa_c, (d1[rows], d2), half_length)
+        bar[rows] = np.abs(total[..., 0, 0]) ** 2
+    return bar
 
 
 # ---------------------------------------------------------------------------

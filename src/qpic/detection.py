@@ -421,10 +421,10 @@ def hom_scan(jsa: JointSpectralAmplitude, spec: CircuitSpec, delay_values,
     reach = float(np.max(np.abs(delay_values)))
     n_rows = len(jsa.sum_grid)
 
-    # the chains are built once and walked on each chunk's rows
-    before = element_matrices(spec.with_elements(spec.elements[:idx + 1]))
-    after = element_matrices(spec.with_elements(spec.elements[idx + 1:]),
-                             transposed=True)
+    # one chain, built once and sliced; both parts walk each chunk's rows
+    chain = element_matrices(spec)
+    before = chain[:idx + 1]
+    after = [m.transposed() for m in reversed(chain[idx + 1:])]
 
     def fields_of(phases):
         # t[j][r] = T_{rows[r], j} and c[j][p], None where structurally zero

@@ -206,11 +206,6 @@ def group_velocity(model: MaterialModel, pol: str, omega, temperature=None):
     return vg if w.ndim else float(vg)
 
 
-def group_index(model: MaterialModel, pol: str, omega, temperature=None):
-    """c / group_velocity; convenient for delay bookkeeping."""
-    return C_UM_PS / group_velocity(model, pol, omega, temperature)
-
-
 PUMP_LAMBDA_MIN = 0.6  # um, telecom-band type-II downconversion pumps
 PUMP_LAMBDA_MAX = 0.9
 

@@ -6,9 +6,10 @@ amplitudes, U[out, in]; the column index is the input mode. Composition of
 a chip is left-multiplication in listed order (first element acts first).
 
 Every element is stored with the block structure it really has, never as
-a dense 4x4 per frequency:
+a dense 4x4, constant or per frequency:
 
-- pbs, bs, pm and eobs are one frequency-independent 4x4;
+- pbs, bs, pm and eobs are one frequency-independent 2x2 per
+  polarisation, between channel 1 and channel 2 of that polarisation;
 - fp is four diagonal phases exp(i n(w) w l / c);
 - pc is a 2x2 on the channel-1 (H, V) pair; channel 2 passes unchanged.
 
@@ -115,7 +116,8 @@ def _live_sum(pairs):
 class ElementMatrix:
     """A frequency-resolved 4x4 unitary stored as its blocks.
 
-    ``structure`` "dense": ``block`` is a constant 4x4 array. "diagonal":
+    ``structure`` "polarisation": ``block`` is (T_H, T_V), the constant
+    2x2s that act on the modes (1H, 2H) and (1V, 2V). "diagonal":
     ``block`` is the straight lengths (l1, l2) of channels 1 and 2, whose
     phases come from the grid's ``PhaseTable``. "channel1":
     ``block(phases)`` returns the channel-1 2x2 on the table's grid, shape
@@ -130,11 +132,11 @@ class ElementMatrix:
         (``amplitude_table``), whose entries it never writes. Only live
         entries and nonzero coefficients enter a product; ``phases`` is
         the grid's PhaseTable, read only by the dispersive blocks."""
-        if self.structure == "dense":
-            m = self.block
-            return [[_live_sum((m[i, j], table[j][c]) for j in range(4)
-                               if m[i, j] != 0)
-                     for c in range(len(table[0]))] for i in range(4)]
+        if self.structure == "polarisation":  # mode 2 ch + p, T_p[ch, :]
+            return [[_live_sum((t[ch, k], table[2 * k + p][c])
+                               for k in (0, 1) if t[ch, k] != 0)
+                     for c in range(len(table[0]))]
+                    for ch in (0, 1) for p, t in enumerate(self.block)]
         if self.structure == "diagonal":
             return [[None if e is None else
                      phases.phase(i % 2, self.block[i // 2]) * e
@@ -149,16 +151,17 @@ class ElementMatrix:
         block = self.block
         if self.structure == "channel1":
             return replace(self, block=lambda p: block(p).swapaxes(0, 1))
-        return replace(self, block=block.T) if self.structure == "dense" \
-            else self
+        return replace(self, block=tuple(t.T for t in block)) \
+            if self.structure == "polarisation" else self
 
     def evaluate(self, phases) -> np.ndarray:
         """The element as one dense 4x4 on the grid of ``phases``, shape
         ``omega.shape + (4, 4)``, built from its block alone: no command
         forms it, but tests and single-element inspection do."""
         u = np.zeros(np.shape(phases.omega) + (4, 4), dtype=complex)
-        if self.structure == "dense":
-            u[...] = self.block
+        if self.structure == "polarisation":
+            for p, t in enumerate(self.block):
+                u[..., p::2, p::2] = t
         elif self.structure == "diagonal":
             for m in range(4):
                 u[..., m, m] = phases.phase(m % 2, self.block[m // 2])
@@ -183,11 +186,9 @@ def pbs_matrix(alpha: float, beta: float) -> ElementMatrix:
                       stacklevel=2)
     sa, ca = math.sin(alpha), math.cos(alpha)
     sb, cb = math.sin(beta), math.cos(beta)
-    m = np.array([[1j * sa, 0, ca, 0],
-                  [0, 1j * cb, 0, sb],
-                  [ca, 0, 1j * sa, 0],
-                  [0, sb, 0, 1j * cb]], dtype=complex)
-    return ElementMatrix("dense", m)
+    return ElementMatrix("polarisation", (
+        np.array([[1j * sa, ca], [ca, 1j * sa]], dtype=complex),
+        np.array([[1j * cb, sb], [sb, 1j * cb]], dtype=complex)))
 
 
 def bs_matrix(theta: float, xi: float) -> ElementMatrix:
@@ -203,18 +204,16 @@ def bs_matrix(theta: float, xi: float) -> ElementMatrix:
                       stacklevel=2)
     st, ct = math.sin(theta), math.cos(theta)
     sx, cx = math.sin(xi), math.cos(xi)
-    m = np.array([[ct, 0, 1j * st, 0],
-                  [0, cx, 0, 1j * sx],
-                  [1j * st, 0, ct, 0],
-                  [0, 1j * sx, 0, cx]], dtype=complex)
-    return ElementMatrix("dense", m)
+    return ElementMatrix("polarisation", (
+        np.array([[ct, 1j * st], [1j * st, ct]], dtype=complex),
+        np.array([[cx, 1j * sx], [1j * sx, cx]], dtype=complex)))
 
 
 def pm_matrix(phi_h: float, phi_v: float) -> ElementMatrix:
     """Channel-1 phase shifter: phases phi_h and phi_v on 1H and 1V."""
     phi_h, phi_v = real(phi_h, "pm: phi_h"), real(phi_v, "pm: phi_v")
-    m = np.diag([np.exp(1j * phi_h), np.exp(1j * phi_v), 1.0, 1.0])
-    return ElementMatrix("dense", m)
+    return ElementMatrix("polarisation", tuple(
+        np.diag([np.exp(1j * phi), 1.0]) for phi in (phi_h, phi_v)))
 
 
 def pc_matrix(poling_period: float, length: float,
@@ -261,7 +260,7 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     Two sections of length ``half_length`` with detunings dbeta_1 then
     dbeta_2 (rad/um); each polarisation sees the same coupler unless the
     V-mode detunings are overridden. Frequency independent within a pulse
-    bandwidth, so the element is one constant matrix.
+    bandwidth, so the element is one constant 2x2 per polarisation.
     """
     half_length, kappa_c = cmt._check_section("eobs", half_length, kappa_c)
     if dbeta_1_v is None:
@@ -269,13 +268,9 @@ def eo_bs_matrix(kappa_c: float, half_length: float, dbeta_1: float,
     if dbeta_2_v is None:
         dbeta_2_v = dbeta_2
 
-    mh = cmt.compose_sections(kappa_c, (dbeta_1, dbeta_2), half_length)
-    mv = cmt.compose_sections(kappa_c, (dbeta_1_v, dbeta_2_v), half_length)
-    m = np.zeros((4, 4), dtype=complex)
-    # H modes live at indices (0, 2), V modes at (1, 3)
-    m[np.ix_((0, 2), (0, 2))] = mh
-    m[np.ix_((1, 3), (1, 3))] = mv
-    return ElementMatrix("dense", m)
+    return ElementMatrix("polarisation", tuple(
+        cmt.compose_sections(kappa_c, dbetas, half_length)
+        for dbetas in ((dbeta_1, dbeta_2), (dbeta_1_v, dbeta_2_v))))
 
 
 # ---------------------------------------------------------------------------

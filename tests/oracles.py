@@ -1,5 +1,6 @@
 """Dense references for the tests: chips, coincidences, one coupled-mode
-section and the chip walked on every grid row.
+section in closed form, stepped couplers by direct ODE integration, and
+the chip walked on every grid row.
 
 A chip's U is the ``np.matmul`` product of its elements' dense 4x4s, each
 written straight from its block (``ElementMatrix.evaluate``), first
@@ -15,6 +16,7 @@ straight, against which the row walk's rounding is measured.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from qpic.circuit import element_matrices
 from qpic.dispersion import C_UM_PS, default_material
@@ -112,3 +114,28 @@ def coupling_matrix(kappa, dbeta, z) -> np.ndarray:
     out[..., 1, 0] = -1j * b * np.conj(e)
     out[..., 1, 1] = (cosp + 1j * d) * np.conj(e)
     return out
+
+
+def ode_transfer(kappa, sections, length):
+    """Integrate the two coupled amplitudes directly.
+
+    sections: list of detunings, each acting over an equal slice of the
+    total length. Returns the 2x2 transfer matrix.
+    """
+    edges = np.linspace(0.0, length * len(sections), len(sections) + 1)
+    started = np.concatenate([[0.0], np.cumsum(np.asarray(sections) * length)])
+
+    def rhs(z, y):
+        idx = min(int(z // length), len(sections) - 1)
+        db = sections[idx]
+        # the frame phase is the running integral of the detuning
+        phase = started[idx] + db * (z - edges[idx])
+        return [-1j * kappa * y[1] * np.exp(1j * phase),
+                -1j * kappa * y[0] * np.exp(-1j * phase)]
+
+    cols = []
+    for start in (np.array([1.0 + 0j, 0.0j]), np.array([0.0j, 1.0 + 0j])):
+        sol = solve_ivp(rhs, (edges[0], edges[-1]), start, method="DOP853",
+                        rtol=1e-12, atol=1e-13, dense_output=False)
+        cols.append(sol.y[:, -1])
+    return np.stack(cols, axis=1)

@@ -468,7 +468,7 @@ def test_public_api():
         "conversion_fraction", "default_delay_values",
         "default_material", "degenerate_wavelength", "detection",
         "dispersion", "element_matrices", "elements", "eo_bs_dbeta",
-        "eo_bs_matrix", "errors", "fit_coupler", "fp_matrix", "group_index",
+        "eo_bs_matrix", "errors", "fit_coupler", "fp_matrix",
         "group_velocity", "hom_scan", "imperfection_sweep", "index",
         "jsa_exchange_asymmetry", "keyfile", "load_coupler_fit",
         "load_material", "marginal_spectra", "mode_index",

@@ -398,8 +398,9 @@ def test_bad_input_exits_two(tmp_path, capsys, request, argv):
     ["coupler-fit", "--length", "nan"],
     ["hom", "--lmax", "inf"],
     ["coupler-fit", "--gnuplot-script"],
+    ["pc-window", "--kappa", "1e-4", "--voltage", "12"],
 ], ids=["umin-nan", "half-length-nan", "coupler-length-nan", "lmax-inf",
-        "coupler-fit-gnuplot"])
+        "coupler-fit-gnuplot", "pc-window-kappa-and-voltage"])
 def test_usage_error_writes_nothing(tmp_path, argv):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

@@ -9,43 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit
 
 import qpic
-from qpic import cmt
+from qpic import cmt, source
 from qpic.cmt import (CouplerFit, compose_sections, conversion_fraction,
                       fit_coupler, load_coupler_fit, pbs_angles, pc_window,
                       peak_fwhm, save_coupler_fit, splitting_ratio,
                       switch_map)
 from qpic.dispersion import pc_matched_wavelength
 from tests.conftest import bundled
-from tests.oracles import coupling_matrix
-
-
-def ode_oracle(kappa, sections, length):
-    """Integrate the two coupled amplitudes directly.
-
-    sections: list of detunings, each acting over an equal slice of the
-    total length. Returns the 2x2 transfer matrix.
-    """
-    edges = np.linspace(0.0, length * len(sections), len(sections) + 1)
-    started = np.concatenate([[0.0], np.cumsum(np.asarray(sections) * length)])
-
-    def rhs(z, y):
-        idx = min(int(z // length), len(sections) - 1)
-        db = sections[idx]
-        # the frame phase is the running integral of the detuning
-        phase = started[idx] + db * (z - edges[idx])
-        return [-1j * kappa * y[1] * np.exp(1j * phase),
-                -1j * kappa * y[0] * np.exp(-1j * phase)]
-
-    cols = []
-    for start in (np.array([1.0 + 0j, 0.0j]), np.array([0.0j, 1.0 + 0j])):
-        sol = solve_ivp(rhs, (edges[0], edges[-1]), start, method="DOP853",
-                        rtol=1e-12, atol=1e-13, dense_output=False)
-        cols.append(sol.y[:, -1])
-    return np.stack(cols, axis=1)
+from tests.oracles import coupling_matrix, ode_transfer
 
 
 @pytest.mark.parametrize("kappa,dbeta,length", [
@@ -56,7 +30,7 @@ def ode_oracle(kappa, sections, length):
 ])
 def test_single_section_matches_ode(kappa, dbeta, length):
     analytic = compose_sections(kappa, (dbeta,), length)
-    numeric = ode_oracle(kappa, [dbeta], length)
+    numeric = ode_transfer(kappa, [dbeta], length)
     assert np.max(np.abs(analytic - numeric)) < 1e-8
 
 
@@ -65,7 +39,7 @@ def test_two_sections_match_ode():
     half = 2500.0
     for db1, db2 in [(4e-4, -4e-4), (3e-4, 3e-4), (0.0, 6e-4)]:
         analytic = compose_sections(kappa, (db1, db2), half)
-        numeric = ode_oracle(kappa, [db1, db2], half)
+        numeric = ode_transfer(kappa, [db1, db2], half)
         assert np.max(np.abs(analytic - numeric)) < 1e-8
 
 
@@ -222,6 +196,21 @@ def test_switch_map_symmetry_and_extremes():
     assert bar[mid, mid] < 0.01
     assert np.max(bar) > 0.99
     assert np.all(bar >= -1e-12) and np.all(bar <= 1 + 1e-12)
+
+
+def test_row_blocks_are_bit_identical(model):
+    # switch_map one u1 row per block and pc_window 7 wavelengths per
+    # block, against one block of the whole map and window
+    u1, u2 = np.linspace(-40.0, 40.0, 37), np.linspace(-30.0, 50.0, 41)
+    lam = np.linspace(1.56, 1.58, 401)
+    runs = []
+    for chunk in (7, 1 << 20):
+        with mock.patch.object(source, "CHUNK_POINTS", chunk):
+            runs.append((switch_map(math.pi / 16000.0, 4000.0, u1, u2),
+                         pc_window(model, 21.4, 7600.0, 2e-4,
+                                   wavelengths=lam).fraction))
+    for blocked, whole in zip(*runs):
+        assert blocked.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("kappa_c, half_length", [

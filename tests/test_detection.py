@@ -718,8 +718,6 @@ NUMBER_ARGS = {
                    RangeError),
     "group_velocity": (lambda c, j, x: qpic.group_velocity(c.model, "H", x),
                        RangeError),
-    "group_index": (lambda c, j, x: qpic.group_index(c.model, "H", x),
-                    RangeError),
     "pdc_mismatch": (lambda c, j, x: qpic.pdc_mismatch(
         c.model, 9.2, x, 1.2), RangeError),
     "pc_mismatch": (lambda c, j, x: qpic.pc_mismatch(c.model, 21.4, x),
@@ -999,9 +997,10 @@ def test_hom_scan_evaluates_indices_once_per_grid(chip, monkeypatch):
 
 
 def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
-    # a scan over many chunks builds its two element chains once and walks
-    # each chunk once: one index call per polarisation and chunk, on the
-    # chunk's 10 rows (4 in the last), and none for the blocks
+    # a scan over many chunks builds its element chain once, slices it
+    # into its two walks, and walks each chunk once: one index call per
+    # polarisation and chunk, on the chunk's 10 rows (4 in the last), and
+    # none for the blocks
     monkeypatch.setattr(source, "CHUNK_POINTS", 10 * 64)
     originals = {"element_matrices": qpic.circuit.element_matrices,
                  "index": qpic.dispersion.index}
@@ -1019,7 +1018,7 @@ def test_hom_scan_builds_its_chains_once(chip, jsa_tiny, monkeypatch):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name))
     hom_scan(jsa_tiny, chip, DELAYS[:5], "insensitive")
-    assert len(calls["element_matrices"]) == 2
+    assert len(calls["element_matrices"]) == 1
     for pol in "HV":
         sizes = [np.size(args[2]) for args in calls["index"] if args[1] == pol]
         assert sizes == [10 * 64] * 6 + [4 * 64]

@@ -36,6 +36,28 @@ def test_basis_order():
     assert mode_index(2, "V") == 3
 
 
+@pytest.mark.parametrize("em", [
+    pbs_matrix(0.3, 1.1), bs_matrix(0.2, 0.7), pm_matrix(0.4, 1.9),
+    eo_bs_matrix(1e-4, 4000.0, 2e-4, -1e-4, dbeta_2_v=3e-4),
+], ids=["pbs", "bs", "pm", "eobs"])
+def test_constant_elements_hold_one_2x2_per_polarisation(em):
+    # (T_H, T_V) on the modes (1H, 2H) and (1V, 2V), nothing across them
+    assert em.structure == "polarisation"
+    assert [t.shape for t in em.block] == [(2, 2), (2, 2)]
+    u = dense(em, OMEGA_BAND[0])
+    for p, t in enumerate(em.block):
+        assert np.array_equal(u[p::2, p::2], t)
+        assert not np.any(u[p::2, 1 - p::2])
+    transposed = dense(em.transposed(), OMEGA_BAND[0])
+    assert np.array_equal(transposed, u.T)
+
+
+def test_eo_bs_stores_its_couplers():
+    em = eo_bs_matrix(1e-4, 4000.0, 2e-4, -1e-4, dbeta_2_v=3e-4)
+    for t, dbetas in zip(em.block, [(2e-4, -1e-4), (2e-4, 3e-4)]):
+        assert np.array_equal(t, cmt.compose_sections(1e-4, dbetas, 4000.0))
+
+
 def test_pbs_full_crossing():
     # alpha=beta=pi/2: H stays, V crosses
     u = dense(pbs_matrix(math.pi / 2, math.pi / 2), OMEGA_BAND[0])
