@@ -161,12 +161,9 @@ def _element_keys(kind: str) -> tuple[set, set]:
             {p.name for p in params if p.default is not p.empty})
 
 
-def element_matrices(spec: CircuitSpec, transposed=False) -> list:
-    """The chain in propagation order, or, if ``transposed``, reversed
-    with transposed blocks: walking it computes U^T @ amps, so for unit
-    vectors e_m as ``amps``, column r holds row m_r of U."""
-    chain = [d.matrix for d in spec.elements]
-    return [m.transposed() for m in reversed(chain)] if transposed else chain
+def element_matrices(spec: CircuitSpec) -> list:
+    """The chain in propagation order."""
+    return [d.matrix for d in spec.elements]
 
 
 def walk(chain, amps, phases) -> list:

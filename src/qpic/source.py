@@ -21,6 +21,7 @@ weights carry the Jacobian 1/2 of the change of variables.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .dispersion import (PUMP_LAMBDA_MAX, PUMP_LAMBDA_MIN, MaterialModel,
                          _bracketed_roots, _check_band, _check_temperature,
                          _grating, group_velocity, omega_from_wavelength,
                          pdc_mismatch, wavelength_from_omega)
-from .errors import NumericalError, RangeError, count, real
+from .errors import NumericalError, RangeError, ValidationError, count, real
 
 SUM_SIGMA_FACTOR = 6.0  # pump-axis half width, in units of Omega
 SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
@@ -86,6 +87,9 @@ class GridSpec:
         size_sum = count(self.size_sum, "grid size_sum", 3)
         count(self.size_diff, f"grid size_sum {size_sum} x size_diff", 3,
               size_sum)
+        if not isinstance(self.rule, Mapping):
+            raise ValidationError(f"grid rule must be a mapping of key to "
+                                  f"value, got {self.rule!r}")
 
 
 @dataclass

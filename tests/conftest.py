@@ -25,10 +25,14 @@ def bundled(name):
 
 def walked(spec, omega, amps=np.eye(4), transposed=False):
     """U(omega) @ amps from the library's walk of the chip (U^T @ amps if
-    ``transposed``), as one array omega.shape + (4, k), 0 at the
-    structural zeros."""
+    ``transposed``: the reversed chain with transposed blocks, so for unit
+    vectors e_m as ``amps``, column r holds row m_r of U), as one array
+    omega.shape + (4, k), 0 at the structural zeros."""
+    chain = element_matrices(spec)
+    if transposed:
+        chain = [m.transposed() for m in reversed(chain)]
     phases = phase_table(omega, spec.model, spec.temperature)
-    table = walk(element_matrices(spec, transposed), amps, phases)
+    table = walk(chain, amps, phases)
     out = np.zeros(np.shape(omega) + (4, len(table[0])), dtype=complex)
     for i, row in enumerate(table):
         for c, entry in enumerate(row):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpic
-from qpic import detection, source, workers
+from qpic import detection, source
 from qpic.circuit import (CHANNEL1_INPUTS, element_matrices,
                           parse_netlist_text, walk)
 from qpic.detection import (IMPERFECTION_TARGETS, QUERIES,
@@ -810,6 +810,9 @@ BAD_CALLS = {
     # grids above MAX_GRID_POINTS, refused before any array exists
     "grid-over-ceiling": (lambda c, j: qpic.GridSpec(1 << 12, 1 << 12 | 1),
                           RangeError),
+    # dict(rule) in build_jsa raised a bare ValueError
+    "grid-rule-not-mapping": (lambda c, j: qpic.GridSpec(16, 16, rule="x"),
+                              ValidationError),
     "scan-grid-over-ceiling": (lambda c, j: qpic.scan_grid(
         dataclasses.replace(c, source=dataclasses.replace(
             c.source, pulse_duration=1.0)), [0.0, 5e6, 1e7]), RangeError),
@@ -1063,10 +1066,6 @@ def test_scans_build_no_element(chip, jsa_tiny, monkeypatch):
     assert calls == ["pbs_matrix"] * 3
 
 
-def _cores(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _assert_same(a, b):
     """Equal records, every array bit for bit."""
     assert type(a) is type(b)
@@ -1080,47 +1079,23 @@ def _assert_same(a, b):
             assert x == y, f.name
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 TEMPERATURES = [23.0, 24.0, 25.0, 26.0]
 GRID = qpic.GridSpec(32, 32)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_forked_map_runs_the_jobs_in_order(monkeypatch, n_workers):
-    _cores(monkeypatch, n_workers)
-    results = workers.forked_map(lambda job: (job, os.getpid()),
-                                 list(range(5)))
-    assert [job for job, _ in results] == list(range(5))
-    # job i runs in share i % n_workers, share 0 in the caller
-    pids = [pid for _, pid in results]
-    assert pids[0] == os.getpid()
-    assert len(set(pids)) == n_workers
-    assert all(pids[i] == pids[i % n_workers] for i in range(5))
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("n_workers", [2, 3])
-def test_forked_scans_match_the_serial_loop(chip, jsa_tiny, monkeypatch,
-                                            n_workers):
-    def scans():
-        return (temperature_scan(chip, TEMPERATURES, DELAYS[:5],
-                                 "insensitive", GRID),
-                imperfection_sweep(jsa_tiny, chip, "pbs",
-                                   [0.0, 0.25, 0.5, 0.75, 1.0], DELAYS[:5]))
-
-    _cores(monkeypatch, 1)
-    serial = scans()
-    _cores(monkeypatch, n_workers)
-    forked = scans()
-    _assert_no_child_left()
-    for a, b in zip(serial, forked):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            _assert_same(x, y)
+def test_each_job_scans_as_if_alone(chip, jsa_tiny):
+    # no job leaves state behind for the next: each point equals the scan
+    # of its temperature or fraction run on its own
+    fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
+    points = temperature_scan(chip, TEMPERATURES, DELAYS[:5], "insensitive",
+                              GRID)
+    for t, point in zip(TEMPERATURES, points):
+        alone, = temperature_scan(chip, [t], DELAYS[:5], "insensitive", GRID)
+        _assert_same(point, alone)
+    points = imperfection_sweep(jsa_tiny, chip, "pbs", fractions, DELAYS[:5])
+    for f, point in zip(fractions, points):
+        alone, = imperfection_sweep(jsa_tiny, chip, "pbs", [f], DELAYS[:5])
+        _assert_same(point, alone)
 
 
 def _patched_build(monkeypatch, before):
@@ -1134,27 +1109,19 @@ def _patched_build(monkeypatch, before):
     monkeypatch.setattr(detection, "build_jsa", patched)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch,
-                                                 n_workers):
-    # at 3 workers the caller's share (23, 26) fails too, after the child
-    # whose share is 24 failed: the earlier job's error wins
+def test_job_scan_raises_the_first_jobs_error(chip, monkeypatch):
+    # 26 would fail too, but the scan stops at 24's error
     def fail(t):
         if t in (24.0, 26.0):
             raise RangeError(f"no source at {t} C")
 
-    _cores(monkeypatch, n_workers)
     _patched_build(monkeypatch, fail)
     with pytest.raises(RangeError, match=r"^no source at 24.0 C$") as info:
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert type(info.value) is RangeError
-    _assert_no_child_left()
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_forked_scan_replays_warnings_in_job_order(chip, monkeypatch,
-                                                   n_workers):
-    _cores(monkeypatch, n_workers)
+def test_job_scan_warns_in_job_order(chip, monkeypatch):
     _patched_build(monkeypatch, lambda t: t == 25.0 and warnings.warn(
         "ridge moved", UserWarning))
     with pytest.warns(UserWarning, match="ridge moved") as record:
@@ -1166,51 +1133,30 @@ def test_forked_scan_replays_warnings_in_job_order(chip, monkeypatch,
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert [str(w.message) for w in record] == [
         f"built at {t}" for t in TEMPERATURES]
-    _assert_no_child_left()
 
 
-@pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_forked_scan_keeps_the_callers_filters(chip, monkeypatch, n_workers):
-    _cores(monkeypatch, n_workers)
+def test_job_scan_keeps_the_callers_filters(chip, monkeypatch):
     _patched_build(monkeypatch, lambda t: warnings.warn("same place"))
-    # "default" shows a warning once per place, across jobs as in the
-    # serial loop: each replay uses the registry of the raising module
+    # "default" shows a warning once per place, across jobs
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert [str(w.message) for w in caught] == ["same place"]
-    # "error" raises the warning, from whichever process met it
+    # "error" raises the warning from the job that met it
     _patched_build(monkeypatch, lambda t: t == 24.0 and warnings.warn(
         "overflow", RuntimeWarning))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
             temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
-    _assert_no_child_left()
 
 
-def test_forked_scan_raises_for_a_dead_child(chip, monkeypatch):
-    caller = os.getpid()
-
-    def die(t):
-        if os.getpid() != caller:
-            os._exit(1)
-
-    _cores(monkeypatch, 2)
-    _patched_build(monkeypatch, die)
-    with pytest.raises(qpic.NumericalError,
-                       match=r"worker process \d+ ended without its results"):
-        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
-    _assert_no_child_left()
-
-
-def test_one_core_forks_nothing(chip, jsa_tiny, monkeypatch):
-    # one worker is the caller alone: its jobs run in order in this
-    # process, a job's warning is replayed once and the first error raised
+def test_job_scans_fork_nothing(chip, jsa_tiny, monkeypatch):
+    # at this process's own CPU affinity the jobs run in order in this
+    # process: a job's warning arrives once and the first error is raised
     def no_fork():
-        raise AssertionError("forked with one core")
+        raise AssertionError("a job scan forked")
 
-    _cores(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     for t, point in zip(TEMPERATURES, temperature_scan(
             chip, TEMPERATURES, DELAYS[:5], "insensitive", GRID)):
@@ -1445,7 +1391,6 @@ def test_temperature_scan_sizes_its_grid(chip, monkeypatch):
         return build(model, source, grid, temperature)
 
     monkeypatch.setattr(detection, "build_jsa", recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     temperature_scan(chip, [24.5], DELAYS[::6])
     assert built == [qpic.scan_grid(chip, DELAYS[::6])]
     assert built[0].rule == qpic.scan_grid(chip, DELAYS[::6]).rule
