@@ -1066,6 +1066,15 @@ def test_scans_build_no_element(chip, jsa_tiny, monkeypatch):
     assert calls == ["pbs_matrix"] * 3
 
 
+def _cores(monkeypatch, n):
+    """Report n cores to the process, and fail any fork."""
+    def no_fork():
+        raise AssertionError(f"a job scan forked at {n} cores")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
 def _assert_same(a, b):
     """Equal records, every array bit for bit."""
     assert type(a) is type(b)
@@ -1081,6 +1090,28 @@ def _assert_same(a, b):
 
 TEMPERATURES = [23.0, 24.0, 25.0, 26.0]
 GRID = qpic.GridSpec(32, 32)
+
+# The test_forked_* names date from when job scans forked one process per
+# core. Each now runs at 1, 2 or 3 reported cores and pins that the core
+# count changes nothing: the jobs run in turn in this process.
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_forked_scans_match_the_serial_loop(chip, jsa_tiny, monkeypatch,
+                                            n_workers):
+    def scans():
+        return (temperature_scan(chip, TEMPERATURES, DELAYS[:5],
+                                 "insensitive", GRID),
+                imperfection_sweep(jsa_tiny, chip, "pbs",
+                                   [0.0, 0.25, 0.5, 0.75, 1.0], DELAYS[:5]))
+
+    _cores(monkeypatch, 1)
+    serial = scans()
+    _cores(monkeypatch, n_workers)
+    for a, b in zip(serial, scans()):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
 
 
 def test_each_job_scans_as_if_alone(chip, jsa_tiny):
@@ -1109,19 +1140,24 @@ def _patched_build(monkeypatch, before):
     monkeypatch.setattr(detection, "build_jsa", patched)
 
 
-def test_job_scan_raises_the_first_jobs_error(chip, monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch, n_workers):
     # 26 would fail too, but the scan stops at 24's error
     def fail(t):
         if t in (24.0, 26.0):
             raise RangeError(f"no source at {t} C")
 
+    _cores(monkeypatch, n_workers)
     _patched_build(monkeypatch, fail)
     with pytest.raises(RangeError, match=r"^no source at 24.0 C$") as info:
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert type(info.value) is RangeError
 
 
-def test_job_scan_warns_in_job_order(chip, monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_replays_warnings_in_job_order(chip, monkeypatch,
+                                                   n_workers):
+    _cores(monkeypatch, n_workers)
     _patched_build(monkeypatch, lambda t: t == 25.0 and warnings.warn(
         "ridge moved", UserWarning))
     with pytest.warns(UserWarning, match="ridge moved") as record:
@@ -1135,7 +1171,9 @@ def test_job_scan_warns_in_job_order(chip, monkeypatch):
         f"built at {t}" for t in TEMPERATURES]
 
 
-def test_job_scan_keeps_the_callers_filters(chip, monkeypatch):
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_scan_keeps_the_callers_filters(chip, monkeypatch, n_workers):
+    _cores(monkeypatch, n_workers)
     _patched_build(monkeypatch, lambda t: warnings.warn("same place"))
     # "default" shows a warning once per place, across jobs
     with warnings.catch_warnings(record=True) as caught:
