@@ -83,8 +83,9 @@ toward the cap distance, not past the middle of the rows left; where one
 row's move misses the cap it stays there (eps = 0, N = 0: the direct sum).
 A 1000 ps pump gives one block, rho ~ 0.1 and N ~ 10; a 1 ps pump tens.
 
-``temperature_scan`` and ``imperfection_sweep`` run their temperatures
-or fractions in turn, in the calling process.
+``temperature_scan`` and ``imperfection_sweep`` run each temperature or
+fraction as one job of ``workers.forked_map``, one forked process per
+available core, with results, warnings and errors as in a serial loop.
 """
 
 from __future__ import annotations
@@ -527,8 +528,10 @@ def imperfection_sweep(jsa: JointSpectralAmplitude, spec: CircuitSpec,
     fractions = reals(fractions, "sweep fractions", 1, 1).tolist()
     # every fraction is checked before the first scan
     chips = [apply_imperfection(spec, target, f) for f in fractions]
-    return [SweepPoint(f, hom_scan(jsa, chip, delay_values, query))
-            for f, chip in zip(fractions, chips)]
+    from .workers import forked_map  # hom's import compiles none of it
+    scans = forked_map(
+        lambda chip: hom_scan(jsa, chip, delay_values, query), chips)
+    return [SweepPoint(f, scan) for f, scan in zip(fractions, scans)]
 
 
 @dataclass(frozen=True)
@@ -573,8 +576,8 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
                                pc["kappa"], temperature=t)
         windows.append((window.centre, window.fwhm))
 
-    def point(t, window) -> TemperaturePoint:
-        centre, window_fwhm = window
+    def point(job) -> TemperaturePoint:
+        t, (centre, window_fwhm) = job
         jsa = build_jsa(spec.model, spec.source, grid, temperature=t)
         scan = hom_scan(jsa, spec.at_temperature(t), delay_values, query)
         marginals = marginal_spectra(jsa)
@@ -594,6 +597,7 @@ def temperature_scan(spec: CircuitSpec, temperatures, delay_values=None,
             window_centre=float(centre), window_fwhm=window_fwhm,
             outside_window=bool(outside))
 
-    # one JSA at a time: each point frees its own
-    return [point(t, window) for t, window in zip(temperatures, windows)]
+    from .workers import forked_map  # hom's import compiles none of it
+    # one JSA per process at a time: each job frees its own
+    return forked_map(point, list(zip(temperatures, windows)))
 

@@ -169,7 +169,7 @@ _SCIPY_MODULES = ("sorted(m for m in sys.modules "
 
 
 def test_import_leaves_out_scipy_optimize(tmp_path):
-    # the scans run in this process: no process pool either
+    # the scans fork their workers with os alone: no process pool either
     probe = _run_fresh("-c", "import sys, qpic.cli; "
                        f"print({_SCIPY_MODULES}, "
                        "'concurrent.futures' in sys.modules, "
@@ -751,6 +751,26 @@ def test_pol_option(tmp_path):
     assert manifest["summary"]["baseline"] == pytest.approx(0.5, abs=0.02)
 
 
+def test_dead_worker_exits_three(tmp_path, monkeypatch, capsys):
+    # a worker killed before it sends its results (a signal, the OOM
+    # killer) is a numerical failure: exit 3, and nothing written
+    caller, build = os.getpid(), qpic.source.build_jsa
+
+    def die_in_child(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(qpic.detection, "build_jsa", die_in_child)
+    code, out = run(tmp_path, "temp-scan", "--grid", "32", "--points", "3",
+                    "--temperatures", "24,25")
+    assert code == 3
+    assert re.fullmatch(r"numerical error: worker process \d+ ended without "
+                        r"its results\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 # each override against the same command without it: the manifest echoes
 # the value, and exactly the named tables change
 OVERRIDES = [
@@ -845,6 +865,7 @@ def test_any_argv_exits_0_2_or_3(command, data):
     # kernel: an input whose arithmetic overflows is refused before that
     argv = data.draw(_argv(command))
     with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         out = Path(tmp) / "out"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpic
-from qpic import detection, source
+from qpic import detection, source, workers
 from qpic.circuit import (CHANNEL1_INPUTS, element_matrices,
                           parse_netlist_text, walk)
 from qpic.detection import (IMPERFECTION_TARGETS, QUERIES,
@@ -1067,12 +1067,7 @@ def test_scans_build_no_element(chip, jsa_tiny, monkeypatch):
 
 
 def _cores(monkeypatch, n):
-    """Report n cores to the process, and fail any fork."""
-    def no_fork():
-        raise AssertionError(f"a job scan forked at {n} cores")
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def _assert_same(a, b):
@@ -1088,12 +1083,27 @@ def _assert_same(a, b):
             assert x == y, f.name
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 TEMPERATURES = [23.0, 24.0, 25.0, 26.0]
 GRID = qpic.GridSpec(32, 32)
 
-# The test_forked_* names date from when job scans forked one process per
-# core. Each now runs at 1, 2 or 3 reported cores and pins that the core
-# count changes nothing: the jobs run in turn in this process.
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_forked_map_runs_the_jobs_in_order(monkeypatch, n_workers):
+    _cores(monkeypatch, n_workers)
+    results = workers.forked_map(lambda job: (job, os.getpid()),
+                                 list(range(5)))
+    assert [job for job, _ in results] == list(range(5))
+    # job i runs in share i % n_workers, share 0 in the caller
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == n_workers
+    assert all(pids[i] == pids[i % n_workers] for i in range(5))
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("n_workers", [2, 3])
@@ -1108,25 +1118,12 @@ def test_forked_scans_match_the_serial_loop(chip, jsa_tiny, monkeypatch,
     _cores(monkeypatch, 1)
     serial = scans()
     _cores(monkeypatch, n_workers)
-    for a, b in zip(serial, scans()):
+    forked = scans()
+    _assert_no_child_left()
+    for a, b in zip(serial, forked):
         assert len(a) == len(b)
         for x, y in zip(a, b):
             _assert_same(x, y)
-
-
-def test_each_job_scans_as_if_alone(chip, jsa_tiny):
-    # no job leaves state behind for the next: each point equals the scan
-    # of its temperature or fraction run on its own
-    fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
-    points = temperature_scan(chip, TEMPERATURES, DELAYS[:5], "insensitive",
-                              GRID)
-    for t, point in zip(TEMPERATURES, points):
-        alone, = temperature_scan(chip, [t], DELAYS[:5], "insensitive", GRID)
-        _assert_same(point, alone)
-    points = imperfection_sweep(jsa_tiny, chip, "pbs", fractions, DELAYS[:5])
-    for f, point in zip(fractions, points):
-        alone, = imperfection_sweep(jsa_tiny, chip, "pbs", [f], DELAYS[:5])
-        _assert_same(point, alone)
 
 
 def _patched_build(monkeypatch, before):
@@ -1141,8 +1138,10 @@ def _patched_build(monkeypatch, before):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch, n_workers):
-    # 26 would fail too, but the scan stops at 24's error
+def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch,
+                                                 n_workers):
+    # at 3 workers the caller's share (23, 26) fails too, after the child
+    # whose share is 24 failed: the earlier job's error wins
     def fail(t):
         if t in (24.0, 26.0):
             raise RangeError(f"no source at {t} C")
@@ -1152,6 +1151,7 @@ def test_forked_scan_raises_the_first_jobs_error(chip, monkeypatch, n_workers):
     with pytest.raises(RangeError, match=r"^no source at 24.0 C$") as info:
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert type(info.value) is RangeError
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -1169,32 +1169,51 @@ def test_forked_scan_replays_warnings_in_job_order(chip, monkeypatch,
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert [str(w.message) for w in record] == [
         f"built at {t}" for t in TEMPERATURES]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
 def test_forked_scan_keeps_the_callers_filters(chip, monkeypatch, n_workers):
     _cores(monkeypatch, n_workers)
     _patched_build(monkeypatch, lambda t: warnings.warn("same place"))
-    # "default" shows a warning once per place, across jobs
+    # "default" shows a warning once per place, across jobs as in the
+    # serial loop: each replay uses the registry of the raising module
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
     assert [str(w.message) for w in caught] == ["same place"]
-    # "error" raises the warning from the job that met it
+    # "error" raises the warning, from whichever process met it
     _patched_build(monkeypatch, lambda t: t == 24.0 and warnings.warn(
         "overflow", RuntimeWarning))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
             temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    _assert_no_child_left()
 
 
-def test_job_scans_fork_nothing(chip, jsa_tiny, monkeypatch):
-    # at this process's own CPU affinity the jobs run in order in this
-    # process: a job's warning arrives once and the first error is raised
+def test_forked_scan_raises_for_a_dead_child(chip, monkeypatch):
+    caller = os.getpid()
+
+    def die(t):
+        if os.getpid() != caller:
+            os._exit(1)
+
+    _cores(monkeypatch, 2)
+    _patched_build(monkeypatch, die)
+    with pytest.raises(qpic.NumericalError,
+                       match=r"worker process \d+ ended without its results"):
+        temperature_scan(chip, TEMPERATURES, DELAYS[:3], grid=GRID)
+    _assert_no_child_left()
+
+
+def test_one_core_forks_nothing(chip, jsa_tiny, monkeypatch):
+    # one worker is the caller alone: its jobs run in order in this
+    # process, a job's warning is replayed once and the first error raised
     def no_fork():
-        raise AssertionError("a job scan forked")
+        raise AssertionError("forked with one core")
 
+    _cores(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     for t, point in zip(TEMPERATURES, temperature_scan(
             chip, TEMPERATURES, DELAYS[:5], "insensitive", GRID)):
@@ -1429,6 +1448,7 @@ def test_temperature_scan_sizes_its_grid(chip, monkeypatch):
         return build(model, source, grid, temperature)
 
     monkeypatch.setattr(detection, "build_jsa", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     temperature_scan(chip, [24.5], DELAYS[::6])
     assert built == [qpic.scan_grid(chip, DELAYS[::6])]
     assert built[0].rule == qpic.scan_grid(chip, DELAYS[::6]).rule
