@@ -11,10 +11,9 @@ gnuplot script of the first table when ``--gnuplot-script`` is given,
 (inputs with checksums, a bundled one as ``qpic/data/<name>``, package
 versions, a configuration echo and the summary). An invalid input
 therefore leaves no file behind. The tables are dropped once written, so
-the checksums run with no grid alive: the first one imports ``hashlib``,
-whose OpenSSL maps ~3.5 MB of RSS, and on top of the amplitude of ``jsa
---dump-grid`` it set that command's peak. Exit codes: 0 success, 2
-invalid input, 3 numerical failure.
+the checksums run with no grid alive: the first imports ``hashlib``, whose
+OpenSSL maps 3.7 MB of RSS (3.1 MB file-backed), the peak of ``hom`` and
+``temp-scan``. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 
 A CSV float is written byte for byte as ``'%.11e' % v``, but assembled in
 numpy: its 12 digits are rint(m) for m = |v| 10**(11 - e), e =
@@ -204,7 +203,7 @@ def _write_columns(path: Path, header, columns) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    import hashlib  # loaded after the work: OpenSSL is ~3.5 MB of RSS
+    import hashlib  # loaded after the work: OpenSSL is 3.7 MB of RSS
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

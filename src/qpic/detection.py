@@ -385,12 +385,12 @@ class _Block:
         m = np.array(self.moments) / factorials[:, None]
         out = np.empty(len(delays))
         for rows in _row_blocks(len(delays), m.shape[1]):
-            delta = delays[rows, None]
-            tile = np.repeat(m[-1:], len(delta), axis=0)
+            step = 1j * delays[rows, None]
+            tile = np.repeat(m[-1:], len(step), axis=0)
             for moment in m[-2::-1]:
-                tile *= 1j * delta
+                tile *= step
                 tile += moment
-            tile *= np.exp(1j * (delta * self.ref))
+            tile *= np.exp(step * self.ref)
             out[rows] = 2.0 * tile.sum(axis=1).real
         return out
 

@@ -36,7 +36,7 @@ SUM_SIGMA_FACTOR = 6.0  # pump-axis half width, in units of Omega
 SINC_LOBES = 4  # cover the side-lobes out to the 4th zero
 RIDGE_SEARCH = 50.0  # rad/ps, half width of the ridge search on d
 MARGINAL_POINTS = 2048  # frequency samples of each marginal spectrum
-CHUNK_POINTS = 8192  # grid points per cache-resident block of grid rows
+CHUNK_POINTS = 4096  # grid points per block of grid rows, see _row_blocks
 DEFAULT_GRID = 512  # points of each GridSpec axis and of a scan's diff axis
 
 
@@ -136,7 +136,8 @@ def _quadrature_weights(sum_grid, diff_grid, rows=slice(None)):
 
 def _row_blocks(n: int, width: int):
     """Slices of ``n`` rows of ``width`` points in blocks of max(1,
-    CHUNK_POINTS // width) rows, the blocks of every pass over a grid."""
+    CHUNK_POINTS // width) rows, the blocks of every pass over a grid. A
+    scan chunk holds ~26-44 arrays of a block; 2048 points scan 20% slower."""
     step = max(1, CHUNK_POINTS // width)
     return (slice(lo, lo + step) for lo in range(0, n, step))
 

@@ -574,7 +574,7 @@ def test_jsa_dump_holds_one_grid(tmp_path):
 
 
 def test_checksums_run_with_no_grid_alive(tmp_path):
-    # the first checksum imports hashlib, whose OpenSSL maps ~3.5 MB of
+    # the first checksum imports hashlib, whose OpenSSL maps 3.7 MB of
     # RSS: by then no table may hold the amplitude, through its views
     build, sha256 = cli.build_jsa, cli._sha256
     amplitude, dead = [], []

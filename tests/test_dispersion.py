@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qpic
-from qpic import dispersion
+from qpic import dispersion, source
 from qpic.dispersion import (C_UM_PS, MaterialModel,
                              _bracketed_roots, _matched_wavelength,
                              degenerate_wavelength, group_velocity, index, load_material,
@@ -261,7 +261,7 @@ def test_bracketed_roots_evaluate_samples_in_one_call():
         return len(shapes)
 
     levels = np.linspace(-0.9, 0.9, 7)
-    assert calls(np.repeat(0.3, 150)) == calls([0.3])
+    assert calls(np.repeat(0.3, source.CHUNK_POINTS // 31)) == calls([0.3])
     assert calls(levels) == max(calls([q]) for q in levels)
 
 
