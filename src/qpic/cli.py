@@ -11,9 +11,11 @@ gnuplot script of the first table when ``--gnuplot-script`` is given,
 (inputs with checksums, a bundled one as ``qpic/data/<name>``, package
 versions, a configuration echo and the summary). An invalid input
 therefore leaves no file behind. The tables are dropped once written, so
-the checksums run with no grid alive: the first imports ``hashlib``, whose
-OpenSSL maps 3.7 MB of RSS (3.1 MB file-backed), the peak of ``hom`` and
-``temp-scan``. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+the checksums run with no grid alive. A file of up to 1 MiB is hashed by
+CPython's own SHA-256 (~3.9 ns/B), a larger one by OpenSSL (~0.7 ns/B),
+whose ``hashlib`` import takes ~3 ms and 3.6 MB of RSS: the two break even
+near 1 MB, so only a large output such as ``jsa --dump-grid`` loads it.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 
 A CSV float is written byte for byte as ``'%.11e' % v``, but assembled in
 numpy: its 12 digits are rint(m) for m = |v| 10**(11 - e), e =
@@ -202,9 +204,18 @@ def _write_columns(path: Path, header, columns) -> Path:
     return path
 
 
+_BUILTIN_SHA256_BYTES = 1 << 20  # larger files load OpenSSL (module docstring)
+
+
 def _sha256(path: Path) -> str:
-    import hashlib  # loaded after the work: OpenSSL is 3.7 MB of RSS
-    digest = hashlib.sha256()
+    try:  # CPython's own SHA-256, in _sha2 from 3.12
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12)
+                            else "_sha256").sha256
+    except ImportError:  # a build without it
+        sha256 = None
+    if sha256 is None or path.stat().st_size > _BUILTIN_SHA256_BYTES:
+        from hashlib import sha256  # OpenSSL, loaded after the work
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)

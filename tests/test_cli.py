@@ -574,8 +574,8 @@ def test_jsa_dump_holds_one_grid(tmp_path):
 
 
 def test_checksums_run_with_no_grid_alive(tmp_path):
-    # the first checksum imports hashlib, whose OpenSSL maps 3.7 MB of
-    # RSS: by then no table may hold the amplitude, through its views
+    # a large dump's checksum imports hashlib, whose OpenSSL maps 3.6 MB
+    # of RSS: by then no table may hold the amplitude, through its views
     build, sha256 = cli.build_jsa, cli._sha256
     amplitude, dead = [], []
 
@@ -596,6 +596,42 @@ def test_checksums_run_with_no_grid_alive(tmp_path):
     assert dead == [True]
     assert 'plot "jsa_marginals.csv"' in \
         (tmp_path / "jsa_marginals.gp").read_text()
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 1, 3 << 20])
+def test_sha256_matches_hashlib_on_both_sides_of_the_threshold(tmp_path,
+                                                                size):
+    assert cli._BUILTIN_SHA256_BYTES == 1 << 20
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    with mock.patch("hashlib.sha256", wraps=hashlib.sha256) as openssl:
+        digest = cli._sha256(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert openssl.called == (size > 1 << 20)
+
+
+def test_sha256_falls_back_to_hashlib_without_the_builtin(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(b"qpic")
+    with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None}), \
+            mock.patch("hashlib.sha256", wraps=hashlib.sha256) as openssl:
+        digest = cli._sha256(path)
+    assert digest == hashlib.sha256(b"qpic").hexdigest()
+    assert openssl.called
+
+
+def test_only_a_large_output_loads_openssl(tmp_path):
+    # a new interpreter: this module has imported hashlib itself
+    probe = _run_fresh("-c", """import sys
+from qpic.cli import main
+for argv in (['hom', '--grid', '32', '--points', '9'], ['coupler-fit'],
+             ['tuning', '--pump-points', '3'],
+             ['jsa', '--dump-grid', '--grid', '256']):  # a 4.9 MB dump
+    code = main([*argv, '-o', argv[0]])
+    print(argv[0], code, '_hashlib' in sys.modules)""", cwd=tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split("\n")[:4] == [
+        "hom 0 False", "coupler-fit 0 False", "tuning 0 False", "jsa 0 True"]
 
 
 CONTRACT_CASES = {
